@@ -26,9 +26,14 @@ import numpy as np
 from .bounds import BoundId, InstanceFamily, dichotomy_bounds, verify_sweep
 from .divergences import DivergenceKind, divergence
 from .errors import CapabilityError, HypothesisError
+# greedy_cover and local_cover stay importable from this module: the
+# perfbench tracer (perfbench/spans.py) wraps them here by name
 from .estimation import (
+    HellingerTable,
+    Net,
     greedy_cover,
     local_cover,
+    local_covering_number,
     rate_functional,
     sequential_forecaster,
 )
@@ -77,6 +82,15 @@ def _number(cfg, name, default=None):
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ValueError(f"config field {name!r} must be a number, got {v!r}")
     return float(v)
+
+
+def _positive_numbers(cfg, name, default=None) -> list[float]:
+    if name not in cfg:
+        return default
+    grid = [float(e) for e in cfg[name]]
+    if not grid or not all(e > 0 for e in grid):
+        raise ValueError(f"config field {name!r} must be a non-empty list of positive numbers")
+    return grid
 
 
 def _mixture(cfg, name) -> GaussianMixture:
@@ -212,27 +226,17 @@ def _run_dichotomy(cfg, out_dir, seed, threads):
 def _run_entropy(cfg, out_dir, seed, threads):
     _check_keys(cfg, "entropy", {"family", "epsilons", "n"}, {"eta_grid", "tol", "seed", "out"})
     candidates = _family_candidates(cfg["family"])
-    eps_grid = [float(e) for e in cfg["epsilons"]]
-    if not eps_grid or any(e <= 0 for e in eps_grid):
-        raise ValueError("config field 'epsilons' must be a non-empty list of positive numbers")
-    eta_grid = [float(e) for e in cfg.get("eta_grid", eps_grid)]
+    eps_grid = _positive_numbers(cfg, "epsilons")
+    eta_grid = _positive_numbers(cfg, "eta_grid", eps_grid)
     n = _positive_int(cfg, "n")
-    tol = _number(cfg, "tol")
-
-    local_sizes = {}
-    for eta in eta_grid:
-        for ci, center in enumerate(candidates):
-            local_sizes[(ci, eta)] = len(local_cover(candidates, center, eta, tol))
+    # one table per job: every global and local cover reads the same pairs
+    table = HellingerTable(candidates, _number(cfg, "tol"))
 
     rows = []
     cover_sizes, local_counts = [], []
     for eps in eps_grid:
-        n_cov = len(greedy_cover(candidates, eps, tol))
-        n_loc = max(
-            (local_sizes[(ci, eta)] for eta in eta_grid if eta >= eps for ci in range(len(candidates))),
-            default=1,
-        )
-        n_loc = max(n_loc, 1)
+        n_cov = len(greedy_cover(table, eps))
+        n_loc = max(local_covering_number(table, eps, eta_grid), 1)
         cover_sizes.append(n_cov)
         local_counts.append(n_loc)
         batch_rate = eps**2 + math.log(n_loc) / n
@@ -269,9 +273,8 @@ def _run_seq(cfg, out_dir, seed, threads):
     if eps is not None:
         net = greedy_cover(candidates, eps, tol)
     else:
-        from .estimation import Net, pairwise_hellinger
-
-        net = Net(candidates, 0.0, pairwise_hellinger(candidates, tol))
+        # every candidate is an element; the forecaster reads no distances
+        net = Net(HellingerTable(candidates, tol), np.arange(len(candidates)), 0.0)
     true_index = cfg["true_index"]
     if not isinstance(true_index, int) or not (0 <= true_index < len(net.elements)):
         raise ValueError(

@@ -5,12 +5,16 @@ atomic mixtures); covers are greedy farthest-point, which yields a set
 that is simultaneously an epsilon-cover of the candidates and an
 epsilon-packing, hence within the usual packing/covering sandwich of the
 optimum.  All tie-breaks are first-index so results are reproducible.
+
+Hellinger distances are computed once per candidate list: a
+`HellingerTable` holds each pair the first time any cover reads it, and
+every global cover, local cover and net built on that table shares it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,47 +28,93 @@ def hellinger(p: GaussianMixture, q: GaussianMixture, tol=None) -> float:
     return math.sqrt(max(divergence(DivergenceKind.HellingerSq, p, q, tol=tol).value, 0.0))
 
 
-class _DistCache:
-    """Memoized symmetric Hellinger distances over a fixed candidate list."""
+class HellingerTable:
+    """Symmetric Hellinger distances over a fixed candidate list, filled lazily.
+
+    Each unordered pair (i, j) is computed at most once, as
+    hellinger(elements[min(i, j)], elements[max(i, j)], tol), the first time
+    a cover reads it.  Every cover, local cover and net built on one table
+    shares its entries, so a candidate family costs at most N(N-1)/2
+    quadratures however many covers are taken of it.
+    """
 
     def __init__(self, elements, tol=None):
         self.elements = list(elements)
         self.tol = tol
-        self._d = {}
+        n = len(self.elements)
+        self._dist = np.zeros((n, n))
+        self._known = np.eye(n, dtype=bool)
 
-    def dist(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        key = (min(i, j), max(i, j))
-        if key not in self._d:
-            self._d[key] = hellinger(self.elements[key[0]], self.elements[key[1]], self.tol)
-        return self._d[key]
+    def __len__(self):
+        return len(self.elements)
 
-    def column(self, i: int) -> np.ndarray:
-        return np.array([self.dist(i, j) for j in range(len(self.elements))])
+    def row(self, i: int, among: np.ndarray) -> np.ndarray:
+        """Distances from candidate i to the candidates at indices `among`."""
+        for j in among[~self._known[i, among]]:
+            a, b = min(i, j), max(i, j)
+            self._dist[a, b] = self._dist[b, a] = hellinger(self.elements[a], self.elements[b], self.tol)
+            self._known[a, b] = self._known[b, a] = True
+        return self._dist[i, among]
+
+    def block(self, index: np.ndarray) -> np.ndarray:
+        """Pairwise distances among the candidates at `index` (a copy)."""
+        for i in index:
+            self.row(i, index)
+        return self._dist[np.ix_(index, index)]
+
+
+def _table(candidates, tol) -> HellingerTable:
+    """The caller's table, or a fresh one over a plain candidate list."""
+    if isinstance(candidates, HellingerTable):
+        return candidates
+    return HellingerTable(candidates, tol)
 
 
 def pairwise_hellinger(elements, tol=None) -> np.ndarray:
-    """Symmetric matrix of pairwise Hellinger distances, zero diagonal."""
-    cache = _DistCache(elements, tol)
-    n = len(elements)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = cache.dist(i, j)
-    return out
+    """Symmetric matrix of pairwise Hellinger distances, zero diagonal.
+
+    `elements` is a candidate list or a `HellingerTable` (whose tol applies).
+    """
+    table = _table(elements, tol)
+    return table.block(np.arange(len(table)))
 
 
 @dataclass
 class Net:
-    """A finite Hellinger epsilon-cover with its pairwise-distance cache."""
+    """A finite Hellinger cover: the candidates at `index` in a distance table."""
 
-    elements: list
+    table: HellingerTable
+    index: np.ndarray
     radius: float
-    distance_cache: np.ndarray
+    elements: list = field(init=False)
+
+    def __post_init__(self):
+        self.index = np.asarray(self.index, dtype=int)
+        self.elements = [self.table.elements[i] for i in self.index]
+
+    @property
+    def distance_cache(self) -> np.ndarray:
+        """Pairwise Hellinger distances among the elements, read from the table."""
+        return self.table.block(self.index)
 
     def __len__(self):
         return len(self.elements)
+
+
+def _farthest_point(table: HellingerTable, among: np.ndarray, eps: float) -> Net:
+    """Farthest-point greedy eps-cover of the candidates at indices `among`.
+
+    Reads only the rows of the promoted centers, restricted to `among`.
+    """
+    centers = [among[0]]
+    mindist = table.row(among[0], among)
+    while True:
+        far = int(np.argmax(mindist))
+        if mindist[far] <= eps:
+            break
+        centers.append(among[far])
+        mindist = np.minimum(mindist, table.row(among[far], among))
+    return Net(table, centers, eps)
 
 
 def greedy_cover(candidates, eps: float, tol=None) -> Net:
@@ -73,43 +123,36 @@ def greedy_cover(candidates, eps: float, tol=None) -> Net:
     Starts from index 0 and repeatedly promotes the candidate farthest from
     the current centers until everything is within eps.  The output is also
     eps-separated, so its size is at most the eps/2-covering's packing bound.
+    `candidates` is a list or a `HellingerTable` (whose tol then applies).
     """
     if eps <= 0:
         raise HypothesisError(f"cover radius must be positive, got {eps}")
-    candidates = list(candidates)
-    if not candidates:
+    table = _table(candidates, tol)
+    if not len(table):
         raise ValueError("candidate list must be non-empty")
-    cache = _DistCache(candidates, tol)
-    centers = [0]
-    mindist = cache.column(0)
-    while True:
-        far = int(np.argmax(mindist))
-        if mindist[far] <= eps:
-            break
-        centers.append(far)
-        mindist = np.minimum(mindist, cache.column(far))
-    elems = [candidates[i] for i in centers]
-    m = len(centers)
-    dc = np.zeros((m, m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            dc[a, b] = dc[b, a] = cache.dist(centers[a], centers[b])
-    return Net(elements=elems, radius=eps, distance_cache=dc)
+    return _farthest_point(table, np.arange(len(table)), eps)
 
 
 def local_cover(candidates, center: GaussianMixture, eta: float, tol=None) -> Net:
-    """Cover of the Hellinger ball B(center, eta) among candidates at radius eta/2."""
+    """Cover of the Hellinger ball B(center, eta) among candidates at radius eta/2.
+
+    `candidates` is a list or a `HellingerTable` (whose tol then applies).  A
+    center that is one of the candidates (by identity) reads its row of the
+    table; any other center costs one quadrature per candidate.
+    """
     if eta <= 0:
         raise HypothesisError(f"ball radius must be positive, got {eta}")
-    candidates = list(candidates)
-    ball = [
-        c
-        for c in candidates
-        if (0.0 if c is center else hellinger(center, c, tol)) <= eta
-    ]
-    if not ball:
-        return Net(elements=[], radius=eta / 2.0, distance_cache=np.zeros((0, 0)))
-    return greedy_cover(ball, eta / 2.0, tol)
+    table = _table(candidates, tol)
+    everyone = np.arange(len(table))
+    i = next((k for k, c in enumerate(table.elements) if c is center), None)
+    if i is None:
+        dist = np.array([hellinger(center, c, table.tol) for c in table.elements])
+    else:
+        dist = table.row(i, everyone)
+    ball = everyone[dist <= eta]
+    if not ball.size:
+        return Net(table, ball, eta / 2.0)
+    return _farthest_point(table, ball, eta / 2.0)
 
 
 def local_covering_number(candidates, eps: float, eta_grid, centers=None, tol=None) -> int:
@@ -117,17 +160,21 @@ def local_covering_number(candidates, eps: float, eta_grid, centers=None, tol=No
 
     The sup runs over the supplied eta grid only (the continuum sup is not
     desk-realizable); callers should flag that in downstream reports.
+    Returns 0 when no eta in the grid reaches eps.  `candidates` is a list
+    or a `HellingerTable` (whose tol then applies); every local cover reads
+    that one table.
     """
     if eps <= 0:
         raise HypothesisError(f"epsilon must be positive, got {eps}")
+    table = _table(candidates, tol)
     if centers is None:
-        centers = candidates
+        centers = table.elements
     best = 0
     for eta in eta_grid:
         if eta < eps:
             continue
         for c in centers:
-            best = max(best, len(local_cover(candidates, c, eta, tol)))
+            best = max(best, len(local_cover(table, c, eta)))
     return best
 
 

@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
 
-from gmdiv import Compact, GaussianMixture
+from gmdiv import Compact, GaussianMixture, estimation
 from gmdiv.bounds import _sample_compact
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def hellinger_calls(monkeypatch):
+    """List of the (p, q) pairs the estimation layer integrates, in call order."""
+    calls = []
+    original = estimation.divergence
+
+    def counted(kind, p, q, **kwargs):
+        calls.append((p, q))
+        return original(kind, p, q, **kwargs)
+
+    monkeypatch.setattr(estimation, "divergence", counted)
+    return calls
 
 
 def random_compact(rng, M=2.0, d=1, max_atoms=8) -> GaussianMixture:

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gmdiv.cli import main
+from gmdiv import greedy_cover, local_cover
+from gmdiv.cli import _family_candidates, main
 
 
 def write_config(path, cfg):
@@ -149,6 +150,49 @@ class TestEntropySeqReport:
         }
         run("seq", cfg2)
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {"type": "theta-grid", "start": -1.0, "stop": 1.2, "count": 8},
+            {
+                "type": "atom-grid",
+                "loc_start": 0.5,
+                "loc_stop": 1.5,
+                "loc_count": 3,
+                "weight_start": 0.2,
+                "weight_stop": 0.8,
+                "weight_count": 2,
+            },
+        ],
+    )
+    def test_entropy_shares_one_table(self, run, hellinger_calls, family):
+        # one entropy job integrates each candidate pair exactly once, and its
+        # cover sizes equal those of standalone covers with their own tables
+        eps_grid, eta_grid = [0.05, 0.1, 0.2, 0.4], [0.08, 0.15, 0.3, 0.6]
+        cfg = {"command": "entropy", "family": family, "epsilons": eps_grid, "eta_grid": eta_grid, "n": 50}
+        out_dir, _ = run("entropy", cfg)
+        cands = _family_candidates(family)
+        assert len(hellinger_calls) == len(cands) * (len(cands) - 1) // 2
+        rows = [r.split(",") for r in (out_dir / "entropy.csv").read_text().splitlines()[1:]]
+        for eps, row in zip(eps_grid, rows):
+            n_loc = max(
+                (len(local_cover(cands, c, eta)) for eta in eta_grid if eta >= eps for c in cands),
+                default=1,
+            )
+            assert int(row[1]) == len(greedy_cover(cands, eps))
+            assert int(row[2]) == max(n_loc, 1)
+
+    def test_seq_without_epsilon_integrates_nothing(self, run, hellinger_calls):
+        cfg = {
+            "command": "seq",
+            "family": {"type": "theta-grid", "start": -1.0, "stop": 1.0, "count": 6},
+            "true_index": 2,
+            "length": 5,
+        }
+        out_dir, _ = run("seq", cfg)
+        assert json.loads((out_dir / "seq_summary.json").read_text())["net_size"] == 6
+        assert not hellinger_calls
+
     def test_report_merges_artifacts(self, run, tmp_path):
         cfg = {"command": "dichotomy", "K": 2.0, "r_grid": [5]}
         out_dir, _ = run("dichotomy", cfg)
@@ -172,6 +216,17 @@ class TestErrorPaths:
     def test_hypothesis_violation_exit_3(self, run):
         cfg = {"command": "sweep", "bound": "Thm1", "M": 1.0, "d": 1, "n": 3}
         run("sweep", cfg, expect=3)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.3], [-0.1], [], ["x"]])
+    def test_bad_eta_grid_exit_2(self, run, grid):
+        cfg = {
+            "command": "entropy",
+            "family": {"type": "theta-grid", "start": -1.0, "stop": 1.0, "count": 3},
+            "epsilons": [0.3],
+            "eta_grid": grid,
+            "n": 10,
+        }
+        run("entropy", cfg, expect=2)
 
     def test_capability_error_exit_4(self, run):
         rec = {"dim": 1, "atoms": [[[0.0], 1.0]], "class_tag": "unconstrained", "params": {}}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from gmdiv import (
@@ -148,14 +150,18 @@ class TestEstimateContracts:
         b = divergence(DivergenceKind.KL, p, q)
         assert a.value == b.value and a.truncation_bound == b.truncation_bound
 
-    def test_symmetric_kinds(self, rng):
-        for _ in range(5):
-            p = random_compact(rng, M=2.0, d=1)
-            q = random_compact(rng, M=2.0, d=1)
-            for kind in (DivergenceKind.HellingerSq, DivergenceKind.TV, DivergenceKind.L2Sq):
-                ab = divergence(kind, p, q)
-                ba = divergence(kind, q, p)
-                assert abs(ab.value - ba.value) <= 2e-8 * max(1.0, ab.value)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]))
+    def test_symmetric_kinds(self, seed, d):
+        # Hellinger tables store each pair in one orientation only, so a swap
+        # of p and q must give the identical estimate, field for field.
+        # d=2 TV runs at tol 1e-3: at its default tol it takes seconds per pair.
+        rng = np.random.default_rng(seed)
+        p = random_compact(rng, M=2.0, d=d)
+        q = random_compact(rng, M=2.0, d=d)
+        for kind in (DivergenceKind.HellingerSq, DivergenceKind.TV, DivergenceKind.L2Sq):
+            tol = 1e-3 if d == 2 and kind is DivergenceKind.TV else None
+            assert divergence(kind, p, q, tol=tol) == divergence(kind, q, p, tol=tol)
 
     def test_ranges_and_ordering(self, rng):
         for _ in range(8):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gmdiv import (
+    HellingerTable,
     HypothesisError,
     batch_net_mle,
     batch_risk_mc,
@@ -81,7 +82,42 @@ class TestGreedyCover:
         cands = theta_grid(-1.0, 1.0, 5)
         net = greedy_cover(cands, 0.05)
         recomputed = pairwise_hellinger(net.elements)
-        assert np.allclose(net.distance_cache, recomputed, atol=1e-9)
+        assert np.array_equal(net.distance_cache, recomputed)
+
+
+class TestHellingerTable:
+    def test_each_pair_once_and_bit_identical(self, hellinger_calls, rng):
+        cands = [random_compact(rng, M=2.0, d=1) for _ in range(6)]
+        table = HellingerTable(cands)
+        for eps in (0.05, 0.2, 0.5):
+            greedy_cover(table, eps)
+            local_covering_number(table, eps, [0.1, 0.3, 0.6])
+        dist = pairwise_hellinger(table)
+        assert len(hellinger_calls) == len({frozenset(map(id, c)) for c in hellinger_calls}) == 15
+        for i in range(6):
+            assert dist[i, i] == 0.0
+            for j in range(i + 1, 6):
+                assert dist[i, j] == dist[j, i] == hellinger(cands[i], cands[j])
+
+    def test_shared_table_matches_per_call_covers(self, rng):
+        cands = [random_compact(rng, M=2.0, d=1) for _ in range(7)]
+        table = HellingerTable(cands)
+        for eps in (0.1, 0.3):
+            shared, alone = greedy_cover(table, eps), greedy_cover(cands, eps)
+            assert shared.elements == alone.elements
+            assert np.array_equal(shared.distance_cache, alone.distance_cache)
+        for eta in (0.2, 0.5):
+            for c in cands:
+                shared, alone = local_cover(table, c, eta), local_cover(cands, c, eta)
+                assert shared.elements == alone.elements
+                assert np.array_equal(shared.distance_cache, alone.distance_cache)
+
+    def test_net_reads_distances_only_when_asked(self, hellinger_calls):
+        cands = theta_grid(-1.0, 1.0, 4)
+        net = Net(HellingerTable(cands), np.arange(4), 0.0)
+        assert net.elements == cands
+        assert not hellinger_calls
+        assert np.array_equal(net.distance_cache, pairwise_hellinger(cands))
 
 
 class TestLocalCover:
