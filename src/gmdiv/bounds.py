@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .divergences import DivergenceKind, _compute_divergences
-from .errors import HypothesisError
+from .errors import CapabilityError, HypothesisError
 from .mixtures import (
     ClassTag,
     Compact,
@@ -383,6 +383,10 @@ def _check_family(bound: BoundId, family: InstanceFamily):
             raise HypothesisError(f"{bound.value} requires a Subgaussian(K) family")
     if bound in (BoundId.TVfromL2, BoundId.L2fromTV) and family.d != 1:
         raise HypothesisError(f"{bound.value} is a one-dimensional comparison")
+    if family.d > 3:
+        # d > 3 divergences are Monte Carlo estimates with confidence
+        # half-widths, so a zero failure count would certify nothing
+        raise CapabilityError(f"sweeps need certified quadrature (d <= 3), got d={family.d}")
 
 
 def _sample_compact(rng, M: float, d: int, max_atoms: int) -> MixingDistribution:

@@ -84,6 +84,13 @@ def _number(cfg, name, default=None):
     return float(v)
 
 
+def _positive_number(cfg, name):
+    v = _number(cfg, name)
+    if v is not None and not (v > 0):
+        raise ValueError(f"config field {name!r} must be a positive number, got {v!r}")
+    return v
+
+
 def _positive_numbers(cfg, name, default=None) -> list[float]:
     if name not in cfg:
         return default
@@ -268,7 +275,7 @@ def _run_seq(cfg, out_dir, seed, threads):
         cfg, "seq", {"family", "true_index", "length"}, {"epsilon", "n_streams", "tol", "seed", "out"}
     )
     candidates = _family_candidates(cfg["family"])
-    eps = _number(cfg, "epsilon")
+    eps = _positive_number(cfg, "epsilon")
     tol = _number(cfg, "tol")
     if eps is not None:
         net = greedy_cover(candidates, eps, tol)

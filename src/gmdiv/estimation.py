@@ -125,7 +125,7 @@ def greedy_cover(candidates, eps: float, tol=None) -> Net:
     eps-separated, so its size is at most the eps/2-covering's packing bound.
     `candidates` is a list or a `HellingerTable` (whose tol then applies).
     """
-    if eps <= 0:
+    if not (eps > 0):
         raise HypothesisError(f"cover radius must be positive, got {eps}")
     table = _table(candidates, tol)
     if not len(table):
@@ -140,7 +140,7 @@ def local_cover(candidates, center: GaussianMixture, eta: float, tol=None) -> Ne
     center that is one of the candidates (by identity) reads its row of the
     table; any other center costs one quadrature per candidate.
     """
-    if eta <= 0:
+    if not (eta > 0):
         raise HypothesisError(f"ball radius must be positive, got {eta}")
     table = _table(candidates, tol)
     everyone = np.arange(len(table))
@@ -164,7 +164,7 @@ def local_covering_number(candidates, eps: float, eta_grid, centers=None, tol=No
     or a `HellingerTable` (whose tol then applies); every local cover reads
     that one table.
     """
-    if eps <= 0:
+    if not (eps > 0):
         raise HypothesisError(f"epsilon must be positive, got {eps}")
     table = _table(candidates, tol)
     if centers is None:

@@ -7,8 +7,21 @@ associated Gaussian mixture is its convolution with the standard normal,
 
 Everything is evaluated in log domain (max-shifted exponential sums), so
 log-densities are finite for every finite input and scores are stable far
-from the atoms.  Class tags (Compact / Subgaussian / Unconstrained) record
-which tail certificates are available downstream.
+from the atoms.  Expanding the square turns the kernel into one matrix
+product:
+
+    log p(x) = -||x||^2 / 2 + logsumexp_j(c_j + x . a_j) - (d/2) log(2 pi),
+    c_j = log w_j - ||a_j||^2 / 2,
+
+so the logits are one GEMM with inner dimension d, `A @ X.T + c`, and
+-||x||^2 / 2 is subtracted once per point after the logsumexp.  They are
+held atom-major, (k, n), so the max and the sum over atoms are elementwise
+passes over contiguous rows of length n rather than n short reductions.
+The score is the softmax of the same logits applied to the atoms, minus x;
+-||x||^2 / 2 cancels in the softmax and never enters.  Points are processed
+in blocks of _BLOCK, so no (k, n) temporary is larger than _BLOCK * k
+doubles whatever n is.  Class tags (Compact / Subgaussian /
+Unconstrained) record which tail certificates are available downstream.
 """
 
 from __future__ import annotations
@@ -30,6 +43,10 @@ WEIGHT_TOL = 1e-12
 # Relative slack when checking atom radii / step tails, to absorb the
 # rounding of norm computations.
 _RADIUS_SLACK = 1e-9
+
+# Points per block in log_density and score: bounds every (k, n) temporary
+# at _BLOCK * k doubles (4 MB at k = 64).
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -136,7 +153,8 @@ class GaussianMixture:
     def __init__(self, mixing: MixingDistribution):
         self.mixing = mixing
         self.dim = mixing.dim
-        self._logw = np.log(mixing.weights)
+        locs = mixing.locations
+        self._const = (np.log(mixing.weights) - 0.5 * np.sum(locs * locs, axis=1))[:, None]
 
     @classmethod
     def from_atoms(cls, locations, weights=None, tag: ClassTag | None = None):
@@ -169,10 +187,19 @@ class GaussianMixture:
         return pts, single
 
     def _log_kernel(self, pts: np.ndarray) -> np.ndarray:
-        # (n, k) array of log w_j - ||x - a_j||^2 / 2
-        diff = pts[:, None, :] - self.mixing.locations[None, :, :]
-        sq = np.sum(diff * diff, axis=-1)
-        return self._logw[None, :] - 0.5 * sq
+        # (k, n) array of log w_j - ||a_j||^2 / 2 + a_j . x, which is
+        # log w_j - ||x - a_j||^2 / 2 shifted by ||x||^2 / 2 in each column
+        logits = self.mixing.locations @ pts.T
+        logits += self._const
+        return logits
+
+    def _softmax_shifted(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # exp(logits - column max), computed in place, and the column max
+        u = self._log_kernel(pts)
+        m = u.max(axis=0)
+        u -= m
+        np.exp(u, out=u)
+        return u, m
 
     def log_density(self, x):
         """log p(x), finite for every finite x.
@@ -180,21 +207,29 @@ class GaussianMixture:
         Accepts a single point of shape (d,) or a batch of shape (n, d).
         """
         pts, single = self._as_points(x)
-        logits = self._log_kernel(pts)
-        m = logits.max(axis=1)
-        out = m + np.log(np.sum(np.exp(logits - m[:, None]), axis=1))
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], _BLOCK):
+            blk = pts[start : start + _BLOCK]
+            res = out[start : start + _BLOCK]
+            u, m = self._softmax_shifted(blk)
+            np.log(u.sum(axis=0), out=res)
+            res += m
+            sq = blk[:, 0] * blk[:, 0]
+            for i in range(1, self.dim):
+                sq += blk[:, i] * blk[:, i]
+            res -= 0.5 * sq
         out -= 0.5 * self.dim * LOG_2PI
         return float(out[0]) if single else out
 
     def score(self, x):
-        """Gradient of log p, computed with the same max shift as log_density."""
+        """Gradient of log p: sum_j u_j a_j - x, with u the softmax of the logits."""
         pts, single = self._as_points(x)
-        logits = self._log_kernel(pts)
-        m = logits.max(axis=1, keepdims=True)
-        u = np.exp(logits - m)
-        u /= u.sum(axis=1, keepdims=True)
-        diff = self.mixing.locations[None, :, :] - pts[:, None, :]
-        out = np.sum(u[:, :, None] * diff, axis=1)
+        out = np.empty(pts.shape)
+        for start in range(0, pts.shape[0], _BLOCK):
+            blk = pts[start : start + _BLOCK]
+            u, _ = self._softmax_shifted(blk)
+            u /= u.sum(axis=0)
+            np.subtract((self.mixing.locations.T @ u).T, blk, out=out[start : start + _BLOCK])
         return out[0] if single else out
 
     def sample(self, n: int, seed: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gmdiv import (
     BoundId,
+    CapabilityError,
     Compact,
     DivergenceKind,
     GaussianMixture,
@@ -231,6 +232,12 @@ class TestSweeps:
             verify_sweep(BoundId.TVfromL2, InstanceFamily(Compact(2.0), d=2), 5, seed=0)
         with pytest.raises(HypothesisError, match="sweepable"):
             verify_sweep(BoundId.HO, InstanceFamily(Compact(2.0), d=1), 5, seed=0)
+
+    def test_sweep_above_three_dimensions_rejected(self):
+        # d > 3 divergences are Monte Carlo estimates; a sweep over them
+        # would report zero failures without certifying anything
+        with pytest.raises(CapabilityError, match="d <= 3"):
+            verify_sweep(BoundId.Thm1, InstanceFamily(Compact(2.0), d=4), 5, seed=0)
 
     def test_chisq_sweep_log_domain(self):
         rep = verify_sweep(BoundId.ChiSqThm, InstanceFamily(Compact(2.0), d=1), 15, seed=2)

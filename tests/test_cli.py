@@ -228,6 +228,21 @@ class TestErrorPaths:
         }
         run("entropy", cfg, expect=2)
 
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -0.1, "x"])
+    def test_bad_seq_epsilon_exit_2(self, run, eps):
+        cfg = {
+            "command": "seq",
+            "family": {"type": "theta-grid", "start": -1.0, "stop": 1.0, "count": 3},
+            "true_index": 0,
+            "length": 5,
+            "epsilon": eps,
+        }
+        run("seq", cfg, expect=2)
+
+    def test_sweep_above_three_dimensions_exit_4(self, run):
+        cfg = {"command": "sweep", "bound": "Thm1", "M": 2.0, "d": 4, "n": 3}
+        run("sweep", cfg, expect=4)
+
     def test_capability_error_exit_4(self, run):
         rec = {"dim": 1, "atoms": [[[0.0], 1.0]], "class_tag": "unconstrained", "params": {}}
         cfg = {"command": "div", "kind": "kl", "p": rec, "q": rec}

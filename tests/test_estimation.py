@@ -56,6 +56,24 @@ class TestGreedyCover:
         with pytest.raises(HypothesisError):
             greedy_cover([single_gaussian(0.0)], 0.0)
 
+    @pytest.mark.parametrize(
+        "cover",
+        [
+            lambda cands: greedy_cover(cands, math.nan),
+            lambda cands: local_cover(cands, cands[0], math.nan),
+            lambda cands: local_covering_number(cands, math.nan, [0.3]),
+            lambda cands: local_covering_number(cands, 0.1, [math.nan]),
+        ],
+        ids=["greedy", "local", "local_number_eps", "local_number_eta"],
+    )
+    def test_nan_radius_rejected_before_any_distance(self, cover, hellinger_calls):
+        # NaN passes an `eps <= 0` test, and then the farthest-point loop
+        # never stops because `mindist <= nan` is never true
+        cands = [single_gaussian(0.0), single_gaussian(0.5)]
+        with pytest.raises(HypothesisError):
+            cover(cands)
+        assert not hellinger_calls
+
     def test_covers_and_packs(self):
         cands = theta_grid(-1.0, 1.0, 9)
         eps = 0.15

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, softmax
 
 from gmdiv import (
     Compact,
@@ -17,9 +19,91 @@ from gmdiv import (
     mixture_to_record,
     subgaussian_check,
 )
+from gmdiv.mixtures import _BLOCK
 from conftest import random_compact, single_gaussian
 
 LOG_INV_SQRT_2PI = -0.5 * math.log(2 * math.pi)
+
+
+def _clip_norms(v, radius):
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    return v * np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+
+
+@st.composite
+def mixture_and_points(draw):
+    """Mixture with k <= 64 atoms of norm <= 4 and up to 16 points of norm <= 60."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 16))
+    seed = draw(st.integers(0, 2**32 - 1))
+    atom_scale = draw(st.sampled_from([4.0, 1e-3, 0.0]))
+    point_scale = draw(st.sampled_from([60.0, 6.0, 0.6]))
+    rng = np.random.default_rng(seed)
+    locs = _clip_norms(rng.uniform(-atom_scale, atom_scale, (k, d)), 4.0)
+    w = rng.uniform(0.01, 1.0, k)
+    pts = _clip_norms(rng.uniform(-point_scale, point_scale, (n, d)), 60.0)
+    return GaussianMixture.from_atoms(locs, w / w.sum()), pts
+
+
+def explicit_logits(gm, pts):
+    # (n, k) array of log w_j - ||x - a_j||^2 / 2, one atom at a time
+    diff = pts[:, None, :] - gm.mixing.locations[None, :, :]
+    return np.log(gm.mixing.weights)[None, :] - 0.5 * np.sum(diff * diff, axis=-1)
+
+
+class TestKernelCrossCheck:
+    """The matrix-product kernel against the explicit per-atom formula."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mixture_and_points())
+    def test_log_density_matches_explicit_formula(self, case):
+        gm, pts = case
+        ref = logsumexp(explicit_logits(gm, pts), axis=1) + gm.dim * LOG_INV_SQRT_2PI
+        np.testing.assert_allclose(gm.log_density(pts), ref, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=mixture_and_points())
+    def test_score_matches_explicit_formula(self, case):
+        gm, pts = case
+        u = softmax(explicit_logits(gm, pts), axis=1)
+        locs = gm.mixing.locations
+        ref = np.einsum("nk,nkd->nd", u, locs[None, :, :] - pts[:, None, :])
+        # components of sum_j u_j (a_j - x) can cancel to 0; relative error
+        # is then measured against the size of the cancelled terms
+        scale = np.linalg.norm(pts, axis=1) + np.max(np.linalg.norm(locs, axis=1))
+        err = np.abs(gm.score(pts) - ref)
+        assert np.all(err <= 1e-12 * np.maximum(np.abs(ref), scale[:, None]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_are_independent(self, d, rng):
+        gm = GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (11, d)), rng.dirichlet(np.ones(11)))
+        n = 3 * _BLOCK + 17
+        pts = rng.uniform(-8.0, 8.0, (n, d))
+        batch = gm.log_density(pts)
+        scores = gm.score(pts)
+        parts = [pts[s : s + _BLOCK] for s in range(0, n, _BLOCK)]
+        assert np.array_equal(batch, np.concatenate([gm.log_density(b) for b in parts]))
+        assert np.array_equal(scores, np.concatenate([gm.score(b) for b in parts]))
+        # a single row goes through a matrix-vector product, which may round
+        # differently from the matrix-matrix one in d >= 2
+        rows = np.array([gm.log_density(x) for x in pts])
+        np.testing.assert_allclose(rows, batch, rtol=1e-14, atol=0.0)
+        row_scores = np.array([gm.score(x) for x in pts[::97]])
+        np.testing.assert_allclose(row_scores, scores[::97], rtol=1e-14, atol=1e-13)
+
+    def test_memory_bounded_by_one_block(self):
+        # the (n, k, d) broadcast needs two ~150 MB arrays here
+        rng = np.random.default_rng(3)
+        gm = GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (64, 3)))
+        pts = rng.uniform(-5.0, 5.0, (100_000, 3))
+        tracemalloc.start()
+        try:
+            gm.log_density(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestLogDensity:
