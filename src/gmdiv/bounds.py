@@ -508,14 +508,9 @@ def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int,
         lhs, lhs_est, arg_est = kl.value, kl, h2
         if h2.value <= 0:
             rhs = 0.0
-        elif bound is BoundId.Thm1:
-            rhs = bound_rhs(bound, M=family.tag.M, d=family.d, h2=h2.value)
-        elif bound is BoundId.Thm2:
-            rhs = bound_rhs(bound, M=family.tag.M, h2=h2.value)
-        elif bound is BoundId.Thm3:
-            rhs = bound_rhs(bound, K=family.tag.K, d=family.d, h2=h2.value)
         else:
-            rhs = bound_rhs(bound, K=family.tag.K, h2=h2.value)
+            known = {**params, "h2": h2.value}
+            rhs = bound_rhs(bound, **{k: known[k] for k in _REQUIRED_PARAMS[bound]})
         slack = _slack(lhs_est, arg_est)
         passed = lhs <= rhs + slack
         ratio = lhs / rhs if rhs > 0 else math.nan

@@ -79,7 +79,7 @@ def _number(cfg, name, default=None):
     if name not in cfg:
         return default
     v = cfg[name]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         raise ValueError(f"config field {name!r} must be a number, got {v!r}")
     return float(v)
 
@@ -91,10 +91,21 @@ def _positive_number(cfg, name):
     return v
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(cfg, name) -> list[float]:
+    v = cfg[name]
+    if not isinstance(v, list) or not all(_is_number(e) for e in v):
+        raise ValueError(f"config field {name!r} must be a list of numbers, got {v!r}")
+    return [float(e) for e in v]
+
+
 def _positive_numbers(cfg, name, default=None) -> list[float]:
     if name not in cfg:
         return default
-    grid = [float(e) for e in cfg[name]]
+    grid = _numbers(cfg, name)
     if not grid or not all(e > 0 for e in grid):
         raise ValueError(f"config field {name!r} must be a non-empty list of positive numbers")
     return grid
@@ -139,7 +150,7 @@ def _family_candidates(spec) -> list[GaussianMixture]:
     if kind == "dichotomy":
         _check_keys(spec, "dichotomy family", {"type", "K", "r_grid"}, set())
         K = _number(spec, "K")
-        return [GaussianMixture(dichotomy_family(K, float(r))) for r in spec["r_grid"]]
+        return [GaussianMixture(dichotomy_family(K, r)) for r in _numbers(spec, "r_grid")]
     raise ValueError(f"unknown family type {kind!r}")
 
 
@@ -212,8 +223,7 @@ def _run_dichotomy(cfg, out_dir, seed, threads):
     tol = _number(cfg, "tol")
     rows = []
     reference = GaussianMixture.from_atoms([[0.0]], tag=Subgaussian(K))
-    for r in cfg["r_grid"]:
-        r = float(r)
+    for r in _numbers(cfg, "r_grid"):
         params = DichotomyParams(K, r)
         gm = GaussianMixture(dichotomy_family(K, r))
         kl = divergence(DivergenceKind.KL, gm, reference, tol=tol)
@@ -371,7 +381,7 @@ def main(argv=None) -> int:
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"config field 'seed' must be a nonnegative integer, got {seed!r}")
         threads = args.threads if args.threads is not None else cfg.get("threads", 1)
-        if not isinstance(threads, int) or threads < 1:
+        if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
             raise ValueError(f"'threads' must be a positive integer, got {threads!r}")
         out_dir = args.out if args.out is not None else cfg.get("out", ".")
         os.makedirs(out_dir, exist_ok=True)

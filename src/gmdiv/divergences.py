@@ -19,14 +19,16 @@ Kinds and their tail treatment:
   KL        integrand p log(p/q) - p + q (pointwise nonnegative);
             tail <= envelope(p) * affine log-ratio bound + mass tail of q.
   H^2, TV   tail bounded by the two mass tails.
-  chi^2     tail <= envelope of p^2/q (Gaussian after completing the
-            square) + mass tail of q.
+  power     int p^lam / q^(lam-1): tail <= envelope of p e^{(lam-1)(a r + b)}
+            (Gaussian after completing the square; KL shares the atom sum).
+  chi^2     tail <= the lam = 2 power tail + mass tail of q.
   L2^2      tail <= sup density on the sphere * mass tails.
 
-d in {1, 2, 3} uses certified quadrature (1-d adaptive panels; polar
-radial x angular product rules for d in {2, 3}); d > 3 falls back to
-seeded importance-sampling Monte Carlo where `truncation_bound` reports a
-95% confidence half-width instead of a hard bound.
+d in {1, 2, 3} uses certified quadrature: one driver refines a nested
+tensor-product rule (1-d Gauss-Legendre panels, cut at the sign changes of
+p - q for TV; radial panels x angular rule for d in {2, 3}).  d > 3 falls
+back to seeded importance-sampling Monte Carlo where `truncation_bound`
+reports a 95% confidence half-width instead of a hard bound.
 
 `tol` is a relative target: refinement stops when successive levels differ
 by less than tol/2 relative to the current value, and the domain grows
@@ -36,6 +38,7 @@ until the certified tail bound is below tol/2 of the value scale.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -183,6 +186,24 @@ def _exp_moment_sum(coeffs, kappa: float) -> float:
 _KAPPA_MIN = 0.25
 
 
+def _atom_tails(p_env, R, poly, beta, c) -> float:
+    """sum_j w_j exp(s_j beta + beta^2/2 + c - kappa_j^2/2) moments(poly, kappa_j).
+
+    kappa_j = R - (s_j + beta).  Bounds the integral over u >= 0 of poly(u)
+    times p's atom envelopes at radius R + u tilted by e^{beta (R + u) + c}.
+    """
+    total = 0.0
+    for w, s in zip(p_env.weights, p_env.radii):
+        kappa = R - (s + beta)
+        if kappa < _KAPPA_MIN:
+            return math.inf
+        log_c = s * beta + 0.5 * beta * beta + c - 0.5 * kappa * kappa
+        if log_c > 700.0:
+            return math.inf
+        total += w * math.exp(log_c) * _exp_moment_sum(poly, kappa)
+    return total
+
+
 def _tail_bound(kind, p_env, q_env, R, d, lam=None) -> float:
     """Certified bound on the integral of `kind` outside the radius-R ball."""
     if R < max(p_env.s_max, q_env.s_max) + _KAPPA_MIN:
@@ -198,40 +219,14 @@ def _tail_bound(kind, p_env, q_env, R, d, lam=None) -> float:
     if kind == DivergenceKind.KL:
         a, b = _log_ratio_line(p_env, q_env, R)
         poly = np.convolve(_ru_poly(d, R), [max(0.0, a * R + b), a])
-        total = 0.0
-        for w, s in zip(p_env.weights, p_env.radii):
-            kappa = R - s
-            if kappa < _KAPPA_MIN:
-                return math.inf
-            total += w * math.exp(-0.5 * kappa * kappa) * _exp_moment_sum(poly, kappa)
-        return norm * total + q_env.mass_tail(R, d)
+        return norm * _atom_tails(p_env, R, poly, beta=0.0, c=0.0) + q_env.mass_tail(R, d)
     if kind == DivergenceKind.ChiSq:
-        a, b = _log_ratio_line(p_env, q_env, R)
-        ru = _ru_poly(d, R)
-        total = 0.0
-        for w, s in zip(p_env.weights, p_env.radii):
-            kappa = R - (s + a)
-            if kappa < _KAPPA_MIN:
-                return math.inf
-            log_c = s * a + 0.5 * a * a + b - 0.5 * kappa * kappa
-            if log_c > 700.0:
-                return math.inf
-            total += w * math.exp(log_c) * _exp_moment_sum(ru, kappa)
-        return norm * total + q_env.mass_tail(R, d)
+        # p^2/q - 2p + q <= p^2/q + q, and int p^2/q is the lam = 2 power integral
+        return _tail_bound("renyi", p_env, q_env, R, d, 2.0) + q_env.mass_tail(R, d)
     if kind == "renyi":
+        # p^lam / q^(lam-1) <= p e^{(lam-1)(a r + b)} on ||x|| = r >= R
         a, b = _log_ratio_line(p_env, q_env, R)
-        beta = (lam - 1.0) * a
-        ru = _ru_poly(d, R)
-        total = 0.0
-        for w, s in zip(p_env.weights, p_env.radii):
-            kappa = R - (s + beta)
-            if kappa < _KAPPA_MIN:
-                return math.inf
-            log_c = s * beta + 0.5 * beta * beta + (lam - 1.0) * b - 0.5 * kappa * kappa
-            if log_c > 700.0:
-                return math.inf
-            total += w * math.exp(log_c) * _exp_moment_sum(ru, kappa)
-        return norm * total
+        return norm * _atom_tails(p_env, R, _ru_poly(d, R), (lam - 1.0) * a, (lam - 1.0) * b)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -270,7 +265,13 @@ def _kind_values(kind, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarr
     raise ValueError(f"unknown kind {kind!r}")
 
 
-# -- quadrature drivers --------------------------------------------------------
+# -- quadrature driver ----------------------------------------------------------
+
+# Level caps of the nested rules: d = 1 doubles its panels at most 14 times;
+# d in {2, 3} refines radius and angle together at most 7 times, and never
+# past _MAX_POINTS nodes in one level.
+_MAX_LEVELS = {1: 14, 2: 7, 3: 7}
+_MAX_POINTS = 6_000_000
 
 
 def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,42 +281,6 @@ def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
     w = half[:, None] * np.broadcast_to(_GL_WEIGHTS, (lo.size, 16))
     return x.ravel(), w.ravel()
-
-
-def _line_level(segments, level: int) -> tuple[np.ndarray, np.ndarray]:
-    xs, ws = [], []
-    for a, b in segments:
-        n = max(2, int(math.ceil((b - a) / 2.0))) << level
-        x, w = _panel_nodes(np.linspace(a, b, n + 1))
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _refine_1d(pack, segments, rel_tol, max_levels=14):
-    """Composite Gauss-Legendre with panel doubling on fixed segments.
-
-    pack(x) returns an (m, n) array of integrand values; refinement stops
-    once every row's successive-level difference is below rel_tol/2
-    relative to its current value.
-    """
-    prev = None
-    pts = 0
-    for level in range(max_levels):
-        x, w = _line_level(segments, level)
-        vals = pack(x)
-        pts += x.size
-        cur = np.sum(vals * w[None, :], axis=1)
-        if not math.isfinite(rel_tol):
-            return cur, pts
-        if prev is not None and np.all(
-            np.abs(cur - prev) <= 0.5 * rel_tol * np.maximum(np.abs(cur), _FLOOR)
-        ):
-            return cur, pts
-        prev = cur
-    raise QuadratureError(
-        f"1-d quadrature did not converge to rel_tol={rel_tol} in {max_levels} levels"
-    )
 
 
 def _angular_rule(d: int, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -337,22 +302,60 @@ def _angular_rule(d: int, level: int) -> tuple[np.ndarray, np.ndarray]:
     return omegas, weights
 
 
-def _refine_polar(pack, R: float, d: int, rel_tol, max_levels=7, max_points=6_000_000):
-    """Radial x angular product rule with simultaneous refinement."""
-    prev = None
-    pts = 0
-    for level in range(max_levels):
+def _rule(d: int, R: float, splits=()):
+    """Nested tensor-product rule on ||x|| <= R: level -> (X, factors) or None.
+
+    X holds the nodes, shape (n, d); factors are the weights as an open mesh
+    (np.ix_ layout) over the node grid.  d = 1: Gauss-Legendre panels on
+    [-R, R] cut at `splits`, one factor.  d in {2, 3}: radial panels times
+    the angular rule, factors wr r^(d-1) (a column) and wa.  None past the
+    level cap.
+    """
+    edges = [-R, *sorted(splits), R]
+
+    def rule(level):
+        if level >= _MAX_LEVELS[d]:
+            return None
+        if d == 1:
+            xs, ws = [], []
+            for a, b in itertools.pairwise(edges):
+                n = max(2, int(math.ceil((b - a) / 2.0))) << level
+                x, w = _panel_nodes(np.linspace(a, b, n + 1))
+                xs.append(x)
+                ws.append(w)
+            return np.concatenate(xs)[:, None], (np.concatenate(ws),)
         nr = max(4, int(math.ceil(R / 2.0))) << level
         r, wr = _panel_nodes(np.linspace(0.0, R, nr + 1))
         omegas, wa = _angular_rule(d, level)
-        if r.size * omegas.shape[0] > max_points:
-            break
+        if r.size * omegas.shape[0] > _MAX_POINTS:
+            return None
         X = (r[:, None, None] * omegas[None, :, :]).reshape(-1, d)
-        vals = pack(X)
+        return X, ((wr * r ** (d - 1))[:, None], wa)
+
+    return rule
+
+
+def _refine(pack, rule, rel_tol):
+    """Integrate the rows of pack(X), an (m, n) array, with `rule`.
+
+    Refinement stops once every row's successive-level difference is below
+    rel_tol/2 relative to its current value (rel_tol = inf: first level).
+    Returns the m integrals and the points spent.
+    """
+    prev = None
+    pts = 0
+    for level in itertools.count():
+        nodes = rule(level)
+        if nodes is None:
+            raise QuadratureError(
+                f"quadrature did not converge to rel_tol={rel_tol} in {level} levels"
+            )
+        X, factors = nodes
+        vals = pack(X).reshape(-1, *map(len, factors))
         pts += X.shape[0]
-        vals = vals.reshape(vals.shape[0], r.size, omegas.shape[0])
-        radial_w = wr * r ** (d - 1)
-        cur = np.sum(vals * radial_w[None, :, None] * wa[None, None, :], axis=(1, 2))
+        for f in factors:
+            vals = vals * f
+        cur = vals.sum(axis=tuple(range(1, vals.ndim)))
         if not math.isfinite(rel_tol):
             return cur, pts
         if prev is not None and np.all(
@@ -360,9 +363,6 @@ def _refine_polar(pack, R: float, d: int, rel_tol, max_levels=7, max_points=6_00
         ):
             return cur, pts
         prev = cur
-    raise QuadratureError(
-        f"polar quadrature (d={d}) did not converge to rel_tol={rel_tol}"
-    )
 
 
 def _sign_change_splits(p: GaussianMixture, q: GaussianMixture, R: float) -> list[float]:
@@ -388,8 +388,8 @@ def _require_certifiable(gm: GaussianMixture):
         )
 
 
-def _compute_divergences(kinds, p, q, tol=None, domain_radius=None):
-    """Shared-grid computation of several divergence kinds for one pair."""
+def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
+    """Shared-grid computation of several kinds for one pair; `lam` is the renyi power."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: p.dim={p.dim}, q.dim={q.dim}")
     d = p.dim
@@ -409,21 +409,12 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None):
     )
 
     def pack(X):
-        if X.ndim == 1:
-            X = X[:, None]
         logp = p.log_density(X)
         logq = q.log_density(X)
-        return np.stack([_kind_values(k, logp, logq) for k in kinds])
+        return np.stack([_kind_values(k, logp, logq, lam) for k in kinds])
 
-    def run(radius, rel, levels_cap=14):
-        if d == 1:
-            splits = (
-                _sign_change_splits(p, q, radius) if DivergenceKind.TV in kinds else []
-            )
-            edges = [-radius] + sorted(splits) + [radius]
-            segs = list(zip(edges[:-1], edges[1:]))
-            return _refine_1d(pack, segs, rel, max_levels=levels_cap)
-        return _refine_polar(pack, radius, d, rel)
+    def tails_at(R):
+        return [_tail_bound(k, p_env, q_env, R, d, lam) for k in kinds]
 
     if domain_radius is not None:
         if domain_radius < s_max + _KAPPA_MIN:
@@ -431,27 +422,24 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None):
                 f"domain_radius {domain_radius} must exceed the atom radius {s_max}"
             )
         R = float(domain_radius)
-        values, pts = run(R, tol)
-        tails = [_tail_bound(k, p_env, q_env, R, d) for k in kinds]
+        tails = tails_at(R)
+        pts0 = 0
     else:
         # one coarse pass fixes the value scale for the truncation targets
-        if d == 1:
-            coarse, pts0 = _refine_1d(pack, [(-R, R)], math.inf, max_levels=1)
-        else:
-            coarse, pts0 = _refine_polar(pack, R, d, math.inf, max_levels=1)
+        coarse, pts0 = _refine(pack, _rule(d, R), math.inf)
         targets = 0.5 * tol * np.maximum(np.abs(coarse), _TRUNC_FLOOR)
         for _ in range(400):
-            tails = [_tail_bound(k, p_env, q_env, R, d) for k in kinds]
+            tails = tails_at(R)
             if all(t <= tgt for t, tgt in zip(tails, targets)):
                 break
             R += max(0.5, 0.04 * R)
         else:
             raise CapabilityError("certified tail bound cannot reach the tolerance")
-        values, pts = run(R, tol)
-        pts += pts0
 
+    splits = _sign_change_splits(p, q, R) if d == 1 and DivergenceKind.TV in kinds else ()
+    values, pts = _refine(pack, _rule(d, R, splits), tol)
     return {
-        k: IntegralEstimate(float(v), float(t), R, int(pts))
+        k: IntegralEstimate(float(v), float(t), R, int(pts + pts0))
         for k, v, t in zip(kinds, values, tails)
     }
 
@@ -472,55 +460,17 @@ def renyi_integral(p: GaussianMixture, q: GaussianMixture, lam: float, tol=None)
 
     Requires Compact-tagged mixtures (the certificate completes the square
     against the affine log-ratio bound).  For single-atom p, q at u, v the
-    value is exp(lam (lam-1) ||u-v||^2 / 2).
+    value is exp(lam (lam-1) ||u-v||^2 / 2).  The radius search and the
+    quadrature are those of `divergence`, and `quadrature_points` likewise
+    counts the coarse pass that sets the truncation target.
     """
     if lam <= 1:
         raise HypothesisError(f"renyi integral needs lambda > 1, got {lam}")
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: p.dim={p.dim}, q.dim={q.dim}")
-    d = p.dim
-    if d > 3:
+    if p.dim > 3:
         raise CapabilityError("certified renyi integral supports d <= 3")
     if not (isinstance(p.mixing.tag, Compact) and isinstance(q.mixing.tag, Compact)):
         raise CapabilityError("renyi integral requires Compact-tagged mixtures")
-    if tol is None:
-        tol = default_tol(d)
-    p_env, q_env = _Envelope(p), _Envelope(q)
-    R = max(
-        truncation_radius(p.mixing.tag, d, tol),
-        truncation_radius(q.mixing.tag, d, tol),
-        p_env.s_max + q_env.s_max + 1.0,
-    )
-
-    def pack(X):
-        if X.ndim == 1:
-            X = X[:, None]
-        return _kind_values("renyi", p.log_density(X), q.log_density(X), lam=lam)[None, :]
-
-    for _ in range(400):
-        tail = _tail_bound("renyi", p_env, q_env, R, d, lam=lam)
-        if math.isfinite(tail):
-            break
-        R += max(0.5, 0.04 * R)
-    target_scale = None
-    for _ in range(400):
-        tail = _tail_bound("renyi", p_env, q_env, R, d, lam=lam)
-        if target_scale is None:
-            if d == 1:
-                coarse, _ = _refine_1d(pack, [(-R, R)], math.inf, max_levels=1)
-            else:
-                coarse, _ = _refine_polar(pack, R, d, math.inf, max_levels=1)
-            target_scale = 0.5 * tol * max(abs(float(coarse[0])), 1.0)
-        if tail <= target_scale:
-            break
-        R += max(0.5, 0.04 * R)
-    else:
-        raise CapabilityError("renyi tail bound cannot reach the tolerance")
-    if d == 1:
-        values, pts = _refine_1d(pack, [(-R, R)], tol)
-    else:
-        values, pts = _refine_polar(pack, R, d, tol)
-    return IntegralEstimate(float(values[0]), float(tail), R, int(pts))
+    return _compute_divergences(["renyi"], p, q, tol, lam=lam)["renyi"]
 
 
 def _mc_divergence(kind, p, q, n=1 << 19, seed=0):
@@ -560,18 +510,17 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
     """
     if p.dim != 1 or q.dim != 1:
         raise CapabilityError("plancherel_l2 is implemented for d=1 only")
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
 
-    def pack(t):
+    def pack(X):
+        t = X[:, 0]
         diff = characteristic_function(p, t) - characteristic_function(q, t)
         return (diff.real**2 + diff.imag**2)[None, :]
 
     T = 6.0
-    coarse, _ = _refine_1d(pack, [(-T, T)], math.inf, max_levels=1)
+    coarse, _ = _refine(pack, _rule(1, T), math.inf)
     scale = max(abs(float(coarse[0])) / (2.0 * math.pi), _TRUNC_FLOOR)
     # two-sided tail of 4 e^{-t^2} beyond T is below 4 e^{-T^2} / T
     while 4.0 * math.exp(-T * T) / T > 0.5 * tol * scale * (2.0 * math.pi):
         T += 0.5
-    values, _ = _refine_1d(pack, [(-T, T)], tol)
+    values, _ = _refine(pack, _rule(1, T), tol)
     return float(values[0]) / (2.0 * math.pi)

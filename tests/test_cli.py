@@ -8,6 +8,9 @@ from gmdiv import greedy_cover, local_cover
 from gmdiv.cli import _family_candidates, main
 
 
+THETA_FAMILY = {"type": "theta-grid", "start": -1.0, "stop": 1.0, "count": 3}
+
+
 def write_config(path, cfg):
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -238,6 +241,21 @@ class TestErrorPaths:
             "epsilon": eps,
         }
         run("seq", cfg, expect=2)
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("sweep", {"bound": "Thm1", "M": 2.0, "n": 2, "threads": True}),
+            ("dichotomy", {"K": 2.0, "r_grid": "23"}),
+            ("dichotomy", {"K": 2.0, "r_grid": [True, 3.0]}),
+            ("seq", {"family": {"type": "dichotomy", "K": 2.0, "r_grid": "23"}, "true_index": 0, "length": 5}),
+            ("entropy", {"family": THETA_FAMILY, "epsilons": "5", "n": 10}),
+            ("entropy", {"family": THETA_FAMILY, "epsilons": [True, "0.5"], "n": 10}),
+            ("entropy", {"family": THETA_FAMILY, "epsilons": [0.3], "eta_grid": [0.3, False], "n": 10}),
+        ],
+    )
+    def test_strings_and_bools_are_not_numbers_exit_2(self, run, command, cfg):
+        run(command, {"command": command, **cfg}, expect=2)
 
     def test_sweep_above_three_dimensions_exit_4(self, run):
         cfg = {"command": "sweep", "bound": "Thm1", "M": 2.0, "d": 4, "n": 3}

@@ -20,7 +20,8 @@ from gmdiv import (
     renyi_integral,
     truncation_radius,
 )
-from gmdiv.divergences import _compute_divergences
+from gmdiv.divergences import _Envelope, _compute_divergences, _tail_bound
+from gmdiv.mixtures import LOG_2PI
 from conftest import random_compact, single_gaussian
 
 ALL_KINDS = list(DivergenceKind)
@@ -217,6 +218,50 @@ class TestEstimateContracts:
         assert abs(est.value - 0.5) <= 6.0 * est.truncation_bound
 
 
+def _chi2_tail_written_out(p_env, q_env, R, d):
+    """The chi^2 certificate as its own per-atom loop, for cross-checking."""
+    if R < max(p_env.s_max, q_env.s_max) + 0.25:
+        return math.inf
+    t0, logv0 = q_env.anchor(R)
+    a = p_env.s_max + t0
+    b = 0.5 * (t0 * t0 - p_env.s_max**2) - logv0
+    ru = [1.0] if d == 1 else [R, 1.0] if d == 2 else [R * R, 2.0 * R, 1.0]
+    total = 0.0
+    for w, s in zip(p_env.weights, p_env.radii):
+        kappa = R - (s + a)
+        if kappa < 0.25:
+            return math.inf
+        log_c = s * a + 0.5 * a * a + b - 0.5 * kappa * kappa
+        if log_c > 700.0:
+            return math.inf
+        moments, fact = 0.0, 1.0
+        for m, c in enumerate(ru):
+            fact *= max(m, 1)
+            moments += c * fact / kappa ** (m + 1)
+        total += w * math.exp(log_c) * moments
+    norm = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d] * math.exp(-0.5 * d * LOG_2PI)
+    return norm * total + q_env.mass_tail(R, d)
+
+
+class TestTailBounds:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([1, 2, 3]),
+        M=st.sampled_from([0.5, 2.0, 4.0]),
+        step=st.floats(0.0, 15.0),
+    )
+    def test_chi2_tail_is_renyi2_tail_plus_mass_tail(self, seed, d, M, step):
+        rng = np.random.default_rng(seed)
+        p_env = _Envelope(random_compact(rng, M=M, d=d))
+        q_env = _Envelope(random_compact(rng, M=M, d=d))
+        R = max(p_env.s_max, q_env.s_max) + step
+        chi2 = _tail_bound(DivergenceKind.ChiSq, p_env, q_env, R, d)
+        renyi2 = _tail_bound("renyi", p_env, q_env, R, d, lam=2.0)
+        assert chi2 == renyi2 + q_env.mass_tail(R, d)
+        assert chi2 == _chi2_tail_written_out(p_env, q_env, R, d)
+
+
 class TestRenyiIntegral:
     def test_identity_is_one(self, rng):
         p = random_compact(rng, M=1.0, d=1)
@@ -225,10 +270,14 @@ class TestRenyiIntegral:
 
     @pytest.mark.parametrize("lam", [2.0, 3.0])
     def test_single_atom_closed_form(self, lam):
-        p = single_gaussian(1.2, M=2.0)
-        q = single_gaussian(-0.8, M=2.0)
-        est = renyi_integral(p, q, lam)
-        assert est.value == pytest.approx(math.exp(lam * (lam - 1.0) * 2.0**2 / 2.0), rel=1e-7)
+        for u, v in [
+            ([1.2], [-0.8]),
+            ([0.6, -0.3], [-0.2, 0.4]),
+            ([0.6, -0.3, 0.2], [-0.2, 0.4, 0.1]),
+        ]:
+            est = renyi_integral(single_gaussian(u, M=2.0), single_gaussian(v, M=2.0), lam)
+            dist2 = float(np.sum((np.array(u) - np.array(v)) ** 2))
+            assert est.value == pytest.approx(math.exp(lam * (lam - 1.0) * dist2 / 2.0), rel=1e-7)
 
     def test_lambda3_sup_bound_compact(self, rng):
         for _ in range(10):
