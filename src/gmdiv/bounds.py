@@ -7,6 +7,11 @@ the right-hand side exactly as printed in its source statement, and
 and checks lhs <= rhs instance by instance, with slack derived from the
 certified truncation bounds so a quadrature artifact can never produce a
 false failure.
+
+Each bound's class hypothesis (M >= 2 for Thm1, 0 < K < 1 for Thm3, ...)
+is one `_CLASS_HYPOTHESES` entry, checked by `bound_rhs` and by the sweeps
+alike; each sweepable bound is one `_SWEEPS` entry naming its family class,
+the kinds integrated per pair, and the lhs and rhs-argument kinds.
 """
 
 from __future__ import annotations
@@ -64,6 +69,37 @@ _REQUIRED_PARAMS = {
 }
 
 
+# The class hypothesis of each comparison bound on its family parameter:
+# parameter >= lower, or lower < parameter < upper when an upper end is set.
+_CLASS_HYPOTHESES = {
+    BoundId.Thm1: ("M", 2, None),
+    BoundId.Thm2: ("M", 1, None),
+    BoundId.Thm3: ("K", 0, 1),
+    BoundId.Thm5: ("K", 0, None),
+    BoundId.ChiSqThm: ("M", 2, None),
+    BoundId.TVfromL2: ("M", 1, None),
+}
+
+
+def _check_params(bound: BoundId, params: dict):
+    """Require exactly the symbols of the bound, then its class hypothesis."""
+    need = _REQUIRED_PARAMS[bound]
+    if set(params) != need:
+        raise ValueError(
+            f"{bound.value} takes parameters {sorted(need)}, got {sorted(params)}"
+        )
+    if bound not in _CLASS_HYPOTHESES:
+        return
+    name, lower, upper = _CLASS_HYPOTHESES[bound]
+    x = params[name]
+    if upper is None:
+        holds, statement = x >= lower, f"{name} >= {lower}"
+    else:
+        holds, statement = lower < x < upper, f"{lower} < {name} < {upper}"
+    if not holds:
+        raise HypothesisError(f"{bound.value} requires {statement}, got {name}={x}")
+
+
 def _check_h2(h2: float, upper: float = 2.0):
     if not (0.0 < h2 <= upper):
         raise HypothesisError(f"H^2 must lie in (0, {upper}], got {h2}")
@@ -78,43 +114,28 @@ def bound_rhs(bound, **params) -> float:
     bound_rhs_log for that comparison.
     """
     bound = BoundId(bound)
-    need = _REQUIRED_PARAMS[bound]
-    got = set(params)
-    if got != need:
-        raise ValueError(
-            f"{bound.value} takes parameters {sorted(need)}, got {sorted(got)}"
-        )
+    if bound is BoundId.ChiSqThm:
+        log_rhs = bound_rhs_log(bound, **params)
+        return math.exp(log_rhs) if log_rhs < 709.0 else math.inf
+    _check_params(bound, params)
     if bound is BoundId.Thm1:
         M, d, h2 = params["M"], params["d"], params["h2"]
-        if M < 2:
-            raise HypothesisError(f"Thm1 requires M >= 2, got M={M}")
         _check_h2(h2)
         return 5154.0 * max(M * M, d) * h2
     if bound is BoundId.Thm2:
         M, h2 = params["M"], params["h2"]
-        if M < 1:
-            raise HypothesisError(f"Thm2 requires M >= 1, got M={M}")
         _check_h2(h2)
         return 200.0 * M * M * h2 + 16.0 * h2 * math.log(1.0 / h2)
     if bound is BoundId.Thm3:
         K, d, h2 = params["K"], params["d"], params["h2"]
-        if not (0 < K < 1):
-            raise HypothesisError(f"Thm3 requires 0 < K < 1, got K={K}")
         _check_h2(h2)
         return 1660056.0 * max(1.0 / (1.0 - K) ** 3, 8.0 * d**3) * h2
     if bound is BoundId.Thm5:
         K, h2 = params["K"], params["h2"]
-        if K < 0:
-            raise HypothesisError(f"Thm5 requires K >= 0, got K={K}")
         _check_h2(h2, upper=4.0)
         return (10240.0 * K**4 + 652.0) * h2 * math.log(4.0 / h2)
-    if bound is BoundId.ChiSqThm:
-        log_rhs = bound_rhs_log(bound, **params)
-        return math.exp(log_rhs) if log_rhs < 709.0 else math.inf
     if bound is BoundId.TVfromL2:
         M, l2 = params["M"], params["l2"]
-        if M < 1:
-            raise HypothesisError(f"TVfromL2 requires M >= 1, got M={M}")
         if not (0 < l2 < 1):
             raise HypothesisError(f"TVfromL2 requires 0 < ||p-q||_2 < 1, got {l2}")
         return (8.0 * math.sqrt(M) + 2.0 * math.log(1.0 / l2) ** 0.25) * l2
@@ -138,9 +159,8 @@ def bound_rhs_log(bound, **params) -> float:
     """Natural log of bound_rhs; exact in log domain for ChiSqThm."""
     bound = BoundId(bound)
     if bound is BoundId.ChiSqThm:
+        _check_params(bound, params)
         M, d, h2 = params["M"], params["d"], params["h2"]
-        if M < 2:
-            raise HypothesisError(f"ChiSqThm requires M >= 2, got M={M}")
         _check_h2(h2)
         return math.log(2.0) + 50.0 * max(M * M, d) + math.log(h2)
     value = bound_rhs(bound, **params)
@@ -186,8 +206,7 @@ def delta_star(lam: float, h2: float) -> float:
     """delta = (h2/4)^(max(8/(lam-1)^2, 1)); satisfies delta <= h2/4 <= 1/2."""
     if lam <= 1:
         raise HypothesisError(f"lambda must exceed 1, got {lam}")
-    if not (0.0 < h2 <= 2.0):
-        raise HypothesisError(f"H^2 must lie in (0, 2], got {h2}")
+    _check_h2(h2)
     return (h2 / 4.0) ** max(8.0 / (lam - 1.0) ** 2, 1.0)
 
 
@@ -354,33 +373,50 @@ class SweepReport:
         }
 
 
-_SWEEPABLE = {
-    BoundId.Thm1: ("compact", 2.0),
-    BoundId.Thm2: ("compact", 1.0),
-    BoundId.Thm3: ("subgaussian<1", None),
-    BoundId.Thm5: ("subgaussian", None),
-    BoundId.ChiSqThm: ("compact", 2.0),
-    BoundId.TVfromL2: ("compact", 1.0),
-    BoundId.L2fromTV: ("any", None),
+_KL, _H2, _CHI2 = DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq
+_TV, _L2 = DivergenceKind.TV, DivergenceKind.L2Sq
+
+# What a sweep of each comparison bound needs: the family class it requires
+# (None: Compact or Subgaussian), the kinds integrated per pair, the kind on
+# the left-hand side and the kind whose value is the rhs argument (named by
+# its kind value among the bound's parameters; L2 enters as ||p - q||_2).
+_SWEEPS = {
+    BoundId.Thm1: (Compact, (_KL, _H2), _KL, _H2),
+    BoundId.Thm2: (Compact, (_KL, _H2), _KL, _H2),
+    BoundId.Thm3: (Subgaussian, (_KL, _H2), _KL, _H2),
+    BoundId.Thm5: (Subgaussian, (_KL, _H2), _KL, _H2),
+    BoundId.ChiSqThm: (Compact, (_KL, _H2, _CHI2), _CHI2, _H2),
+    BoundId.TVfromL2: (Compact, (_KL, _H2, _TV, _L2), _TV, _L2),
+    BoundId.L2fromTV: (None, (_KL, _H2, _TV, _L2), _L2, _TV),
 }
 
 
-def _check_family(bound: BoundId, family: InstanceFamily):
-    if bound not in _SWEEPABLE:
-        raise HypothesisError(f"{bound.value} is not a sweepable comparison bound")
-    req, min_m = _SWEEPABLE[bound]
+def _family_params(family: InstanceFamily) -> dict:
     tag = family.tag
-    if req == "compact":
-        if not isinstance(tag, Compact):
-            raise HypothesisError(f"{bound.value} requires a Compact(M) family")
-        if tag.M < min_m:
-            raise HypothesisError(f"{bound.value} requires M >= {min_m}, got M={tag.M}")
-    elif req == "subgaussian<1":
-        if not isinstance(tag, Subgaussian) or not (tag.K < 1):
-            raise HypothesisError(f"{bound.value} requires a Subgaussian(K < 1) family")
-    elif req == "subgaussian":
-        if not isinstance(tag, Subgaussian):
-            raise HypothesisError(f"{bound.value} requires a Subgaussian(K) family")
+    return {
+        "M": tag.M if isinstance(tag, Compact) else None,
+        "K": tag.K if isinstance(tag, Subgaussian) else None,
+        "d": family.d,
+    }
+
+
+def _rhs_params(bound: BoundId, family: InstanceFamily, argument) -> dict:
+    """The bound_rhs keywords of a sweep pair whose rhs argument is `argument`."""
+    arg_kind = _SWEEPS[bound][3]
+    known = {**_family_params(family), arg_kind.value: argument}
+    return {name: known[name] for name in _REQUIRED_PARAMS[bound]}
+
+
+def _check_family(bound: BoundId, family: InstanceFamily):
+    if bound not in _SWEEPS:
+        raise HypothesisError(f"{bound.value} is not a sweepable comparison bound")
+    required, tag = _SWEEPS[bound][0], family.tag
+    if not isinstance(tag, (Compact, Subgaussian)):
+        raise HypothesisError("sweep families must be Compact or Subgaussian")
+    if required is not None and not isinstance(tag, required):
+        raise HypothesisError(f"{bound.value} requires a {required.__name__} family")
+    # the rhs argument comes from the pairs; only the class parameters are checked here
+    _check_params(bound, _rhs_params(bound, family, None))
     if bound in (BoundId.TVfromL2, BoundId.L2fromTV) and family.d != 1:
         raise HypothesisError(f"{bound.value} is a one-dimensional comparison")
     if family.d > 3:
@@ -435,9 +471,7 @@ def _sample_mixing(rng, family: InstanceFamily) -> MixingDistribution:
     tag = family.tag
     if isinstance(tag, Compact):
         return _sample_compact(rng, tag.M, family.d, family.max_atoms)
-    if isinstance(tag, Subgaussian):
-        return _sample_subgaussian(rng, tag.K, family.d, family.max_atoms)
-    raise HypothesisError("sweep families must be Compact or Subgaussian")
+    return _sample_subgaussian(rng, tag.K, family.d, family.max_atoms)
 
 
 def _standard_normal_mixing(family: InstanceFamily) -> MixingDistribution:
@@ -463,88 +497,46 @@ def make_pair(seed: int, index: int, family: InstanceFamily):
     return GaussianMixture(p_mix), GaussianMixture(q_mix)
 
 
-_KINDS_FOR = {
-    BoundId.Thm1: [DivergenceKind.KL, DivergenceKind.HellingerSq],
-    BoundId.Thm2: [DivergenceKind.KL, DivergenceKind.HellingerSq],
-    BoundId.Thm3: [DivergenceKind.KL, DivergenceKind.HellingerSq],
-    BoundId.Thm5: [DivergenceKind.KL, DivergenceKind.HellingerSq],
-    BoundId.ChiSqThm: [DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq],
-    BoundId.TVfromL2: [
-        DivergenceKind.KL,
-        DivergenceKind.HellingerSq,
-        DivergenceKind.TV,
-        DivergenceKind.L2Sq,
-    ],
-    BoundId.L2fromTV: [
-        DivergenceKind.KL,
-        DivergenceKind.HellingerSq,
-        DivergenceKind.TV,
-        DivergenceKind.L2Sq,
-    ],
-}
-
-
 def _slack(est_a, est_b) -> float:
     return 2.0 * (est_a.truncation_bound + est_b.truncation_bound) + 1e-9
 
 
+def _side(kind, est) -> float:
+    # the L2 comparisons are stated for ||p - q||_2, the root of the L2^2 estimate
+    return math.sqrt(max(est.value, 0.0)) if kind is _L2 else est.value
+
+
 def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int, tol):
     p, q = make_pair(seed, index, family)
-    est = _compute_divergences(_KINDS_FOR[bound], p, q, tol=tol)
-    kl = est[DivergenceKind.KL]
-    h2 = est[DivergenceKind.HellingerSq]
+    _, kinds, lhs_kind, arg_kind = _SWEEPS[bound]
+    est = _compute_divergences(kinds, p, q, tol=tol)
+    kl, h2 = est[_KL], est[_H2]
     params = {
-        "M": family.tag.M if isinstance(family.tag, Compact) else None,
-        "K": family.tag.K if isinstance(family.tag, Subgaussian) else None,
-        "d": family.d,
+        **_family_params(family),
         "natoms_p": p.mixing.n_atoms,
         "natoms_q": q.mixing.n_atoms,
     }
 
     kl_ge_h2 = h2.value <= kl.value + _slack(kl, h2)
     chi2_ge_kl = None
+    lhs_est, arg_est = est[lhs_kind], est[arg_kind]
+    lhs, arg = _side(lhs_kind, lhs_est), _side(arg_kind, arg_est)
+    slack = _slack(lhs_est, arg_est)
 
-    if bound in (BoundId.Thm1, BoundId.Thm2, BoundId.Thm3, BoundId.Thm5):
-        lhs, lhs_est, arg_est = kl.value, kl, h2
-        if h2.value <= 0:
-            rhs = 0.0
-        else:
-            known = {**params, "h2": h2.value}
-            rhs = bound_rhs(bound, **{k: known[k] for k in _REQUIRED_PARAMS[bound]})
-        slack = _slack(lhs_est, arg_est)
-        passed = lhs <= rhs + slack
-        ratio = lhs / rhs if rhs > 0 else math.nan
-    elif bound is BoundId.ChiSqThm:
-        chi = est[DivergenceKind.ChiSq]
-        chi2_ge_kl = kl.value <= chi.value + _slack(chi, kl)
-        lhs = chi.value
-        slack = _slack(chi, h2)
-        if h2.value <= 0:
+    if bound is BoundId.ChiSqThm:
+        # the rhs overflows a double once M >= 4, so compare in the log domain
+        chi2_ge_kl = kl.value <= lhs + _slack(lhs_est, kl)
+        if arg <= 0:
             rhs, passed, ratio = 0.0, lhs <= slack, math.nan
         else:
-            log_rhs = bound_rhs_log(bound, M=family.tag.M, d=family.d, h2=h2.value)
-            rhs = math.exp(log_rhs) if log_rhs < 709.0 else math.inf
+            kw = _rhs_params(bound, family, arg)
+            log_rhs, rhs = bound_rhs_log(bound, **kw), bound_rhs(bound, **kw)
             passed = lhs <= slack or math.log(lhs) <= log_rhs + 1e-12
             ratio = math.exp(math.log(lhs) - log_rhs) if lhs > 0 else 0.0
-    elif bound is BoundId.TVfromL2:
-        tv = est[DivergenceKind.TV]
-        l2sq = est[DivergenceKind.L2Sq]
-        l2 = math.sqrt(max(l2sq.value, 0.0))
-        lhs = tv.value
-        rhs = 0.0 if l2 <= 0 else bound_rhs(bound, M=family.tag.M, l2=l2)
-        slack = _slack(tv, l2sq)
+    else:
+        rhs = 0.0 if arg <= 0 else bound_rhs(bound, **_rhs_params(bound, family, arg))
         passed = lhs <= rhs + slack
         ratio = lhs / rhs if rhs > 0 else math.nan
-    elif bound is BoundId.L2fromTV:
-        tv = est[DivergenceKind.TV]
-        l2sq = est[DivergenceKind.L2Sq]
-        lhs = math.sqrt(max(l2sq.value, 0.0))
-        rhs = 0.0 if tv.value <= 0 else bound_rhs(bound, tv=tv.value)
-        slack = _slack(l2sq, tv)
-        passed = lhs <= rhs + slack
-        ratio = lhs / rhs if rhs > 0 else math.nan
-    else:  # pragma: no cover - guarded by _check_family
-        raise HypothesisError(f"{bound.value} is not sweepable")
 
     return SweepInstance(
         seed=seed,

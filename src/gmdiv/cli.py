@@ -249,23 +249,15 @@ def _run_entropy(cfg, out_dir, seed, threads):
     # one table per job: every global and local cover reads the same pairs
     table = HellingerTable(candidates, _number(cfg, "tol"))
 
-    rows = []
-    cover_sizes, local_counts = [], []
-    for eps in eps_grid:
-        n_cov = len(greedy_cover(table, eps))
-        n_loc = max(local_covering_number(table, eps, eta_grid), 1)
-        cover_sizes.append(n_cov)
-        local_counts.append(n_loc)
-        batch_rate = eps**2 + math.log(n_loc) / n
-        seq_rate = n * eps**2 + math.log(n_cov)
-        rows.append((eps, n_cov, n_loc, batch_rate, seq_rate))
+    cover_sizes = [len(greedy_cover(table, eps)) for eps in eps_grid]
+    local_counts = [max(local_covering_number(table, eps, eta_grid), 1) for eps in eps_grid]
+    batch = rate_functional(eps_grid, local_counts, n, local=True)
+    seq = rate_functional(eps_grid, cover_sizes, n, local=False)
     write_csv(
         os.path.join(out_dir, "entropy.csv"),
         ("epsilon", "N", "N_loc", "batch_rate", "seq_rate"),
-        rows,
+        zip(eps_grid, cover_sizes, local_counts, batch.objective, seq.objective),
     )
-    batch = rate_functional(eps_grid, local_counts, n, local=True)
-    seq = rate_functional(eps_grid, cover_sizes, n, local=False)
     dump_json(
         {
             "n": n,

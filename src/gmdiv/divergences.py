@@ -335,29 +335,33 @@ def _rule(d: int, R: float, splits=()):
     return rule
 
 
-def _refine(pack, rule, rel_tol):
+def _integrate(pack, rule, level, rel_tol):
+    """Rows of pack(X) integrated at one level of `rule`, and the points spent."""
+    nodes = rule(level)
+    if nodes is None:
+        raise QuadratureError(
+            f"quadrature did not converge to rel_tol={rel_tol} in {level} levels"
+        )
+    X, factors = nodes
+    vals = pack(X).reshape(-1, *map(len, factors))
+    for f in factors:
+        vals = vals * f
+    return vals.sum(axis=tuple(range(1, vals.ndim))), X.shape[0]
+
+
+def _refine(pack, rule, rel_tol, level0=None, pts=0):
     """Integrate the rows of pack(X), an (m, n) array, with `rule`.
 
     Refinement stops once every row's successive-level difference is below
-    rel_tol/2 relative to its current value (rel_tol = inf: first level).
+    rel_tol/2 relative to its current value.  `level0` holds the rows of
+    level 0 of `rule` when the caller has already integrated them (they are
+    not evaluated again); `pts` counts points the caller already spent.
     Returns the m integrals and the points spent.
     """
-    prev = None
-    pts = 0
-    for level in itertools.count():
-        nodes = rule(level)
-        if nodes is None:
-            raise QuadratureError(
-                f"quadrature did not converge to rel_tol={rel_tol} in {level} levels"
-            )
-        X, factors = nodes
-        vals = pack(X).reshape(-1, *map(len, factors))
-        pts += X.shape[0]
-        for f in factors:
-            vals = vals * f
-        cur = vals.sum(axis=tuple(range(1, vals.ndim)))
-        if not math.isfinite(rel_tol):
-            return cur, pts
+    prev = level0
+    for level in itertools.count(0 if level0 is None else 1):
+        cur, n = _integrate(pack, rule, level, rel_tol)
+        pts += n
         if prev is not None and np.all(
             np.abs(cur - prev) <= 0.5 * rel_tol * np.maximum(np.abs(cur), _FLOOR)
         ):
@@ -416,6 +420,7 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
     def tails_at(R):
         return [_tail_bound(k, p_env, q_env, R, d, lam) for k in kinds]
 
+    level0, pts0 = None, 0
     if domain_radius is not None:
         if domain_radius < s_max + _KAPPA_MIN:
             raise HypothesisError(
@@ -423,23 +428,24 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
             )
         R = float(domain_radius)
         tails = tails_at(R)
-        pts0 = 0
     else:
-        # one coarse pass fixes the value scale for the truncation targets
-        coarse, pts0 = _refine(pack, _rule(d, R), math.inf)
-        targets = 0.5 * tol * np.maximum(np.abs(coarse), _TRUNC_FLOOR)
+        # level 0 of the rule at the start radius fixes the value scale for
+        # the truncation targets; if the radius stays, refinement reuses it
+        level0, pts0 = _integrate(pack, _rule(d, R), 0, tol)
+        targets = 0.5 * tol * np.maximum(np.abs(level0), _TRUNC_FLOOR)
         for _ in range(400):
             tails = tails_at(R)
             if all(t <= tgt for t, tgt in zip(tails, targets)):
                 break
             R += max(0.5, 0.04 * R)
+            level0 = None
         else:
             raise CapabilityError("certified tail bound cannot reach the tolerance")
 
     splits = _sign_change_splits(p, q, R) if d == 1 and DivergenceKind.TV in kinds else ()
-    values, pts = _refine(pack, _rule(d, R, splits), tol)
+    values, pts = _refine(pack, _rule(d, R, splits), tol, None if splits else level0, pts0)
     return {
-        k: IntegralEstimate(float(v), float(t), R, int(pts + pts0))
+        k: IntegralEstimate(float(v), float(t), R, int(pts))
         for k, v, t in zip(kinds, values, tails)
     }
 
@@ -462,7 +468,8 @@ def renyi_integral(p: GaussianMixture, q: GaussianMixture, lam: float, tol=None)
     against the affine log-ratio bound).  For single-atom p, q at u, v the
     value is exp(lam (lam-1) ||u-v||^2 / 2).  The radius search and the
     quadrature are those of `divergence`, and `quadrature_points` likewise
-    counts the coarse pass that sets the truncation target.
+    counts each integrand evaluation once: the coarse pass that sets the
+    truncation target is level 0 of the final rule unless the radius grew.
     """
     if lam <= 1:
         raise HypothesisError(f"renyi integral needs lambda > 1, got {lam}")
@@ -517,10 +524,11 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
         return (diff.real**2 + diff.imag**2)[None, :]
 
     T = 6.0
-    coarse, _ = _refine(pack, _rule(1, T), math.inf)
-    scale = max(abs(float(coarse[0])) / (2.0 * math.pi), _TRUNC_FLOOR)
+    level0, _ = _integrate(pack, _rule(1, T), 0, tol)
+    scale = max(abs(float(level0[0])) / (2.0 * math.pi), _TRUNC_FLOOR)
     # two-sided tail of 4 e^{-t^2} beyond T is below 4 e^{-T^2} / T
     while 4.0 * math.exp(-T * T) / T > 0.5 * tol * scale * (2.0 * math.pi):
         T += 0.5
-    values, _ = _refine(pack, _rule(1, T), tol)
+        level0 = None
+    values, _ = _refine(pack, _rule(1, T), tol, level0)
     return float(values[0]) / (2.0 * math.pi)

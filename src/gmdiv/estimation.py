@@ -155,8 +155,8 @@ def local_cover(candidates, center: GaussianMixture, eta: float, tol=None) -> Ne
     return _farthest_point(table, ball, eta / 2.0)
 
 
-def local_covering_number(candidates, eps: float, eta_grid, centers=None, tol=None) -> int:
-    """sup over supplied centers and eta >= eps of |cover(B(center, eta), eta/2)|.
+def local_covering_number(candidates, eps: float, eta_grid, tol=None) -> int:
+    """sup over every candidate as center and eta >= eps of |cover(B(center, eta), eta/2)|.
 
     The sup runs over the supplied eta grid only (the continuum sup is not
     desk-realizable); callers should flag that in downstream reports.
@@ -167,13 +167,11 @@ def local_covering_number(candidates, eps: float, eta_grid, centers=None, tol=No
     if not (eps > 0):
         raise HypothesisError(f"epsilon must be positive, got {eps}")
     table = _table(candidates, tol)
-    if centers is None:
-        centers = table.elements
     best = 0
     for eta in eta_grid:
         if eta < eps:
             continue
-        for c in centers:
+        for c in table.elements:
             best = max(best, len(local_cover(table, c, eta)))
     return best
 

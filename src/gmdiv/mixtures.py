@@ -274,7 +274,7 @@ class DichotomyParams:
             raise HypothesisError(f"dichotomy regime needs K > 1, got K={self.K}")
         if not (self.r > 1):
             raise HypothesisError(f"dichotomy regime needs r > 1, got r={self.r}")
-        object.__setattr__(self, "h_r", math.exp(-self.r**2 / (2.0 * self.K**2)))
+        object.__setattr__(self, "h_r", math.exp(-self.r * self.r / (2.0 * self.K * self.K)))
 
 
 def dichotomy_family(K: float, r: float) -> MixingDistribution:
@@ -283,11 +283,7 @@ def dichotomy_family(K: float, r: float) -> MixingDistribution:
     Drives the KL / Hellinger-squared ratio to infinity as r grows whenever
     K > 1; the output is K-subgaussian with equality in the step tail at t=r.
     """
-    if not (K > 1):
-        raise HypothesisError(f"dichotomy family needs K > 1, got K={K}")
-    if not (r > 1):
-        raise HypothesisError(f"dichotomy family needs r > 1, got r={r}")
-    h_r = math.exp(-r * r / (2.0 * K * K))
+    h_r = DichotomyParams(K, r).h_r
     if h_r <= 0.0:
         raise HypothesisError(
             f"tail weight exp(-r^2/(2K^2)) underflows double precision at K={K}, r={r}"

@@ -14,6 +14,7 @@ from gmdiv import (
     HypothesisError,
     InstanceFamily,
     Subgaussian,
+    Unconstrained,
     bound_rhs,
     bound_rhs_log,
     delta_star,
@@ -26,6 +27,7 @@ from gmdiv import (
     subgaussian_check,
     verify_sweep,
 )
+from gmdiv import bounds
 from gmdiv.bounds import make_pair, _sample_subgaussian
 from gmdiv.divergences import _compute_divergences
 from gmdiv.mixtures import DichotomyParams
@@ -67,6 +69,14 @@ class TestBoundRhs:
             bound_rhs("Thm1", M=2.0, h2=0.1)
         with pytest.raises(ValueError, match="parameters"):
             bound_rhs("Thm2", M=2.0, h2=0.1, d=1)
+
+    def test_log_domain_checks_the_parameter_set(self):
+        with pytest.raises(ValueError, match="takes parameters"):
+            bound_rhs_log("ChiSqThm", M=2.0, h2=0.1)
+        with pytest.raises(ValueError, match="takes parameters"):
+            bound_rhs_log("ChiSqThm", M=2.0, d=1, h2=0.1, K=5)
+        with pytest.raises(HypothesisError, match="M >= 2"):
+            bound_rhs_log("ChiSqThm", M=1.0, d=1, h2=0.1)
 
     def test_hypothesis_ranges(self):
         with pytest.raises(HypothesisError, match="M >= 2"):
@@ -221,17 +231,30 @@ class TestSweeps:
         inst = rep.instances[1]  # index 1 forces q = p
         assert inst.lhs == 0.0 and inst.rhs == 0.0 and inst.passed
 
-    def test_family_hypothesis_checked(self):
-        with pytest.raises(HypothesisError, match="M >= 2"):
-            verify_sweep(BoundId.Thm1, InstanceFamily(Compact(1.0), d=1), 5, seed=0)
-        with pytest.raises(HypothesisError, match="K < 1"):
-            verify_sweep(BoundId.Thm3, InstanceFamily(Subgaussian(2.0), d=1), 5, seed=0)
-        with pytest.raises(HypothesisError, match="Compact"):
-            verify_sweep(BoundId.Thm1, InstanceFamily(Subgaussian(0.5), d=1), 5, seed=0)
-        with pytest.raises(HypothesisError, match="one-dimensional"):
-            verify_sweep(BoundId.TVfromL2, InstanceFamily(Compact(2.0), d=2), 5, seed=0)
-        with pytest.raises(HypothesisError, match="sweepable"):
-            verify_sweep(BoundId.HO, InstanceFamily(Compact(2.0), d=1), 5, seed=0)
+    def test_family_hypothesis_checked(self, monkeypatch):
+        integrated = []
+        monkeypatch.setattr(bounds, "_compute_divergences", lambda *a, **k: integrated.append(a))
+        cases = [
+            (BoundId.Thm1, Compact(1.0), 1, "M >= 2"),
+            (BoundId.Thm2, Compact(0.5), 1, "M >= 1"),
+            (BoundId.Thm3, Subgaussian(2.0), 1, "K < 1"),
+            (BoundId.ChiSqThm, Compact(1.0), 1, "M >= 2"),
+            (BoundId.TVfromL2, Compact(0.5), 1, "M >= 1"),
+            (BoundId.Thm1, Subgaussian(0.5), 1, "Compact"),
+            (BoundId.L2fromTV, Unconstrained(), 1, "Compact or Subgaussian"),
+            (BoundId.TVfromL2, Compact(2.0), 2, "one-dimensional"),
+            (BoundId.HO, Compact(2.0), 1, "sweepable"),
+        ]
+        for bound, tag, d, message in cases:
+            with pytest.raises(HypothesisError, match=message):
+                verify_sweep(bound, InstanceFamily(tag, d=d), 5, seed=0)
+        # every case is rejected before any pair is integrated
+        assert integrated == []
+
+    def test_sweep_arguments_are_bound_parameters(self):
+        for bound, (_, kinds, lhs_kind, arg_kind) in bounds._SWEEPS.items():
+            assert arg_kind.value in bounds._REQUIRED_PARAMS[bound]
+            assert {DivergenceKind.KL, DivergenceKind.HellingerSq, lhs_kind, arg_kind} <= set(kinds)
 
     def test_sweep_above_three_dimensions_rejected(self):
         # d > 3 divergences are Monte Carlo estimates; a sweep over them

@@ -15,6 +15,7 @@ from gmdiv import (
     Subgaussian,
     Unconstrained,
     characteristic_function,
+    default_tol,
     divergence,
     plancherel_l2,
     renyi_integral,
@@ -150,6 +151,26 @@ class TestEstimateContracts:
         a = divergence(DivergenceKind.KL, p, q)
         b = divergence(DivergenceKind.KL, p, q)
         assert a.value == b.value and a.truncation_bound == b.truncation_bound
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_level_zero_evaluated_once(self, monkeypatch, d):
+        # the coarse pass that sets the truncation targets is level 0 of the
+        # final rule when the radius search takes no step, so refinement
+        # must reuse it rather than evaluate those nodes again
+        p = single_gaussian([0.0] * d, M=3.0)
+        q = single_gaussian([1.0] + [0.0] * (d - 1), M=3.0)
+        calls = []
+        original = GaussianMixture.log_density
+
+        def spy(gm, x):
+            calls.append((gm is p, len(x), x.tobytes()))
+            return original(gm, x)
+
+        monkeypatch.setattr(GaussianMixture, "log_density", spy)
+        est = divergence(DivergenceKind.HellingerSq, p, q)
+        assert est.domain_radius == truncation_radius(Compact(3.0), d, default_tol(d))
+        assert len(calls) == len(set(calls))
+        assert est.quadrature_points == sum(n for of_p, n, _ in calls if of_p)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]))

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, softmax
 
@@ -19,7 +19,7 @@ from gmdiv import (
     mixture_to_record,
     subgaussian_check,
 )
-from gmdiv.mixtures import _BLOCK
+from gmdiv.mixtures import _BLOCK, DichotomyParams
 from conftest import random_compact, single_gaussian
 
 LOG_INV_SQRT_2PI = -0.5 * math.log(2 * math.pi)
@@ -287,6 +287,18 @@ class TestDichotomyFamily:
     def test_always_subgaussian_at_level_k(self, K, r):
         assume(r * r / (2.0 * K * K) < 700.0)  # keep h_r representable
         assert subgaussian_check(dichotomy_family(K, r), K)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        K=st.floats(min_value=1.01, max_value=50.0),
+        r=st.floats(min_value=1.01, max_value=50.0),
+    )
+    # exp(-r**2 / (2 K**2)) and exp(-r*r / (2 K*K)) differ in the last bit here
+    @example(K=8.480922043414207, r=38.13502395024327)
+    def test_tail_weight_is_the_params_h_r(self, K, r):
+        # the family and its one-sided envelopes (dichotomy_bounds) share h_r
+        assume(r * r / (2.0 * K * K) < 700.0)
+        assert dichotomy_family(K, r).weights[1] == DichotomyParams(K, r).h_r
 
     def test_underflowing_tail_weight_rejected(self):
         with pytest.raises(HypothesisError, match="underflows"):
