@@ -517,6 +517,8 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
     """
     if p.dim != 1 or q.dim != 1:
         raise CapabilityError("plancherel_l2 is implemented for d=1 only")
+    if not (0 < tol < 1):
+        raise HypothesisError(f"plancherel tolerance must lie in (0, 1), got {tol}")
 
     def pack(X):
         t = X[:, 0]

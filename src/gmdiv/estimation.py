@@ -4,23 +4,46 @@ Model classes are explicit finite candidate lists (parameter grids of
 atomic mixtures); covers are greedy farthest-point, which yields a set
 that is simultaneously an epsilon-cover of the candidates and an
 epsilon-packing, hence within the usual packing/covering sandwich of the
-optimum.  All tie-breaks are first-index so results are reproducible.
+optimum.  All tie-breaks are first-index so results are reproducible; the
+farthest-point step treats distances within `_TIE` of the farthest as
+tied, so a cover does not hang on the last bits of a distance.
 
 Hellinger distances are computed once per candidate list: a
-`HellingerTable` holds each pair the first time any cover reads it, and
-every global cover, local cover and net built on that table shares it.
+`HellingerTable` fills every pair in one shared-grid Gram pass the first
+time any cover reads it, and every global cover, local cover, net,
+projection and risk estimate built on that table reads it.  Only a point
+that is not a candidate (an outside ball center, a projected density)
+costs per-pair quadratures.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergences import DivergenceKind, divergence
-from .errors import HypothesisError
+from .divergences import (
+    DivergenceKind,
+    _Envelope,
+    _require_certifiable,
+    _rule,
+    default_tol,
+    divergence,
+    truncation_radius,
+)
+from .errors import CapabilityError, HypothesisError, QuadratureError
 from .mixtures import GaussianMixture, mixture_to_record
+
+# Farthest-point distances within _TIE (in H) of the farthest count as tied.
+_TIE = 1e-9
+# The Gram pass holds at most this many square-root density values at once,
+# and sets those below _GRAM_FLOOR to zero: every product it then forms is a
+# normal double (subnormal operands slow a matrix product many times over),
+# and no entry moves by more than about _GRAM_FLOOR.
+_GRAM_ENTRIES = 1 << 20
+_GRAM_FLOOR = 1e-140
 
 
 def hellinger(p: GaussianMixture, q: GaussianMixture, tol=None) -> float:
@@ -28,39 +51,126 @@ def hellinger(p: GaussianMixture, q: GaussianMixture, tol=None) -> float:
     return math.sqrt(max(divergence(DivergenceKind.HellingerSq, p, q, tol=tol).value, 0.0))
 
 
-class HellingerTable:
-    """Symmetric Hellinger distances over a fixed candidate list, filled lazily.
+def _gram_h2(elements, tol) -> np.ndarray:
+    """Pairwise H^2 of a candidate list from one shared-grid Gram pass.
 
-    Each unordered pair (i, j) is computed at most once, as
-    hellinger(elements[min(i, j)], elements[max(i, j)], tol), the first time
-    a cover reads it.  Every cover, local cover and net built on one table
-    shares its entries, so a candidate family costs at most N(N-1)/2
-    quadratures however many covers are taken of it.
+    One radius R serves every member: it starts at the largest truncation
+    radius (at least s_max + 1) and grows until the pair tail bound of the
+    worst member, 2 max_i mass_tail_i(R), is at most tol/2.  On level l of
+    `_rule(d, R)` the square roots S_i = sqrt(p_i) at the nodes give
+    G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij (clipped at 0), which
+    is int (sqrt(p_i) - sqrt(p_j))^2 over the ball.  Levels refine until no
+    entry moves by more than tol/2, so `tol` is an absolute H^2 accuracy
+    (default `default_tol(d)`).  The members are processed in an order
+    fixed by their contents and the upper triangle is mirrored, so each
+    entry is bitwise independent of the order of `elements` (for one BLAS
+    build and thread count; another thread count can move entries by
+    rounding, about 1e-15 on a 1000-candidate grid).
+    """
+    n = len(elements)
+    if n < 2:
+        return np.zeros((n, n))
+    d = elements[0].dim
+    if tol is None:
+        tol = default_tol(d)
+    envs = [_Envelope(e) for e in elements]
+    R = max(
+        max(truncation_radius(e.mixing.tag, d, tol) for e in elements),
+        max(env.s_max for env in envs) + 1.0,
+    )
+    for _ in range(400):
+        if 2.0 * max(env.mass_tail(R, d) for env in envs) <= 0.5 * tol:
+            break
+        R += max(0.5, 0.04 * R)
+    else:
+        raise CapabilityError("certified tail bound cannot reach the tolerance")
+
+    def content(i):
+        mixing = elements[i].mixing
+        return mixing.locations.tobytes(), mixing.weights.tobytes()
+
+    order = sorted(range(n), key=content)
+    members = [elements[i] for i in order]
+    rule = _rule(d, R)
+    step = max(1, _GRAM_ENTRIES // n)
+    prev = None
+    for level in itertools.count():
+        nodes = rule(level)
+        if nodes is None:
+            raise QuadratureError(f"Gram pass did not converge to tol={tol} in {level} levels")
+        X, factors = nodes
+        w = factors[0]
+        for f in factors[1:]:
+            w = w * f
+        w = w.ravel()
+        G = np.zeros((n, n))
+        S = np.empty((n, min(step, X.shape[0])))
+        for lo in range(0, X.shape[0], step):
+            block = X[lo : lo + step]
+            Sb = S[:, : block.shape[0]]
+            for i, e in enumerate(members):
+                np.exp(0.5 * e.log_density(block), out=Sb[i])
+            Sb[Sb < _GRAM_FLOOR] = 0.0
+            G += (Sb * w[lo : lo + step]) @ Sb.T
+        diag = np.diag(G)
+        cur = np.triu(np.maximum(diag[:, None] + diag[None, :] - 2.0 * G, 0.0), 1)
+        if prev is not None and np.max(np.abs(cur - prev)) <= 0.5 * tol:
+            break
+        prev = cur
+    cur += cur.T
+    position = np.argsort(order)
+    return cur[np.ix_(position, position)]
+
+
+class HellingerTable:
+    """Symmetric Hellinger distances over a fixed candidate list.
+
+    The first `row` or `block` read fills every entry at once with the
+    shared-grid Gram pass `_gram_h2`; constructing a table computes
+    nothing.  `tol` is the absolute H^2 accuracy of the entries (default
+    `default_tol(d)`), and entries do not depend on the order of
+    `elements`.  Every cover, local cover and net built on one table shares
+    its entries.  The candidates must share one dimension d <= 3 and carry
+    a Compact or Subgaussian tag.
     """
 
     def __init__(self, elements, tol=None):
         self.elements = list(elements)
         self.tol = tol
-        n = len(self.elements)
-        self._dist = np.zeros((n, n))
-        self._known = np.eye(n, dtype=bool)
+        if len({e.dim for e in self.elements}) > 1:
+            raise ValueError("table candidates must share one dimension")
+        for e in self.elements:
+            _require_certifiable(e)
+            if e.dim > 3:
+                raise CapabilityError(f"a Hellinger table needs d <= 3, got d={e.dim}")
+        self._position = {}
+        for i, e in enumerate(self.elements):
+            self._position.setdefault(id(e), i)
+        self._h2 = None
 
     def __len__(self):
         return len(self.elements)
 
+    def index_of(self, gm: GaussianMixture) -> int | None:
+        """Index of the first candidate that is `gm` (by identity), else None."""
+        return self._position.get(id(gm))
+
+    def _squared(self) -> np.ndarray:
+        if self._h2 is None:
+            self._h2 = _gram_h2(self.elements, self.tol)
+        return self._h2
+
+    def h2_row(self, i: int, among: np.ndarray) -> np.ndarray:
+        """Squared distances from candidate i to the candidates at indices `among`."""
+        return self._squared()[i, among]
+
     def row(self, i: int, among: np.ndarray) -> np.ndarray:
         """Distances from candidate i to the candidates at indices `among`."""
-        for j in among[~self._known[i, among]]:
-            a, b = min(i, j), max(i, j)
-            self._dist[a, b] = self._dist[b, a] = hellinger(self.elements[a], self.elements[b], self.tol)
-            self._known[a, b] = self._known[b, a] = True
-        return self._dist[i, among]
+        return np.sqrt(self.h2_row(i, among))
 
     def block(self, index: np.ndarray) -> np.ndarray:
         """Pairwise distances among the candidates at `index` (a copy)."""
-        for i in index:
-            self.row(i, index)
-        return self._dist[np.ix_(index, index)]
+        return np.sqrt(self._squared()[np.ix_(index, index)])
 
 
 def _table(candidates, tol) -> HellingerTable:
@@ -104,14 +214,18 @@ class Net:
 def _farthest_point(table: HellingerTable, among: np.ndarray, eps: float) -> Net:
     """Farthest-point greedy eps-cover of the candidates at indices `among`.
 
-    Reads only the rows of the promoted centers, restricted to `among`.
+    Reads only the rows of the promoted centers, restricted to `among`.  The
+    promoted candidate is the first one within `_TIE` of the farthest (and
+    still uncovered), so near-ties that only rounding separates resolve to
+    the first index.
     """
     centers = [among[0]]
     mindist = table.row(among[0], among)
     while True:
-        far = int(np.argmax(mindist))
-        if mindist[far] <= eps:
+        top = mindist.max()
+        if top <= eps:
             break
+        far = int(np.argmax(mindist > max(eps, top - _TIE)))
         centers.append(among[far])
         mindist = np.minimum(mindist, table.row(among[far], among))
     return Net(table, centers, eps)
@@ -144,7 +258,7 @@ def local_cover(candidates, center: GaussianMixture, eta: float, tol=None) -> Ne
         raise HypothesisError(f"ball radius must be positive, got {eta}")
     table = _table(candidates, tol)
     everyone = np.arange(len(table))
-    i = next((k for k, c in enumerate(table.elements) if c is center), None)
+    i = table.index_of(center)
     if i is None:
         dist = np.array([hellinger(center, c, table.tol) for c in table.elements])
     else:
@@ -181,11 +295,17 @@ def hellinger_project(f: GaussianMixture, net: Net, tol=None) -> GaussianMixture
 
     Projection at most doubles the distance to anything the net covers:
     H(project(f), g) <= 2 H(f, g) whenever some net element is within
-    H(f, g) of f.
+    H(f, g) of f.  An f that is one of the net's table candidates (by
+    identity) reads its table row; any other f costs one quadrature per
+    net element at `tol`.
     """
     if not net.elements:
         raise ValueError("net must be non-empty")
-    dists = [hellinger(e, f, tol) for e in net.elements]
+    i = net.table.index_of(f)
+    if i is None:
+        dists = [hellinger(e, f, tol) for e in net.elements]
+    else:
+        dists = net.table.row(i, net.index)
     return net.elements[int(np.argmin(dists))]
 
 
@@ -306,14 +426,19 @@ def batch_risk_mc(candidates, net: Net, n: int, trials: int, seed: int, tol=None
     For each candidate as truth, draws `trials` samples of size n, runs the
     net MLE, and averages the squared Hellinger loss; reports per-candidate
     means with 95% half-widths and their maximum.  This is a measurement,
-    not an assertion against any rate characterization.
+    not an assertion against any rate characterization.  A candidate that is
+    one of the net's table candidates (by identity) takes its losses from
+    the table; any other costs one quadrature per net element at `tol`.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
-    loss = {}
+    loss = np.empty((len(candidates), len(net.elements)))
     for i, f in enumerate(candidates):
-        for j, e in enumerate(net.elements):
-            loss[(i, j)] = divergence(DivergenceKind.HellingerSq, e, f, tol=tol).value
+        k = net.table.index_of(f)
+        if k is None:
+            loss[i] = [divergence(DivergenceKind.HellingerSq, e, f, tol=tol).value for e in net.elements]
+        else:
+            loss[i] = net.table.h2_row(k, net.index)
     element_index = {id(e): j for j, e in enumerate(net.elements)}
     rows = []
     for i, f in enumerate(candidates):
@@ -322,7 +447,7 @@ def batch_risk_mc(candidates, net: Net, n: int, trials: int, seed: int, tol=None
             child_seed = int(np.random.SeedSequence([seed, i, t]).generate_state(1)[0])
             data = f.sample(n, child_seed)
             est = batch_net_mle(net, data)
-            losses[t] = loss[(i, element_index[id(est)])]
+            losses[t] = loss[i, element_index[id(est)]]
         rows.append(
             {
                 "candidate": i,

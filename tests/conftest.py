@@ -24,6 +24,20 @@ def hellinger_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def gram_fills(monkeypatch):
+    """List of the candidate lists whose Hellinger table was filled, in call order."""
+    fills = []
+    original = estimation._gram_h2
+
+    def counted(elements, tol):
+        fills.append(list(elements))
+        return original(elements, tol)
+
+    monkeypatch.setattr(estimation, "_gram_h2", counted)
+    return fills
+
+
 def random_compact(rng, M=2.0, d=1, max_atoms=8) -> GaussianMixture:
     """Random Compact(M)-tagged mixture, same family the sweeps draw from."""
     return GaussianMixture(_sample_compact(rng, M, d, max_atoms))

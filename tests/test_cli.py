@@ -168,14 +168,16 @@ class TestEntropySeqReport:
             },
         ],
     )
-    def test_entropy_shares_one_table(self, run, hellinger_calls, family):
-        # one entropy job integrates each candidate pair exactly once, and its
-        # cover sizes equal those of standalone covers with their own tables
+    def test_entropy_shares_one_table(self, run, hellinger_calls, gram_fills, family):
+        # one entropy job fills one table in one Gram pass and integrates no
+        # pair on its own, and its cover sizes equal those of standalone
+        # covers with their own tables
         eps_grid, eta_grid = [0.05, 0.1, 0.2, 0.4], [0.08, 0.15, 0.3, 0.6]
         cfg = {"command": "entropy", "family": family, "epsilons": eps_grid, "eta_grid": eta_grid, "n": 50}
         out_dir, _ = run("entropy", cfg)
         cands = _family_candidates(family)
-        assert len(hellinger_calls) == len(cands) * (len(cands) - 1) // 2
+        assert not hellinger_calls
+        assert len(gram_fills) == 1 and len(gram_fills[0]) == len(cands)
         rows = [r.split(",") for r in (out_dir / "entropy.csv").read_text().splitlines()[1:]]
         for eps, row in zip(eps_grid, rows):
             n_loc = max(

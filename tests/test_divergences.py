@@ -21,6 +21,7 @@ from gmdiv import (
     renyi_integral,
     truncation_radius,
 )
+from gmdiv import divergences
 from gmdiv.divergences import _Envelope, _compute_divergences, _tail_bound
 from gmdiv.mixtures import LOG_2PI
 from conftest import random_compact, single_gaussian
@@ -133,6 +134,30 @@ class TestClosedForms:
         h2 = divergence(DivergenceKind.HellingerSq, p, q)
         assert kl.value == pytest.approx(1.5**2 / 2.0, rel=1e-6)
         assert h2.value == pytest.approx(2.0 - 2.0 * math.exp(-(1.5**2) / 8.0), rel=1e-6)
+
+
+class TestTightTolerances:
+    # d=2 used to raise QuadratureError at tol <= 1e-8; these pin that it
+    # converges there, and to closed-form accuracy on single atoms
+    @pytest.mark.parametrize("tol", [1e-8, 1e-9])
+    def test_random_d2_pairs_converge(self, rng, tol):
+        kinds = [DivergenceKind.KL, DivergenceKind.HellingerSq]
+        for _ in range(8):
+            p = random_compact(rng, M=2.0, d=2)
+            q = random_compact(rng, M=2.0, d=2)
+            for est in _compute_divergences(kinds, p, q, tol=tol).values():
+                assert math.isfinite(est.value) and est.value >= -tol
+                assert est.truncation_bound <= tol * max(abs(est.value), 1e-15)
+
+    @pytest.mark.parametrize("delta", [0.5, 2.0, 4.0])
+    def test_single_atom_d2_at_tol_1e_10(self, delta):
+        p = single_gaussian([delta, 0.0])
+        q = single_gaussian([0.0, 0.0])
+        want = closed_forms(delta)
+        kinds = [DivergenceKind.KL, DivergenceKind.HellingerSq]
+        got = _compute_divergences(kinds, p, q, tol=1e-10)
+        for kind in kinds:
+            assert got[kind].value == pytest.approx(want[kind], rel=1e-10)
 
 
 class TestEstimateContracts:
@@ -352,3 +377,13 @@ class TestPlancherel:
         p = single_gaussian([0.0, 0.0])
         with pytest.raises(CapabilityError):
             plancherel_l2(p, p)
+
+    @pytest.mark.parametrize("tol", [-1e-8, 0.0, 1.0, math.nan])
+    def test_bad_tol_rejected_before_any_quadrature(self, monkeypatch, tol):
+        # a negative tol used to keep the cut-off loop growing T forever
+        calls = []
+        monkeypatch.setattr(divergences, "characteristic_function", lambda *a: calls.append(a))
+        p, q = single_gaussian(0.0), single_gaussian(1.0)
+        with pytest.raises(HypothesisError):
+            plancherel_l2(p, q, tol=tol)
+        assert not calls

@@ -3,12 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmdiv import (
+    CapabilityError,
+    DivergenceKind,
+    GaussianMixture,
     HellingerTable,
     HypothesisError,
     batch_net_mle,
     batch_risk_mc,
+    default_tol,
+    divergence,
     greedy_cover,
     hellinger,
     hellinger_project,
@@ -104,18 +111,21 @@ class TestGreedyCover:
 
 
 class TestHellingerTable:
-    def test_each_pair_once_and_bit_identical(self, hellinger_calls, rng):
+    def test_each_pair_once_and_bit_identical(self, hellinger_calls, gram_fills, rng):
+        # one Gram pass fills every pair; no pair is integrated on its own,
+        # and every read returns the same bits in both orientations
         cands = [random_compact(rng, M=2.0, d=1) for _ in range(6)]
         table = HellingerTable(cands)
         for eps in (0.05, 0.2, 0.5):
             greedy_cover(table, eps)
             local_covering_number(table, eps, [0.1, 0.3, 0.6])
         dist = pairwise_hellinger(table)
-        assert len(hellinger_calls) == len({frozenset(map(id, c)) for c in hellinger_calls}) == 15
+        assert not hellinger_calls
+        assert len(gram_fills) == 1
         for i in range(6):
             assert dist[i, i] == 0.0
             for j in range(i + 1, 6):
-                assert dist[i, j] == dist[j, i] == hellinger(cands[i], cands[j])
+                assert dist[i, j] == dist[j, i] == table.row(i, np.array([j]))[0]
 
     def test_shared_table_matches_per_call_covers(self, rng):
         cands = [random_compact(rng, M=2.0, d=1) for _ in range(7)]
@@ -136,6 +146,80 @@ class TestHellingerTable:
         assert net.elements == cands
         assert not hellinger_calls
         assert np.array_equal(net.distance_cache, pairwise_hellinger(cands))
+
+
+    def test_nothing_computed_before_the_first_read(self, gram_fills):
+        cands = theta_grid(-1.0, 1.0, 5)
+        table = HellingerTable(cands)
+        assert len(table) == 5 and table.index_of(cands[3]) == 3
+        assert table.index_of(single_gaussian(0.0)) is None
+        assert not gram_fills
+        table.row(0, np.arange(5))
+        table.block(np.arange(5))
+        assert len(gram_fills) == 1
+
+    def test_theta_grid_matches_closed_form(self):
+        thetas = np.linspace(-3.0, 3.0, 60)
+        table = HellingerTable(theta_grid(-3.0, 3.0, 60))
+        exact = 2.0 - 2.0 * np.exp(-((thetas[:, None] - thetas[None, :]) ** 2) / 8.0)
+        h2 = np.array([table.h2_row(i, np.arange(60)) for i in range(60)])
+        assert np.max(np.abs(h2 - exact)) <= 1e-10
+
+    def test_d2_ring_refines_past_level_zero(self):
+        # atoms at radius 6 vary too fast in angle for level 0 of the polar
+        # rule (its error is about 2e-5 there), so the pass must refine
+        angles = 0.3 + np.linspace(0.0, 2.0 * math.pi, 9)[:-1]
+        pts = 6.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        table = HellingerTable([single_gaussian(x, M=6.0) for x in pts])
+        exact = 2.0 - 2.0 * np.exp(-np.sum((pts[:, None] - pts[None, :]) ** 2, axis=2) / 8.0)
+        h2 = np.array([table.h2_row(i, np.arange(8)) for i in range(8)])
+        assert np.max(np.abs(h2 - exact)) <= default_tol(2)
+
+    @pytest.mark.parametrize("d, count", [(1, 8), (2, 5)])
+    def test_random_lists_within_tol_of_per_pair(self, rng, d, count):
+        cands = [random_compact(rng, M=2.0, d=d) for _ in range(count)]
+        table = HellingerTable(cands)
+        tol = default_tol(d)
+        for i, j in itertools.combinations(range(count), 2):
+            per_pair = divergence(DivergenceKind.HellingerSq, cands[i], cands[j]).value
+            assert abs(table.h2_row(i, np.array([j]))[0] - per_pair) <= tol
+
+    @settings(max_examples=25, deadline=None)
+    @given(perm=st.permutations(range(7)))
+    def test_permutation_invariant_bitwise(self, perm):
+        rng = np.random.default_rng(5)
+        cands = [random_compact(rng, M=2.0, d=1) for _ in range(5)]
+        # a second object with the same contents, and a one-atom candidate
+        cands += [GaussianMixture(cands[2].mixing), single_gaussian(0.4, M=2.0)]
+        base = pairwise_hellinger(cands)
+        shuffled = pairwise_hellinger([cands[k] for k in perm])
+        assert np.array_equal(shuffled, base[np.ix_(perm, perm)])
+
+    @pytest.mark.parametrize(
+        "cands, error",
+        [
+            ([single_gaussian([0.0] * 4), single_gaussian([1.0] * 4)], CapabilityError),
+            ([single_gaussian(0.0), GaussianMixture.from_atoms([[1.0]])], CapabilityError),
+            ([single_gaussian(0.0), single_gaussian([0.0, 1.0])], ValueError),
+        ],
+        ids=["d4", "unconstrained", "mixed_dim"],
+    )
+    def test_rejects_uncertifiable_lists(self, cands, error):
+        with pytest.raises(error):
+            HellingerTable(cands)
+
+    def test_near_ties_resolve_to_the_first_index(self):
+        # on an equally spaced grid many farthest-point distances are equal
+        # up to rounding; a +-1e-12 change to every entry must not move a center
+        cands = theta_grid(-3.0, 3.0, 60)
+        table = HellingerTable(cands)
+        eps_grid = (0.03, 0.05, 0.1, 0.2, 0.5)
+        before = [greedy_cover(table, eps).index for eps in eps_grid]
+        noise = 1e-12 * np.random.default_rng(3).choice([-1.0, 1.0], size=(60, 60))
+        noise = np.triu(noise, 1)
+        table._h2 = table._h2 + noise + noise.T
+        for eps, index in zip(eps_grid, before):
+            assert np.array_equal(greedy_cover(table, eps).index, index)
 
 
 class TestLocalCover:
@@ -200,6 +284,22 @@ class TestProjection:
             if nearest <= h_fg:
                 proj = hellinger_project(f, net)
                 assert hellinger(proj, g) <= 2.0 * h_fg + 1e-9
+
+
+    def test_members_read_the_table(self, rng, hellinger_calls):
+        cands = [random_compact(rng, M=2.0, d=1) for _ in range(8)]
+        net = greedy_cover(cands, 0.2)
+        projected = [hellinger_project(f, net) for f in cands]
+        risk = batch_risk_mc(cands, net, n=20, trials=3, seed=1)
+        assert not hellinger_calls
+        # the same densities as other objects take the per-pair path
+        copies = [GaussianMixture(f.mixing) for f in cands]
+        assert [hellinger_project(f, net) for f in copies] == projected
+        per_pair = batch_risk_mc(copies, net, n=20, trials=3, seed=1)
+        assert len(hellinger_calls) == 2 * len(cands) * len(net)
+        tol = default_tol(1)
+        for a, b in zip(risk["per_candidate"], per_pair["per_candidate"]):
+            assert abs(a["mean_h2"] - b["mean_h2"]) <= tol
 
 
 class TestBatchNetMle:
