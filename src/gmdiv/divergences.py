@@ -24,11 +24,13 @@ Kinds and their tail treatment:
   chi^2     tail <= the lam = 2 power tail + mass tail of q.
   L2^2      tail <= sup density on the sphere * mass tails.
 
-d in {1, 2, 3} uses certified quadrature: one driver refines a nested
-tensor-product rule (1-d Gauss-Legendre panels, cut at the sign changes of
-p - q for TV; radial panels x angular rule for d in {2, 3}).  d > 3 falls
-back to seeded importance-sampling Monte Carlo where `truncation_bound`
-reports a 95% confidence half-width instead of a hard bound.
+d in {1, 2, 3} uses certified quadrature: one driver (`_refine`) refines a
+nested tensor-product rule (1-d Gauss-Legendre panels, cut at the sign
+changes of p - q for TV; radial panels x angular rule for d in {2, 3}) on a
+ball sized by one radius search (`_search_radius`), which the Hellinger
+table's Gram pass and `plancherel_l2` share.  d > 3 falls back to seeded
+importance-sampling Monte Carlo where `truncation_bound` reports a 95%
+confidence half-width instead of a hard bound.
 
 `tol` is a relative target: refinement stops when successive levels differ
 by less than tol/2 relative to the current value, and the domain grows
@@ -38,6 +40,7 @@ until the certified tail bound is below tol/2 of the value scale.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -335,50 +338,71 @@ def _rule(d: int, R: float, splits=()):
     return rule
 
 
-def _integrate(pack, rule, level, rel_tol):
-    """Rows of pack(X) integrated at one level of `rule`, and the points spent."""
-    nodes = rule(level)
-    if nodes is None:
-        raise QuadratureError(
-            f"quadrature did not converge to rel_tol={rel_tol} in {level} levels"
-        )
-    X, factors = nodes
-    vals = pack(X).reshape(-1, *map(len, factors))
+def _weigh(vals, factors):
+    """Rows of vals, an (m, n) array over the nodes, times the open-mesh weights."""
+    vals = vals.reshape(-1, *map(len, factors))
     for f in factors:
         vals = vals * f
-    return vals.sum(axis=tuple(range(1, vals.ndim))), X.shape[0]
+    return vals
 
 
-def _refine(pack, rule, rel_tol, level0=None, pts=0):
-    """Integrate the rows of pack(X), an (m, n) array, with `rule`.
+def _quadrature(pack):
+    """Measure integrating each row of pack(X), an (m, n) array."""
+    return lambda X, factors: _weigh(pack(X), factors).sum(axis=tuple(range(1, 1 + len(factors))))
 
-    Refinement stops once every row's successive-level difference is below
-    rel_tol/2 relative to its current value.  `level0` holds the rows of
-    level 0 of `rule` when the caller has already integrated them (they are
-    not evaluated again); `pts` counts points the caller already spent.
-    Returns the m integrals and the points spent.
+
+def _integrate(measure, rule, level):
+    """measure(X, factors) on level `level` of `rule`, and the points spent."""
+    nodes = rule(level)
+    if nodes is None:
+        raise QuadratureError(f"quadrature did not converge in {level} levels")
+    return measure(*nodes), nodes[0].shape[0]
+
+
+def _refine(measure, rule, bound, level0=None, pts=0):
+    """Refine `rule` until measure(X, factors), an array, settles level to level.
+
+    Stops once every entry moves by at most bound(cur).  `level0` holds
+    level 0's measure if the caller already took it (it is not evaluated
+    again); `pts` counts points the caller already spent.  Returns the last
+    measure and the points spent.
     """
     prev = level0
     for level in itertools.count(0 if level0 is None else 1):
-        cur, n = _integrate(pack, rule, level, rel_tol)
+        cur, n = _integrate(measure, rule, level)
         pts += n
-        if prev is not None and np.all(
-            np.abs(cur - prev) <= 0.5 * rel_tol * np.maximum(np.abs(cur), _FLOOR)
-        ):
+        if prev is not None and np.all(np.abs(cur - prev) <= bound(cur)):
             return cur, pts
         prev = cur
+
+
+def _relative(tol):
+    """Convergence bound of tol/2 relative to each current value."""
+    return lambda cur: 0.5 * tol * np.maximum(np.abs(cur), _FLOOR)
+
+
+def _start_radius(mixtures, tol) -> float:
+    """Where a radius search starts: max(truncation radii, s_max + 1)."""
+    radii = [truncation_radius(m.mixing.tag, m.dim, tol) for m in mixtures]
+    return max(*radii, max(float(m.mixing.radii.max()) for m in mixtures) + 1.0)
+
+
+def _search_radius(R, met) -> float:
+    """First of R, R + max(0.5, 0.04 R), ... that meets `met`; 400 misses raise."""
+    for _ in range(400):
+        if met(R):
+            return R
+        R += max(0.5, 0.04 * R)
+    raise CapabilityError("certified tail bound cannot reach the tolerance")
 
 
 def _sign_change_splits(p: GaussianMixture, q: GaussianMixture, R: float) -> list[float]:
     # locate roots of p - q so |p - q| is integrated piecewise-smoothly
     grid = np.linspace(-R, R, 2049)
     s = p.log_density(grid[:, None]) - q.log_density(grid[:, None])
-    splits = []
     f = lambda x: p.log_density(np.array([x])) - q.log_density(np.array([x]))
     idx = np.nonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0)[0]
-    for i in idx:
-        splits.append(float(brentq(f, grid[i], grid[i + 1], xtol=1e-13)))
-    return splits
+    return [float(brentq(f, grid[i], grid[i + 1], xtol=1e-13)) for i in idx]
 
 
 # -- main entry points ----------------------------------------------------------
@@ -400,26 +424,26 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
     if tol is None:
         tol = default_tol(d)
     if d > 3:
+        if domain_radius is not None:
+            raise CapabilityError(f"domain_radius needs certified quadrature (d <= 3), got d={d}")
+        if not (0 < tol < 1):
+            raise HypothesisError(f"tolerance must lie in (0, 1), got {tol}")
         return {k: _mc_divergence(k, p, q) for k in kinds}
     _require_certifiable(p)
     _require_certifiable(q)
 
     p_env, q_env = _Envelope(p), _Envelope(q)
     s_max = max(p_env.s_max, q_env.s_max)
-    R = max(
-        truncation_radius(p.mixing.tag, d, tol),
-        truncation_radius(q.mixing.tag, d, tol),
-        s_max + 1.0,
-    )
+    start = R = _start_radius([p, q], tol)
 
     def pack(X):
         logp = p.log_density(X)
         logq = q.log_density(X)
         return np.stack([_kind_values(k, logp, logq, lam) for k in kinds])
 
-    def tails_at(R):
-        return [_tail_bound(k, p_env, q_env, R, d, lam) for k in kinds]
-
+    # cached: the final radius's tails were already met by the search
+    tails_at = functools.cache(lambda R: [_tail_bound(k, p_env, q_env, R, d, lam) for k in kinds])
+    measure = _quadrature(pack)
     level0, pts0 = None, 0
     if domain_radius is not None:
         if domain_radius < s_max + _KAPPA_MIN:
@@ -427,26 +451,20 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
                 f"domain_radius {domain_radius} must exceed the atom radius {s_max}"
             )
         R = float(domain_radius)
-        tails = tails_at(R)
     else:
         # level 0 of the rule at the start radius fixes the value scale for
         # the truncation targets; if the radius stays, refinement reuses it
-        level0, pts0 = _integrate(pack, _rule(d, R), 0, tol)
+        level0, pts0 = _integrate(measure, _rule(d, R), 0)
         targets = 0.5 * tol * np.maximum(np.abs(level0), _TRUNC_FLOOR)
-        for _ in range(400):
-            tails = tails_at(R)
-            if all(t <= tgt for t, tgt in zip(tails, targets)):
-                break
-            R += max(0.5, 0.04 * R)
-            level0 = None
-        else:
-            raise CapabilityError("certified tail bound cannot reach the tolerance")
+        R = _search_radius(R, lambda R: all(t <= g for t, g in zip(tails_at(R), targets)))
 
     splits = _sign_change_splits(p, q, R) if d == 1 and DivergenceKind.TV in kinds else ()
-    values, pts = _refine(pack, _rule(d, R, splits), tol, None if splits else level0, pts0)
+    if splits or R != start:
+        level0 = None
+    values, pts = _refine(measure, _rule(d, R, splits), _relative(tol), level0, pts0)
     return {
         k: IntegralEstimate(float(v), float(t), R, int(pts))
-        for k, v, t in zip(kinds, values, tails)
+        for k, v, t in zip(kinds, values, tails_at(R))
     }
 
 
@@ -456,6 +474,8 @@ def divergence(kind, p: GaussianMixture, q: GaussianMixture, tol=None, domain_ra
     `tol` is a relative accuracy target (defaults: 1e-8 for d=1, 1e-6 for
     d in {2,3}).  `domain_radius` overrides the automatic domain (it must
     still exceed every atom radius); this is mainly for stability checks.
+    For d > 3 the value is a seeded Monte Carlo estimate: a `tol` in (0, 1)
+    is accepted but does not change it, and `domain_radius` is rejected.
     """
     kind = DivergenceKind(kind) if not isinstance(kind, DivergenceKind) else kind
     return _compute_divergences([kind], p, q, tol=tol, domain_radius=domain_radius)[kind]
@@ -495,6 +515,71 @@ def _mc_divergence(kind, p, q, n=1 << 19, seed=0):
     return IntegralEstimate(est, half, math.inf, n)
 
 
+# -- pairwise Hellinger table ----------------------------------------------------
+
+# The Gram pass holds at most this many square-root density values at once,
+# and sets those below _GRAM_FLOOR to zero: every product it then forms is a
+# normal double (subnormal operands slow a matrix product many times over),
+# and no entry moves by more than about _GRAM_FLOOR.
+_GRAM_ENTRIES = 1 << 20
+_GRAM_FLOOR = 1e-140
+
+
+def _gram_h2(elements, tol) -> np.ndarray:
+    """Pairwise H^2 of a candidate list from one shared-grid Gram pass.
+
+    One radius R serves every member: the radius search runs until the
+    pair tail bound of the worst member, 2 max_i mass_tail_i(R), is at most
+    tol/2.  On each level of `_rule(d, R)` the square roots S_i = sqrt(p_i)
+    at the nodes give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij
+    (clipped at 0), which is int (sqrt(p_i) - sqrt(p_j))^2 over the ball.
+    `_refine` stops once no entry moves by more than tol/2, so `tol` is an
+    absolute H^2 accuracy (default `default_tol(d)`).  The members are
+    processed in an order fixed by their contents and the upper triangle is
+    mirrored, so each entry is bitwise independent of the order of
+    `elements` (for one BLAS build and thread count; another thread count
+    can move entries by rounding, about 1e-15 on a 1000-candidate grid).
+    """
+    n = len(elements)
+    if n < 2:
+        return np.zeros((n, n))
+    d = elements[0].dim
+    if tol is None:
+        tol = default_tol(d)
+    envs = [_Envelope(e) for e in elements]
+    R = _search_radius(
+        _start_radius(elements, tol),
+        lambda R: 2.0 * max(env.mass_tail(R, d) for env in envs) <= 0.5 * tol,
+    )
+
+    def content(i):
+        mixing = elements[i].mixing
+        return mixing.locations.tobytes(), mixing.weights.tobytes()
+
+    order = sorted(range(n), key=content)
+    members = [elements[i] for i in order]
+    step = max(1, _GRAM_ENTRIES // n)
+
+    def measure(X, factors):
+        w = _weigh(np.ones(X.shape[0]), factors).ravel()  # the node weights, flat
+        G = np.zeros((n, n))
+        S = np.empty((n, min(step, X.shape[0])))
+        for lo in range(0, X.shape[0], step):
+            block = X[lo : lo + step]
+            Sb = S[:, : block.shape[0]]
+            for i, e in enumerate(members):
+                np.exp(0.5 * e.log_density(block), out=Sb[i])
+            Sb[Sb < _GRAM_FLOOR] = 0.0
+            G += (Sb * w[lo : lo + step]) @ Sb.T
+        diag = np.diag(G)
+        return np.triu(np.maximum(diag[:, None] + diag[None, :] - 2.0 * G, 0.0), 1)
+
+    h2, _ = _refine(measure, _rule(d, R), lambda cur: 0.5 * tol)
+    h2 += h2.T
+    position = np.argsort(order)
+    return h2[np.ix_(position, position)]
+
+
 # -- characteristic-function route ---------------------------------------------
 
 
@@ -512,8 +597,9 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
     """||p - q||_2^2 via (1/2pi) int |Psi_p - Psi_q|^2 dt (d = 1 only).
 
     |Psi_p - Psi_q|^2 <= 4 e^{-t^2}, so the t-domain is cut where that
-    envelope is negligible against tol and the remainder integrated by the
-    same panel-doubling rule as the x-domain quadratures.
+    envelope is negligible against tol, by the radius search of the
+    x-domain quadratures started at 6, and the remainder integrated by the
+    same driver and panel-doubling rule.
     """
     if p.dim != 1 or q.dim != 1:
         raise CapabilityError("plancherel_l2 is implemented for d=1 only")
@@ -525,12 +611,12 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
         diff = characteristic_function(p, t) - characteristic_function(q, t)
         return (diff.real**2 + diff.imag**2)[None, :]
 
-    T = 6.0
-    level0, _ = _integrate(pack, _rule(1, T), 0, tol)
+    measure = _quadrature(pack)
+    start = 6.0
+    level0, _ = _integrate(measure, _rule(1, start), 0)
     scale = max(abs(float(level0[0])) / (2.0 * math.pi), _TRUNC_FLOOR)
     # two-sided tail of 4 e^{-t^2} beyond T is below 4 e^{-T^2} / T
-    while 4.0 * math.exp(-T * T) / T > 0.5 * tol * scale * (2.0 * math.pi):
-        T += 0.5
-        level0 = None
-    values, _ = _refine(pack, _rule(1, T), tol, level0)
+    target = 0.5 * tol * scale * (2.0 * math.pi)
+    T = _search_radius(start, lambda T: 4.0 * math.exp(-T * T) / T <= target)
+    values, _ = _refine(measure, _rule(1, T), _relative(tol), level0 if T == start else None)
     return float(values[0]) / (2.0 * math.pi)

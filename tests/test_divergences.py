@@ -22,6 +22,7 @@ from gmdiv import (
     truncation_radius,
 )
 from gmdiv import divergences
+from gmdiv.bounds import InstanceFamily, make_pair
 from gmdiv.divergences import _Envelope, _compute_divergences, _tail_bound
 from gmdiv.mixtures import LOG_2PI
 from conftest import random_compact, single_gaussian
@@ -262,6 +263,63 @@ class TestEstimateContracts:
         est = divergence(DivergenceKind.KL, p, q)
         assert est.domain_radius == math.inf
         assert abs(est.value - 0.5) <= 6.0 * est.truncation_bound
+
+    def test_domain_radius_rejected_above_d3(self):
+        # the Monte Carlo estimate has no domain, so a radius would be ignored
+        p, q = single_gaussian([1.0, 0.0, 0.0, 0.0], M=2.0), single_gaussian(np.zeros(4), M=2.0)
+        with pytest.raises(CapabilityError):
+            divergence(DivergenceKind.HellingerSq, p, q, domain_radius=0.1)
+
+    @pytest.mark.parametrize("tol", [5.0, 1.0, 0.0, -1e-6, math.nan])
+    def test_bad_tol_rejected_above_d3(self, tol):
+        p, q = single_gaussian([1.0, 0.0, 0.0, 0.0], M=2.0), single_gaussian(np.zeros(4), M=2.0)
+        with pytest.raises(HypothesisError):
+            divergence(DivergenceKind.HellingerSq, p, q, tol=tol)
+
+
+class TestRadiusSearch:
+    """One search sizes every certified ball; perfbench's tracer replays its steps."""
+
+    @staticmethod
+    def replayed_steps(p, q, R_final):
+        # start radius and growth rule as documented, until R_final is reached
+        d = p.dim
+        R = max(
+            truncation_radius(p.mixing.tag, d, default_tol(d)),
+            truncation_radius(q.mixing.tag, d, default_tol(d)),
+            max(p.mixing.radii.max(), q.mixing.radii.max()) + 1.0,
+        )
+        steps = 0
+        while R < R_final:
+            R += max(0.5, 0.04 * R)
+            steps += 1
+        assert R == R_final
+        return steps
+
+    def test_growth_is_replayed_exactly(self):
+        kinds = [DivergenceKind.KL, DivergenceKind.HellingerSq]
+        grown = 0
+        for i in range(40):
+            p, q = make_pair(3, i, InstanceFamily(Compact(2.0), 1))
+            R_final = _compute_divergences(kinds, p, q)[DivergenceKind.KL].domain_radius
+            grown += self.replayed_steps(p, q, R_final) > 0
+        assert grown == 24
+        # d = 2 pair 1 grows the radius by ten steps
+        p, q = make_pair(3, 1, InstanceFamily(Compact(2.0), 2))
+        R_final = _compute_divergences(kinds, p, q)[DivergenceKind.KL].domain_radius
+        assert self.replayed_steps(p, q, R_final) > 0
+
+    def test_gives_up_after_400_unmet_radii(self):
+        seen = []
+
+        def never(R):
+            seen.append(R)
+            return False
+
+        with pytest.raises(CapabilityError):
+            divergences._search_radius(3.0, never)
+        assert len(seen) == 400
+        assert divergences._search_radius(3.0, lambda R: R >= seen[-1]) == seen[-1]
 
 
 def _chi2_tail_written_out(p_env, q_env, R, d):

@@ -26,6 +26,7 @@ from gmdiv import (
     rate_functional,
     sequential_forecaster,
 )
+from gmdiv import estimation
 from gmdiv.estimation import Net
 from conftest import random_compact, single_gaussian
 
@@ -300,6 +301,41 @@ class TestProjection:
         tol = default_tol(1)
         for a, b in zip(risk["per_candidate"], per_pair["per_candidate"]):
             assert abs(a["mean_h2"] - b["mean_h2"]) <= tol
+
+
+class TestOutsideDensities:
+    """A density that is not a table candidate is integrated per pair at the table's tol."""
+
+    @pytest.fixture
+    def tols(self, monkeypatch):
+        seen = []
+        original = estimation.divergence
+
+        def spy(kind, p, q, **kwargs):
+            seen.append((kind, kwargs.get("tol")))
+            return original(kind, p, q, **kwargs)
+
+        monkeypatch.setattr(estimation, "divergence", spy)
+        return seen
+
+    @pytest.fixture
+    def net(self):
+        return greedy_cover(HellingerTable(theta_grid(-1.0, 1.0, 6), tol=1e-4), 0.3)
+
+    def test_local_cover(self, net, tols):
+        local_cover(net.table, single_gaussian(0.05, M=3.0), 0.5)
+        assert tols == [(DivergenceKind.HellingerSq, 1e-4)] * len(net.table)
+
+    def test_hellinger_project(self, net, tols):
+        f = single_gaussian(0.05, M=3.0)
+        proj = hellinger_project(f, net)
+        assert tols == [(DivergenceKind.HellingerSq, 1e-4)] * len(net)
+        h2 = [divergence(DivergenceKind.HellingerSq, f, e, tol=1e-4).value for e in net.elements]
+        assert proj is net.elements[int(np.argmin(h2))]
+
+    def test_batch_risk_mc(self, net, tols):
+        batch_risk_mc([single_gaussian(0.05, M=3.0)], net, n=10, trials=2, seed=0)
+        assert tols == [(DivergenceKind.HellingerSq, 1e-4)] * len(net)
 
 
 class TestBatchNetMle:
