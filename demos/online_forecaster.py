@@ -13,13 +13,13 @@ import math
 
 import numpy as np
 
-from gmdiv import Compact, GaussianMixture, greedy_cover, sequential_forecaster
+from gmdiv import Compact, GaussianMixture, HellingerTable, greedy_cover, sequential_forecaster
 
 
 def main():
     thetas = [-1.5, -0.5, 0.5, 1.5]
     candidates = [GaussianMixture.from_atoms([[t]], tag=Compact(2.0)) for t in thetas]
-    net = greedy_cover(candidates, 0.01)
+    net = greedy_cover(HellingerTable(candidates), 0.01)
     truth_idx = 2
     truth = net.elements[truth_idx]
 

@@ -181,7 +181,7 @@ def ho_bound(delta: float, lam: float, h2: float, renyi: float) -> float:
         raise HypothesisError(
             f"delta must lie in (0, e^(-1/2)) ~ (0, 0.6065), got {delta}"
         )
-    if lam <= 1:
+    if not (lam > 1):
         raise HypothesisError(f"lambda must exceed 1, got {lam}")
     big_l = math.log(1.0 / delta)
     if math.log(big_l) / big_l > (lam - 1.0) / 2.0:
@@ -204,7 +204,7 @@ def lambda_star(K: float) -> float:
 
 def delta_star(lam: float, h2: float) -> float:
     """delta = (h2/4)^(max(8/(lam-1)^2, 1)); satisfies delta <= h2/4 <= 1/2."""
-    if lam <= 1:
+    if not (lam > 1):
         raise HypothesisError(f"lambda must exceed 1, got {lam}")
     _check_h2(h2)
     return (h2 / 4.0) ** max(8.0 / (lam - 1.0) ** 2, 1.0)
@@ -246,16 +246,16 @@ def lem_formula_gap(t: float | None = None, M: float = 1.0, log_t: float | None 
     """
     if (t is None) == (log_t is None):
         raise ValueError("supply exactly one of t, log_t")
-    if M < 1:
+    if not (M >= 1):
         raise HypothesisError(f"the t log t inequality requires M >= 1, got M={M}")
     cap = 8.0 * M * M
     if log_t is not None:
-        if log_t > cap:
+        if not (log_t <= cap):
             raise HypothesisError(f"log t = {log_t} exceeds the hypothesis cap 8M^2 = {cap}")
         lt = float(log_t)
         t = math.exp(lt) if lt < 700.0 else math.inf
     else:
-        if t < 0:
+        if not (t >= 0):
             raise HypothesisError(f"t must be nonnegative, got {t}")
         if t > 0 and math.log(t) > cap * (1.0 + 1e-12):
             raise HypothesisError(f"t = {t} exceeds the hypothesis cap exp(8M^2)")

@@ -47,14 +47,6 @@ from .mixtures import (
 )
 from .textio import dump_json, format_float, write_csv
 
-_KIND_NAMES = {
-    "kl": DivergenceKind.KL,
-    "h2": DivergenceKind.HellingerSq,
-    "chi2": DivergenceKind.ChiSq,
-    "tv": DivergenceKind.TV,
-    "l2": DivergenceKind.L2Sq,
-}
-
 
 def _check_keys(cfg: dict, command: str, required: set, optional: set):
     keys = set(cfg) - {"command"}
@@ -163,26 +155,21 @@ def _stream_seed(seed: int, index: int) -> int:
 
 def _run_div(cfg, out_dir, seed, threads):
     _check_keys(cfg, "div", {"kind", "p", "q"}, {"tol", "domain_radius", "out"})
-    kind_name = cfg["kind"]
-    if kind_name not in _KIND_NAMES:
-        raise ValueError(f"config field 'kind' must be one of {sorted(_KIND_NAMES)}")
+    try:
+        kind = DivergenceKind(cfg["kind"])
+    except ValueError:
+        raise ValueError(f"config field 'kind' must be one of {sorted(k.value for k in DivergenceKind)}")
     p = _mixture(cfg, "p")
     q = _mixture(cfg, "q")
-    est = divergence(
-        _KIND_NAMES[kind_name], p, q, tol=_number(cfg, "tol"), domain_radius=_number(cfg, "domain_radius")
+    est = divergence(kind, p, q, tol=_number(cfg, "tol"), domain_radius=_number(cfg, "domain_radius"))
+    path = os.path.join(out_dir, "div.csv")
+    write_csv(
+        path,
+        ("kind", "value", "truncation_bound", "domain_radius", "quadrature_points"),
+        [(kind.value, est.value, est.truncation_bound, est.domain_radius, est.quadrature_points)],
     )
-    header = ("kind", "value", "truncation_bound", "domain_radius", "quadrature_points")
-    row = (kind_name, est.value, est.truncation_bound, est.domain_radius, est.quadrature_points)
-    print(",".join(header))
-    print(
-        ",".join(
-            [row[0]]
-            + [format_float(v) for v in row[1:4]]
-            + [str(row[4])]
-        )
-    )
-    if out_dir is not None:
-        write_csv(os.path.join(out_dir, "div.csv"), header, [row])
+    with open(path) as fh:
+        sys.stdout.write(fh.read())
     return 0
 
 
@@ -278,14 +265,14 @@ def _run_seq(cfg, out_dir, seed, threads):
     )
     candidates = _family_candidates(cfg["family"])
     eps = _positive_number(cfg, "epsilon")
-    tol = _number(cfg, "tol")
+    table = HellingerTable(candidates, _number(cfg, "tol"))
     if eps is not None:
-        net = greedy_cover(candidates, eps, tol)
+        net = greedy_cover(table, eps)
     else:
         # every candidate is an element; the forecaster reads no distances
-        net = Net(HellingerTable(candidates, tol), np.arange(len(candidates)), 0.0)
+        net = Net(table, np.arange(len(table)), 0.0)
     true_index = cfg["true_index"]
-    if not isinstance(true_index, int) or not (0 <= true_index < len(net.elements)):
+    if not isinstance(true_index, int) or isinstance(true_index, bool) or not (0 <= true_index < len(net.elements)):
         raise ValueError(
             f"config field 'true_index' must index the net (size {len(net.elements)}), got {true_index!r}"
         )

@@ -477,7 +477,7 @@ def divergence(kind, p: GaussianMixture, q: GaussianMixture, tol=None, domain_ra
     For d > 3 the value is a seeded Monte Carlo estimate: a `tol` in (0, 1)
     is accepted but does not change it, and `domain_radius` is rejected.
     """
-    kind = DivergenceKind(kind) if not isinstance(kind, DivergenceKind) else kind
+    kind = DivergenceKind(kind)
     return _compute_divergences([kind], p, q, tol=tol, domain_radius=domain_radius)[kind]
 
 
@@ -491,7 +491,7 @@ def renyi_integral(p: GaussianMixture, q: GaussianMixture, lam: float, tol=None)
     counts each integrand evaluation once: the coarse pass that sets the
     truncation target is level 0 of the final rule unless the radius grew.
     """
-    if lam <= 1:
+    if not (lam > 1):
         raise HypothesisError(f"renyi integral needs lambda > 1, got {lam}")
     if p.dim > 3:
         raise CapabilityError("certified renyi integral supports d <= 3")
@@ -503,7 +503,7 @@ def renyi_integral(p: GaussianMixture, q: GaussianMixture, lam: float, tol=None)
 def _mc_divergence(kind, p, q, n=1 << 19, seed=0):
     # importance sampling from the balanced mixture (p+q)/2; reported
     # truncation_bound is a 95% confidence half-width, not a hard bound
-    kind = DivergenceKind(kind) if not isinstance(kind, DivergenceKind) else kind
+    kind = DivergenceKind(kind)
     n_p = n // 2
     X = np.concatenate([p.sample(n_p, seed), q.sample(n - n_p, seed + 1)], axis=0)
     logp = p.log_density(X)

@@ -8,18 +8,20 @@ optimum.  All tie-breaks are first-index so results are reproducible; the
 farthest-point step treats distances within `_TIE` of the farthest as
 tied, so a cover does not hang on the last bits of a distance.
 
-Hellinger distances are computed once per candidate list: a
-`HellingerTable` fills every pair in one shared-grid Gram pass the first
-time any cover reads it, and every global cover, local cover, net,
-projection and risk estimate built on that table reads it.  Only a point
-that is not a candidate (an outside ball center, a projected density)
-costs per-pair quadratures.
+Covers take a `HellingerTable`, which computes the Hellinger distances of
+one candidate list once: its `h2` matrix is filled in one shared-grid Gram
+pass the first time it is read, and every global cover, local cover, net,
+projection and risk estimate built on that table reads it.  `h2_from` is
+the one branch for a point that is not a candidate (an outside ball
+center, a projected density), which costs per-pair quadratures.  A plain
+list goes through `HellingerTable(...)` or `pairwise_hellinger`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +41,8 @@ def hellinger(p: GaussianMixture, q: GaussianMixture, tol=None) -> float:
 class HellingerTable:
     """Symmetric Hellinger distances over a fixed candidate list.
 
-    The first `row` or `block` read fills every entry at once with the
-    shared-grid Gram pass `_gram_h2`; constructing a table computes
+    `h2` is the matrix of squared distances, filled at its first read by
+    the shared-grid Gram pass `_gram_h2`; constructing a table computes
     nothing.  `tol` is the absolute H^2 accuracy of the entries (default
     `default_tol(d)`), and entries do not depend on the order of
     `elements`.  Every cover, local cover and net built on one table shares
@@ -60,23 +62,14 @@ class HellingerTable:
         self._position = {}
         for i, e in enumerate(self.elements):
             self._position.setdefault(id(e), i)
-        self._h2 = None
 
     def __len__(self):
         return len(self.elements)
 
-    def index_of(self, gm: GaussianMixture) -> int | None:
-        """Index of the first candidate that is `gm` (by identity), else None."""
-        return self._position.get(id(gm))
-
-    def _squared(self) -> np.ndarray:
-        if self._h2 is None:
-            self._h2 = _gram_h2(self.elements, self.tol)
-        return self._h2
-
-    def h2_row(self, i: int, among: np.ndarray) -> np.ndarray:
-        """Squared distances from candidate i to the candidates at indices `among`."""
-        return self._squared()[i, among]
+    @cached_property
+    def h2(self) -> np.ndarray:
+        """Squared Hellinger distances between every pair of candidates."""
+        return _gram_h2(self.elements, self.tol)
 
     def h2_from(self, f: GaussianMixture, among: np.ndarray) -> np.ndarray:
         """Squared distances from density f to the candidates at indices `among`.
@@ -84,35 +77,16 @@ class HellingerTable:
         An f that is a candidate (by identity) reads its table row; any other
         f costs one per-pair quadrature per index, at the table's `tol`.
         """
-        i = self.index_of(f)
+        i = self._position.get(id(f))
         if i is not None:
-            return self.h2_row(i, among)
+            return self.h2[i, among]
         kind = DivergenceKind.HellingerSq
         return np.array([divergence(kind, f, self.elements[j], tol=self.tol).value for j in among])
 
-    def row(self, i: int, among: np.ndarray) -> np.ndarray:
-        """Distances from candidate i to the candidates at indices `among`."""
-        return np.sqrt(self.h2_row(i, among))
-
-    def block(self, index: np.ndarray) -> np.ndarray:
-        """Pairwise distances among the candidates at `index` (a copy)."""
-        return np.sqrt(self._squared()[np.ix_(index, index)])
-
-
-def _table(candidates, tol) -> HellingerTable:
-    """The caller's table, or a fresh one over a plain candidate list."""
-    if isinstance(candidates, HellingerTable):
-        return candidates
-    return HellingerTable(candidates, tol)
-
 
 def pairwise_hellinger(elements, tol=None) -> np.ndarray:
-    """Symmetric matrix of pairwise Hellinger distances, zero diagonal.
-
-    `elements` is a candidate list or a `HellingerTable` (whose tol applies).
-    """
-    table = _table(elements, tol)
-    return table.block(np.arange(len(table)))
+    """Symmetric matrix of pairwise Hellinger distances, zero diagonal."""
+    return np.sqrt(HellingerTable(elements, tol).h2)
 
 
 @dataclass
@@ -131,7 +105,7 @@ class Net:
     @property
     def distance_cache(self) -> np.ndarray:
         """Pairwise Hellinger distances among the elements, read from the table."""
-        return self.table.block(self.index)
+        return np.sqrt(self.table.h2[np.ix_(self.index, self.index)])
 
     def __len__(self):
         return len(self.elements)
@@ -146,43 +120,39 @@ def _farthest_point(table: HellingerTable, among: np.ndarray, eps: float) -> Net
     the first index.
     """
     centers = [among[0]]
-    mindist = table.row(among[0], among)
+    mindist = np.sqrt(table.h2[among[0], among])
     while True:
         top = mindist.max()
         if top <= eps:
             break
         far = int(np.argmax(mindist > max(eps, top - _TIE)))
         centers.append(among[far])
-        mindist = np.minimum(mindist, table.row(among[far], among))
+        mindist = np.minimum(mindist, np.sqrt(table.h2[among[far], among]))
     return Net(table, centers, eps)
 
 
-def greedy_cover(candidates, eps: float, tol=None) -> Net:
-    """Farthest-point greedy epsilon-cover of the candidates.
+def greedy_cover(table: HellingerTable, eps: float) -> Net:
+    """Farthest-point greedy epsilon-cover of the table's candidates.
 
     Starts from index 0 and repeatedly promotes the candidate farthest from
     the current centers until everything is within eps.  The output is also
     eps-separated, so its size is at most the eps/2-covering's packing bound.
-    `candidates` is a list or a `HellingerTable` (whose tol then applies).
     """
     if not (eps > 0):
         raise HypothesisError(f"cover radius must be positive, got {eps}")
-    table = _table(candidates, tol)
     if not len(table):
         raise ValueError("candidate list must be non-empty")
     return _farthest_point(table, np.arange(len(table)), eps)
 
 
-def local_cover(candidates, center: GaussianMixture, eta: float, tol=None) -> Net:
-    """Cover of the Hellinger ball B(center, eta) among candidates at radius eta/2.
+def local_cover(table: HellingerTable, center: GaussianMixture, eta: float) -> Net:
+    """Cover of the Hellinger ball B(center, eta) among the table's candidates at radius eta/2.
 
-    `candidates` is a list or a `HellingerTable` (whose tol then applies).  A
-    center that is one of the candidates (by identity) reads its row of the
+    A center that is one of the candidates (by identity) reads its row of the
     table; any other center costs one quadrature per candidate.
     """
     if not (eta > 0):
         raise HypothesisError(f"ball radius must be positive, got {eta}")
-    table = _table(candidates, tol)
     everyone = np.arange(len(table))
     ball = everyone[np.sqrt(table.h2_from(center, everyone)) <= eta]
     if not ball.size:
@@ -190,18 +160,16 @@ def local_cover(candidates, center: GaussianMixture, eta: float, tol=None) -> Ne
     return _farthest_point(table, ball, eta / 2.0)
 
 
-def local_covering_number(candidates, eps: float, eta_grid, tol=None) -> int:
+def local_covering_number(table: HellingerTable, eps: float, eta_grid) -> int:
     """sup over every candidate as center and eta >= eps of |cover(B(center, eta), eta/2)|.
 
     The sup runs over the supplied eta grid only (the continuum sup is not
     desk-realizable); callers should flag that in downstream reports.
-    Returns 0 when no eta in the grid reaches eps.  `candidates` is a list
-    or a `HellingerTable` (whose tol then applies); every local cover reads
-    that one table.
+    Returns 0 when no eta in the grid reaches eps.  Every local cover reads
+    the one table.
     """
     if not (eps > 0):
         raise HypothesisError(f"epsilon must be positive, got {eps}")
-    table = _table(candidates, tol)
     best = 0
     for eta in eta_grid:
         if eta < eps:
@@ -295,17 +263,6 @@ class RateFunctional:
     eps_star: float
     value: float
 
-    def to_dict(self) -> dict:
-        return {
-            "epsilons": [float(e) for e in self.epsilons],
-            "log_cover": [float(v) for v in self.log_cover],
-            "n": self.n,
-            "local": self.local,
-            "objective": [float(v) for v in self.objective],
-            "eps_star": self.eps_star,
-            "value": self.value,
-        }
-
 
 def rate_functional(epsilons, cover_sizes, n: int, local: bool) -> RateFunctional:
     """Minimize the batch or sequential entropy objective over the grid."""
@@ -343,6 +300,8 @@ def batch_risk_mc(candidates, net: Net, n: int, trials: int, seed: int) -> dict:
     not an assertion against any rate characterization.  Losses come from
     the net table's `h2_from`.
     """
+    if not len(candidates):
+        raise ValueError("candidate list must be non-empty")
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
     loss = np.array([net.table.h2_from(f, net.index) for f in candidates])

@@ -17,6 +17,7 @@ from gmdiv import (
     Compact,
     DivergenceKind,
     GaussianMixture,
+    HellingerTable,
     InstanceFamily,
     Subgaussian,
     batch_net_mle,
@@ -302,11 +303,11 @@ def test_criterion_9_estimation_lab():
             2.0 - 2.0 * np.exp(-((thetas[:, None] - thetas[None, :]) ** 2) / 8.0)
         )
         opt = _exhaustive_cover_size(dist, eps)
-        got = len(greedy_cover(cands, eps))
+        got = len(greedy_cover(HellingerTable(cands), eps))
         if not (opt <= got <= 2 * opt):
             factor_ok = False
 
-    net = greedy_cover([single_gaussian(-1.0), single_gaussian(1.0)], 0.01)
+    net = greedy_cover(HellingerTable([single_gaussian(-1.0), single_gaussian(1.0)]), 0.01)
     sep = net.distance_cache[0, 1]
     truth = net.elements[1]
     regret_ok = True

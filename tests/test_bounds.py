@@ -125,6 +125,11 @@ class TestHoBound:
         with pytest.raises(HypothesisError, match="condition"):
             ho_bound(math.exp(-math.e), 1.05, 0.5, 10.0)
 
+    def test_nan_lambda_rejected(self):
+        # NaN passes a `lam <= 1` test and the bound came out NaN
+        with pytest.raises(HypothesisError, match="lambda"):
+            ho_bound(0.1, math.nan, 0.5, 2.0)
+
 
 class TestStarParameters:
     @settings(max_examples=50, deadline=None)
@@ -150,6 +155,10 @@ class TestStarParameters:
         assert d <= h2 / 4.0 + 1e-15
         assert d <= 0.5
         assert d ** ((lam - 1.0) / 2.0) <= h2 * (1.0 + 1e-12)
+
+    def test_delta_star_nan_lambda_rejected(self):
+        with pytest.raises(HypothesisError, match="lambda"):
+            delta_star(math.nan, 0.5)
 
 
 class TestDichotomyBounds:
@@ -208,6 +217,17 @@ class TestLemFormula:
     def test_requires_exactly_one_form(self):
         with pytest.raises(ValueError):
             lem_formula_gap(t=1.0, log_t=0.0, M=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"t": math.nan}, "nonnegative"), ({"t": 1.0, "M": math.nan}, "M >= 1"), ({"log_t": math.nan}, "cap")],
+        ids=["t", "M", "log_t"],
+    )
+    def test_nan_arguments_rejected(self, kwargs, match):
+        # NaN passes `t < 0`, `M < 1` and `log_t > cap`: t then hit a math
+        # domain error and M gave rhs = nan
+        with pytest.raises(HypothesisError, match=match):
+            lem_formula_gap(**kwargs)
 
 
 class TestSweeps:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gmdiv import greedy_cover, local_cover
+from gmdiv import HellingerTable, greedy_cover, local_cover
 from gmdiv.cli import _family_candidates, main
 
 
@@ -54,6 +54,11 @@ class TestDivCommand:
         _, out = run("div", cfg)
         value = float(out.out.strip().splitlines()[1].split(",")[1])
         assert value == pytest.approx(8.0, rel=1e-6)
+
+    def test_stdout_echoes_csv(self, run):
+        cfg = {"command": "div", "kind": "h2", "p": gaussian_record(0.5), "q": gaussian_record(-0.25)}
+        out_dir, out = run("div", cfg)
+        assert out.out == (out_dir / "div.csv").read_text()
 
 
 class TestSweepCommand:
@@ -181,10 +186,10 @@ class TestEntropySeqReport:
         rows = [r.split(",") for r in (out_dir / "entropy.csv").read_text().splitlines()[1:]]
         for eps, row in zip(eps_grid, rows):
             n_loc = max(
-                (len(local_cover(cands, c, eta)) for eta in eta_grid if eta >= eps for c in cands),
+                (len(local_cover(HellingerTable(cands), c, eta)) for eta in eta_grid if eta >= eps for c in cands),
                 default=1,
             )
-            assert int(row[1]) == len(greedy_cover(cands, eps))
+            assert int(row[1]) == len(greedy_cover(HellingerTable(cands), eps))
             assert int(row[2]) == max(n_loc, 1)
 
     def test_seq_without_epsilon_integrates_nothing(self, run, hellinger_calls):
@@ -267,6 +272,11 @@ class TestErrorPaths:
         rec = {"dim": 1, "atoms": [[[0.0], 1.0]], "class_tag": "unconstrained", "params": {}}
         cfg = {"command": "div", "kind": "kl", "p": rec, "q": rec}
         run("div", cfg, expect=4)
+
+    def test_bool_true_index_exit_2(self, run):
+        # True is an int in Python; it ran as index 1 and was written back as `true`
+        cfg = {"command": "seq", "family": THETA_FAMILY, "true_index": True, "length": 5}
+        run("seq", cfg, expect=2)
 
     def test_bad_kind_exit_2(self, run):
         cfg = {"command": "div", "kind": "w2", "p": gaussian_record(0.0), "q": gaussian_record(0.0)}

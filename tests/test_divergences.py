@@ -395,6 +395,12 @@ class TestRenyiIntegral:
         with pytest.raises(HypothesisError):
             renyi_integral(p, p, 1.0)
 
+    def test_nan_lambda_rejected(self):
+        # NaN passed `lam <= 1`, searched every radius and raised CapabilityError
+        p = single_gaussian(0.0)
+        with pytest.raises(HypothesisError, match="lambda"):
+            renyi_integral(p, p, math.nan)
+
     def test_requires_compact(self):
         p = GaussianMixture.from_atoms([[0.0]], tag=Subgaussian(1.0))
         with pytest.raises(CapabilityError):

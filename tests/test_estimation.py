@@ -52,25 +52,25 @@ def h_closed(a, b):
 
 class TestGreedyCover:
     def test_single_candidate(self):
-        net = greedy_cover([single_gaussian(0.0)], 0.3)
+        net = greedy_cover(HellingerTable([single_gaussian(0.0)]), 0.3)
         assert len(net) == 1
 
     def test_two_close_candidates_one_center(self):
         # H(N(0,1), N(0.3,1)) ~ 0.15 < 0.5
         cands = [single_gaussian(0.0), single_gaussian(0.3)]
-        assert len(greedy_cover(cands, 0.5)) == 1
+        assert len(greedy_cover(HellingerTable(cands), 0.5)) == 1
 
     def test_rejects_bad_radius(self):
         with pytest.raises(HypothesisError):
-            greedy_cover([single_gaussian(0.0)], 0.0)
+            greedy_cover(HellingerTable([single_gaussian(0.0)]), 0.0)
 
     @pytest.mark.parametrize(
         "cover",
         [
-            lambda cands: greedy_cover(cands, math.nan),
-            lambda cands: local_cover(cands, cands[0], math.nan),
-            lambda cands: local_covering_number(cands, math.nan, [0.3]),
-            lambda cands: local_covering_number(cands, 0.1, [math.nan]),
+            lambda cands: greedy_cover(HellingerTable(cands), math.nan),
+            lambda cands: local_cover(HellingerTable(cands), cands[0], math.nan),
+            lambda cands: local_covering_number(HellingerTable(cands), math.nan, [0.3]),
+            lambda cands: local_covering_number(HellingerTable(cands), 0.1, [math.nan]),
         ],
         ids=["greedy", "local", "local_number_eps", "local_number_eta"],
     )
@@ -85,7 +85,7 @@ class TestGreedyCover:
     def test_covers_and_packs(self):
         cands = theta_grid(-1.0, 1.0, 9)
         eps = 0.15
-        net = greedy_cover(cands, eps)
+        net = greedy_cover(HellingerTable(cands), eps)
         # every candidate within eps of a center
         for c in cands:
             assert min(hellinger(c, e) for e in net.elements) <= eps + 1e-9
@@ -100,13 +100,13 @@ class TestGreedyCover:
         thetas = np.linspace(-1.0, 1.0, 11)
         dist = np.array([[h_closed(a, b) for b in thetas] for a in thetas])
         for eps in (0.1, 0.2, 0.35):
-            greedy_size = len(greedy_cover(cands, eps))
+            greedy_size = len(greedy_cover(HellingerTable(cands), eps))
             opt = minimal_cover_size(dist, eps)
             assert opt <= greedy_size <= 2 * opt
 
     def test_distance_cache_consistent(self):
         cands = theta_grid(-1.0, 1.0, 5)
-        net = greedy_cover(cands, 0.05)
+        net = greedy_cover(HellingerTable(cands), 0.05)
         recomputed = pairwise_hellinger(net.elements)
         assert np.array_equal(net.distance_cache, recomputed)
 
@@ -120,24 +120,24 @@ class TestHellingerTable:
         for eps in (0.05, 0.2, 0.5):
             greedy_cover(table, eps)
             local_covering_number(table, eps, [0.1, 0.3, 0.6])
-        dist = pairwise_hellinger(table)
+        dist = np.sqrt(table.h2)
         assert not hellinger_calls
         assert len(gram_fills) == 1
         for i in range(6):
             assert dist[i, i] == 0.0
             for j in range(i + 1, 6):
-                assert dist[i, j] == dist[j, i] == table.row(i, np.array([j]))[0]
+                assert dist[i, j] == dist[j, i] == np.sqrt(table.h2[i, j])
 
     def test_shared_table_matches_per_call_covers(self, rng):
         cands = [random_compact(rng, M=2.0, d=1) for _ in range(7)]
         table = HellingerTable(cands)
         for eps in (0.1, 0.3):
-            shared, alone = greedy_cover(table, eps), greedy_cover(cands, eps)
+            shared, alone = greedy_cover(table, eps), greedy_cover(HellingerTable(cands), eps)
             assert shared.elements == alone.elements
             assert np.array_equal(shared.distance_cache, alone.distance_cache)
         for eta in (0.2, 0.5):
             for c in cands:
-                shared, alone = local_cover(table, c, eta), local_cover(cands, c, eta)
+                shared, alone = local_cover(table, c, eta), local_cover(HellingerTable(cands), c, eta)
                 assert shared.elements == alone.elements
                 assert np.array_equal(shared.distance_cache, alone.distance_cache)
 
@@ -149,22 +149,25 @@ class TestHellingerTable:
         assert np.array_equal(net.distance_cache, pairwise_hellinger(cands))
 
 
-    def test_nothing_computed_before_the_first_read(self, gram_fills):
+    def test_nothing_computed_before_the_first_read(self, gram_fills, hellinger_calls):
         cands = theta_grid(-1.0, 1.0, 5)
         table = HellingerTable(cands)
-        assert len(table) == 5 and table.index_of(cands[3]) == 3
-        assert table.index_of(single_gaussian(0.0)) is None
+        assert len(table) == 5
         assert not gram_fills
-        table.row(0, np.arange(5))
-        table.block(np.arange(5))
+        table.h2
+        table.h2
         assert len(gram_fills) == 1
+        # a candidate (by identity) reads its row; any other density is integrated
+        assert np.array_equal(table.h2_from(cands[3], np.arange(5)), table.h2[3])
+        assert not hellinger_calls
+        table.h2_from(single_gaussian(0.0), np.arange(1))
+        assert len(hellinger_calls) == 1
 
     def test_theta_grid_matches_closed_form(self):
         thetas = np.linspace(-3.0, 3.0, 60)
         table = HellingerTable(theta_grid(-3.0, 3.0, 60))
         exact = 2.0 - 2.0 * np.exp(-((thetas[:, None] - thetas[None, :]) ** 2) / 8.0)
-        h2 = np.array([table.h2_row(i, np.arange(60)) for i in range(60)])
-        assert np.max(np.abs(h2 - exact)) <= 1e-10
+        assert np.max(np.abs(table.h2 - exact)) <= 1e-10
 
     def test_d2_ring_refines_past_level_zero(self):
         # atoms at radius 6 vary too fast in angle for level 0 of the polar
@@ -173,8 +176,7 @@ class TestHellingerTable:
         pts = 6.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         table = HellingerTable([single_gaussian(x, M=6.0) for x in pts])
         exact = 2.0 - 2.0 * np.exp(-np.sum((pts[:, None] - pts[None, :]) ** 2, axis=2) / 8.0)
-        h2 = np.array([table.h2_row(i, np.arange(8)) for i in range(8)])
-        assert np.max(np.abs(h2 - exact)) <= default_tol(2)
+        assert np.max(np.abs(table.h2 - exact)) <= default_tol(2)
 
     @pytest.mark.parametrize("d, count", [(1, 8), (2, 5)])
     def test_random_lists_within_tol_of_per_pair(self, rng, d, count):
@@ -183,7 +185,7 @@ class TestHellingerTable:
         tol = default_tol(d)
         for i, j in itertools.combinations(range(count), 2):
             per_pair = divergence(DivergenceKind.HellingerSq, cands[i], cands[j]).value
-            assert abs(table.h2_row(i, np.array([j]))[0] - per_pair) <= tol
+            assert abs(table.h2[i, j] - per_pair) <= tol
 
     @settings(max_examples=25, deadline=None)
     @given(perm=st.permutations(range(7)))
@@ -218,7 +220,7 @@ class TestHellingerTable:
         before = [greedy_cover(table, eps).index for eps in eps_grid]
         noise = 1e-12 * np.random.default_rng(3).choice([-1.0, 1.0], size=(60, 60))
         noise = np.triu(noise, 1)
-        table._h2 = table._h2 + noise + noise.T
+        table.h2 = table.h2 + noise + noise.T
         for eps, index in zip(eps_grid, before):
             assert np.array_equal(greedy_cover(table, eps).index, index)
 
@@ -226,18 +228,18 @@ class TestHellingerTable:
 class TestLocalCover:
     def test_huge_ball_reduces_to_global(self):
         cands = theta_grid(-1.0, 1.0, 7)
-        loc = local_cover(cands, cands[3], 10.0)
-        glob = greedy_cover(cands, 5.0)
+        loc = local_cover(HellingerTable(cands), cands[3], 10.0)
+        glob = greedy_cover(HellingerTable(cands), 5.0)
         assert len(loc) == len(glob)
 
     def test_tiny_ball_keeps_only_center(self):
         cands = theta_grid(-1.0, 1.0, 5)
-        net = local_cover(cands, cands[2], 1e-4)
+        net = local_cover(HellingerTable(cands), cands[2], 1e-4)
         assert len(net) == 1
 
     def test_center_not_candidate_empty_ball(self):
         cands = theta_grid(1.0, 2.0, 3)
-        net = local_cover(cands, single_gaussian(-2.0), 0.05)
+        net = local_cover(HellingerTable(cands), single_gaussian(-2.0), 0.05)
         assert len(net) == 0
 
     def test_against_exhaustive_oracle(self):
@@ -248,35 +250,35 @@ class TestLocalCover:
         in_ball = [i for i in range(9) if h_closed(thetas[center_idx], thetas[i]) <= eta]
         dist = np.array([[h_closed(thetas[a], thetas[b]) for b in in_ball] for a in in_ball])
         opt = minimal_cover_size(dist, eta / 2.0)
-        got = len(local_cover(cands, cands[center_idx], eta))
+        got = len(local_cover(HellingerTable(cands), cands[center_idx], eta))
         assert opt <= got <= 2 * opt
 
     def test_size_monotone_in_eta_below_diameter(self):
         cands = theta_grid(-1.0, 1.0, 9)
-        sizes = [len(local_cover(cands, cands[4], eta)) for eta in (0.5, 0.3, 0.15, 0.05)]
+        sizes = [len(local_cover(HellingerTable(cands), cands[4], eta)) for eta in (0.5, 0.3, 0.15, 0.05)]
         assert all(b <= a for a, b in zip(sizes, sizes[1:]))
 
     def test_local_covering_number(self):
         cands = theta_grid(-1.0, 1.0, 7)
-        n_loc = local_covering_number(cands, 0.1, [0.1, 0.2, 0.4])
+        n_loc = local_covering_number(HellingerTable(cands), 0.1, [0.1, 0.2, 0.4])
         assert n_loc >= 1
 
 
 class TestProjection:
     def test_member_projects_to_itself(self):
         cands = theta_grid(-1.0, 1.0, 5)
-        net = greedy_cover(cands, 0.01)
+        net = greedy_cover(HellingerTable(cands), 0.01)
         f = net.elements[2]
         assert hellinger_project(f, net) is f
 
     def test_two_element_example(self):
-        net = greedy_cover([single_gaussian(-1.0), single_gaussian(1.0)], 0.01)
+        net = greedy_cover(HellingerTable([single_gaussian(-1.0), single_gaussian(1.0)]), 0.01)
         proj = hellinger_project(single_gaussian(0.9), net)
         assert proj.mixing.locations[0, 0] == 1.0
 
     def test_factor_two_contract(self, rng):
         # H(project(f), g) <= 2 H(f, g) whenever the net reaches within H(f, g) of f
-        net = greedy_cover(theta_grid(-2.0, 2.0, 9), 0.01)
+        net = greedy_cover(HellingerTable(theta_grid(-2.0, 2.0, 9)), 0.01)
         for _ in range(15):
             f = random_compact(rng, M=2.0, d=1)
             g = net.elements[int(rng.integers(len(net.elements)))]
@@ -289,7 +291,7 @@ class TestProjection:
 
     def test_members_read_the_table(self, rng, hellinger_calls):
         cands = [random_compact(rng, M=2.0, d=1) for _ in range(8)]
-        net = greedy_cover(cands, 0.2)
+        net = greedy_cover(HellingerTable(cands), 0.2)
         projected = [hellinger_project(f, net) for f in cands]
         risk = batch_risk_mc(cands, net, n=20, trials=3, seed=1)
         assert not hellinger_calls
@@ -340,12 +342,12 @@ class TestOutsideDensities:
 
 class TestBatchNetMle:
     def test_singleton_net(self):
-        net = greedy_cover([single_gaussian(0.7)], 0.1)
+        net = greedy_cover(HellingerTable([single_gaussian(0.7)]), 0.1)
         est = batch_net_mle(net, np.array([[-5.0], [5.0]]))
         assert est is net.elements[0]
 
     def test_majority_selection(self):
-        net = greedy_cover([single_gaussian(-1.0), single_gaussian(1.0)], 0.01)
+        net = greedy_cover(HellingerTable([single_gaussian(-1.0), single_gaussian(1.0)]), 0.01)
         truth = net.elements[1]
         hits = 0
         for seed in range(10):
@@ -355,21 +357,21 @@ class TestBatchNetMle:
         assert hits >= 8
 
     def test_rejects_empty_data(self):
-        net = greedy_cover([single_gaussian(0.0)], 0.1)
+        net = greedy_cover(HellingerTable([single_gaussian(0.0)]), 0.1)
         with pytest.raises(ValueError):
             batch_net_mle(net, np.empty((0, 1)))
 
 
 class TestSequentialForecaster:
     def test_singleton_net_zero_regret(self):
-        net = greedy_cover([single_gaussian(0.5)], 0.1)
+        net = greedy_cover(HellingerTable([single_gaussian(0.5)]), 0.1)
         stream = net.elements[0].sample(30, seed=4)
         res = sequential_forecaster(net, stream, true_density=net.elements[0])
         assert res.cum_regret == 0.0
         assert res.regret_vs_best == 0.0
 
     def test_pathwise_regret_at_most_log_net_size(self):
-        net = greedy_cover([single_gaussian(-1.0), single_gaussian(1.0)], 0.01)
+        net = greedy_cover(HellingerTable([single_gaussian(-1.0), single_gaussian(1.0)]), 0.01)
         truth = net.elements[1]
         for seed in range(5):
             stream = truth.sample(100, seed)
@@ -378,7 +380,7 @@ class TestSequentialForecaster:
             assert res.regret_vs_best <= math.log(2.0) + 1e-9
 
     def test_weights_stay_probability_vectors(self):
-        net = greedy_cover(theta_grid(-1.0, 1.0, 4), 0.01)
+        net = greedy_cover(HellingerTable(theta_grid(-1.0, 1.0, 4)), 0.01)
         stream = net.elements[0].sample(25, seed=9)
         res = sequential_forecaster(net, stream)
         assert np.allclose(res.predictive_weights.sum(axis=1), 1.0, atol=1e-12)
@@ -412,14 +414,19 @@ class TestRateFunctional:
 class TestRiskAndSerialization:
     def test_batch_risk_smoke(self):
         cands = [single_gaussian(-1.0), single_gaussian(1.0)]
-        net = greedy_cover(cands, 0.01)
+        net = greedy_cover(HellingerTable(cands), 0.01)
         out = batch_risk_mc(cands, net, n=40, trials=4, seed=0)
         assert out["risk"] >= 0.0
         assert out["half_width"] >= 0.0
         assert len(out["per_candidate"]) == 2
 
+    def test_batch_risk_rejects_empty_candidates(self):
+        net = greedy_cover(HellingerTable(theta_grid(-1.0, 1.0, 3)), 0.3)
+        with pytest.raises(ValueError, match="candidate list must be non-empty"):
+            batch_risk_mc([], net, n=5, trials=2, seed=0)
+
     def test_net_to_json(self):
-        net = greedy_cover(theta_grid(-1.0, 1.0, 3), 0.05)
+        net = greedy_cover(HellingerTable(theta_grid(-1.0, 1.0, 3)), 0.05)
         blob = net_to_json(net)
         assert blob["radius"] == 0.05
         assert len(blob["elements"]) == len(net)
