@@ -191,15 +191,20 @@ def hellinger_project(f: GaussianMixture, net: Net) -> GaussianMixture:
     return net.elements[int(np.argmin(np.sqrt(net.table.h2_from(f, net.index))))]
 
 
-def batch_net_mle(net: Net, data) -> GaussianMixture:
-    """Net element maximizing the sample log-likelihood (first-index ties)."""
+def _net_loglik(net: Net, data) -> tuple[np.ndarray, np.ndarray]:
+    """The data as (T, d) points and the (N, T) log-likelihoods of the net's elements on them."""
     if not net.elements:
         raise ValueError("net must be non-empty")
     pts = np.atleast_2d(np.asarray(data, dtype=float))
     if pts.shape[0] < 1:
         raise ValueError("data must be non-empty")
-    scores = [float(np.sum(e.log_density(pts))) for e in net.elements]
-    return net.elements[int(np.argmax(scores))]
+    return pts, np.stack([e.log_density(pts) for e in net.elements])
+
+
+def batch_net_mle(net: Net, data) -> GaussianMixture:
+    """Net element maximizing the sample log-likelihood (first-index ties)."""
+    _, loglik = _net_loglik(net, data)
+    return net.elements[int(np.argmax(loglik.sum(axis=1)))]
 
 
 @dataclass
@@ -208,42 +213,43 @@ class ForecastResult:
 
     predictive_weights[t] is the weight vector used to predict X_t (uniform
     prior times the likelihood of X_1..X_{t-1}); step_log_loss[t] is
-    -log(predictive density at X_t); regret_vs_best compares cumulative log
-    loss against the best single net element and never exceeds log(len(net)).
+    -log(predictive density at X_t); cum_regret[t] is the regret against the
+    true density through step t, sum over s <= t of log q*(X_s) +
+    step_log_loss[s] (None without a true density); regret_vs_best is the
+    cumulative log loss minus the best single net element's, at most
+    log(len(net)) exactly in floating point.
     """
 
     predictive_weights: np.ndarray
     step_log_loss: np.ndarray
-    cum_regret: float | None
+    cum_regret: np.ndarray | None
     regret_vs_best: float
 
 
-def sequential_forecaster(net: Net, stream, true_density: GaussianMixture | None = None):
-    """Uniform-prior Bayesian mixture over the net, updated per observation."""
-    if not net.elements:
-        raise ValueError("net must be non-empty")
-    pts = np.atleast_2d(np.asarray(stream, dtype=float))
-    n_steps = pts.shape[0]
-    n_el = len(net.elements)
-    loglik = np.stack([e.log_density(pts) for e in net.elements], axis=1)  # (T, N)
-    lw = np.full(n_el, -math.log(n_el))
-    weights = np.empty((n_steps, n_el))
-    pred = np.empty(n_steps)
-    for t in range(n_steps):
-        weights[t] = np.exp(lw)
-        row = lw + loglik[t]
-        m = row.max()
-        pred[t] = m + math.log(np.sum(np.exp(row - m)))
-        lw = row - pred[t]
-    regret_vs_best = float(np.max(np.sum(loglik, axis=0)) - np.sum(pred))
-    cum_regret = None
-    if true_density is not None:
-        cum_regret = float(np.sum(true_density.log_density(pts) - pred))
+def sequential_forecaster(net: Net, stream, true_density: GaussianMixture | None = None) -> ForecastResult:
+    """Uniform-prior Bayesian mixture over the net, in closed form.
+
+    With l the (N, T) log-likelihoods on the stream and b the batch net MLE,
+    post[:, t] = -log N + sum over s < t of (l[:, s] - l[b, s]), t = 0..T,
+    are the log weights relative to b before step t, and marg[t], their
+    log-sum-exp over elements, is the log marginal likelihood of X_1..X_t
+    relative to b.  The log predictive density of X_t is
+    l[b, t] + marg[t + 1] - marg[t], the weights are exp(post - marg), and
+    regret_vs_best = -marg[T] <= log N exactly: post[b, T] = -log N bit for
+    bit, and a log-sum-exp is at least its largest term.
+    """
+    pts, loglik = _net_loglik(net, stream)
+    best = loglik[int(np.argmax(loglik.sum(axis=1)))]
+    post = np.pad(np.cumsum(loglik - best, axis=1), ((0, 0), (1, 0))) - math.log(len(loglik))
+    top = post.max(axis=0)
+    marg = top + np.log(np.exp(post - top).sum(axis=0))
+    pred = best + np.diff(marg)
+    cum_regret = None if true_density is None else np.cumsum(true_density.log_density(pts) - pred)
     return ForecastResult(
-        predictive_weights=weights,
+        predictive_weights=np.exp(post[:, :-1] - marg[:-1]).T,
         step_log_loss=-pred,
         cum_regret=cum_regret,
-        regret_vs_best=regret_vs_best,
+        regret_vs_best=float(-marg[-1]),
     )
 
 
@@ -305,15 +311,13 @@ def batch_risk_mc(candidates, net: Net, n: int, trials: int, seed: int) -> dict:
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be positive")
     loss = np.array([net.table.h2_from(f, net.index) for f in candidates])
-    element_index = {id(e): j for j, e in enumerate(net.elements)}
     rows = []
     for i, f in enumerate(candidates):
         losses = np.empty(trials)
         for t in range(trials):
             child_seed = int(np.random.SeedSequence([seed, i, t]).generate_state(1)[0])
-            data = f.sample(n, child_seed)
-            est = batch_net_mle(net, data)
-            losses[t] = loss[i, element_index[id(est)]]
+            _, loglik = _net_loglik(net, f.sample(n, child_seed))
+            losses[t] = loss[i, np.argmax(loglik.sum(axis=1))]
         rows.append(
             {
                 "candidate": i,

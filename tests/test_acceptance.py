@@ -314,7 +314,7 @@ def test_criterion_9_estimation_lab():
     for seed in range(20):
         stream = truth.sample(100, seed)
         res = sequential_forecaster(net, stream, true_density=truth)
-        if res.cum_regret > math.log(2.0) + 1e-9:
+        if res.cum_regret.max() > math.log(2.0) + 1e-9:
             regret_ok = False
 
     hits = 0

@@ -133,6 +133,10 @@ class TestEntropySeqReport:
         summary = json.loads((out_dir / "seq_summary.json").read_text())
         for s in summary["streams"]:
             assert s["cum_regret"] <= math.log(2.0) + 1e-9
+            # the summary's cum_regret is the stream's last regret row, not a second sum
+            last = [r for r in rows[1:] if r.startswith(f"{s['stream']},")][-1]
+            assert s["cum_regret"] == float(last.split(",")[3])
+            assert s["regret_vs_best"] <= math.log(summary["net_size"])
 
     def test_atom_grid_and_dichotomy_families(self, run):
         cfg = {
@@ -263,6 +267,11 @@ class TestErrorPaths:
     )
     def test_strings_and_bools_are_not_numbers_exit_2(self, run, command, cfg):
         run(command, {"command": command, **cfg}, expect=2)
+
+    def test_nan_dichotomy_level_exit_3(self, run):
+        cfg = {"command": "dichotomy", "K": math.nan, "r_grid": [2.0, 3.0]}
+        _, out = run("dichotomy", cfg, expect=3)
+        assert "the dichotomy regime needs K > 1" in out.err
 
     def test_sweep_above_three_dimensions_exit_4(self, run):
         cfg = {"command": "sweep", "bound": "Thm1", "M": 2.0, "d": 4, "n": 3}

@@ -211,21 +211,40 @@ class TestEstimateContracts:
             tol = 1e-3 if d == 2 and kind is DivergenceKind.TV else None
             assert divergence(kind, p, q, tol=tol) == divergence(kind, q, p, tol=tol)
 
-    def test_ranges_and_ordering(self, rng):
-        for _ in range(8):
-            p = random_compact(rng, M=2.0, d=1)
-            q = random_compact(rng, M=2.0, d=1)
-            est = _compute_divergences(ALL_KINDS, p, q)
-            h2 = est[DivergenceKind.HellingerSq].value
-            tv = est[DivergenceKind.TV].value
-            kl = est[DivergenceKind.KL].value
-            chi = est[DivergenceKind.ChiSq].value
-            assert 0.0 <= h2 <= 2.0
-            assert 0.0 <= tv <= 1.0
-            assert kl >= 0.0 and chi >= 0.0 and est[DivergenceKind.L2Sq].value >= 0.0
-            slack = 1e-9
-            assert h2 <= kl + slack
-            assert kl <= chi + slack
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_ranges_and_ordering(self, seed):
+        rng = np.random.default_rng(seed)
+        p = random_compact(rng, M=2.0, d=1)
+        q = random_compact(rng, M=2.0, d=1)
+        est = _compute_divergences(ALL_KINDS, p, q)
+        h2 = est[DivergenceKind.HellingerSq].value
+        tv = est[DivergenceKind.TV].value
+        kl = est[DivergenceKind.KL].value
+        chi = est[DivergenceKind.ChiSq].value
+        assert 0.0 <= h2 <= 2.0
+        assert 0.0 <= tv <= 1.0
+        assert kl >= 0.0 and chi >= 0.0 and est[DivergenceKind.L2Sq].value >= 0.0
+        slack = 1e-9
+        assert h2 <= kl + slack
+        assert kl <= chi + slack
+        # Le Cam: H^2/2 <= TV <= H sqrt(1 - H^2/4), and Pinsker: TV <= sqrt(KL/2); each
+        # side moves by its truncation bound, and both right-hand sides increase in H^2 and KL
+        tb = {kind: e.truncation_bound for kind, e in est.items()}
+        h2_hi = min(h2 + tb[DivergenceKind.HellingerSq], 2.0)
+        tv_lo, tv_hi = tv - tb[DivergenceKind.TV], tv + tb[DivergenceKind.TV]
+        assert (h2 - tb[DivergenceKind.HellingerSq]) / 2.0 <= tv_hi + slack
+        assert tv_lo <= math.sqrt(h2_hi * (1.0 - h2_hi / 4.0)) + slack
+        assert tv_lo <= math.sqrt((kl + tb[DivergenceKind.KL]) / 2.0) + slack
+
+    def test_d2_quadrature_matches_monte_carlo(self):
+        # instance 1 of a sweep sets q = p, where both estimates are exactly 0
+        family = InstanceFamily(Compact(2.0), 2)
+        for i in (0, 2, 3):
+            p, q = make_pair(11, i, family)
+            for kind in (DivergenceKind.KL, DivergenceKind.HellingerSq):
+                mc = divergences._mc_divergence(kind, p, q)
+                assert abs(divergence(kind, p, q).value - mc.value) <= 4.0 * mc.truncation_bound
 
     def test_domain_growth_stability(self, rng):
         p = random_compact(rng, M=2.0, d=1)

@@ -362,12 +362,30 @@ class TestBatchNetMle:
             batch_net_mle(net, np.empty((0, 1)))
 
 
+def recurrence_forecaster(net, stream):
+    """The per-step Bayes update in long double: weights, step log loss, regret to the best, best index."""
+    loglik = np.stack([e.log_density(stream) for e in net.elements], axis=1).astype(np.longdouble)
+    n_steps, n_el = loglik.shape
+    lw = np.full(n_el, -np.log(np.longdouble(n_el)))
+    weights = np.empty((n_steps, n_el), dtype=np.longdouble)
+    pred = np.empty(n_steps, dtype=np.longdouble)
+    for t in range(n_steps):
+        weights[t] = np.exp(lw)
+        row = lw + loglik[t]
+        m = row.max()
+        pred[t] = m + np.log(np.sum(np.exp(row - m)))
+        lw = row - pred[t]
+    totals = loglik.sum(axis=0)
+    best = int(np.argmax(totals))
+    return weights, -pred, totals[best] - pred.sum(), best
+
+
 class TestSequentialForecaster:
     def test_singleton_net_zero_regret(self):
         net = greedy_cover(HellingerTable([single_gaussian(0.5)]), 0.1)
         stream = net.elements[0].sample(30, seed=4)
         res = sequential_forecaster(net, stream, true_density=net.elements[0])
-        assert res.cum_regret == 0.0
+        assert np.all(res.cum_regret == 0.0)
         assert res.regret_vs_best == 0.0
 
     def test_pathwise_regret_at_most_log_net_size(self):
@@ -376,7 +394,7 @@ class TestSequentialForecaster:
         for seed in range(5):
             stream = truth.sample(100, seed)
             res = sequential_forecaster(net, stream, true_density=truth)
-            assert res.cum_regret <= math.log(2.0) + 1e-9
+            assert res.cum_regret.max() <= math.log(2.0) + 1e-9
             assert res.regret_vs_best <= math.log(2.0) + 1e-9
 
     def test_weights_stay_probability_vectors(self):
@@ -385,6 +403,44 @@ class TestSequentialForecaster:
         res = sequential_forecaster(net, stream)
         assert np.allclose(res.predictive_weights.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(res.predictive_weights >= 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        start=st.floats(-3.0, 0.0),
+        stop=st.floats(0.5, 3.0),
+        n_el=st.integers(1, 60),
+        n_steps=st.integers(1, 2000),
+        mean=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_long_double_recurrence(self, start, stop, n_el, n_steps, mean, seed):
+        net = Net(HellingerTable(theta_grid(start, stop, n_el)), np.arange(n_el), 0.0)
+        stream = single_gaussian(mean).sample(n_steps, seed)
+        res = sequential_forecaster(net, stream)
+        weights, loss, regret, best = recurrence_forecaster(net, stream)
+        assert np.all(np.abs(res.step_log_loss - loss) <= 1e-13 * np.abs(loss))
+        assert np.max(np.abs(res.predictive_weights - weights)) <= 1e-12
+        assert abs(res.regret_vs_best - regret) <= 1e-12
+        assert res.regret_vs_best <= math.log(n_el)
+        assert batch_net_mle(net, stream) is net.elements[best]
+
+    def test_cum_regret_is_per_step_regret_against_the_truth(self):
+        net = greedy_cover(HellingerTable(theta_grid(-1.0, 1.0, 4)), 0.01)
+        truth = net.elements[2]
+        stream = truth.sample(40, seed=5)
+        res = sequential_forecaster(net, stream, true_density=truth)
+        assert res.cum_regret.shape == (40,)
+        np.testing.assert_array_equal(res.cum_regret, np.cumsum(truth.log_density(stream) + res.step_log_loss))
+        assert sequential_forecaster(net, stream).cum_regret is None
+
+    def test_mle_scores_equal_per_element_sums(self, rng):
+        # the row sums of the shared matrix pick the same element as np.sum per element
+        net = greedy_cover(HellingerTable(theta_grid(-2.0, 2.0, 9)), 0.01)
+        for n in (1, 7, 200, 3001):
+            pts = rng.normal(size=(n, 1))
+            _, loglik = estimation._net_loglik(net, pts)
+            per_element = [np.sum(e.log_density(pts)) for e in net.elements]
+            np.testing.assert_array_equal(loglik.sum(axis=1), per_element)
 
 
 class TestRateFunctional:
