@@ -10,7 +10,7 @@ CSV output is byte-identical across reruns and thread counts, with all
 floats at 17 significant digits.
 
 Exit codes: 0 success, 2 config error, 3 hypothesis violation,
-4 numerical-capability error.
+4 numerical-capability or quadrature error.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .bounds import BoundId, InstanceFamily, dichotomy_bounds, verify_sweep
 from .divergences import DivergenceKind, divergence
-from .errors import CapabilityError, HypothesisError
+from .errors import CapabilityError, HypothesisError, QuadratureError
 # greedy_cover and local_cover stay importable from this module: the
 # perfbench tracer (perfbench/spans.py) wraps them here by name
 from .estimation import (
@@ -360,6 +360,9 @@ def main(argv=None) -> int:
         return 3
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
+        return 4
+    except QuadratureError as exc:
+        print(f"quadrature error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

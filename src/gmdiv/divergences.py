@@ -28,7 +28,10 @@ d in {1, 2, 3} uses certified quadrature: one driver (`_refine`) refines a
 nested tensor-product rule (1-d Gauss-Legendre panels, cut at the sign
 changes of p - q for TV; radial panels x angular rule for d in {2, 3}) on a
 ball sized by one radius search (`_search_radius`), which the Hellinger
-table's Gram pass and `plancherel_l2` share.  d > 3 falls back to seeded
+table's Gram pass and `plancherel_l2` share.  In d = 1 the TV sign changes
+are the roots of log p - log q, found by `brentq`, an in-house port of
+Brent's method that takes scipy's steps and returns its roots bit for bit,
+so the package needs numpy alone.  d > 3 falls back to seeded
 importance-sampling Monte Carlo where `truncation_bound` reports a 95%
 confidence half-width instead of a hard bound.
 
@@ -46,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CapabilityError, HypothesisError, QuadratureError
 from .mixtures import LOG_2PI, Compact, GaussianMixture, Subgaussian, Unconstrained
@@ -394,6 +396,73 @@ def _search_radius(R, met) -> float:
             return R
         R += max(0.5, 0.04 * R)
     raise CapabilityError("certified tail bound cannot reach the tolerance")
+
+
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a, b, xtol):
+    """A root of the scalar function f in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (R. P. Brent, *Algorithms for Minimization Without
+    Derivatives*, 1973, ch. 4), step for step as in scipy's `brentq.c`:
+    relative tolerance 4 eps and at most 100 iterations; each step is the
+    secant or inverse-quadratic step when 2|s| < min(|s_prev|, 3|s_bisect| -
+    delta) and bisection otherwise, and moves by at least delta =
+    (xtol + rtol |x|) / 2.  The same f values give bitwise the same root.
+    An endpoint where f is 0 is returned as is.  Raises QuadratureError when
+    f(a) and f(b) share a sign, when f is NaN, or after 100 iterations.
+    """
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise QuadratureError(f"root search: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise QuadratureError(f"root search: f has one sign at both ends of [{xpre!r}, {xcur!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0) != (fcur < 0):
+            # the root lies between xpre and xcur: they become the bracket
+            # (an fcur of 0 is returned just below either way)
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # keep the end with the smaller |f| as the current iterate
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+                else:  # inverse quadratic through all three points
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an infinite step never passes the test below
+                pass
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise QuadratureError(f"root search did not converge in {_BRENT_MAXITER} iterations")
 
 
 def _sign_change_splits(p: GaussianMixture, q: GaussianMixture, R: float) -> list[float]:

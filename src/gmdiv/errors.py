@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: config/input problems exit 2,
-HypothesisError exits 3, CapabilityError exits 4.
+HypothesisError exits 3, CapabilityError and QuadratureError exit 4.
 """
 
 

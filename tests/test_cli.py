@@ -1,11 +1,16 @@
 import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gmdiv import HellingerTable, greedy_cover, local_cover
+from gmdiv import Compact, HellingerTable, greedy_cover, local_cover
+from gmdiv.bounds import InstanceFamily, make_pair
 from gmdiv.cli import _family_candidates, main
+from gmdiv.mixtures import mixture_to_record
 
 
 THETA_FAMILY = {"type": "theta-grid", "start": -1.0, "stop": 1.0, "count": 3}
@@ -282,6 +287,20 @@ class TestErrorPaths:
         cfg = {"command": "div", "kind": "kl", "p": rec, "q": rec}
         run("div", cfg, expect=4)
 
+    def test_quadrature_error_exit_4(self, run):
+        # a d=2 TV pair whose refinement runs out of levels at tol 1e-7
+        p, q = make_pair(3, 3, InstanceFamily(Compact(2.0), 2))
+        cfg = {
+            "command": "div",
+            "kind": "tv",
+            "tol": 1e-7,
+            "p": mixture_to_record(p.mixing),
+            "q": mixture_to_record(q.mixing),
+        }
+        _, out = run("div", cfg, expect=4)
+        assert out.err.startswith("quadrature error: ")
+        assert out.err.count("\n") == 1
+
     def test_bool_true_index_exit_2(self, run):
         # True is an int in Python; it ran as index 1 and was written back as `true`
         cfg = {"command": "seq", "family": THETA_FAMILY, "true_index": True, "length": 5}
@@ -296,3 +315,14 @@ class TestErrorPaths:
         bad.write_text("{not json")
         assert main(["div", "--config", str(bad)]) == 2
         capsys.readouterr()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; a fresh interpreter shows what importing gmdiv costs
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import gmdiv, gmdiv.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 from scipy.stats import norm
 
 from gmdiv import (
@@ -12,6 +13,7 @@ from gmdiv import (
     DivergenceKind,
     GaussianMixture,
     HypothesisError,
+    QuadratureError,
     Subgaussian,
     Unconstrained,
     characteristic_function,
@@ -23,7 +25,7 @@ from gmdiv import (
 )
 from gmdiv import divergences
 from gmdiv.bounds import InstanceFamily, make_pair
-from gmdiv.divergences import _Envelope, _compute_divergences, _tail_bound
+from gmdiv.divergences import _Envelope, _compute_divergences, _start_radius, _tail_bound
 from gmdiv.mixtures import LOG_2PI
 from conftest import random_compact, single_gaussian
 
@@ -456,6 +458,18 @@ class TestPlancherel:
         diff = np.abs(characteristic_function(p, ts) - characteristic_function(q, ts))
         assert np.all(diff <= 2.0 * np.exp(-0.5 * ts**2) + 1e-15)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_l2_within_truncation_bound(self, seed):
+        # the x-domain route misses at most its truncation bound, and each
+        # route's refinement stops within tol of its value (L2^2 < 1 here)
+        rng = np.random.default_rng(seed)
+        p = random_compact(rng, M=2.0, d=1)
+        q = random_compact(rng, M=2.0, d=1)
+        tol = default_tol(1)
+        est = divergence(DivergenceKind.L2Sq, p, q, tol=tol)
+        assert abs(plancherel_l2(p, q, tol=tol) - est.value) <= est.truncation_bound + tol
+
     def test_requires_dimension_one(self):
         p = single_gaussian([0.0, 0.0])
         with pytest.raises(CapabilityError):
@@ -470,3 +484,49 @@ class TestPlancherel:
         with pytest.raises(HypothesisError):
             plancherel_l2(p, q, tol=tol)
         assert not calls
+
+
+class TestBrentq:
+    FAMILIES = [
+        InstanceFamily(Compact(1.0), 1),
+        InstanceFamily(Compact(2.0), 1),
+        InstanceFamily(Subgaussian(2.0), 1),
+    ]
+
+    def test_matches_scipy_on_sign_change_brackets(self, monkeypatch):
+        # every bracket `_sign_change_splits` finds on its 2049-point grid,
+        # with the f it passes: the port's root is scipy's, bit for bit
+        port, pairs = divergences.brentq, []
+
+        def both(f, a, b, xtol):
+            root = port(f, a, b, xtol=xtol)
+            pairs.append((root, scipy_brentq(f, a, b, xtol=xtol)))
+            return root
+
+        monkeypatch.setattr(divergences, "brentq", both)
+        for family in self.FAMILIES:
+            for i in range(50):
+                p, q = make_pair(7, i, family)
+                divergences._sign_change_splits(p, q, _start_radius([p, q], default_tol(1)))
+        assert len(pairs) >= 200
+        assert all(root == expected for root, expected in pairs)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 2.0), (-1.0, 0.5)])
+    def test_endpoint_root_returned(self, a, b):
+        f = lambda x: x - 0.5
+        assert divergences.brentq(f, a, b, xtol=1e-13) == 0.5 == scipy_brentq(f, a, b, xtol=1e-13)
+
+    def test_same_sign_raises(self):
+        with pytest.raises(QuadratureError, match="one sign"):
+            divergences.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13)
+
+    def test_nan_raises(self):
+        f = lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5
+        with pytest.raises(QuadratureError, match="NaN"):
+            divergences.brentq(f, 0.0, 1.0, xtol=1e-13)
+
+    def test_no_convergence_raises(self):
+        # a step function over [0, 1e300] needs about a thousand halvings
+        f = lambda x: -1.0 if x < 0.3 else 1.0
+        with pytest.raises(QuadratureError, match="100 iterations"):
+            divergences.brentq(f, 0.0, 1e300, xtol=1e-13)
