@@ -23,7 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergences import DivergenceKind, _compute_divergences
+# sweeps integrate their pairs in chunks through `_compute_pairs`;
+# `_compute_divergences` stays bound here because perfbench's tracer wraps
+# it by this name
+from .divergences import (  # noqa: F401
+    DivergenceKind,
+    _compute_divergences,
+    _compute_pairs,
+    _pair_chunks,
+)
 from .errors import CapabilityError, HypothesisError
 from .mixtures import (
     ClassTag,
@@ -506,10 +514,9 @@ def _side(kind, est) -> float:
     return math.sqrt(max(est.value, 0.0)) if kind is _L2 else est.value
 
 
-def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int, tol):
-    p, q = make_pair(seed, index, family)
-    _, kinds, lhs_kind, arg_kind = _SWEEPS[bound]
-    est = _compute_divergences(kinds, p, q, tol=tol)
+def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int, p, q, est):
+    """The checked instance of pair (p, q), whose estimates `est` map kinds to values."""
+    _, _, lhs_kind, arg_kind = _SWEEPS[bound]
     kl, h2 = est[_KL], est[_H2]
     params = {
         **_family_params(family),
@@ -561,7 +568,10 @@ def verify_sweep(
 ) -> SweepReport:
     """Check a comparison bound on n seeded random pairs from a family.
 
-    Instances derive their RNG from (seed, index), so the report is
+    Instances derive their RNG from (seed, index).  The pairs are cut into
+    chunks of consecutive pairs by a node budget that depends on the pairs
+    alone, each chunk is integrated as one batch (`_compute_pairs`), and
+    with threads > 1 a thread pool maps over the chunks, so the report is
     deterministic for any thread count.  A failure means lhs exceeded the
     stated rhs by more than the certified numerical slack.
     """
@@ -570,14 +580,20 @@ def verify_sweep(
     if n < 1:
         raise ValueError(f"sweep size must be positive, got {n}")
 
-    def job(i):
-        return _one_instance(bound, family, seed, i, tol)
+    kinds = _SWEEPS[bound][1]
+    pairs = [make_pair(seed, i, family) for i in range(n)]
 
+    def job(chunk):
+        ests = _compute_pairs(kinds, [pairs[i] for i in chunk], tol)
+        return [_one_instance(bound, family, seed, i, *pairs[i], e) for i, e in zip(chunk, ests)]
+
+    chunks = _pair_chunks(pairs, tol)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            instances = list(pool.map(job, range(n)))
+            done = list(pool.map(job, chunks))
     else:
-        instances = [job(i) for i in range(n)]
+        done = [job(chunk) for chunk in chunks]
+    instances = [inst for part in done for inst in part]
 
     ratios = [inst.ratio for inst in instances if math.isfinite(inst.ratio)]
     if ratios:

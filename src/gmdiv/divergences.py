@@ -25,13 +25,25 @@ Kinds and their tail treatment:
   L2^2      tail <= sup density on the sphere * mass tails.
 
 d in {1, 2, 3} uses certified quadrature: one driver (`_refine`) refines a
-nested tensor-product rule (1-d Gauss-Legendre panels, cut at the sign
-changes of p - q for TV; radial panels x angular rule for d in {2, 3}) on a
-ball sized by one radius search (`_search_radius`), which the Hellinger
-table's Gram pass and `plancherel_l2` share.  In d = 1 the TV sign changes
-are the roots of log p - log q, found by `brentq`, an in-house port of
-Brent's method that takes scipy's steps and returns its roots bit for bit,
-so the package needs numpy alone.  d > 3 falls back to seeded
+nested tensor-product rule (`_Rule`: 1-d Gauss-Legendre panels, cut at the
+sign changes of p - q for TV; radial panels x angular rule for d in {2, 3})
+on a ball sized by one radius search (`_search_radius`).  Both run on a
+batch of members at once, as arrays over members: `_compute_pairs` takes a
+list of pairs, pads their atoms to the largest count (`_Envelope`: weight
+0, log-weight -inf), and runs the start radii, the level-0 pass, the radius
+search with every tail bound, the TV splits and the refinement level by
+level over all pairs still pending; each pair stops at its own level and
+keeps its own radius, splits, tails and point count.  Within a level the
+pending members are evaluated in groups of consecutive members with at
+most _NODE_BUDGET nodes (a larger member alone, in the log-density
+kernel's blocks), so no temporary grows with the batch; sweeps cut their
+pairs into chunks by the same budget.  One pair (`_compute_divergences`,
+`divergence`, `renyi_integral`), the Gram pass of the Hellinger table and
+`plancherel_l2` are one-member batches of the same driver.  In d = 1 the TV
+sign changes are the roots of log p - log q, bracketed on a 2049-node grid
+per pair and found by `brentq`, a vectorized port of Brent's method that
+iterates every bracket at once, takes scipy's steps and returns its roots
+bit for bit, so the package needs numpy alone.  d > 3 falls back to seeded
 importance-sampling Monte Carlo where `truncation_bound` reports a 95%
 confidence half-width instead of a hard bound.
 
@@ -51,7 +63,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, HypothesisError, QuadratureError
-from .mixtures import LOG_2PI, Compact, GaussianMixture, Subgaussian, Unconstrained
+from .mixtures import (
+    LOG_2PI,
+    Compact,
+    GaussianMixture,
+    Subgaussian,
+    Unconstrained,
+    segment_log_density,
+)
 
 
 class DivergenceKind(enum.Enum):
@@ -118,57 +137,83 @@ def truncation_radius(tag, d: int, tol: float) -> float:
     raise CapabilityError("unconstrained mixing distributions have no certified tail")
 
 
-def gaussian_radial_tail(t: float, d: int) -> float:
-    """Certified upper bound on P[||Z_d|| > t] for standard Gaussian Z_d."""
-    if t <= 0:
-        return 1.0
-    if d in (1, 2):
-        return min(1.0, math.exp(-0.5 * t * t))
+def gaussian_radial_tail(t, d: int):
+    """Certified upper bound on P[||Z_d|| > t] for standard Gaussian Z_d, elementwise in t."""
+    if d not in _SURFACE:
+        raise CapabilityError(f"no radial tail bound for d={d}")
+    t = np.asarray(t, dtype=float)
+    bound = np.exp(-0.5 * t * t)
     if d == 3:
-        return min(1.0, math.sqrt(2.0 / math.pi) * (t + 1.0 / t) * math.exp(-0.5 * t * t))
-    raise CapabilityError(f"no radial tail bound for d={d}")
+        u = np.where(t > 0, t, 1.0)
+        bound = math.sqrt(2.0 / math.pi) * (u + 1.0 / u) * bound
+    out = np.where(t > 0, np.minimum(1.0, bound), 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
-# -- per-mixture envelope data -------------------------------------------------
+# -- envelopes and tail certificates, as arrays over mixtures -------------------
 
 
 class _Envelope:
-    """Atom radii/weights of a mixture, as used by the tail certificates."""
+    """The atoms of a list of mixtures, padded to one count, row i for mixture i.
 
-    def __init__(self, gm: GaussianMixture):
-        self.weights = gm.mixing.weights
-        self.radii = gm.mixing.radii
-        self.logw = np.log(gm.mixing.weights)
-        self.s_max = float(self.radii.max())
+    A pad has location 0, weight 0 and log-weight -inf, and sits after the
+    real atoms, so it adds an exact 0 to every atom sum (`_atom_sum`) and
+    never wins a max.  `const` holds the logit offsets of
+    `segment_log_density`.
+    """
 
-    def mass_tail(self, R: float, d: int) -> float:
-        return float(
-            sum(w * gaussian_radial_tail(R - s, d) for w, s in zip(self.weights, self.radii))
-        )
+    def __init__(self, mixtures):
+        counts = [gm.mixing.n_atoms for gm in mixtures]
+        m, k, d = len(mixtures), max(counts), mixtures[0].dim
+        rows = np.repeat(np.arange(m), counts)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.locations = np.zeros((m, k, d))
+        self.locations[rows, cols] = np.concatenate([gm.mixing.locations for gm in mixtures])
+        self.weights = np.zeros((m, k))
+        self.weights[rows, cols] = np.concatenate([gm.mixing.weights for gm in mixtures])
+        self.real = self.weights > 0
+        self.logw = np.full((m, k), -np.inf)
+        self.logw[self.real] = np.log(self.weights[self.real])
+        self.radii = np.sqrt(np.sum(self.locations**2, axis=2))
+        self.s_max = self.radii.max(axis=1)
+        self.const = self.logw - 0.5 * np.sum(self.locations * self.locations, axis=2)
 
-    def sup_density(self, R: float, d: int) -> float:
-        # upper bound on the density anywhere on or outside the sphere of
+    def log_density(self, members, pts, counts) -> np.ndarray:
+        """Log-density of mixture members[i] at the i-th segment of pts."""
+        return segment_log_density(self.locations[members], self.const[members], pts, counts)
+
+    def mass_tail(self, R, d: int) -> np.ndarray:
+        # mass of each mixture outside its ball of radius R
+        return _atom_sum(self.weights * gaussian_radial_tail(R[:, None] - self.radii, d))
+
+    def sup_density(self, R, d: int) -> np.ndarray:
+        # upper bound on each density anywhere on or outside the sphere of
         # radius R (valid for R >= s_max, where each bump term decreases).
-        z = np.exp(-0.5 * (R - self.radii) ** 2)
-        return float(np.sum(self.weights * z)) * math.exp(-0.5 * d * LOG_2PI)
+        z = np.exp(-0.5 * (R[:, None] - self.radii) ** 2)
+        return _atom_sum(self.weights * z) * math.exp(-0.5 * d * LOG_2PI)
 
-    def anchor(self, R: float) -> tuple[float, float]:
-        # fixed atom giving the best lower bound log q >= log v - (r+t)^2/2
-        # (up to the shared -d/2 log 2pi), chosen at r = R
-        scores = self.logw - 0.5 * (R + self.radii) ** 2
-        j = int(np.argmax(scores))
-        return float(self.radii[j]), float(self.logw[j])
+    def anchor(self, R) -> tuple[np.ndarray, np.ndarray]:
+        # per mixture, the atom giving the best lower bound
+        # log q >= log v - (r+t)^2/2 (up to the shared -d/2 log 2pi) at r = R
+        scores = self.logw - 0.5 * (R[:, None] + self.radii) ** 2
+        at = np.arange(scores.shape[0]), np.argmax(scores, axis=1)
+        return self.radii[at], self.logw[at]
 
 
-def _log_ratio_line(p_env: _Envelope, q_env: _Envelope, R: float) -> tuple[float, float]:
-    """Affine a*r + b dominating log(p/q) on spheres of radius r >= R."""
+def _atom_sum(terms) -> np.ndarray:
+    """Sum over the last (atom) axis in atom order, so trailing zeros change no bit."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _log_ratio_line(p_env: _Envelope, q_env: _Envelope, R):
+    """Per pair, a*r + b dominating log(p/q) on spheres of radius r >= R."""
     t0, logv0 = q_env.anchor(R)
     a = p_env.s_max + t0
     b = 0.5 * (t0 * t0 - p_env.s_max**2) - logv0
     return a, b
 
 
-def _ru_poly(d: int, R: float) -> list[float]:
+def _ru_poly(d: int, R) -> list:
     # coefficients (ascending in u) of (R + u)^(d-1)
     if d == 1:
         return [1.0]
@@ -177,62 +222,67 @@ def _ru_poly(d: int, R: float) -> list[float]:
     return [R * R, 2.0 * R, 1.0]
 
 
-def _exp_moment_sum(coeffs, kappa: float) -> float:
-    # sum_m c_m m! / kappa^(m+1)  =  int_0^inf (sum c_m u^m) e^(-kappa u) du
-    total = 0.0
-    fact = 1.0
-    for m, c in enumerate(coeffs):
-        if m > 0:
-            fact *= m
-        total += c * fact / kappa ** (m + 1)
-    return total
+def _times_linear(coeffs, c0, c1) -> list:
+    # coefficients of (sum_m coeffs_m u^m) (c0 + c1 u)
+    out = [coeffs[0] * c0]
+    for lo, hi in itertools.pairwise(coeffs):
+        out.append(hi * c0 + lo * c1)
+    return out + [coeffs[-1] * c1]
 
 
 _KAPPA_MIN = 0.25
 
 
-def _atom_tails(p_env, R, poly, beta, c) -> float:
-    """sum_j w_j exp(s_j beta + beta^2/2 + c - kappa_j^2/2) moments(poly, kappa_j).
+def _atom_tails(p_env: _Envelope, R, poly, beta, c) -> np.ndarray:
+    """Per pair, sum_j w_j exp(s_j beta + beta^2/2 + c - kappa_j^2/2) moments(poly, kappa_j).
 
     kappa_j = R - (s_j + beta).  Bounds the integral over u >= 0 of poly(u)
-    times p's atom envelopes at radius R + u tilted by e^{beta (R + u) + c}.
+    times p's atom envelopes at radius R + u tilted by e^{beta (R + u) + c};
+    the moments are int_0^inf poly(u) e^(-kappa u) du = sum_m poly_m m! /
+    kappa^(m+1).  Infinite for a pair with an atom at kappa < _KAPPA_MIN or
+    past exp(700).
     """
-    total = 0.0
-    for w, s in zip(p_env.weights, p_env.radii):
-        kappa = R - (s + beta)
-        if kappa < _KAPPA_MIN:
-            return math.inf
-        log_c = s * beta + 0.5 * beta * beta + c - 0.5 * kappa * kappa
-        if log_c > 700.0:
-            return math.inf
-        total += w * math.exp(log_c) * _exp_moment_sum(poly, kappa)
-    return total
+    beta, c = np.broadcast_to(beta, R.shape)[:, None], np.broadcast_to(c, R.shape)[:, None]
+    s = p_env.radii
+    kappa = R[:, None] - (s + beta)
+    log_c = s * beta + 0.5 * beta * beta + c - 0.5 * kappa * kappa
+    bad = p_env.real & ((kappa < _KAPPA_MIN) | (log_c > 700.0))
+    # pads and bad atoms get a harmless kappa and log_c and add 0
+    used = p_env.real & ~bad
+    kappa, log_c = np.where(used, kappa, 1.0), np.where(used, log_c, 0.0)
+    moments, fact = 0.0, 1.0
+    for m, coef in enumerate(poly):
+        if m > 0:
+            fact *= m
+        moments = moments + np.asarray(coef)[..., None] * fact / kappa ** (m + 1)
+    terms = np.where(used, p_env.weights * np.exp(log_c) * moments, 0.0)
+    return np.where(bad.any(axis=1), np.inf, _atom_sum(terms))
 
 
-def _tail_bound(kind, p_env, q_env, R, d, lam=None) -> float:
-    """Certified bound on the integral of `kind` outside the radius-R ball."""
-    if R < max(p_env.s_max, q_env.s_max) + _KAPPA_MIN:
-        return math.inf
+def _tail_bound(kind, p_env: _Envelope, q_env: _Envelope, R, d, lam=None) -> np.ndarray:
+    """Per pair i, a certified bound on the integral of `kind` outside radius R[i]."""
     norm = _SURFACE[d] * math.exp(-0.5 * d * LOG_2PI)
     if kind == DivergenceKind.HellingerSq:
-        return p_env.mass_tail(R, d) + q_env.mass_tail(R, d)
-    if kind == DivergenceKind.TV:
-        return 0.5 * (p_env.mass_tail(R, d) + q_env.mass_tail(R, d))
-    if kind == DivergenceKind.L2Sq:
-        sup = max(p_env.sup_density(R, d), q_env.sup_density(R, d))
-        return sup * (p_env.mass_tail(R, d) + q_env.mass_tail(R, d))
-    if kind == DivergenceKind.KL:
+        out = p_env.mass_tail(R, d) + q_env.mass_tail(R, d)
+    elif kind == DivergenceKind.TV:
+        out = 0.5 * (p_env.mass_tail(R, d) + q_env.mass_tail(R, d))
+    elif kind == DivergenceKind.L2Sq:
+        sup = np.maximum(p_env.sup_density(R, d), q_env.sup_density(R, d))
+        out = sup * (p_env.mass_tail(R, d) + q_env.mass_tail(R, d))
+    elif kind == DivergenceKind.KL:
         a, b = _log_ratio_line(p_env, q_env, R)
-        poly = np.convolve(_ru_poly(d, R), [max(0.0, a * R + b), a])
-        return norm * _atom_tails(p_env, R, poly, beta=0.0, c=0.0) + q_env.mass_tail(R, d)
-    if kind == DivergenceKind.ChiSq:
+        poly = _times_linear(_ru_poly(d, R), np.maximum(0.0, a * R + b), a)
+        out = norm * _atom_tails(p_env, R, poly, beta=0.0, c=0.0) + q_env.mass_tail(R, d)
+    elif kind == DivergenceKind.ChiSq:
         # p^2/q - 2p + q <= p^2/q + q, and int p^2/q is the lam = 2 power integral
-        return _tail_bound("renyi", p_env, q_env, R, d, 2.0) + q_env.mass_tail(R, d)
-    if kind == "renyi":
+        out = _tail_bound("renyi", p_env, q_env, R, d, 2.0) + q_env.mass_tail(R, d)
+    elif kind == "renyi":
         # p^lam / q^(lam-1) <= p e^{(lam-1)(a r + b)} on ||x|| = r >= R
         a, b = _log_ratio_line(p_env, q_env, R)
-        return norm * _atom_tails(p_env, R, _ru_poly(d, R), (lam - 1.0) * a, (lam - 1.0) * b)
-    raise ValueError(f"unknown kind {kind!r}")
+        out = norm * _atom_tails(p_env, R, _ru_poly(d, R), (lam - 1.0) * a, (lam - 1.0) * b)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return np.where(R < np.maximum(p_env.s_max, q_env.s_max) + _KAPPA_MIN, np.inf, out)
 
 
 # -- integrands ---------------------------------------------------------------
@@ -278,104 +328,180 @@ def _kind_values(kind, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarr
 _MAX_LEVELS = {1: 14, 2: 7, 3: 7}
 _MAX_POINTS = 6_000_000
 
+# Members of a batch are evaluated in groups of consecutive members whose
+# nodes number at most _NODE_BUDGET (a larger member alone); sweeps cut
+# their pairs into chunks by the same budget on level-0 nodes.
+_NODE_BUDGET = 1 << 13
 
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = edges[:-1], edges[1:]
+
+def _groups(counts, budget=_NODE_BUDGET) -> list[slice]:
+    """Consecutive runs of members whose counts sum to at most budget; a larger member alone."""
+    groups, lo, total = [], 0, 0
+    for i, c in enumerate(counts):
+        if i > lo and total + c > budget:
+            groups.append(slice(lo, i))
+            lo, total = i, 0
+        total += c
+    return groups + [slice(lo, len(counts))]
+
+
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    w = half[:, None] * np.broadcast_to(_GL_WEIGHTS, (lo.size, 16))
+    w = half[:, None] * _GL_WEIGHTS[None, :]
     return x.ravel(), w.ravel()
 
 
+@functools.cache
 def _angular_rule(d: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    # unit directions and weights of a level's angular rule (d = 2: the
+    # periodic trapezoid rule; d = 3: Gauss-Legendre in cos(polar) x trapezoid);
+    # cached, so read-only
     if d == 2:
         nt = 32 << level
         theta = 2.0 * math.pi * np.arange(nt) / nt
         omegas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return omegas, np.full(nt, 2.0 * math.pi / nt)
-    nu = 8 << level
-    nt = 16 << level
-    u, wu = np.polynomial.legendre.leggauss(nu)
-    theta = 2.0 * math.pi * np.arange(nt) / nt
-    su = np.sqrt(1.0 - u * u)
-    omegas = np.empty((nu * nt, 3))
-    omegas[:, 0] = np.outer(su, np.cos(theta)).ravel()
-    omegas[:, 1] = np.outer(su, np.sin(theta)).ravel()
-    omegas[:, 2] = np.repeat(u, nt)
-    weights = np.repeat(wu, nt) * (2.0 * math.pi / nt)
+        weights = np.full(nt, 2.0 * math.pi / nt)
+    else:
+        nu = 8 << level
+        nt = 16 << level
+        u, wu = np.polynomial.legendre.leggauss(nu)
+        theta = 2.0 * math.pi * np.arange(nt) / nt
+        su = np.sqrt(1.0 - u * u)
+        omegas = np.empty((nu * nt, 3))
+        omegas[:, 0] = np.outer(su, np.cos(theta)).ravel()
+        omegas[:, 1] = np.outer(su, np.sin(theta)).ravel()
+        omegas[:, 2] = np.repeat(u, nt)
+        weights = np.repeat(wu, nt) * (2.0 * math.pi / nt)
+    omegas.setflags(write=False)
+    weights.setflags(write=False)
     return omegas, weights
 
 
-def _rule(d: int, R: float, splits=()):
-    """Nested tensor-product rule on ||x|| <= R: level -> (X, factors) or None.
+class _Rule:
+    """Nested tensor-product rules on the balls ||x|| <= R[i] of a batch of members.
 
-    X holds the nodes, shape (n, d); factors are the weights as an open mesh
-    (np.ix_ layout) over the node grid.  d = 1: Gauss-Legendre panels on
-    [-R, R] cut at `splits`, one factor.  d in {2, 3}: radial panels times
-    the angular rule, factors wr r^(d-1) (a column) and wa.  None past the
-    level cap.
+    Each member owns cut panels [lo, hi]: in d = 1, [-R, R] cut at the
+    member's splits (ascending, `counts[i]` of them for member i); in d in
+    {2, 3}, the radial interval [0, R].  Level l divides a cut panel into
+    max(n0, ceil((hi - lo) / 2)) << l equal panels (n0 = 2 in d = 1, 4 in
+    d >= 2; the panel edges are those of np.linspace) of 16 Gauss-Legendre
+    nodes each.  In d >= 2 the radial nodes r, weights wr carry the angular
+    rule of level l: nodes r omega, weights wr r^(d-1) wa.  Past the level
+    cap, or past _MAX_POINTS nodes of one member, there is no rule and
+    QuadratureError is raised.
     """
-    edges = [-R, *sorted(splits), R]
 
-    def rule(level):
-        if level >= _MAX_LEVELS[d]:
-            return None
-        if d == 1:
-            xs, ws = [], []
-            for a, b in itertools.pairwise(edges):
-                n = max(2, int(math.ceil((b - a) / 2.0))) << level
-                x, w = _panel_nodes(np.linspace(a, b, n + 1))
-                xs.append(x)
-                ws.append(w)
-            return np.concatenate(xs)[:, None], (np.concatenate(ws),)
-        nr = max(4, int(math.ceil(R / 2.0))) << level
-        r, wr = _panel_nodes(np.linspace(0.0, R, nr + 1))
-        omegas, wa = _angular_rule(d, level)
-        if r.size * omegas.shape[0] > _MAX_POINTS:
-            return None
-        X = (r[:, None, None] * omegas[None, :, :]).reshape(-1, d)
-        return X, ((wr * r ** (d - 1))[:, None], wa)
+    def __init__(self, d: int, R, splits=None):
+        self.d = d
+        R = np.asarray(R, dtype=float)
+        if splits is None:
+            splits = (np.empty(0), np.zeros(R.size, dtype=int))
+        roots, counts = splits
+        self.owner = np.repeat(np.arange(R.size), counts + 1)
+        first = np.zeros(self.owner.size, dtype=bool)
+        first[np.cumsum(counts + 1) - (counts + 1)] = True
+        last = np.roll(first, -1)
+        self.lo = np.empty(self.owner.size)
+        self.hi = np.empty(self.owner.size)
+        self.lo[first] = -R if d == 1 else 0.0
+        self.lo[~first] = roots
+        self.hi[last] = R
+        self.hi[~last] = roots
+        self.n0 = 2 if d == 1 else 4
+        self.size = R.size
 
-    return rule
+    def _divisions(self, level, members):
+        chosen = np.zeros(self.size, dtype=bool)
+        chosen[members] = True
+        keep = chosen[self.owner]
+        lo, hi = self.lo[keep], self.hi[keep]
+        n = np.maximum(self.n0, np.ceil((hi - lo) / 2.0)).astype(np.int64) << level
+        return lo, hi, n, self.owner[keep]
+
+    def counts(self, level, members) -> np.ndarray:
+        """Nodes of each member at `level`; QuadratureError past the cap."""
+        if level >= _MAX_LEVELS[self.d]:
+            raise QuadratureError(f"quadrature did not converge in {level} levels")
+        lo, hi, n, owner = self._divisions(level, members)
+        radial = 16 * np.bincount(np.searchsorted(members, owner), n, members.size).astype(np.int64)
+        if self.d == 1:
+            return radial
+        total = radial * _angular_rule(self.d, level)[0].shape[0]
+        if np.any(total > _MAX_POINTS):
+            raise QuadratureError(f"quadrature did not converge in {level} levels")
+        return total
+
+    def nodes(self, level, members):
+        """Nodes X (n, d) and weights w (n,) of the members at `level`, member after member."""
+        lo, hi, n, _ = self._divisions(level, members)
+        # np.linspace(lo, hi, n + 1) of every cut panel: edge i is i * step + lo, the last is hi
+        panel = np.repeat(np.arange(n.size), n)
+        i = np.arange(panel.size) - np.repeat(np.cumsum(n) - n, n)
+        step = (hi - lo) / n
+        left = i * step[panel] + lo[panel]
+        right = (i + 1) * step[panel] + lo[panel]
+        ends = np.cumsum(n) - 1
+        right[ends] = hi
+        x, w = _panel_nodes(left, right)
+        if self.d == 1:
+            return x[:, None], w
+        omegas, wa = _angular_rule(self.d, level)
+        X = (x[:, None, None] * omegas[None, :, :]).reshape(-1, self.d)
+        return X, ((w * x ** (self.d - 1))[:, None] * wa).ravel()
 
 
-def _weigh(vals, factors):
-    """Rows of vals, an (m, n) array over the nodes, times the open-mesh weights."""
-    vals = vals.reshape(-1, *map(len, factors))
-    for f in factors:
-        vals = vals * f
-    return vals
+def _segment_sums(vals, counts) -> np.ndarray:
+    """Sums of vals (..., n) over consecutive segments of the given lengths: (..., members)."""
+    return np.add.reduceat(vals, np.cumsum(counts) - counts, axis=-1)
 
 
-def _quadrature(pack):
-    """Measure integrating each row of pack(X), an (m, n) array."""
-    return lambda X, factors: _weigh(pack(X), factors).sum(axis=tuple(range(1, 1 + len(factors))))
+def _integrate(measure, rule: _Rule, level, members):
+    """measure on level `level` of the members' rules, and the points of each.
 
-
-def _integrate(measure, rule, level):
-    """measure(X, factors) on level `level` of `rule`, and the points spent."""
-    nodes = rule(level)
-    if nodes is None:
-        raise QuadratureError(f"quadrature did not converge in {level} levels")
-    return measure(*nodes), nodes[0].shape[0]
-
-
-def _refine(measure, rule, bound, level0=None, pts=0):
-    """Refine `rule` until measure(X, factors), an array, settles level to level.
-
-    Stops once every entry moves by at most bound(cur).  `level0` holds
-    level 0's measure if the caller already took it (it is not evaluated
-    again); `pts` counts points the caller already spent.  Returns the last
-    measure and the points spent.
+    measure(X, w, counts, members) returns one row per member; members go
+    through it in groups of at most _NODE_BUDGET nodes.
     """
-    prev = level0
-    for level in itertools.count(0 if level0 is None else 1):
-        cur, n = _integrate(measure, rule, level)
-        pts += n
-        if prev is not None and np.all(np.abs(cur - prev) <= bound(cur)):
-            return cur, pts
-        prev = cur
+    counts = rule.counts(level, members)
+    rows = [
+        measure(*rule.nodes(level, members[g]), counts[g], members[g])
+        for g in _groups(counts)
+    ]
+    return np.concatenate(rows), counts
+
+
+def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0):
+    """Refine every member's rule until its measure settles from level to level.
+
+    All pending members go through one level at a time.  A member stops at
+    the first level where no entry of its measure moves by more than
+    bound(cur) from the level before.  Members marked in `reuse` take their
+    row of `level0` as level 0 (those nodes are not evaluated again) and
+    join at level 1; `pts` counts points the caller already spent.
+    Returns the last measure of each member and its points.
+    """
+    m = rule.size
+    pts = np.zeros(m, dtype=np.int64) + pts
+    have = np.zeros(m, dtype=bool) if reuse is None else reuse.copy()
+    joins = have.astype(int)
+    last = None if level0 is None else np.array(level0, dtype=float)
+    done = np.zeros(m, dtype=bool)
+    for level in itertools.count(0):
+        if done.all():
+            return last, pts
+        members = np.nonzero(~done & (joins <= level))[0]
+        if members.size == 0:  # every member took level 0 from the caller
+            continue
+        cur, n = _integrate(measure, rule, level, members)
+        pts[members] += n
+        if last is None:
+            last = np.empty((m, *cur.shape[1:]))
+        moved = np.abs(cur - last[members]) <= bound(cur)
+        settled = have[members] & moved.reshape(members.size, -1).all(axis=1)
+        last[members] = cur
+        have[members] = True
+        done[members[settled]] = True
 
 
 def _relative(tol):
@@ -383,18 +509,30 @@ def _relative(tol):
     return lambda cur: 0.5 * tol * np.maximum(np.abs(cur), _FLOOR)
 
 
-def _start_radius(mixtures, tol) -> float:
-    """Where a radius search starts: max(truncation radii, s_max + 1)."""
-    radii = [truncation_radius(m.mixing.tag, m.dim, tol) for m in mixtures]
-    return max(*radii, max(float(m.mixing.radii.max()) for m in mixtures) + 1.0)
+def _start_radius(members, s_max, tol) -> np.ndarray:
+    """Where each member's radius search starts: max(truncation radii, s_max + 1).
+
+    members[i] lists the mixtures member i integrates, s_max[i] their
+    largest atom radius.
+    """
+    d = members[0][0].dim
+    radius = functools.cache(lambda tag: truncation_radius(tag, d, tol))
+    trunc = [max(radius(gm.mixing.tag) for gm in member) for member in members]
+    return np.maximum(trunc, np.asarray(s_max) + 1.0)
 
 
-def _search_radius(R, met) -> float:
-    """First of R, R + max(0.5, 0.04 R), ... that meets `met`; 400 misses raise."""
+def _search_radius(R, met) -> np.ndarray:
+    """Per member, the first of R, R + max(0.5, 0.04 R), ... that meets `met`.
+
+    met(R) tells, for radii R of every member, which of them meet their
+    target; once the member's 400th radius misses, CapabilityError is raised.
+    """
+    R = np.array(R, dtype=float)
     for _ in range(400):
-        if met(R):
+        grow = ~met(R)
+        if not grow.any():
             return R
-        R += max(0.5, 0.04 * R)
+        R[grow] += np.maximum(0.5, 0.04 * R[grow])
     raise CapabilityError("certified tail bound cannot reach the tolerance")
 
 
@@ -403,75 +541,123 @@ _BRENT_MAXITER = 100
 
 
 def brentq(f, a, b, xtol):
-    """A root of the scalar function f in [a, b], where f(a) and f(b) differ in sign.
+    """Roots of f in the brackets [a[i], b[i]], one Brent iteration for all at a time.
 
-    Brent's method (R. P. Brent, *Algorithms for Minimization Without
-    Derivatives*, 1973, ch. 4), step for step as in scipy's `brentq.c`:
-    relative tolerance 4 eps and at most 100 iterations; each step is the
-    secant or inverse-quadratic step when 2|s| < min(|s_prev|, 3|s_bisect| -
-    delta) and bisection otherwise, and moves by at least delta =
-    (xtol + rtol |x|) / 2.  The same f values give bitwise the same root.
-    An endpoint where f is 0 is returned as is.  Raises QuadratureError when
-    f(a) and f(b) share a sign, when f is NaN, or after 100 iterations.
+    f(x, which) returns f at x[j] for bracket which[j], for the brackets
+    still open.  Per bracket, Brent's method (R. P. Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 4) step for step as in
+    scipy's `brentq.c`: relative tolerance 4 eps and at most 100
+    iterations; each step is the secant or inverse-quadratic step when
+    2|s| < min(|s_prev|, 3|s_bisect| - delta) and bisection otherwise, and
+    moves by at least delta = (xtol + rtol |x|) / 2.  The same f values give
+    bitwise scipy's root.  An endpoint where f is 0 is returned as is.
+    Raises QuadratureError when f has one sign at both ends of a bracket,
+    when f is NaN, or when a bracket is still open after 100 iterations.
     """
 
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise QuadratureError(f"root search: f({x!r}) is NaN")
+    def value(x, which):
+        fx = np.asarray(f(x, which), dtype=float)
+        if np.isnan(fx).any():
+            raise QuadratureError(f"root search: f({float(x[np.isnan(fx)][0])!r}) is NaN")
         return fx
 
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise QuadratureError(f"root search: f has one sign at both ends of [{xpre!r}, {xcur!r}]")
-    xblk = fblk = spre = scur = 0.0
+    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
+    which = np.arange(xpre.size)
+    fpre, fcur = value(xpre, which), value(xcur, which)
+    roots = np.where(fpre == 0, xpre, xcur)
+    open_ = (fpre != 0) & (fcur != 0)
+    same = open_ & ((fpre < 0) == (fcur < 0))
+    if same.any():
+        j = np.argmax(same)
+        raise QuadratureError(
+            f"root search: f has one sign at both ends of [{float(xpre[j])!r}, {float(xcur[j])!r}]"
+        )
+    state = [v[open_] for v in (which, xpre, fpre, xcur, fcur)] + [np.zeros(open_.sum())] * 4
+    which, xpre, fpre, xcur, fcur, xblk, fblk, spre, scur = state
     for _ in range(_BRENT_MAXITER):
-        if (fpre < 0) != (fcur < 0):
-            # the root lies between xpre and xcur: they become the bracket
-            # (an fcur of 0 is returned just below either way)
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            # keep the end with the smaller |f| as the current iterate
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        # where the root lies between xpre and xcur, they become the bracket
+        flip = (fpre < 0) != (fcur < 0)
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre = scur = np.where(flip, xcur - xpre, spre)
+        # keep the end with the smaller |f| as the current iterate
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
-                else:  # inverse quadratic through all three points
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # an infinite step never passes the test below
-                pass
-        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        roots[which[done]] = xcur[done]
+        keep = ~done
+        which, xpre, fpre, xcur, fcur, xblk, fblk, spre, scur, delta, sbis = (
+            v[keep] for v in (which, xpre, fpre, xcur, fcur, xblk, fblk, spre, scur, delta, sbis)
+        )
+        if which.size == 0:
+            return roots
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # an infinite or NaN step (a zero divisor) never passes the test below
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, secant, quadratic)
+            interpolate = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            interpolate &= 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+        spre, scur = np.where(interpolate, scur, sbis), np.where(interpolate, stry, sbis)
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = value(xcur, which)
     raise QuadratureError(f"root search did not converge in {_BRENT_MAXITER} iterations")
 
 
-def _sign_change_splits(p: GaussianMixture, q: GaussianMixture, R: float) -> list[float]:
-    # locate roots of p - q so |p - q| is integrated piecewise-smoothly
-    grid = np.linspace(-R, R, 2049)
-    s = p.log_density(grid[:, None]) - q.log_density(grid[:, None])
-    f = lambda x: p.log_density(np.array([x])) - q.log_density(np.array([x]))
-    idx = np.nonzero(np.sign(s[:-1]) * np.sign(s[1:]) < 0)[0]
-    return [float(brentq(f, grid[i], grid[i + 1], xtol=1e-13)) for i in idx]
+_TV_GRID = 2049
+
+
+def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
+    """Roots of log p_i - log q_i in [-R[i], R[i]], where pair i's TV panels are cut.
+
+    On each pair's grid np.linspace(-R, R, 2049), a root is bracketed
+    between nodes where the log-ratio changes sign strictly, and found by
+    `brentq` to 1e-13.  A node where the log-ratio is exactly 0 is a root
+    itself when it starts a run of zeros and the nearest nonzero values on
+    either side have strictly opposite signs (a pair symmetric about 0 has
+    its root on the middle node); a pair with q = p has none.  Returns the
+    roots, pair after pair and ascending within a pair, and their count per
+    pair.
+    """
+    m = R.size
+    counts = np.full(m, _TV_GRID)
+    nodes = np.arange(_TV_GRID)
+    found = []  # per group: pair, node index, left end, right end (inf for a root on a node)
+    for g in _groups(counts):
+        members = np.arange(m)[g]
+        step = (R[g] - (-R[g])) / (_TV_GRID - 1)
+        grid = nodes * step[:, None] + (-R[g])[:, None]
+        grid[:, -1] = R[g]
+        X = grid.reshape(-1, 1)
+        sign = np.sign(
+            p_env.log_density(members, X, counts[g]) - q_env.log_density(members, X, counts[g])
+        ).reshape(members.size, _TV_GRID)
+        bi, bj = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+        # sign of the nearest nonzero value at or after each node (0 if none)
+        nxt = np.minimum.accumulate(np.where(sign != 0, nodes, _TV_GRID - 1)[:, ::-1], axis=1)
+        ahead = np.take_along_axis(sign, nxt[:, ::-1], axis=1)
+        ni, nj = np.nonzero((sign[:, 1:-1] == 0) & (sign[:, :-2] * ahead[:, 1:-1] < 0))
+        nj += 1
+        found.append((members[bi], bj + 0.5, grid[bi, bj], grid[bi, bj + 1]))
+        found.append((members[ni], nj, grid[ni, nj], np.full(ni.size, np.inf)))
+    pair, position, left, right = (np.concatenate(v) for v in zip(*found))
+    on_node = right == np.inf
+    bracket_pair = pair[~on_node]
+    roots = left.copy()
+    roots[~on_node] = brentq(
+        lambda x, which: p_env.log_density(bracket_pair[which], x[:, None], np.ones(which.size, dtype=int))
+        - q_env.log_density(bracket_pair[which], x[:, None], np.ones(which.size, dtype=int)),
+        left[~on_node],
+        right[~on_node],
+        xtol=1e-13,
+    )
+    roots = roots[np.lexsort((position, pair))]
+    return roots, np.bincount(pair, minlength=m)
 
 
 # -- main entry points ----------------------------------------------------------
@@ -485,56 +671,93 @@ def _require_certifiable(gm: GaussianMixture):
         )
 
 
+def _compute_pairs(kinds, pairs, tol, domain_radius=None, lam=None) -> list[dict]:
+    """Estimates of several kinds for each (p, q) of `pairs`, all in one d <= 3.
+
+    Every step runs as arrays over the pairs: the start radii, level 0 of
+    the rule there (which fixes the truncation targets), the radius search
+    with its tail bounds, the d = 1 TV splits, and the refinement, where
+    each pair stops at its own level and keeps its own radius, splits,
+    tails and point count.  A pair's estimates do not depend on the other
+    pairs (bitwise in d = 1; in d >= 2 the log-density kernel may round a
+    node differently in a block shared with other pairs).  `lam` is the
+    renyi power; `tol` defaults to `default_tol(d)`.
+    """
+    p_mix, q_mix = [p for p, _ in pairs], [q for _, q in pairs]
+    d = p_mix[0].dim
+    if any(gm.dim != d for gm in p_mix + q_mix):
+        raise ValueError(f"every mixture of a batch must have dimension {d}")
+    if tol is None:
+        tol = default_tol(d)
+    for gm in p_mix + q_mix:
+        _require_certifiable(gm)
+    p_env, q_env = _Envelope(p_mix), _Envelope(q_mix)
+    s_max = np.maximum(p_env.s_max, q_env.s_max)
+    start = _start_radius(pairs, s_max, tol)
+    everyone = np.arange(len(pairs))
+
+    def measure(X, w, counts, members):
+        logp = p_env.log_density(members, X, counts)
+        logq = q_env.log_density(members, X, counts)
+        vals = np.stack([_kind_values(k, logp, logq, lam) for k in kinds])
+        return _segment_sums(vals * w, counts).T
+
+    def tails(R):
+        return np.stack([_tail_bound(k, p_env, q_env, R, d, lam) for k in kinds], axis=1)
+
+    level0, reuse, pts0 = None, None, 0
+    if domain_radius is not None:
+        if np.any(domain_radius < s_max + _KAPPA_MIN):
+            raise HypothesisError(
+                f"domain_radius {domain_radius} must exceed the atom radius {s_max.max()}"
+            )
+        R = np.full(len(pairs), float(domain_radius))
+    else:
+        # level 0 of the rule at the start radius fixes the value scale for
+        # the truncation targets; where the radius stays, refinement reuses it
+        level0, pts0 = _integrate(measure, _Rule(d, start), 0, everyone)
+        targets = 0.5 * tol * np.maximum(np.abs(level0), _TRUNC_FLOOR)
+        R = _search_radius(start, lambda R: np.all(tails(R) <= targets, axis=1))
+        reuse = R == start
+    splits = None
+    if d == 1 and DivergenceKind.TV in kinds:
+        splits = _sign_change_splits(p_env, q_env, R)
+        if reuse is not None:
+            reuse &= splits[1] == 0
+    values, pts = _refine(measure, _Rule(d, R, splits), _relative(tol), level0, reuse, pts0)
+    return [
+        {k: IntegralEstimate(float(v), float(t), float(r), int(n)) for k, v, t in zip(kinds, vs, ts)}
+        for vs, ts, r, n in zip(values, tails(R), R, pts)
+    ]
+
+
+def _pair_chunks(pairs, tol) -> list[range]:
+    """Runs of consecutive pairs whose level-0 nodes fit _NODE_BUDGET (a larger pair alone).
+
+    The cut depends on the pairs and `tol` alone.
+    """
+    d = pairs[0][0].dim
+    if tol is None:
+        tol = default_tol(d)
+    s_max = [max(p.mixing.radii.max(), q.mixing.radii.max()) for p, q in pairs]
+    counts = _Rule(d, _start_radius(pairs, s_max, tol)).counts(0, np.arange(len(pairs)))
+    return [range(len(pairs))[g] for g in _groups(counts)]
+
+
 def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
-    """Shared-grid computation of several kinds for one pair; `lam` is the renyi power."""
+    """Several kinds for one pair: the one-pair case of `_compute_pairs` (Monte Carlo for d > 3)."""
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: p.dim={p.dim}, q.dim={q.dim}")
     d = p.dim
-    if tol is None:
-        tol = default_tol(d)
     if d > 3:
+        if tol is None:
+            tol = default_tol(d)
         if domain_radius is not None:
             raise CapabilityError(f"domain_radius needs certified quadrature (d <= 3), got d={d}")
         if not (0 < tol < 1):
             raise HypothesisError(f"tolerance must lie in (0, 1), got {tol}")
         return {k: _mc_divergence(k, p, q) for k in kinds}
-    _require_certifiable(p)
-    _require_certifiable(q)
-
-    p_env, q_env = _Envelope(p), _Envelope(q)
-    s_max = max(p_env.s_max, q_env.s_max)
-    start = R = _start_radius([p, q], tol)
-
-    def pack(X):
-        logp = p.log_density(X)
-        logq = q.log_density(X)
-        return np.stack([_kind_values(k, logp, logq, lam) for k in kinds])
-
-    # cached: the final radius's tails were already met by the search
-    tails_at = functools.cache(lambda R: [_tail_bound(k, p_env, q_env, R, d, lam) for k in kinds])
-    measure = _quadrature(pack)
-    level0, pts0 = None, 0
-    if domain_radius is not None:
-        if domain_radius < s_max + _KAPPA_MIN:
-            raise HypothesisError(
-                f"domain_radius {domain_radius} must exceed the atom radius {s_max}"
-            )
-        R = float(domain_radius)
-    else:
-        # level 0 of the rule at the start radius fixes the value scale for
-        # the truncation targets; if the radius stays, refinement reuses it
-        level0, pts0 = _integrate(measure, _rule(d, R), 0)
-        targets = 0.5 * tol * np.maximum(np.abs(level0), _TRUNC_FLOOR)
-        R = _search_radius(R, lambda R: all(t <= g for t, g in zip(tails_at(R), targets)))
-
-    splits = _sign_change_splits(p, q, R) if d == 1 and DivergenceKind.TV in kinds else ()
-    if splits or R != start:
-        level0 = None
-    values, pts = _refine(measure, _rule(d, R, splits), _relative(tol), level0, pts0)
-    return {
-        k: IntegralEstimate(float(v), float(t), R, int(pts))
-        for k, v, t in zip(kinds, values, tails_at(R))
-    }
+    return _compute_pairs(kinds, [(p, q)], tol, domain_radius, lam)[0]
 
 
 def divergence(kind, p: GaussianMixture, q: GaussianMixture, tol=None, domain_radius=None):
@@ -599,7 +822,7 @@ def _gram_h2(elements, tol) -> np.ndarray:
 
     One radius R serves every member: the radius search runs until the
     pair tail bound of the worst member, 2 max_i mass_tail_i(R), is at most
-    tol/2.  On each level of `_rule(d, R)` the square roots S_i = sqrt(p_i)
+    tol/2.  On each level of `_Rule(d, [R])` the square roots S_i = sqrt(p_i)
     at the nodes give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij
     (clipped at 0), which is int (sqrt(p_i) - sqrt(p_j))^2 over the ball.
     `_refine` stops once no entry moves by more than tol/2, so `tol` is an
@@ -615,10 +838,10 @@ def _gram_h2(elements, tol) -> np.ndarray:
     d = elements[0].dim
     if tol is None:
         tol = default_tol(d)
-    envs = [_Envelope(e) for e in elements]
+    env = _Envelope(elements)
     R = _search_radius(
-        _start_radius(elements, tol),
-        lambda R: 2.0 * max(env.mass_tail(R, d) for env in envs) <= 0.5 * tol,
+        _start_radius([elements], [env.s_max.max()], tol),
+        lambda R: 2.0 * env.mass_tail(R, d).max(keepdims=True) <= 0.5 * tol,
     )
 
     def content(i):
@@ -629,8 +852,7 @@ def _gram_h2(elements, tol) -> np.ndarray:
     members = [elements[i] for i in order]
     step = max(1, _GRAM_ENTRIES // n)
 
-    def measure(X, factors):
-        w = _weigh(np.ones(X.shape[0]), factors).ravel()  # the node weights, flat
+    def measure(X, w, counts, _):
         G = np.zeros((n, n))
         S = np.empty((n, min(step, X.shape[0])))
         for lo in range(0, X.shape[0], step):
@@ -641,9 +863,9 @@ def _gram_h2(elements, tol) -> np.ndarray:
             Sb[Sb < _GRAM_FLOOR] = 0.0
             G += (Sb * w[lo : lo + step]) @ Sb.T
         diag = np.diag(G)
-        return np.triu(np.maximum(diag[:, None] + diag[None, :] - 2.0 * G, 0.0), 1)
+        return np.triu(np.maximum(diag[:, None] + diag[None, :] - 2.0 * G, 0.0), 1)[None]
 
-    h2, _ = _refine(measure, _rule(d, R), lambda cur: 0.5 * tol)
+    h2 = _refine(measure, _Rule(d, R), lambda cur: 0.5 * tol)[0][0]
     h2 += h2.T
     position = np.argsort(order)
     return h2[np.ix_(position, position)]
@@ -675,17 +897,16 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
     if not (0 < tol < 1):
         raise HypothesisError(f"plancherel tolerance must lie in (0, 1), got {tol}")
 
-    def pack(X):
+    def measure(X, w, counts, _):
         t = X[:, 0]
         diff = characteristic_function(p, t) - characteristic_function(q, t)
-        return (diff.real**2 + diff.imag**2)[None, :]
+        return _segment_sums((diff.real**2 + diff.imag**2) * w, counts)[:, None]
 
-    measure = _quadrature(pack)
-    start = 6.0
-    level0, _ = _integrate(measure, _rule(1, start), 0)
-    scale = max(abs(float(level0[0])) / (2.0 * math.pi), _TRUNC_FLOOR)
+    start = np.array([6.0])
+    level0, _ = _integrate(measure, _Rule(1, start), 0, np.arange(1))
+    scale = max(abs(float(level0[0, 0])) / (2.0 * math.pi), _TRUNC_FLOOR)
     # two-sided tail of 4 e^{-t^2} beyond T is below 4 e^{-T^2} / T
     target = 0.5 * tol * scale * (2.0 * math.pi)
-    T = _search_radius(start, lambda T: 4.0 * math.exp(-T * T) / T <= target)
-    values, _ = _refine(measure, _rule(1, T), _relative(tol), level0 if T == start else None)
-    return float(values[0]) / (2.0 * math.pi)
+    T = _search_radius(start, lambda T: 4.0 * np.exp(-T * T) / T <= target)
+    values, _ = _refine(measure, _Rule(1, T), _relative(tol), level0, T == start)
+    return float(values[0, 0]) / (2.0 * math.pi)

@@ -16,16 +16,27 @@ product:
 so the logits are one GEMM with inner dimension d, `A @ X.T + c`, and
 -||x||^2 / 2 is subtracted once per point after the logsumexp.  They are
 held atom-major, (k, n), so the max and the sum over atoms are elementwise
-passes over contiguous rows of length n rather than n short reductions.
-The score is the softmax of the same logits applied to the atoms, minus x;
--||x||^2 / 2 cancels in the softmax and never enters.  Points are processed
-in blocks of _BLOCK, so no (k, n) temporary is larger than _BLOCK * k
-doubles whatever n is.  Class tags (Compact / Subgaussian /
-Unconstrained) record which tail certificates are available downstream.
+passes over contiguous rows of length n rather than n short reductions;
+the sum runs in atom order.  `segment_log_density` evaluates many mixtures
+at once: their atoms padded to a common count (log-weight -inf, so a pad
+adds an exact 0 after the real atoms and changes no sum), and the nodes in
+per-mixture segments.  In d >= 2 each mixture's part of a block of nodes
+is one GEMM.  In d = 1 the logits are a_j x + c_j elementwise, the atoms
+of each node's mixture gathered with `np.repeat` when a block spans
+several segments: the same products as the GEMM's, and several times
+faster than a GEMM with inner dimension 1.  `GaussianMixture.log_density`
+is the one-segment case.  The score is the softmax of the same logits
+applied to the atoms, minus x; -||x||^2 / 2 cancels in the softmax and
+never enters.  Points are processed in blocks of _BLOCK, so no (k, n)
+temporary is larger than _BLOCK * k doubles whatever n is.  Class tags
+(Compact / Subgaussian / Unconstrained) record which tail certificates
+are available downstream.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -103,15 +114,16 @@ class MixingDistribution:
         w = np.asarray(self.weights, dtype=float).ravel()
         if locs.ndim != 2 or locs.shape[0] < 1 or locs.shape[1] < 1:
             raise ValueError(f"locations must be a (k, d) array, got shape {locs.shape}")
-        if not np.all(np.isfinite(locs)):
+        if not np.isfinite(locs).all():
             raise ValueError("atom locations must be finite")
         if w.shape != (locs.shape[0],):
             raise ValueError(
                 f"weights shape {w.shape} does not match {locs.shape[0]} atoms"
             )
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("weights must be finite and strictly positive")
+        # a NaN fails the minimum test, an infinite weight makes the sum infinite
         total = w.sum()
+        if not (w.min() > 0 and math.isfinite(total)):
+            raise ValueError("weights must be finite and strictly positive")
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {total!r}, beyond tolerance {WEIGHT_TOL}")
         w = w / total
@@ -120,21 +132,15 @@ class MixingDistribution:
         w.setflags(write=False)
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "weights", w)
-        self._validate_tag()
-
-    def _validate_tag(self):
         tag = self.tag
         if isinstance(tag, Compact):
-            max_r = float(self.radii.max())
+            max_r = self.radii.max()
             if max_r > tag.M * (1.0 + _RADIUS_SLACK):
                 raise ValueError(
                     f"atom at radius {max_r} lies outside the Compact({tag.M}) ball"
                 )
-        elif isinstance(tag, Subgaussian):
-            if not subgaussian_check(self, tag.K):
-                raise ValueError(
-                    f"atoms violate the {tag.K}-subgaussian step-tail bound"
-                )
+        elif isinstance(tag, Subgaussian) and not subgaussian_check(self, tag.K):
+            raise ValueError(f"atoms violate the {tag.K}-subgaussian step-tail bound")
 
     @property
     def dim(self) -> int:
@@ -158,8 +164,12 @@ class GaussianMixture:
     def __init__(self, mixing: MixingDistribution):
         self.mixing = mixing
         self.dim = mixing.dim
-        locs = mixing.locations
-        self._const = (np.log(mixing.weights) - 0.5 * np.sum(locs * locs, axis=1))[:, None]
+
+    @cached_property
+    def _const(self) -> np.ndarray:
+        # c_j = log w_j - ||a_j||^2 / 2, the per-atom term of the logits
+        locs = self.mixing.locations
+        return np.log(self.mixing.weights) - 0.5 * np.sum(locs * locs, axis=1)
 
     @classmethod
     def from_atoms(cls, locations, weights=None, tag: ClassTag | None = None):
@@ -195,7 +205,7 @@ class GaussianMixture:
         # (k, n) array of log w_j - ||a_j||^2 / 2 + a_j . x, which is
         # log w_j - ||x - a_j||^2 / 2 shifted by ||x||^2 / 2 in each column
         logits = self.mixing.locations @ pts.T
-        logits += self._const
+        logits += self._const[:, None]
         return logits
 
     def _softmax_shifted(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,18 +222,9 @@ class GaussianMixture:
         Accepts a single point of shape (d,) or a batch of shape (n, d).
         """
         pts, single = self._as_points(x)
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], _BLOCK):
-            blk = pts[start : start + _BLOCK]
-            res = out[start : start + _BLOCK]
-            u, m = self._softmax_shifted(blk)
-            np.log(u.sum(axis=0), out=res)
-            res += m
-            sq = blk[:, 0] * blk[:, 0]
-            for i in range(1, self.dim):
-                sq += blk[:, i] * blk[:, i]
-            res -= 0.5 * sq
-        out -= 0.5 * self.dim * LOG_2PI
+        out = segment_log_density(
+            self.mixing.locations[None], self._const[None], pts, [pts.shape[0]]
+        )
         return float(out[0]) if single else out
 
     def score(self, x):
@@ -246,6 +247,65 @@ class GaussianMixture:
         return self.mixing.locations[idx] + rng.standard_normal((n, self.dim))
 
 
+def segment_log_density(locations, const, pts, counts) -> np.ndarray:
+    """Log-densities of m mixtures, each at its own segment of the nodes.
+
+    locations: (m, k, d) atoms, each mixture padded to k atoms with zeros
+               after its real atoms;
+    const:     (m, k) c_j = log w_j - ||a_j||^2 / 2 of each atom, -inf on a pad;
+    pts:       (n, d) nodes, the first counts[0] for mixture 0, the next
+               counts[1] for mixture 1, and so on (sum(counts) = n).
+    """
+    n, d = pts.shape
+    ends = list(itertools.accumulate(counts))
+    out = np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        blk = pts[lo : lo + _BLOCK]
+        hi = lo + blk.shape[0]
+        # mixtures first..last own the nodes of this block
+        first, last = bisect.bisect_right(ends, lo), bisect.bisect_right(ends, hi - 1)
+        # the block's mixtures without the pads that none of them needs
+        offsets = const[first : last + 1]
+        k = int(np.count_nonzero((offsets > -np.inf).any(axis=0)))
+        atoms, offsets = locations[first : last + 1, :k], offsets[:, :k]
+        if d > 1:
+            # one GEMM for each mixture's part of the block
+            parts = []
+            for j, i in enumerate(range(first, last + 1)):
+                a, b = max(ends[i] - counts[i], lo) - lo, min(ends[i], hi) - lo
+                part = atoms[j] @ blk[a:b].T
+                part += offsets[j][:, None]
+                parts.append(part)
+            logits = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        else:
+            # the atoms of each node's mixture times the node: the GEMM's
+            # own products, and several times faster than a GEMM of inner
+            # dimension 1
+            if first == last:
+                spread = np.transpose  # (1, k) -> (k, 1), broadcast over the nodes
+            else:
+                seg_ends = np.array(ends[first : last + 1])
+                held = np.minimum(seg_ends, hi) - np.maximum(seg_ends - counts[first : last + 1], lo)
+                spread = lambda rows: np.repeat(rows.T, held, axis=1)  # noqa: E731
+            logits = spread(atoms[:, :, 0]) * blk[:, 0]
+            logits += spread(offsets)
+        m = logits.max(axis=0)
+        logits -= m
+        np.exp(logits, out=logits)
+        res = out[lo:hi]
+        total = logits[0]
+        for row in logits[1:]:
+            total += row
+        np.log(total, out=res)
+        res += m
+        sq = blk[:, 0] * blk[:, 0]
+        for i in range(1, d):
+            sq += blk[:, i] * blk[:, i]
+        res -= 0.5 * sq
+    out -= 0.5 * d * LOG_2PI
+    return out
+
+
 def subgaussian_check(m: MixingDistribution, K: float) -> bool:
     """Step-tail subgaussian test at level K.
 
@@ -256,14 +316,14 @@ def subgaussian_check(m: MixingDistribution, K: float) -> bool:
     """
     if not (K > 0):
         raise HypothesisError(f"subgaussian level must be positive, got K={K}")
-    radii = m.radii
-    for s in np.unique(radii):
-        if s <= 0:
-            continue
-        tail = float(m.weights[radii >= s].sum())
-        if math.log(tail) > -s * s / (2.0 * K * K) + _RADIUS_SLACK:
-            return False
-    return True
+    # atoms by decreasing radius; the tail at radius s is the cumulative
+    # weight at the last atom of radius s
+    order = np.argsort(-m.radii, kind="stable")
+    radii = m.radii[order]
+    tails = np.cumsum(m.weights[order])
+    last = np.append(radii[1:] != radii[:-1], True) & (radii > 0)
+    s = radii[last]
+    return bool(np.all(np.log(tails[last]) <= -s * s / (2.0 * K * K) + _RADIUS_SLACK))
 
 
 @dataclass(frozen=True)

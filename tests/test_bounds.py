@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -237,13 +238,27 @@ class TestSweeps:
         assert rep.ordering_failures == 0
         assert len(rep.instances) == 25
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_thread_invariant(self, tmp_path):
         fam = InstanceFamily(Compact(2.0), d=1)
         a = verify_sweep(BoundId.Thm1, fam, 15, seed=3, threads=1)
         b = verify_sweep(BoundId.Thm1, fam, 15, seed=3, threads=4)
         for x, y in zip(a.instances, b.instances):
             assert x.lhs == y.lhs and x.rhs == y.rhs
             assert x.ratio == y.ratio or (math.isnan(x.ratio) and math.isnan(y.ratio))
+        # whole reports, byte for byte, across thread counts and a rerun; the
+        # sweeps span several chunks, so the pool has chunks to spread
+        cases = [
+            (BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1), 300),
+            (BoundId.Thm1, InstanceFamily(Compact(2.0), d=2), 12),
+        ]
+        for bound, family, n in cases:
+            assert len(bounds._pair_chunks([make_pair(3, i, family) for i in range(n)], None)) > 1
+            texts = []
+            for threads in (1, 2, 4, 1):
+                path = tmp_path / f"{bound.value}_{threads}.csv"
+                verify_sweep(bound, family, n, seed=3, threads=threads).write_csv(path)
+                texts.append(path.read_bytes())
+            assert texts[1:] == texts[:-1]
 
     def test_degenerate_pair_passes_by_slack(self):
         fam = InstanceFamily(Compact(2.0), d=1)
@@ -253,7 +268,7 @@ class TestSweeps:
 
     def test_family_hypothesis_checked(self, monkeypatch):
         integrated = []
-        monkeypatch.setattr(bounds, "_compute_divergences", lambda *a, **k: integrated.append(a))
+        monkeypatch.setattr(bounds, "_compute_pairs", lambda *a, **k: integrated.append(a))
         cases = [
             (BoundId.Thm1, Compact(1.0), 1, "M >= 2"),
             (BoundId.Thm2, Compact(0.5), 1, "M >= 1"),
@@ -305,6 +320,31 @@ class TestSweeps:
         p2, q2 = make_pair(9, 4, fam)
         assert np.array_equal(p1.mixing.locations, p2.mixing.locations)
         assert np.array_equal(q1.mixing.weights, q2.mixing.weights)
+
+    # sha256 of every (locations, weights, tag) that make_pair draws for seeds
+    # 0-2 and i < 60: a faster sampler or validation must keep the draws
+    SAMPLER_DIGESTS = {
+        (Compact(1.0), 1): "a391a75e8df4809bb6f766ac9fa2e0cd0fe693acf9c6b970586f264bd8f00e3e",
+        (Compact(1.0), 2): "35c01357bbc8c93671aa8272347fb58d4cbef0a64dee998de392ad8f43bb5be9",
+        (Compact(2.0), 1): "a86cd09dee7111323feb6d6874aea9db1c1dc51e4df64d546fc1ae7bad717f6c",
+        (Compact(2.0), 2): "453e54f6cefa227e69e2f0ed0d04ffbd082075fa84634f8edacac3c7b9b42a28",
+        (Subgaussian(0.5), 1): "9957e957b2bbc740c418aaa8414c851fe69fbc9713435a7d5d63f4a1bbb18bd9",
+        (Subgaussian(0.5), 2): "cfe2454fe5f98fc1462438cc3781df2d7ce0a8975fa05756cab6623a1bf396e7",
+        (Subgaussian(2.0), 1): "22708c6fe2c6da00ab0413ea77be657f3892e34bfe9808c2119e3a9fc832418e",
+        (Subgaussian(2.0), 2): "b4edf2d2adcddae1b5bc70603535c25a60df3747c30bd2e55abf74073b3c6272",
+    }
+
+    @pytest.mark.parametrize("tag, d", list(SAMPLER_DIGESTS), ids=lambda v: repr(v))
+    def test_make_pair_draws_pinned(self, tag, d):
+        h = hashlib.sha256()
+        for seed in range(3):
+            for i in range(60):
+                for gm in make_pair(seed, i, InstanceFamily(tag, d)):
+                    m = gm.mixing
+                    h.update(m.locations.tobytes())
+                    h.update(m.weights.tobytes())
+                    h.update(repr(m.tag).encode())
+        assert h.hexdigest() == self.SAMPLER_DIGESTS[tag, d]
 
     def test_subgaussian_sampler_always_valid(self):
         rng = np.random.default_rng(0)

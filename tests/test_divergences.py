@@ -19,13 +19,21 @@ from gmdiv import (
     characteristic_function,
     default_tol,
     divergence,
+    gaussian_radial_tail,
     plancherel_l2,
     renyi_integral,
     truncation_radius,
 )
 from gmdiv import divergences
 from gmdiv.bounds import InstanceFamily, make_pair
-from gmdiv.divergences import _Envelope, _compute_divergences, _start_radius, _tail_bound
+from gmdiv.divergences import (
+    _Envelope,
+    _compute_divergences,
+    _compute_pairs,
+    _sign_change_splits,
+    _start_radius,
+    _tail_bound,
+)
 from gmdiv.mixtures import LOG_2PI
 from conftest import random_compact, single_gaussian
 
@@ -188,13 +196,14 @@ class TestEstimateContracts:
         p = single_gaussian([0.0] * d, M=3.0)
         q = single_gaussian([1.0] + [0.0] * (d - 1), M=3.0)
         calls = []
-        original = GaussianMixture.log_density
+        original = divergences.segment_log_density
 
-        def spy(gm, x):
-            calls.append((gm is p, len(x), x.tobytes()))
-            return original(gm, x)
+        def spy(locations, const, pts, counts):
+            # p is the mixture with its one atom at the origin
+            calls.append((not locations.any(), len(pts), pts.tobytes()))
+            return original(locations, const, pts, counts)
 
-        monkeypatch.setattr(GaussianMixture, "log_density", spy)
+        monkeypatch.setattr(divergences, "segment_log_density", spy)
         est = divergence(DivergenceKind.HellingerSq, p, q)
         assert est.domain_radius == truncation_radius(Compact(3.0), d, default_tol(d))
         assert len(calls) == len(set(calls))
@@ -331,16 +340,18 @@ class TestRadiusSearch:
         assert self.replayed_steps(p, q, R_final) > 0
 
     def test_gives_up_after_400_unmet_radii(self):
+        # every member of a batch gets 400 radii; one that meets none raises
         seen = []
 
-        def never(R):
-            seen.append(R)
-            return False
+        def never_second(R):
+            seen.append(R[1])
+            return np.array([True, False])
 
         with pytest.raises(CapabilityError):
-            divergences._search_radius(3.0, never)
+            divergences._search_radius([3.0, 3.0], never_second)
         assert len(seen) == 400
-        assert divergences._search_radius(3.0, lambda R: R >= seen[-1]) == seen[-1]
+        met = divergences._search_radius([3.0, 3.0], lambda R: R >= [3.0, seen[-1]])
+        assert met.tolist() == [3.0, seen[-1]]
 
 
 def _chi2_tail_written_out(p_env, q_env, R, d):
@@ -378,13 +389,46 @@ class TestTailBounds:
     )
     def test_chi2_tail_is_renyi2_tail_plus_mass_tail(self, seed, d, M, step):
         rng = np.random.default_rng(seed)
-        p_env = _Envelope(random_compact(rng, M=M, d=d))
-        q_env = _Envelope(random_compact(rng, M=M, d=d))
-        R = max(p_env.s_max, q_env.s_max) + step
+        p, q = random_compact(rng, M=M, d=d), random_compact(rng, M=M, d=d)
+        p_env, q_env = _Envelope([p]), _Envelope([q])
+        R = np.array([max(p_env.s_max[0], q_env.s_max[0]) + step])
         chi2 = _tail_bound(DivergenceKind.ChiSq, p_env, q_env, R, d)
         renyi2 = _tail_bound("renyi", p_env, q_env, R, d, lam=2.0)
-        assert chi2 == renyi2 + q_env.mass_tail(R, d)
-        assert chi2 == _chi2_tail_written_out(p_env, q_env, R, d)
+        assert chi2[0] == renyi2[0] + q_env.mass_tail(R, d)[0]
+        # the per-atom loop in scalar math rounds exp and pow on its own
+        written = _chi2_tail_written_out(_ScalarEnvelope(p), _ScalarEnvelope(q), R[0], d)
+        assert chi2[0] == pytest.approx(written, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), step=st.floats(0.0, 15.0))
+    def test_padded_rows_match_each_mixture_alone(self, seed, step):
+        # padding a mixture with weight-0 atoms changes no bit of any tail
+        rng = np.random.default_rng(seed)
+        ps = [random_compact(rng, M=2.0, d=1) for _ in range(5)]
+        qs = [random_compact(rng, M=2.0, d=1) for _ in range(5)]
+        p_env, q_env = _Envelope(ps), _Envelope(qs)
+        R = np.maximum(p_env.s_max, q_env.s_max) + step
+        for kind in (*ALL_KINDS, "renyi"):
+            batch = _tail_bound(kind, p_env, q_env, R, 1, lam=3.0)
+            alone = [_tail_bound(kind, _Envelope([p]), _Envelope([q]), R[i : i + 1], 1, 3.0)[0]
+                     for i, (p, q) in enumerate(zip(ps, qs))]
+            assert batch.tolist() == alone
+
+
+class _ScalarEnvelope:
+    """One mixture's atoms with the scalar tail helpers, for the written-out check."""
+
+    def __init__(self, gm):
+        self.weights, self.radii = gm.mixing.weights, gm.mixing.radii
+        self.logw = np.log(self.weights)
+        self.s_max = float(self.radii.max())
+
+    def mass_tail(self, R, d):
+        return float(sum(w * gaussian_radial_tail(R - s, d) for w, s in zip(self.weights, self.radii)))
+
+    def anchor(self, R):
+        j = int(np.argmax(self.logw - 0.5 * (R + self.radii) ** 2))
+        return float(self.radii[j]), float(self.logw[j])
 
 
 class TestRenyiIntegral:
@@ -494,39 +538,144 @@ class TestBrentq:
     ]
 
     def test_matches_scipy_on_sign_change_brackets(self, monkeypatch):
-        # every bracket `_sign_change_splits` finds on its 2049-point grid,
-        # with the f it passes: the port's root is scipy's, bit for bit
-        port, pairs = divergences.brentq, []
+        # every bracket `_sign_change_splits` finds on its 2049-point grids,
+        # with the f it passes, taken one bracket at a time by scipy: the
+        # vectorized port's root is scipy's, bit for bit
+        port, seen = divergences.brentq, []
 
         def both(f, a, b, xtol):
-            root = port(f, a, b, xtol=xtol)
-            pairs.append((root, scipy_brentq(f, a, b, xtol=xtol)))
-            return root
+            roots = port(f, a, b, xtol=xtol)
+            for i, root in enumerate(roots):
+                one = lambda x, i=i: float(f(np.array([x]), np.array([i]))[0])
+                seen.append((root, scipy_brentq(one, a[i], b[i], xtol=xtol)))
+            return roots
 
         monkeypatch.setattr(divergences, "brentq", both)
         for family in self.FAMILIES:
-            for i in range(50):
-                p, q = make_pair(7, i, family)
-                divergences._sign_change_splits(p, q, _start_radius([p, q], default_tol(1)))
-        assert len(pairs) >= 200
-        assert all(root == expected for root, expected in pairs)
+            pairs = [make_pair(7, i, family) for i in range(50)]
+            p_env, q_env = _Envelope([p for p, _ in pairs]), _Envelope([q for _, q in pairs])
+            R = _start_radius(pairs, np.maximum(p_env.s_max, q_env.s_max), default_tol(1))
+            _sign_change_splits(p_env, q_env, R)
+        assert len(seen) >= 200
+        assert all(root == expected for root, expected in seen)
+
+    @staticmethod
+    def line(x, which):
+        return x - 0.5
 
     @pytest.mark.parametrize("a, b", [(0.5, 2.0), (-1.0, 0.5)])
     def test_endpoint_root_returned(self, a, b):
-        f = lambda x: x - 0.5
-        assert divergences.brentq(f, a, b, xtol=1e-13) == 0.5 == scipy_brentq(f, a, b, xtol=1e-13)
+        root = divergences.brentq(self.line, [a, 0.0], [b, 1.25], xtol=1e-13)
+        assert root[0] == 0.5 == scipy_brentq(lambda x: x - 0.5, a, b, xtol=1e-13)
+        assert root[1] == scipy_brentq(lambda x: x - 0.5, 0.0, 1.25, xtol=1e-13)
 
     def test_same_sign_raises(self):
+        # one bracket without a sign change fails the call, whatever the others hold
+        f = lambda x, which: np.where(which == 1, x * x + 1.0, x)
         with pytest.raises(QuadratureError, match="one sign"):
-            divergences.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13)
+            divergences.brentq(f, [-1.0, -1.0], [1.0, 1.0], xtol=1e-13)
 
     def test_nan_raises(self):
-        f = lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5
+        f = lambda x, which: np.where((0.0 < x) & (x < 1.0), math.nan, x - 0.5)
         with pytest.raises(QuadratureError, match="NaN"):
-            divergences.brentq(f, 0.0, 1.0, xtol=1e-13)
+            divergences.brentq(f, [0.0], [1.0], xtol=1e-13)
 
     def test_no_convergence_raises(self):
         # a step function over [0, 1e300] needs about a thousand halvings
-        f = lambda x: -1.0 if x < 0.3 else 1.0
+        f = lambda x, which: np.where(x < 0.3, -1.0, 1.0)
         with pytest.raises(QuadratureError, match="100 iterations"):
-            divergences.brentq(f, 0.0, 1e300, xtol=1e-13)
+            divergences.brentq(f, [0.0, 0.0], [1e300, 1.0], xtol=1e-13)
+
+
+class TestSignChangeSplits:
+    @staticmethod
+    def splits(p, q, R=8.0):
+        roots, counts = _sign_change_splits(_Envelope([p]), _Envelope([q]), np.array([R]))
+        assert counts.tolist() == [roots.size]
+        return roots.tolist()
+
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    def test_root_on_a_grid_node(self, a):
+        # a pair symmetric about 0 has its root on the middle node of
+        # linspace(-R, R, 2049), where the log-ratio is exactly 0; the
+        # search once missed it (the sign product there is 0, not < 0)
+        p, q = single_gaussian(a, M=2.0), single_gaussian(-a, M=2.0)
+        assert self.splits(p, q) == [0.0]
+        # cut there, the kink no longer sits inside a panel
+        assert divergence(DivergenceKind.TV, p, q).quadrature_points == 624
+
+    def test_identical_pair_has_no_splits(self, rng):
+        p = random_compact(rng, M=2.0, d=1)
+        assert self.splits(p, p) == []
+        # the sweep instances with q = p (index 1 mod 50) likewise
+        p, q = make_pair(3, 51, InstanceFamily(Compact(2.0), 1))
+        assert self.splits(p, q) == []
+
+    def test_roots_ascend_within_each_pair(self):
+        pairs = [make_pair(5, i, InstanceFamily(Compact(2.0), 1)) for i in range(30)]
+        roots, counts = _sign_change_splits(
+            _Envelope([p for p, _ in pairs]), _Envelope([q for _, q in pairs]), np.full(30, 9.0)
+        )
+        assert counts.sum() == roots.size and counts.max() >= 2
+        for (p, q), own in zip(pairs, np.split(roots, np.cumsum(counts)[:-1])):
+            assert own.tolist() == sorted(own.tolist()) == self.splits(p, q, 9.0)
+
+
+class TestBatchedDriver:
+    """A pair's estimates do not depend on the batch it is computed in."""
+
+    FAMILIES = [
+        InstanceFamily(Compact(1.0), 1),
+        InstanceFamily(Compact(2.0), 1),
+        InstanceFamily(Subgaussian(0.5), 1),
+        InstanceFamily(Subgaussian(2.0), 1),
+    ]
+
+    @staticmethod
+    def check(kinds, pairs, rel=0.0, **kwargs):
+        batch = _compute_pairs(kinds, pairs, **kwargs)
+        assert len(batch) == len(pairs)
+        for (p, q), got in zip(pairs, batch):
+            alone = _compute_pairs(kinds, [(p, q)], **kwargs)[0]
+            for kind in kinds:
+                a, b = got[kind], alone[kind]
+                assert a.domain_radius == b.domain_radius
+                assert a.quadrature_points == b.quadrature_points
+                if rel == 0.0:
+                    assert a == b
+                else:
+                    assert a.value == pytest.approx(b.value, rel=rel, abs=0.0)
+                    assert a.truncation_bound == pytest.approx(b.truncation_bound, rel=rel)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=repr)
+    def test_d1_every_kind_bitwise(self, family):
+        pairs = [make_pair(4, i, family) for i in range(40)]
+        self.check(ALL_KINDS, pairs, tol=None)
+
+    @pytest.mark.parametrize("family", FAMILIES[:2], ids=repr)
+    def test_d1_renyi_bitwise(self, family):
+        pairs = [make_pair(4, i, family) for i in range(40)]
+        self.check(["renyi"], pairs, tol=None, lam=3.0)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=repr)
+    def test_d1_fixed_domain_radius_bitwise(self, family):
+        pairs = [make_pair(4, i, family) for i in range(40)]
+        self.check(ALL_KINDS, pairs, tol=None, domain_radius=10.0)
+
+    def test_d2_pairs_within_rounding(self):
+        pairs = [make_pair(4, i, InstanceFamily(Compact(2.0), 2)) for i in range(6)]
+        kinds = [DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq, DivergenceKind.L2Sq]
+        self.check(kinds, pairs, rel=1e-13, tol=None)
+
+    def test_d3_pairs_within_rounding(self):
+        pairs = [make_pair(4, i, InstanceFamily(Compact(2.0), 3)) for i in (2, 3)]
+        self.check([DivergenceKind.KL, DivergenceKind.HellingerSq], pairs, rel=1e-13, tol=1e-4)
+
+    def test_mixed_dimensions_rejected(self):
+        pairs = [(single_gaussian(0.5), single_gaussian(0.0)), (single_gaussian([0.5, 0.0]), single_gaussian([0.0, 0.0]))]
+        with pytest.raises(ValueError, match="dimension"):
+            _compute_pairs(ALL_KINDS, pairs, None)
+
+    def test_one_pair_is_compute_divergences(self, rng):
+        p, q = random_compact(rng, M=2.0, d=1), random_compact(rng, M=2.0, d=1)
+        assert _compute_pairs(ALL_KINDS, [(p, q)], None)[0] == _compute_divergences(ALL_KINDS, p, q)

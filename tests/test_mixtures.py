@@ -235,6 +235,20 @@ class TestMixingDistributionValidation:
         with pytest.raises(ValueError):
             MixingDistribution(np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_locations(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MixingDistribution(np.array([[0.0], [bad]]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MixingDistribution(np.array([[0.0], [1.0]]), np.array([bad, 0.5]))
+
+    def test_rejects_weights_shape_mismatch(self):
+        with pytest.raises(ValueError, match="does not match"):
+            MixingDistribution(np.array([[0.0], [1.0]]), np.array([0.2, 0.3, 0.5]))
+
     def test_compact_atom_outside_ball_rejected(self):
         with pytest.raises(ValueError, match="Compact"):
             MixingDistribution(np.array([[3.0]]), np.array([1.0]), Compact(2.0))
