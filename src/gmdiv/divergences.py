@@ -138,10 +138,13 @@ def truncation_radius(tag, d: int, tol: float) -> float:
 
 
 def gaussian_radial_tail(t, d: int):
-    """Certified upper bound on P[||Z_d|| > t] for standard Gaussian Z_d, elementwise in t."""
-    if d not in _SURFACE:
-        raise CapabilityError(f"no radial tail bound for d={d}")
+    """Certified upper bound on P[||Z_d|| > t] for standard Gaussian Z_d, elementwise in t.
+
+    1.0 where t <= 0, in any d; CapabilityError for t > 0 and d not in {1, 2, 3}.
+    """
     t = np.asarray(t, dtype=float)
+    if d not in _SURFACE and np.any(t > 0):
+        raise CapabilityError(f"no radial tail bound for d={d}")
     bound = np.exp(-0.5 * t * t)
     if d == 3:
         u = np.where(t > 0, t, 1.0)
@@ -334,11 +337,11 @@ _MAX_POINTS = 6_000_000
 _NODE_BUDGET = 1 << 13
 
 
-def _groups(counts, budget=_NODE_BUDGET) -> list[slice]:
-    """Consecutive runs of members whose counts sum to at most budget; a larger member alone."""
+def _groups(counts) -> list[slice]:
+    """Consecutive runs of members with at most _NODE_BUDGET nodes in all; a larger one alone."""
     groups, lo, total = [], 0, 0
     for i, c in enumerate(counts):
-        if i > lo and total + c > budget:
+        if i > lo and total + c > _NODE_BUDGET:
             groups.append(slice(lo, i))
             lo, total = i, 0
         total += c
@@ -630,9 +633,7 @@ def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
     found = []  # per group: pair, node index, left end, right end (inf for a root on a node)
     for g in _groups(counts):
         members = np.arange(m)[g]
-        step = (R[g] - (-R[g])) / (_TV_GRID - 1)
-        grid = nodes * step[:, None] + (-R[g])[:, None]
-        grid[:, -1] = R[g]
+        grid = np.linspace(-R[g], R[g], _TV_GRID, axis=1)
         X = grid.reshape(-1, 1)
         sign = np.sign(
             p_env.log_density(members, X, counts[g]) - q_env.log_density(members, X, counts[g])

@@ -269,7 +269,8 @@ def segment_log_density(locations, const, pts, counts) -> np.ndarray:
         k = int(np.count_nonzero((offsets > -np.inf).any(axis=0)))
         atoms, offsets = locations[first : last + 1, :k], offsets[:, :k]
         if d > 1:
-            # one GEMM for each mixture's part of the block
+            # one GEMM for each mixture's part of the block (the gather
+            # below, summed over d coordinates, is slower here)
             parts = []
             for j, i in enumerate(range(first, last + 1)):
                 a, b = max(ends[i] - counts[i], lo) - lo, min(ends[i], hi) - lo

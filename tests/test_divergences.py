@@ -355,7 +355,12 @@ class TestRadiusSearch:
 
 
 def _chi2_tail_written_out(p_env, q_env, R, d):
-    """The chi^2 certificate as its own per-atom loop, for cross-checking."""
+    """The chi^2 certificate as its own per-atom loop, for cross-checking.
+
+    R is a 1-element array, so every step runs the same numpy ufuncs as the
+    batched code (np.exp, and ** on arrays, where x**2 is x*x) and the two
+    agree bit for bit.
+    """
     if R < max(p_env.s_max, q_env.s_max) + 0.25:
         return math.inf
     t0, logv0 = q_env.anchor(R)
@@ -374,12 +379,23 @@ def _chi2_tail_written_out(p_env, q_env, R, d):
         for m, c in enumerate(ru):
             fact *= max(m, 1)
             moments += c * fact / kappa ** (m + 1)
-        total += w * math.exp(log_c) * moments
+        total += w * np.exp(log_c) * moments
     norm = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d] * math.exp(-0.5 * d * LOG_2PI)
-    return norm * total + q_env.mass_tail(R, d)
+    return float((norm * total + q_env.mass_tail(R, d))[0])
 
 
 class TestTailBounds:
+    def test_radial_tail_scalar_contract_and_arrays(self):
+        # t <= 0 is 1.0 in any d; t > 0 needs d in {1, 2, 3}; arrays go elementwise
+        assert gaussian_radial_tail(0.0, 7) == 1.0 and gaussian_radial_tail(-2.0, 4) == 1.0
+        with pytest.raises(CapabilityError):
+            gaussian_radial_tail(0.5, 4)
+        t = np.array([-1.0, 0.0, 0.3, 1.0, 2.5, 9.0])
+        for d in (1, 2, 3):
+            assert isinstance(gaussian_radial_tail(2.5, d), float)
+            assert gaussian_radial_tail(t, d).tolist() == [gaussian_radial_tail(x, d) for x in t]
+        assert gaussian_radial_tail(2.5, 1) == pytest.approx(math.exp(-0.5 * 2.5 * 2.5), rel=1e-15)
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -395,9 +411,7 @@ class TestTailBounds:
         chi2 = _tail_bound(DivergenceKind.ChiSq, p_env, q_env, R, d)
         renyi2 = _tail_bound("renyi", p_env, q_env, R, d, lam=2.0)
         assert chi2[0] == renyi2[0] + q_env.mass_tail(R, d)[0]
-        # the per-atom loop in scalar math rounds exp and pow on its own
-        written = _chi2_tail_written_out(_ScalarEnvelope(p), _ScalarEnvelope(q), R[0], d)
-        assert chi2[0] == pytest.approx(written, rel=1e-13, abs=0.0)
+        assert chi2[0] == _chi2_tail_written_out(_LoopEnvelope(p), _LoopEnvelope(q), R, d)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), step=st.floats(0.0, 15.0))
@@ -415,20 +429,20 @@ class TestTailBounds:
             assert batch.tolist() == alone
 
 
-class _ScalarEnvelope:
-    """One mixture's atoms with the scalar tail helpers, for the written-out check."""
+class _LoopEnvelope:
+    """One mixture's atoms and per-atom tail helpers on a 1-element R, for the written-out check."""
 
     def __init__(self, gm):
         self.weights, self.radii = gm.mixing.weights, gm.mixing.radii
         self.logw = np.log(self.weights)
-        self.s_max = float(self.radii.max())
+        self.s_max = self.radii.max(keepdims=True)
 
     def mass_tail(self, R, d):
-        return float(sum(w * gaussian_radial_tail(R - s, d) for w, s in zip(self.weights, self.radii)))
+        return sum(w * gaussian_radial_tail(R - s, d) for w, s in zip(self.weights, self.radii))
 
     def anchor(self, R):
-        j = int(np.argmax(self.logw - 0.5 * (R + self.radii) ** 2))
-        return float(self.radii[j]), float(self.logw[j])
+        j = np.argmax(self.logw - 0.5 * (R + self.radii) ** 2, keepdims=True)
+        return self.radii[j], self.logw[j]
 
 
 class TestRenyiIntegral:
