@@ -27,29 +27,37 @@ Kinds and their tail treatment:
 d in {1, 2, 3} uses certified quadrature: one driver (`_refine`) refines a
 nested tensor-product rule (`_Rule`: 1-d Gauss-Legendre panels, cut at the
 sign changes of p - q for TV; radial panels x angular rule for d in {2, 3})
-on a ball sized by one radius search (`_search_radius`).  Both run on a
-batch of members at once, as arrays over members: `_compute_pairs` takes a
-list of pairs, pads their atoms to the largest count (`_Envelope`: weight
-0, log-weight -inf), and runs the start radii, the level-0 pass, the radius
-search with every tail bound, the TV splits and the refinement level by
-level over all pairs still pending; each pair stops at its own level and
-keeps its own radius, splits, tails and point count.  Within a level the
-pending members are evaluated in groups of consecutive members with at
-most _NODE_BUDGET nodes (a larger member alone, in the log-density
-kernel's blocks), so no temporary grows with the batch; sweeps cut their
-pairs into chunks by the same budget.  One pair (`_compute_divergences`,
-`divergence`, `renyi_integral`), the Gram pass of the Hellinger table and
-`plancherel_l2` are one-member batches of the same driver.  In d = 1 the TV
-sign changes are the roots of log p - log q, bracketed on a 2049-node grid
-per pair and found by `brentq`, a vectorized port of Brent's method that
-iterates every bracket at once, takes scipy's steps and returns its roots
-bit for bit, so the package needs numpy alone.  d > 3 falls back to seeded
-importance-sampling Monte Carlo where `truncation_bound` reports a 95%
-confidence half-width instead of a hard bound.
+on a ball sized by one radius search (`_search_radius`).  In d in {2, 3}
+`_refine` refines one axis at a time: the radius on the coarsest angular
+rule until one more radial level moves no value by more than the stopping
+bound, then, at the coarser of those two radial levels, the angle until
+one more angular level does the same.  So the radial step is judged on the
+coarsest angular rule, and no level pair is evaluated twice.  Both run on
+a batch of members at once, as arrays over members: `_compute_pairs` takes
+a list of pairs, pads their atoms to the largest count (`_Envelope`:
+weight 0, log-weight -inf), and runs the start radii, the level-0 pass,
+the radius search with every tail bound, the TV splits and the refinement
+round by round over all pairs still pending, each at its own level pair;
+each pair stops at its own levels and keeps its own radius, splits, tails
+and point count.  Within a round the pending members are evaluated in
+groups of consecutive members with at most _NODE_BUDGET nodes (a larger
+member alone, in the log-density kernel's blocks), so no temporary grows
+with the batch; sweeps cut their pairs into chunks by the same budget.
+One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
+Gram pass of the Hellinger table and `plancherel_l2` are one-member
+batches of the same `_refine`.  In d = 1 the TV sign changes are the roots
+of log p - log q, bracketed on a 2049-node grid per pair and found by
+`brentq`, a vectorized port of Brent's method that iterates every bracket
+at once, takes scipy's steps and returns its roots bit for bit, so the
+package needs numpy alone.  d > 3 falls back to seeded importance-sampling
+Monte Carlo where `truncation_bound` reports a 95% confidence half-width
+instead of a hard bound.
 
 `tol` is a relative target: refinement stops when successive levels differ
 by less than tol/2 relative to the current value, and the domain grows
-until the certified tail bound is below tol/2 of the value scale.
+until the certified tail bound is below tol/2 of the value scale.  The
+quadrature error is that successive-level estimate only; it is not
+certified.
 """
 
 from __future__ import annotations
@@ -325,9 +333,10 @@ def _kind_values(kind, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarr
 
 # -- quadrature driver ----------------------------------------------------------
 
-# Level caps of the nested rules: d = 1 doubles its panels at most 14 times;
-# d in {2, 3} refines radius and angle together at most 7 times, and never
-# past _MAX_POINTS nodes in one level.
+# Level caps of the nested rules, per axis: d = 1 doubles its panels at most
+# 14 times; d in {2, 3} refines the radial panels at most 7 times and the
+# angular rule at most 7 times, and never past _MAX_POINTS nodes of one
+# member.
 _MAX_LEVELS = {1: 14, 2: 7, 3: 7}
 _MAX_POINTS = 6_000_000
 
@@ -387,13 +396,16 @@ class _Rule:
 
     Each member owns cut panels [lo, hi]: in d = 1, [-R, R] cut at the
     member's splits (ascending, `counts[i]` of them for member i); in d in
-    {2, 3}, the radial interval [0, R].  Level l divides a cut panel into
-    max(n0, ceil((hi - lo) / 2)) << l equal panels (n0 = 2 in d = 1, 4 in
+    {2, 3}, the radial interval [0, R].  A member's level is a pair (i, j),
+    one level per axis.  Radial level i divides a cut panel into
+    max(n0, ceil((hi - lo) / 2)) << i equal panels (n0 = 2 in d = 1, 4 in
     d >= 2; the panel edges are those of np.linspace) of 16 Gauss-Legendre
     nodes each.  In d >= 2 the radial nodes r, weights wr carry the angular
-    rule of level l: nodes r omega, weights wr r^(d-1) wa.  Past the level
-    cap, or past _MAX_POINTS nodes of one member, there is no rule and
-    QuadratureError is raised.
+    rule of level j: nodes r omega, weights wr r^(d-1) wa.  d = 1 has the
+    one axis (`axes` = 1) and j = 0.  The members of one call may sit at
+    different level pairs.  Past the level cap of an axis, or past
+    _MAX_POINTS nodes of one member, there is no rule and QuadratureError
+    names the axis and the level pair.
     """
 
     def __init__(self, d: int, R, splits=None):
@@ -412,33 +424,52 @@ class _Rule:
         self.lo[~first] = roots
         self.hi[last] = R
         self.hi[~last] = roots
-        self.n0 = 2 if d == 1 else 4
+        # level-0 divisions of each cut panel
+        n0 = 2 if d == 1 else 4
+        self.base = np.maximum(n0, np.ceil((self.hi - self.lo) / 2.0)).astype(np.int64)
         self.size = R.size
+        self.axes = 1 if d == 1 else 2
 
     def _divisions(self, level, members):
-        chosen = np.zeros(self.size, dtype=bool)
-        chosen[members] = True
-        keep = chosen[self.owner]
-        lo, hi = self.lo[keep], self.hi[keep]
-        n = np.maximum(self.n0, np.ceil((hi - lo) / 2.0)).astype(np.int64) << level
-        return lo, hi, n, self.owner[keep]
+        # the members' cut panels, each divided at its member's radial
+        # level level[i], and the radial nodes of each member
+        position = np.full(self.size, -1)
+        position[members] = np.arange(members.size)
+        at = position[self.owner]
+        keep = at >= 0
+        at = at[keep]
+        n = self.base[keep] << level[at]
+        return self.lo[keep], self.hi[keep], n, 16 * np.bincount(at, n, members.size).astype(np.int64)
 
-    def counts(self, level, members) -> np.ndarray:
-        """Nodes of each member at `level`; QuadratureError past the cap."""
-        if level >= _MAX_LEVELS[self.d]:
-            raise QuadratureError(f"quadrature did not converge in {level} levels")
-        lo, hi, n, owner = self._divisions(level, members)
-        radial = 16 * np.bincount(np.searchsorted(members, owner), n, members.size).astype(np.int64)
+    def _where(self, level) -> str:
+        i, j = level
         if self.d == 1:
-            return radial
-        total = radial * _angular_rule(self.d, level)[0].shape[0]
-        if np.any(total > _MAX_POINTS):
-            raise QuadratureError(f"quadrature did not converge in {level} levels")
+            return f"level {i}"
+        return f"angular level {j} at radial level {i}" if j > 0 else f"radial level {i} at angular level 0"
+
+    def counts(self, levels, members) -> np.ndarray:
+        """Nodes of each member at its level pair (levels: (members, 2)); QuadratureError past a cap."""
+        if levels.max() >= _MAX_LEVELS[self.d]:
+            where = self._where(levels[np.argmax(levels.max(axis=1))])
+            raise QuadratureError(
+                f"quadrature did not converge: {where} is past the last level {_MAX_LEVELS[self.d] - 1}"
+            )
+        total = self._divisions(levels[:, 0], members)[3]
+        if self.d == 1:
+            return total
+        total *= [_angular_rule(self.d, j)[0].shape[0] for j in levels[:, 1]]
+        big = total > _MAX_POINTS
+        if big.any():
+            where = self._where(levels[np.argmax(big)])
+            raise QuadratureError(f"quadrature did not converge: {where} would exceed {_MAX_POINTS:,} nodes")
         return total
 
-    def nodes(self, level, members):
-        """Nodes X (n, d) and weights w (n,) of the members at `level`, member after member."""
-        lo, hi, n, _ = self._divisions(level, members)
+    def radial(self, level, members):
+        """Radial nodes r, weights wr of member i at radial level level[i], and the count of each.
+
+        In d = 1 these are the nodes and weights on the line.
+        """
+        lo, hi, n, counts = self._divisions(level, members)
         # np.linspace(lo, hi, n + 1) of every cut panel: edge i is i * step + lo, the last is hi
         panel = np.repeat(np.arange(n.size), n)
         i = np.arange(panel.size) - np.repeat(np.cumsum(n) - n, n)
@@ -447,12 +478,26 @@ class _Rule:
         right = (i + 1) * step[panel] + lo[panel]
         ends = np.cumsum(n) - 1
         right[ends] = hi
-        x, w = _panel_nodes(left, right)
+        return *_panel_nodes(left, right), counts
+
+    def nodes(self, levels, members):
+        """Nodes X (n, d) and weights w (n,) of the members at their level pairs, member after member."""
+        x, w, counts = self.radial(levels[:, 0], members)
         if self.d == 1:
             return x[:, None], w
-        omegas, wa = _angular_rule(self.d, level)
-        X = (x[:, None, None] * omegas[None, :, :]).reshape(-1, self.d)
-        return X, ((w * x ** (self.d - 1))[:, None] * wa).ravel()
+        # each run of consecutive members at one angular level is one outer product
+        edges = np.concatenate([[0], np.cumsum(counts)])
+        runs = [0, *(np.flatnonzero(np.diff(levels[:, 1])) + 1), members.size]
+        parts = []
+        for a, b in itertools.pairwise(runs):
+            omegas, wa = _angular_rule(self.d, levels[a, 1])
+            r, wr = x[edges[a] : edges[b]], w[edges[a] : edges[b]]
+            X = (r[:, None, None] * omegas[None, :, :]).reshape(-1, self.d)
+            parts.append((X, ((wr * r ** (self.d - 1))[:, None] * wa).ravel()))
+        if len(parts) == 1:
+            return parts[0]
+        X, W = zip(*parts)
+        return np.concatenate(X), np.concatenate(W)
 
 
 def _segment_sums(vals, counts) -> np.ndarray:
@@ -460,51 +505,68 @@ def _segment_sums(vals, counts) -> np.ndarray:
     return np.add.reduceat(vals, np.cumsum(counts) - counts, axis=-1)
 
 
-def _integrate(measure, rule: _Rule, level, members):
-    """measure on level `level` of the members' rules, and the points of each.
+def _integrate(measure, rule: _Rule, levels, members):
+    """measure on the members' rules at their level pairs, and the points of each.
 
+    `levels` holds one (radial, angular) pair per member, or one for all.
     measure(X, w, counts, members) returns one row per member; members go
     through it in groups of at most _NODE_BUDGET nodes.
     """
-    counts = rule.counts(level, members)
+    levels = np.broadcast_to(levels, (members.size, 2))
+    counts = rule.counts(levels, members)
     rows = [
-        measure(*rule.nodes(level, members[g]), counts[g], members[g])
+        measure(*rule.nodes(levels[g], members[g]), counts[g], members[g])
         for g in _groups(counts)
     ]
     return np.concatenate(rows), counts
 
 
-def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0):
-    """Refine every member's rule until its measure settles from level to level.
+# the step of one level along axis 0 (radial) or 1 (angular)
+_UNIT = np.eye(2, dtype=np.int64)
 
-    All pending members go through one level at a time.  A member stops at
-    the first level where no entry of its measure moves by more than
-    bound(cur) from the level before.  Members marked in `reuse` take their
-    row of `level0` as level 0 (those nodes are not evaluated again) and
-    join at level 1; `pts` counts points the caller already spent.
-    Returns the last measure of each member and its points.
+
+def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0):
+    """Refine every member's rule, one axis at a time, until its measure settles.
+
+    A member refines its axes in order (d = 1: the panels; d >= 2: the
+    radius, then the angle) one level per round, and every pending member
+    goes through each round, at its own level pair.  A step settles when
+    no entry of the measure moves by more than bound(cur).  On the radial
+    axis of d >= 2 the member then keeps the coarser level and its value,
+    and refines the angle at that radial level; on the last axis it stops
+    with the finer value.  So radial convergence is judged on the
+    coarsest angular rule, and no node set is evaluated twice.  Members
+    marked in `reuse` take their row of `level0` as level (0, 0) (those
+    nodes are not evaluated again) and start at (1, 0); `pts` counts
+    points the caller already spent.  Returns the last measure of each
+    member and its points.
     """
     m = rule.size
     pts = np.zeros(m, dtype=np.int64) + pts
     have = np.zeros(m, dtype=bool) if reuse is None else reuse.copy()
-    joins = have.astype(int)
     last = None if level0 is None else np.array(level0, dtype=float)
+    levels = np.zeros((m, 2), dtype=np.int64)
+    levels[have, 0] = 1
+    axis = np.zeros(m, dtype=np.int64)
     done = np.zeros(m, dtype=bool)
-    for level in itertools.count(0):
-        if done.all():
-            return last, pts
-        members = np.nonzero(~done & (joins <= level))[0]
-        if members.size == 0:  # every member took level 0 from the caller
-            continue
-        cur, n = _integrate(measure, rule, level, members)
+    while not done.all():
+        members = np.nonzero(~done)[0]
+        cur, n = _integrate(measure, rule, levels[members], members)
         pts[members] += n
         if last is None:
             last = np.empty((m, *cur.shape[1:]))
         moved = np.abs(cur - last[members]) <= bound(cur)
         settled = have[members] & moved.reshape(members.size, -1).all(axis=1)
-        last[members] = cur
+        # where the radius settled, the coarser value stays and the angle is next
+        turn = settled & (axis[members] < rule.axes - 1)
+        last[members[~turn]] = cur[~turn]
         have[members] = True
-        done[members[settled]] = True
+        done[members[settled & ~turn]] = True
+        step, turn = members[~settled], members[turn]
+        levels[step] += _UNIT[axis[step]]
+        levels[turn] += (-1, 1)
+        axis[turn] = 1
+    return last, pts
 
 
 def _relative(tol):
@@ -741,7 +803,9 @@ def _pair_chunks(pairs, tol) -> list[range]:
     if tol is None:
         tol = default_tol(d)
     s_max = [max(p.mixing.radii.max(), q.mixing.radii.max()) for p, q in pairs]
-    counts = _Rule(d, _start_radius(pairs, s_max, tol)).counts(0, np.arange(len(pairs)))
+    everyone = np.arange(len(pairs))
+    rule = _Rule(d, _start_radius(pairs, s_max, tol))
+    counts = rule.counts(np.zeros((everyone.size, 2), dtype=np.int64), everyone)
     return [range(len(pairs))[g] for g in _groups(counts)]
 
 

@@ -28,8 +28,11 @@ from gmdiv import divergences
 from gmdiv.bounds import InstanceFamily, make_pair
 from gmdiv.divergences import (
     _Envelope,
+    _Rule,
+    _angular_rule,
     _compute_divergences,
     _compute_pairs,
+    _kind_values,
     _sign_change_splits,
     _start_radius,
     _tail_bound,
@@ -49,6 +52,48 @@ def closed_forms(delta):
         DivergenceKind.TV: 2.0 * norm.cdf(delta / 2.0) - 1.0,
         DivergenceKind.L2Sq: (1.0 - math.exp(-(delta**2) / 4.0)) / math.sqrt(math.pi),
     }
+
+
+def on_rule(kinds, p, q, R, level, lam=None):
+    """Each kind integrated over the ball of radius R on the d >= 2 rule at level pair `level`.
+
+    The nodes are built and evaluated a block of radial nodes at a time, so
+    a rule past `_MAX_POINTS` costs time but little memory.
+    """
+    d = p.dim
+    r, wr, _ = _Rule(d, [R]).radial(np.array([level[0]]), np.array([0]))
+    omegas, wa = _angular_rule(d, level[1])
+    step = max(1, (1 << 20) // omegas.shape[0])
+    total = np.zeros(len(kinds))
+    for lo in range(0, r.size, step):
+        x = r[lo : lo + step]
+        X = (x[:, None, None] * omegas).reshape(-1, d)
+        w = ((wr[lo : lo + step] * x ** (d - 1))[:, None] * wa).ravel()
+        logp, logq = p.log_density(X), q.log_density(X)
+        total += [w @ _kind_values(kind, logp, logq, lam) for kind in kinds]
+    return total
+
+
+@pytest.fixture
+def final_levels(monkeypatch):
+    """Called after a `_compute_pairs` run: the level pair each member of its last rule stopped at."""
+    seen = []
+    original = divergences._integrate
+
+    def spy(measure, rule, levels, members):
+        seen.append((rule, np.broadcast_to(levels, (members.size, 2)).tolist(), members.tolist()))
+        return original(measure, rule, levels, members)
+
+    monkeypatch.setattr(divergences, "_integrate", spy)
+
+    def final():
+        rule, last = seen[-1][0], {}
+        for r, levels, members in seen:
+            if r is rule:
+                last.update(zip(members, map(tuple, levels)))
+        return [last[i] for i in range(rule.size)]
+
+    return final
 
 
 class TestTruncationRadius:
@@ -170,6 +215,25 @@ class TestTightTolerances:
         for kind in kinds:
             assert got[kind].value == pytest.approx(want[kind], rel=1e-10)
 
+    @pytest.mark.parametrize("delta", [2.0, 4.0])
+    def test_single_atom_d3_at_tol_1e_10(self, delta):
+        # delta = 4 used to run out of levels while radius and angle doubled together
+        p = single_gaussian([delta, 0.0, 0.0])
+        q = single_gaussian([0.0, 0.0, 0.0])
+        want = closed_forms(delta)
+        kinds = [DivergenceKind.KL, DivergenceKind.HellingerSq]
+        got = _compute_divergences(kinds, p, q, tol=1e-10)
+        for kind in kinds:
+            assert got[kind].value == pytest.approx(want[kind], rel=1e-10)
+
+    def test_single_atom_d3_point_count(self):
+        # the angle alone is refined: 243,712 points, where refining radius
+        # and angle together spent 755,712
+        p = single_gaussian([2.0, 0.0, 0.0])
+        q = single_gaussian([0.0, 0.0, 0.0])
+        est = divergence(DivergenceKind.KL, p, q, tol=1e-6)
+        assert est.quadrature_points <= 250_000
+
 
 class TestEstimateContracts:
     def test_dimension_mismatch(self):
@@ -208,6 +272,21 @@ class TestEstimateContracts:
         assert est.domain_radius == truncation_radius(Compact(3.0), d, default_tol(d))
         assert len(calls) == len(set(calls))
         assert est.quadrature_points == sum(n for of_p, n, _ in calls if of_p)
+
+    @pytest.mark.parametrize(
+        "cap, value, message",
+        [
+            ("_MAX_POINTS", 100_000, "angular level 2 at radial level 0 would exceed 100,000 nodes"),
+            ("_MAX_LEVELS", {1: 14, 2: 7, 3: 2}, "angular level 2 at radial level 0 is past the last level 1"),
+            ("_MAX_LEVELS", {1: 14, 2: 7, 3: 1}, "radial level 1 at angular level 0 is past the last level 0"),
+        ],
+    )
+    def test_cap_error_names_axis_and_level_pair(self, monkeypatch, cap, value, message):
+        # this pair needs angular level 2 at radial level 0
+        monkeypatch.setattr(divergences, cap, value)
+        p, q = single_gaussian([2.0, 0.0, 0.0]), single_gaussian([0.0, 0.0, 0.0])
+        with pytest.raises(QuadratureError, match=f"^quadrature did not converge: {message}$"):
+            divergence(DivergenceKind.KL, p, q)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]))
@@ -469,6 +548,17 @@ class TestRenyiIntegral:
             est = renyi_integral(p, q, 3.0)
             assert est.value <= math.exp(48.0) * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("index", [0, 2, 3, 4])
+    def test_d3_pairs_converge(self, final_levels, index):
+        # these pairs raised QuadratureError at the default tol while radius
+        # and angle were refined together; the reference goes one level past
+        # where refinement stopped on each axis
+        p, q = make_pair(7, index, InstanceFamily(Compact(2.0), 3))
+        est = renyi_integral(p, q, 3.0)
+        i, j = final_levels()[0]
+        finer = on_rule(["renyi"], p, q, est.domain_radius, (i + 1, j + 1), lam=3.0)[0]
+        assert est.value == pytest.approx(finer, rel=default_tol(3))
+
     def test_lambda_range(self):
         p = single_gaussian(0.0)
         with pytest.raises(HypothesisError):
@@ -685,6 +775,13 @@ class TestBatchedDriver:
         pairs = [make_pair(4, i, InstanceFamily(Compact(2.0), 3)) for i in (2, 3)]
         self.check([DivergenceKind.KL, DivergenceKind.HellingerSq], pairs, rel=1e-13, tol=1e-4)
 
+    def test_d3_members_at_different_level_pairs(self, final_levels):
+        pairs = [make_pair(0, i, InstanceFamily(Compact(2.0), 3)) for i in (0, 1, 3)]
+        kinds = [DivergenceKind.KL, DivergenceKind.HellingerSq]
+        _compute_pairs(kinds, pairs, None)
+        assert len(set(final_levels())) > 1
+        self.check(kinds, pairs, rel=1e-13, tol=None)
+
     def test_mixed_dimensions_rejected(self):
         pairs = [(single_gaussian(0.5), single_gaussian(0.0)), (single_gaussian([0.5, 0.0]), single_gaussian([0.0, 0.0]))]
         with pytest.raises(ValueError, match="dimension"):
@@ -693,3 +790,30 @@ class TestBatchedDriver:
     def test_one_pair_is_compute_divergences(self, rng):
         p, q = random_compact(rng, M=2.0, d=1), random_compact(rng, M=2.0, d=1)
         assert _compute_pairs(ALL_KINDS, [(p, q)], None)[0] == _compute_divergences(ALL_KINDS, p, q)
+
+
+class TestSeparateRefinement:
+    """Radius, then angle, refined one at a time, against the joint rule one level finer.
+
+    The joint rule refines both axes together, one level past the angular
+    level the pair stopped at; that is also finer than its radial level.
+    The d = 3 pairs are those of the fixed d = 3 sweep, with its kinds.
+    """
+
+    @pytest.mark.parametrize(
+        "d, seed, count, kinds",
+        [
+            (2, 1, 20, [DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq]),
+            (3, 0, 12, [DivergenceKind.KL, DivergenceKind.HellingerSq]),
+        ],
+        ids=["d2", "d3"],
+    )
+    def test_sweep_pairs_match_the_joint_rule(self, final_levels, d, seed, count, kinds):
+        tol = default_tol(d)
+        for index in range(count):
+            p, q = make_pair(seed, index, InstanceFamily(Compact(2.0), d))
+            got = _compute_pairs(kinds, [(p, q)], None)[0]
+            (_, j), = final_levels()
+            joint = on_rule(kinds, p, q, got[kinds[0]].domain_radius, (j + 1, j + 1))
+            for kind, want in zip(kinds, joint):
+                assert got[kind].value == pytest.approx(want, rel=0.5 * tol), (index, kind)
