@@ -32,7 +32,10 @@ on a ball sized by one radius search (`_search_radius`).  In d in {2, 3}
 rule until one more radial level moves no value by more than the stopping
 bound, then, at the coarser of those two radial levels, the angle until
 one more angular level does the same.  So the radial step is judged on the
-coarsest angular rule, and no level pair is evaluated twice.  Both run on
+coarsest angular rule.  TV in d in {2, 3} bends along p = q, which can
+fool a judgement on one axis, so it then refines the radius again at its
+final angular level and the angle again at its final radial level.  No
+level pair is evaluated twice.  Both run on
 a batch of members at once, as arrays over members: `_compute_pairs` takes
 a list of pairs, pads their atoms to the largest count (`_Envelope`:
 weight 0, log-weight -inf), and runs the start radii, the level-0 pass,
@@ -402,10 +405,10 @@ class _Rule:
     d >= 2; the panel edges are those of np.linspace) of 16 Gauss-Legendre
     nodes each.  In d >= 2 the radial nodes r, weights wr carry the angular
     rule of level j: nodes r omega, weights wr r^(d-1) wa.  d = 1 has the
-    one axis (`axes` = 1) and j = 0.  The members of one call may sit at
-    different level pairs.  Past the level cap of an axis, or past
-    _MAX_POINTS nodes of one member, there is no rule and QuadratureError
-    names the axis and the level pair.
+    one axis and j = 0.  The members of one call may sit at different
+    level pairs.  Past the level cap of an axis, or past _MAX_POINTS nodes
+    of one member, there is no rule and QuadratureError names the axis and
+    the level pair.
     """
 
     def __init__(self, d: int, R, splits=None):
@@ -428,7 +431,6 @@ class _Rule:
         n0 = 2 if d == 1 else 4
         self.base = np.maximum(n0, np.ceil((self.hi - self.lo) / 2.0)).astype(np.int64)
         self.size = R.size
-        self.axes = 1 if d == 1 else 2
 
     def _divisions(self, level, members):
         # the members' cut panels, each divided at its member's radial
@@ -448,7 +450,8 @@ class _Rule:
         return f"angular level {j} at radial level {i}" if j > 0 else f"radial level {i} at angular level 0"
 
     def counts(self, levels, members) -> np.ndarray:
-        """Nodes of each member at its level pair (levels: (members, 2)); QuadratureError past a cap."""
+        """Nodes of each member at its level pair (or all at one pair); QuadratureError past a cap."""
+        levels = np.broadcast_to(levels, (members.size, 2))
         if levels.max() >= _MAX_LEVELS[self.d]:
             where = self._where(levels[np.argmax(levels.max(axis=1))])
             raise QuadratureError(
@@ -521,33 +524,40 @@ def _integrate(measure, rule: _Rule, levels, members):
     return np.concatenate(rows), counts
 
 
-# the step of one level along axis 0 (radial) or 1 (angular)
-_UNIT = np.eye(2, dtype=np.int64)
-
-
-def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0):
+def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0, kinked=False):
     """Refine every member's rule, one axis at a time, until its measure settles.
 
-    A member refines its axes in order (d = 1: the panels; d >= 2: the
-    radius, then the angle) one level per round, and every pending member
-    goes through each round, at its own level pair.  A step settles when
-    no entry of the measure moves by more than bound(cur).  On the radial
-    axis of d >= 2 the member then keeps the coarser level and its value,
-    and refines the angle at that radial level; on the last axis it stops
-    with the finer value.  So radial convergence is judged on the
-    coarsest angular rule, and no node set is evaluated twice.  Members
-    marked in `reuse` take their row of `level0` as level (0, 0) (those
-    nodes are not evaluated again) and start at (1, 0); `pts` counts
-    points the caller already spent.  Returns the last measure of each
-    member and its points.
+    A member refines its axes in phases, one level per round (d = 1: the
+    panels; d >= 2: the radius, then the angle), and every pending member
+    goes through each round, at its own level pair.  A step settles when no
+    entry of the measure moves by more than bound(cur); the member then
+    moves on to its next phase, and after the last one it stops with the
+    finer value.  When the first, radial phase of d >= 2 settles, the
+    member keeps the coarser level and its value and refines the angle at
+    that radial level, so radial convergence is judged on the coarsest
+    angular rule.  A `kinked` integrand (TV in d >= 2: |p - q| bends where
+    the rays cross p = q) can fool a judgement on one axis, so a kinked
+    member then refines the radius again at its final angular level and
+    the angle again at its final radial level.  No node set is evaluated
+    twice.  Members marked in `reuse` take their row of `level0` as level
+    (0, 0) (those nodes are not evaluated again) and start at (1, 0); `pts`
+    counts points the caller already spent.  Returns the last measure of
+    each member and its points.
     """
+    # the step of each phase on the (radial, angular) level pair
+    radial, angular = (1, 0), (0, 1)
+    if rule.d == 1:
+        sweep = [radial]
+    else:
+        sweep = [radial, angular, radial, angular] if kinked else [radial, angular]
+    sweep = np.array(sweep)
     m = rule.size
     pts = np.zeros(m, dtype=np.int64) + pts
     have = np.zeros(m, dtype=bool) if reuse is None else reuse.copy()
     last = None if level0 is None else np.array(level0, dtype=float)
     levels = np.zeros((m, 2), dtype=np.int64)
     levels[have, 0] = 1
-    axis = np.zeros(m, dtype=np.int64)
+    phase = np.zeros(m, dtype=np.int64)
     done = np.zeros(m, dtype=bool)
     while not done.all():
         members = np.nonzero(~done)[0]
@@ -557,15 +567,16 @@ def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0):
             last = np.empty((m, *cur.shape[1:]))
         moved = np.abs(cur - last[members]) <= bound(cur)
         settled = have[members] & moved.reshape(members.size, -1).all(axis=1)
-        # where the radius settled, the coarser value stays and the angle is next
-        turn = settled & (axis[members] < rule.axes - 1)
-        last[members[~turn]] = cur[~turn]
+        final = phase[members] == len(sweep) - 1
+        # where the first, radial phase settled, the coarser level and value stay
+        back = settled & (phase[members] == 0) & ~final
+        last[members[~back]] = cur[~back]
         have[members] = True
-        done[members[settled & ~turn]] = True
-        step, turn = members[~settled], members[turn]
-        levels[step] += _UNIT[axis[step]]
-        levels[turn] += (-1, 1)
-        axis[turn] = 1
+        done[members[settled & final]] = True
+        levels[members[back], 0] -= 1
+        phase[members[settled & ~final]] += 1
+        step = members[~(settled & final)]
+        levels[step] += sweep[phase[step]]
     return last, pts
 
 
@@ -787,7 +798,8 @@ def _compute_pairs(kinds, pairs, tol, domain_radius=None, lam=None) -> list[dict
         splits = _sign_change_splits(p_env, q_env, R)
         if reuse is not None:
             reuse &= splits[1] == 0
-    values, pts = _refine(measure, _Rule(d, R, splits), _relative(tol), level0, reuse, pts0)
+    kinked = d > 1 and DivergenceKind.TV in kinds
+    values, pts = _refine(measure, _Rule(d, R, splits), _relative(tol), level0, reuse, pts0, kinked)
     return [
         {k: IntegralEstimate(float(v), float(t), float(r), int(n)) for k, v, t in zip(kinds, vs, ts)}
         for vs, ts, r, n in zip(values, tails(R), R, pts)
@@ -805,7 +817,7 @@ def _pair_chunks(pairs, tol) -> list[range]:
     s_max = [max(p.mixing.radii.max(), q.mixing.radii.max()) for p, q in pairs]
     everyone = np.arange(len(pairs))
     rule = _Rule(d, _start_radius(pairs, s_max, tol))
-    counts = rule.counts(np.zeros((everyone.size, 2), dtype=np.int64), everyone)
+    counts = rule.counts(0, everyone)
     return [range(len(pairs))[g] for g in _groups(counts)]
 
 

@@ -288,8 +288,8 @@ class TestErrorPaths:
         run("div", cfg, expect=4)
 
     def test_quadrature_error_exit_4(self, run):
-        # a d=2 TV pair whose refinement runs out of angular levels at tol 1e-7
-        p, q = make_pair(3, 5, InstanceFamily(Compact(2.0), 2))
+        # a d=2 TV pair whose refinement runs out of levels at tol 1e-7
+        p, q = make_pair(3, 3, InstanceFamily(Compact(2.0), 2))
         cfg = {
             "command": "div",
             "kind": "tv",

@@ -817,3 +817,33 @@ class TestSeparateRefinement:
             joint = on_rule(kinds, p, q, got[kinds[0]].domain_radius, (j + 1, j + 1))
             for kind, want in zip(kinds, joint):
                 assert got[kind].value == pytest.approx(want, rel=0.5 * tol), (index, kind)
+
+    @pytest.mark.parametrize("seed", [5, 12, 27])
+    def test_tv_kink_stays_within_tol(self, seed):
+        # judged once per axis, radius on the 32 rays of the coarsest angular
+        # rule, these TV pairs stopped 1.1-2.4e-6 relative from the integral;
+        # the joint rule at level (5, 5) is within 1e-7 of level (7, 7) here
+        rng = np.random.default_rng(seed)
+        p, q = random_compact(rng, M=2.0, d=2), random_compact(rng, M=2.0, d=2)
+        est = divergence(DivergenceKind.TV, p, q)
+        ref = on_rule([DivergenceKind.TV], p, q, est.domain_radius, (5, 5))[0]
+        assert est.value == pytest.approx(ref, rel=default_tol(2))
+
+    def test_tv_kink_raises_rather_than_stopping_early(self):
+        # this pair stopped 1.7e-6 relative from the integral before the
+        # angle was refined again at its final radial level, which takes
+        # more angular levels than the rule has
+        rng = np.random.default_rng(29)
+        p, q = random_compact(rng, M=2.0, d=2), random_compact(rng, M=2.0, d=2)
+        with pytest.raises(QuadratureError, match="angular level 7 at radial level 3"):
+            divergence(DivergenceKind.TV, p, q)
+
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_tv_kink_at_tight_tol(self, index):
+        # at tol 1e-7 pairs 0 and 4 of this sweep converge and pairs 2, 3, 5,
+        # 6 and 7 raise (pair 3 is the CLI's exit-4 case); the joint rule at
+        # level (6, 6) is within 1e-8 of level (7, 7) on both pairs
+        p, q = make_pair(3, index, InstanceFamily(Compact(2.0), 2))
+        est = divergence(DivergenceKind.TV, p, q, tol=1e-7)
+        ref = on_rule([DivergenceKind.TV], p, q, est.domain_radius, (6, 6))[0]
+        assert est.value == pytest.approx(ref, rel=1e-7)
