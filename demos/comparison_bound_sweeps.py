@@ -27,7 +27,7 @@ def main():
     n = 100
     print(f"{'bound':>9} {'failures':>8} {'ordering':>8} {'max lhs/rhs':>12}   statement")
     for i, (bound, family, text) in enumerate(CONFIGS):
-        rep = verify_sweep(bound, family, n=n, seed=100 + i, threads=4)
+        rep = verify_sweep(bound, family, n=n, seed=100 + i)
         print(
             f"{bound.value:>9} {rep.failures:>8} {rep.ordering_failures:>8} "
             f"{rep.max_ratio:>12.3e}   {text}"

@@ -18,20 +18,14 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# sweeps integrate their pairs in chunks through `_compute_pairs`;
+# a sweep integrates all its pairs in one `_compute_pairs` call;
 # `_compute_divergences` stays bound here because perfbench's tracer wraps
 # it by this name
-from .divergences import (  # noqa: F401
-    DivergenceKind,
-    _compute_divergences,
-    _compute_pairs,
-    _pair_chunks,
-)
+from .divergences import DivergenceKind, _compute_divergences, _compute_pairs  # noqa: F401
 from .errors import CapabilityError, HypothesisError
 from .mixtures import (
     ClassTag,
@@ -564,36 +558,25 @@ def verify_sweep(
     n: int,
     seed: int,
     tol: float | None = None,
-    threads: int = 1,
 ) -> SweepReport:
     """Check a comparison bound on n seeded random pairs from a family.
 
-    Instances derive their RNG from (seed, index).  The pairs are cut into
-    chunks of consecutive pairs by a node budget that depends on the pairs
-    alone, each chunk is integrated as one batch (`_compute_pairs`), and
-    with threads > 1 a thread pool maps over the chunks, so the report is
-    deterministic for any thread count.  A failure means lhs exceeded the
-    stated rhs by more than the certified numerical slack.
+    Instances derive their RNG from (seed, index).  All pairs are
+    integrated as one batch (`_compute_pairs`) on the calling thread, so
+    the report is deterministic across reruns.  A failure means lhs
+    exceeded the stated rhs by more than the certified numerical slack.
     """
     bound = BoundId(bound)
     _check_family(bound, family)
     if n < 1:
         raise ValueError(f"sweep size must be positive, got {n}")
 
-    kinds = _SWEEPS[bound][1]
     pairs = [make_pair(seed, i, family) for i in range(n)]
-
-    def job(chunk):
-        ests = _compute_pairs(kinds, [pairs[i] for i in chunk], tol)
-        return [_one_instance(bound, family, seed, i, *pairs[i], e) for i, e in zip(chunk, ests)]
-
-    chunks = _pair_chunks(pairs, tol)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(job, chunks))
-    else:
-        done = [job(chunk) for chunk in chunks]
-    instances = [inst for part in done for inst in part]
+    estimates = _compute_pairs(_SWEEPS[bound][1], pairs, tol)
+    instances = [
+        _one_instance(bound, family, seed, i, p, q, e)
+        for i, ((p, q), e) in enumerate(zip(pairs, estimates))
+    ]
 
     ratios = [inst.ratio for inst in instances if math.isfinite(inst.ratio)]
     if ratios:

@@ -2,12 +2,13 @@
 
 Usage:
     gmdiv div|sweep|dichotomy|entropy|seq|report --config <path>
-          [--seed N] [--out <dir>] [--threads N]
+          [--seed N] [--out <dir>]
 
 Configuration is a JSON file per command (flags win over config fields);
 unknown keys are rejected.  Every run is reproducible from (config, seed):
-CSV output is byte-identical across reruns and thread counts, with all
-floats at 17 significant digits.
+CSV output is byte-identical across reruns, with all floats at 17
+significant digits.  A sweep runs on the calling thread; its config still
+accepts a positive integer `threads` field, which changes nothing.
 
 Exit codes: 0 success, 2 config error, 3 hypothesis violation,
 4 numerical-capability or quadrature error.
@@ -153,7 +154,7 @@ def _stream_seed(seed: int, index: int) -> int:
 # -- commands -------------------------------------------------------------------
 
 
-def _run_div(cfg, out_dir, seed, threads):
+def _run_div(cfg, out_dir, seed):
     _check_keys(cfg, "div", {"kind", "p", "q"}, {"tol", "domain_radius", "out"})
     try:
         kind = DivergenceKind(cfg["kind"])
@@ -184,7 +185,7 @@ def _sweep_family(cfg) -> InstanceFamily:
     return InstanceFamily(tag=tag, d=d, max_atoms=max_atoms)
 
 
-def _run_sweep(cfg, out_dir, seed, threads):
+def _run_sweep(cfg, out_dir, seed):
     _check_keys(cfg, "sweep", {"bound", "n"}, {"M", "K", "d", "seed", "tol", "max_atoms", "threads", "out"})
     try:
         bound = BoundId(cfg["bound"])
@@ -192,7 +193,9 @@ def _run_sweep(cfg, out_dir, seed, threads):
         raise ValueError(f"config field 'bound' must be one of {[b.value for b in BoundId]}")
     family = _sweep_family(cfg)
     n = _positive_int(cfg, "n")
-    report = verify_sweep(bound, family, n, seed, tol=_number(cfg, "tol"), threads=threads)
+    # validated and ignored: existing configs, perfbench's included, still set it
+    _positive_int(cfg, "threads")
+    report = verify_sweep(bound, family, n, seed, tol=_number(cfg, "tol"))
     report.write_csv(os.path.join(out_dir, f"sweep_{bound.value}.csv"))
     dump_json(report.summary(), os.path.join(out_dir, f"sweep_{bound.value}_summary.json"))
     print(
@@ -202,7 +205,7 @@ def _run_sweep(cfg, out_dir, seed, threads):
     return 0
 
 
-def _run_dichotomy(cfg, out_dir, seed, threads):
+def _run_dichotomy(cfg, out_dir, seed):
     _check_keys(cfg, "dichotomy", {"K", "r_grid"}, {"tol", "seed", "out"})
     K = _number(cfg, "K")
     if not (K > 1):
@@ -227,7 +230,7 @@ def _run_dichotomy(cfg, out_dir, seed, threads):
     return 0
 
 
-def _run_entropy(cfg, out_dir, seed, threads):
+def _run_entropy(cfg, out_dir, seed):
     _check_keys(cfg, "entropy", {"family", "epsilons", "n"}, {"eta_grid", "tol", "seed", "out"})
     candidates = _family_candidates(cfg["family"])
     eps_grid = _positive_numbers(cfg, "epsilons")
@@ -259,7 +262,7 @@ def _run_entropy(cfg, out_dir, seed, threads):
     return 0
 
 
-def _run_seq(cfg, out_dir, seed, threads):
+def _run_seq(cfg, out_dir, seed):
     _check_keys(
         cfg, "seq", {"family", "true_index", "length"}, {"epsilon", "n_streams", "tol", "seed", "out"}
     )
@@ -299,7 +302,7 @@ def _run_seq(cfg, out_dir, seed, threads):
     return 0
 
 
-def _run_report(cfg, out_dir, seed, threads):
+def _run_report(cfg, out_dir, seed):
     _check_keys(cfg, "report", set(), {"out", "seed"})
     artifacts = {}
     for name in sorted(os.listdir(out_dir)):
@@ -334,7 +337,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory (default: config 'out' or '.')")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads for sweeps")
     args = parser.parse_args(argv)
 
     try:
@@ -349,12 +351,9 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ValueError(f"config field 'seed' must be a nonnegative integer, got {seed!r}")
-        threads = args.threads if args.threads is not None else cfg.get("threads", 1)
-        if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-            raise ValueError(f"'threads' must be a positive integer, got {threads!r}")
         out_dir = args.out if args.out is not None else cfg.get("out", ".")
         os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, seed, threads)
+        return _COMMANDS[args.command](cfg, out_dir, seed)
     except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3

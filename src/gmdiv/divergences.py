@@ -45,7 +45,7 @@ each pair stops at its own levels and keeps its own radius, splits, tails
 and point count.  Within a round the pending members are evaluated in
 groups of consecutive members with at most _NODE_BUDGET nodes (a larger
 member alone, in the log-density kernel's blocks), so no temporary grows
-with the batch; sweeps cut their pairs into chunks by the same budget.
+with the batch; a sweep integrates all its pairs as one batch.
 One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
 Gram pass of the Hellinger table and `plancherel_l2` are one-member
 batches of the same `_refine`.  In d = 1 the TV sign changes are the roots
@@ -344,8 +344,8 @@ _MAX_LEVELS = {1: 14, 2: 7, 3: 7}
 _MAX_POINTS = 6_000_000
 
 # Members of a batch are evaluated in groups of consecutive members whose
-# nodes number at most _NODE_BUDGET (a larger member alone); sweeps cut
-# their pairs into chunks by the same budget on level-0 nodes.
+# nodes number at most _NODE_BUDGET (a larger member alone), so a batch as
+# large as a whole sweep keeps every temporary bounded.
 _NODE_BUDGET = 1 << 13
 
 
@@ -804,21 +804,6 @@ def _compute_pairs(kinds, pairs, tol, domain_radius=None, lam=None) -> list[dict
         {k: IntegralEstimate(float(v), float(t), float(r), int(n)) for k, v, t in zip(kinds, vs, ts)}
         for vs, ts, r, n in zip(values, tails(R), R, pts)
     ]
-
-
-def _pair_chunks(pairs, tol) -> list[range]:
-    """Runs of consecutive pairs whose level-0 nodes fit _NODE_BUDGET (a larger pair alone).
-
-    The cut depends on the pairs and `tol` alone.
-    """
-    d = pairs[0][0].dim
-    if tol is None:
-        tol = default_tol(d)
-    s_max = [max(p.mixing.radii.max(), q.mixing.radii.max()) for p, q in pairs]
-    everyone = np.arange(len(pairs))
-    rule = _Rule(d, _start_radius(pairs, s_max, tol))
-    counts = rule.counts(0, everyone)
-    return [range(len(pairs))[g] for g in _groups(counts)]
 
 
 def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):

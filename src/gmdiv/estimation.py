@@ -27,7 +27,7 @@ import numpy as np
 
 from .divergences import DivergenceKind, _gram_h2, _require_certifiable, divergence
 from .errors import CapabilityError, HypothesisError
-from .mixtures import GaussianMixture, mixture_to_record
+from .mixtures import GaussianMixture
 
 # Farthest-point distances within _TIE (in H) of the farthest count as tied.
 _TIE = 1e-9
@@ -327,18 +327,3 @@ def batch_risk_mc(candidates, net: Net, n: int, trials: int, seed: int) -> dict:
         )
     worst = max(rows, key=lambda r: r["mean_h2"])
     return {"per_candidate": rows, "risk": worst["mean_h2"], "half_width": worst["half_width"]}
-
-
-def net_to_json(net: Net) -> dict:
-    """JSON-ready serialization of a net (elements as mixture records).
-
-    `distance_cache` holds the Gram table's distances, which `dump_json`
-    writes at 17 significant digits, so its bytes repeat only for one BLAS
-    build and thread count: between 1 and 2 OpenBLAS threads, 82,040 of the
-    10^6 entries of a 1000-point table moved by up to 1.8e-15.
-    """
-    return {
-        "radius": net.radius,
-        "elements": [mixture_to_record(e.mixing) for e in net.elements],
-        "distance_cache": [[float(v) for v in row] for row in net.distance_cache],
-    }

@@ -115,7 +115,7 @@ def test_criterion_3_theorem_sweeps():
     failures = ordering = 0
     details = []
     for i, (bound, family) in enumerate(SWEEP_CONFIGS):
-        rep = verify_sweep(bound, family, n=500, seed=1000 + i, threads=4)
+        rep = verify_sweep(bound, family, n=500, seed=1000 + i)
         failures += rep.failures
         ordering += rep.ordering_failures
         details.append(f"{bound.value}/d{family.d}:{rep.failures}")
@@ -341,13 +341,11 @@ def test_criterion_9_estimation_lab():
     )
 
 
-def _cli_bytes(tmp_path, tag, command, cfg, threads):
+def _cli_bytes(tmp_path, tag, command, cfg):
     cfg_path = tmp_path / f"{tag}.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / f"{tag}_out"
-    rc = cli_main(
-        [command, "--config", str(cfg_path), "--out", str(out), "--threads", str(threads)]
-    )
+    rc = cli_main([command, "--config", str(cfg_path), "--out", str(out)])
     assert rc == 0
     blobs = {}
     for f in sorted(out.iterdir()):
@@ -384,10 +382,7 @@ def test_criterion_10_cli_reproducibility(tmp_path, capsys):
     }
     all_ok = True
     for command, cfg in commands.items():
-        runs = [
-            _cli_bytes(tmp_path, f"{command}_{i}", command, cfg, threads)
-            for i, threads in enumerate((1, 4, 1, 4))
-        ]
+        runs = [_cli_bytes(tmp_path, f"{command}_{i}", command, cfg) for i in range(4)]
         capsys.readouterr()
         if not all(r == runs[0] for r in runs[1:]):
             all_ok = False
@@ -405,4 +400,4 @@ def test_criterion_10_cli_reproducibility(tmp_path, capsys):
         rep_runs.append((out / "report.json").read_bytes())
     if rep_runs[0] != rep_runs[1]:
         all_ok = False
-    report("criterion 10 (CLI byte-level reproducibility)", all_ok, "2 runs x threads {1,4}")
+    report("criterion 10 (CLI byte-level reproducibility)", all_ok, "4 runs")

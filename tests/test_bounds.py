@@ -239,26 +239,31 @@ class TestSweeps:
         assert len(rep.instances) == 25
 
     def test_deterministic_and_thread_invariant(self, tmp_path):
-        fam = InstanceFamily(Compact(2.0), d=1)
-        a = verify_sweep(BoundId.Thm1, fam, 15, seed=3, threads=1)
-        b = verify_sweep(BoundId.Thm1, fam, 15, seed=3, threads=4)
-        for x, y in zip(a.instances, b.instances):
-            assert x.lhs == y.lhs and x.rhs == y.rhs
-            assert x.ratio == y.ratio or (math.isnan(x.ratio) and math.isnan(y.ratio))
-        # whole reports, byte for byte, across thread counts and a rerun; the
-        # sweeps span several chunks, so the pool has chunks to spread
+        # whole reports, byte for byte, across reruns
         cases = [
             (BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1), 300),
             (BoundId.Thm1, InstanceFamily(Compact(2.0), d=2), 12),
         ]
         for bound, family, n in cases:
-            assert len(bounds._pair_chunks([make_pair(3, i, family) for i in range(n)], None)) > 1
             texts = []
-            for threads in (1, 2, 4, 1):
-                path = tmp_path / f"{bound.value}_{threads}.csv"
-                verify_sweep(bound, family, n, seed=3, threads=threads).write_csv(path)
+            for run in range(3):
+                path = tmp_path / f"{bound.value}_{run}.csv"
+                verify_sweep(bound, family, n, seed=3).write_csv(path)
                 texts.append(path.read_bytes())
             assert texts[1:] == texts[:-1]
+
+    def test_sweep_integrates_in_one_batch(self, monkeypatch):
+        calls = []
+        compute_pairs = bounds._compute_pairs
+
+        def counted(kinds, pairs, tol):
+            calls.append(len(pairs))
+            return compute_pairs(kinds, pairs, tol)
+
+        monkeypatch.setattr(bounds, "_compute_pairs", counted)
+        rep = verify_sweep(BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1), 300, seed=3)
+        assert calls == [300]
+        assert len(rep.instances) == 300 and rep.failures == 0
 
     def test_degenerate_pair_passes_by_slack(self):
         fam = InstanceFamily(Compact(2.0), d=1)

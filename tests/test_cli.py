@@ -80,13 +80,20 @@ class TestSweepCommand:
         cfg = {"command": "sweep", "bound": "Thm1", "M": 2.0, "d": 1, "n": 10, "seed": 7}
         cfg_path = write_config(tmp_path / "cfg.json", cfg)
         outputs = []
-        for i, threads in enumerate((1, 4, 1)):
+        for i in range(3):
             out = tmp_path / f"o{i}"
-            rc = main(["sweep", "--config", cfg_path, "--out", str(out), "--threads", str(threads)])
+            rc = main(["sweep", "--config", cfg_path, "--out", str(out)])
             capsys.readouterr()
             assert rc == 0
             outputs.append((out / "sweep_Thm1.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_threads_field_accepted_and_ignored(self, run):
+        cfg = {"command": "sweep", "bound": "Thm1", "M": 2.0, "d": 1, "n": 6, "seed": 5}
+        out_dir, _ = run("sweep", cfg)
+        plain = (out_dir / "sweep_Thm1.csv").read_bytes()
+        out_dir, _ = run("sweep", {**cfg, "threads": 2})
+        assert (out_dir / "sweep_Thm1.csv").read_bytes() == plain
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         cfg = {"command": "sweep", "bound": "Thm1", "M": 2.0, "d": 1, "n": 6, "seed": 5}

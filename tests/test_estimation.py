@@ -21,7 +21,6 @@ from gmdiv import (
     hellinger_project,
     local_cover,
     local_covering_number,
-    net_to_json,
     pairwise_hellinger,
     rate_functional,
     sequential_forecaster,
@@ -480,10 +479,3 @@ class TestRiskAndSerialization:
         net = greedy_cover(HellingerTable(theta_grid(-1.0, 1.0, 3)), 0.3)
         with pytest.raises(ValueError, match="candidate list must be non-empty"):
             batch_risk_mc([], net, n=5, trials=2, seed=0)
-
-    def test_net_to_json(self):
-        net = greedy_cover(HellingerTable(theta_grid(-1.0, 1.0, 3)), 0.05)
-        blob = net_to_json(net)
-        assert blob["radius"] == 0.05
-        assert len(blob["elements"]) == len(net)
-        assert len(blob["distance_cache"]) == len(net)
