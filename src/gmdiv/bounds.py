@@ -499,13 +499,23 @@ def make_pair(seed: int, index: int, family: InstanceFamily):
     return GaussianMixture(p_mix), GaussianMixture(q_mix)
 
 
-def _slack(est_a, est_b) -> float:
-    return 2.0 * (est_a.truncation_bound + est_b.truncation_bound) + 1e-9
+def _slack(bound_a, bound_b) -> float:
+    return 2.0 * (bound_a + bound_b) + 1e-9
 
 
-def _side(kind, est) -> float:
-    # the L2 comparisons are stated for ||p - q||_2, the root of the L2^2 estimate
-    return math.sqrt(max(est.value, 0.0)) if kind is _L2 else est.value
+def _side(kind, est) -> tuple[float, float]:
+    """A comparison side's value and the bound on its error, in the units the bound is stated in.
+
+    The L2 comparisons are stated for ||p - q||_2, the root of the L2^2
+    estimate v.  Its bound b goes through the root too: ||p - q||_2 lies in
+    [sqrt(max(v - b, 0)), sqrt(v + b)], and the side's bound is the larger
+    distance from sqrt(v) to an end.
+    """
+    if kind is not _L2:
+        return est.value, est.truncation_bound
+    v, b = max(est.value, 0.0), est.truncation_bound
+    root = math.sqrt(v)
+    return root, max(math.sqrt(v + b) - root, root - math.sqrt(max(v - b, 0.0)))
 
 
 def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int, p, q, est):
@@ -518,15 +528,14 @@ def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int,
         "natoms_q": q.mixing.n_atoms,
     }
 
-    kl_ge_h2 = h2.value <= kl.value + _slack(kl, h2)
+    kl_ge_h2 = h2.value <= kl.value + _slack(kl.truncation_bound, h2.truncation_bound)
     chi2_ge_kl = None
-    lhs_est, arg_est = est[lhs_kind], est[arg_kind]
-    lhs, arg = _side(lhs_kind, lhs_est), _side(arg_kind, arg_est)
-    slack = _slack(lhs_est, arg_est)
+    (lhs, lhs_bound), (arg, arg_bound) = _side(lhs_kind, est[lhs_kind]), _side(arg_kind, est[arg_kind])
+    slack = _slack(lhs_bound, arg_bound)
 
     if bound is BoundId.ChiSqThm:
         # the rhs overflows a double once M >= 4, so compare in the log domain
-        chi2_ge_kl = kl.value <= lhs + _slack(lhs_est, kl)
+        chi2_ge_kl = kl.value <= lhs + _slack(lhs_bound, kl.truncation_bound)
         if arg <= 0:
             rhs, passed, ratio = 0.0, lhs <= slack, math.nan
         else:

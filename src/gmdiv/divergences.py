@@ -1,9 +1,10 @@
 """f-divergences between Gaussian mixtures with certified domain truncation.
 
-Each divergence is an integral over R^d, computed as an adaptive quadrature
-over a centered ball plus a rigorous bound on everything outside the ball.
-The outside-the-ball certificates come from per-atom envelopes: for a
-mixture with atoms at radii s_j and weights w_j and any r >= max_j s_j,
+KL, H^2, chi^2, TV and the Renyi power integral are integrals over R^d,
+computed as an adaptive quadrature over a centered ball plus a rigorous
+bound on everything outside the ball.  The outside-the-ball certificates
+come from per-atom envelopes: for a mixture with atoms at radii s_j and
+weights w_j and any r >= max_j s_j,
 
     p(x)  <= (2 pi)^(-d/2) sum_j w_j exp(-(r - s_j)^2 / 2),   ||x|| = r,
     p(x)  >= (2 pi)^(-d/2) w_j exp(-(r + s_j)^2 / 2)          (any fixed j),
@@ -22,7 +23,17 @@ Kinds and their tail treatment:
   power     int p^lam / q^(lam-1): tail <= envelope of p e^{(lam-1)(a r + b)}
             (Gaussian after completing the square; KL shares the atom sum).
   chi^2     tail <= the lam = 2 power tail + mass tail of q.
-  L2^2      tail <= sup density on the sphere * mass tails.
+
+L2^2 is not integrated.  In every d it is the closed form
+
+    ||p - q||_2^2 = (4 pi)^(-d/2) sum_ij c_i c_j exp(-||x_i - x_j||^2 / 4)
+
+over the atoms x_i of p and q with coefficients c = (w, -v), atoms at one
+location merged (`_l2_closed_form`), so q = p gives exactly 0 and a swap of
+p and q gives the same bits.  Its `truncation_bound` is a forward-error
+bound on the rounding of that sum, its `domain_radius` is inf and its
+`quadrature_points` 0.  Distinct atoms at nearly equal locations still
+cancel, so its accuracy floor is about eps * sum_ij |c_i c_j|.
 
 d in {1, 2, 3} uses certified quadrature: one driver (`_refine`) refines a
 nested tensor-product rule (`_Rule`: 1-d Gauss-Legendre panels, cut at the
@@ -52,9 +63,9 @@ batches of the same `_refine`.  In d = 1 the TV sign changes are the roots
 of log p - log q, bracketed on a 2049-node grid per pair and found by
 `brentq`, a vectorized port of Brent's method that iterates every bracket
 at once, takes scipy's steps and returns its roots bit for bit, so the
-package needs numpy alone.  d > 3 falls back to seeded importance-sampling
-Monte Carlo where `truncation_bound` reports a 95% confidence half-width
-instead of a hard bound.
+package needs numpy alone.  For d > 3 the integrated kinds fall back to
+seeded importance-sampling Monte Carlo where `truncation_bound` reports a
+95% confidence half-width instead of a hard bound.
 
 `tol` is a relative target: refinement stops when successive levels differ
 by less than tol/2 relative to the current value, and the domain grows
@@ -101,6 +112,10 @@ class IntegralEstimate:
                        outside the ball (confidence half-width in MC mode).
     domain_radius:     radius of the integration ball (inf in MC mode).
     quadrature_points: total integrand evaluations used.
+
+    L2^2 is a closed-form sum, not an integral: `truncation_bound` bounds
+    the rounding error of that sum (|value - exact| <= truncation_bound),
+    `domain_radius` is inf and `quadrature_points` is 0.
     """
 
     value: float
@@ -200,12 +215,6 @@ class _Envelope:
         # mass of each mixture outside its ball of radius R
         return _atom_sum(self.weights * gaussian_radial_tail(R[:, None] - self.radii, d))
 
-    def sup_density(self, R, d: int) -> np.ndarray:
-        # upper bound on each density anywhere on or outside the sphere of
-        # radius R (valid for R >= s_max, where each bump term decreases).
-        z = np.exp(-0.5 * (R[:, None] - self.radii) ** 2)
-        return _atom_sum(self.weights * z) * math.exp(-0.5 * d * LOG_2PI)
-
     def anchor(self, R) -> tuple[np.ndarray, np.ndarray]:
         # per mixture, the atom giving the best lower bound
         # log q >= log v - (r+t)^2/2 (up to the shared -d/2 log 2pi) at r = R
@@ -280,9 +289,6 @@ def _tail_bound(kind, p_env: _Envelope, q_env: _Envelope, R, d, lam=None) -> np.
         out = p_env.mass_tail(R, d) + q_env.mass_tail(R, d)
     elif kind == DivergenceKind.TV:
         out = 0.5 * (p_env.mass_tail(R, d) + q_env.mass_tail(R, d))
-    elif kind == DivergenceKind.L2Sq:
-        sup = np.maximum(p_env.sup_density(R, d), q_env.sup_density(R, d))
-        out = sup * (p_env.mass_tail(R, d) + q_env.mass_tail(R, d))
     elif kind == DivergenceKind.KL:
         a, b = _log_ratio_line(p_env, q_env, R)
         poly = _times_linear(_ru_poly(d, R), np.maximum(0.0, a * R + b), a)
@@ -326,9 +332,6 @@ def _kind_values(kind, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarr
     if kind == DivergenceKind.TV:
         m = np.maximum(logp, logq)
         return 0.5 * np.exp(m) * (-np.expm1(-np.abs(lr)))
-    if kind == DivergenceKind.L2Sq:
-        m = np.maximum(logp, logq)
-        return np.exp(2.0 * m) * np.expm1(-np.abs(lr)) ** 2
     if kind == "renyi":
         return np.exp(lam * logp - (lam - 1.0) * logq)
     raise ValueError(f"unknown kind {kind!r}")
@@ -734,6 +737,92 @@ def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
     return roots, np.bincount(pair, minlength=m)
 
 
+# -- L2^2 in closed form -------------------------------------------------------
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): the relative error of n rounded operations."""
+    return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+
+
+def _merged_atoms(p_env: _Envelope, q_env: _Envelope):
+    """Per pair, the atoms of p - q merged by location, in sorted location order.
+
+    An atom of p brings +w and one of q brings -v; the atoms at one location
+    merge into c = P - Q, with P and Q the sums of p's and of q's weights
+    there in atom order, so a swap of p and q negates every c exactly.  A
+    row holds its pair's merged atoms sorted by location (first coordinate
+    first), then pads with c = 0 at the origin.  Returns the locations
+    (m, k, d), c (m, k), a bound e (m, k) on the rounding error of each c
+    and the count of merged atoms of each pair.  Summing n_p weights into P
+    errs by at most gamma_{n_p - 1} P, so e = gamma_{n_p - 1} P +
+    gamma_{n_q - 1} Q + gamma_1 |c|, which is 0 where one atom of p and one
+    of q cancel.
+    """
+    m, _, d = p_env.locations.shape
+    real = np.concatenate([p_env.real, q_env.real], axis=1)
+    locs = np.concatenate([p_env.locations, q_env.locations], axis=1)[real]
+    plus = np.concatenate([p_env.weights, 0.0 * q_env.weights], axis=1)[real]
+    minus = np.concatenate([0.0 * p_env.weights, q_env.weights], axis=1)[real]
+    keys, at = np.unique(np.column_stack([np.nonzero(real)[0], locs]), axis=0, return_inverse=True)
+    P, Q = np.bincount(at, plus), np.bincount(at, minus)
+    n_p, n_q = np.bincount(at, plus > 0), np.bincount(at, minus > 0)
+    row = keys[:, 0].astype(np.int64)
+    counts = np.bincount(row, minlength=m)
+    col = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = counts.max()
+    X, c, e = np.zeros((m, k, d)), np.zeros((m, k)), np.zeros((m, k))
+    X[row, col], c[row, col] = keys[:, 1:], P - Q
+    e[row, col] = _gamma(n_p - 1) * P + _gamma(n_q - 1) * Q + _gamma(1) * np.abs(P - Q)
+    return X, c, e, counts
+
+
+def _l2_closed_form(p_env: _Envelope, q_env: _Envelope) -> list[IntegralEstimate]:
+    """||p_i - q_i||_2^2 of each pair in closed form, with a bound on its rounding error.
+
+    Over the merged atoms x_i, c_i of `_merged_atoms` the value is
+    (4 pi)^(-d/2) sum_i c_i sum_j c_j G_ij, G_ij = exp(-a_ij),
+    a_ij = ||x_i - x_j||^2 / 4.  Both sums run in atom order, so pads add
+    exact zeros at the end, and a negative sum is clipped to 0.  Members go
+    through in groups of at most _NODE_BUDGET coordinate differences.
+
+    The bound is the forward-error analysis of Higham (*Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 3) with u = 2^-53.  The
+    computed a_ij carries a relative error of at most gamma_{d+2}, which
+    moves G_ij by a relative gamma_{d+2} a_ij to first order.  The exp
+    (taken accurate to 4u), the two products, the 2(k - 1) additions, the
+    final product and the constant (d/2 + 2 roundings) add at most
+    gamma_{2k+d+8} per term, for k merged atoms.  With c+ = |c| + e,
+
+        |value - exact| <= 1.02 (4 pi)^(-d/2) sum_ij G_ij [c+_i c+_j (gamma_{2k+d+8}
+                           + gamma_{d+2} a_ij) + e_i (c+_j + |c_j|)] + n^2 2^-1070,
+
+    where the e terms are the coefficients' rounding, 1.02 covers the
+    second-order terms and the rounding of the bound itself, and the last
+    term the underflow of the n^2 products of the n nonzero coefficients.
+    """
+    X, c, e, counts = _merged_atoms(p_env, q_env)
+    m, k, d = X.shape
+    gamma = _gamma(2 * counts + d + 8)
+    value, bound = np.empty(m), np.empty(m)
+    for g in _groups(np.full(m, k * k * d)):
+        diff = X[g, :, None, :] - X[g, None, :, :]
+        a = 0.25 * np.sum(diff * diff, axis=3)
+        G = np.exp(-a)
+        cg, eg = c[g], e[g]
+        value[g] = _atom_sum(cg * _atom_sum(cg[:, None, :] * G))
+        big = np.abs(cg) + eg
+        rounding = big[:, :, None] * big[:, None, :] * (gamma[g, None, None] + _gamma(d + 2) * a)
+        merging = eg[:, :, None] * (big + np.abs(cg))[:, None, :]
+        bound[g] = _atom_sum(_atom_sum((rounding + merging) * G))
+    norm = (4.0 * math.pi) ** (-0.5 * d)
+    value = np.where(value > 0, norm * value, 0.0)
+    bound = 1.02 * norm * bound + np.count_nonzero(c, axis=1) ** 2 * 2.0**-1070
+    return [IntegralEstimate(float(v), float(b), math.inf, 0) for v, b in zip(value, bound)]
+
+
 # -- main entry points ----------------------------------------------------------
 
 
@@ -748,14 +837,16 @@ def _require_certifiable(gm: GaussianMixture):
 def _compute_pairs(kinds, pairs, tol, domain_radius=None, lam=None) -> list[dict]:
     """Estimates of several kinds for each (p, q) of `pairs`, all in one d <= 3.
 
-    Every step runs as arrays over the pairs: the start radii, level 0 of
-    the rule there (which fixes the truncation targets), the radius search
-    with its tail bounds, the d = 1 TV splits, and the refinement, where
-    each pair stops at its own level and keeps its own radius, splits,
-    tails and point count.  A pair's estimates do not depend on the other
-    pairs (bitwise in d = 1; in d >= 2 the log-density kernel may round a
-    node differently in a block shared with other pairs).  `lam` is the
-    renyi power; `tol` defaults to `default_tol(d)`.
+    L2^2 is `_l2_closed_form`; the arguments are checked alike for every
+    kind.  Every step of the other kinds runs as arrays over the pairs: the
+    start radii, level 0 of the rule there (which fixes the truncation
+    targets), the radius search with its tail bounds, the d = 1 TV splits,
+    and the refinement, where each pair stops at its own level and keeps
+    its own radius, splits, tails and point count.  A pair's estimates do
+    not depend on the other pairs (bitwise in d = 1 and for L2^2; in d >= 2
+    the log-density kernel may round a node differently in a block shared
+    with other pairs).  `lam` is the renyi power; `tol` defaults to
+    `default_tol(d)`.
     """
     p_mix, q_mix = [p for p, _ in pairs], [q for _, q in pairs]
     d = p_mix[0].dim
@@ -768,23 +859,30 @@ def _compute_pairs(kinds, pairs, tol, domain_radius=None, lam=None) -> list[dict
     p_env, q_env = _Envelope(p_mix), _Envelope(q_mix)
     s_max = np.maximum(p_env.s_max, q_env.s_max)
     start = _start_radius(pairs, s_max, tol)
+    if domain_radius is not None and np.any(domain_radius < s_max + _KAPPA_MIN):
+        raise HypothesisError(
+            f"domain_radius {domain_radius} must exceed the atom radius {s_max.max()}"
+        )
+    rows = [{} for _ in pairs]
+    if DivergenceKind.L2Sq in kinds:
+        for row, est in zip(rows, _l2_closed_form(p_env, q_env)):
+            row[DivergenceKind.L2Sq] = est
+    integrated = [k for k in kinds if k != DivergenceKind.L2Sq]
+    if not integrated:
+        return rows
     everyone = np.arange(len(pairs))
 
     def measure(X, w, counts, members):
         logp = p_env.log_density(members, X, counts)
         logq = q_env.log_density(members, X, counts)
-        vals = np.stack([_kind_values(k, logp, logq, lam) for k in kinds])
+        vals = np.stack([_kind_values(k, logp, logq, lam) for k in integrated])
         return _segment_sums(vals * w, counts).T
 
     def tails(R):
-        return np.stack([_tail_bound(k, p_env, q_env, R, d, lam) for k in kinds], axis=1)
+        return np.stack([_tail_bound(k, p_env, q_env, R, d, lam) for k in integrated], axis=1)
 
     level0, reuse, pts0 = None, None, 0
     if domain_radius is not None:
-        if np.any(domain_radius < s_max + _KAPPA_MIN):
-            raise HypothesisError(
-                f"domain_radius {domain_radius} must exceed the atom radius {s_max.max()}"
-            )
         R = np.full(len(pairs), float(domain_radius))
     else:
         # level 0 of the rule at the start radius fixes the value scale for
@@ -800,14 +898,18 @@ def _compute_pairs(kinds, pairs, tol, domain_radius=None, lam=None) -> list[dict
             reuse &= splits[1] == 0
     kinked = d > 1 and DivergenceKind.TV in kinds
     values, pts = _refine(measure, _Rule(d, R, splits), _relative(tol), level0, reuse, pts0, kinked)
-    return [
-        {k: IntegralEstimate(float(v), float(t), float(r), int(n)) for k, v, t in zip(kinds, vs, ts)}
-        for vs, ts, r, n in zip(values, tails(R), R, pts)
-    ]
+    for row, vs, ts, r, n in zip(rows, values, tails(R), R, pts):
+        for k, v, t in zip(integrated, vs, ts):
+            row[k] = IntegralEstimate(float(v), float(t), float(r), int(n))
+    return [{k: row[k] for k in kinds} for row in rows]
 
 
 def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
-    """Several kinds for one pair: the one-pair case of `_compute_pairs` (Monte Carlo for d > 3)."""
+    """Several kinds for one pair: the one-pair case of `_compute_pairs`.
+
+    For d > 3 L2^2 is still `_l2_closed_form` and the other kinds are Monte
+    Carlo estimates.
+    """
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: p.dim={p.dim}, q.dim={q.dim}")
     d = p.dim
@@ -818,7 +920,12 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
             raise CapabilityError(f"domain_radius needs certified quadrature (d <= 3), got d={d}")
         if not (0 < tol < 1):
             raise HypothesisError(f"tolerance must lie in (0, 1), got {tol}")
-        return {k: _mc_divergence(k, p, q) for k in kinds}
+        return {
+            k: _l2_closed_form(_Envelope([p]), _Envelope([q]))[0]
+            if k == DivergenceKind.L2Sq
+            else _mc_divergence(k, p, q)
+            for k in kinds
+        }
     return _compute_pairs(kinds, [(p, q)], tol, domain_radius, lam)[0]
 
 
@@ -830,6 +937,7 @@ def divergence(kind, p: GaussianMixture, q: GaussianMixture, tol=None, domain_ra
     still exceed every atom radius); this is mainly for stability checks.
     For d > 3 the value is a seeded Monte Carlo estimate: a `tol` in (0, 1)
     is accepted but does not change it, and `domain_radius` is rejected.
+    L2^2 is a closed-form sum in every d (`_l2_closed_form`), whatever `tol`.
     """
     kind = DivergenceKind(kind)
     return _compute_divergences([kind], p, q, tol=tol, domain_radius=domain_radius)[kind]

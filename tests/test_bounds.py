@@ -30,7 +30,7 @@ from gmdiv import (
 )
 from gmdiv import bounds
 from gmdiv.bounds import make_pair, _sample_subgaussian
-from gmdiv.divergences import _compute_divergences
+from gmdiv.divergences import IntegralEstimate, _compute_divergences
 from gmdiv.mixtures import DichotomyParams
 from conftest import random_compact, single_gaussian
 
@@ -264,6 +264,24 @@ class TestSweeps:
         rep = verify_sweep(BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1), 300, seed=3)
         assert calls == [300]
         assert len(rep.instances) == 300 and rep.failures == 0
+
+    def test_l2_bound_goes_through_the_root(self):
+        # L2^2 = 1e-12 +- 1e-12 puts ||p - q||_2 in [0, 1.4e-6], so L2fromTV
+        # at TV = 1e-7 (rhs 3e-7) passes; a slack built from the L2^2 bound
+        # itself failed lhs = 1e-6
+        est = {
+            DivergenceKind.KL: IntegralEstimate(1e-6, 0.0, 10.0, 100),
+            DivergenceKind.HellingerSq: IntegralEstimate(1e-7, 0.0, 10.0, 100),
+            DivergenceKind.TV: IntegralEstimate(1e-7, 0.0, 10.0, 100),
+            DivergenceKind.L2Sq: IntegralEstimate(1e-12, 1e-12, math.inf, 0),
+        }
+        p, q, family = single_gaussian(0.0), single_gaussian(1e-6), InstanceFamily(Compact(2.0), d=1)
+        inst = bounds._one_instance(BoundId.L2fromTV, family, 0, 2, p, q, est)
+        assert inst.passed
+        assert (inst.lhs, inst.rhs) == (1e-6, pytest.approx(3e-7, rel=1e-12))
+        # with an exact L2^2 the same lhs fails
+        est[DivergenceKind.L2Sq] = IntegralEstimate(1e-12, 0.0, math.inf, 0)
+        assert not bounds._one_instance(BoundId.L2fromTV, family, 0, 2, p, q, est).passed
 
     def test_degenerate_pair_passes_by_slack(self):
         fam = InstanceFamily(Compact(2.0), d=1)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from gmdiv import (
     truncation_radius,
 )
 from gmdiv import divergences
-from gmdiv.bounds import InstanceFamily, make_pair
+from gmdiv.bounds import BoundId, InstanceFamily, make_pair, verify_sweep
 from gmdiv.divergences import (
     _Envelope,
     _Rule,
@@ -41,6 +42,8 @@ from gmdiv.mixtures import LOG_2PI
 from conftest import random_compact, single_gaussian
 
 ALL_KINDS = list(DivergenceKind)
+# the kinds integrated by quadrature, with tail certificates; L2^2 is a closed form
+INTEGRATED_KINDS = [kind for kind in ALL_KINDS if kind is not DivergenceKind.L2Sq]
 
 
 def closed_forms(delta):
@@ -501,7 +504,7 @@ class TestTailBounds:
         qs = [random_compact(rng, M=2.0, d=1) for _ in range(5)]
         p_env, q_env = _Envelope(ps), _Envelope(qs)
         R = np.maximum(p_env.s_max, q_env.s_max) + step
-        for kind in (*ALL_KINDS, "renyi"):
+        for kind in (*INTEGRATED_KINDS, "renyi"):
             batch = _tail_bound(kind, p_env, q_env, R, 1, lam=3.0)
             alone = [_tail_bound(kind, _Envelope([p]), _Envelope([q]), R[i : i + 1], 1, 3.0)[0]
                      for i, (p, q) in enumerate(zip(ps, qs))]
@@ -632,6 +635,143 @@ class TestPlancherel:
         with pytest.raises(HypothesisError):
             plancherel_l2(p, q, tol=tol)
         assert not calls
+
+
+def mp_l2(p, q):
+    """||p - q||_2^2 from the stored atoms and weights, summed unmerged in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        atoms = [(x, mpmath.mpf(float(w))) for x, w in zip(p.mixing.locations, p.mixing.weights)]
+        atoms += [(x, -mpmath.mpf(float(v))) for x, v in zip(q.mixing.locations, q.mixing.weights)]
+        total = mpmath.mpf(0)
+        for x, a in atoms:
+            for y, b in atoms:
+                dist2 = sum((mpmath.mpf(float(s)) - mpmath.mpf(float(t))) ** 2 for s, t in zip(x, y))
+                total += a * b * mpmath.exp(-dist2 / 4)
+        return total * (4 * mpmath.pi) ** (-mpmath.mpf(p.dim) / 2)
+
+
+class TestClosedFormL2:
+    """L2^2 is one closed-form sum in every d, checked against routes that do not share it."""
+
+    @pytest.mark.parametrize("M", [1.0, 2.0])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    def test_near_identical_pairs_match_mpmath(self, M, eps):
+        # the quadrature raised at eps <= 1e-12 and was 1.3e-7 off at 1e-10
+        p = GaussianMixture.from_atoms([[0.0], [M]], [1.0 - eps, eps], tag=Compact(M))
+        q = single_gaussian(0.0, M=M)
+        est = divergence(DivergenceKind.L2Sq, p, q)
+        want = mp_l2(p, q)
+        assert abs(est.value - want) <= 1e-14 * want
+        assert abs(est.value - want) <= est.truncation_bound
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rounding_bound_covers_the_error(self, seed):
+        rng = np.random.default_rng(seed)
+        d = 1 + seed % 3
+        p, q = random_compact(rng, M=2.0, d=d), random_compact(rng, M=2.0, d=d)
+        est = divergence(DivergenceKind.L2Sq, p, q)
+        # worst-case bound: here about 100 times the error, and still tiny
+        assert abs(est.value - mp_l2(p, q)) <= est.truncation_bound <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_a_tensor_trapezoid_rule(self, d):
+        # the trapezoid rule converges geometrically on (p - q)^2; h = 0.5
+        # on [-10, 10]^d is within 1e-15 relative on these pairs
+        h = 0.5
+        x = np.arange(-20, 21) * h
+        grid = np.stack(np.meshgrid(*[x] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        for i in (0, 2, 3, 5):
+            p, q = make_pair(9, i, InstanceFamily(Compact(2.0), d))
+            diff = np.exp(p.log_density(grid)) - np.exp(q.log_density(grid))
+            want = float(np.sum(diff * diff)) * h**d
+            assert divergence(DivergenceKind.L2Sq, p, q).value == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [4, 5, 8])
+    def test_zero_padded_embedding(self, d):
+        # a pair embedded in the first coordinate of R^d: the other d - 1
+        # coordinates contribute int phi^2 = (4 pi)^(-1/2) each
+        def embed(gm):
+            locs = np.pad(gm.mixing.locations, ((0, 0), (0, d - 1)))
+            return GaussianMixture.from_atoms(locs, gm.mixing.weights, tag=gm.mixing.tag)
+
+        for i in range(6):
+            p, q = make_pair(9, i, InstanceFamily(Compact(2.0), 1))
+            one = divergence(DivergenceKind.L2Sq, p, q).value
+            want = one * (4.0 * math.pi) ** (-0.5 * (d - 1))
+            assert divergence(DivergenceKind.L2Sq, embed(p), embed(q)).value == pytest.approx(want, rel=1e-13)
+
+    def test_identity_and_swap_in_a_batch(self):
+        # q = p is exactly 0 (its atoms merge to coefficient 0), and a swap
+        # negates every merged coefficient, so it changes no bit
+        pairs = [make_pair(9, i, InstanceFamily(Compact(2.0), 1)) for i in range(60)]
+        got = _compute_pairs([DivergenceKind.L2Sq], pairs, None)
+        swapped = _compute_pairs([DivergenceKind.L2Sq], [(q, p) for p, q in pairs], None)
+        assert got == swapped
+        for i, est in enumerate(got):
+            assert (est[DivergenceKind.L2Sq].value == 0.0) == (i % 50 == 1)
+        zero = got[1][DivergenceKind.L2Sq]
+        assert (zero.value, zero.truncation_bound, zero.domain_radius, zero.quadrature_points) == (0.0, 0.0, math.inf, 0)
+
+    def test_duplicate_atoms_merge(self):
+        # p's two atoms at one location are one atom of weight 0.5 + 0.25
+        p = GaussianMixture.from_atoms([[0.0], [1.0], [0.0]], [0.5, 0.25, 0.25], tag=Compact(1.0))
+        q = GaussianMixture.from_atoms([[1.0], [0.0]], [0.25, 0.75], tag=Compact(1.0))
+        assert divergence(DivergenceKind.L2Sq, p, q).value == 0.0
+        r = GaussianMixture.from_atoms([[1.0], [0.0]], [0.5, 0.5], tag=Compact(1.0))
+        est = divergence(DivergenceKind.L2Sq, p, r)
+        assert abs(est.value - mp_l2(p, r)) <= est.truncation_bound
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_l2_is_never_integrated(self, monkeypatch, d):
+        def refuse(*args, **kwargs):
+            raise AssertionError("L2 reached a quadrature or Monte Carlo path")
+
+        for name in ("_refine", "_mc_divergence", "_kind_values"):
+            monkeypatch.setattr(divergences, name, refuse)
+        u = np.zeros(d)
+        u[0] = 1.0
+        est = divergence(DivergenceKind.L2Sq, single_gaussian(u, M=2.0), single_gaussian(np.zeros(d), M=2.0))
+        want = (1.0 - math.exp(-0.25)) / math.sqrt(math.pi) * (4.0 * math.pi) ** (-0.5 * (d - 1))
+        assert est.value == pytest.approx(want, rel=1e-14)
+        assert (est.domain_radius, est.quadrature_points) == (math.inf, 0)
+
+    @pytest.mark.parametrize("bound", [BoundId.TVfromL2, BoundId.L2fromTV])
+    def test_l2_sweeps_integrate_kl_h2_and_tv_only(self, monkeypatch, bound):
+        seen = set()
+        kind_values, mc = divergences._kind_values, divergences._mc_divergence
+
+        def spy(kind, *args, **kwargs):
+            seen.add(kind)
+            assert kind is not DivergenceKind.L2Sq
+            return kind_values(kind, *args, **kwargs)
+
+        def refuse_l2(kind, *args, **kwargs):
+            assert DivergenceKind(kind) is not DivergenceKind.L2Sq
+            return mc(kind, *args, **kwargs)
+
+        monkeypatch.setattr(divergences, "_kind_values", spy)
+        monkeypatch.setattr(divergences, "_mc_divergence", refuse_l2)
+        rep = verify_sweep(bound, InstanceFamily(Compact(2.0), 1), 20, seed=5)
+        assert rep.failures == 0
+        assert seen == {DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.TV}
+
+    @pytest.mark.parametrize(
+        "p, q, kwargs, error",
+        [
+            (single_gaussian(0.0), single_gaussian([0.0, 0.0]), {}, ValueError),
+            (single_gaussian(0.0), single_gaussian(1.0), {"tol": 1.0}, HypothesisError),
+            (single_gaussian(0.0), single_gaussian(1.0), {"tol": 0.0}, HypothesisError),
+            (single_gaussian(0.0), single_gaussian(1.0), {"domain_radius": 0.5}, HypothesisError),
+            (single_gaussian(np.zeros(4)), single_gaussian(np.ones(4)), {"domain_radius": 9.0}, CapabilityError),
+            (single_gaussian(np.zeros(4)), single_gaussian(np.ones(4)), {"tol": -1.0}, HypothesisError),
+            (GaussianMixture.from_atoms([[0.0]]), single_gaussian(1.0), {}, CapabilityError),
+        ],
+        ids=["dimension", "tol-1", "tol-0", "domain-radius", "radius-above-d3", "tol-above-d3", "unconstrained"],
+    )
+    def test_arguments_checked_as_for_every_kind(self, p, q, kwargs, error):
+        for kind in (DivergenceKind.L2Sq, DivergenceKind.KL):
+            with pytest.raises(error):
+                divergence(kind, p, q, **kwargs)
 
 
 class TestBrentq:
