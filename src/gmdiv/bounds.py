@@ -314,6 +314,7 @@ class SweepInstance:
     passed: bool
     kl_ge_h2: bool
     chi2_ge_kl: bool | None
+    quadrature_points: int
 
 
 @dataclass(frozen=True)
@@ -361,6 +362,16 @@ class SweepReport:
         write_csv(path, self.CSV_HEADER, self.csv_rows())
 
     def summary(self) -> dict:
+        """The sweep's outcome and cost; argmax_params is None when no ratio is finite.
+
+        Cost is the integrand evaluations of each instance's pair: their
+        total and the nearest-rank 50th and 99th percentiles per instance.
+        """
+        points = sorted(inst.quadrature_points for inst in self.instances)
+
+        def percentile(q):
+            return points[max(0, math.ceil(q * len(points)) - 1)] if points else None
+
         return {
             "bound": self.bound.value,
             "seed": self.seed,
@@ -370,8 +381,11 @@ class SweepReport:
             "max_ratio": self.max_ratio,
             "argmax_index": self.argmax_index,
             "argmax_params": (
-                self.instances[self.argmax_index].params if self.instances else None
+                self.instances[self.argmax_index].params if self.argmax_index >= 0 else None
             ),
+            "quadrature_points": sum(points),
+            "quadrature_points_p50": percentile(0.5),
+            "quadrature_points_p99": percentile(0.99),
         }
 
 
@@ -558,6 +572,8 @@ def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int,
         passed=bool(passed),
         kl_ge_h2=bool(kl_ge_h2),
         chi2_ge_kl=chi2_ge_kl,
+        # every integrated kind of a pair shares its points; L2^2 spends none
+        quadrature_points=max(e.quadrature_points for e in est.values()),
     )
 
 

@@ -38,15 +38,21 @@ cancel, so its accuracy floor is about eps * sum_ij |c_i c_j|.
 d in {1, 2, 3} uses certified quadrature: one driver (`_refine`) refines a
 nested tensor-product rule (`_Rule`: 1-d Gauss-Legendre panels, cut at the
 sign changes of p - q for TV; radial panels x angular rule for d in {2, 3})
-on a ball sized by one radius search (`_search_radius`).  In d in {2, 3}
-`_refine` refines one axis at a time: the radius on the coarsest angular
-rule until one more radial level moves no value by more than the stopping
-bound, then, at the coarser of those two radial levels, the angle until
-one more angular level does the same.  So the radial step is judged on the
-coarsest angular rule.  TV in d in {2, 3} bends along p = q, which can
-fool a judgement on one axis, so it then refines the radius again at its
-final angular level and the angle again at its final radial level.  No
-level pair is evaluated twice.  Both run on
+on a ball sized by one radius search (`_search_radius`).  A level-0 panel
+is at most 4 wide with 16 nodes, which resolves unit-width Gaussian
+features to rounding, and each radial level halves the panels.  In d in
+{2, 3} `_refine` refines one axis at a time: the radius on the coarsest
+angular rule until one more radial level moves no value by more than the
+stopping bound, then, at the coarser of those two radial levels, the angle
+until one more angular level does the same.  So the radial step is judged
+on the coarsest angular rule.  TV in d in {2, 3} bends along p = q, which
+can fool a judgement on one axis, so it then refines the radius again at
+its final angular level and the angle again at its final radial level.  No
+level pair is evaluated twice.  In d = 2 no node is either: the trapezoid
+angles of one level are every other angle of the next, so an angular step
+evaluates only the new angles and reuses the value of the level below
+(Trefethen & Weideman, SIAM Rev. 2014); d = 3's Gauss-Legendre axis in
+cos(polar) does not nest.  Both run on
 a batch of members at once, as arrays over members: `_compute_pairs` takes
 a list of pairs, pads their atoms to the largest count (`_Envelope`:
 weight 0, log-weight -inf), and runs the start radii, the level-0 pass,
@@ -339,12 +345,16 @@ def _kind_values(kind, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarr
 
 # -- quadrature driver ----------------------------------------------------------
 
-# Level caps of the nested rules, per axis: d = 1 doubles its panels at most
-# 14 times; d in {2, 3} refines the radial panels at most 7 times and the
-# angular rule at most 7 times, and never past _MAX_POINTS nodes of one
-# member.
-_MAX_LEVELS = {1: 14, 2: 7, 3: 7}
+# Level caps of the nested rules, (radial, angular) per d: d = 1 doubles its
+# panels at most 14 times; d in {2, 3} refines the radial panels at most 7
+# times and the angular rule at most 6 times, and never past _MAX_POINTS
+# nodes of one member's rule.
+_MAX_LEVELS = {1: (15, 1), 2: (8, 7), 3: (8, 7)}
 _MAX_POINTS = 6_000_000
+
+# A level-0 radial panel is at most this wide: 16 Gauss-Legendre nodes
+# resolve unit-width Gaussian features over it to rounding.
+_PANEL_WIDTH = 4.0
 
 # Members of a batch are evaluated in groups of consecutive members whose
 # nodes number at most _NODE_BUDGET (a larger member alone), so a batch as
@@ -372,15 +382,21 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 @functools.cache
-def _angular_rule(d: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+def _angular_rule(d: int, level: int, known: int) -> tuple[np.ndarray, np.ndarray]:
     # unit directions and weights of a level's angular rule (d = 2: the
     # periodic trapezoid rule; d = 3: Gauss-Legendre in cos(polar) x trapezoid);
-    # cached, so read-only
+    # cached, so read-only.  known = -1 for the whole rule; d = 2 with
+    # 0 <= known < level: only the angles that level `known` lacks, whose
+    # angles are bitwise every 2^(level-known)-th one here, as 2 pi (2i) /
+    # (2n) is 2 pi i / n exactly
     if d == 2:
         nt = 32 << level
-        theta = 2.0 * math.pi * np.arange(nt) / nt
+        k = np.arange(nt)
+        if known >= 0:
+            k = k[k % (1 << (level - known)) != 0]
+        theta = 2.0 * math.pi * k / nt
         omegas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        weights = np.full(nt, 2.0 * math.pi / nt)
+        weights = np.full(k.size, 2.0 * math.pi / nt)
     else:
         nu = 8 << level
         nt = 16 << level
@@ -404,14 +420,15 @@ class _Rule:
     member's splits (ascending, `counts[i]` of them for member i); in d in
     {2, 3}, the radial interval [0, R].  A member's level is a pair (i, j),
     one level per axis.  Radial level i divides a cut panel into
-    max(n0, ceil((hi - lo) / 2)) << i equal panels (n0 = 2 in d = 1, 4 in
-    d >= 2; the panel edges are those of np.linspace) of 16 Gauss-Legendre
-    nodes each.  In d >= 2 the radial nodes r, weights wr carry the angular
-    rule of level j: nodes r omega, weights wr r^(d-1) wa.  d = 1 has the
-    one axis and j = 0.  The members of one call may sit at different
-    level pairs.  Past the level cap of an axis, or past _MAX_POINTS nodes
-    of one member, there is no rule and QuadratureError names the axis and
-    the level pair.
+    max(1, ceil((hi - lo) / _PANEL_WIDTH)) << i equal panels (the panel
+    edges are those of np.linspace) of 16 Gauss-Legendre nodes each.  In
+    d >= 2 the radial nodes r, weights wr carry the angular rule of level
+    j: nodes r omega, weights wr r^(d-1) wa.  d = 1 has the one axis and
+    j = 0.  A member with a `known` angular level j0 >= 0 (d = 2, j0 < j)
+    gets only the angles of level j that level j0 lacks.  The members of
+    one call may sit at different level pairs.  Past the level cap of an
+    axis (_MAX_LEVELS), or past _MAX_POINTS nodes of one member's rule,
+    there is no rule and QuadratureError names the axis and the level pair.
     """
 
     def __init__(self, d: int, R, splits=None):
@@ -431,8 +448,7 @@ class _Rule:
         self.hi[last] = R
         self.hi[~last] = roots
         # level-0 divisions of each cut panel
-        n0 = 2 if d == 1 else 4
-        self.base = np.maximum(n0, np.ceil((self.hi - self.lo) / 2.0)).astype(np.int64)
+        self.base = np.maximum(1, np.ceil((self.hi - self.lo) / _PANEL_WIDTH)).astype(np.int64)
         self.size = R.size
 
     def _divisions(self, level, members):
@@ -446,29 +462,38 @@ class _Rule:
         n = self.base[keep] << level[at]
         return self.lo[keep], self.hi[keep], n, 16 * np.bincount(at, n, members.size).astype(np.int64)
 
-    def _where(self, level) -> str:
+    def _where(self, level, axis) -> str:
         i, j = level
         if self.d == 1:
             return f"level {i}"
-        return f"angular level {j} at radial level {i}" if j > 0 else f"radial level {i} at angular level 0"
+        return f"angular level {j} at radial level {i}" if axis else f"radial level {i} at angular level {j}"
 
-    def counts(self, levels, members) -> np.ndarray:
-        """Nodes of each member at its level pair (or all at one pair); QuadratureError past a cap."""
+    def counts(self, levels, members, known) -> np.ndarray:
+        """Nodes evaluated for each member at its level pair; QuadratureError past a cap.
+
+        `levels` holds one level pair per member, or one for all, and
+        `known` the angular level each member already has (-1: none).
+        """
         levels = np.broadcast_to(levels, (members.size, 2))
-        if levels.max() >= _MAX_LEVELS[self.d]:
-            where = self._where(levels[np.argmax(levels.max(axis=1))])
+        caps = _MAX_LEVELS[self.d]
+        past = levels >= caps
+        if past.any():
+            row = np.argmax(past.any(axis=1))
+            axis = int(np.argmax(past[row]))
+            name = f"{('radial', 'angular')[axis]} level" if self.d > 1 else "level"
             raise QuadratureError(
-                f"quadrature did not converge: {where} is past the last level {_MAX_LEVELS[self.d] - 1}"
+                f"quadrature did not converge: {self._where(levels[row], axis)} "
+                f"is past the last {name} {caps[axis] - 1}"
             )
-        total = self._divisions(levels[:, 0], members)[3]
+        radial = self._divisions(levels[:, 0], members)[3]
         if self.d == 1:
-            return total
-        total *= [_angular_rule(self.d, j)[0].shape[0] for j in levels[:, 1]]
-        big = total > _MAX_POINTS
+            return radial
+        big = radial * [_angular_rule(self.d, j, -1)[0].shape[0] for j in levels[:, 1]] > _MAX_POINTS
         if big.any():
-            where = self._where(levels[np.argmax(big)])
+            level = levels[np.argmax(big)]
+            where = self._where(level, level[1] > 0)
             raise QuadratureError(f"quadrature did not converge: {where} would exceed {_MAX_POINTS:,} nodes")
-        return total
+        return radial * [_angular_rule(self.d, j, k)[0].shape[0] for j, k in zip(levels[:, 1], known)]
 
     def radial(self, level, members):
         """Radial nodes r, weights wr of member i at radial level level[i], and the count of each.
@@ -486,17 +511,18 @@ class _Rule:
         right[ends] = hi
         return *_panel_nodes(left, right), counts
 
-    def nodes(self, levels, members):
+    def nodes(self, levels, members, known):
         """Nodes X (n, d) and weights w (n,) of the members at their level pairs, member after member."""
         x, w, counts = self.radial(levels[:, 0], members)
         if self.d == 1:
             return x[:, None], w
-        # each run of consecutive members at one angular level is one outer product
+        # each run of consecutive members with one angular rule is one outer product
         edges = np.concatenate([[0], np.cumsum(counts)])
-        runs = [0, *(np.flatnonzero(np.diff(levels[:, 1])) + 1), members.size]
+        change = (np.diff(levels[:, 1]) != 0) | (np.diff(known) != 0)
+        runs = [0, *(np.flatnonzero(change) + 1), members.size]
         parts = []
         for a, b in itertools.pairwise(runs):
-            omegas, wa = _angular_rule(self.d, levels[a, 1])
+            omegas, wa = _angular_rule(self.d, levels[a, 1], known[a])
             r, wr = x[edges[a] : edges[b]], w[edges[a] : edges[b]]
             X = (r[:, None, None] * omegas[None, :, :]).reshape(-1, self.d)
             parts.append((X, ((wr * r ** (self.d - 1))[:, None] * wa).ravel()))
@@ -511,17 +537,20 @@ def _segment_sums(vals, counts) -> np.ndarray:
     return np.add.reduceat(vals, np.cumsum(counts) - counts, axis=-1)
 
 
-def _integrate(measure, rule: _Rule, levels, members):
+def _integrate(measure, rule: _Rule, levels, members, known=-1):
     """measure on the members' rules at their level pairs, and the points of each.
 
-    `levels` holds one (radial, angular) pair per member, or one for all.
-    measure(X, w, counts, members) returns one row per member; members go
-    through it in groups of at most _NODE_BUDGET nodes.
+    `levels` holds one (radial, angular) pair per member, or one for all;
+    a member with a `known` angular level >= 0 takes only the angles that
+    level lacks (`_Rule`).  measure(X, w, counts, members) returns one row
+    per member; members go through it in groups of at most _NODE_BUDGET
+    nodes.
     """
     levels = np.broadcast_to(levels, (members.size, 2))
-    counts = rule.counts(levels, members)
+    known = np.broadcast_to(known, members.size)
+    counts = rule.counts(levels, members, known)
     rows = [
-        measure(*rule.nodes(levels[g], members[g]), counts[g], members[g])
+        measure(*rule.nodes(levels[g], members[g], known[g]), counts[g], members[g])
         for g in _groups(counts)
     ]
     return np.concatenate(rows), counts
@@ -542,10 +571,16 @@ def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0, kinked=
     the rays cross p = q) can fool a judgement on one axis, so a kinked
     member then refines the radius again at its final angular level and
     the angle again at its final radial level.  No node set is evaluated
-    twice.  Members marked in `reuse` take their row of `level0` as level
-    (0, 0) (those nodes are not evaluated again) and start at (1, 0); `pts`
-    counts points the caller already spent.  Returns the last measure of
-    each member and its points.
+    twice, and in d = 2 no node: the trapezoid angles of level j are every
+    2^(j'-j)-th one of level j' > j, so a step to level j' at a radial
+    level already evaluated at angular level j (the angular steps, and the
+    first step of the radial re-check, back at the finer radial level of
+    the first phase) evaluates only the angles level j lacks and adds
+    2^(j-j') times the level-j value; the measure must therefore be linear
+    in the weights w.  Members marked in `reuse` take their row of `level0`
+    as level (0, 0) (those nodes are not evaluated again) and start at
+    (1, 0); `pts` counts points the caller already spent.  Returns the last
+    measure of each member and its points.
     """
     # the step of each phase on the (radial, angular) level pair
     radial, angular = (1, 0), (0, 1)
@@ -562,12 +597,22 @@ def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0, kinked=
     levels[have, 0] = 1
     phase = np.zeros(m, dtype=np.int64)
     done = np.zeros(m, dtype=bool)
+    # d = 2: the angular level `known` already evaluated at a member's next
+    # radial level (-1: none) and its value `kept`; `spare` holds the value
+    # at the finer radial level where the first phase went back
+    known, kept, spare = np.full(m, -1), None, None
     while not done.all():
         members = np.nonzero(~done)[0]
-        cur, n = _integrate(measure, rule, levels[members], members)
-        pts[members] += n
+        cur, n = _integrate(measure, rule, levels[members], members, known[members])
         if last is None:
             last = np.empty((m, *cur.shape[1:]))
+        if rule.d == 2:
+            if kept is None:
+                kept, spare = np.empty_like(last), np.empty_like(last)
+            nest = known[members] >= 0
+            shift = levels[members[nest], 1] - known[members[nest]]
+            cur[nest] += np.ldexp(kept[members[nest]], -shift.reshape(-1, *[1] * (cur.ndim - 1)))
+        pts[members] += n
         moved = np.abs(cur - last[members]) <= bound(cur)
         settled = have[members] & moved.reshape(members.size, -1).all(axis=1)
         final = phase[members] == len(sweep) - 1
@@ -580,6 +625,13 @@ def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0, kinked=
         phase[members[settled & ~final]] += 1
         step = members[~(settled & final)]
         levels[step] += sweep[phase[step]]
+        if rule.d == 2:
+            spare[members[back]] = cur[back]
+            known[members] = -1
+            ahead = step[sweep[phase[step], 1] == 1]
+            known[ahead], kept[ahead] = levels[ahead, 1] - 1, last[ahead]
+            again = members[settled & (phase[members] == 2)]
+            known[again], kept[again] = 0, spare[again]
     return last, pts
 
 
@@ -993,14 +1045,16 @@ def _gram_h2(elements, tol) -> np.ndarray:
     One radius R serves every member: the radius search runs until the
     pair tail bound of the worst member, 2 max_i mass_tail_i(R), is at most
     tol/2.  On each level of `_Rule(d, [R])` the square roots S_i = sqrt(p_i)
-    at the nodes give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij
-    (clipped at 0), which is int (sqrt(p_i) - sqrt(p_j))^2 over the ball.
-    `_refine` stops once no entry moves by more than tol/2, so `tol` is an
-    absolute H^2 accuracy (default `default_tol(d)`).  The members are
-    processed in an order fixed by their contents and the upper triangle is
-    mirrored, so each entry is bitwise independent of the order of
-    `elements` (for one BLAS build and thread count; another thread count
-    can move entries by rounding, about 1e-15 on a 1000-candidate grid).
+    at the nodes give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij,
+    which is int (sqrt(p_i) - sqrt(p_j))^2 over the ball.  `_refine` stops
+    once no entry moves by more than tol/2, so `tol` is an absolute H^2
+    accuracy (default `default_tol(d)`); the entries are clipped at 0 only
+    after that, since an angular step in d = 2 reuses the level below.  The
+    members are processed in an order fixed by their contents and the upper
+    triangle is mirrored, so each entry is bitwise independent of the order
+    of `elements` (for one BLAS build and thread count; another thread
+    count can move entries by rounding, about 1e-15 on a 1000-candidate
+    grid).
     """
     n = len(elements)
     if n < 2:
@@ -1033,9 +1087,10 @@ def _gram_h2(elements, tol) -> np.ndarray:
             Sb[Sb < _GRAM_FLOOR] = 0.0
             G += (Sb * w[lo : lo + step]) @ Sb.T
         diag = np.diag(G)
-        return np.triu(np.maximum(diag[:, None] + diag[None, :] - 2.0 * G, 0.0), 1)[None]
+        return np.triu(diag[:, None] + diag[None, :] - 2.0 * G, 1)[None]
 
-    h2 = _refine(measure, _Rule(d, R), lambda cur: 0.5 * tol)[0][0]
+    # the measure stays linear in the weights, as `_refine` needs; clip after
+    h2 = np.maximum(_refine(measure, _Rule(d, R), lambda cur: 0.5 * tol)[0][0], 0.0)
     h2 += h2.T
     position = np.argsort(order)
     return h2[np.ix_(position, position)]

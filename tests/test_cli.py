@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from gmdiv import Compact, HellingerTable, greedy_cover, local_cover
+from gmdiv import Compact, DivergenceKind, HellingerTable, greedy_cover, local_cover
 from gmdiv.bounds import InstanceFamily, make_pair
+from gmdiv.divergences import _compute_pairs
 from gmdiv.cli import _family_candidates, main
 from gmdiv.mixtures import mixture_to_record
 
@@ -75,6 +76,31 @@ class TestSweepCommand:
         assert len(csv) == 13
         summary = json.loads((out_dir / "sweep_Thm1_summary.json").read_text())
         assert summary["failures"] == 0
+
+    def test_no_finite_ratio_has_no_argmax_params(self, run):
+        # one atom each at K = 0.5: every lhs and rhs is 0 and every ratio NaN,
+        # so there is no argmax and no params to report
+        cfg = {"command": "sweep", "bound": "Thm5", "K": 0.5, "max_atoms": 1, "n": 3}
+        out_dir, _ = run("sweep", cfg)
+        summary = json.loads((out_dir / "sweep_Thm5_summary.json").read_text())
+        assert summary["max_ratio"] == "nan"
+        assert summary["argmax_index"] == -1
+        assert summary["argmax_params"] is None
+
+    def test_summary_reports_quadrature_cost(self, run):
+        cfg = {"command": "sweep", "bound": "Thm1", "M": 2.0, "d": 1, "n": 12, "seed": 5}
+        out_dir, _ = run("sweep", cfg)
+        summary = json.loads((out_dir / "sweep_Thm1_summary.json").read_text())
+        fam = InstanceFamily(Compact(2.0), 1)
+        pairs = [make_pair(5, i, fam) for i in range(12)]
+        points = sorted(
+            row[DivergenceKind.KL].quadrature_points
+            for row in _compute_pairs([DivergenceKind.KL, DivergenceKind.HellingerSq], pairs, None)
+        )
+        assert summary["quadrature_points"] == sum(points)
+        # nearest rank: the 6th and the 12th of 12
+        assert summary["quadrature_points_p50"] == points[5]
+        assert summary["quadrature_points_p99"] == points[11]
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path, capsys):
         cfg = {"command": "sweep", "bound": "Thm1", "M": 2.0, "d": 1, "n": 10, "seed": 7}

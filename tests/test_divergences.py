@@ -57,15 +57,23 @@ def closed_forms(delta):
     }
 
 
-def on_rule(kinds, p, q, R, level, lam=None):
-    """Each kind integrated over the ball of radius R on the d >= 2 rule at level pair `level`.
+def on_rule(kinds, p, q, R, width, angular, lam=None):
+    """Each kind integrated over the ball of radius R, a reference built apart from `_Rule`.
 
-    The nodes are built and evaluated a block of radial nodes at a time, so
-    a rule past `_MAX_POINTS` costs time but little memory.
+    The radius [0, R] is cut into equal panels at most `width` wide, 16
+    Gauss-Legendre nodes each, so the reference does not move with the
+    package's own panel layout; the angle is the package's d >= 2 angular
+    rule at level `angular`.  The nodes are built and evaluated a block of
+    radial nodes at a time, so a rule past `_MAX_POINTS` costs time but
+    little memory.
     """
     d = p.dim
-    r, wr, _ = _Rule(d, [R]).radial(np.array([level[0]]), np.array([0]))
-    omegas, wa = _angular_rule(d, level[1])
+    edges = np.linspace(0.0, R, math.ceil(R / width) + 1)
+    half = 0.5 * np.diff(edges)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
+    r = ((edges[:-1] + half)[:, None] + half[:, None] * gl_nodes).ravel()
+    wr = (half[:, None] * gl_weights).ravel()
+    omegas, wa = _angular_rule(d, angular, -1)
     step = max(1, (1 << 20) // omegas.shape[0])
     total = np.zeros(len(kinds))
     for lo in range(0, r.size, step):
@@ -83,9 +91,9 @@ def final_levels(monkeypatch):
     seen = []
     original = divergences._integrate
 
-    def spy(measure, rule, levels, members):
+    def spy(measure, rule, levels, members, known=-1):
         seen.append((rule, np.broadcast_to(levels, (members.size, 2)).tolist(), members.tolist()))
-        return original(measure, rule, levels, members)
+        return original(measure, rule, levels, members, known)
 
     monkeypatch.setattr(divergences, "_integrate", spy)
 
@@ -276,16 +284,62 @@ class TestEstimateContracts:
         assert len(calls) == len(set(calls))
         assert est.quadrature_points == sum(n for of_p, n, _ in calls if of_p)
 
+    @pytest.mark.parametrize("kind", [DivergenceKind.KL, DivergenceKind.TV])
+    def test_d2_refinement_evaluates_no_node_twice(self, monkeypatch, final_levels, kind):
+        # d = 2's trapezoid angles nest, so an angular step evaluates only the
+        # angles the level below lacks; across the whole refinement (for TV:
+        # radius, angle, radius again at angular level 3, angle again) every
+        # node of p is evaluated once, and the value is still the full rule's
+        p = single_gaussian([0.0, 0.0], M=3.0)
+        q = GaussianMixture.from_atoms([[3.0, 0.0], [-0.5, 1.0]], [0.7, 0.3], tag=Compact(3.0))
+        nodes = []
+        original = divergences.segment_log_density
+
+        def spy(locations, const, pts, counts):
+            if not locations.any():  # p, its one atom at the origin
+                nodes.append(pts.copy())
+            return original(locations, const, pts, counts)
+
+        monkeypatch.setattr(divergences, "segment_log_density", spy)
+        est = divergence(kind, p, q)
+        X = np.concatenate(nodes)
+        assert np.unique(X, axis=0).shape[0] == X.shape[0]
+        assert est.quadrature_points == X.shape[0]
+        (i, j), = final_levels()
+        assert j >= (3 if kind is DivergenceKind.TV else 1)
+        r, wr, _ = _Rule(2, [est.domain_radius]).radial(np.array([i]), np.array([0]))
+        omegas, wa = _angular_rule(2, j, -1)
+        X = (r[:, None, None] * omegas).reshape(-1, 2)
+        full = ((wr * r)[:, None] * wa).ravel() @ _kind_values(kind, p.log_density(X), q.log_density(X))
+        assert est.value == pytest.approx(full, rel=1e-13)
+
     @pytest.mark.parametrize(
         "cap, value, message",
         [
-            ("_MAX_POINTS", 100_000, "angular level 2 at radial level 0 would exceed 100,000 nodes"),
-            ("_MAX_LEVELS", {1: 14, 2: 7, 3: 2}, "angular level 2 at radial level 0 is past the last level 1"),
-            ("_MAX_LEVELS", {1: 14, 2: 7, 3: 1}, "radial level 1 at angular level 0 is past the last level 0"),
+            ("_MAX_POINTS", 50_000, "angular level 2 at radial level 0 would exceed 50,000 nodes"),
+            (
+                "_MAX_LEVELS",
+                {1: (15, 1), 2: (8, 7), 3: (3, 2)},
+                "angular level 2 at radial level 0 is past the last angular level 1",
+            ),
+            (
+                "_MAX_LEVELS",
+                {1: (15, 1), 2: (8, 7), 3: (2, 1)},
+                "angular level 1 at radial level 0 is past the last angular level 0",
+            ),
+            (
+                "_MAX_LEVELS",
+                {1: (15, 1), 2: (8, 7), 3: (1, 7)},
+                "radial level 1 at angular level 0 is past the last radial level 0",
+            ),
         ],
     )
     def test_cap_error_names_axis_and_level_pair(self, monkeypatch, cap, value, message):
-        # this pair needs angular level 2 at radial level 0
+        # this pair needs angular level 2 at radial level 0, whose rule has
+        # 32 radial nodes (2 panels of 16) on 2,048 directions, 65,536 nodes;
+        # radial caps 3 and 2 reach the finest panels that caps 2 and 1 did
+        # when a level-0 panel was 2 wide, and a radial cap of 1 leaves no
+        # level to check level 0 against
         monkeypatch.setattr(divergences, cap, value)
         p, q = single_gaussian([2.0, 0.0, 0.0]), single_gaussian([0.0, 0.0, 0.0])
         with pytest.raises(QuadratureError, match=f"^quadrature did not converge: {message}$"):
@@ -554,12 +608,13 @@ class TestRenyiIntegral:
     @pytest.mark.parametrize("index", [0, 2, 3, 4])
     def test_d3_pairs_converge(self, final_levels, index):
         # these pairs raised QuadratureError at the default tol while radius
-        # and angle were refined together; the reference goes one level past
-        # where refinement stopped on each axis
+        # and angle were refined together; the reference goes one angular
+        # level past where refinement stopped, with radial panels at least
+        # four times finer
         p, q = make_pair(7, index, InstanceFamily(Compact(2.0), 3))
         est = renyi_integral(p, q, 3.0)
         i, j = final_levels()[0]
-        finer = on_rule(["renyi"], p, q, est.domain_radius, (i + 1, j + 1), lam=3.0)[0]
+        finer = on_rule(["renyi"], p, q, est.domain_radius, 0.5**i, j + 1, lam=3.0)[0]
         assert est.value == pytest.approx(finer, rel=default_tol(3))
 
     def test_lambda_range(self):
@@ -845,8 +900,10 @@ class TestSignChangeSplits:
         # search once missed it (the sign product there is 0, not < 0)
         p, q = single_gaussian(a, M=2.0), single_gaussian(-a, M=2.0)
         assert self.splits(p, q) == [0.0]
-        # cut there, the kink no longer sits inside a panel
-        assert divergence(DivergenceKind.TV, p, q).quadrature_points == 624
+        # cut there, the kink no longer sits inside a panel: 80 points for
+        # the start pass on [-R, R] (5 panels at most 4 wide), then 96 and
+        # 192 for levels 0 and 1 of the cut rule (3 panels a side, doubled)
+        assert divergence(DivergenceKind.TV, p, q).quadrature_points == 368
 
     def test_identical_pair_has_no_splits(self, rng):
         p = random_compact(rng, M=2.0, d=1)
@@ -933,11 +990,12 @@ class TestBatchedDriver:
 
 
 class TestSeparateRefinement:
-    """Radius, then angle, refined one at a time, against the joint rule one level finer.
+    """Radius, then angle, refined one at a time, against a reference finer on both axes.
 
-    The joint rule refines both axes together, one level past the angular
-    level the pair stopped at; that is also finer than its radial level.
-    The d = 3 pairs are those of the fixed d = 3 sweep, with its kinds.
+    The reference takes the angular rule one level past the angular level
+    j the pair stopped at, and radial panels 2^-j wide, finer than the
+    radial level-0 panels the sweep pairs settle at.  The d = 3 pairs are
+    those of the fixed d = 3 sweep, with its kinds.
     """
 
     @pytest.mark.parametrize(
@@ -954,7 +1012,7 @@ class TestSeparateRefinement:
             p, q = make_pair(seed, index, InstanceFamily(Compact(2.0), d))
             got = _compute_pairs(kinds, [(p, q)], None)[0]
             (_, j), = final_levels()
-            joint = on_rule(kinds, p, q, got[kinds[0]].domain_radius, (j + 1, j + 1))
+            joint = on_rule(kinds, p, q, got[kinds[0]].domain_radius, 0.5**j, j + 1)
             for kind, want in zip(kinds, joint):
                 assert got[kind].value == pytest.approx(want, rel=0.5 * tol), (index, kind)
 
@@ -962,28 +1020,32 @@ class TestSeparateRefinement:
     def test_tv_kink_stays_within_tol(self, seed):
         # judged once per axis, radius on the 32 rays of the coarsest angular
         # rule, these TV pairs stopped 1.1-2.4e-6 relative from the integral;
-        # the joint rule at level (5, 5) is within 1e-7 of level (7, 7) here
+        # the reference with radial panels 1/16 wide at angular level 5 is
+        # within 1e-7 of one with panels 1/64 wide at angular level 7 here
         rng = np.random.default_rng(seed)
         p, q = random_compact(rng, M=2.0, d=2), random_compact(rng, M=2.0, d=2)
         est = divergence(DivergenceKind.TV, p, q)
-        ref = on_rule([DivergenceKind.TV], p, q, est.domain_radius, (5, 5))[0]
+        ref = on_rule([DivergenceKind.TV], p, q, est.domain_radius, 1 / 16, 5)[0]
         assert est.value == pytest.approx(ref, rel=default_tol(2))
 
     def test_tv_kink_raises_rather_than_stopping_early(self):
         # this pair stopped 1.7e-6 relative from the integral before the
         # angle was refined again at its final radial level, which takes
-        # more angular levels than the rule has
+        # more angular levels than the rule has; radial level 4 has panels
+        # of the same width (R/32) as radial level 3 had when a level-0
+        # panel was 2 wide
         rng = np.random.default_rng(29)
         p, q = random_compact(rng, M=2.0, d=2), random_compact(rng, M=2.0, d=2)
-        with pytest.raises(QuadratureError, match="angular level 7 at radial level 3"):
+        with pytest.raises(QuadratureError, match="angular level 7 at radial level 4"):
             divergence(DivergenceKind.TV, p, q)
 
     @pytest.mark.parametrize("index", [0, 4])
     def test_tv_kink_at_tight_tol(self, index):
         # at tol 1e-7 pairs 0 and 4 of this sweep converge and pairs 2, 3, 5,
-        # 6 and 7 raise (pair 3 is the CLI's exit-4 case); the joint rule at
-        # level (6, 6) is within 1e-8 of level (7, 7) on both pairs
+        # 6 and 7 raise (pair 3 is the CLI's exit-4 case); the reference with
+        # radial panels 1/32 wide at angular level 6 is within 1e-8 of one
+        # with panels 1/64 wide at angular level 7 on both pairs
         p, q = make_pair(3, index, InstanceFamily(Compact(2.0), 2))
         est = divergence(DivergenceKind.TV, p, q, tol=1e-7)
-        ref = on_rule([DivergenceKind.TV], p, q, est.domain_radius, (6, 6))[0]
+        ref = on_rule([DivergenceKind.TV], p, q, est.domain_radius, 1 / 32, 6)[0]
         assert est.value == pytest.approx(ref, rel=1e-7)
