@@ -40,29 +40,32 @@ nested tensor-product rule (`_Rule`: 1-d Gauss-Legendre panels, cut at the
 sign changes of p - q for TV; radial panels x angular rule for d in {2, 3})
 on a ball sized by one radius search (`_search_radius`).  A level-0 panel
 is at most 4 wide with 16 nodes, which resolves unit-width Gaussian
-features to rounding, and each radial level halves the panels.  In d in
-{2, 3} `_refine` refines one axis at a time: the radius on the coarsest
-angular rule until one more radial level moves no value by more than the
-stopping bound, then, at the coarser of those two radial levels, the angle
-until one more angular level does the same.  So the radial step is judged
-on the coarsest angular rule.  TV in d in {2, 3} bends along p = q, which
-can fool a judgement on one axis, so it then refines the radius again at
-its final angular level and the angle again at its final radial level.  No
-level pair is evaluated twice.  In d = 2 no node is either: the trapezoid
-angles of one level are every other angle of the next, so an angular step
-evaluates only the new angles and reuses the value of the level below
-(Trefethen & Weideman, SIAM Rev. 2014); d = 3's Gauss-Legendre axis in
-cos(polar) does not nest.  Both run on
-a batch of members at once, as arrays over members: `_compute_pairs` takes
-a list of pairs, pads their atoms to the largest count (`_Envelope`:
-weight 0, log-weight -inf), and runs the start radii, the level-0 pass,
-the radius search with every tail bound, the TV splits and the refinement
-round by round over all pairs still pending, each at its own level pair;
-each pair stops at its own levels and keeps its own radius, splits, tails
-and point count.  Within a round the pending members are evaluated in
-groups of consecutive members with at most _NODE_BUDGET nodes (a larger
-member alone, in the log-density kernel's blocks), so no temporary grows
-with the batch; a sweep integrates all its pairs as one batch.
+features to rounding, and each radial level halves the panels.  `_refine`
+refines in phases, one axis each, and each phase is one loop over the
+members still pending in it.  In d in {2, 3} the radial phase refines the
+radius on the coarsest angular rule until one more radial level moves no
+value by more than the stopping bound, and the angular phase then refines
+the angle, at the coarser of those two radial levels, until one more
+angular level does the same.  So the radial step is judged on the coarsest
+angular rule.  TV in d in {2, 3} bends along p = q, which can fool a
+judgement on one axis, so it runs the two phases twice: the radius again
+at its final angular level, then the angle again.  No level pair is
+evaluated twice.  In d = 2 the trapezoid angles of one level are every
+other angle of the next, so an angular step evaluates only the new angles
+and adds half the value of the level below (Trefethen & Weideman, SIAM
+Rev. 2014), and no node is evaluated twice either, but for the first
+radial step of TV's re-check, which evaluates its level in full; d = 3's
+Gauss-Legendre axis in cos(polar) does not nest.  Both run on a batch of
+members at once, as arrays over members: `_compute_pairs` takes a list of
+pairs, pads their atoms to the largest count (`_Envelope`: weight 0,
+log-weight -inf), and runs the start radii, the level-0 pass, the radius
+search with every tail bound, the TV splits and the refinement phases over
+all pairs still pending, each at its own level pair; each pair stops at
+its own levels and keeps its own radius, splits, tails and point count.
+Within a step the pending members are evaluated in groups of consecutive
+members with at most _NODE_BUDGET nodes (a larger member alone, in the
+log-density kernel's blocks), so no temporary grows with the batch; a
+sweep integrates all its pairs as one batch.
 One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
 Gram pass of the Hellinger table and `plancherel_l2` are one-member
 batches of the same `_refine`.  In d = 1 the TV sign changes are the roots
@@ -544,94 +547,76 @@ def _integrate(measure, rule: _Rule, levels, members, known=-1):
     a member with a `known` angular level >= 0 takes only the angles that
     level lacks (`_Rule`).  measure(X, w, counts, members) returns one row
     per member; members go through it in groups of at most _NODE_BUDGET
-    nodes.
+    nodes.  A row that is not finite raises QuadratureError naming its
+    member's level pair.
     """
     levels = np.broadcast_to(levels, (members.size, 2))
     known = np.broadcast_to(known, members.size)
     counts = rule.counts(levels, members, known)
-    rows = [
+    rows = np.concatenate([
         measure(*rule.nodes(levels[g], members[g], known[g]), counts[g], members[g])
         for g in _groups(counts)
-    ]
-    return np.concatenate(rows), counts
+    ])
+    finite = np.isfinite(rows).reshape(members.size, -1).all(axis=1)
+    if not finite.all():
+        level = levels[np.argmin(finite)]
+        raise QuadratureError(f"quadrature value is not finite at {rule._where(level, level[1] > 0)}")
+    return rows, counts
 
 
 def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0, kinked=False):
     """Refine every member's rule, one axis at a time, until its measure settles.
 
-    A member refines its axes in phases, one level per round (d = 1: the
-    panels; d >= 2: the radius, then the angle), and every pending member
-    goes through each round, at its own level pair.  A step settles when no
-    entry of the measure moves by more than bound(cur); the member then
-    moves on to its next phase, and after the last one it stops with the
-    finer value.  When the first, radial phase of d >= 2 settles, the
-    member keeps the coarser level and its value and refines the angle at
-    that radial level, so radial convergence is judged on the coarsest
-    angular rule.  A `kinked` integrand (TV in d >= 2: |p - q| bends where
-    the rays cross p = q) can fool a judgement on one axis, so a kinked
-    member then refines the radius again at its final angular level and
-    the angle again at its final radial level.  No node set is evaluated
-    twice, and in d = 2 no node: the trapezoid angles of level j are every
-    2^(j'-j)-th one of level j' > j, so a step to level j' at a radial
-    level already evaluated at angular level j (the angular steps, and the
-    first step of the radial re-check, back at the finer radial level of
-    the first phase) evaluates only the angles level j lacks and adds
-    2^(j-j') times the level-j value; the measure must therefore be linear
-    in the weights w.  Members marked in `reuse` take their row of `level0`
-    as level (0, 0) (those nodes are not evaluated again) and start at
-    (1, 0); `pts` counts points the caller already spent.  Returns the last
-    measure of each member and its points.
+    Level (0, 0) comes first, then the phases, each one loop over the
+    members still pending in it: d = 1 refines its panels (one radial
+    phase), d >= 2 the radius, then the angle.  Each step moves the pending
+    members one level along the phase's axis, and a member leaves the phase
+    once its step moves no entry of the measure by more than bound(cur),
+    with the finer level and value.  The first radial phase of d >= 2 keeps
+    the coarser ones instead, so the angle is refined at the coarser radial
+    level and radial convergence is judged on the coarsest angular rule.  A
+    `kinked` integrand (TV in d >= 2: |p - q| bends where the rays cross
+    p = q) can fool a judgement on one axis, so a kinked member runs the two
+    phases twice: the radius again at its final angular level, then the
+    angle again.  In d = 2 an angular step evaluates only the angles the
+    level below lacks (the trapezoid angles of level j are every other one
+    of level j + 1) and adds half the value of the level below, so the
+    measure must be linear in the weights w.  No level pair is evaluated
+    twice; in d = 2 no node is either, but for the first radial step of a
+    kinked member's second radial phase, which evaluates its level in full,
+    angular level 0 included, which the first radial phase had.  A measure
+    that is not finite raises QuadratureError at its level (`_integrate`).
+    Members marked in `reuse` take their row of `level0` as level (0, 0)
+    (those nodes are not evaluated again); `pts` counts points the caller
+    already spent.  Returns the last measure of each member and its points.
     """
-    # the step of each phase on the (radial, angular) level pair
-    radial, angular = (1, 0), (0, 1)
-    if rule.d == 1:
-        sweep = [radial]
-    else:
-        sweep = [radial, angular, radial, angular] if kinked else [radial, angular]
-    sweep = np.array(sweep)
     m = rule.size
     pts = np.zeros(m, dtype=np.int64) + pts
-    have = np.zeros(m, dtype=bool) if reuse is None else reuse.copy()
-    last = None if level0 is None else np.array(level0, dtype=float)
     levels = np.zeros((m, 2), dtype=np.int64)
-    levels[have, 0] = 1
-    phase = np.zeros(m, dtype=np.int64)
-    done = np.zeros(m, dtype=bool)
-    # d = 2: the angular level `known` already evaluated at a member's next
-    # radial level (-1: none) and its value `kept`; `spare` holds the value
-    # at the finer radial level where the first phase went back
-    known, kept, spare = np.full(m, -1), None, None
-    while not done.all():
-        members = np.nonzero(~done)[0]
-        cur, n = _integrate(measure, rule, levels[members], members, known[members])
-        if last is None:
-            last = np.empty((m, *cur.shape[1:]))
-        if rule.d == 2:
-            if kept is None:
-                kept, spare = np.empty_like(last), np.empty_like(last)
-            nest = known[members] >= 0
-            shift = levels[members[nest], 1] - known[members[nest]]
-            cur[nest] += np.ldexp(kept[members[nest]], -shift.reshape(-1, *[1] * (cur.ndim - 1)))
-        pts[members] += n
-        moved = np.abs(cur - last[members]) <= bound(cur)
-        settled = have[members] & moved.reshape(members.size, -1).all(axis=1)
-        final = phase[members] == len(sweep) - 1
-        # where the first, radial phase settled, the coarser level and value stay
-        back = settled & (phase[members] == 0) & ~final
-        last[members[~back]] = cur[~back]
-        have[members] = True
-        done[members[settled & final]] = True
-        levels[members[back], 0] -= 1
-        phase[members[settled & ~final]] += 1
-        step = members[~(settled & final)]
-        levels[step] += sweep[phase[step]]
-        if rule.d == 2:
-            spare[members[back]] = cur[back]
-            known[members] = -1
-            ahead = step[sweep[phase[step], 1] == 1]
-            known[ahead], kept[ahead] = levels[ahead, 1] - 1, last[ahead]
-            again = members[settled & (phase[members] == 2)]
-            known[again], kept[again] = 0, spare[again]
+    last = None if reuse is None else np.array(level0, dtype=float)
+    fresh = np.arange(m) if reuse is None else np.flatnonzero(~reuse)
+    if fresh.size:
+        # level (0, 0) of the members without a reused row
+        cur, n = _integrate(measure, rule, 0, fresh)
+        pts[fresh] += n
+        last = cur if last is None else last
+        last[fresh] = cur
+    phases = [(1, 0)] if rule.d == 1 else [(1, 0), (0, 1)] * (1 + kinked)
+    for phase, step in enumerate(phases):
+        nest = rule.d == 2 and step[1] == 1
+        pending = np.arange(m)
+        while pending.size:
+            levels[pending] += step
+            cur, n = _integrate(measure, rule, levels[pending], pending, levels[pending, 1] - 1 if nest else -1)
+            pts[pending] += n
+            if nest:
+                cur += 0.5 * last[pending]
+            settled = (np.abs(cur - last[pending]) <= bound(cur)).reshape(pending.size, -1).all(axis=1)
+            # the first radial phase of d >= 2 keeps the coarser level and value
+            coarse = settled & (rule.d > 1 and phase == 0)
+            levels[pending[coarse]] -= step
+            last[pending[~coarse]] = cur[~coarse]
+            pending = pending[~settled]
     return last, pts
 
 
@@ -894,11 +879,9 @@ def _compute_pairs(kinds, pairs, tol, domain_radius=None, lam=None) -> list[dict
     start radii, level 0 of the rule there (which fixes the truncation
     targets), the radius search with its tail bounds, the d = 1 TV splits,
     and the refinement, where each pair stops at its own level and keeps
-    its own radius, splits, tails and point count.  A pair's estimates do
-    not depend on the other pairs (bitwise in d = 1 and for L2^2; in d >= 2
-    the log-density kernel may round a node differently in a block shared
-    with other pairs).  `lam` is the renyi power; `tol` defaults to
-    `default_tol(d)`.
+    its own radius, splits, tails and point count.  A pair's estimates are
+    the same bits whatever other pairs share its batch.  `lam` is the renyi
+    power; `tol` defaults to `default_tol(d)`.
     """
     p_mix, q_mix = [p for p, _ in pairs], [q for _, q in pairs]
     d = p_mix[0].dim

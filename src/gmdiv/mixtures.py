@@ -21,10 +21,11 @@ the sum runs in atom order.  `segment_log_density` evaluates many mixtures
 at once: their atoms padded to a common count (log-weight -inf, so a pad
 adds an exact 0 after the real atoms and changes no sum), and the nodes in
 per-mixture segments.  In d >= 2 each mixture's part of a block of nodes
-is one GEMM.  In d = 1 the logits are a_j x + c_j elementwise, the atoms
-of each node's mixture gathered with `np.repeat` when a block spans
-several segments: the same products as the GEMM's, and several times
-faster than a GEMM with inner dimension 1.  `GaussianMixture.log_density`
+is one GEMM over that mixture's own atoms, so its bits do not depend on
+the other mixtures of the call.  In d = 1 the logits are a_j x + c_j
+elementwise, the atoms of each node's mixture gathered with `np.repeat`
+when a block spans several segments: the same products as the GEMM's, and
+several times faster than a GEMM with inner dimension 1.  `GaussianMixture.log_density`
 is the one-segment case.  The score is the softmax of the same logits
 applied to the atoms, minus x; -||x||^2 / 2 cancels in the softmax and
 never enters.  Points are processed in blocks of _BLOCK, so no (k, n)
@@ -255,6 +256,11 @@ def segment_log_density(locations, const, pts, counts) -> np.ndarray:
     const:     (m, k) c_j = log w_j - ||a_j||^2 / 2 of each atom, -inf on a pad;
     pts:       (n, d) nodes, the first counts[0] for mixture 0, the next
                counts[1] for mixture 1, and so on (sum(counts) = n).
+
+    A mixture's segment is its own `GaussianMixture.log_density` bit for
+    bit, whatever the other mixtures, as long as none of its parts in a
+    block of _BLOCK nodes is a lone node (numpy sends a one-column product
+    through a matrix-vector routine, which may round differently in d >= 2).
     """
     n, d = pts.shape
     ends = list(itertools.accumulate(counts))
@@ -266,18 +272,21 @@ def segment_log_density(locations, const, pts, counts) -> np.ndarray:
         first, last = bisect.bisect_right(ends, lo), bisect.bisect_right(ends, hi - 1)
         # the block's mixtures without the pads that none of them needs
         offsets = const[first : last + 1]
-        k = int(np.count_nonzero((offsets > -np.inf).any(axis=0)))
+        real = np.count_nonzero(offsets > -np.inf, axis=1)
+        k = int(real.max())
         atoms, offsets = locations[first : last + 1, :k], offsets[:, :k]
         if d > 1:
-            # one GEMM for each mixture's part of the block (the gather
-            # below, summed over d coordinates, is slower here)
-            parts = []
+            # one GEMM for each mixture's part of the block over its own real
+            # atoms, so a node's bits do not depend on the other mixtures of
+            # its block, and rows of -inf below when the block's k is larger
+            # (the gather below, summed over d coordinates, is slower here)
+            logits = np.empty((k, hi - lo))
             for j, i in enumerate(range(first, last + 1)):
                 a, b = max(ends[i] - counts[i], lo) - lo, min(ends[i], hi) - lo
-                part = atoms[j] @ blk[a:b].T
-                part += offsets[j][:, None]
-                parts.append(part)
-            logits = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+                part = logits[: real[j], a:b]
+                np.matmul(atoms[j, : real[j]], blk[a:b].T, out=part)
+                part += offsets[j, : real[j], None]
+                logits[real[j] :, a:b] = -np.inf
         else:
             # the atoms of each node's mixture times the node: the GEMM's
             # own products, and several times faster than a GEMM of inner

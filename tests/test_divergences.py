@@ -287,9 +287,12 @@ class TestEstimateContracts:
     @pytest.mark.parametrize("kind", [DivergenceKind.KL, DivergenceKind.TV])
     def test_d2_refinement_evaluates_no_node_twice(self, monkeypatch, final_levels, kind):
         # d = 2's trapezoid angles nest, so an angular step evaluates only the
-        # angles the level below lacks; across the whole refinement (for TV:
-        # radius, angle, radius again at angular level 3, angle again) every
-        # node of p is evaluated once, and the value is still the full rule's
+        # angles the level below lacks; across KL's whole refinement every
+        # node of p is evaluated once, and the value is still the full rule's.
+        # TV runs the two phases twice, on the path (4, 0) -> (3, 0...3) ->
+        # (4, 3) -> (4, 4): the re-check's first radial step evaluates level
+        # (4, 3) in full, so the level-(4, 0) nodes of the first radial phase
+        # are evaluated a second time, and no other node is
         p = single_gaussian([0.0, 0.0], M=3.0)
         q = GaussianMixture.from_atoms([[3.0, 0.0], [-0.5, 1.0]], [0.7, 0.3], tag=Compact(3.0))
         nodes = []
@@ -303,15 +306,38 @@ class TestEstimateContracts:
         monkeypatch.setattr(divergences, "segment_log_density", spy)
         est = divergence(kind, p, q)
         X = np.concatenate(nodes)
-        assert np.unique(X, axis=0).shape[0] == X.shape[0]
         assert est.quadrature_points == X.shape[0]
         (i, j), = final_levels()
-        assert j >= (3 if kind is DivergenceKind.TV else 1)
-        r, wr, _ = _Rule(2, [est.domain_radius]).radial(np.array([i]), np.array([0]))
+        rule = _Rule(2, [est.domain_radius])
+        unique, seen = np.unique(X, axis=0, return_counts=True)
+        if kind is DivergenceKind.KL:
+            assert j >= 1 and seen.max() == 1
+        else:
+            assert (i, j) == (4, 4) and seen.max() == 2
+            level = rule.nodes(np.array([[4, 0]]), np.array([0]), np.array([-1]))[0]
+            assert level.shape[0] == 24_576
+            assert np.array_equal(unique[seen == 2], np.unique(level, axis=0))
+        r, wr, _ = rule.radial(np.array([i]), np.array([0]))
         omegas, wa = _angular_rule(2, j, -1)
         X = (r[:, None, None] * omegas).reshape(-1, 2)
         full = ((wr * r)[:, None] * wa).ravel() @ _kind_values(kind, p.log_density(X), q.log_density(X))
         assert est.value == pytest.approx(full, rel=1e-13)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda p: divergence(DivergenceKind.ChiSq, p, single_gaussian(30.0, M=30.0)),
+            lambda p: renyi_integral(p, single_gaussian(20.0, M=30.0), 3.0),
+        ],
+        ids=["chi2", "renyi"],
+    )
+    def test_non_finite_value_raises_at_once(self, compute):
+        # chi^2 = e^900 - 1 and the lam = 3 power integral e^1200 overflow a
+        # double; the driver stops at the first level whose value is not
+        # finite, where it used to refine an infinite value to the level cap
+        with pytest.raises(QuadratureError, match="^quadrature value is not finite at level 0$"):
+            compute(single_gaussian(0.0, M=30.0))
 
     @pytest.mark.parametrize(
         "cap, value, message",
@@ -923,7 +949,7 @@ class TestSignChangeSplits:
 
 
 class TestBatchedDriver:
-    """A pair's estimates do not depend on the batch it is computed in."""
+    """A pair's estimates are the same bits whatever batch it is computed in."""
 
     FAMILIES = [
         InstanceFamily(Compact(1.0), 1),
@@ -933,20 +959,11 @@ class TestBatchedDriver:
     ]
 
     @staticmethod
-    def check(kinds, pairs, rel=0.0, **kwargs):
+    def check(kinds, pairs, **kwargs):
         batch = _compute_pairs(kinds, pairs, **kwargs)
         assert len(batch) == len(pairs)
         for (p, q), got in zip(pairs, batch):
-            alone = _compute_pairs(kinds, [(p, q)], **kwargs)[0]
-            for kind in kinds:
-                a, b = got[kind], alone[kind]
-                assert a.domain_radius == b.domain_radius
-                assert a.quadrature_points == b.quadrature_points
-                if rel == 0.0:
-                    assert a == b
-                else:
-                    assert a.value == pytest.approx(b.value, rel=rel, abs=0.0)
-                    assert a.truncation_bound == pytest.approx(b.truncation_bound, rel=rel)
+            assert got == _compute_pairs(kinds, [(p, q)], **kwargs)[0]
 
     @pytest.mark.parametrize("family", FAMILIES, ids=repr)
     def test_d1_every_kind_bitwise(self, family):
@@ -966,18 +983,26 @@ class TestBatchedDriver:
     def test_d2_pairs_within_rounding(self):
         pairs = [make_pair(4, i, InstanceFamily(Compact(2.0), 2)) for i in range(6)]
         kinds = [DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq, DivergenceKind.L2Sq]
-        self.check(kinds, pairs, rel=1e-13, tol=None)
+        self.check(kinds, pairs, tol=None)
 
     def test_d3_pairs_within_rounding(self):
         pairs = [make_pair(4, i, InstanceFamily(Compact(2.0), 3)) for i in (2, 3)]
-        self.check([DivergenceKind.KL, DivergenceKind.HellingerSq], pairs, rel=1e-13, tol=1e-4)
+        self.check([DivergenceKind.KL, DivergenceKind.HellingerSq], pairs, tol=1e-4)
 
     def test_d3_members_at_different_level_pairs(self, final_levels):
         pairs = [make_pair(0, i, InstanceFamily(Compact(2.0), 3)) for i in (0, 1, 3)]
         kinds = [DivergenceKind.KL, DivergenceKind.HellingerSq]
         _compute_pairs(kinds, pairs, None)
         assert len(set(final_levels())) > 1
-        self.check(kinds, pairs, rel=1e-13, tol=None)
+        self.check(kinds, pairs, tol=None)
+
+    def test_d2_sweep_pairs_bitwise(self):
+        # a q = p pair (instance 51) reads rounding noise of about 1e-32 at
+        # every level, so its stopping level follows its bits: when the
+        # log-density kernel rounded a node by its block neighbours' atom
+        # counts, it spent 30,208 points in this batch against 7,168 alone
+        pairs = [make_pair(7, i, InstanceFamily(Compact(2.0), 2)) for i in range(100)]
+        self.check([DivergenceKind.KL, DivergenceKind.HellingerSq], pairs, tol=None)
 
     def test_mixed_dimensions_rejected(self):
         pairs = [(single_gaussian(0.5), single_gaussian(0.0)), (single_gaussian([0.5, 0.0]), single_gaussian([0.0, 0.0]))]
@@ -998,19 +1023,26 @@ class TestSeparateRefinement:
     those of the fixed d = 3 sweep, with its kinds.
     """
 
+    # the points each pair spends pin its level path: a driver change that
+    # moves a level shows here even where the value stays within tol
+    D2_POINTS = [7168, 9216, 10240, 7168, 7168, 10240, 10240, 7168, 10240, 7168]
+    D2_POINTS += [7168, 9216, 10240, 7168, 13312, 10240, 10240, 7168, 7168, 10240]
+    D3_POINTS = [145408, 47104, 145408, 94208, 145408, 94208, 145408, 145408, 145408, 145408, 145408, 94208]
+
     @pytest.mark.parametrize(
-        "d, seed, count, kinds",
+        "d, seed, points, kinds",
         [
-            (2, 1, 20, [DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq]),
-            (3, 0, 12, [DivergenceKind.KL, DivergenceKind.HellingerSq]),
+            (2, 1, D2_POINTS, [DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq]),
+            (3, 0, D3_POINTS, [DivergenceKind.KL, DivergenceKind.HellingerSq]),
         ],
         ids=["d2", "d3"],
     )
-    def test_sweep_pairs_match_the_joint_rule(self, final_levels, d, seed, count, kinds):
+    def test_sweep_pairs_match_the_joint_rule(self, final_levels, d, seed, points, kinds):
         tol = default_tol(d)
-        for index in range(count):
+        for index, spent in enumerate(points):
             p, q = make_pair(seed, index, InstanceFamily(Compact(2.0), d))
             got = _compute_pairs(kinds, [(p, q)], None)[0]
+            assert {got[kind].quadrature_points for kind in kinds} == {spent}, index
             (_, j), = final_levels()
             joint = on_rule(kinds, p, q, got[kinds[0]].domain_radius, 0.5**j, j + 1)
             for kind, want in zip(kinds, joint):

@@ -19,7 +19,7 @@ from gmdiv import (
     mixture_to_record,
     subgaussian_check,
 )
-from gmdiv.mixtures import _BLOCK, DichotomyParams
+from gmdiv.mixtures import _BLOCK, DichotomyParams, segment_log_density
 from conftest import random_compact, single_gaussian
 
 LOG_INV_SQRT_2PI = -0.5 * math.log(2 * math.pi)
@@ -91,6 +91,32 @@ class TestKernelCrossCheck:
         np.testing.assert_allclose(rows, batch, rtol=1e-14, atol=0.0)
         row_scores = np.array([gm.score(x) for x in pts[::97]])
         np.testing.assert_allclose(row_scores, scores[::97], rtol=1e-14, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_segments_match_each_mixture_alone(self, d, rng):
+        # each mixture's part of a block is one GEMM over its own real atoms,
+        # so its segment of a padded many-mixture call is its own
+        # log_density bit for bit, whatever atom counts its block neighbours
+        # have; counts are multiples of 16 nodes, as the quadrature's are, so
+        # no part is a lone node (that goes through a matrix-vector product,
+        # which may round differently, as in test_blocks_are_independent)
+        sizes = rng.integers(1, 9, 60)
+        mixtures = [
+            GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (k, d)), rng.dirichlet(np.ones(k))) for k in sizes
+        ]
+        locations, const = np.zeros((sizes.size, 8, d)), np.full((sizes.size, 8), -np.inf)
+        for i, gm in enumerate(mixtures):
+            locations[i, : sizes[i]], const[i, : sizes[i]] = gm.mixing.locations, gm._const
+        # a fifth of the segments are long enough to straddle blocks
+        long = rng.random(sizes.size) < 0.2
+        counts = 16 * np.where(long, rng.integers(256, 1100, sizes.size), rng.integers(1, 120, sizes.size))
+        pts = rng.uniform(-8.0, 8.0, (counts.sum(), d))
+        batch = segment_log_density(locations, const, pts, counts)
+        ends = np.cumsum(counts)
+        straddle = (ends - counts) // _BLOCK != (ends - 1) // _BLOCK
+        assert straddle.sum() >= 10 and (~straddle).sum() >= 30
+        for gm, hi, n in zip(mixtures, ends, counts):
+            assert np.array_equal(batch[hi - n : hi], gm.log_density(pts[hi - n : hi]))
 
     def test_memory_bounded_by_one_block(self):
         # the (n, k, d) broadcast needs two ~150 MB arrays here
