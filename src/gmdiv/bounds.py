@@ -19,13 +19,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 # a sweep integrates all its pairs in one `_compute_pairs` call;
 # `_compute_divergences` stays bound here because perfbench's tracer wraps
 # it by this name
-from .divergences import DivergenceKind, _compute_divergences, _compute_pairs  # noqa: F401
+from .divergences import DivergenceKind, _compute_divergences, _compute_pairs, _Envelope  # noqa: F401
 from .errors import CapabilityError, HypothesisError
 from .mixtures import (
     ClassTag,
@@ -34,6 +35,8 @@ from .mixtures import (
     GaussianMixture,
     MixingDistribution,
     Subgaussian,
+    row_sums,
+    validate_atoms,
 )
 from .textio import format_float, write_csv
 
@@ -297,6 +300,11 @@ class InstanceFamily:
     max_atoms: int = 8
 
     def __post_init__(self):
+        # max_atoms is an array dimension of the sweep's draw
+        for name in ("d", "max_atoms"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if not (1 <= self.max_atoms <= 64):
@@ -441,76 +449,129 @@ def _check_family(bound: BoundId, family: InstanceFamily):
         raise CapabilityError(f"sweeps need certified quadrature (d <= 3), got d={family.d}")
 
 
-def _sample_compact(rng, M: float, d: int, max_atoms: int) -> MixingDistribution:
-    k = int(rng.integers(1, max_atoms + 1))
-    dirs = rng.standard_normal((k, d))
-    norms = np.sqrt(np.sum(dirs * dirs, axis=1))
-    norms[norms < 1e-12] = 1.0
-    radii = M * rng.random(k) ** (1.0 / d)
-    locs = dirs / norms[:, None] * radii[:, None]
-    w = rng.dirichlet(np.ones(k))
-    w = np.maximum(w, 1e-9)
-    w /= w.sum()
-    return MixingDistribution(locs, w, Compact(M))
+class _Atoms(NamedTuple):
+    """Mixtures as padded arrays: row i holds counts[i] atoms, then pads of location and weight 0."""
+
+    locations: np.ndarray  # (n, k, d)
+    weights: np.ndarray  # (n, k)
+    counts: np.ndarray  # (n,)
 
 
-def _sample_subgaussian(rng, K: float, d: int, max_atoms: int) -> MixingDistribution:
-    # an atomic K-subgaussian law must put mass at the origin; draw the rest
-    # Gaussian and repair weights outer-to-inner so every step-tail
-    # constraint holds with margin
-    k = int(rng.integers(1, max_atoms + 1))
-    locs = np.zeros((k, d))
-    if k > 1:
-        locs[1:] = rng.standard_normal((k - 1, d)) * (K / 2.0)
-    w = rng.dirichlet(np.ones(k))
-    w = np.maximum(w, 1e-9)
-    w /= w.sum()
-    radii = np.sqrt(np.sum(locs * locs, axis=1))
-    order = np.argsort(radii)[::-1]
-    cum = 0.0
-    for j in order:
-        s = radii[j]
-        if s <= 0:
-            continue
-        cap = math.exp(-s * s / (2.0 * K * K)) * (1.0 - 1e-9) - cum
-        if w[j] > cap:
-            w[j] = max(cap, 0.0)
-        cum += w[j]
-    w[0] += 1.0 - w.sum()
-    keep = w > 0
-    locs, w = locs[keep], w[keep]
-    w = w / w.sum()
-    return MixingDistribution(locs, w, Subgaussian(K))
+def _draw_pairs(seed: int, indices, family: InstanceFamily) -> _Atoms:
+    """The atoms of the sweep instances `indices`, before validation.
+
+    Row j holds the p of instance indices[j] and row n + j its q, for n
+    instances.  Instance i draws from `np.random.default_rng([seed, i])`,
+    its p first and then its q.  A mixture draws its atom count k uniform in
+    [1, max_atoms], then
+    - Compact(M): k uniform directions and radii M U^(1/d);
+    - Subgaussian(K): an atom at the origin (an atomic K-subgaussian law
+      must put mass there) and k - 1 atoms N(0, (K/2)^2 I),
+    and Dirichlet(1, ..., 1) weights, floored at 1e-9 and renormalized.
+    Subgaussian weights are then repaired outer-to-inner so every
+    step-tail constraint holds with margin, the origin takes up the
+    remaining mass, and atoms left without weight are dropped.  Every 10th
+    instance forces q to the standard Gaussian (the dichotomy-adjacent
+    regime) and every 50th (offset 1) sets q = p.
+
+    Each mixture makes the generator calls of a mixture drawn alone, in
+    the same order, written into padded arrays: `integers`, then
+    `standard_normal` and `random`, then `standard_exponential` where
+    `dirichlet` was, its weights computed as numpy computes `dirichlet`
+    (the exponentials times the reciprocal of their left-to-right sum).
+    Every other sum over a mixture's atoms is `row_sums`, so each mixture
+    has the bits it has when drawn alone.
+    """
+    tag, d, top = family.tag, family.d, family.max_atoms
+    n = len(indices)
+    counts = np.ones(2 * n, dtype=np.int64)
+    normal = np.zeros((2 * n, top, d))
+    uniform = np.zeros((2 * n, top))
+    expo = np.zeros((2 * n, top))
+    drawn = np.zeros(2 * n, dtype=bool)
+    compact = isinstance(tag, Compact)
+    for i, index in enumerate(indices):
+        rng = np.random.default_rng([seed, index])
+        for row in (i,) if index % 10 == 0 or index % 50 == 1 else (i, n + i):
+            k = counts[row] = int(rng.integers(1, top + 1))
+            if compact:
+                rng.standard_normal(out=normal[row, :k])
+                rng.random(out=uniform[row, :k])
+            elif k > 1:
+                rng.standard_normal(out=normal[row, 1:k])
+            rng.standard_exponential(out=expo[row, :k])
+            drawn[row] = True
+
+    real = np.arange(top) < counts[:, None]
+    # the left-to-right sums, 1 where nothing was drawn
+    total = np.where(drawn, np.cumsum(expo, axis=1)[:, -1], 1.0)
+    w = np.where(real, np.maximum(expo * (1.0 / total)[:, None], 1e-9), 0.0)
+    w /= row_sums(w, counts)[:, None]
+    if compact:
+        norms = np.sqrt(np.sum(normal * normal, axis=2))
+        norms[norms < 1e-12] = 1.0
+        radii = tag.M * uniform ** (1.0 / d)
+        locs = normal / norms[..., None] * radii[..., None]
+    else:
+        locs, w, counts = _repair_subgaussian(normal * (tag.K / 2.0), w, counts, real, tag.K)
+
+    index = np.asarray(indices)
+    same = np.flatnonzero(index % 50 == 1)
+    locs[n + same], w[n + same], counts[n + same] = locs[same], w[same], counts[same]
+    # the standard Gaussian: one atom at the origin, of weight 1
+    w[n + np.flatnonzero(index % 10 == 0), 0] = 1.0
+    k = counts.max()
+    return _Atoms(np.ascontiguousarray(locs[:, :k]), np.ascontiguousarray(w[:, :k]), counts)
 
 
-def _sample_mixing(rng, family: InstanceFamily) -> MixingDistribution:
-    tag = family.tag
-    if isinstance(tag, Compact):
-        return _sample_compact(rng, tag.M, family.d, family.max_atoms)
-    return _sample_subgaussian(rng, tag.K, family.d, family.max_atoms)
+def _repair_subgaussian(locs, w, counts, real, K):
+    """Cap each Subgaussian draw's weights outer-to-inner under its step tails.
 
-
-def _standard_normal_mixing(family: InstanceFamily) -> MixingDistribution:
-    return MixingDistribution(
-        np.zeros((1, family.d)), np.array([1.0]), family.tag
-    )
+    Per row, atoms at positive radius s go by decreasing s and take weight
+    at most exp(-s^2 / (2 K^2)) (1 - 1e-9) less the weight already taken,
+    the origin (atom 0) takes up the rest of the unit mass, atoms without
+    weight are dropped and the rest renormalized.  The caps are `math.exp`
+    of each atom's exponent.
+    """
+    m, top = w.shape
+    radii = np.sqrt(np.sum(locs * locs, axis=2))
+    outer = real & (radii > 0)
+    exponent = -radii[outer] * radii[outer] / (2.0 * K * K)
+    caps = np.zeros((m, top))
+    caps[outer] = [math.exp(x) for x in exponent.tolist()]
+    caps *= 1.0 - 1e-9
+    # outer atoms by decreasing radius, as np.argsort(radii)[::-1] orders a row
+    order = np.argsort(np.where(outer, radii, -1.0), axis=1, kind="stable")[:, ::-1]
+    rows, cum = np.arange(m), np.zeros(m)
+    for j in range(int(np.count_nonzero(outer, axis=1).max(initial=0))):
+        at = rows, order[:, j]
+        live, wj, cap = outer[at], w[at], caps[at] - cum
+        wj = np.where(live & (wj > cap), np.maximum(cap, 0.0), wj)
+        w[at] = wj
+        cum = np.where(live, cum + wj, cum)
+    w[:, 0] += 1.0 - row_sums(w, counts)
+    # keep the atoms with weight, in their order, and pad the rest
+    keep = real & (w > 0)
+    at = rows[:, None], np.argsort(~keep, axis=1, kind="stable")
+    counts = np.count_nonzero(keep, axis=1)
+    kept = np.arange(top) < counts[:, None]
+    locs = np.where(kept[..., None], locs[at], 0.0)
+    w = np.where(kept, w[at], 0.0)
+    w /= row_sums(w, counts)[:, None]
+    return locs, w, counts
 
 
 def make_pair(seed: int, index: int, family: InstanceFamily):
     """The (p, q) mixture pair of a sweep instance; deterministic in (seed, index).
 
-    Every 10th instance forces q to the standard Gaussian (the
-    dichotomy-adjacent regime) and every 50th (offset 1) sets q = p.
+    It is instance `index` of `_draw_pairs`, the one-instance case of a
+    sweep's draw.
     """
-    rng = np.random.default_rng([seed, index])
-    p_mix = _sample_mixing(rng, family)
-    if index % 10 == 0:
-        q_mix = _standard_normal_mixing(family)
-    elif index % 50 == 1:
-        q_mix = p_mix
-    else:
-        q_mix = _sample_mixing(rng, family)
-    return GaussianMixture(p_mix), GaussianMixture(q_mix)
+    atoms = _draw_pairs(seed, [index], family)
+    return tuple(
+        GaussianMixture(MixingDistribution(atoms.locations[row, :k], atoms.weights[row, :k], family.tag))
+        for row, k in enumerate(atoms.counts)
+    )
 
 
 def _slack(bound_a, bound_b) -> float:
@@ -532,14 +593,14 @@ def _side(kind, est) -> tuple[float, float]:
     return root, max(math.sqrt(v + b) - root, root - math.sqrt(max(v - b, 0.0)))
 
 
-def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int, p, q, est):
-    """The checked instance of pair (p, q), whose estimates `est` map kinds to values."""
+def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int, natoms_p, natoms_q, est):
+    """The checked instance of a pair with these atom counts, whose estimates `est` map kinds to values."""
     _, _, lhs_kind, arg_kind = _SWEEPS[bound]
     kl, h2 = est[_KL], est[_H2]
     params = {
         **_family_params(family),
-        "natoms_p": p.mixing.n_atoms,
-        "natoms_q": q.mixing.n_atoms,
+        "natoms_p": natoms_p,
+        "natoms_q": natoms_q,
     }
 
     kl_ge_h2 = h2.value <= kl.value + _slack(kl.truncation_bound, h2.truncation_bound)
@@ -586,21 +647,26 @@ def verify_sweep(
 ) -> SweepReport:
     """Check a comparison bound on n seeded random pairs from a family.
 
-    Instances derive their RNG from (seed, index).  All pairs are
-    integrated as one batch (`_compute_pairs`) on the calling thread, so
-    the report is deterministic across reruns.  A failure means lhs
-    exceeded the stated rhs by more than the certified numerical slack.
+    Instance i draws its pair from `default_rng([seed, i])`, exactly as
+    `make_pair(seed, i, family)`, but all pairs are drawn as padded arrays
+    (`_draw_pairs`) and validated once (`validate_atoms`), and no mixture
+    object is built.  All pairs are integrated as one batch
+    (`_compute_pairs`) on the calling thread, so the report is
+    deterministic across reruns.  A failure means lhs exceeded the stated
+    rhs by more than the certified numerical slack.
     """
     bound = BoundId(bound)
     _check_family(bound, family)
     if n < 1:
         raise ValueError(f"sweep size must be positive, got {n}")
 
-    pairs = [make_pair(seed, i, family) for i in range(n)]
-    estimates = _compute_pairs(_SWEEPS[bound][1], pairs, tol)
+    atoms = _draw_pairs(seed, range(n), family)
+    weights = validate_atoms(*atoms, family.tag)
+    p_env, q_env = (_Envelope(atoms.locations[rows], weights[rows]) for rows in (slice(0, n), slice(n, None)))
+    estimates = _compute_pairs(_SWEEPS[bound][1], p_env, q_env, [(family.tag,)] * n, tol)
+    counts = atoms.counts.tolist()
     instances = [
-        _one_instance(bound, family, seed, i, p, q, e)
-        for i, ((p, q), e) in enumerate(zip(pairs, estimates))
+        _one_instance(bound, family, seed, i, counts[i], counts[n + i], e) for i, e in enumerate(estimates)
     ]
 
     ratios = [inst.ratio for inst in instances if math.isfinite(inst.ratio)]

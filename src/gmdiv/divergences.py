@@ -56,11 +56,13 @@ and adds half the value of the level below (Trefethen & Weideman, SIAM
 Rev. 2014), and no node is evaluated twice either, but for the first
 radial step of TV's re-check, which evaluates its level in full; d = 3's
 Gauss-Legendre axis in cos(polar) does not nest.  Both run on a batch of
-members at once, as arrays over members: `_compute_pairs` takes a list of
-pairs, pads their atoms to the largest count (`_Envelope`: weight 0,
-log-weight -inf), and runs the start radii, the level-0 pass, the radius
-search with every tail bound, the TV splits and the refinement phases over
-all pairs still pending, each at its own level pair; each pair stops at
+members at once, as arrays over members: `_compute_pairs` takes the
+pairs as two `_Envelope`s, the atoms of every p and of every q padded to
+one count (weight 0, log-weight -inf), which a sweep draws as arrays and
+a one-pair caller builds from its mixtures (`_Envelope.of`).  It runs
+the start radii, the level-0 pass, the radius search with every tail
+bound, the TV splits and the refinement phases over all pairs still
+pending, each at its own level pair; each pair stops at
 its own levels and keeps its own radius, splits, tails and point count.
 Within a step the pending members are evaluated in groups of consecutive
 members with at most _NODE_BUDGET nodes (a larger member alone, in the
@@ -192,29 +194,36 @@ def gaussian_radial_tail(t, d: int):
 
 
 class _Envelope:
-    """The atoms of a list of mixtures, padded to one count, row i for mixture i.
+    """The atoms of m mixtures, padded to one count, row i for mixture i.
 
-    A pad has location 0, weight 0 and log-weight -inf, and sits after the
-    real atoms, so it adds an exact 0 to every atom sum (`_atom_sum`) and
-    never wins a max.  `const` holds the logit offsets of
-    `segment_log_density`.
+    locations (m, k, d) and weights (m, k) hold each mixture's validated
+    atoms (`validate_atoms`) and then its pads.  A pad has location 0,
+    weight 0 and log-weight -inf, and sits after the real atoms, so it adds
+    an exact 0 to every atom sum (`_atom_sum`) and never wins a max.
+    `const` holds the logit offsets of `segment_log_density`.
     """
 
-    def __init__(self, mixtures):
-        counts = [gm.mixing.n_atoms for gm in mixtures]
-        m, k, d = len(mixtures), max(counts), mixtures[0].dim
-        rows = np.repeat(np.arange(m), counts)
-        cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        self.locations = np.zeros((m, k, d))
-        self.locations[rows, cols] = np.concatenate([gm.mixing.locations for gm in mixtures])
-        self.weights = np.zeros((m, k))
-        self.weights[rows, cols] = np.concatenate([gm.mixing.weights for gm in mixtures])
-        self.real = self.weights > 0
+    def __init__(self, locations, weights):
+        self.locations, self.weights = locations, weights
+        m, k = weights.shape
+        self.real = weights > 0
         self.logw = np.full((m, k), -np.inf)
         self.logw[self.real] = np.log(self.weights[self.real])
         self.radii = np.sqrt(np.sum(self.locations**2, axis=2))
         self.s_max = self.radii.max(axis=1)
         self.const = self.logw - 0.5 * np.sum(self.locations * self.locations, axis=2)
+
+    @classmethod
+    def of(cls, mixtures):
+        """The envelope of a list of `GaussianMixture`s."""
+        counts = [gm.mixing.n_atoms for gm in mixtures]
+        m, k, d = len(mixtures), max(counts), mixtures[0].dim
+        rows = np.repeat(np.arange(m), counts)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        locations, weights = np.zeros((m, k, d)), np.zeros((m, k))
+        locations[rows, cols] = np.concatenate([gm.mixing.locations for gm in mixtures])
+        weights[rows, cols] = np.concatenate([gm.mixing.weights for gm in mixtures])
+        return cls(locations, weights)
 
     def log_density(self, members, pts, counts) -> np.ndarray:
         """Log-density of mixture members[i] at the i-th segment of pts."""
@@ -335,14 +344,18 @@ def _kind_values(kind, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarr
     if kind == DivergenceKind.ChiSq:
         pos = lr > 0
         out = np.empty_like(lr)
-        out[pos] = np.exp(2.0 * logp[pos] - logq[pos]) * np.expm1(-lr[pos]) ** 2
+        # an overflow to inf is reported by the driver, which raises on a
+        # value that is not finite
+        with np.errstate(over="ignore"):
+            out[pos] = np.exp(2.0 * logp[pos] - logq[pos]) * np.expm1(-lr[pos]) ** 2
         out[~pos] = np.exp(logq[~pos]) * np.expm1(lr[~pos]) ** 2
         return out
     if kind == DivergenceKind.TV:
         m = np.maximum(logp, logq)
         return 0.5 * np.exp(m) * (-np.expm1(-np.abs(lr)))
     if kind == "renyi":
-        return np.exp(lam * logp - (lam - 1.0) * logq)
+        with np.errstate(over="ignore"):
+            return np.exp(lam * logp - (lam - 1.0) * logq)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -625,15 +638,14 @@ def _relative(tol):
     return lambda cur: 0.5 * tol * np.maximum(np.abs(cur), _FLOOR)
 
 
-def _start_radius(members, s_max, tol) -> np.ndarray:
+def _start_radius(tags, s_max, d, tol) -> np.ndarray:
     """Where each member's radius search starts: max(truncation radii, s_max + 1).
 
-    members[i] lists the mixtures member i integrates, s_max[i] their
-    largest atom radius.
+    tags[i] lists the class tags of the mixtures member i integrates,
+    s_max[i] their largest atom radius.
     """
-    d = members[0][0].dim
     radius = functools.cache(lambda tag: truncation_radius(tag, d, tol))
-    trunc = [max(radius(gm.mixing.tag) for gm in member) for member in members]
+    trunc = [max(map(radius, row)) for row in tags]
     return np.maximum(trunc, np.asarray(s_max) + 1.0)
 
 
@@ -863,49 +875,51 @@ def _l2_closed_form(p_env: _Envelope, q_env: _Envelope) -> list[IntegralEstimate
 # -- main entry points ----------------------------------------------------------
 
 
-def _require_certifiable(gm: GaussianMixture):
-    if isinstance(gm.mixing.tag, Unconstrained):
+def _require_certifiable(tag):
+    if isinstance(tag, Unconstrained):
         raise CapabilityError(
             "unconstrained mixtures carry no certifiable tail; tag the mixing "
             "distribution as Compact or Subgaussian"
         )
 
 
-def _compute_pairs(kinds, pairs, tol, domain_radius=None, lam=None) -> list[dict]:
-    """Estimates of several kinds for each (p, q) of `pairs`, all in one d <= 3.
+def _compute_pairs(
+    kinds, p_env: _Envelope, q_env: _Envelope, tags, tol, domain_radius=None, lam=None
+) -> list[dict]:
+    """Estimates of several kinds for each pair (p_i, q_i), row i of the envelopes, in one d <= 3.
 
-    L2^2 is `_l2_closed_form`; the arguments are checked alike for every
-    kind.  Every step of the other kinds runs as arrays over the pairs: the
-    start radii, level 0 of the rule there (which fixes the truncation
-    targets), the radius search with its tail bounds, the d = 1 TV splits,
-    and the refinement, where each pair stops at its own level and keeps
-    its own radius, splits, tails and point count.  A pair's estimates are
-    the same bits whatever other pairs share its batch.  `lam` is the renyi
-    power; `tol` defaults to `default_tol(d)`.
+    tags[i] lists the class tags of p_i and q_i.  L2^2 is
+    `_l2_closed_form`; the arguments are checked alike for every kind.
+    Every step of the other kinds runs as arrays over the pairs: the start
+    radii, level 0 of the rule there (which fixes the truncation targets),
+    the radius search with its tail bounds, the d = 1 TV splits, and the
+    refinement, where each pair stops at its own level and keeps its own
+    radius, splits, tails and point count.  A pair's estimates are the same
+    bits whatever other pairs share its batch.  `lam` is the renyi power;
+    `tol` defaults to `default_tol(d)`.
     """
-    p_mix, q_mix = [p for p, _ in pairs], [q for _, q in pairs]
-    d = p_mix[0].dim
-    if any(gm.dim != d for gm in p_mix + q_mix):
+    d = p_env.locations.shape[2]
+    if q_env.locations.shape[2] != d:
         raise ValueError(f"every mixture of a batch must have dimension {d}")
     if tol is None:
         tol = default_tol(d)
-    for gm in p_mix + q_mix:
-        _require_certifiable(gm)
-    p_env, q_env = _Envelope(p_mix), _Envelope(q_mix)
+    for row in tags:
+        for tag in row:
+            _require_certifiable(tag)
     s_max = np.maximum(p_env.s_max, q_env.s_max)
-    start = _start_radius(pairs, s_max, tol)
+    start = _start_radius(tags, s_max, d, tol)
     if domain_radius is not None and np.any(domain_radius < s_max + _KAPPA_MIN):
         raise HypothesisError(
             f"domain_radius {domain_radius} must exceed the atom radius {s_max.max()}"
         )
-    rows = [{} for _ in pairs]
+    rows = [{} for _ in tags]
     if DivergenceKind.L2Sq in kinds:
         for row, est in zip(rows, _l2_closed_form(p_env, q_env)):
             row[DivergenceKind.L2Sq] = est
     integrated = [k for k in kinds if k != DivergenceKind.L2Sq]
     if not integrated:
         return rows
-    everyone = np.arange(len(pairs))
+    everyone = np.arange(len(tags))
 
     def measure(X, w, counts, members):
         logp = p_env.log_density(members, X, counts)
@@ -918,7 +932,7 @@ def _compute_pairs(kinds, pairs, tol, domain_radius=None, lam=None) -> list[dict
 
     level0, reuse, pts0 = None, None, 0
     if domain_radius is not None:
-        R = np.full(len(pairs), float(domain_radius))
+        R = np.full(len(tags), float(domain_radius))
     else:
         # level 0 of the rule at the start radius fixes the value scale for
         # the truncation targets; where the radius stays, refinement reuses it
@@ -956,12 +970,13 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
         if not (0 < tol < 1):
             raise HypothesisError(f"tolerance must lie in (0, 1), got {tol}")
         return {
-            k: _l2_closed_form(_Envelope([p]), _Envelope([q]))[0]
+            k: _l2_closed_form(_Envelope.of([p]), _Envelope.of([q]))[0]
             if k == DivergenceKind.L2Sq
             else _mc_divergence(k, p, q)
             for k in kinds
         }
-    return _compute_pairs(kinds, [(p, q)], tol, domain_radius, lam)[0]
+    tags = [(p.mixing.tag, q.mixing.tag)]
+    return _compute_pairs(kinds, _Envelope.of([p]), _Envelope.of([q]), tags, tol, domain_radius, lam)[0]
 
 
 def divergence(kind, p: GaussianMixture, q: GaussianMixture, tol=None, domain_radius=None):
@@ -1045,9 +1060,9 @@ def _gram_h2(elements, tol) -> np.ndarray:
     d = elements[0].dim
     if tol is None:
         tol = default_tol(d)
-    env = _Envelope(elements)
+    env = _Envelope.of(elements)
     R = _search_radius(
-        _start_radius([elements], [env.s_max.max()], tol),
+        _start_radius([[e.mixing.tag for e in elements]], [env.s_max.max()], d, tol),
         lambda R: 2.0 * env.mass_tail(R, d).max(keepdims=True) <= 0.5 * tol,
     )
 

@@ -56,7 +56,7 @@ class HellingerTable:
         if len({e.dim for e in self.elements}) > 1:
             raise ValueError("table candidates must share one dimension")
         for e in self.elements:
-            _require_certifiable(e)
+            _require_certifiable(e.mixing.tag)
             if e.dim > 3:
                 raise CapabilityError(f"a Hellinger table needs d <= 3, got d={e.dim}")
         self._position = {}

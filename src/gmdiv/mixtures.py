@@ -115,33 +115,16 @@ class MixingDistribution:
         w = np.asarray(self.weights, dtype=float).ravel()
         if locs.ndim != 2 or locs.shape[0] < 1 or locs.shape[1] < 1:
             raise ValueError(f"locations must be a (k, d) array, got shape {locs.shape}")
-        if not np.isfinite(locs).all():
-            raise ValueError("atom locations must be finite")
         if w.shape != (locs.shape[0],):
             raise ValueError(
                 f"weights shape {w.shape} does not match {locs.shape[0]} atoms"
             )
-        # a NaN fails the minimum test, an infinite weight makes the sum infinite
-        total = w.sum()
-        if not (w.min() > 0 and math.isfinite(total)):
-            raise ValueError("weights must be finite and strictly positive")
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights sum to {total!r}, beyond tolerance {WEIGHT_TOL}")
-        w = w / total
         locs = np.ascontiguousarray(locs)
+        (w,) = validate_atoms(locs[None], w[None], [locs.shape[0]], self.tag)
         locs.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "locations", locs)
         object.__setattr__(self, "weights", w)
-        tag = self.tag
-        if isinstance(tag, Compact):
-            max_r = self.radii.max()
-            if max_r > tag.M * (1.0 + _RADIUS_SLACK):
-                raise ValueError(
-                    f"atom at radius {max_r} lies outside the Compact({tag.M}) ball"
-                )
-        elif isinstance(tag, Subgaussian) and not subgaussian_check(self, tag.K):
-            raise ValueError(f"atoms violate the {tag.K}-subgaussian step-tail bound")
 
     @property
     def dim(self) -> int:
@@ -316,24 +299,95 @@ def segment_log_density(locations, const, pts, counts) -> np.ndarray:
     return out
 
 
+def row_sums(values, counts) -> np.ndarray:
+    """Per row i, the sum of values[i, :counts[i]], in the bits of that slice's own `sum()`.
+
+    Rows are summed one count at a time, as a contiguous (rows, count)
+    block, which numpy sums row by row exactly as it sums a 1-d array; a
+    row summed with its trailing zeros can round differently.
+    """
+    counts = np.asarray(counts)
+    if np.all(counts == values.shape[1]):
+        return values.sum(axis=1)
+    out = np.empty(counts.size)
+    for c in np.flatnonzero(np.bincount(counts)):
+        rows = np.flatnonzero(counts == c)
+        out[rows] = values[rows, :c].sum(axis=1)
+    return out
+
+
+def validate_atoms(locations, weights, counts, tag: ClassTag) -> np.ndarray:
+    """Check m mixing distributions of one class; return their weights normalized.
+
+    locations: (m, k, d) atoms, row i holding counts[i] atoms and then pads
+               of location 0;
+    weights:   (m, k) weights, 0 on a pad.
+
+    Each check runs over every row, and the first row that fails it raises
+    the ValueError that `MixingDistribution` raises for that row alone:
+    finite locations, finite and strictly positive weights summing to 1
+    within WEIGHT_TOL, then the class condition (atom radii within M, or
+    the step-tail bound of `subgaussian_check`).  Each row is divided by
+    its own sum, as `MixingDistribution` does, so the weights it returns are
+    those of each row's `MixingDistribution` bit for bit.
+    """
+    counts = np.asarray(counts)
+    real = np.arange(weights.shape[1]) < counts[:, None]
+    if not np.isfinite(locations).all():
+        raise ValueError("atom locations must be finite")
+    # a NaN fails the minimum test, an infinite weight makes the sum infinite
+    total = row_sums(weights, counts)
+    lightest = np.where(real, weights, np.inf).min(axis=1)
+    if not np.all((lightest > 0) & np.isfinite(total)):
+        raise ValueError("weights must be finite and strictly positive")
+    off = np.abs(total - 1.0) > WEIGHT_TOL
+    if off.any():
+        raise ValueError(f"weights sum to {total[np.argmax(off)]!r}, beyond tolerance {WEIGHT_TOL}")
+    w = weights / total[:, None]
+    if isinstance(tag, Compact):
+        max_r = np.sqrt(np.sum(locations**2, axis=2)).max(axis=1)
+        outside = max_r > tag.M * (1.0 + _RADIUS_SLACK)
+        if outside.any():
+            raise ValueError(
+                f"atom at radius {max_r[np.argmax(outside)]} lies outside the Compact({tag.M}) ball"
+            )
+    elif isinstance(tag, Subgaussian):
+        radii = np.sqrt(np.sum(locations**2, axis=2))
+        if not _step_tails_hold(radii, w, real, tag.K).all():
+            raise ValueError(f"atoms violate the {tag.K}-subgaussian step-tail bound")
+    return w
+
+
+def _step_tails_hold(radii, weights, real, K) -> np.ndarray:
+    """Per row, whether its atoms (`real`) meet the step-tail bound at level K.
+
+    Atoms go by decreasing radius, ties in atom order and pads last; the
+    tail at radius s is the cumulative weight at the last atom of radius s.
+    """
+    order = np.argsort(np.where(real, -radii, np.inf), axis=1, kind="stable")
+    at = np.arange(radii.shape[0])[:, None], order
+    r = radii[at]
+    tails = np.cumsum(weights[at], axis=1)
+    last = np.ones(r.shape, dtype=bool)
+    last[:, :-1] = r[:, 1:] != r[:, :-1]
+    last &= (r > 0) & real[at]
+    held = np.log(tails) <= -r * r / (2.0 * K * K) + _RADIUS_SLACK
+    return np.all(held | ~last, axis=1)
+
+
 def subgaussian_check(m: MixingDistribution, K: float) -> bool:
     """Step-tail subgaussian test at level K.
 
     For a finite atomic law the tail t -> P[||X|| > t] is a step function, so
     checking just below each atom radius s (total weight at radius >= s
     against exp(-s^2 / (2 K^2))) is exact.  Comparison runs in log domain
-    with a small relative slack for norm rounding.
+    with a small relative slack for norm rounding.  `validate_atoms` runs
+    the same test on many mixtures at once.
     """
     if not (K > 0):
         raise HypothesisError(f"subgaussian level must be positive, got K={K}")
-    # atoms by decreasing radius; the tail at radius s is the cumulative
-    # weight at the last atom of radius s
-    order = np.argsort(-m.radii, kind="stable")
-    radii = m.radii[order]
-    tails = np.cumsum(m.weights[order])
-    last = np.append(radii[1:] != radii[:-1], True) & (radii > 0)
-    s = radii[last]
-    return bool(np.all(np.log(tails[last]) <= -s * s / (2.0 * K * K) + _RADIUS_SLACK))
+    real = np.ones((1, m.n_atoms), dtype=bool)
+    return bool(_step_tails_hold(m.radii[None], m.weights[None], real, K)[0])
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gmdiv import Compact, GaussianMixture, estimation
-from gmdiv.bounds import _sample_compact
+from gmdiv.divergences import _compute_pairs, _Envelope
+from reference_sampler import sample_compact
 
 
 @pytest.fixture
@@ -40,7 +41,14 @@ def gram_fills(monkeypatch):
 
 def random_compact(rng, M=2.0, d=1, max_atoms=8) -> GaussianMixture:
     """Random Compact(M)-tagged mixture, same family the sweeps draw from."""
-    return GaussianMixture(_sample_compact(rng, M, d, max_atoms))
+    return GaussianMixture(sample_compact(rng, M, d, max_atoms))
+
+
+def compute_pairs(kinds, pairs, tol=None, domain_radius=None, lam=None) -> list[dict]:
+    """`_compute_pairs` on a list of (p, q) mixture pairs."""
+    p_env, q_env = _Envelope.of([p for p, _ in pairs]), _Envelope.of([q for _, q in pairs])
+    tags = [(p.mixing.tag, q.mixing.tag) for p, q in pairs]
+    return _compute_pairs(kinds, p_env, q_env, tags, tol, domain_radius, lam)
 
 
 def single_gaussian(mean, M=None) -> GaussianMixture:

@@ -28,11 +28,12 @@ from gmdiv import (
     subgaussian_check,
     verify_sweep,
 )
-from gmdiv import bounds
-from gmdiv.bounds import make_pair, _sample_subgaussian
+from gmdiv import bounds, mixtures
+from gmdiv.bounds import _draw_pairs, make_pair
 from gmdiv.divergences import IntegralEstimate, _compute_divergences
-from gmdiv.mixtures import DichotomyParams
+from gmdiv.mixtures import DichotomyParams, MixingDistribution, validate_atoms
 from conftest import random_compact, single_gaussian
+from reference_sampler import reference_pair
 
 
 class TestBoundRhs:
@@ -256,9 +257,9 @@ class TestSweeps:
         calls = []
         compute_pairs = bounds._compute_pairs
 
-        def counted(kinds, pairs, tol):
-            calls.append(len(pairs))
-            return compute_pairs(kinds, pairs, tol)
+        def counted(kinds, p_env, q_env, tags, tol):
+            calls.append(len(tags))
+            return compute_pairs(kinds, p_env, q_env, tags, tol)
 
         monkeypatch.setattr(bounds, "_compute_pairs", counted)
         rep = verify_sweep(BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1), 300, seed=3)
@@ -275,13 +276,13 @@ class TestSweeps:
             DivergenceKind.TV: IntegralEstimate(1e-7, 0.0, 10.0, 100),
             DivergenceKind.L2Sq: IntegralEstimate(1e-12, 1e-12, math.inf, 0),
         }
-        p, q, family = single_gaussian(0.0), single_gaussian(1e-6), InstanceFamily(Compact(2.0), d=1)
-        inst = bounds._one_instance(BoundId.L2fromTV, family, 0, 2, p, q, est)
+        family = InstanceFamily(Compact(2.0), d=1)
+        inst = bounds._one_instance(BoundId.L2fromTV, family, 0, 2, 1, 1, est)
         assert inst.passed
         assert (inst.lhs, inst.rhs) == (1e-6, pytest.approx(3e-7, rel=1e-12))
         # with an exact L2^2 the same lhs fails
         est[DivergenceKind.L2Sq] = IntegralEstimate(1e-12, 0.0, math.inf, 0)
-        assert not bounds._one_instance(BoundId.L2fromTV, family, 0, 2, p, q, est).passed
+        assert not bounds._one_instance(BoundId.L2fromTV, family, 0, 2, 1, 1, est).passed
 
     def test_degenerate_pair_passes_by_slack(self):
         fam = InstanceFamily(Compact(2.0), d=1)
@@ -370,12 +371,71 @@ class TestSweeps:
         assert h.hexdigest() == self.SAMPLER_DIGESTS[tag, d]
 
     def test_subgaussian_sampler_always_valid(self):
-        rng = np.random.default_rng(0)
         for K in (0.5, 2.0):
-            for _ in range(25):
-                m = _sample_subgaussian(rng, K, 1, 8)
-                assert subgaussian_check(m, K)
-                assert m.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            atoms = _draw_pairs(0, range(25), InstanceFamily(Subgaussian(K), 1, 8))
+            # the draws sum to 1 before validation, which would renormalize them
+            sums = [row[:k].sum() for row, k in zip(atoms.weights, atoms.counts)]
+            assert sums == pytest.approx([1.0] * 50, abs=1e-12)
+            weights = validate_atoms(*atoms, Subgaussian(K))
+            for locs, w, k in zip(atoms.locations, weights, atoms.counts):
+                assert subgaussian_check(MixingDistribution(locs[:k], w[:k]), K)
+
+    FAMILIES = [Compact(2.0), Subgaussian(0.5)]
+
+    @pytest.mark.parametrize("max_atoms", [1, 8, 64])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("tag", FAMILIES, ids=repr)
+    def test_batched_draw_matches_the_reference(self, tag, d, max_atoms):
+        # a sweep's draw, validated once, against the one-mixture-at-a-time
+        # sampler with numpy's dirichlet and a MixingDistribution per mixture
+        family = InstanceFamily(tag, d, max_atoms)
+        for seed in range(10):
+            batch = _draw_pairs(seed, range(60), family)
+            weights = validate_atoms(*batch, tag)
+            for i in range(60):
+                for row, gm in zip((i, 60 + i), reference_pair(seed, i, family)):
+                    k = batch.counts[row]
+                    assert k == gm.mixing.n_atoms
+                    assert batch.locations[row, :k].tobytes() == gm.mixing.locations.tobytes()
+                    assert weights[row, :k].tobytes() == gm.mixing.weights.tobytes()
+                    assert not batch.weights[row, k:].any()
+                    assert not batch.locations[row, k:].any()
+
+    @pytest.mark.parametrize("tag", FAMILIES, ids=repr)
+    def test_make_pair_is_a_row_of_the_sweep_draw(self, tag):
+        family = InstanceFamily(tag, 2)
+        for n in (53, 120):
+            batch = _draw_pairs(4, range(n), family)
+            weights = validate_atoms(*batch, tag)
+            for i in (0, 1, 2, 10, 51, 52):
+                for row, gm in zip((i, n + i), make_pair(4, i, family)):
+                    k = batch.counts[row]
+                    assert np.array_equal(batch.locations[row, :k], gm.mixing.locations)
+                    assert weights[row, :k].tobytes() == gm.mixing.weights.tobytes()
+
+    def test_sweep_builds_no_mixture(self, monkeypatch):
+        built = []
+        post_init = MixingDistribution.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(mixtures.MixingDistribution, "__post_init__", counted)
+        rep = verify_sweep(BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1), 300, seed=3)
+        assert len(rep.instances) == 300
+        assert built == []
+        make_pair(3, 2, InstanceFamily(Compact(2.0), 1))
+        assert len(built) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_atoms", 2.5), ("max_atoms", True), ("max_atoms", "8"), ("d", True), ("d", 1.0)],
+    )
+    def test_family_needs_integer_sizes(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            InstanceFamily(Compact(2.0), **{field: value})
+        assert InstanceFamily(Compact(2.0), d=np.int64(2), max_atoms=np.int64(3)).max_atoms == 3
 
 
 class TestAssemblies:

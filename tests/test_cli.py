@@ -9,9 +9,9 @@ import pytest
 
 from gmdiv import Compact, DivergenceKind, HellingerTable, greedy_cover, local_cover
 from gmdiv.bounds import InstanceFamily, make_pair
-from gmdiv.divergences import _compute_pairs
 from gmdiv.cli import _family_candidates, main
 from gmdiv.mixtures import mixture_to_record
+from conftest import compute_pairs
 
 
 THETA_FAMILY = {"type": "theta-grid", "start": -1.0, "stop": 1.0, "count": 3}
@@ -95,7 +95,7 @@ class TestSweepCommand:
         pairs = [make_pair(5, i, fam) for i in range(12)]
         points = sorted(
             row[DivergenceKind.KL].quadrature_points
-            for row in _compute_pairs([DivergenceKind.KL, DivergenceKind.HellingerSq], pairs, None)
+            for row in compute_pairs([DivergenceKind.KL, DivergenceKind.HellingerSq], pairs)
         )
         assert summary["quadrature_points"] == sum(points)
         # nearest rank: the 6th and the 12th of 12

@@ -32,14 +32,13 @@ from gmdiv.divergences import (
     _Rule,
     _angular_rule,
     _compute_divergences,
-    _compute_pairs,
     _kind_values,
     _sign_change_splits,
     _start_radius,
     _tail_bound,
 )
 from gmdiv.mixtures import LOG_2PI
-from conftest import random_compact, single_gaussian
+from conftest import compute_pairs, random_compact, single_gaussian
 
 ALL_KINDS = list(DivergenceKind)
 # the kinds integrated by quadrature, with tail certificates; L2^2 is a closed form
@@ -87,7 +86,7 @@ def on_rule(kinds, p, q, R, width, angular, lam=None):
 
 @pytest.fixture
 def final_levels(monkeypatch):
-    """Called after a `_compute_pairs` run: the level pair each member of its last rule stopped at."""
+    """Called after a `compute_pairs` run: the level pair each member of its last rule stopped at."""
     seen = []
     original = divergences._integrate
 
@@ -323,7 +322,8 @@ class TestEstimateContracts:
         full = ((wr * r)[:, None] * wa).ravel() @ _kind_values(kind, p.log_density(X), q.log_density(X))
         assert est.value == pytest.approx(full, rel=1e-13)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # the raise is the one report: numpy's overflow warning is an error here
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "compute",
         [
@@ -568,7 +568,7 @@ class TestTailBounds:
     def test_chi2_tail_is_renyi2_tail_plus_mass_tail(self, seed, d, M, step):
         rng = np.random.default_rng(seed)
         p, q = random_compact(rng, M=M, d=d), random_compact(rng, M=M, d=d)
-        p_env, q_env = _Envelope([p]), _Envelope([q])
+        p_env, q_env = _Envelope.of([p]), _Envelope.of([q])
         R = np.array([max(p_env.s_max[0], q_env.s_max[0]) + step])
         chi2 = _tail_bound(DivergenceKind.ChiSq, p_env, q_env, R, d)
         renyi2 = _tail_bound("renyi", p_env, q_env, R, d, lam=2.0)
@@ -582,11 +582,11 @@ class TestTailBounds:
         rng = np.random.default_rng(seed)
         ps = [random_compact(rng, M=2.0, d=1) for _ in range(5)]
         qs = [random_compact(rng, M=2.0, d=1) for _ in range(5)]
-        p_env, q_env = _Envelope(ps), _Envelope(qs)
+        p_env, q_env = _Envelope.of(ps), _Envelope.of(qs)
         R = np.maximum(p_env.s_max, q_env.s_max) + step
         for kind in (*INTEGRATED_KINDS, "renyi"):
             batch = _tail_bound(kind, p_env, q_env, R, 1, lam=3.0)
-            alone = [_tail_bound(kind, _Envelope([p]), _Envelope([q]), R[i : i + 1], 1, 3.0)[0]
+            alone = [_tail_bound(kind, _Envelope.of([p]), _Envelope.of([q]), R[i : i + 1], 1, 3.0)[0]
                      for i, (p, q) in enumerate(zip(ps, qs))]
             assert batch.tolist() == alone
 
@@ -785,8 +785,8 @@ class TestClosedFormL2:
         # q = p is exactly 0 (its atoms merge to coefficient 0), and a swap
         # negates every merged coefficient, so it changes no bit
         pairs = [make_pair(9, i, InstanceFamily(Compact(2.0), 1)) for i in range(60)]
-        got = _compute_pairs([DivergenceKind.L2Sq], pairs, None)
-        swapped = _compute_pairs([DivergenceKind.L2Sq], [(q, p) for p, q in pairs], None)
+        got = compute_pairs([DivergenceKind.L2Sq], pairs, None)
+        swapped = compute_pairs([DivergenceKind.L2Sq], [(q, p) for p, q in pairs], None)
         assert got == swapped
         for i, est in enumerate(got):
             assert (est[DivergenceKind.L2Sq].value == 0.0) == (i % 50 == 1)
@@ -878,8 +878,9 @@ class TestBrentq:
         monkeypatch.setattr(divergences, "brentq", both)
         for family in self.FAMILIES:
             pairs = [make_pair(7, i, family) for i in range(50)]
-            p_env, q_env = _Envelope([p for p, _ in pairs]), _Envelope([q for _, q in pairs])
-            R = _start_radius(pairs, np.maximum(p_env.s_max, q_env.s_max), default_tol(1))
+            p_env, q_env = _Envelope.of([p for p, _ in pairs]), _Envelope.of([q for _, q in pairs])
+            tags = [(p.mixing.tag, q.mixing.tag) for p, q in pairs]
+            R = _start_radius(tags, np.maximum(p_env.s_max, q_env.s_max), 1, default_tol(1))
             _sign_change_splits(p_env, q_env, R)
         assert len(seen) >= 200
         assert all(root == expected for root, expected in seen)
@@ -915,7 +916,7 @@ class TestBrentq:
 class TestSignChangeSplits:
     @staticmethod
     def splits(p, q, R=8.0):
-        roots, counts = _sign_change_splits(_Envelope([p]), _Envelope([q]), np.array([R]))
+        roots, counts = _sign_change_splits(_Envelope.of([p]), _Envelope.of([q]), np.array([R]))
         assert counts.tolist() == [roots.size]
         return roots.tolist()
 
@@ -941,7 +942,7 @@ class TestSignChangeSplits:
     def test_roots_ascend_within_each_pair(self):
         pairs = [make_pair(5, i, InstanceFamily(Compact(2.0), 1)) for i in range(30)]
         roots, counts = _sign_change_splits(
-            _Envelope([p for p, _ in pairs]), _Envelope([q for _, q in pairs]), np.full(30, 9.0)
+            _Envelope.of([p for p, _ in pairs]), _Envelope.of([q for _, q in pairs]), np.full(30, 9.0)
         )
         assert counts.sum() == roots.size and counts.max() >= 2
         for (p, q), own in zip(pairs, np.split(roots, np.cumsum(counts)[:-1])):
@@ -960,10 +961,10 @@ class TestBatchedDriver:
 
     @staticmethod
     def check(kinds, pairs, **kwargs):
-        batch = _compute_pairs(kinds, pairs, **kwargs)
+        batch = compute_pairs(kinds, pairs, **kwargs)
         assert len(batch) == len(pairs)
         for (p, q), got in zip(pairs, batch):
-            assert got == _compute_pairs(kinds, [(p, q)], **kwargs)[0]
+            assert got == compute_pairs(kinds, [(p, q)], **kwargs)[0]
 
     @pytest.mark.parametrize("family", FAMILIES, ids=repr)
     def test_d1_every_kind_bitwise(self, family):
@@ -992,7 +993,7 @@ class TestBatchedDriver:
     def test_d3_members_at_different_level_pairs(self, final_levels):
         pairs = [make_pair(0, i, InstanceFamily(Compact(2.0), 3)) for i in (0, 1, 3)]
         kinds = [DivergenceKind.KL, DivergenceKind.HellingerSq]
-        _compute_pairs(kinds, pairs, None)
+        compute_pairs(kinds, pairs, None)
         assert len(set(final_levels())) > 1
         self.check(kinds, pairs, tol=None)
 
@@ -1007,11 +1008,11 @@ class TestBatchedDriver:
     def test_mixed_dimensions_rejected(self):
         pairs = [(single_gaussian(0.5), single_gaussian(0.0)), (single_gaussian([0.5, 0.0]), single_gaussian([0.0, 0.0]))]
         with pytest.raises(ValueError, match="dimension"):
-            _compute_pairs(ALL_KINDS, pairs, None)
+            compute_pairs(ALL_KINDS, pairs, None)
 
     def test_one_pair_is_compute_divergences(self, rng):
         p, q = random_compact(rng, M=2.0, d=1), random_compact(rng, M=2.0, d=1)
-        assert _compute_pairs(ALL_KINDS, [(p, q)], None)[0] == _compute_divergences(ALL_KINDS, p, q)
+        assert compute_pairs(ALL_KINDS, [(p, q)], None)[0] == _compute_divergences(ALL_KINDS, p, q)
 
 
 class TestSeparateRefinement:
@@ -1041,7 +1042,7 @@ class TestSeparateRefinement:
         tol = default_tol(d)
         for index, spent in enumerate(points):
             p, q = make_pair(seed, index, InstanceFamily(Compact(2.0), d))
-            got = _compute_pairs(kinds, [(p, q)], None)[0]
+            got = compute_pairs(kinds, [(p, q)], None)[0]
             assert {got[kind].quadrature_points for kind in kinds} == {spent}, index
             (_, j), = final_levels()
             joint = on_rule(kinds, p, q, got[kinds[0]].domain_radius, 0.5**j, j + 1)

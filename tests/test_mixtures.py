@@ -19,7 +19,8 @@ from gmdiv import (
     mixture_to_record,
     subgaussian_check,
 )
-from gmdiv.mixtures import _BLOCK, DichotomyParams, segment_log_density
+from gmdiv.bounds import InstanceFamily, _draw_pairs
+from gmdiv.mixtures import _BLOCK, DichotomyParams, _step_tails_hold, row_sums, segment_log_density, validate_atoms
 from conftest import random_compact, single_gaussian
 
 LOG_INV_SQRT_2PI = -0.5 * math.log(2 * math.pi)
@@ -290,6 +291,78 @@ class TestMixingDistributionValidation:
             Compact(0.0)
         with pytest.raises(HypothesisError):
             Subgaussian(-1.0)
+
+
+def _padded(rows):
+    """(locations, weights) of each row, padded to one count with zeros, and the counts."""
+    counts = np.array([len(w) for _, w in rows])
+    k, d = counts.max(), rows[0][0].shape[1]
+    locations, weights = np.zeros((len(rows), k, d)), np.zeros((len(rows), k))
+    for i, (locs, w) in enumerate(rows):
+        locations[i, : len(w)], weights[i, : len(w)] = locs, w
+    return locations, weights, counts
+
+
+class TestValidateAtoms:
+    BAD = {
+        "nan location": (Compact(2.0), [[0.0, 0.0], [math.nan, 0.0]], [0.5, 0.5]),
+        "zero weight": (Compact(2.0), [[0.0, 0.0], [1.0, 0.0]], [1.0, 0.0]),
+        "weight sum": (Compact(2.0), [[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5 + 1e-11]),
+        "outside the ball": (Compact(2.0), [[0.0, 2.0 * (1.0 + 1e-8)]], [1.0]),
+        "step tail": (Subgaussian(1.0), [[0.0, 0.0], [0.0, 3.0], [10.0, 0.0]], [0.4, 0.3, 0.3]),
+    }
+
+    @staticmethod
+    def good_rows(tag, n):
+        atoms = _draw_pairs(5, range(n), InstanceFamily(tag, 2))
+        return [(locs[:k], w[:k]) for locs, w, k in zip(*atoms)][:n]
+
+    @pytest.mark.parametrize("case", list(BAD))
+    def test_one_bad_row_raises_its_own_message(self, case):
+        tag, locs, w = self.BAD[case]
+        bad = np.array(locs), np.array(w)
+        with pytest.raises(ValueError) as alone:
+            MixingDistribution(*bad, tag)
+        rows = self.good_rows(tag, 6)
+        validate_atoms(*_padded(rows), tag)
+        rows.insert(3, bad)
+        with pytest.raises(ValueError) as batch:
+            validate_atoms(*_padded(rows), tag)
+        assert str(batch.value) == str(alone.value)
+
+    @pytest.mark.parametrize("tag", [Compact(2.0), Subgaussian(0.5)], ids=repr)
+    def test_weights_are_each_mixtures_own(self, tag):
+        rows = self.good_rows(tag, 40)
+        weights = validate_atoms(*_padded(rows), tag)
+        for (locs, w), got in zip(rows, weights):
+            m = MixingDistribution(locs, w, tag)
+            assert got[: len(w)].tobytes() == m.weights.tobytes()
+            assert not got[len(w) :].any()
+
+    def test_row_sums_are_one_dimensional_sums(self, rng):
+        counts = rng.integers(1, 65, size=500)
+        values = rng.random((500, 64)) ** 3 * (np.arange(64) < counts[:, None])
+        assert row_sums(values, counts).tolist() == [v[:k].sum() for v, k in zip(values, counts)]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_step_tails_agree_with_subgaussian_check(self, d, rng):
+        held = []
+        for K in (0.5, 1.0, 2.0):
+            rows = []
+            for _ in range(60):
+                k = int(rng.integers(1, 9))
+                locs = rng.standard_normal((k, d)) * rng.choice([0.2, 1.0, 3.0])
+                locs[rng.random(k) < 0.3] = 0.0
+                if k > 2:
+                    locs[1] = -locs[2]  # atoms sharing a radius
+                rows.append((locs, rng.dirichlet(np.ones(k))))
+            locations, weights, counts = _padded(rows)
+            real = np.arange(weights.shape[1]) < counts[:, None]
+            radii = np.sqrt(np.sum(locations**2, axis=2))
+            batch = _step_tails_hold(radii, weights, real, K).tolist()
+            assert batch == [subgaussian_check(MixingDistribution(locs, w), K) for locs, w in rows]
+            held += batch
+        assert any(held) and not all(held)
 
 
 class TestSubgaussianCheck:
