@@ -415,38 +415,44 @@ _SWEEPS = {
 }
 
 
-def _family_params(family: InstanceFamily) -> dict:
-    tag = family.tag
-    return {
-        "M": tag.M if isinstance(tag, Compact) else None,
-        "K": tag.K if isinstance(tag, Subgaussian) else None,
-        "d": family.d,
-    }
+class _Comparison(NamedTuple):
+    """The parts of a sweep's instance check that every pair shares, built once per sweep."""
+
+    bound: BoundId
+    kinds: tuple  # the kinds integrated per pair, in the order of a pair's estimates
+    at: tuple  # the positions in kinds of KL, H^2, the lhs kind and the rhs-argument kind
+    family_params: dict  # M, K and d, as every instance reports them
+    rhs_params: dict  # the bound_rhs keywords other than the rhs argument
+    arg_name: str  # the bound_rhs keyword of the rhs argument
 
 
-def _rhs_params(bound: BoundId, family: InstanceFamily, argument) -> dict:
-    """The bound_rhs keywords of a sweep pair whose rhs argument is `argument`."""
-    arg_kind = _SWEEPS[bound][3]
-    known = {**_family_params(family), arg_kind.value: argument}
-    return {name: known[name] for name in _REQUIRED_PARAMS[bound]}
-
-
-def _check_family(bound: BoundId, family: InstanceFamily):
+def _comparison(bound: BoundId, family: InstanceFamily) -> _Comparison:
+    """Check that a sweep of `bound` can run on `family`, and build what its instances share."""
     if bound not in _SWEEPS:
         raise HypothesisError(f"{bound.value} is not a sweepable comparison bound")
-    required, tag = _SWEEPS[bound][0], family.tag
+    required, kinds, lhs_kind, arg_kind = _SWEEPS[bound]
+    tag = family.tag
     if not isinstance(tag, (Compact, Subgaussian)):
         raise HypothesisError("sweep families must be Compact or Subgaussian")
     if required is not None and not isinstance(tag, required):
         raise HypothesisError(f"{bound.value} requires a {required.__name__} family")
+    family_params = {
+        "M": tag.M if isinstance(tag, Compact) else None,
+        "K": tag.K if isinstance(tag, Subgaussian) else None,
+        "d": family.d,
+    }
+    arg_name = arg_kind.value
+    rhs_params = {name: family_params[name] for name in _REQUIRED_PARAMS[bound] if name != arg_name}
     # the rhs argument comes from the pairs; only the class parameters are checked here
-    _check_params(bound, _rhs_params(bound, family, None))
+    _check_params(bound, {**rhs_params, arg_name: None})
     if bound in (BoundId.TVfromL2, BoundId.L2fromTV) and family.d != 1:
         raise HypothesisError(f"{bound.value} is a one-dimensional comparison")
     if family.d > 3:
         # d > 3 divergences are Monte Carlo estimates with confidence
         # half-widths, so a zero failure count would certify nothing
         raise CapabilityError(f"sweeps need certified quadrature (d <= 3), got d={family.d}")
+    at = tuple(kinds.index(kind) for kind in (_KL, _H2, lhs_kind, arg_kind))
+    return _Comparison(bound, kinds, at, family_params, rhs_params, arg_name)
 
 
 class _Atoms(NamedTuple):
@@ -593,19 +599,17 @@ def _side(kind, est) -> tuple[float, float]:
     return root, max(math.sqrt(v + b) - root, root - math.sqrt(max(v - b, 0.0)))
 
 
-def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int, natoms_p, natoms_q, est):
-    """The checked instance of a pair with these atom counts, whose estimates `est` map kinds to values."""
-    _, _, lhs_kind, arg_kind = _SWEEPS[bound]
-    kl, h2 = est[_KL], est[_H2]
-    params = {
-        **_family_params(family),
-        "natoms_p": natoms_p,
-        "natoms_q": natoms_q,
-    }
+def _one_instance(comparison: _Comparison, seed: int, index: int, natoms_p, natoms_q, est):
+    """The checked instance of a pair with these atom counts; `est` holds its estimates in `comparison.kinds` order."""
+    bound = comparison.bound
+    i_kl, i_h2, i_lhs, i_arg = comparison.at
+    kl, h2 = est[i_kl], est[i_h2]
+    params = {**comparison.family_params, "natoms_p": natoms_p, "natoms_q": natoms_q}
 
     kl_ge_h2 = h2.value <= kl.value + _slack(kl.truncation_bound, h2.truncation_bound)
     chi2_ge_kl = None
-    (lhs, lhs_bound), (arg, arg_bound) = _side(lhs_kind, est[lhs_kind]), _side(arg_kind, est[arg_kind])
+    lhs_kind, arg_kind = comparison.kinds[i_lhs], comparison.kinds[i_arg]
+    (lhs, lhs_bound), (arg, arg_bound) = _side(lhs_kind, est[i_lhs]), _side(arg_kind, est[i_arg])
     slack = _slack(lhs_bound, arg_bound)
 
     if bound is BoundId.ChiSqThm:
@@ -614,12 +618,12 @@ def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int,
         if arg <= 0:
             rhs, passed, ratio = 0.0, lhs <= slack, math.nan
         else:
-            kw = _rhs_params(bound, family, arg)
+            kw = {**comparison.rhs_params, comparison.arg_name: arg}
             log_rhs, rhs = bound_rhs_log(bound, **kw), bound_rhs(bound, **kw)
             passed = lhs <= slack or math.log(lhs) <= log_rhs + 1e-12
             ratio = math.exp(math.log(lhs) - log_rhs) if lhs > 0 else 0.0
     else:
-        rhs = 0.0 if arg <= 0 else bound_rhs(bound, **_rhs_params(bound, family, arg))
+        rhs = 0.0 if arg <= 0 else bound_rhs(bound, **{**comparison.rhs_params, comparison.arg_name: arg})
         passed = lhs <= rhs + slack
         ratio = lhs / rhs if rhs > 0 else math.nan
 
@@ -634,7 +638,7 @@ def _one_instance(bound: BoundId, family: InstanceFamily, seed: int, index: int,
         kl_ge_h2=bool(kl_ge_h2),
         chi2_ge_kl=chi2_ge_kl,
         # every integrated kind of a pair shares its points; L2^2 spends none
-        quadrature_points=max(e.quadrature_points for e in est.values()),
+        quadrature_points=max(e.quadrature_points for e in est),
     )
 
 
@@ -656,17 +660,18 @@ def verify_sweep(
     rhs by more than the certified numerical slack.
     """
     bound = BoundId(bound)
-    _check_family(bound, family)
+    comparison = _comparison(bound, family)
     if n < 1:
         raise ValueError(f"sweep size must be positive, got {n}")
 
     atoms = _draw_pairs(seed, range(n), family)
     weights = validate_atoms(*atoms, family.tag)
     p_env, q_env = (_Envelope(atoms.locations[rows], weights[rows]) for rows in (slice(0, n), slice(n, None)))
-    estimates = _compute_pairs(_SWEEPS[bound][1], p_env, q_env, [(family.tag,)] * n, tol)
+    estimates = _compute_pairs(comparison.kinds, p_env, q_env, [(family.tag,)] * n, tol)
     counts = atoms.counts.tolist()
     instances = [
-        _one_instance(bound, family, seed, i, counts[i], counts[n + i], e) for i, e in enumerate(estimates)
+        _one_instance(comparison, seed, i, counts[i], counts[n + i], tuple(e.values()))
+        for i, e in enumerate(estimates)
     ]
 
     ratios = [inst.ratio for inst in instances if math.isfinite(inst.ratio)]

@@ -74,9 +74,13 @@ batches of the same `_refine`.  In d = 1 the TV sign changes are the roots
 of log p - log q, bracketed on a 2049-node grid per pair and found by
 `brentq`, a vectorized port of Brent's method that iterates every bracket
 at once, takes scipy's steps and returns its roots bit for bit, so the
-package needs numpy alone.  For d > 3 the integrated kinds fall back to
-seeded importance-sampling Monte Carlo where `truncation_bound` reports a
-95% confidence half-width instead of a hard bound.
+package needs numpy alone.  The grid is searched by bisection from every
+128th node, and an interval is dropped when the log-ratio's slope bound
+(the span of the pair's atoms) and a rounding bound show it holds no
+sign change, so only a small part of the grid is evaluated and the
+brackets are still the full grid's.  For d > 3 the integrated kinds fall
+back to seeded importance-sampling Monte Carlo where `truncation_bound`
+reports a 95% confidence half-width instead of a hard bound.
 
 `tol` is a relative target: refinement stops when successive levels differ
 by less than tol/2 relative to the current value, and the domain grows
@@ -738,6 +742,33 @@ def brentq(f, a, b, xtol):
 
 
 _TV_GRID = 2049
+_TV_STRIDE = 128
+
+
+def _tv_node(R, j):
+    """Node j of np.linspace(-R, R, _TV_GRID), in linspace's own arithmetic."""
+    return np.where(j == _TV_GRID - 1, R, j * ((R - -R) / (_TV_GRID - 1)) + -R)
+
+
+def _log_ratio_rounding(p_env: _Envelope, q_env: _Envelope, R) -> np.ndarray:
+    """Per pair, rho: twice a bound on the rounding error of log p - log q at |x| <= R in d = 1.
+
+    With u = 2^-53, atoms |a_j| <= s, log-weights |log w_j| <= W and at
+    most k atoms a mixture, the kernel's logit a_j x + (log w_j - a_j^2 / 2)
+    errs by at most u (2 s R + 2 s^2 + 6 W); its log-sum-exp adds at most
+    u (6 k + 8) (np.exp and np.log within 4 ulps, k terms in [0, 1] summed
+    in order, the largest 1); adding back the largest logit, -x^2 / 2 and
+    the constant adds at most 3 u ((R + s)^2 + W + log k + 1).  Both
+    densities and their difference stay within 32 u A of the exact values
+    for the stored atoms, A = (R + s)^2 + W + k + 1, and rho = 64 u A.  The
+    surplus also covers the rounding of the drop test of
+    `_sign_change_splits`.
+    """
+    real = np.concatenate([p_env.real, q_env.real], axis=1)
+    logw = np.where(real, np.concatenate([p_env.logw, q_env.logw], axis=1), 0.0)
+    s = np.maximum(p_env.s_max, q_env.s_max)
+    k = np.maximum(p_env.real.sum(axis=1), q_env.real.sum(axis=1))
+    return 64.0 * _UNIT_ROUNDOFF * ((R + s) ** 2 + np.max(np.abs(logw), axis=1) + k + 1.0)
 
 
 def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
@@ -751,39 +782,83 @@ def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
     its root on the middle node); a pair with q = p has none.  Returns the
     roots, pair after pair and ascending within a pair, and their count per
     pair.
+
+    Only the nodes that can change that answer are evaluated.  The
+    log-ratio f has f' = E_p[a | x] - E_q[a | x], so |f'| <= L, the span of
+    the real atom locations of p and q together, and its computed value
+    lies within rho / 2 of f at every node (`_log_ratio_rounding`).  The
+    search evaluates every 128th node (17 a pair), then halves the stride
+    down to 1, all pairs at once, and drops each interval whose computed
+    ends have one strict sign and |f_l| + |f_r| > L (x_r - x_l) + 4 rho.
+    Had a node inside it a computed value of 0 or of the other sign, f
+    would be at most rho / 2 there (for positive ends) and, by the slope
+    bound from both ends, |f_l| + |f_r| <= L (x_r - x_l) + 2 rho.  So every
+    node inside a dropped interval has its ends' sign, and an interval with
+    a zero end is never dropped: the stride-1 intervals left hold every
+    bracket of the full grid and every zero run with the nodes on either
+    side of it, and the roots are the full grid's, bit for bit.  The nodes
+    are computed in linspace's arithmetic (`_tv_node`); the bookkeeping
+    holds the intervals still alive, never a whole grid.
     """
     m = R.size
-    counts = np.full(m, _TV_GRID)
-    nodes = np.arange(_TV_GRID)
-    found = []  # per group: pair, node index, left end, right end (inf for a root on a node)
-    for g in _groups(counts):
-        members = np.arange(m)[g]
-        grid = np.linspace(-R[g], R[g], _TV_GRID, axis=1)
-        X = grid.reshape(-1, 1)
-        sign = np.sign(
-            p_env.log_density(members, X, counts[g]) - q_env.log_density(members, X, counts[g])
-        ).reshape(members.size, _TV_GRID)
-        bi, bj = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-        # sign of the nearest nonzero value at or after each node (0 if none)
-        nxt = np.minimum.accumulate(np.where(sign != 0, nodes, _TV_GRID - 1)[:, ::-1], axis=1)
-        ahead = np.take_along_axis(sign, nxt[:, ::-1], axis=1)
-        ni, nj = np.nonzero((sign[:, 1:-1] == 0) & (sign[:, :-2] * ahead[:, 1:-1] < 0))
-        nj += 1
-        found.append((members[bi], bj + 0.5, grid[bi, bj], grid[bi, bj + 1]))
-        found.append((members[ni], nj, grid[ni, nj], np.full(ni.size, np.inf)))
-    pair, position, left, right = (np.concatenate(v) for v in zip(*found))
-    on_node = right == np.inf
-    bracket_pair = pair[~on_node]
-    roots = left.copy()
-    roots[~on_node] = brentq(
-        lambda x, which: p_env.log_density(bracket_pair[which], x[:, None], np.ones(which.size, dtype=int))
-        - q_env.log_density(bracket_pair[which], x[:, None], np.ones(which.size, dtype=int)),
-        left[~on_node],
-        right[~on_node],
-        xtol=1e-13,
+    locs = np.concatenate([p_env.locations[:, :, 0], q_env.locations[:, :, 0]], axis=1)
+    real = np.concatenate([p_env.real, q_env.real], axis=1)
+    span = np.max(np.where(real, locs, -np.inf), axis=1) - np.min(np.where(real, locs, np.inf), axis=1)
+    slack = 4.0 * _log_ratio_rounding(p_env, q_env, R)
+
+    def log_ratio(pair, x):
+        # pair ascends, so the nodes of a pair form one segment
+        counts = np.bincount(pair, minlength=m)
+        members = np.flatnonzero(counts)
+        counts = counts[members]
+        return p_env.log_density(members, x[:, None], counts) - q_env.log_density(members, x[:, None], counts)
+
+    # a pair with q = p has a log-ratio of exactly 0 at every node, and no root
+    k = min(p_env.weights.shape[1], q_env.weights.shape[1])
+    same = (
+        np.all(p_env.locations[:, :k] == q_env.locations[:, :k], axis=(1, 2))
+        & np.all(p_env.weights[:, :k] == q_env.weights[:, :k], axis=1)
+        & ~p_env.real[:, k:].any(axis=1)
+        & ~q_env.real[:, k:].any(axis=1)
     )
-    roots = roots[np.lexsort((position, pair))]
-    return roots, np.bincount(pair, minlength=m)
+    coarse = np.arange(0, _TV_GRID, _TV_STRIDE)
+    pair = np.repeat(np.flatnonzero(~same), coarse.size)
+    j = np.tile(coarse, m - np.count_nonzero(same))
+    x = _tv_node(R[pair], j)
+    f = log_ratio(pair, x)
+    left = j < _TV_GRID - 1
+    pair, jl, xl, fl, xr, fr = pair[left], j[left], x[left], f[left], x[1:][left[:-1]], f[1:][left[:-1]]
+    stride = _TV_STRIDE
+    while True:
+        sl, sr = np.sign(fl), np.sign(fr)
+        drop = (sl == sr) & (sl != 0) & (np.abs(fl) + np.abs(fr) > span[pair] * (xr - xl) + slack[pair])
+        pair, jl, xl, fl, xr, fr, sl, sr = (v[~drop] for v in (pair, jl, xl, fl, xr, fr, sl, sr))
+        if stride == 1:
+            break
+        stride //= 2
+        jm = jl + stride
+        xm = _tv_node(R[pair], jm)
+        fm = log_ratio(pair, xm)
+        # each interval becomes its two halves, in node order
+        pair = np.repeat(pair, 2)
+        jl, xl, fl, xr, fr = (
+            np.stack([a, b], axis=1).ravel() for a, b in ((jl, jm), (xl, xm), (fl, fm), (xm, xr), (fm, fr))
+        )
+    bracket = sl * sr < 0
+    # a zero run starts at the right end of an interval with a nonzero left
+    # end; the run's intervals follow it, and the nearest nonzero value
+    # after the run is the first nonzero right end among them (0 when the
+    # run reaches the last node)
+    stop = (sr != 0) | (jl == _TV_GRID - 2)
+    first_stop = np.minimum.accumulate(np.where(stop, np.arange(stop.size), stop.size - 1)[::-1])[::-1]
+    on_node = (sr == 0) & (jl < _TV_GRID - 2) & (sl * sr[first_stop] < 0)
+    roots = xr.copy()
+    bracket_pair = pair[bracket]
+    roots[bracket] = brentq(
+        lambda x, which: log_ratio(bracket_pair[which], x), xl[bracket], xr[bracket], xtol=1e-13
+    )
+    cut = bracket | on_node
+    return roots[cut], np.bincount(pair[cut], minlength=m)
 
 
 # -- L2^2 in closed form -------------------------------------------------------
@@ -895,8 +970,11 @@ def _compute_pairs(
     the radius search with its tail bounds, the d = 1 TV splits, and the
     refinement, where each pair stops at its own level and keeps its own
     radius, splits, tails and point count.  A pair's estimates are the same
-    bits whatever other pairs share its batch.  `lam` is the renyi power;
-    `tol` defaults to `default_tol(d)`.
+    bits whatever other pairs share its batch.  Each pair's dict lists its
+    estimates in the order of `kinds`.  `lam` is the renyi power; `tol`
+    defaults to `default_tol(d)`; a `domain_radius` that is not finite, or
+    that comes within 0.25 of an atom radius, raises HypothesisError for
+    every kind.
     """
     d = p_env.locations.shape[2]
     if q_env.locations.shape[2] != d:
@@ -908,9 +986,11 @@ def _compute_pairs(
             _require_certifiable(tag)
     s_max = np.maximum(p_env.s_max, q_env.s_max)
     start = _start_radius(tags, s_max, d, tol)
-    if domain_radius is not None and np.any(domain_radius < s_max + _KAPPA_MIN):
+    if domain_radius is not None and not (
+        math.isfinite(domain_radius) and np.all(domain_radius >= s_max + _KAPPA_MIN)
+    ):
         raise HypothesisError(
-            f"domain_radius {domain_radius} must exceed the atom radius {s_max.max()}"
+            f"domain_radius {domain_radius} must be finite and exceed the atom radius {s_max.max()}"
         )
     rows = [{} for _ in tags]
     if DivergenceKind.L2Sq in kinds:
@@ -984,7 +1064,8 @@ def divergence(kind, p: GaussianMixture, q: GaussianMixture, tol=None, domain_ra
 
     `tol` is a relative accuracy target (defaults: 1e-8 for d=1, 1e-6 for
     d in {2,3}).  `domain_radius` overrides the automatic domain (it must
-    still exceed every atom radius); this is mainly for stability checks.
+    be finite and at least 0.25 beyond every atom radius, else
+    HypothesisError, for every kind); this is mainly for stability checks.
     For d > 3 the value is a seeded Monte Carlo estimate: a `tol` in (0, 1)
     is accepted but does not change it, and `domain_radius` is rejected.
     L2^2 is a closed-form sum in every d (`_l2_closed_form`), whatever `tol`.

@@ -276,13 +276,13 @@ class TestSweeps:
             DivergenceKind.TV: IntegralEstimate(1e-7, 0.0, 10.0, 100),
             DivergenceKind.L2Sq: IntegralEstimate(1e-12, 1e-12, math.inf, 0),
         }
-        family = InstanceFamily(Compact(2.0), d=1)
-        inst = bounds._one_instance(BoundId.L2fromTV, family, 0, 2, 1, 1, est)
+        comparison = bounds._comparison(BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1))
+        inst = bounds._one_instance(comparison, 0, 2, 1, 1, tuple(est[k] for k in comparison.kinds))
         assert inst.passed
         assert (inst.lhs, inst.rhs) == (1e-6, pytest.approx(3e-7, rel=1e-12))
         # with an exact L2^2 the same lhs fails
         est[DivergenceKind.L2Sq] = IntegralEstimate(1e-12, 0.0, math.inf, 0)
-        assert not bounds._one_instance(BoundId.L2fromTV, family, 0, 2, 1, 1, est).passed
+        assert not bounds._one_instance(comparison, 0, 2, 1, 1, tuple(est[k] for k in comparison.kinds)).passed
 
     def test_degenerate_pair_passes_by_slack(self):
         fam = InstanceFamily(Compact(2.0), d=1)

@@ -33,12 +33,14 @@ from gmdiv.divergences import (
     _angular_rule,
     _compute_divergences,
     _kind_values,
+    _log_ratio_rounding,
     _sign_change_splits,
     _start_radius,
     _tail_bound,
 )
 from gmdiv.mixtures import LOG_2PI
 from conftest import compute_pairs, random_compact, single_gaussian
+from reference_splits import dense_splits
 
 ALL_KINDS = list(DivergenceKind)
 # the kinds integrated by quadrature, with tail certificates; L2^2 is a closed form
@@ -843,14 +845,32 @@ class TestClosedFormL2:
             (single_gaussian(0.0), single_gaussian(1.0), {"tol": 1.0}, HypothesisError),
             (single_gaussian(0.0), single_gaussian(1.0), {"tol": 0.0}, HypothesisError),
             (single_gaussian(0.0), single_gaussian(1.0), {"domain_radius": 0.5}, HypothesisError),
+            (single_gaussian(0.0), single_gaussian(1.0), {"domain_radius": math.inf}, HypothesisError),
+            (single_gaussian(0.0), single_gaussian(1.0), {"domain_radius": math.nan}, HypothesisError),
+            (single_gaussian([0.0, 0.0]), single_gaussian([1.0, 0.0]), {"domain_radius": math.inf}, HypothesisError),
+            (single_gaussian([0.0, 0.0]), single_gaussian([1.0, 0.0]), {"domain_radius": math.nan}, HypothesisError),
             (single_gaussian(np.zeros(4)), single_gaussian(np.ones(4)), {"domain_radius": 9.0}, CapabilityError),
             (single_gaussian(np.zeros(4)), single_gaussian(np.ones(4)), {"tol": -1.0}, HypothesisError),
             (GaussianMixture.from_atoms([[0.0]]), single_gaussian(1.0), {}, CapabilityError),
         ],
-        ids=["dimension", "tol-1", "tol-0", "domain-radius", "radius-above-d3", "tol-above-d3", "unconstrained"],
+        ids=[
+            "dimension",
+            "tol-1",
+            "tol-0",
+            "domain-radius",
+            "radius-inf",
+            "radius-nan",
+            "radius-inf-d2",
+            "radius-nan-d2",
+            "radius-above-d3",
+            "tol-above-d3",
+            "unconstrained",
+        ],
     )
     def test_arguments_checked_as_for_every_kind(self, p, q, kwargs, error):
-        for kind in (DivergenceKind.L2Sq, DivergenceKind.KL):
+        # a non-finite domain_radius once crashed in the rule for the
+        # integrated kinds and returned a value for L2
+        for kind in ALL_KINDS:
             with pytest.raises(error):
                 divergence(kind, p, q, **kwargs)
 
@@ -947,6 +967,130 @@ class TestSignChangeSplits:
         assert counts.sum() == roots.size and counts.max() >= 2
         for (p, q), own in zip(pairs, np.split(roots, np.cumsum(counts)[:-1])):
             assert own.tolist() == sorted(own.tolist()) == self.splits(p, q, 9.0)
+
+    @staticmethod
+    def dense(pairs, R=None):
+        """Assert the roots and counts equal the full grid's bit for bit; return the counts."""
+        p_env, q_env = _Envelope.of([p for p, _ in pairs]), _Envelope.of([q for _, q in pairs])
+        if R is None:
+            tags = [(p.mixing.tag, q.mixing.tag) for p, q in pairs]
+            R = _start_radius(tags, np.maximum(p_env.s_max, q_env.s_max), 1, default_tol(1))
+        roots, counts = _sign_change_splits(p_env, q_env, R)
+        want_roots, want_counts = dense_splits(p_env, q_env, R)
+        assert counts.tolist() == want_counts.tolist()
+        assert roots.tobytes() == want_roots.tobytes()
+        return counts
+
+    @pytest.mark.parametrize("max_atoms", [8, 20])
+    @pytest.mark.parametrize("tag", [Compact(1.0), Compact(2.0), Subgaussian(0.5), Subgaussian(2.0)], ids=repr)
+    def test_pruned_search_finds_the_full_grids_roots(self, tag, max_atoms):
+        pairs = [make_pair(11, i, InstanceFamily(tag, 1, max_atoms)) for i in range(60)]
+        assert self.dense(pairs).sum() >= 40
+
+    def test_pruned_search_keeps_two_roots_in_one_coarse_interval(self):
+        # roots at 1.18 and 1.56 inside the stride-128 interval [0, 2.33] at
+        # R = 18.66, whose ends share a sign: a drop test with a tenth of
+        # the slope bound loses both, the only pair of 40,000 sweep pairs
+        # whose roots it changes
+        pair = make_pair(1, 157, InstanceFamily(Subgaussian(2.0), 1, 8))
+        assert self.dense([pair]).tolist() == [3]
+
+    @pytest.mark.parametrize("R", [None, 8.0, 9.3])
+    def test_pruned_search_keeps_roots_on_the_middle_node(self, R):
+        two = GaussianMixture.from_atoms([[0.3], [-1.7]], [0.3, 0.7], tag=Compact(2.0))
+        mirror = GaussianMixture.from_atoms([[-0.3], [1.7]], [0.3, 0.7], tag=Compact(2.0))
+        pairs = [(single_gaussian(a, M=2.0), single_gaussian(-a, M=2.0)) for a in (0.5, 1.0, 2.0)]
+        pairs.append((two, mirror))
+        counts = self.dense(pairs, None if R is None else np.full(len(pairs), R))
+        assert counts.min() >= 1
+        assert all(0.0 in self.splits(p, q, 8.0) for p, q in pairs)
+
+    def test_pruned_search_skips_identical_pairs(self, rng):
+        p, small = random_compact(rng, M=2.0, d=1, max_atoms=20), single_gaussian(0.5, M=2.0)
+        assert p.mixing.n_atoms > 1
+        assert self.dense([(p, p), make_pair(3, 51, InstanceFamily(Compact(2.0), 1))]).tolist() == [0, 0]
+        # (small, small) with its p side padded to more atoms than its q side, and to fewer
+        assert self.dense([(small, small), (p, small)])[0] == 0
+        assert self.dense([(small, p), (small, small)])[1] == 0
+
+    def test_pruned_search_on_near_identical_pairs(self):
+        # (1 - eps) N(0, 1) + eps N(M, 1) against N(0, 1): the log-ratio is
+        # about eps (e^(M x - M^2 / 2) - 1), near rounding at eps = 1e-14 and
+        # far below the slope bound over a grid step, so little is dropped
+        pairs = [
+            (GaussianMixture.from_atoms([[0.0], [M]], [1.0 - eps, eps], tag=Compact(M)), single_gaussian(0.0, M=M))
+            for eps in (1e-6, 1e-10, 1e-14)
+            for M in (1.0, 2.0)
+        ]
+        assert self.dense(pairs).min() >= 1
+
+    def test_pruned_search_evaluates_few_grid_nodes(self, monkeypatch):
+        evaluated, in_brentq = [0], [False]
+        kernel, port = divergences.segment_log_density, divergences.brentq
+
+        def counted(locations, const, pts, counts):
+            if not in_brentq[0]:
+                evaluated[0] += pts.shape[0]
+            return kernel(locations, const, pts, counts)
+
+        def brentq(*args, **kwargs):
+            in_brentq[0] = True
+            return port(*args, **kwargs)
+
+        monkeypatch.setattr(divergences, "segment_log_density", counted)
+        monkeypatch.setattr(divergences, "brentq", brentq)
+        pairs = [make_pair(1, i, InstanceFamily(Compact(2.0), 1)) for i in range(250)]
+        p_env, q_env = _Envelope.of([p for p, _ in pairs]), _Envelope.of([q for _, q in pairs])
+        _sign_change_splits(p_env, q_env, np.full(250, 8.0))
+        # each node is evaluated once for p and once for q
+        assert 0 < evaluated[0] // 2 <= 250 * 2049 // 8
+
+
+class TestLogRatioBounds:
+    """The two facts the pruned TV search rests on: the slope bound and rho."""
+
+    @staticmethod
+    def pair(seed):
+        # atoms in [-2, 2] with most weights at the sampler's 1e-9 floor
+        rng = np.random.default_rng(seed)
+
+        def one():
+            k = int(rng.integers(2, 21))
+            w = np.maximum(rng.dirichlet(np.full(k, 0.05)), 1e-9)
+            return GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (k, 1)), w / w.sum(), tag=Compact(2.0))
+
+        return one(), one()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_score_difference_within_the_atom_span(self, seed):
+        p, q = self.pair(seed)
+        span = np.ptp(np.concatenate([p.mixing.locations, q.mixing.locations]))
+        x = np.linspace(-30.0, 30.0, 20001)[:, None]
+        gap = np.abs(p.score(x) - q.score(x))
+        assert gap.max() <= span * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("R", [8.2, 30.0])
+    def test_log_ratio_within_rho_of_mpmath(self, seed, R):
+        p, q = self.pair(seed)
+        p_env, q_env = _Envelope.of([p]), _Envelope.of([q])
+        x = np.linspace(-R, R, 2049)[::32]
+        got = p_env.log_density([0], x[:, None], [x.size]) - q_env.log_density([0], x[:, None], [x.size])
+        rho = _log_ratio_rounding(p_env, q_env, np.array([R]))[0]
+
+        def log_mixture(gm, t):
+            return mpmath.log(
+                mpmath.fsum(
+                    mpmath.mpf(float(w)) * mpmath.exp(-((t - mpmath.mpf(float(a[0]))) ** 2) / 2)
+                    for a, w in zip(gm.mixing.locations, gm.mixing.weights)
+                )
+            )
+
+        with mpmath.workdps(50):
+            want = [log_mixture(p, mpmath.mpf(float(t))) - log_mixture(q, mpmath.mpf(float(t))) for t in x]
+            err = max(abs(mpmath.mpf(float(g)) - w) for g, w in zip(got, want))
+        # the pruning argument uses rho / 2
+        assert err <= rho / 2
 
 
 class TestBatchedDriver:
