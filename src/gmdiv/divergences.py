@@ -59,10 +59,13 @@ Gauss-Legendre axis in cos(polar) does not nest.  Both run on a batch of
 members at once, as arrays over members: `_compute_pairs` takes the
 pairs as two `_Envelope`s, the atoms of every p and of every q padded to
 one count (weight 0, log-weight -inf), which a sweep draws as arrays and
-a one-pair caller builds from its mixtures (`_Envelope.of`).  It runs
-the start radii, the level-0 pass, the radius search with every tail
-bound, the TV splits and the refinement phases over all pairs still
-pending, each at its own level pair; each pair stops at
+a one-pair caller builds from its mixtures (`_Envelope.of`), and makes
+one `_refine` call.  From the start radii, `_refine` runs the start pass
+(level 0 of the uncut rule, which sets the truncation targets), the radius
+search with every tail bound, builds the rule on the final radii (cut at
+the TV sign changes in d = 1), keeps the start pass as level 0 where the
+radius stayed and the rule is uncut, and runs the refinement phases over
+all pairs still pending, each at its own level pair; each pair stops at
 its own levels and keeps its own radius, splits, tails and point count.
 Within a step the pending members are evaluated in groups of consecutive
 members with at most _NODE_BUDGET nodes (a larger member alone, in the
@@ -70,8 +73,10 @@ log-density kernel's blocks), so no temporary grows with the batch; a
 sweep integrates all its pairs as one batch.
 One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
 Gram pass of the Hellinger table and `plancherel_l2` are one-member
-batches of the same `_refine`.  In d = 1 the TV sign changes are the roots
-of log p - log q, bracketed on a 2049-node grid per pair and found by
+batches of the same `_refine`; a fixed `domain_radius` and the Gram pass,
+whose target does not depend on the value, pass no tail test.  In d = 1
+the TV sign changes are the roots of log p - log q, bracketed on a
+2049-node grid per pair and found by
 `brentq`, a vectorized port of Brent's method that iterates every bracket
 at once, takes scipy's steps and returns its roots bit for bit, so the
 package needs numpy alone.  The grid is searched by bisection from every
@@ -367,8 +372,8 @@ def _kind_values(kind, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarr
 
 # Level caps of the nested rules, (radial, angular) per d: d = 1 doubles its
 # panels at most 14 times; d in {2, 3} refines the radial panels at most 7
-# times and the angular rule at most 6 times, and never past _MAX_POINTS
-# nodes of one member's rule.
+# times and the angular rule at most 6 times.  In every d, no member's rule
+# has more than _MAX_POINTS nodes.
 _MAX_LEVELS = {1: (15, 1), 2: (8, 7), 3: (8, 7)}
 _MAX_POINTS = 6_000_000
 
@@ -402,18 +407,14 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 @functools.cache
-def _angular_rule(d: int, level: int, known: int) -> tuple[np.ndarray, np.ndarray]:
+def _angular_rule(d: int, level: int, nest: bool = False) -> tuple[np.ndarray, np.ndarray]:
     # unit directions and weights of a level's angular rule (d = 2: the
     # periodic trapezoid rule; d = 3: Gauss-Legendre in cos(polar) x trapezoid);
-    # cached, so read-only.  known = -1 for the whole rule; d = 2 with
-    # 0 <= known < level: only the angles that level `known` lacks, whose
-    # angles are bitwise every 2^(level-known)-th one here, as 2 pi (2i) /
-    # (2n) is 2 pi i / n exactly
+    # cached, so read-only.  d = 2 with `nest`: only the angles that level
+    # - 1 lacks, the odd ones, as 2 pi (2i) / (2n) is 2 pi i / n exactly
     if d == 2:
         nt = 32 << level
-        k = np.arange(nt)
-        if known >= 0:
-            k = k[k % (1 << (level - known)) != 0]
+        k = np.arange(nt)[1::2] if nest else np.arange(nt)
         theta = 2.0 * math.pi * k / nt
         omegas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(k.size, 2.0 * math.pi / nt)
@@ -444,11 +445,11 @@ class _Rule:
     edges are those of np.linspace) of 16 Gauss-Legendre nodes each.  In
     d >= 2 the radial nodes r, weights wr carry the angular rule of level
     j: nodes r omega, weights wr r^(d-1) wa.  d = 1 has the one axis and
-    j = 0.  A member with a `known` angular level j0 >= 0 (d = 2, j0 < j)
-    gets only the angles of level j that level j0 lacks.  The members of
-    one call may sit at different level pairs.  Past the level cap of an
-    axis (_MAX_LEVELS), or past _MAX_POINTS nodes of one member's rule,
-    there is no rule and QuadratureError names the axis and the level pair.
+    j = 0.  A `nest`ed call (d = 2, j >= 1) gets only the angles of level j
+    that level j - 1 lacks.  The members of one call may sit at different
+    level pairs.  Past the level cap of an axis (_MAX_LEVELS), or past
+    _MAX_POINTS nodes of one member's whole rule, in every d, there is no
+    rule and QuadratureError names the axis and the level pair.
     """
 
     def __init__(self, d: int, R, splits=None):
@@ -467,8 +468,10 @@ class _Rule:
         self.lo[~first] = roots
         self.hi[last] = R
         self.hi[~last] = roots
-        # level-0 divisions of each cut panel
-        self.base = np.maximum(1, np.ceil((self.hi - self.lo) / _PANEL_WIDTH)).astype(np.int64)
+        # level-0 divisions of each cut panel, clamped before the int64 cast:
+        # a ball that wide fails the node cap at level 0 (`counts`)
+        base = np.minimum(np.ceil((self.hi - self.lo) / _PANEL_WIDTH), _MAX_POINTS)
+        self.base = np.maximum(1, base).astype(np.int64)
         self.size = R.size
 
     def _divisions(self, level, members):
@@ -488,11 +491,11 @@ class _Rule:
             return f"level {i}"
         return f"angular level {j} at radial level {i}" if axis else f"radial level {i} at angular level {j}"
 
-    def counts(self, levels, members, known) -> np.ndarray:
+    def counts(self, levels, members, nest=False) -> np.ndarray:
         """Nodes evaluated for each member at its level pair; QuadratureError past a cap.
 
-        `levels` holds one level pair per member, or one for all, and
-        `known` the angular level each member already has (-1: none).
+        `levels` holds one level pair per member, or one for all; a `nest`ed
+        member evaluates half its angles, and the cap counts the whole rule.
         """
         levels = np.broadcast_to(levels, (members.size, 2))
         caps = _MAX_LEVELS[self.d]
@@ -505,15 +508,16 @@ class _Rule:
                 f"quadrature did not converge: {self._where(levels[row], axis)} "
                 f"is past the last {name} {caps[axis] - 1}"
             )
-        radial = self._divisions(levels[:, 0], members)[3]
-        if self.d == 1:
-            return radial
-        big = radial * [_angular_rule(self.d, j, -1)[0].shape[0] for j in levels[:, 1]] > _MAX_POINTS
+        j = levels[:, 1]
+        # the angles of `_angular_rule`: 32 2^j in d = 2, (8 2^j) (16 2^j) in d = 3
+        angles = 1 if self.d == 1 else (32 << j if self.d == 2 else 128 << 2 * j)
+        nodes = self._divisions(levels[:, 0], members)[3] * angles
+        big = nodes > _MAX_POINTS
         if big.any():
             level = levels[np.argmax(big)]
             where = self._where(level, level[1] > 0)
             raise QuadratureError(f"quadrature did not converge: {where} would exceed {_MAX_POINTS:,} nodes")
-        return radial * [_angular_rule(self.d, j, k)[0].shape[0] for j, k in zip(levels[:, 1], known)]
+        return nodes >> nest
 
     def radial(self, level, members):
         """Radial nodes r, weights wr of member i at radial level level[i], and the count of each.
@@ -531,18 +535,17 @@ class _Rule:
         right[ends] = hi
         return *_panel_nodes(left, right), counts
 
-    def nodes(self, levels, members, known):
+    def nodes(self, levels, members, nest=False):
         """Nodes X (n, d) and weights w (n,) of the members at their level pairs, member after member."""
         x, w, counts = self.radial(levels[:, 0], members)
         if self.d == 1:
             return x[:, None], w
         # each run of consecutive members with one angular rule is one outer product
         edges = np.concatenate([[0], np.cumsum(counts)])
-        change = (np.diff(levels[:, 1]) != 0) | (np.diff(known) != 0)
-        runs = [0, *(np.flatnonzero(change) + 1), members.size]
+        runs = [0, *(np.flatnonzero(np.diff(levels[:, 1])) + 1), members.size]
         parts = []
         for a, b in itertools.pairwise(runs):
-            omegas, wa = _angular_rule(self.d, levels[a, 1], known[a])
+            omegas, wa = _angular_rule(self.d, levels[a, 1], nest)
             r, wr = x[edges[a] : edges[b]], w[edges[a] : edges[b]]
             X = (r[:, None, None] * omegas[None, :, :]).reshape(-1, self.d)
             parts.append((X, ((wr * r ** (self.d - 1))[:, None] * wa).ravel()))
@@ -557,21 +560,20 @@ def _segment_sums(vals, counts) -> np.ndarray:
     return np.add.reduceat(vals, np.cumsum(counts) - counts, axis=-1)
 
 
-def _integrate(measure, rule: _Rule, levels, members, known=-1):
+def _integrate(measure, rule: _Rule, levels, members, nest=False):
     """measure on the members' rules at their level pairs, and the points of each.
 
     `levels` holds one (radial, angular) pair per member, or one for all;
-    a member with a `known` angular level >= 0 takes only the angles that
-    level lacks (`_Rule`).  measure(X, w, counts, members) returns one row
+    with `nest` each member takes only the angles its angular level - 1
+    lacks (`_Rule`).  measure(X, w, counts, members) returns one row
     per member; members go through it in groups of at most _NODE_BUDGET
     nodes.  A row that is not finite raises QuadratureError naming its
     member's level pair.
     """
     levels = np.broadcast_to(levels, (members.size, 2))
-    known = np.broadcast_to(known, members.size)
-    counts = rule.counts(levels, members, known)
+    counts = rule.counts(levels, members, nest)
     rows = np.concatenate([
-        measure(*rule.nodes(levels[g], members[g], known[g]), counts[g], members[g])
+        measure(*rule.nodes(levels[g], members[g], nest), counts[g], members[g])
         for g in _groups(counts)
     ])
     finite = np.isfinite(rows).reshape(members.size, -1).all(axis=1)
@@ -581,60 +583,80 @@ def _integrate(measure, rule: _Rule, levels, members, known=-1):
     return rows, counts
 
 
-def _refine(measure, rule: _Rule, bound, level0=None, reuse=None, pts=0, kinked=False):
-    """Refine every member's rule, one axis at a time, until its measure settles.
+def _refine(measure, d: int, R, bound, met=None, tv=None):
+    """One certified integral per member: its ball, its rule and its refinement.
 
-    Level (0, 0) comes first, then the phases, each one loop over the
-    members still pending in it: d = 1 refines its panels (one radial
-    phase), d >= 2 the radius, then the angle.  Each step moves the pending
-    members one level along the phase's axis, and a member leaves the phase
-    once its step moves no entry of the measure by more than bound(cur),
-    with the finer level and value.  The first radial phase of d >= 2 keeps
-    the coarser ones instead, so the angle is refined at the coarser radial
-    level and radial convergence is judged on the coarsest angular rule.  A
-    `kinked` integrand (TV in d >= 2: |p - q| bends where the rays cross
-    p = q) can fool a judgement on one axis, so a kinked member runs the two
-    phases twice: the radius again at its final angular level, then the
-    angle again.  In d = 2 an angular step evaluates only the angles the
-    level below lacks (the trapezoid angles of level j are every other one
-    of level j + 1) and adds half the value of the level below, so the
-    measure must be linear in the weights w.  No level pair is evaluated
-    twice; in d = 2 no node is either, but for the first radial step of a
-    kinked member's second radial phase, which evaluates its level in full,
-    angular level 0 included, which the first radial phase had.  A measure
-    that is not finite raises QuadratureError at its level (`_integrate`).
-    Members marked in `reuse` take their row of `level0` as level (0, 0)
-    (those nodes are not evaluated again); `pts` counts points the caller
-    already spent.  Returns the last measure of each member and its points.
+    R holds each member's radius.  With a tail test `met`, R is where the
+    radius search starts: the start pass integrates level (0, 0) of the
+    uncut rule there, and `_search_radius` grows each radius until
+    met(R, start_pass) holds, start_pass being that pass's rows (which set
+    the truncation targets).  Without one, R is the radius.  The rule on
+    the final radii is then built here: `tv` is None or the envelopes
+    (p_env, q_env) of a batch that integrates TV, whose rule d = 1 cuts at
+    the sign changes of log p - log q (`_sign_change_splits`).  A member
+    whose radius stayed and whose rule is uncut keeps its start-pass row
+    as level (0, 0); the others evaluate level (0, 0) on the final rule.
+
+    Then come the phases, each one loop over the members still pending in
+    it: d = 1 refines its panels (one radial phase), d >= 2 the radius,
+    then the angle.  Each step moves the pending members one level along
+    the phase's axis, and a member leaves the phase once its step moves no
+    entry of the measure by more than bound(cur), with the finer level and
+    value.  The first radial phase of d >= 2 keeps the coarser ones
+    instead, so the angle is refined at the coarser radial level and radial
+    convergence is judged on the coarsest angular rule.  TV in d >= 2 bends
+    where the rays cross p = q, which can fool a judgement on one axis, so
+    with `tv` it runs the two phases twice: the radius again at its final
+    angular level, then the angle again.  In d = 2 an angular step
+    evaluates only the angles the level below lacks (the trapezoid angles
+    of level j are every other one of level j + 1) and adds half the value
+    of the level below, so the measure must be linear in the weights w.
+    No level pair is evaluated twice; in d = 2 no node is either, but for
+    the first radial step of TV's second radial phase, which evaluates its
+    level in full, angular level 0 included, which the first radial phase
+    had.  A measure that is not finite raises QuadratureError at its level
+    (`_integrate`).  Returns the last measure of each member, its points
+    (the start pass included) and its radius.
     """
-    m = rule.size
-    pts = np.zeros(m, dtype=np.int64) + pts
-    levels = np.zeros((m, 2), dtype=np.int64)
-    last = None if reuse is None else np.array(level0, dtype=float)
-    fresh = np.arange(m) if reuse is None else np.flatnonzero(~reuse)
+    R = start = np.asarray(R, dtype=float)
+    m = start.size
+    last, pts, fresh = None, np.zeros(m, dtype=np.int64), np.ones(m, dtype=bool)
+    if met is not None:
+        last, pts = _integrate(measure, _Rule(d, start), 0, np.arange(m))
+        R = _search_radius(start, lambda R: met(R, last))
+        fresh = R != start
+    splits = None
+    if d == 1 and tv is not None:
+        # cuts only add nodes: a ball past the node cap fails before the root search
+        _Rule(d, R).counts(0, np.arange(m))
+        splits = _sign_change_splits(*tv, R)
+        fresh |= splits[1] > 0
+    rule = _Rule(d, R, splits)
+    fresh = np.flatnonzero(fresh)
     if fresh.size:
-        # level (0, 0) of the members without a reused row
+        # level (0, 0) of the members without a start-pass row to keep
         cur, n = _integrate(measure, rule, 0, fresh)
         pts[fresh] += n
         last = cur if last is None else last
         last[fresh] = cur
-    phases = [(1, 0)] if rule.d == 1 else [(1, 0), (0, 1)] * (1 + kinked)
+    levels = np.zeros((m, 2), dtype=np.int64)
+    phases = [(1, 0)] if d == 1 else [(1, 0), (0, 1)] * (1 + (tv is not None))
     for phase, step in enumerate(phases):
-        nest = rule.d == 2 and step[1] == 1
+        nest = d == 2 and step[1] == 1
         pending = np.arange(m)
         while pending.size:
             levels[pending] += step
-            cur, n = _integrate(measure, rule, levels[pending], pending, levels[pending, 1] - 1 if nest else -1)
+            cur, n = _integrate(measure, rule, levels[pending], pending, nest)
             pts[pending] += n
             if nest:
                 cur += 0.5 * last[pending]
             settled = (np.abs(cur - last[pending]) <= bound(cur)).reshape(pending.size, -1).all(axis=1)
             # the first radial phase of d >= 2 keeps the coarser level and value
-            coarse = settled & (rule.d > 1 and phase == 0)
+            coarse = settled & (d > 1 and phase == 0)
             levels[pending[coarse]] -= step
             last[pending[~coarse]] = cur[~coarse]
             pending = pending[~settled]
-    return last, pts
+    return last, pts, R
 
 
 def _relative(tol):
@@ -965,11 +987,11 @@ def _compute_pairs(
 
     tags[i] lists the class tags of p_i and q_i.  L2^2 is
     `_l2_closed_form`; the arguments are checked alike for every kind.
-    Every step of the other kinds runs as arrays over the pairs: the start
-    radii, level 0 of the rule there (which fixes the truncation targets),
-    the radius search with its tail bounds, the d = 1 TV splits, and the
-    refinement, where each pair stops at its own level and keeps its own
-    radius, splits, tails and point count.  A pair's estimates are the same
+    The other kinds are one `_refine` call over all pairs, from the start
+    radii (or the fixed `domain_radius`) with the tail bounds of every kind
+    as its tail test, so every step runs as arrays over the pairs and each
+    pair stops at its own level and keeps its own radius, splits, tails and
+    point count.  A pair's estimates are the same
     bits whatever other pairs share its batch.  Each pair's dict lists its
     estimates in the order of `kinds`.  `lam` is the renyi power; `tol`
     defaults to `default_tol(d)`; a `domain_radius` that is not finite, or
@@ -999,7 +1021,6 @@ def _compute_pairs(
     integrated = [k for k in kinds if k != DivergenceKind.L2Sq]
     if not integrated:
         return rows
-    everyone = np.arange(len(tags))
 
     def measure(X, w, counts, members):
         logp = p_env.log_density(members, X, counts)
@@ -1010,23 +1031,14 @@ def _compute_pairs(
     def tails(R):
         return np.stack([_tail_bound(k, p_env, q_env, R, d, lam) for k in integrated], axis=1)
 
-    level0, reuse, pts0 = None, None, 0
+    def met(R, start_pass):
+        # the start pass fixes the value scale of each truncation target
+        return np.all(tails(R) <= 0.5 * tol * np.maximum(np.abs(start_pass), _TRUNC_FLOOR), axis=1)
+
     if domain_radius is not None:
-        R = np.full(len(tags), float(domain_radius))
-    else:
-        # level 0 of the rule at the start radius fixes the value scale for
-        # the truncation targets; where the radius stays, refinement reuses it
-        level0, pts0 = _integrate(measure, _Rule(d, start), 0, everyone)
-        targets = 0.5 * tol * np.maximum(np.abs(level0), _TRUNC_FLOOR)
-        R = _search_radius(start, lambda R: np.all(tails(R) <= targets, axis=1))
-        reuse = R == start
-    splits = None
-    if d == 1 and DivergenceKind.TV in kinds:
-        splits = _sign_change_splits(p_env, q_env, R)
-        if reuse is not None:
-            reuse &= splits[1] == 0
-    kinked = d > 1 and DivergenceKind.TV in kinds
-    values, pts = _refine(measure, _Rule(d, R, splits), _relative(tol), level0, reuse, pts0, kinked)
+        start, met = np.full(len(tags), float(domain_radius)), None
+    tv = (p_env, q_env) if DivergenceKind.TV in kinds else None
+    values, pts, R = _refine(measure, d, start, _relative(tol), met, tv)
     for row, vs, ts, r, n in zip(rows, values, tails(R), R, pts):
         for k, v, t in zip(integrated, vs, ts):
             row[k] = IntegralEstimate(float(v), float(t), float(r), int(n))
@@ -1081,7 +1093,7 @@ def renyi_integral(p: GaussianMixture, q: GaussianMixture, lam: float, tol=None)
     against the affine log-ratio bound).  For single-atom p, q at u, v the
     value is exp(lam (lam-1) ||u-v||^2 / 2).  The radius search and the
     quadrature are those of `divergence`, and `quadrature_points` likewise
-    counts each integrand evaluation once: the coarse pass that sets the
+    counts each integrand evaluation once: the start pass that sets the
     truncation target is level 0 of the final rule unless the radius grew.
     """
     if not (lam > 1):
@@ -1123,8 +1135,10 @@ def _gram_h2(elements, tol) -> np.ndarray:
 
     One radius R serves every member: the radius search runs until the
     pair tail bound of the worst member, 2 max_i mass_tail_i(R), is at most
-    tol/2.  On each level of `_Rule(d, [R])` the square roots S_i = sqrt(p_i)
-    at the nodes give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij,
+    tol/2.  That target does not depend on the value, so the search runs
+    first and `_refine` gets R with no tail test.  On each level of the
+    rule on the ball of radius R the square roots S_i = sqrt(p_i) at the
+    nodes give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij,
     which is int (sqrt(p_i) - sqrt(p_j))^2 over the ball.  `_refine` stops
     once no entry moves by more than tol/2, so `tol` is an absolute H^2
     accuracy (default `default_tol(d)`); the entries are clipped at 0 only
@@ -1169,7 +1183,7 @@ def _gram_h2(elements, tol) -> np.ndarray:
         return np.triu(diag[:, None] + diag[None, :] - 2.0 * G, 1)[None]
 
     # the measure stays linear in the weights, as `_refine` needs; clip after
-    h2 = np.maximum(_refine(measure, _Rule(d, R), lambda cur: 0.5 * tol)[0][0], 0.0)
+    h2 = np.maximum(_refine(measure, d, R, lambda cur: 0.5 * tol)[0][0], 0.0)
     h2 += h2.T
     position = np.argsort(order)
     return h2[np.ix_(position, position)]
@@ -1206,11 +1220,10 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
         diff = characteristic_function(p, t) - characteristic_function(q, t)
         return _segment_sums((diff.real**2 + diff.imag**2) * w, counts)[:, None]
 
-    start = np.array([6.0])
-    level0, _ = _integrate(measure, _Rule(1, start), 0, np.arange(1))
-    scale = max(abs(float(level0[0, 0])) / (2.0 * math.pi), _TRUNC_FLOOR)
-    # two-sided tail of 4 e^{-t^2} beyond T is below 4 e^{-T^2} / T
-    target = 0.5 * tol * scale * (2.0 * math.pi)
-    T = _search_radius(start, lambda T: 4.0 * np.exp(-T * T) / T <= target)
-    values, _ = _refine(measure, _Rule(1, T), _relative(tol), level0, T == start)
+    def met(T, start_pass):
+        # two-sided tail of 4 e^{-t^2} beyond T is below 4 e^{-T^2} / T
+        scale = np.maximum(np.abs(start_pass[:, 0]) / (2.0 * math.pi), _TRUNC_FLOOR)
+        return 4.0 * np.exp(-T * T) / T <= 0.5 * tol * scale * (2.0 * math.pi)
+
+    values = _refine(measure, 1, [6.0], _relative(tol), met)[0]
     return float(values[0, 0]) / (2.0 * math.pi)

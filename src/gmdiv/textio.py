@@ -9,13 +9,8 @@ import math
 def format_float(x) -> str:
     """Full-precision, run-independent rendering of a float."""
     x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        return "0"
-    return f"{x:.17g}"
+    # .17g already prints nan, inf and -inf; -0.0 == 0.0 prints "0" too
+    return "0" if x == 0.0 else f"{x:.17g}"
 
 
 def _jsonable(obj):

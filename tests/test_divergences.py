@@ -74,7 +74,7 @@ def on_rule(kinds, p, q, R, width, angular, lam=None):
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
     r = ((edges[:-1] + half)[:, None] + half[:, None] * gl_nodes).ravel()
     wr = (half[:, None] * gl_weights).ravel()
-    omegas, wa = _angular_rule(d, angular, -1)
+    omegas, wa = _angular_rule(d, angular)
     step = max(1, (1 << 20) // omegas.shape[0])
     total = np.zeros(len(kinds))
     for lo in range(0, r.size, step):
@@ -92,9 +92,9 @@ def final_levels(monkeypatch):
     seen = []
     original = divergences._integrate
 
-    def spy(measure, rule, levels, members, known=-1):
+    def spy(measure, rule, levels, members, nest=False):
         seen.append((rule, np.broadcast_to(levels, (members.size, 2)).tolist(), members.tolist()))
-        return original(measure, rule, levels, members, known)
+        return original(measure, rule, levels, members, nest)
 
     monkeypatch.setattr(divergences, "_integrate", spy)
 
@@ -315,11 +315,11 @@ class TestEstimateContracts:
             assert j >= 1 and seen.max() == 1
         else:
             assert (i, j) == (4, 4) and seen.max() == 2
-            level = rule.nodes(np.array([[4, 0]]), np.array([0]), np.array([-1]))[0]
+            level = rule.nodes(np.array([[4, 0]]), np.array([0]))[0]
             assert level.shape[0] == 24_576
             assert np.array_equal(unique[seen == 2], np.unique(level, axis=0))
         r, wr, _ = rule.radial(np.array([i]), np.array([0]))
-        omegas, wa = _angular_rule(2, j, -1)
+        omegas, wa = _angular_rule(2, j)
         X = (r[:, None, None] * omegas).reshape(-1, 2)
         full = ((wr * r)[:, None] * wa).ravel() @ _kind_values(kind, p.log_density(X), q.log_density(X))
         assert est.value == pytest.approx(full, rel=1e-13)
@@ -372,6 +372,36 @@ class TestEstimateContracts:
         p, q = single_gaussian([2.0, 0.0, 0.0]), single_gaussian([0.0, 0.0, 0.0])
         with pytest.raises(QuadratureError, match=f"^quadrature did not converge: {message}$"):
             divergence(DivergenceKind.KL, p, q)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "p, q, kinds, domain_radius, where",
+        [
+            # Compact(1e6) tags start the radius search at 1e6 + 6.2, where
+            # the start pass needs 8,000,000 nodes; d = 1 once skipped the
+            # cap and spent 24,000,192 points (3.4 s) on this pair
+            (single_gaussian(0.0, M=1e6), single_gaussian(1.0, M=1e6), [DivergenceKind.HellingerSq], None, "level 0"),
+            (single_gaussian(0.0, M=1e9), single_gaussian(1.0, M=1e9), [DivergenceKind.HellingerSq], None, "level 0"),
+            # once a MemoryError (3.64 TiB)
+            (single_gaussian(0.0), single_gaussian(1.0), [DivergenceKind.KL], 1e12, "level 0"),
+            # once an int64 overflow of the panel count, and numpy warnings
+            (single_gaussian(0.0), single_gaussian(1.0), INTEGRATED_KINDS, 1e300, "level 0"),
+            (
+                single_gaussian([0.0, 0.0]),
+                single_gaussian([1.0, 0.0]),
+                INTEGRATED_KINDS,
+                1e300,
+                "radial level 0 at angular level 0",
+            ),
+        ],
+        ids=["compact-1e6", "compact-1e9", "radius-1e12", "radius-1e300", "radius-1e300-d2"],
+    )
+    def test_node_cap_holds_in_every_d(self, p, q, kinds, domain_radius, where):
+        for kind in kinds:
+            with pytest.raises(
+                QuadratureError, match=f"^quadrature did not converge: {where} would exceed 6,000,000 nodes$"
+            ):
+                divergence(kind, p, q, domain_radius=domain_radius)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2]))
@@ -995,6 +1025,14 @@ class TestSignChangeSplits:
         pair = make_pair(1, 157, InstanceFamily(Subgaussian(2.0), 1, 8))
         assert self.dense([pair]).tolist() == [3]
 
+    def test_pruned_search_keeps_roots_near_the_slope_bound(self):
+        # both roots, 1.8768... and 4.1232..., lie inside the stride-128
+        # interval [0, 8] at R = 64, whose ends share a sign with
+        # |f_l| + |f_r| = 0.353 L 8 for the atom span L = 2.4: a drop test
+        # with 0.35 L loses them
+        p = GaussianMixture.from_atoms([[1.8], [4.2]], [0.5, 0.5], tag=Compact(4.2))
+        assert self.dense([(p, single_gaussian(3.0, M=4.2))], np.array([64.0])).tolist() == [2]
+
     @pytest.mark.parametrize("R", [None, 8.0, 9.3])
     def test_pruned_search_keeps_roots_on_the_middle_node(self, R):
         two = GaussianMixture.from_atoms([[0.3], [-1.7]], [0.3, 0.7], tag=Compact(2.0))
@@ -1157,6 +1195,74 @@ class TestBatchedDriver:
     def test_one_pair_is_compute_divergences(self, rng):
         p, q = random_compact(rng, M=2.0, d=1), random_compact(rng, M=2.0, d=1)
         assert compute_pairs(ALL_KINDS, [(p, q)], None)[0] == _compute_divergences(ALL_KINDS, p, q)
+
+
+class TestLevelPaths:
+    """Each `_refine` caller's radius and points in d = 1, pinned.
+
+    Points pin which levels ran and which start-pass rows were kept as
+    level 0, and they do not depend on the CPU or the BLAS build; values
+    are pinned to 1e-14 relative.
+    """
+
+    # the radius grows past its start (8.18) for every kind, and stays for every kind
+    PAIRS = {
+        "grows": make_pair(3, 5, InstanceFamily(Compact(2.0), 1)),
+        "stays": (single_gaussian(0.0, M=3.0), single_gaussian(1.5, M=3.0)),
+    }
+
+    @staticmethod
+    def check(est, value, radius, points):
+        assert (est.domain_radius, est.quadrature_points) == (radius, points)
+        assert est.value == pytest.approx(value, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "pair, kind, value, radius, points",
+        [
+            ("grows", DivergenceKind.KL, 0.16785733172867467, 8.682851756998918, 320),
+            ("grows", DivergenceKind.HellingerSq, 0.09634166681064461, 8.682851756998918, 320),
+            ("grows", DivergenceKind.ChiSq, 0.29172462242603503, 11.182851756998918, 368),
+            ("grows", DivergenceKind.TV, 0.23847339648018306, 8.682851756998918, 320),
+            # the start pass's 80 points are level 0: 80 + 160 for level 1
+            ("stays", DivergenceKind.KL, 1.124999999999992, 9.182851756998918, 240),
+            ("stays", DivergenceKind.HellingerSq, 0.4903207960219776, 9.182851756998918, 240),
+            ("stays", DivergenceKind.ChiSq, 8.487735836358445, 9.182851756998918, 240),
+            # TV's cut rule evaluates its own level 0
+            ("stays", DivergenceKind.TV, 0.5467452952462597, 9.182851756998918, 368),
+        ],
+    )
+    def test_divergence(self, pair, kind, value, radius, points):
+        self.check(divergence(kind, *self.PAIRS[pair]), value, radius, points)
+
+    @pytest.mark.parametrize(
+        "a, value, radius", [(1.0, 0.6826894921367446, 8.182851756998918), (2.0, 0.9544997360919246, 8.682851756998918)]
+    )
+    def test_tv_root_on_a_grid_node(self, a, value, radius):
+        p, q = single_gaussian(a, M=2.0), single_gaussian(-a, M=2.0)
+        self.check(divergence(DivergenceKind.TV, p, q), value, radius, 368)
+
+    def test_fixed_domain_radius(self):
+        got = _compute_divergences(INTEGRATED_KINDS, *self.PAIRS["grows"], domain_radius=10.0)
+        values = [0.16785733172867498, 0.09634166681064477, 0.29172462242603503, 0.2384733964801996]
+        for kind, value in zip(INTEGRATED_KINDS, values):
+            self.check(got[kind], value, 10.0, 288)
+
+    def test_renyi_integral(self):
+        self.check(renyi_integral(*self.PAIRS["grows"], 3.0), 1.8562880136406776, 14.837142693136226, 464)
+
+    def test_plancherel(self, monkeypatch):
+        # 48 nodes at level 0 on [-6, 6], kept, and 96 at level 1
+        nodes, original = [0], divergences._integrate
+
+        def spy(*args, **kwargs):
+            rows, counts = original(*args, **kwargs)
+            nodes[0] += int(counts.sum())
+            return rows, counts
+
+        monkeypatch.setattr(divergences, "_integrate", spy)
+        value = plancherel_l2(*self.PAIRS["grows"])
+        assert value == pytest.approx(0.04808910659450794, rel=1e-14, abs=0.0)
+        assert nodes == [144]
 
 
 class TestSeparateRefinement:
