@@ -76,16 +76,17 @@ Gram pass of the Hellinger table and `plancherel_l2` are one-member
 batches of the same `_refine`; a fixed `domain_radius` and the Gram pass,
 whose target does not depend on the value, pass no tail test.  In d = 1
 the TV sign changes are the roots of log p - log q, bracketed on a
-2049-node grid per pair and found by
-`brentq`, a vectorized port of Brent's method that iterates every bracket
-at once, takes scipy's steps and returns its roots bit for bit, so the
-package needs numpy alone.  The grid is searched by bisection from every
-128th node, and an interval is dropped when the log-ratio's slope bound
-(the span of the pair's atoms) and a rounding bound show it holds no
-sign change, so only a small part of the grid is evaluated and the
-brackets are still the full grid's.  For d > 3 the integrated kinds fall
-back to seeded importance-sampling Monte Carlo where `truncation_bound`
-reports a 95% confidence half-width instead of a hard bound.
+2049-node grid per pair (finer beyond R = 64, for a step of at most
+1/16) and found by `brentq`, a vectorized port of Brent's method that
+iterates every bracket at once, takes scipy's steps and returns its roots
+bit for bit, so the package needs numpy alone.  The grid is searched by
+bisection from 17 evenly spaced nodes, and an interval is dropped when
+the log-ratio's slope bound (the span of the pair's atoms) and a rounding
+bound show it holds no sign change, so only a small part of the grid is
+evaluated and the brackets are still the full grid's.  For d > 3 the
+integrated kinds fall back to seeded importance-sampling Monte Carlo
+where `truncation_bound` reports a 95% confidence half-width instead of
+a hard bound.
 
 `tol` is a relative target: refinement stops when successive levels differ
 by less than tol/2 relative to the current value, and the domain grows
@@ -209,7 +210,6 @@ class _Envelope:
     atoms (`validate_atoms`) and then its pads.  A pad has location 0,
     weight 0 and log-weight -inf, and sits after the real atoms, so it adds
     an exact 0 to every atom sum (`_atom_sum`) and never wins a max.
-    `const` holds the logit offsets of `segment_log_density`.
     """
 
     def __init__(self, locations, weights):
@@ -220,7 +220,6 @@ class _Envelope:
         self.logw[self.real] = np.log(self.weights[self.real])
         self.radii = np.sqrt(np.sum(self.locations**2, axis=2))
         self.s_max = self.radii.max(axis=1)
-        self.const = self.logw - 0.5 * np.sum(self.locations * self.locations, axis=2)
 
     @classmethod
     def of(cls, mixtures):
@@ -236,7 +235,7 @@ class _Envelope:
 
     def log_density(self, members, pts, counts) -> np.ndarray:
         """Log-density of mixture members[i] at the i-th segment of pts."""
-        return segment_log_density(self.locations[members], self.const[members], pts, counts)
+        return segment_log_density(self.locations[members], self.logw[members], pts, counts)
 
     def mass_tail(self, R, d: int) -> np.ndarray:
         # mass of each mixture outside its ball of radius R
@@ -767,9 +766,9 @@ _TV_GRID = 2049
 _TV_STRIDE = 128
 
 
-def _tv_node(R, j):
-    """Node j of np.linspace(-R, R, _TV_GRID), in linspace's own arithmetic."""
-    return np.where(j == _TV_GRID - 1, R, j * ((R - -R) / (_TV_GRID - 1)) + -R)
+def _tv_node(R, j, n):
+    """Node j of np.linspace(-R, R, n + 1), in linspace's own arithmetic."""
+    return np.where(j == n, R, j * ((R - -R) / n) + -R)
 
 
 def _log_ratio_rounding(p_env: _Envelope, q_env: _Envelope, R) -> np.ndarray:
@@ -796,22 +795,24 @@ def _log_ratio_rounding(p_env: _Envelope, q_env: _Envelope, R) -> np.ndarray:
 def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
     """Roots of log p_i - log q_i in [-R[i], R[i]], where pair i's TV panels are cut.
 
-    On each pair's grid np.linspace(-R, R, 2049), a root is bracketed
-    between nodes where the log-ratio changes sign strictly, and found by
-    `brentq` to 1e-13.  A node where the log-ratio is exactly 0 is a root
-    itself when it starts a run of zeros and the nearest nonzero values on
-    either side have strictly opposite signs (a pair symmetric about 0 has
-    its root on the middle node); a pair with q = p has none.  Returns the
-    roots, pair after pair and ascending within a pair, and their count per
-    pair.
+    On each pair's grid np.linspace(-R, R, 2048 * 2^s + 1), s the least
+    s >= 0 that makes its step at most 1/16 (s = 0 for R <= 64), a root
+    is bracketed between nodes where the log-ratio changes sign strictly,
+    and found by `brentq` to 1e-13.  A node where the log-ratio is exactly
+    0 is a root itself when it starts a run of zeros and the nearest
+    nonzero values on either side have strictly opposite signs (a pair
+    symmetric about 0 has its root on the middle node); a pair with q = p
+    has none.  Returns the roots, pair after pair and ascending within a
+    pair, and their count per pair.
 
     Only the nodes that can change that answer are evaluated.  The
     log-ratio f has f' = E_p[a | x] - E_q[a | x], so |f'| <= L, the span of
     the real atom locations of p and q together, and its computed value
     lies within rho / 2 of f at every node (`_log_ratio_rounding`).  The
-    search evaluates every 128th node (17 a pair), then halves the stride
-    down to 1, all pairs at once, and drops each interval whose computed
-    ends have one strict sign and |f_l| + |f_r| > L (x_r - x_l) + 4 rho.
+    search evaluates every (128 * 2^s)th node (17 a pair), then halves
+    every pair's stride at once until it is 1, and drops each interval
+    whose computed ends have one strict sign and
+    |f_l| + |f_r| > L (x_r - x_l) + 4 rho.
     Had a node inside it a computed value of 0 or of the other sign, f
     would be at most rho / 2 there (for positive ends) and, by the slope
     bound from both ends, |f_l| + |f_r| <= L (x_r - x_l) + 2 rho.  So every
@@ -820,7 +821,10 @@ def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
     bracket of the full grid and every zero run with the nodes on either
     side of it, and the roots are the full grid's, bit for bit.  The nodes
     are computed in linspace's arithmetic (`_tv_node`); the bookkeeping
-    holds the intervals still alive, never a whole grid.
+    holds the intervals still alive, never a whole grid.  A grid of s > 0
+    divides the step of s = 0 by 2^s exactly, so every node of that grid
+    stays a node bit for bit, and a pair's roots do not depend on the
+    other pairs of its call.
     """
     m = R.size
     locs = np.concatenate([p_env.locations[:, :, 0], q_env.locations[:, :, 0]], axis=1)
@@ -843,37 +847,49 @@ def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
         & ~p_env.real[:, k:].any(axis=1)
         & ~q_env.real[:, k:].any(axis=1)
     )
+    # per pair, the least s >= 0 with a step of (2 R / 2048) / 2^s <= 1/16,
+    # and the coarse nodes of s = 0 as nodes of its grid
+    frac, e = np.frexp(16.0 * ((R - -R) / (_TV_GRID - 1)))
+    s = np.maximum(e - (frac == 0.5), 0).astype(np.int64)
+    stride, size = _TV_STRIDE << s, (_TV_GRID - 1) << s
     coarse = np.arange(0, _TV_GRID, _TV_STRIDE)
     pair = np.repeat(np.flatnonzero(~same), coarse.size)
-    j = np.tile(coarse, m - np.count_nonzero(same))
-    x = _tv_node(R[pair], j)
+    j = np.tile(coarse, m - np.count_nonzero(same)) << s[pair]
+    x = _tv_node(R[pair], j, size[pair])
     f = log_ratio(pair, x)
-    left = j < _TV_GRID - 1
+    left = j < size[pair]
     pair, jl, xl, fl, xr, fr = pair[left], j[left], x[left], f[left], x[1:][left[:-1]], f[1:][left[:-1]]
-    stride = _TV_STRIDE
+    done = []
     while True:
         sl, sr = np.sign(fl), np.sign(fr)
-        drop = (sl == sr) & (sl != 0) & (np.abs(fl) + np.abs(fr) > span[pair] * (xr - xl) + slack[pair])
-        pair, jl, xl, fl, xr, fr, sl, sr = (v[~drop] for v in (pair, jl, xl, fl, xr, fr, sl, sr))
-        if stride == 1:
+        keep = ~((sl == sr) & (sl != 0) & (np.abs(fl) + np.abs(fr) > span[pair] * (xr - xl) + slack[pair]))
+        # a pair is done when its stride is 1; the pairs of one grid size finish together
+        last = keep & (stride[pair] == 1)
+        done.append([v[last] for v in (pair, jl, xl, xr, sl, sr)])
+        pair, jl, xl, fl, xr, fr = (v[keep & ~last] for v in (pair, jl, xl, fl, xr, fr))
+        if pair.size == 0:
             break
         stride //= 2
-        jm = jl + stride
-        xm = _tv_node(R[pair], jm)
+        jm = jl + stride[pair]
+        xm = _tv_node(R[pair], jm, size[pair])
         fm = log_ratio(pair, xm)
         # each interval becomes its two halves, in node order
         pair = np.repeat(pair, 2)
         jl, xl, fl, xr, fr = (
             np.stack([a, b], axis=1).ravel() for a, b in ((jl, jm), (xl, xm), (fl, fm), (xm, xr), (fm, fr))
         )
+    # back in pair order, each pair's intervals still in node order
+    pair, jl, xl, xr, sl, sr = (np.concatenate(v) for v in zip(*done))
+    order = np.argsort(pair, kind="stable")
+    pair, jl, xl, xr, sl, sr = (v[order] for v in (pair, jl, xl, xr, sl, sr))
     bracket = sl * sr < 0
     # a zero run starts at the right end of an interval with a nonzero left
     # end; the run's intervals follow it, and the nearest nonzero value
     # after the run is the first nonzero right end among them (0 when the
     # run reaches the last node)
-    stop = (sr != 0) | (jl == _TV_GRID - 2)
+    stop = (sr != 0) | (jl == size[pair] - 1)
     first_stop = np.minimum.accumulate(np.where(stop, np.arange(stop.size), stop.size - 1)[::-1])[::-1]
-    on_node = (sr == 0) & (jl < _TV_GRID - 2) & (sl * sr[first_stop] < 0)
+    on_node = (sr == 0) & (jl < size[pair] - 1) & (sl * sr[first_stop] < 0)
     roots = xr.copy()
     bracket_pair = pair[bracket]
     roots[bracket] = brentq(

@@ -17,19 +17,23 @@ so the logits are one GEMM with inner dimension d, `A @ X.T + c`, and
 -||x||^2 / 2 is subtracted once per point after the logsumexp.  They are
 held atom-major, (k, n), so the max and the sum over atoms are elementwise
 passes over contiguous rows of length n rather than n short reductions;
-the sum runs in atom order.  `segment_log_density` evaluates many mixtures
-at once: their atoms padded to a common count (log-weight -inf, so a pad
-adds an exact 0 after the real atoms and changes no sum), and the nodes in
-per-mixture segments.  In d >= 2 each mixture's part of a block of nodes
-is one GEMM over that mixture's own atoms, so its bits do not depend on
-the other mixtures of the call.  In d = 1 the logits are a_j x + c_j
-elementwise, the atoms of each node's mixture gathered with `np.repeat`
-when a block spans several segments: the same products as the GEMM's, and
-several times faster than a GEMM with inner dimension 1.  `GaussianMixture.log_density`
-is the one-segment case.  The score is the softmax of the same logits
-applied to the atoms, minus x; -||x||^2 / 2 cancels in the softmax and
-never enters.  Points are processed in blocks of _BLOCK, so no (k, n)
-temporary is larger than _BLOCK * k doubles whatever n is.  Class tags
+the sum runs in atom order.  One block pass, `_block_logits`, builds the
+logits of many mixtures at once: their atoms padded to a common count
+(log-weight -inf, so a pad adds an exact 0 after the real atoms and
+changes no sum), the nodes in per-mixture segments, and the offsets c_j
+formed from the atoms each block keeps.  In d >= 2 each mixture's part of
+a block of nodes is one GEMM over that mixture's own atoms, so its bits do
+not depend on the other mixtures of the call.  In d = 1 the logits are
+a_j x + c_j elementwise, the atoms of each node's mixture gathered with
+`np.repeat` when a block spans several segments: the same products as the
+GEMM's, and several times faster than a GEMM with inner dimension 1.  It
+yields exp(logits - column max) and the column max, and has two
+reductions: `segment_log_density` (its log-sum-exp, with
+`GaussianMixture.log_density` the one-segment case) and
+`GaussianMixture.score`, the softmax applied to the atoms, minus x;
+-||x||^2 / 2 cancels in the softmax and never enters.  Points are
+processed in blocks of _BLOCK, so no (k, n) temporary is larger than
+_BLOCK * k doubles whatever n is.  Class tags
 (Compact / Subgaussian / Unconstrained) record which tail certificates
 are available downstream.
 """
@@ -148,12 +152,8 @@ class GaussianMixture:
     def __init__(self, mixing: MixingDistribution):
         self.mixing = mixing
         self.dim = mixing.dim
-
-    @cached_property
-    def _const(self) -> np.ndarray:
-        # c_j = log w_j - ||a_j||^2 / 2, the per-atom term of the logits
-        locs = self.mixing.locations
-        return np.log(self.mixing.weights) - 0.5 * np.sum(locs * locs, axis=1)
+        # the one-mixture arguments of the block pass, `_block_logits`
+        self._atoms, self._logw = mixing.locations[None], np.log(mixing.weights)[None]
 
     @classmethod
     def from_atoms(cls, locations, weights=None, tag: ClassTag | None = None):
@@ -185,41 +185,22 @@ class GaussianMixture:
             )
         return pts, single
 
-    def _log_kernel(self, pts: np.ndarray) -> np.ndarray:
-        # (k, n) array of log w_j - ||a_j||^2 / 2 + a_j . x, which is
-        # log w_j - ||x - a_j||^2 / 2 shifted by ||x||^2 / 2 in each column
-        logits = self.mixing.locations @ pts.T
-        logits += self._const[:, None]
-        return logits
-
-    def _softmax_shifted(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # exp(logits - column max), computed in place, and the column max
-        u = self._log_kernel(pts)
-        m = u.max(axis=0)
-        u -= m
-        np.exp(u, out=u)
-        return u, m
-
     def log_density(self, x):
         """log p(x), finite for every finite x.
 
         Accepts a single point of shape (d,) or a batch of shape (n, d).
         """
         pts, single = self._as_points(x)
-        out = segment_log_density(
-            self.mixing.locations[None], self._const[None], pts, [pts.shape[0]]
-        )
+        out = segment_log_density(self._atoms, self._logw, pts, [pts.shape[0]])
         return float(out[0]) if single else out
 
     def score(self, x):
         """Gradient of log p: sum_j u_j a_j - x, with u the softmax of the logits."""
         pts, single = self._as_points(x)
         out = np.empty(pts.shape)
-        for start in range(0, pts.shape[0], _BLOCK):
-            blk = pts[start : start + _BLOCK]
-            u, _ = self._softmax_shifted(blk)
+        for at, u, _ in _block_logits(self._atoms, self._logw, pts, [pts.shape[0]]):
             u /= u.sum(axis=0)
-            np.subtract((self.mixing.locations.T @ u).T, blk, out=out[start : start + _BLOCK])
+            np.subtract((self.mixing.locations.T @ u).T, pts[at], out=out[at])
         return out[0] if single else out
 
     def sample(self, n: int, seed: int) -> np.ndarray:
@@ -231,33 +212,32 @@ class GaussianMixture:
         return self.mixing.locations[idx] + rng.standard_normal((n, self.dim))
 
 
-def segment_log_density(locations, const, pts, counts) -> np.ndarray:
-    """Log-densities of m mixtures, each at its own segment of the nodes.
+def _block_logits(locations, logw, pts, counts):
+    """Per block of _BLOCK nodes, its slice of pts, exp(logits - m) and the column max m.
 
     locations: (m, k, d) atoms, each mixture padded to k atoms with zeros
                after its real atoms;
-    const:     (m, k) c_j = log w_j - ||a_j||^2 / 2 of each atom, -inf on a pad;
+    logw:      (m, k) log-weights, -inf on a pad;
     pts:       (n, d) nodes, the first counts[0] for mixture 0, the next
                counts[1] for mixture 1, and so on (sum(counts) = n).
 
-    A mixture's segment is its own `GaussianMixture.log_density` bit for
-    bit, whatever the other mixtures, as long as none of its parts in a
-    block of _BLOCK nodes is a lone node (numpy sends a one-column product
-    through a matrix-vector routine, which may round differently in d >= 2).
+    The logits of a node are c_j + a_j . x over the atoms of its mixture,
+    c_j = log w_j - ||a_j||^2 / 2, one row per atom of the block's largest
+    real count and -inf on the rows a mixture lacks.
     """
     n, d = pts.shape
     ends = list(itertools.accumulate(counts))
-    out = np.empty(n)
     for lo in range(0, n, _BLOCK):
         blk = pts[lo : lo + _BLOCK]
         hi = lo + blk.shape[0]
         # mixtures first..last own the nodes of this block
         first, last = bisect.bisect_right(ends, lo), bisect.bisect_right(ends, hi - 1)
         # the block's mixtures without the pads that none of them needs
-        offsets = const[first : last + 1]
-        real = np.count_nonzero(offsets > -np.inf, axis=1)
+        logw_blk = logw[first : last + 1]
+        real = (logw_blk > -np.inf).sum(axis=1)
         k = int(real.max())
-        atoms, offsets = locations[first : last + 1, :k], offsets[:, :k]
+        atoms = locations[first : last + 1, :k]
+        offsets = logw_blk[:, :k] - 0.5 * np.add.reduce(atoms * atoms, axis=2)
         if d > 1:
             # one GEMM for each mixture's part of the block over its own real
             # atoms, so a node's bits do not depend on the other mixtures of
@@ -285,9 +265,24 @@ def segment_log_density(locations, const, pts, counts) -> np.ndarray:
         m = logits.max(axis=0)
         logits -= m
         np.exp(logits, out=logits)
-        res = out[lo:hi]
-        total = logits[0]
-        for row in logits[1:]:
+        yield slice(lo, hi), logits, m
+
+
+def segment_log_density(locations, logw, pts, counts) -> np.ndarray:
+    """Log-densities of m mixtures, each at its own segment of the nodes.
+
+    The arguments are those of `_block_logits`.  A mixture's segment is
+    its own `GaussianMixture.log_density` bit for bit, whatever the other
+    mixtures, as long as none of its parts in a block of _BLOCK nodes is a
+    lone node (numpy sends a one-column product through a matrix-vector
+    routine, which may round differently in d >= 2).
+    """
+    d = pts.shape[1]
+    out = np.empty(pts.shape[0])
+    for at, u, m in _block_logits(locations, logw, pts, counts):
+        blk, res = pts[at], out[at]
+        total = u[0]
+        for row in u[1:]:
             total += row
         np.log(total, out=res)
         res += m

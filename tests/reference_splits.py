@@ -1,8 +1,8 @@
 """The d = 1 TV splitter on the full grid: the reference for `divergences._sign_change_splits`.
 
 It evaluates the log-ratio on every node of np.linspace(-R, R, 2049) for
-every pair, so a test can hold the pruned search to these roots, bit for
-bit.
+every pair, the search's grid at R <= 64, so a test can hold the pruned
+search to these roots, bit for bit.
 """
 
 import numpy as np

@@ -91,6 +91,12 @@ class TestBoundRhs:
             bound_rhs("Thm1", M=2.0, d=1, h2=0.0)
         with pytest.raises(HypothesisError, match="H\\^2"):
             bound_rhs("Thm1", M=2.0, d=1, h2=2.5)
+        for l2 in (0.0, 1.0):
+            with pytest.raises(HypothesisError, match="0 < \\|\\|p-q\\|\\|_2 < 1"):
+                bound_rhs("TVfromL2", M=1.0, l2=l2)
+        for tv in (0.0, 1.5):
+            with pytest.raises(HypothesisError, match="0 < TV <= 1"):
+                bound_rhs("L2fromTV", tv=tv)
 
     def test_chisq_log_domain_overflow(self):
         # the linear constant overflows for M >= 4 but the log value is exact
@@ -101,6 +107,22 @@ class TestBoundRhs:
         assert small == pytest.approx(
             math.log(bound_rhs("ChiSqThm", M=2.0, d=1, h2=0.5)), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "bound, params",
+        [
+            ("Thm1", {"M": 2.0, "d": 1, "h2": 0.1}),
+            ("TVfromL2", {"M": 1.0, "l2": 0.1}),
+            ("DichotomyH2_UB", {"K": 2.0, "r": 10.0}),
+            ("DichotomyKL_LB", {"K": 2.0, "r": 1.1}),
+        ],
+    )
+    def test_log_domain_of_the_other_bounds(self, bound, params):
+        # the log of bound_rhs, and -inf where the rhs is not positive
+        # (the dichotomy KL lower bound is negative at r = 1.1)
+        rhs = bound_rhs(bound, **params)
+        assert bound_rhs_log(bound, **params) == (math.log(rhs) if rhs > 0 else -math.inf)
+        assert (rhs > 0) == (bound != "DichotomyKL_LB")
 
 
 class TestHoBound:

@@ -245,13 +245,31 @@ class TestEntropySeqReport:
         assert json.loads((out_dir / "seq_summary.json").read_text())["net_size"] == 6
         assert not hellinger_calls
 
+    def test_seq_with_epsilon_forecasts_over_the_cover(self, run):
+        family = {"type": "theta-grid", "start": -1.0, "stop": 1.0, "count": 6}
+        cfg = {"command": "seq", "family": family, "true_index": 1, "length": 15, "n_streams": 3, "epsilon": 0.3}
+        out_dir, _ = run("seq", cfg)
+        first = [(out_dir / name).read_bytes() for name in ("seq.csv", "seq_summary.json")]
+        summary = json.loads(first[1])
+        net_size = len(greedy_cover(HellingerTable(_family_candidates(family)), 0.3))
+        assert summary["net_size"] == net_size < 6
+        assert summary["log_net_size"] == math.log(net_size)
+        assert all(s["regret_vs_best"] <= summary["log_net_size"] for s in summary["streams"])
+        assert len((out_dir / "seq.csv").read_text().splitlines()) == 1 + 3 * 15
+        run("seq", cfg)
+        assert [(out_dir / name).read_bytes() for name in ("seq.csv", "seq_summary.json")] == first
+
     def test_report_merges_artifacts(self, run, tmp_path):
         cfg = {"command": "dichotomy", "K": 2.0, "r_grid": [5]}
         out_dir, _ = run("dichotomy", cfg)
+        seq = {"command": "seq", "family": THETA_FAMILY, "true_index": 0, "length": 4}
+        run("seq", seq)
         out_dir, _ = run("report", {"command": "report"})
         report = json.loads((out_dir / "report.json").read_text())
         assert "dichotomy.csv" in report["artifacts"]
         assert report["artifacts"]["dichotomy.csv"]["rows"] == 1
+        # a .json artifact is merged whole
+        assert report["artifacts"]["seq_summary.json"] == json.loads((out_dir / "seq_summary.json").read_text())
 
 
 class TestErrorPaths:

@@ -274,10 +274,10 @@ class TestEstimateContracts:
         calls = []
         original = divergences.segment_log_density
 
-        def spy(locations, const, pts, counts):
+        def spy(locations, logw, pts, counts):
             # p is the mixture with its one atom at the origin
             calls.append((not locations.any(), len(pts), pts.tobytes()))
-            return original(locations, const, pts, counts)
+            return original(locations, logw, pts, counts)
 
         monkeypatch.setattr(divergences, "segment_log_density", spy)
         est = divergence(DivergenceKind.HellingerSq, p, q)
@@ -299,10 +299,10 @@ class TestEstimateContracts:
         nodes = []
         original = divergences.segment_log_density
 
-        def spy(locations, const, pts, counts):
+        def spy(locations, logw, pts, counts):
             if not locations.any():  # p, its one atom at the origin
                 nodes.append(pts.copy())
-            return original(locations, const, pts, counts)
+            return original(locations, logw, pts, counts)
 
         monkeypatch.setattr(divergences, "segment_log_density", spy)
         est = divergence(kind, p, q)
@@ -970,6 +970,13 @@ class TestSignChangeSplits:
         assert counts.tolist() == [roots.size]
         return roots.tolist()
 
+    @staticmethod
+    def close_roots_pair():
+        # log p - log q = 0 where e^-0.72 cosh(1.2 (x - 3)) = 1: two roots
+        # 2.25 apart, inside one interval of linspace(-R, R, 2049) at R = 1e4
+        p = GaussianMixture.from_atoms([[1.8], [4.2]], [0.5, 0.5], tag=Compact(4.2))
+        return p, single_gaussian(3.0, M=4.2)
+
     @pytest.mark.parametrize("a", [1.0, 2.0])
     def test_root_on_a_grid_node(self, a):
         # a pair symmetric about 0 has its root on the middle node of
@@ -1030,8 +1037,7 @@ class TestSignChangeSplits:
         # interval [0, 8] at R = 64, whose ends share a sign with
         # |f_l| + |f_r| = 0.353 L 8 for the atom span L = 2.4: a drop test
         # with 0.35 L loses them
-        p = GaussianMixture.from_atoms([[1.8], [4.2]], [0.5, 0.5], tag=Compact(4.2))
-        assert self.dense([(p, single_gaussian(3.0, M=4.2))], np.array([64.0])).tolist() == [2]
+        assert self.dense([self.close_roots_pair()], np.array([64.0])).tolist() == [2]
 
     @pytest.mark.parametrize("R", [None, 8.0, 9.3])
     def test_pruned_search_keeps_roots_on_the_middle_node(self, R):
@@ -1066,10 +1072,10 @@ class TestSignChangeSplits:
         evaluated, in_brentq = [0], [False]
         kernel, port = divergences.segment_log_density, divergences.brentq
 
-        def counted(locations, const, pts, counts):
+        def counted(locations, logw, pts, counts):
             if not in_brentq[0]:
                 evaluated[0] += pts.shape[0]
-            return kernel(locations, const, pts, counts)
+            return kernel(locations, logw, pts, counts)
 
         def brentq(*args, **kwargs):
             in_brentq[0] = True
@@ -1082,6 +1088,25 @@ class TestSignChangeSplits:
         _sign_change_splits(p_env, q_env, np.full(250, 8.0))
         # each node is evaluated once for p and once for q
         assert 0 < evaluated[0] // 2 <= 250 * 2049 // 8
+
+    @pytest.mark.parametrize("R", [1e3, 1e4])
+    def test_large_fixed_radius_keeps_the_grid_step(self, R):
+        p, q = self.close_roots_pair()
+        default = divergence(DivergenceKind.TV, p, q)
+        assert divergence(DivergenceKind.TV, p, q, domain_radius=R).value == pytest.approx(
+            default.value, rel=default_tol(1)
+        )
+        half_gap = math.acosh(math.exp(0.72)) / 1.2
+        assert self.splits(p, q, R) == pytest.approx([3.0 - half_gap, 3.0 + half_gap], rel=0.0, abs=1e-12)
+
+    def test_grid_sizes_mixed_in_one_batch(self):
+        # R = 1e4, 8 and 300 give grids of 2048 * 2^s intervals for s = 8, 0
+        # and 3; each pair's roots are its one-pair roots, in pair order
+        p, q = self.close_roots_pair()
+        R = np.array([1e4, 8.0, 300.0])
+        roots, counts = _sign_change_splits(_Envelope.of([p] * 3), _Envelope.of([q] * 3), R)
+        assert counts.tolist() == [2, 2, 2]
+        assert roots.tolist() == [x for r in R for x in self.splits(p, q, r)]
 
 
 class TestLogRatioBounds:

@@ -105,14 +105,14 @@ class TestKernelCrossCheck:
         mixtures = [
             GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (k, d)), rng.dirichlet(np.ones(k))) for k in sizes
         ]
-        locations, const = np.zeros((sizes.size, 8, d)), np.full((sizes.size, 8), -np.inf)
+        locations, logw = np.zeros((sizes.size, 8, d)), np.full((sizes.size, 8), -np.inf)
         for i, gm in enumerate(mixtures):
-            locations[i, : sizes[i]], const[i, : sizes[i]] = gm.mixing.locations, gm._const
+            locations[i, : sizes[i]], logw[i, : sizes[i]] = gm.mixing.locations, np.log(gm.mixing.weights)
         # a fifth of the segments are long enough to straddle blocks
         long = rng.random(sizes.size) < 0.2
         counts = 16 * np.where(long, rng.integers(256, 1100, sizes.size), rng.integers(1, 120, sizes.size))
         pts = rng.uniform(-8.0, 8.0, (counts.sum(), d))
-        batch = segment_log_density(locations, const, pts, counts)
+        batch = segment_log_density(locations, logw, pts, counts)
         ends = np.cumsum(counts)
         straddle = (ends - counts) // _BLOCK != (ends - 1) // _BLOCK
         assert straddle.sum() >= 10 and (~straddle).sum() >= 30
