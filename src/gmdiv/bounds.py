@@ -367,7 +367,7 @@ class SweepReport:
             )
 
     def write_csv(self, path):
-        write_csv(path, self.CSV_HEADER, self.csv_rows())
+        write_csv(path, self.CSV_HEADER, list(zip(*self.csv_rows())))
 
     def summary(self) -> dict:
         """The sweep's outcome and cost; argmax_params is None when no ratio is finite.

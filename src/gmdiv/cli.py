@@ -167,7 +167,7 @@ def _run_div(cfg, out_dir, seed):
     write_csv(
         path,
         ("kind", "value", "truncation_bound", "domain_radius", "quadrature_points"),
-        [(kind.value, est.value, est.truncation_bound, est.domain_radius, est.quadrature_points)],
+        [[kind.value], [est.value], [est.truncation_bound], [est.domain_radius], [est.quadrature_points]],
     )
     with open(path) as fh:
         sys.stdout.write(fh.read())
@@ -224,7 +224,7 @@ def _run_dichotomy(cfg, out_dir, seed):
     write_csv(
         os.path.join(out_dir, "dichotomy.csv"),
         ("K", "r", "KL", "H2", "kl_lb", "h2_ub", "ratio"),
-        rows,
+        list(zip(*rows)),
     )
     print(f"dichotomy: K={format_float(K)} rows={len(rows)}")
     return 0
@@ -246,7 +246,7 @@ def _run_entropy(cfg, out_dir, seed):
     write_csv(
         os.path.join(out_dir, "entropy.csv"),
         ("epsilon", "N", "N_loc", "batch_rate", "seq_rate"),
-        zip(eps_grid, cover_sizes, local_counts, batch.objective, seq.objective),
+        (eps_grid, cover_sizes, local_counts, batch.objective, seq.objective),
     )
     dump_json(
         {
@@ -282,13 +282,16 @@ def _run_seq(cfg, out_dir, seed):
     length = _positive_int(cfg, "length")
     n_streams = _positive_int(cfg, "n_streams", 1)
     truth = net.elements[true_index]
-    rows, finals = [], []
+    curves, finals = [], []
     for s in range(n_streams):
         res = sequential_forecaster(net, truth.sample(length, _stream_seed(seed, s)), true_density=truth)
+        curves.append((res.step_log_loss, res.cum_regret))
         # regret is the cumulative regret against the truth; the summary reports its last row
-        rows.extend(zip([s] * length, range(length), res.step_log_loss.tolist(), res.cum_regret.tolist()))
-        finals.append({"stream": s, "cum_regret": rows[-1][3], "regret_vs_best": res.regret_vs_best})
-    write_csv(os.path.join(out_dir, "seq.csv"), ("stream", "step", "log_loss", "regret"), rows)
+        finals.append({"stream": s, "cum_regret": res.cum_regret[-1], "regret_vs_best": res.regret_vs_best})
+    losses, regrets = (np.concatenate(c) for c in zip(*curves))
+    streams = [s for s in range(n_streams) for _ in range(length)]
+    columns = (streams, list(range(length)) * n_streams, losses, regrets)
+    write_csv(os.path.join(out_dir, "seq.csv"), ("stream", "step", "log_loss", "regret"), columns)
     dump_json(
         {
             "net_size": len(net.elements),

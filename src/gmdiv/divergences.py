@@ -113,6 +113,7 @@ from .mixtures import (
     Subgaussian,
     Unconstrained,
     segment_log_density,
+    shared_log_density,
 )
 
 
@@ -1154,7 +1155,8 @@ def _gram_h2(elements, tol) -> np.ndarray:
     tol/2.  That target does not depend on the value, so the search runs
     first and `_refine` gets R with no tail test.  On each level of the
     rule on the ball of radius R the square roots S_i = sqrt(p_i) at the
-    nodes give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij,
+    nodes, from one shared-node pass of the density kernel
+    (`shared_log_density`), give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij,
     which is int (sqrt(p_i) - sqrt(p_j))^2 over the ball.  `_refine` stops
     once no entry moves by more than tol/2, so `tol` is an absolute H^2
     accuracy (default `default_tol(d)`); the entries are clipped at 0 only
@@ -1182,19 +1184,17 @@ def _gram_h2(elements, tol) -> np.ndarray:
         return mixing.locations.tobytes(), mixing.weights.tobytes()
 
     order = sorted(range(n), key=content)
-    members = [elements[i] for i in order]
+    locations, logw = env.locations[order], env.logw[order]
     step = max(1, _GRAM_ENTRIES // n)
 
     def measure(X, w, counts, _):
         G = np.zeros((n, n))
-        S = np.empty((n, min(step, X.shape[0])))
         for lo in range(0, X.shape[0], step):
-            block = X[lo : lo + step]
-            Sb = S[:, : block.shape[0]]
-            for i, e in enumerate(members):
-                np.exp(0.5 * e.log_density(block), out=Sb[i])
-            Sb[Sb < _GRAM_FLOOR] = 0.0
-            G += (Sb * w[lo : lo + step]) @ Sb.T
+            S = shared_log_density(locations, logw, X[lo : lo + step])
+            S *= 0.5
+            np.exp(S, out=S)
+            S[S < _GRAM_FLOOR] = 0.0
+            G += (S * w[lo : lo + step]) @ S.T
         diag = np.diag(G)
         return np.triu(diag[:, None] + diag[None, :] - 2.0 * G, 1)[None]
 

@@ -25,9 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .divergences import DivergenceKind, _gram_h2, _require_certifiable, divergence
+from .divergences import DivergenceKind, _Envelope, _gram_h2, _require_certifiable, divergence
 from .errors import CapabilityError, HypothesisError
-from .mixtures import GaussianMixture
+from .mixtures import GaussianMixture, shared_log_density
 
 # Farthest-point distances within _TIE (in H) of the farthest count as tied.
 _TIE = 1e-9
@@ -192,13 +192,18 @@ def hellinger_project(f: GaussianMixture, net: Net) -> GaussianMixture:
 
 
 def _net_loglik(net: Net, data) -> tuple[np.ndarray, np.ndarray]:
-    """The data as (T, d) points and the (N, T) log-likelihoods of the net's elements on them."""
+    """The data as (T, d) points and the (N, T) log-likelihoods of the net's elements on them.
+
+    One shared-node pass of the density kernel; row i is element i's own
+    `log_density` on the points bit for bit.
+    """
     if not net.elements:
         raise ValueError("net must be non-empty")
-    pts = np.atleast_2d(np.asarray(data, dtype=float))
+    pts, _ = net.elements[0]._as_points(data)
     if pts.shape[0] < 1:
         raise ValueError("data must be non-empty")
-    return pts, np.stack([e.log_density(pts) for e in net.elements])
+    env = _Envelope.of(net.elements)
+    return pts, shared_log_density(env.locations, env.logw, pts)
 
 
 def batch_net_mle(net: Net, data) -> GaussianMixture:
@@ -236,21 +241,40 @@ def sequential_forecaster(net: Net, stream, true_density: GaussianMixture | None
     relative to b.  The log predictive density of X_t is
     l[b, t] + marg[t + 1] - marg[t], the weights are exp(post - marg), and
     regret_vs_best = -marg[T] <= log N exactly: post[b, T] = -log N bit for
-    bit, and a log-sum-exp is at least its largest term.
+    bit, and a log-sum-exp is at least its largest term.  A true density
+    that is a net element (by identity) reads its row of l.
     """
     pts, loglik = _net_loglik(net, stream)
     best = loglik[int(np.argmax(loglik.sum(axis=1)))]
-    post = np.pad(np.cumsum(loglik - best, axis=1), ((0, 0), (1, 0))) - math.log(len(loglik))
+    post = np.zeros((loglik.shape[0], loglik.shape[1] + 1))
+    np.cumsum(loglik - best, axis=1, out=post[:, 1:])
+    post -= math.log(len(loglik))
     top = post.max(axis=0)
-    marg = top + np.log(np.exp(post - top).sum(axis=0))
+    marg = top + np.log(_exp(post - top).sum(axis=0))
     pred = best + np.diff(marg)
-    cum_regret = None if true_density is None else np.cumsum(true_density.log_density(pts) - pred)
+    cum_regret = None
+    if true_density is not None:
+        # a net element's log-likelihoods are already rows of loglik
+        rows = [i for i, e in enumerate(net.elements) if e is true_density]
+        cum_regret = np.cumsum((loglik[rows[0]] if rows else true_density.log_density(pts)) - pred)
     return ForecastResult(
-        predictive_weights=np.exp(post[:, :-1] - marg[:-1]).T,
+        predictive_weights=_exp(post[:, :-1] - marg[:-1]).T,
         step_log_loss=-pred,
         cum_regret=cum_regret,
         regret_vs_best=float(-marg[-1]),
     )
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x) bit for bit, in place.
+
+    exp rounds every argument below log(2^-1075) = -745.133... to +0.0, and
+    numpy's exp takes a slow path on them (most of the forecaster's
+    weights), so only the arguments >= -745.2 are exponentiated and the
+    max with 0 then sets the others to +0.0 (a NaN stays NaN).
+    """
+    np.exp(x, out=x, where=x >= -745.2)
+    return np.maximum(x, 0.0, out=x)
 
 
 @dataclass

@@ -20,20 +20,25 @@ passes over contiguous rows of length n rather than n short reductions;
 the sum runs in atom order.  One block pass, `_block_logits`, builds the
 logits of many mixtures at once: their atoms padded to a common count
 (log-weight -inf, so a pad adds an exact 0 after the real atoms and
-changes no sum), the nodes in per-mixture segments, and the offsets c_j
-formed from the atoms each block keeps.  In d >= 2 each mixture's part of
-a block of nodes is one GEMM over that mixture's own atoms, so its bits do
-not depend on the other mixtures of the call.  In d = 1 the logits are
-a_j x + c_j elementwise, the atoms of each node's mixture gathered with
-`np.repeat` when a block spans several segments: the same products as the
+changes no sum), and the offsets c_j formed from the atoms each block
+keeps.  It takes the nodes in one of two layouts: in per-mixture segments
+(the quadrature's), or shared, every mixture at the same nodes (a net's
+log-likelihoods on a stream, the Hellinger Gram pass).  In d >= 2 each
+mixture's part of a block of nodes is one GEMM over that mixture's own
+atoms, so its bits do not depend on the other mixtures of the call.  In
+d = 1 the logits are a_j x + c_j elementwise, the atoms of each node's
+mixture gathered with `np.repeat` when a block spans several segments and
+broadcast over the nodes when they are shared: the same products as the
 GEMM's, and several times faster than a GEMM with inner dimension 1.  It
-yields exp(logits - column max) and the column max, and has two
-reductions: `segment_log_density` (its log-sum-exp, with
-`GaussianMixture.log_density` the one-segment case) and
+yields exp(logits - column max) and the column max.  Its log-sum-exp
+reduction gives `segment_log_density` (with `GaussianMixture.log_density`
+the one-segment case) and `shared_log_density`, the (m, n) matrix whose
+row i is mixture i's own `log_density` bit for bit; its other reduction is
 `GaussianMixture.score`, the softmax applied to the atoms, minus x;
 -||x||^2 / 2 cancels in the softmax and never enters.  Points are
-processed in blocks of _BLOCK, so no (k, n) temporary is larger than
-_BLOCK * k doubles whatever n is.  Class tags
+processed in blocks of _BLOCK, and shared nodes in groups of at most
+_BLOCK (mixture, node) pairs, so no temporary is larger than _BLOCK * k
+doubles whatever n and m are.  Class tags
 (Compact / Subgaussian / Unconstrained) record which tail certificates
 are available downstream.
 """
@@ -65,8 +70,8 @@ WEIGHT_TOL = 1e-12
 # rounding of norm computations.
 _RADIUS_SLACK = 1e-9
 
-# Points per block in log_density and score: bounds every (k, n) temporary
-# at _BLOCK * k doubles (4 MB at k = 64).
+# Points (or shared-layout (mixture, point) pairs) per block of the kernel:
+# bounds every logits temporary at _BLOCK * k doubles (4 MB at k = 64).
 _BLOCK = 8192
 
 
@@ -198,9 +203,9 @@ class GaussianMixture:
         """Gradient of log p: sum_j u_j a_j - x, with u the softmax of the logits."""
         pts, single = self._as_points(x)
         out = np.empty(pts.shape)
-        for at, u, _ in _block_logits(self._atoms, self._logw, pts, [pts.shape[0]]):
+        for at, blk, u, _ in _block_logits(self._atoms, self._logw, pts, [pts.shape[0]]):
             u /= u.sum(axis=0)
-            np.subtract((self.mixing.locations.T @ u).T, pts[at], out=out[at])
+            np.subtract((self.mixing.locations.T @ u).T, blk, out=out[at])
         return out[0] if single else out
 
     def sample(self, n: int, seed: int) -> np.ndarray:
@@ -212,60 +217,93 @@ class GaussianMixture:
         return self.mixing.locations[idx] + rng.standard_normal((n, self.dim))
 
 
-def _block_logits(locations, logw, pts, counts):
-    """Per block of _BLOCK nodes, its slice of pts, exp(logits - m) and the column max m.
+def _block_logits(locations, logw, pts, counts=None):
+    """Per block of nodes, its index into the output, its nodes, exp(logits - m) and the column max m.
 
     locations: (m, k, d) atoms, each mixture padded to k atoms with zeros
                after its real atoms;
     logw:      (m, k) log-weights, -inf on a pad;
-    pts:       (n, d) nodes, the first counts[0] for mixture 0, the next
-               counts[1] for mixture 1, and so on (sum(counts) = n).
+    pts:       (n, d) nodes, in one of two layouts:
+               segments (counts given): the first counts[0] nodes for
+               mixture 0, the next counts[1] for mixture 1, and so on
+               (sum(counts) = n); a block is _BLOCK nodes, its logits are
+               (k, nodes) and its index is a slice of the n outputs;
+               shared (counts None): every mixture at every node; a block
+               is a group of mixtures at up to _BLOCK nodes, at most _BLOCK
+               (mixture, node) pairs unless one mixture's nodes are more,
+               its logits are (k, mixtures, nodes) and its index is the
+               (mixtures, nodes) slices of the (m, n) output.
 
     The logits of a node are c_j + a_j . x over the atoms of its mixture,
     c_j = log w_j - ||a_j||^2 / 2, one row per atom of the block's largest
-    real count and -inf on the rows a mixture lacks.
+    real count and -inf on the rows a mixture lacks.  Both layouts cut the
+    nodes at multiples of _BLOCK, as a one-mixture call does, so in d >= 2
+    no part of a block is a lone node that the mixture's own call would not
+    have (numpy sends a one-column product through a matrix-vector routine,
+    which may round differently).
     """
     n, d = pts.shape
-    ends = list(itertools.accumulate(counts))
+    ends = None if counts is None else list(itertools.accumulate(counts))
+    shared = lambda rows: rows.T[:, :, None]  # noqa: E731  (g, k) -> (k, g, 1), broadcast over the nodes
     for lo in range(0, n, _BLOCK):
         blk = pts[lo : lo + _BLOCK]
         hi = lo + blk.shape[0]
-        # mixtures first..last own the nodes of this block
+        if ends is None:
+            size = max(1, _BLOCK // (hi - lo))
+            for i in range(0, logw.shape[0], size):
+                group = slice(i, i + size)
+                g = logw[group].shape[0]
+                parts = ((np.s_[:, j], blk) for j in range(g))
+                u, m = _logits(locations[group], logw[group], blk, parts, shared, (g, hi - lo))
+                yield (group, slice(lo, hi)), blk, u, m
+            continue
+        # mixtures first..last own the nodes of this block, each its columns a:b
         first, last = bisect.bisect_right(ends, lo), bisect.bisect_right(ends, hi - 1)
-        # the block's mixtures without the pads that none of them needs
-        logw_blk = logw[first : last + 1]
-        real = (logw_blk > -np.inf).sum(axis=1)
-        k = int(real.max())
-        atoms = locations[first : last + 1, :k]
-        offsets = logw_blk[:, :k] - 0.5 * np.add.reduce(atoms * atoms, axis=2)
-        if d > 1:
-            # one GEMM for each mixture's part of the block over its own real
-            # atoms, so a node's bits do not depend on the other mixtures of
-            # its block, and rows of -inf below when the block's k is larger
-            # (the gather below, summed over d coordinates, is slower here)
-            logits = np.empty((k, hi - lo))
-            for j, i in enumerate(range(first, last + 1)):
-                a, b = max(ends[i] - counts[i], lo) - lo, min(ends[i], hi) - lo
-                part = logits[: real[j], a:b]
-                np.matmul(atoms[j, : real[j]], blk[a:b].T, out=part)
-                part += offsets[j, : real[j], None]
-                logits[real[j] :, a:b] = -np.inf
+        seg_ends = np.array(ends[first : last + 1])
+        a = np.maximum(seg_ends - counts[first : last + 1], lo) - lo
+        b = np.minimum(seg_ends, hi) - lo
+        parts = ((np.s_[:, i:j], blk[i:j]) for i, j in zip(a, b))
+        if first == last:
+            spread = np.transpose  # (1, k) -> (k, 1), broadcast over the nodes
         else:
-            # the atoms of each node's mixture times the node: the GEMM's
-            # own products, and several times faster than a GEMM of inner
-            # dimension 1
-            if first == last:
-                spread = np.transpose  # (1, k) -> (k, 1), broadcast over the nodes
-            else:
-                seg_ends = np.array(ends[first : last + 1])
-                held = np.minimum(seg_ends, hi) - np.maximum(seg_ends - counts[first : last + 1], lo)
-                spread = lambda rows: np.repeat(rows.T, held, axis=1)  # noqa: E731
-            logits = spread(atoms[:, :, 0]) * blk[:, 0]
-            logits += spread(offsets)
-        m = logits.max(axis=0)
-        logits -= m
-        np.exp(logits, out=logits)
-        yield slice(lo, hi), logits, m
+            spread = lambda rows: np.repeat(rows.T, b - a, axis=1)  # noqa: E731
+        u, m = _logits(locations[first : last + 1], logw[first : last + 1], blk, parts, spread, (hi - lo,))
+        yield slice(lo, hi), blk, u, m
+
+
+def _logits(locations, logw, blk, parts, spread, shape):
+    """exp(logits - m) and the column max m of the mixtures of one block of `_block_logits`.
+
+    parts:  per mixture, the index of its logits after the atom axis and its
+            nodes (d >= 2);
+    spread: (mixtures, k) rows to the atom-major logits shape (d = 1);
+    shape:  the logits shape after the atom axis.
+    """
+    # the block's mixtures without the pads that none of them needs
+    real = (logw > -np.inf).sum(axis=1)
+    k = int(real.max())
+    atoms = locations[:, :k]
+    offsets = logw[:, :k] - 0.5 * np.add.reduce(atoms * atoms, axis=2)
+    if blk.shape[1] > 1:
+        # one GEMM for each mixture's part of the block over its own real
+        # atoms, so a node's bits do not depend on the other mixtures of
+        # its block, and rows of -inf below when the block's k is larger
+        # (the gather below, summed over d coordinates, is slower here)
+        logits = np.empty((k,) + shape)
+        for j, (cols, nodes) in enumerate(parts):
+            own = logits[: real[j]][cols]
+            np.matmul(atoms[j, : real[j]], nodes.T, out=own)
+            own += offsets[j, : real[j], None]
+            logits[real[j] :][cols] = -np.inf
+    else:
+        # the atoms of each node's mixture times the node: the GEMM's own
+        # products, and several times faster than a GEMM of inner dimension 1
+        logits = spread(atoms[:, :, 0]) * blk[:, 0]
+        logits += spread(offsets)
+    m = logits.max(axis=0)
+    logits -= m
+    np.exp(logits, out=logits)
+    return logits, m
 
 
 def segment_log_density(locations, logw, pts, counts) -> np.ndarray:
@@ -277,10 +315,24 @@ def segment_log_density(locations, logw, pts, counts) -> np.ndarray:
     lone node (numpy sends a one-column product through a matrix-vector
     routine, which may round differently in d >= 2).
     """
-    d = pts.shape[1]
-    out = np.empty(pts.shape[0])
-    for at, u, m in _block_logits(locations, logw, pts, counts):
-        blk, res = pts[at], out[at]
+    return _log_sum_exp(_block_logits(locations, logw, pts, counts), np.empty(pts.shape[0]), pts.shape[1])
+
+
+def shared_log_density(locations, logw, pts) -> np.ndarray:
+    """The (m, n) log-densities of m mixtures at the same n nodes.
+
+    The arguments are those of `_block_logits` in its shared layout.  Row i
+    is mixture i's own `GaussianMixture.log_density` at pts bit for bit,
+    whatever the other mixtures.
+    """
+    out = np.empty((logw.shape[0], pts.shape[0]))
+    return _log_sum_exp(_block_logits(locations, logw, pts), out, pts.shape[1])
+
+
+def _log_sum_exp(blocks, out, d) -> np.ndarray:
+    """The log-density reduction of the blocks of `_block_logits`, written to out at each block's index."""
+    for at, blk, u, m in blocks:
+        res = out[at]
         total = u[0]
         for row in u[1:]:
             total += row

@@ -5,6 +5,11 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
+# write_csv formats at most this many rows at a time
+_ROWS = 4096
+
 
 def format_float(x) -> str:
     """Full-precision, run-independent rendering of a float."""
@@ -30,17 +35,29 @@ def dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def write_csv(path, header, rows) -> None:
-    """Plain comma-joined CSV; floats formatted at 17 significant digits."""
+def write_csv(path, header, columns) -> None:
+    """Plain comma-joined CSV of equal-length columns (sequences or arrays).
+
+    Floats print as `format_float` prints them, bools as true/false and
+    anything else by str.  Each row is one %-format of its cells, _ROWS
+    rows at a time, and a column of floats goes through "%.17g".
+    """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, bool):
-                    cells.append("true" if cell else "false")
-                elif isinstance(cell, float):
-                    cells.append(format_float(cell))
-                else:
-                    cells.append(str(cell))
-            fh.write(",".join(cells) + "\n")
+        for lo in range(0, len(columns[0]) if columns else 0, _ROWS):
+            specs, cells = zip(*(_field(column[lo : lo + _ROWS]) for column in columns))
+            fh.write("\n".join(map(",".join(specs).__mod__, zip(*cells))) + "\n")
+
+
+def _field(column):
+    """A column as one % conversion and the values it converts."""
+    types = {float} if isinstance(column, np.ndarray) and column.dtype == np.float64 else set(map(type, column))
+    if all(issubclass(t, float) for t in types):
+        # adding 0.0 turns -0.0 into 0.0, which prints "0" as format_float does
+        return "%.17g", (np.asarray(column, dtype=float) + 0.0).tolist()
+    if any(issubclass(t, (bool, float)) for t in types):
+        column = [
+            ("true" if v else "false") if isinstance(v, bool) else format_float(v) if isinstance(v, float) else v
+            for v in column
+        ]
+    return "%s", column

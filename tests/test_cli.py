@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from gmdiv import Compact, DivergenceKind, HellingerTable, greedy_cover, local_cover
+from gmdiv import Compact, DivergenceKind, HellingerTable, bounds, cli, greedy_cover, local_cover
 from gmdiv.bounds import InstanceFamily, make_pair
 from gmdiv.cli import _family_candidates, main
+from gmdiv.textio import _ROWS, format_float, write_csv
 from gmdiv.mixtures import mixture_to_record
 from conftest import compute_pairs
 
@@ -366,6 +367,81 @@ class TestErrorPaths:
         bad.write_text("{not json")
         assert main(["div", "--config", str(bad)]) == 2
         capsys.readouterr()
+
+
+def reference_write_csv(path, header, rows):
+    """The per-cell CSV writer that the columnar `write_csv` replaced: the byte reference."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = []
+            for cell in row:
+                if isinstance(cell, bool):
+                    cells.append("true" if cell else "false")
+                elif isinstance(cell, float):
+                    cells.append(format_float(cell))
+                else:
+                    cells.append(str(cell))
+            fh.write(",".join(cells) + "\n")
+
+
+class TestCsvWriter:
+    def test_cells_match_the_per_cell_writer(self, tmp_path):
+        floats = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1]
+        rows = [
+            (
+                x,
+                np.float64(x),
+                i % 2 == 0,
+                i,
+                np.int64(-i),
+                ["", "a", "b c"][i % 3],
+                [x, i, "s", True, np.float64(x), np.bool_(i % 2), np.float32(x)][i],
+            )
+            for i, x in enumerate(floats)
+        ]
+        header = ("float", "np_float", "bool", "int", "np_int", "str", "mixed")
+        reference_write_csv(tmp_path / "ref.csv", header, rows)
+        want = (tmp_path / "ref.csv").read_bytes()
+        assert want.splitlines()[1] == b"0,0,true,0,0,,0"
+        columns = list(zip(*rows))
+        write_csv(tmp_path / "rows.csv", header, columns)
+        assert (tmp_path / "rows.csv").read_bytes() == want
+        # float columns as arrays, as the seq command hands them over
+        columns[0], columns[1] = np.array(floats), np.array(floats)
+        write_csv(tmp_path / "arrays.csv", header, columns)
+        assert (tmp_path / "arrays.csv").read_bytes() == want
+
+    def test_long_and_empty_tables(self, tmp_path, rng):
+        n = 2 * _ROWS + 5
+        columns = (list(range(n)), rng.normal(size=n) * 1e3, [bool(b) for b in rng.integers(0, 2, n)])
+        reference_write_csv(tmp_path / "ref.csv", "abc", zip(*columns))
+        write_csv(tmp_path / "new.csv", "abc", columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        write_csv(tmp_path / "empty.csv", "abc", ([], [], []))
+        assert (tmp_path / "empty.csv").read_text() == "a,b,c\n"
+
+    def test_command_csvs_match_the_per_cell_writer(self, run, monkeypatch):
+        # every CSV the commands write, written again cell by cell from the same columns
+        written = []
+
+        def both(path, header, columns):
+            write_csv(path, header, columns)
+            reference_write_csv(f"{path}.ref", header, zip(*columns))
+            written.append(pathlib.Path(path))
+
+        for module in (cli, bounds):
+            monkeypatch.setattr(module, "write_csv", both)
+        run("div", {"command": "div", "kind": "tv", "p": gaussian_record(0.5), "q": gaussian_record(-0.25)})
+        run("sweep", {"command": "sweep", "bound": "Thm5", "K": 0.5, "d": 1, "n": 6, "seed": 2})
+        run("entropy", {"command": "entropy", "family": THETA_FAMILY, "epsilons": [0.1, 0.5], "n": 20})
+        run("dichotomy", {"command": "dichotomy", "K": 2.0, "r_grid": [5, 10]})
+        seq = {"command": "seq", "family": THETA_FAMILY, "true_index": 1, "length": 30, "n_streams": 3, "seed": 4}
+        run("seq", seq)
+        names = ["div.csv", "sweep_Thm5.csv", "entropy.csv", "dichotomy.csv", "seq.csv"]
+        assert [p.name for p in written] == names
+        for path in written:
+            assert path.read_bytes() == pathlib.Path(f"{path}.ref").read_bytes(), path.name
 
 
 def test_import_loads_no_scipy():

@@ -25,8 +25,9 @@ from gmdiv import (
     rate_functional,
     sequential_forecaster,
 )
-from gmdiv import estimation
+from gmdiv import divergences, estimation
 from gmdiv.estimation import Net
+from gmdiv.mixtures import segment_log_density
 from conftest import random_compact, single_gaussian
 
 
@@ -440,6 +441,92 @@ class TestSequentialForecaster:
             _, loglik = estimation._net_loglik(net, pts)
             per_element = [np.sum(e.log_density(pts)) for e in net.elements]
             np.testing.assert_array_equal(loglik.sum(axis=1), per_element)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflow_regime_matches_plain_exp(self):
+        # the workload's shape: 60 candidates, 2,000 steps, where most
+        # exponent arguments lie below -745.2 and exp gives +0.0; the
+        # forecaster's formula with plain np.exp, bit for bit
+        net = Net(HellingerTable(theta_grid(-3.0, 3.0, 60)), np.arange(60), 0.0)
+        truth = net.elements[41]
+        stream = truth.sample(2000, seed=12)
+        res = sequential_forecaster(net, stream, true_density=truth)
+        loglik = np.stack([e.log_density(stream) for e in net.elements])
+        best = loglik[np.argmax(loglik.sum(axis=1))]
+        post = np.pad(np.cumsum(loglik - best, axis=1), ((0, 0), (1, 0))) - math.log(60)
+        top = post.max(axis=0)
+        assert np.mean(post - top < -745.2) > 0.5
+        marg = top + np.log(np.exp(post - top).sum(axis=0))
+        pred = best + np.diff(marg)
+        expected = {
+            "predictive_weights": np.exp(post[:, :-1] - marg[:-1]).T,
+            "step_log_loss": -pred,
+            "cum_regret": np.cumsum(truth.log_density(stream) - pred),
+            "regret_vs_best": np.float64(-marg[-1]),
+        }
+        for name, want in expected.items():
+            got = np.asarray(getattr(res, name))
+            # tobytes tells +0.0 from -0.0
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def per_element_rows(locations, logw, pts):
+    """`shared_log_density` as one one-mixture kernel call per row, as `GaussianMixture.log_density` makes."""
+    return np.stack([segment_log_density(locations[i : i + 1], logw[i : i + 1], pts, [len(pts)]) for i in range(len(logw))])
+
+
+def per_element_loglik(net, data):
+    """`_net_loglik` as one `GaussianMixture.log_density` call per element."""
+    pts = np.atleast_2d(np.asarray(data, dtype=float))
+    return pts, np.stack([e.log_density(pts) for e in net.elements])
+
+
+class TestSharedNodePass:
+    """The Gram pass and the net log-likelihoods against one density call per element."""
+
+    @pytest.mark.parametrize("d, count", [(1, 30), (2, 6), (3, 4)])
+    def test_gram_tables_bitwise(self, d, count, rng, monkeypatch):
+        cands = [random_compact(rng, M=1.0, d=d, max_atoms=4) for _ in range(count)]
+        # the default chunking, then several node chunks per level with a partial last one
+        for entries in (divergences._GRAM_ENTRIES, 97 * count):
+            monkeypatch.setattr(divergences, "_GRAM_ENTRIES", entries)
+            table = divergences._gram_h2(cands, None)
+            with monkeypatch.context() as m:
+                m.setattr(divergences, "shared_log_density", per_element_rows)
+                assert table.tobytes() == divergences._gram_h2(cands, None).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_net_mle_and_risk_bitwise(self, d, rng, monkeypatch):
+        cands = [random_compact(rng, M=1.0, d=d, max_atoms=4) for _ in range(8)]
+        table = HellingerTable(cands)
+        net = Net(table, np.arange(len(cands)), 0.0)
+        samples = [rng.normal(size=(n, d)) for n in (1, 2, 50, 3001)]
+        fast = [batch_net_mle(net, x) for x in samples], batch_risk_mc(cands[:4], net, n=20, trials=3, seed=2)
+        monkeypatch.setattr(estimation, "_net_loglik", per_element_loglik)
+        slow = [batch_net_mle(net, x) for x in samples], batch_risk_mc(cands[:4], net, n=20, trials=3, seed=2)
+        assert all(a is b for a, b in zip(fast[0], slow[0]))
+        assert fast[1] == slow[1]
+
+    def test_no_per_element_density_calls(self, monkeypatch):
+        # the Gram pass and the net log-likelihoods are one kernel pass per
+        # block, not one GaussianMixture.log_density call per element
+        calls = []
+        original = GaussianMixture.log_density
+
+        def spy(self, x):
+            calls.append(self)
+            return original(self, x)
+
+        monkeypatch.setattr(GaussianMixture, "log_density", spy)
+        table = HellingerTable(theta_grid(-2.0, 2.0, 12))
+        net = greedy_cover(table, 0.2)
+        truth = net.elements[1]
+        stream = truth.sample(300, seed=3)
+        sequential_forecaster(net, stream, true_density=truth)
+        batch_net_mle(net, stream)
+        batch_risk_mc(table.elements[:3], net, n=10, trials=2, seed=1)
+        assert calls == []
 
 
 class TestRateFunctional:

@@ -20,7 +20,15 @@ from gmdiv import (
     subgaussian_check,
 )
 from gmdiv.bounds import InstanceFamily, _draw_pairs
-from gmdiv.mixtures import _BLOCK, DichotomyParams, _step_tails_hold, row_sums, segment_log_density, validate_atoms
+from gmdiv.mixtures import (
+    _BLOCK,
+    DichotomyParams,
+    _step_tails_hold,
+    row_sums,
+    segment_log_density,
+    shared_log_density,
+    validate_atoms,
+)
 from conftest import random_compact, single_gaussian
 
 LOG_INV_SQRT_2PI = -0.5 * math.log(2 * math.pi)
@@ -118,6 +126,43 @@ class TestKernelCrossCheck:
         assert straddle.sum() >= 10 and (~straddle).sum() >= 30
         for gm, hi, n in zip(mixtures, ends, counts):
             assert np.array_equal(batch[hi - n : hi], gm.log_density(pts[hi - n : hi]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_shared_layout_matches_each_mixture_alone(self, d, rng):
+        # every row of the shared-node pass is that mixture's own log_density
+        # bit for bit, whatever the atom counts of the other mixtures (1 to
+        # 64, padded to 70); the node counts give groups of several
+        # mixtures, one mixture per group, and the lone-node last block that
+        # a one-mixture call also has at _BLOCK + 1 (in d >= 2 it goes
+        # through a matrix-vector product, as test_blocks_are_independent says)
+        sizes = [1, 64, 5, 1, 17, 2, 33]
+        mixtures = [
+            GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (k, d)), rng.dirichlet(np.ones(k))) for k in sizes
+        ]
+        locations, logw = np.zeros((len(sizes), 70, d)), np.full((len(sizes), 70), -np.inf)
+        for i, gm in enumerate(mixtures):
+            locations[i, : sizes[i]], logw[i, : sizes[i]] = gm.mixing.locations, np.log(gm.mixing.weights)
+        for n in (1, 2, 3000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
+            pts = rng.uniform(-8.0, 8.0, (n, d))
+            batch = shared_log_density(locations, logw, pts)
+            assert batch.shape == (len(sizes), n)
+            for gm, row in zip(mixtures, batch):
+                assert np.array_equal(row, gm.log_density(pts))
+
+    def test_shared_layout_memory_bounded_by_one_block(self):
+        # 40 mixtures of 64 atoms at every node at once would need a 168 MB
+        # logits array per block; groups of at most _BLOCK (mixture, node)
+        # pairs keep it at 4 MB
+        rng = np.random.default_rng(4)
+        locations, logw = rng.uniform(-2.0, 2.0, (40, 64, 1)), np.log(rng.dirichlet(np.ones(64), 40))
+        pts = rng.uniform(-5.0, 5.0, (10_000, 1))
+        tracemalloc.start()
+        try:
+            shared_log_density(locations, logw, pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_memory_bounded_by_one_block(self):
         # the (n, k, d) broadcast needs two ~150 MB arrays here
