@@ -54,8 +54,12 @@ evaluated twice.  In d = 2 the trapezoid angles of one level are every
 other angle of the next, so an angular step evaluates only the new angles
 and adds half the value of the level below (Trefethen & Weideman, SIAM
 Rev. 2014), and no node is evaluated twice either, but for the first
-radial step of TV's re-check, which evaluates its level in full; d = 3's
-Gauss-Legendre axis in cos(polar) does not nest.  Both run on a batch of
+radial step of TV's re-check, which evaluates its level in full.  d = 3's
+angular rule is nu Gauss-Legendre nodes in cos(polar) times 2 nu
+trapezoid azimuths, nu = 8, 12, 16, 24, ..., 512 (`_ANGULAR`), so each
+level has about 2x the directions of the last, as in d = 2; the
+Gauss-Legendre axis does not nest, so each d = 3 angular step evaluates
+its level in full.  Both run on a batch of
 members at once, as arrays over members: `_compute_pairs` takes the
 pairs as two `_Envelope`s, the atoms of every p and of every q padded to
 one count (weight 0, log-weight -inf), which a sweep draws as arrays and
@@ -370,11 +374,26 @@ def _kind_values(kind, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarr
 
 # -- quadrature driver ----------------------------------------------------------
 
+# The angular rule of each level, (polar, azimuthal) node counts per d:
+# d = 2 takes 32 2^j trapezoid angles; d = 3 takes nu Gauss-Legendre nodes
+# in cos(polar) times 2 nu trapezoid azimuths, nu = 8, 12, 16, 24, ..., 512,
+# so each level has about 2x the directions of the last, as in d = 2, and
+# level 2i is 8 2^i x 16 2^i.  A finer d = 3 ladder would put levels too
+# close in degree for one step to judge convergence.
+_ANGULAR = {
+    1: ((1, 1),),
+    2: tuple((1, 32 << j) for j in range(7)),
+    3: tuple((nu, 2 * nu) for nu in ((8, 12)[j % 2] << j // 2 for j in range(13))),
+}
+_DIRECTIONS = {d: np.array([nu * nt for nu, nt in sizes]) for d, sizes in _ANGULAR.items()}
+
 # Level caps of the nested rules, (radial, angular) per d: d = 1 doubles its
 # panels at most 14 times; d in {2, 3} refines the radial panels at most 7
-# times and the angular rule at most 6 times.  In every d, no member's rule
-# has more than _MAX_POINTS nodes.
-_MAX_LEVELS = {1: (15, 1), 2: (8, 7), 3: (8, 7)}
+# times, and the angle through every level of _ANGULAR: 6 times in d = 2
+# (to 2,048 angles) and 12 times in d = 3 (to 512 x 1,024 directions).  In
+# every d, no member's rule has more than _MAX_POINTS nodes, so d = 3's last
+# angular level (16 radial nodes x 524,288 directions) is never reached.
+_MAX_LEVELS = {1: (15, 1), 2: (8, len(_ANGULAR[2])), 3: (8, len(_ANGULAR[3]))}
 _MAX_POINTS = 6_000_000
 
 # A level-0 radial panel is at most this wide: 16 Gauss-Legendre nodes
@@ -408,19 +427,18 @@ def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 @functools.cache
 def _angular_rule(d: int, level: int, nest: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    # unit directions and weights of a level's angular rule (d = 2: the
-    # periodic trapezoid rule; d = 3: Gauss-Legendre in cos(polar) x trapezoid);
-    # cached, so read-only.  d = 2 with `nest`: only the angles that level
-    # - 1 lacks, the odd ones, as 2 pi (2i) / (2n) is 2 pi i / n exactly
+    # unit directions and weights of a level's angular rule, sized by
+    # _ANGULAR (d = 2: the periodic trapezoid rule; d = 3: Gauss-Legendre in
+    # cos(polar) x trapezoid in the azimuth); cached, so read-only.  d = 2
+    # with `nest`: only the angles that level - 1 lacks, the odd ones, as
+    # 2 pi (2i) / (2n) is 2 pi i / n exactly
+    nu, nt = _ANGULAR[d][level]
     if d == 2:
-        nt = 32 << level
         k = np.arange(nt)[1::2] if nest else np.arange(nt)
         theta = 2.0 * math.pi * k / nt
         omegas = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(k.size, 2.0 * math.pi / nt)
     else:
-        nu = 8 << level
-        nt = 16 << level
         u, wu = np.polynomial.legendre.leggauss(nu)
         theta = 2.0 * math.pi * np.arange(nt) / nt
         su = np.sqrt(1.0 - u * u)
@@ -508,10 +526,7 @@ class _Rule:
                 f"quadrature did not converge: {self._where(levels[row], axis)} "
                 f"is past the last {name} {caps[axis] - 1}"
             )
-        j = levels[:, 1]
-        # the angles of `_angular_rule`: 32 2^j in d = 2, (8 2^j) (16 2^j) in d = 3
-        angles = 1 if self.d == 1 else (32 << j if self.d == 2 else 128 << 2 * j)
-        nodes = self._divisions(levels[:, 0], members)[3] * angles
+        nodes = self._divisions(levels[:, 0], members)[3] * _DIRECTIONS[self.d][levels[:, 1]]
         big = nodes > _MAX_POINTS
         if big.any():
             level = levels[np.argmax(big)]

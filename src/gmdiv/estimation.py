@@ -62,6 +62,9 @@ class HellingerTable:
         self._position = {}
         for i, e in enumerate(self.elements):
             self._position.setdefault(id(e), i)
+        # eta -> the largest local cover at eta over every candidate as
+        # center, so `local_covering_number` builds each cover once per table
+        self._local_sizes = {}
 
     def __len__(self):
         return len(self.elements)
@@ -106,6 +109,11 @@ class Net:
     def distance_cache(self) -> np.ndarray:
         """Pairwise Hellinger distances among the elements, read from the table."""
         return np.sqrt(self.table.h2[np.ix_(self.index, self.index)])
+
+    @cached_property
+    def envelope(self) -> _Envelope:
+        """The elements' atoms padded to one count (`_Envelope.of`), built at the first read."""
+        return _Envelope.of(self.elements)
 
     def __len__(self):
         return len(self.elements)
@@ -166,16 +174,19 @@ def local_covering_number(table: HellingerTable, eps: float, eta_grid) -> int:
     The sup runs over the supplied eta grid only (the continuum sup is not
     desk-realizable); callers should flag that in downstream reports.
     Returns 0 when no eta in the grid reaches eps.  Every local cover reads
-    the one table.
+    the one table, and the table keeps the largest cover size per eta, so
+    calls for several eps build each (eta, center) cover once.
     """
     if not (eps > 0):
         raise HypothesisError(f"epsilon must be positive, got {eps}")
+    sizes = table._local_sizes
     best = 0
     for eta in eta_grid:
         if eta < eps:
             continue
-        for c in table.elements:
-            best = max(best, len(local_cover(table, c, eta)))
+        if eta not in sizes:
+            sizes[eta] = max((len(local_cover(table, c, eta)) for c in table.elements), default=0)
+        best = max(best, sizes[eta])
     return best
 
 
@@ -202,7 +213,7 @@ def _net_loglik(net: Net, data) -> tuple[np.ndarray, np.ndarray]:
     pts, _ = net.elements[0]._as_points(data)
     if pts.shape[0] < 1:
         raise ValueError("data must be non-empty")
-    env = _Envelope.of(net.elements)
+    env = net.envelope
     return pts, shared_log_density(env.locations, env.logw, pts)
 
 

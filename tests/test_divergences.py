@@ -344,7 +344,7 @@ class TestEstimateContracts:
     @pytest.mark.parametrize(
         "cap, value, message",
         [
-            ("_MAX_POINTS", 50_000, "angular level 2 at radial level 0 would exceed 50,000 nodes"),
+            ("_MAX_POINTS", 20_000, "angular level 2 at radial level 0 would exceed 20,000 nodes"),
             (
                 "_MAX_LEVELS",
                 {1: (15, 1), 2: (8, 7), 3: (3, 2)},
@@ -357,21 +357,43 @@ class TestEstimateContracts:
             ),
             (
                 "_MAX_LEVELS",
-                {1: (15, 1), 2: (8, 7), 3: (1, 7)},
+                {1: (15, 1), 2: (8, 7), 3: (1, 13)},
                 "radial level 1 at angular level 0 is past the last radial level 0",
             ),
         ],
     )
     def test_cap_error_names_axis_and_level_pair(self, monkeypatch, cap, value, message):
         # this pair needs angular level 2 at radial level 0, whose rule has
-        # 32 radial nodes (2 panels of 16) on 2,048 directions, 65,536 nodes;
-        # radial caps 3 and 2 reach the finest panels that caps 2 and 1 did
-        # when a level-0 panel was 2 wide, and a radial cap of 1 leaves no
-        # level to check level 0 against
+        # 48 radial nodes (3 panels of 16) on 512 directions, 24,576 nodes,
+        # where no level before it has more than 13,824; radial caps 3 and 2
+        # reach the finest panels that caps 2 and 1 did when a level-0 panel
+        # was 2 wide, and a radial cap of 1 leaves no level to check level 0
+        # against
         monkeypatch.setattr(divergences, cap, value)
         p, q = single_gaussian([2.0, 0.0, 0.0]), single_gaussian([0.0, 0.0, 0.0])
         with pytest.raises(QuadratureError, match=f"^quadrature did not converge: {message}$"):
             divergence(DivergenceKind.KL, p, q)
+
+    @pytest.mark.parametrize("d, nest", [(2, False), (2, True), (3, False)], ids=["d2", "d2-nest", "d3"])
+    def test_counts_are_the_rows_nodes_builds(self, monkeypatch, d, nest):
+        # every angular level up to the cap, on a ball of one level-0 panel
+        # and one of three at radial level 1 (16 and 96 radial nodes); the
+        # node cap is lifted so that the finest d = 3 levels count too, and
+        # a rule past 2^20 nodes is counted against its (uncached) angular
+        # rule's rows rather than built
+        monkeypatch.setattr(divergences, "_MAX_POINTS", 1 << 40)
+        rule, members = _Rule(d, [3.0, 9.0]), np.arange(2)
+        cap = divergences._MAX_LEVELS[d][1]
+        for j in range(nest, cap):
+            levels = np.array([[0, j], [1, j]])
+            counts = rule.counts(levels, members, nest)
+            directions = _angular_rule.__wrapped__(d, j, nest)[0].shape[0]
+            assert counts.tolist() == [16 * directions, 96 * directions], j
+            if counts.sum() <= 1 << 20:
+                X, w = rule.nodes(levels, members, nest)
+                assert X.shape == (counts.sum(), d) and w.shape == (counts.sum(),), j
+        with pytest.raises(QuadratureError, match=f"past the last angular level {cap - 1}$"):
+            rule.counts(np.array([[0, cap]]), members[:1], nest)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -666,13 +688,13 @@ class TestRenyiIntegral:
     @pytest.mark.parametrize("index", [0, 2, 3, 4])
     def test_d3_pairs_converge(self, final_levels, index):
         # these pairs raised QuadratureError at the default tol while radius
-        # and angle were refined together; the reference goes one angular
-        # level past where refinement stopped, with radial panels at least
-        # four times finer
+        # and angle were refined together; the reference goes two angular
+        # levels past where refinement stopped (4x the directions),
+        # with radial panels at least four times finer
         p, q = make_pair(7, index, InstanceFamily(Compact(2.0), 3))
         est = renyi_integral(p, q, 3.0)
         i, j = final_levels()[0]
-        finer = on_rule(["renyi"], p, q, est.domain_radius, 0.5**i, j + 1, lam=3.0)[0]
+        finer = on_rule(["renyi"], p, q, est.domain_radius, 0.5**i, j + 2, lam=3.0)[0]
         assert est.value == pytest.approx(finer, rel=default_tol(3))
 
     def test_lambda_range(self):
@@ -1293,34 +1315,44 @@ class TestLevelPaths:
 class TestSeparateRefinement:
     """Radius, then angle, refined one at a time, against a reference finer on both axes.
 
-    The reference takes the angular rule one level past the angular level
-    j the pair stopped at, and radial panels 2^-j wide, finer than the
-    radial level-0 panels the sweep pairs settle at.  The d = 3 pairs are
-    those of the fixed d = 3 sweep, with its kinds.
+    In d = 2 the reference takes the angular rule one level past the
+    angular level j the pair stopped at (2x its angles), and radial panels
+    2^-j wide.  In d = 3 it takes the angular rule two levels past (4x its
+    directions) and radial panels 2^-ceil(j/2) wide, as two d = 3
+    levels double nu once.  Both are finer than the radial level-0 panels
+    the sweep pairs settle at.  The d = 3 pairs are those of the fixed
+    d = 3 sweep, with its kinds, and the first pairs of the d = 3 ChiSqThm
+    and Thm5 (K = 2) sweeps at seed 5, with theirs.
     """
 
     # the points each pair spends pin its level path: a driver change that
     # moves a level shows here even where the value stays within tol
     D2_POINTS = [7168, 9216, 10240, 7168, 7168, 10240, 10240, 7168, 10240, 7168]
     D2_POINTS += [7168, 9216, 10240, 7168, 13312, 10240, 10240, 7168, 7168, 10240]
-    D3_POINTS = [145408, 47104, 145408, 94208, 145408, 94208, 145408, 145408, 145408, 145408, 145408, 94208]
+    D3_POINTS = [60928, 36352, 60928, 37888, 116224, 37888, 116224, 60928, 116224, 60928, 116224, 37888]
+    D3_CHISQ_POINTS = [60928, 47104, 116224, 214528, 579584, 116224]
+    D3_THM5_POINTS = [94720, 53760, 186880, 186880, 94720, 186880]
+    KL_H2 = [DivergenceKind.KL, DivergenceKind.HellingerSq]
 
     @pytest.mark.parametrize(
-        "d, seed, points, kinds",
+        "tag, d, seed, points, kinds",
         [
-            (2, 1, D2_POINTS, [DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq]),
-            (3, 0, D3_POINTS, [DivergenceKind.KL, DivergenceKind.HellingerSq]),
+            (Compact(2.0), 2, 1, D2_POINTS, KL_H2 + [DivergenceKind.ChiSq]),
+            (Compact(2.0), 3, 0, D3_POINTS, KL_H2),
+            (Compact(2.0), 3, 5, D3_CHISQ_POINTS, KL_H2 + [DivergenceKind.ChiSq]),
+            (Subgaussian(2.0), 3, 5, D3_THM5_POINTS, KL_H2),
         ],
-        ids=["d2", "d3"],
+        ids=["d2", "d3", "d3-ChiSqThm", "d3-Thm5-K2"],
     )
-    def test_sweep_pairs_match_the_joint_rule(self, final_levels, d, seed, points, kinds):
+    def test_sweep_pairs_match_the_joint_rule(self, final_levels, tag, d, seed, points, kinds):
         tol = default_tol(d)
         for index, spent in enumerate(points):
-            p, q = make_pair(seed, index, InstanceFamily(Compact(2.0), d))
+            p, q = make_pair(seed, index, InstanceFamily(tag, d))
             got = compute_pairs(kinds, [(p, q)], None)[0]
             assert {got[kind].quadrature_points for kind in kinds} == {spent}, index
             (_, j), = final_levels()
-            joint = on_rule(kinds, p, q, got[kinds[0]].domain_radius, 0.5**j, j + 1)
+            width, angular = (0.5**j, j + 1) if d == 2 else (0.5 ** ((j + 1) // 2), j + 2)
+            joint = on_rule(kinds, p, q, got[kinds[0]].domain_radius, width, angular)
             for kind, want in zip(kinds, joint):
                 assert got[kind].value == pytest.approx(want, rel=0.5 * tol), (index, kind)
 
@@ -1356,4 +1388,14 @@ class TestSeparateRefinement:
         p, q = make_pair(3, index, InstanceFamily(Compact(2.0), 2))
         est = divergence(DivergenceKind.TV, p, q, tol=1e-7)
         ref = on_rule([DivergenceKind.TV], p, q, est.domain_radius, 1 / 32, 6)[0]
+        assert est.value == pytest.approx(ref, rel=1e-7)
+
+    def test_d3_tv_pair_converges(self):
+        # of the first 8 pairs of this d = 3 sweep, pair 1 (q = p) and pair 3
+        # converge and the others raise at the node cap; the reference with
+        # radial panels 1/4 wide on 8,192 directions (angular level 6) is
+        # within 2e-7 of those with panels 1/8 wide or 32,768 directions
+        p, q = make_pair(11, 3, InstanceFamily(Compact(2.0), 3))
+        est = divergence(DivergenceKind.TV, p, q)
+        ref = on_rule([DivergenceKind.TV], p, q, est.domain_radius, 1 / 4, 6)[0]
         assert est.value == pytest.approx(ref, rel=1e-7)

@@ -263,6 +263,18 @@ class TestLocalCover:
         n_loc = local_covering_number(HellingerTable(cands), 0.1, [0.1, 0.2, 0.4])
         assert n_loc >= 1
 
+    def test_each_local_cover_built_once_per_table(self, monkeypatch):
+        # an entropy table's epsilons read the covers of every (eta, center)
+        # built once, and get the counts of a fresh table per epsilon
+        cands = theta_grid(-1.0, 1.0, 9)
+        eps_grid, eta_grid = [0.05, 0.1, 0.2, 0.4], [0.08, 0.15, 0.3, 0.6]
+        fresh = [local_covering_number(HellingerTable(cands), eps, eta_grid) for eps in eps_grid]
+        calls, original = [], estimation._farthest_point
+        monkeypatch.setattr(estimation, "_farthest_point", lambda *args: calls.append(args) or original(*args))
+        table = HellingerTable(cands)
+        assert [local_covering_number(table, eps, eta_grid) for eps in eps_grid] == fresh
+        assert sorted(radius for _, _, radius in calls) == sorted(eta / 2.0 for eta in eta_grid for _ in cands)
+
 
 class TestProjection:
     def test_member_projects_to_itself(self):
@@ -507,6 +519,24 @@ class TestSharedNodePass:
         slow = [batch_net_mle(net, x) for x in samples], batch_risk_mc(cands[:4], net, n=20, trials=3, seed=2)
         assert all(a is b for a, b in zip(fast[0], slow[0]))
         assert fast[1] == slow[1]
+
+    def test_one_envelope_per_net(self, monkeypatch):
+        # 60 candidates x 10 trials of the net MLE read one envelope, and
+        # give the bits of an envelope rebuilt for every log-likelihood pass
+        def rebuilt_loglik(net, data):
+            pts, _ = net.elements[0]._as_points(data)
+            env = divergences._Envelope.of(net.elements)
+            return pts, estimation.shared_log_density(env.locations, env.logw, pts)
+
+        table = HellingerTable(theta_grid(-3.0, 3.0, 60))
+        with monkeypatch.context() as m:
+            m.setattr(estimation, "_net_loglik", rebuilt_loglik)
+            want = batch_risk_mc(table.elements, Net(table, np.arange(60), 0.0), n=20, trials=10, seed=4)
+        builds, original = [], divergences._Envelope.of.__func__
+        monkeypatch.setattr(divergences._Envelope, "of", classmethod(lambda cls, ms: builds.append(ms) or original(cls, ms)))
+        net = Net(table, np.arange(60), 0.0)
+        assert batch_risk_mc(table.elements, net, n=20, trials=10, seed=4) == want
+        assert len(builds) == 1
 
     def test_no_per_element_density_calls(self, monkeypatch):
         # the Gram pass and the net log-likelihoods are one kernel pass per
