@@ -72,9 +72,14 @@ radius stayed and the rule is uncut, and runs the refinement phases over
 all pairs still pending, each at its own level pair; each pair stops at
 its own levels and keeps its own radius, splits, tails and point count.
 Within a step the pending members are evaluated in groups of consecutive
-members with at most _NODE_BUDGET nodes (a larger member alone, in the
-log-density kernel's blocks), so no temporary grows with the batch; a
-sweep integrates all its pairs as one batch.
+members with at most _NODE_BUDGET nodes, so no temporary grows with the
+batch; a sweep integrates all its pairs as one batch.  A larger member
+goes alone, and its level is streamed: its nodes are built by range (the
+outer product of the radial rows a range touches, trimmed) and evaluated
+_NODE_BUDGET at a time, the log-density kernel's block, into one buffer
+of weighted integrand values that one segment sum reads.  So a level
+holds one float per node per kind, and its values are those of the whole
+level in one piece, bit for bit.
 One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
 Gram pass of the Hellinger table and `plancherel_l2` are one-member
 batches of the same `_refine`; a fixed `domain_radius` and the Gram pass,
@@ -111,6 +116,7 @@ import numpy as np
 
 from .errors import CapabilityError, HypothesisError, QuadratureError
 from .mixtures import (
+    _BLOCK,
     LOG_2PI,
     Compact,
     GaussianMixture,
@@ -401,9 +407,12 @@ _MAX_POINTS = 6_000_000
 _PANEL_WIDTH = 4.0
 
 # Members of a batch are evaluated in groups of consecutive members whose
-# nodes number at most _NODE_BUDGET (a larger member alone), so a batch as
-# large as a whole sweep keeps every temporary bounded.
-_NODE_BUDGET = 1 << 13
+# nodes number at most _NODE_BUDGET, and a larger member alone, a slice of
+# _NODE_BUDGET nodes at a time, so a batch as large as a whole sweep and a
+# level as large as _MAX_POINTS keep every temporary bounded.  It is the
+# log-density kernel's block: a slice then starts where one of the member's
+# blocks starts, and each block sees the nodes it sees in one whole call.
+_NODE_BUDGET = _BLOCK
 
 
 def _groups(counts) -> list[slice]:
@@ -534,25 +543,44 @@ class _Rule:
             raise QuadratureError(f"quadrature did not converge: {where} would exceed {_MAX_POINTS:,} nodes")
         return nodes >> nest
 
-    def radial(self, level, members):
+    def radial(self, level, members, rows=None):
         """Radial nodes r, weights wr of member i at radial level level[i], and the count of each.
 
-        In d = 1 these are the nodes and weights on the line.
+        In d = 1 these are the nodes and weights on the line.  rows = (a, b)
+        of a one-member call takes rows a..b-1 alone, from the panels that
+        hold them, and counts them.
         """
         lo, hi, n, counts = self._divisions(level, members)
+        a, b = rows or (0, int(counts.sum()))
+        # panel k is panel i of its cut panel, of 16 rows each; the edges are
         # np.linspace(lo, hi, n + 1) of every cut panel: edge i is i * step + lo, the last is hi
-        panel = np.repeat(np.arange(n.size), n)
-        i = np.arange(panel.size) - np.repeat(np.cumsum(n) - n, n)
+        starts = np.cumsum(n) - n
+        k = np.arange(a // 16, -(-b // 16))
+        panel = np.searchsorted(starts, k, side="right") - 1
+        i = k - starts[panel]
         step = (hi - lo) / n
         left = i * step[panel] + lo[panel]
         right = (i + 1) * step[panel] + lo[panel]
-        ends = np.cumsum(n) - 1
-        right[ends] = hi
-        return *_panel_nodes(left, right), counts
+        ends = i == n[panel] - 1
+        right[ends] = hi[panel[ends]]
+        x, w = _panel_nodes(left, right)
+        return x[a % 16 :][: b - a], w[a % 16 :][: b - a], counts if rows is None else np.array([b - a])
 
-    def nodes(self, levels, members, nest=False):
-        """Nodes X (n, d) and weights w (n,) of the members at their level pairs, member after member."""
-        x, w, counts = self.radial(levels[:, 0], members)
+    def nodes(self, levels, members, nest=False, span=None):
+        """Nodes X (n, d) and weights w (n,) of the members at their level pairs, member after member.
+
+        span = (lo, hi) takes nodes lo..hi-1 of a one-member call alone: the
+        outer product of the radial rows they touch (of the directions they
+        touch, within one row), trimmed, so they are that slice of the whole
+        rule bit for bit and no node is gathered one by one.
+        """
+        rows, cut = None, slice(None)
+        if span is not None:
+            lo, hi = span
+            nd = int(_DIRECTIONS[self.d][levels[0, 1]]) >> nest
+            rows = lo // nd, -(-hi // nd)
+            cut = slice(lo - rows[0] * nd, hi - rows[0] * nd)
+        x, w, counts = self.radial(levels[:, 0], members, rows)
         if self.d == 1:
             return x[:, None], w
         # each run of consecutive members with one angular rule is one outer product
@@ -561,9 +589,11 @@ class _Rule:
         parts = []
         for a, b in itertools.pairwise(runs):
             omegas, wa = _angular_rule(self.d, levels[a, 1], nest)
+            if rows is not None and rows[1] - rows[0] == 1:
+                omegas, wa, cut = omegas[cut], wa[cut], slice(None)
             r, wr = x[edges[a] : edges[b]], w[edges[a] : edges[b]]
             X = (r[:, None, None] * omegas[None, :, :]).reshape(-1, self.d)
-            parts.append((X, ((wr * r ** (self.d - 1))[:, None] * wa).ravel()))
+            parts.append((X[cut], ((wr * r ** (self.d - 1))[:, None] * wa).ravel()[cut]))
         if len(parts) == 1:
             return parts[0]
         X, W = zip(*parts)
@@ -580,15 +610,17 @@ def _integrate(measure, rule: _Rule, levels, members, nest=False):
 
     `levels` holds one (radial, angular) pair per member, or one for all;
     with `nest` each member takes only the angles its angular level - 1
-    lacks (`_Rule`).  measure(X, w, counts, members) returns one row
+    lacks (`_Rule`).  measure(read, counts, members) returns one row
     per member; members go through it in groups of at most _NODE_BUDGET
-    nodes.  A row that is not finite raises QuadratureError naming its
-    member's level pair.
+    nodes, a larger member alone, and read(span=None) builds the group's
+    nodes X and weights w: all of them, or nodes lo..hi-1 of a one-member
+    group with span = (lo, hi) (`_Rule.nodes`).  A row that is not finite
+    raises QuadratureError naming its member's level pair.
     """
     levels = np.broadcast_to(levels, (members.size, 2))
     counts = rule.counts(levels, members, nest)
     rows = np.concatenate([
-        measure(*rule.nodes(levels[g], members[g], nest), counts[g], members[g])
+        measure(functools.partial(rule.nodes, levels[g], members[g], nest), counts[g], members[g])
         for g in _groups(counts)
     ])
     finite = np.isfinite(rows).reshape(members.size, -1).all(axis=1)
@@ -1054,11 +1086,19 @@ def _compute_pairs(
     if not integrated:
         return rows
 
-    def measure(X, w, counts, members):
-        logp = p_env.log_density(members, X, counts)
-        logq = q_env.log_density(members, X, counts)
-        vals = np.stack([_kind_values(k, logp, logq, lam) for k in integrated])
-        return _segment_sums(vals * w, counts).T
+    def measure(read, counts, members):
+        # one float a node a kind: a member over the budget goes through a
+        # slice of _NODE_BUDGET nodes at a time into the products
+        n = int(counts.sum())
+        whole = n <= _NODE_BUDGET
+        products = np.empty((len(integrated), n))
+        for lo in range(0, n, _NODE_BUDGET):
+            X, w = read() if whole else read(span=(lo, min(n, lo + _NODE_BUDGET)))
+            segments = counts if whole else [w.size]
+            logp, logq = p_env.log_density(members, X, segments), q_env.log_density(members, X, segments)
+            for k, out in zip(integrated, products[:, lo : lo + w.size]):
+                np.multiply(_kind_values(k, logp, logq, lam), w, out=out)
+        return _segment_sums(products, counts).T
 
     def tails(R):
         return np.stack([_tail_bound(k, p_env, q_env, R, d, lam) for k in integrated], axis=1)
@@ -1202,14 +1242,15 @@ def _gram_h2(elements, tol) -> np.ndarray:
     locations, logw = env.locations[order], env.logw[order]
     step = max(1, _GRAM_ENTRIES // n)
 
-    def measure(X, w, counts, _):
+    def measure(read, counts, _):
         G = np.zeros((n, n))
-        for lo in range(0, X.shape[0], step):
-            S = shared_log_density(locations, logw, X[lo : lo + step])
+        for lo in range(0, counts[0], step):
+            X, w = read(span=(lo, min(counts[0], lo + step)))
+            S = shared_log_density(locations, logw, X)
             S *= 0.5
             np.exp(S, out=S)
             S[S < _GRAM_FLOOR] = 0.0
-            G += (S * w[lo : lo + step]) @ S.T
+            G += (S * w) @ S.T
         diag = np.diag(G)
         return np.triu(diag[:, None] + diag[None, :] - 2.0 * G, 1)[None]
 
@@ -1246,7 +1287,8 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
     if not (0 < tol < 1):
         raise HypothesisError(f"plancherel tolerance must lie in (0, 1), got {tol}")
 
-    def measure(X, w, counts, _):
+    def measure(read, counts, _):
+        X, w = read()
         t = X[:, 0]
         diff = characteristic_function(p, t) - characteristic_function(q, t)
         return _segment_sums((diff.real**2 + diff.imag**2) * w, counts)[:, None]

@@ -228,7 +228,9 @@ class ForecastResult:
     """Per-step state of the Bayesian mixture forecaster.
 
     predictive_weights[t] is the weight vector used to predict X_t (uniform
-    prior times the likelihood of X_1..X_{t-1}); step_log_loss[t] is
+    prior times the likelihood of X_1..X_{t-1}), formed on first read from
+    the log weights and log marginals the forecaster keeps, since most
+    callers (`gmdiv seq` among them) never read it; step_log_loss[t] is
     -log(predictive density at X_t); cum_regret[t] is the regret against the
     true density through step t, sum over s <= t of log q*(X_s) +
     step_log_loss[s] (None without a true density); regret_vs_best is the
@@ -236,10 +238,15 @@ class ForecastResult:
     log(len(net)) exactly in floating point.
     """
 
-    predictive_weights: np.ndarray
     step_log_loss: np.ndarray
     cum_regret: np.ndarray | None
     regret_vs_best: float
+    _post: np.ndarray = field(repr=False)
+    _marg: np.ndarray = field(repr=False)
+
+    @cached_property
+    def predictive_weights(self) -> np.ndarray:
+        return _exp(self._post[:, :-1] - self._marg[:-1]).T
 
 
 def sequential_forecaster(net: Net, stream, true_density: GaussianMixture | None = None) -> ForecastResult:
@@ -269,10 +276,7 @@ def sequential_forecaster(net: Net, stream, true_density: GaussianMixture | None
         rows = [i for i, e in enumerate(net.elements) if e is true_density]
         cum_regret = np.cumsum((loglik[rows[0]] if rows else true_density.log_density(pts)) - pred)
     return ForecastResult(
-        predictive_weights=_exp(post[:, :-1] - marg[:-1]).T,
-        step_log_loss=-pred,
-        cum_regret=cum_regret,
-        regret_vs_best=float(-marg[-1]),
+        step_log_loss=-pred, cum_regret=cum_regret, regret_vs_best=float(-marg[-1]), _post=post, _marg=marg
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -1399,3 +1400,95 @@ class TestSeparateRefinement:
         est = divergence(DivergenceKind.TV, p, q)
         ref = on_rule([DivergenceKind.TV], p, q, est.domain_radius, 1 / 4, 6)[0]
         assert est.value == pytest.approx(ref, rel=1e-7)
+
+
+class TestStreamedLevels:
+    """A member's level past _NODE_BUDGET nodes is read and evaluated a slice at a time."""
+
+    @pytest.mark.parametrize(
+        "d, R, level, nest",
+        [
+            (1, 300.0, (3, 0), False),
+            (2, 9.0, (1, 3), False),
+            (2, 9.0, (1, 3), True),
+            (3, 9.0, (1, 0), False),
+            (3, 9.0, (0, 3), False),
+            (3, 3.0, (0, 7), False),
+        ],
+        ids=["d1-cut", "d2", "d2-nest", "d3-j0", "d3-j3", "d3-j7"],
+    )
+    def test_a_span_is_that_slice_of_the_whole_level(self, d, R, level, nest):
+        # d = 1 cut at three TV splits; at d = 3 angular level 7 a radial
+        # row holds 18,432 directions, more than one budget's slice
+        splits = (np.array([-2.5, 0.3, 1.7]), np.array([3])) if d == 1 else None
+        rule, levels, member = _Rule(d, [R], splits), np.array([level]), np.array([0])
+        X, w = rule.nodes(levels, member, nest)
+        n, budget = X.shape[0], divergences._NODE_BUDGET
+        assert n == rule.counts(levels, member, nest)[0] > budget
+        nd = n // rule.radial(levels[:, 0], member)[0].size
+        # the budget's slices, then spans that start and end inside a row
+        spans = [(lo, min(n, lo + budget)) for lo in range(0, n, budget)]
+        spans += [(0, n), (3, 5), (nd + 3, 3 * nd + 5), (n - nd - 7, n - 1)]
+        rng = np.random.default_rng(d)
+        for lo in rng.integers(0, n - 1, 8):
+            spans.append((lo, min(n, lo + rng.integers(1, 3 * budget))))
+        for lo, hi in spans:
+            Xs, ws = rule.nodes(levels, member, nest, span=(lo, hi))
+            assert Xs.tobytes() == X[lo:hi].tobytes() and ws.tobytes() == w[lo:hi].tobytes(), (lo, hi)
+
+    @staticmethod
+    def whole_levels(p, q, kinds, sizes):
+        """The measure that evaluates each level in one piece: one kernel call and one np.add.reduceat."""
+        p_env, q_env = _Envelope.of([p]), _Envelope.of([q])
+
+        def measure(read, counts, members):
+            sizes.append(int(counts.max()))
+            X, w = read()
+            logp = p_env.log_density(members, X, counts)
+            logq = q_env.log_density(members, X, counts)
+            vals = np.stack([_kind_values(kind, logp, logq) for kind in kinds])
+            return np.add.reduceat(vals * w, np.cumsum(counts) - counts, axis=-1).T
+
+        return measure
+
+    @pytest.mark.parametrize(
+        "pair, kinds, domain_radius",
+        [
+            # the eps-family pair of the ROADMAP Defects at eps = 1e-8, M = 1:
+            # levels of 80,000 and 160,000 nodes
+            (
+                (GaussianMixture.from_atoms([[0.0], [1.0]], [1.0 - 1e-8, 1e-8], tag=Compact(1.0)), single_gaussian(0.0)),
+                INTEGRATED_KINDS,
+                1e4,
+            ),
+            # TV's two passes over each axis, nested angular steps included
+            (make_pair(1, 0, InstanceFamily(Compact(2.0), 2)), INTEGRATED_KINDS, None),
+            (
+                make_pair(5, 3, InstanceFamily(Compact(2.0), 3)),
+                [DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq],
+                None,
+            ),
+        ],
+        ids=["d1-defects", "d2", "d3"],
+    )
+    def test_streamed_rows_are_the_whole_levels(self, monkeypatch, pair, kinds, domain_radius):
+        streamed = compute_pairs(kinds, [pair], None, domain_radius)[0]
+        sizes, original = [], divergences._refine
+        measure = self.whole_levels(*pair, kinds, sizes)
+        monkeypatch.setattr(divergences, "_refine", lambda _, *args: original(measure, *args))
+        assert compute_pairs(kinds, [pair], None, domain_radius)[0] == streamed
+        assert max(sizes) > divergences._NODE_BUDGET
+
+    def test_a_level_holds_one_float_per_node_per_kind(self):
+        # KL on this pair evaluates levels of up to 55,296 nodes; evaluated
+        # whole, that level held about ten floats a node (4.4 MiB traced);
+        # streamed, it holds one (0.42 MiB) besides one slice's temporaries
+        p, q = make_pair(5, 3, InstanceFamily(Compact(2.0), 3))
+        divergence(DivergenceKind.KL, p, q)  # fills the angular rules' cache
+        tracemalloc.start()
+        try:
+            divergence(DivergenceKind.KL, p, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
