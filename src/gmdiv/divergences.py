@@ -79,7 +79,9 @@ outer product of the radial rows a range touches, trimmed) and evaluated
 _NODE_BUDGET at a time, the log-density kernel's block, into one buffer
 of weighted integrand values that one segment sum reads.  So a level
 holds one float per node per kind, and its values are those of the whole
-level in one piece, bit for bit.
+level in one piece, bit for bit.  Each node range is one pass of the
+kernel for log p and log q together (`pair_log_density`) and one pass
+over them for every kind's integrand (`_integrands`).
 One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
 Gram pass of the Hellinger table and `plancherel_l2` are one-member
 batches of the same `_refine`; a fixed `domain_radius` and the Gram pass,
@@ -122,6 +124,7 @@ from .mixtures import (
     GaussianMixture,
     Subgaussian,
     Unconstrained,
+    pair_log_density,
     segment_log_density,
     shared_log_density,
 )
@@ -244,9 +247,20 @@ class _Envelope:
         weights[rows, cols] = np.concatenate([gm.mixing.weights for gm in mixtures])
         return cls(locations, weights)
 
+    def __getitem__(self, rows) -> _Envelope:
+        """The envelope of mixtures `rows`, its arrays sliced rather than formed again."""
+        sub = object.__new__(_Envelope)
+        sub.__dict__.update((name, value[rows]) for name, value in vars(self).items())
+        return sub
+
     def log_density(self, members, pts, counts) -> np.ndarray:
         """Log-density of mixture members[i] at the i-th segment of pts."""
         return segment_log_density(self.locations[members], self.logw[members], pts, counts)
+
+    def pair_log_density(self, q_env, members, pts, counts) -> tuple[np.ndarray, np.ndarray]:
+        """log p and log q of pair members[i], p here and q in q_env, at the i-th segment of pts, in one pass."""
+        p, q = ((env.locations[members], env.logw[members]) for env in (self, q_env))
+        return pair_log_density(p, q, pts, counts)
 
     def mass_tail(self, R, d: int) -> np.ndarray:
         # mass of each mixture outside its ball of radius R
@@ -346,36 +360,55 @@ def _tail_bound(kind, p_env: _Envelope, q_env: _Envelope, R, d, lam=None) -> np.
 
 
 def _kind_values(kind, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarray:
+    """The integrand of one kind at the nodes: the one-kind case of `_integrands`."""
+    return _integrands([kind], logp, logq, lam)[0]
+
+
+def _integrands(kinds, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarray:
+    """The integrand of each kind at the nodes, one row per kind, from one pass over log p and log q.
+
+    lr = log p - log q and |lr| are formed once, and q = exp(log q),
+    exp(max(log p, log q)) and expm1(-|lr|) once if a kind reads them.  KL
+    and chi^2 switch formulas by node: each forms its first formula at
+    every node and overwrites only the nodes of the second (|lr| <= 0.5 for
+    KL, lr > 0 for chi^2), so only those are gathered.  Each node's value
+    is the same bits as the one-kind formulas give it.
+    """
     lr = logp - logq
-    if kind == DivergenceKind.KL:
-        # pointwise-nonnegative Bregman form p log(p/q) - p + q; for small
-        # log-ratios switch to q((1+s)log1p(s) - s) with s = p/q - 1 to
-        # avoid cancellation
-        out = np.empty_like(lr)
-        big = np.abs(lr) > 0.5
-        out[big] = np.exp(logp[big]) * (lr[big] - 1.0) + np.exp(logq[big])
-        s = np.expm1(lr[~big])
-        out[~big] = np.exp(logq[~big]) * ((1.0 + s) * np.log1p(s) - s)
-        return out
-    if kind == DivergenceKind.HellingerSq:
-        m = np.maximum(logp, logq)
-        return np.exp(m) * np.expm1(-0.5 * np.abs(lr)) ** 2
-    if kind == DivergenceKind.ChiSq:
-        pos = lr > 0
-        out = np.empty_like(lr)
-        # an overflow to inf is reported by the driver, which raises on a
-        # value that is not finite
-        with np.errstate(over="ignore"):
-            out[pos] = np.exp(2.0 * logp[pos] - logq[pos]) * np.expm1(-lr[pos]) ** 2
-        out[~pos] = np.exp(logq[~pos]) * np.expm1(lr[~pos]) ** 2
-        return out
-    if kind == DivergenceKind.TV:
-        m = np.maximum(logp, logq)
-        return 0.5 * np.exp(m) * (-np.expm1(-np.abs(lr)))
-    if kind == "renyi":
-        with np.errstate(over="ignore"):
-            return np.exp(lam * logp - (lam - 1.0) * logq)
-    raise ValueError(f"unknown kind {kind!r}")
+    need = set(kinds)
+    abs_lr = np.abs(lr)
+    q = np.exp(logq) if need & {DivergenceKind.KL, DivergenceKind.ChiSq} else None
+    larger = np.exp(np.maximum(logp, logq)) if need & {DivergenceKind.HellingerSq, DivergenceKind.TV} else None
+    # max(p, q) above; expm1(-|lr|) is expm1(lr) where lr <= 0 and expm1(-lr) where lr > 0
+    fall = np.expm1(-abs_lr) if need & {DivergenceKind.ChiSq, DivergenceKind.TV} else None
+    out = np.empty((len(kinds), lr.size))
+    for kind, row in zip(kinds, out):
+        if kind == DivergenceKind.KL:
+            # pointwise-nonnegative Bregman form p log(p/q) - p + q; for small
+            # log-ratios switch to q((1+s)log1p(s) - s) with s = p/q - 1 to
+            # avoid cancellation
+            np.multiply(np.exp(logp), lr - 1.0, out=row)
+            row += q
+            small = ~(abs_lr > 0.5)
+            s = np.expm1(lr[small])
+            row[small] = q[small] * ((1.0 + s) * np.log1p(s) - s)
+        elif kind == DivergenceKind.HellingerSq:
+            np.multiply(larger, np.expm1(-0.5 * abs_lr) ** 2, out=row)
+        elif kind == DivergenceKind.ChiSq:
+            np.multiply(q, fall ** 2, out=row)
+            pos = lr > 0
+            # an overflow to inf is reported by the driver, which raises on a
+            # value that is not finite
+            with np.errstate(over="ignore"):
+                row[pos] = np.exp(2.0 * logp[pos] - logq[pos]) * fall[pos] ** 2
+        elif kind == DivergenceKind.TV:
+            np.multiply(0.5 * larger, -fall, out=row)
+        elif kind == "renyi":
+            with np.errstate(over="ignore"):
+                np.exp(lam * logp - (lam - 1.0) * logq, out=row)
+        else:
+            raise ValueError(f"unknown kind {kind!r}")
+    return out
 
 
 # -- quadrature driver ----------------------------------------------------------
@@ -636,8 +669,9 @@ def _refine(measure, d: int, R, bound, met=None, tv=None):
     R holds each member's radius.  With a tail test `met`, R is where the
     radius search starts: the start pass integrates level (0, 0) of the
     uncut rule there, and `_search_radius` grows each radius until
-    met(R, start_pass) holds, start_pass being that pass's rows (which set
-    the truncation targets).  Without one, R is the radius.  The rule on
+    met(R, start_pass, members) holds, R and start_pass being the radii
+    and the start-pass rows (which set the truncation targets) of the
+    members still growing.  Without one, R is the radius.  The rule on
     the final radii is then built here: `tv` is None or the envelopes
     (p_env, q_env) of a batch that integrates TV, whose rule d = 1 cuts at
     the sign changes of log p - log q (`_sign_change_splits`).  A member
@@ -670,7 +704,7 @@ def _refine(measure, d: int, R, bound, met=None, tv=None):
     last, pts, fresh = None, np.zeros(m, dtype=np.int64), np.ones(m, dtype=bool)
     if met is not None:
         last, pts = _integrate(measure, _Rule(d, start), 0, np.arange(m))
-        R = _search_radius(start, lambda R: met(R, last))
+        R = _search_radius(start, lambda R, members: met(R, last[members], members))
         fresh = R != start
     splits = None
     if d == 1 and tv is not None:
@@ -725,15 +759,18 @@ def _start_radius(tags, s_max, d, tol) -> np.ndarray:
 def _search_radius(R, met) -> np.ndarray:
     """Per member, the first of R, R + max(0.5, 0.04 R), ... that meets `met`.
 
-    met(R) tells, for radii R of every member, which of them meet their
-    target; once the member's 400th radius misses, CapabilityError is raised.
+    met(R, members) tells, for the radii R of the given members, which of
+    them meet their target.  It is asked about the members still growing
+    only: a member that met keeps its radius.  Once a member's 400th
+    radius misses, CapabilityError is raised.
     """
     R = np.array(R, dtype=float)
+    pending = np.arange(R.size)
     for _ in range(400):
-        grow = ~met(R)
-        if not grow.any():
+        pending = pending[~met(R[pending], pending)]
+        if not pending.size:
             return R
-        R[grow] += np.maximum(0.5, 0.04 * R[grow])
+        R[pending] += np.maximum(0.5, 0.04 * R[pending])
     raise CapabilityError("certified tail bound cannot reach the tolerance")
 
 
@@ -884,8 +921,8 @@ def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
         # pair ascends, so the nodes of a pair form one segment
         counts = np.bincount(pair, minlength=m)
         members = np.flatnonzero(counts)
-        counts = counts[members]
-        return p_env.log_density(members, x[:, None], counts) - q_env.log_density(members, x[:, None], counts)
+        logp, logq = p_env.pair_log_density(q_env, members, x[:, None], counts[members])
+        return logp - logq
 
     # a pair with q = p has a log-ratio of exactly 0 at every node, and no root
     k = min(p_env.weights.shape[1], q_env.weights.shape[1])
@@ -1094,18 +1131,17 @@ def _compute_pairs(
         products = np.empty((len(integrated), n))
         for lo in range(0, n, _NODE_BUDGET):
             X, w = read() if whole else read(span=(lo, min(n, lo + _NODE_BUDGET)))
-            segments = counts if whole else [w.size]
-            logp, logq = p_env.log_density(members, X, segments), q_env.log_density(members, X, segments)
-            for k, out in zip(integrated, products[:, lo : lo + w.size]):
-                np.multiply(_kind_values(k, logp, logq, lam), w, out=out)
+            logp, logq = p_env.pair_log_density(q_env, members, X, counts if whole else [w.size])
+            np.multiply(_integrands(integrated, logp, logq, lam), w, out=products[:, lo : lo + w.size])
         return _segment_sums(products, counts).T
 
-    def tails(R):
-        return np.stack([_tail_bound(k, p_env, q_env, R, d, lam) for k in integrated], axis=1)
+    def tails(R, members=slice(None)):
+        p, q = p_env[members], q_env[members]
+        return np.stack([_tail_bound(k, p, q, R, d, lam) for k in integrated], axis=1)
 
-    def met(R, start_pass):
+    def met(R, start_pass, members):
         # the start pass fixes the value scale of each truncation target
-        return np.all(tails(R) <= 0.5 * tol * np.maximum(np.abs(start_pass), _TRUNC_FLOOR), axis=1)
+        return np.all(tails(R, members) <= 0.5 * tol * np.maximum(np.abs(start_pass), _TRUNC_FLOOR), axis=1)
 
     if domain_radius is not None:
         start, met = np.full(len(tags), float(domain_radius)), None
@@ -1231,7 +1267,7 @@ def _gram_h2(elements, tol) -> np.ndarray:
     env = _Envelope.of(elements)
     R = _search_radius(
         _start_radius([[e.mixing.tag for e in elements]], [env.s_max.max()], d, tol),
-        lambda R: 2.0 * env.mass_tail(R, d).max(keepdims=True) <= 0.5 * tol,
+        lambda R, _: 2.0 * env.mass_tail(R, d).max(keepdims=True) <= 0.5 * tol,
     )
 
     def content(i):
@@ -1293,7 +1329,7 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
         diff = characteristic_function(p, t) - characteristic_function(q, t)
         return _segment_sums((diff.real**2 + diff.imag**2) * w, counts)[:, None]
 
-    def met(T, start_pass):
+    def met(T, start_pass, _):
         # two-sided tail of 4 e^{-t^2} beyond T is below 4 e^{-T^2} / T
         scale = np.maximum(np.abs(start_pass[:, 0]) / (2.0 * math.pi), _TRUNC_FLOOR)
         return 4.0 * np.exp(-T * T) / T <= 0.5 * tol * scale * (2.0 * math.pi)

@@ -18,22 +18,28 @@ so the logits are one GEMM with inner dimension d, `A @ X.T + c`, and
 held atom-major, (k, n), so the max and the sum over atoms are elementwise
 passes over contiguous rows of length n rather than n short reductions;
 the sum runs in atom order.  One block pass, `_block_logits`, builds the
-logits of many mixtures at once: their atoms padded to a common count
-(log-weight -inf, so a pad adds an exact 0 after the real atoms and
-changes no sum), and the offsets c_j formed from the atoms each block
-keeps.  It takes the nodes in one of two layouts: in per-mixture segments
-(the quadrature's), or shared, every mixture at the same nodes (a net's
-log-likelihoods on a stream, the Hellinger Gram pass).  In d >= 2 each
-mixture's part of a block of nodes is one GEMM over that mixture's own
-atoms, so its bits do not depend on the other mixtures of the call.  In
+logits of many mixtures at once, from their atoms padded to a common count
+(log-weight -inf) and the offsets c_j formed once a call.  It takes the
+nodes in one of two layouts: in per-mixture segments (the quadrature's),
+or shared, every mixture at the same nodes (a net's log-likelihoods on a
+stream, the Hellinger Gram pass).  In d >= 2 each mixture's part of a
+block of nodes is one GEMM over that mixture's own real atoms, and the
+max, the exp and the sum over atoms cover those rows only, so its bits do
+not depend on the other mixtures of the call and no pad row is formed.  In
 d = 1 the logits are a_j x + c_j elementwise, the atoms of each node's
 mixture gathered with `np.repeat` when a block spans several segments and
 broadcast over the nodes when they are shared: the same products as the
-GEMM's, and several times faster than a GEMM with inner dimension 1.  It
-yields exp(logits - column max) and the column max.  Its log-sum-exp
-reduction gives `segment_log_density` (with `GaussianMixture.log_density`
-the one-segment case) and `shared_log_density`, the (m, n) matrix whose
-row i is mixture i's own `log_density` bit for bit; its other reduction is
+GEMM's, and several times faster than a GEMM with inner dimension 1.
+There a block's logits have a row per atom of its largest mixture, and a
+pad adds an exact 0 after the real atoms and changes no sum.  It yields
+exp(logits - column max) and the column max, for one or more sets of
+mixtures at the same nodes.  Its log-sum-exp reduction gives
+`segment_log_density` (with `GaussianMixture.log_density` the one-segment
+case), `pair_log_density`, log p and log q of a batch of pairs from one
+walk over the blocks that finds each block's segments and forms ||x||^2
+once for both, each the `segment_log_density` of its mixtures bit for bit,
+and `shared_log_density`, the (m, n) matrix whose row i is mixture i's own
+`log_density` bit for bit; its other reduction is
 `GaussianMixture.score`, the softmax applied to the atoms, minus x;
 -||x||^2 / 2 cancels in the softmax and never enters.  Points are
 processed in blocks of _BLOCK, and shared nodes in groups of at most
@@ -203,7 +209,7 @@ class GaussianMixture:
         """Gradient of log p: sum_j u_j a_j - x, with u the softmax of the logits."""
         pts, single = self._as_points(x)
         out = np.empty(pts.shape)
-        for at, blk, u, _ in _block_logits(self._atoms, self._logw, pts, [pts.shape[0]]):
+        for at, blk, ((u, _),) in _block_logits([(self._atoms, self._logw)], pts, [pts.shape[0]]):
             u /= u.sum(axis=0)
             np.subtract((self.mixing.locations.T @ u).T, blk, out=out[at])
         return out[0] if single else out
@@ -217,89 +223,93 @@ class GaussianMixture:
         return self.mixing.locations[idx] + rng.standard_normal((n, self.dim))
 
 
-def _block_logits(locations, logw, pts, counts=None):
-    """Per block of nodes, its index into the output, its nodes, exp(logits - m) and the column max m.
+def _block_logits(mixtures, pts, counts=None):
+    """Per part of a block of nodes: its output index, its nodes, and each set's exp(logits - m) and column max m.
 
+    mixtures:  sets (locations, logw) of m mixtures each (p's and q's for
+               the pair pass), every set read at the same nodes:
     locations: (m, k, d) atoms, each mixture padded to k atoms with zeros
                after its real atoms;
     logw:      (m, k) log-weights, -inf on a pad;
     pts:       (n, d) nodes, in one of two layouts:
                segments (counts given): the first counts[0] nodes for
                mixture 0, the next counts[1] for mixture 1, and so on
-               (sum(counts) = n); a block is _BLOCK nodes, its logits are
-               (k, nodes) and its index is a slice of the n outputs;
-               shared (counts None): every mixture at every node; a block
-               is a group of mixtures at up to _BLOCK nodes, at most _BLOCK
-               (mixture, node) pairs unless one mixture's nodes are more,
-               its logits are (k, mixtures, nodes) and its index is the
-               (mixtures, nodes) slices of the (m, n) output.
+               (sum(counts) = n); a block is _BLOCK nodes and an index is
+               a slice of the n outputs;
+               shared (counts None): every mixture at every node; an index
+               is (a mixture or a group of them, nodes) of the (m, n)
+               output.
 
     The logits of a node are c_j + a_j . x over the atoms of its mixture,
-    c_j = log w_j - ||a_j||^2 / 2, one row per atom of the block's largest
-    real count and -inf on the rows a mixture lacks.  Both layouts cut the
+    c_j = log w_j - ||a_j||^2 / 2.  In d >= 2 a part is one mixture's nodes
+    in a block and its logits are (real atoms, nodes), so its bits do not
+    depend on the other mixtures of the call.  In d = 1 a part is the whole
+    block: its logits are (k, nodes) in segments, k the block's largest
+    real count, with -inf on the rows a mixture lacks, and (k, mixtures,
+    nodes) for a group of at most _BLOCK (mixture, node) pairs, unless one
+    mixture's nodes are more, in the shared layout.  Both layouts cut the
     nodes at multiples of _BLOCK, as a one-mixture call does, so in d >= 2
-    no part of a block is a lone node that the mixture's own call would not
-    have (numpy sends a one-column product through a matrix-vector routine,
-    which may round differently).
+    no part is a lone node that the mixture's own call would not have
+    (numpy sends a one-column product through a matrix-vector routine,
+    which may round differently).  The sets' logits of a part come from a
+    generator, so a caller that reduces one set before it takes the next
+    holds one set's logits at a time.
     """
     n, d = pts.shape
+    sets = [_atom_terms(locations, logw) for locations, logw in mixtures]
     ends = None if counts is None else list(itertools.accumulate(counts))
     shared = lambda rows: rows.T[:, :, None]  # noqa: E731  (g, k) -> (k, g, 1), broadcast over the nodes
     for lo in range(0, n, _BLOCK):
         blk = pts[lo : lo + _BLOCK]
         hi = lo + blk.shape[0]
         if ends is None:
-            size = max(1, _BLOCK // (hi - lo))
-            for i in range(0, logw.shape[0], size):
-                group = slice(i, i + size)
-                g = logw[group].shape[0]
-                parts = ((np.s_[:, j], blk) for j in range(g))
-                u, m = _logits(locations[group], logw[group], blk, parts, shared, (g, hi - lo))
-                yield (group, slice(lo, hi)), blk, u, m
+            size = 1 if d > 1 else max(1, _BLOCK // (hi - lo))
+            for i in range(0, len(mixtures[0][1]), size):
+                own = i if d > 1 else slice(i, i + size)
+                yield (own, slice(lo, hi)), blk, (_logits(s, own, blk, shared) for s in sets)
             continue
         # mixtures first..last own the nodes of this block, each its columns a:b
         first, last = bisect.bisect_right(ends, lo), bisect.bisect_right(ends, hi - 1)
         seg_ends = np.array(ends[first : last + 1])
         a = np.maximum(seg_ends - counts[first : last + 1], lo) - lo
         b = np.minimum(seg_ends, hi) - lo
-        parts = ((np.s_[:, i:j], blk[i:j]) for i, j in zip(a, b))
+        if d > 1:
+            for j, i, k in zip(range(first, last + 1), a.tolist(), b.tolist()):
+                yield slice(lo + i, lo + k), blk[i:k], (_logits(s, j, blk[i:k]) for s in sets)
+            continue
         if first == last:
             spread = np.transpose  # (1, k) -> (k, 1), broadcast over the nodes
         else:
             spread = lambda rows: np.repeat(rows.T, b - a, axis=1)  # noqa: E731
-        u, m = _logits(locations[first : last + 1], logw[first : last + 1], blk, parts, spread, (hi - lo,))
-        yield slice(lo, hi), blk, u, m
+        yield slice(lo, hi), blk, (_logits(s, slice(first, last + 1), blk, spread) for s in sets)
 
 
-def _logits(locations, logw, blk, parts, spread, shape):
-    """exp(logits - m) and the column max m of the mixtures of one block of `_block_logits`.
+def _atom_terms(locations, logw):
+    """The atoms, their offsets c_j = log w_j - ||a_j||^2 / 2 and each mixture's real atom count."""
+    offsets = logw - 0.5 * np.add.reduce(locations * locations, axis=2)
+    return locations, offsets, (logw > -np.inf).sum(axis=1).tolist()
 
-    parts:  per mixture, the index of its logits after the atom axis and its
-            nodes (d >= 2);
-    spread: (mixtures, k) rows to the atom-major logits shape (d = 1);
-    shape:  the logits shape after the atom axis.
+
+def _logits(terms, at, nodes, spread=None):
+    """exp(logits - m) and the column max m of one set of mixtures at one part of `_block_logits`.
+
+    terms:  the atoms, offsets and real counts of the set (`_atom_terms`);
+    at:     the part's mixture (d >= 2) or mixtures (d = 1);
+    spread: (mixtures, k) rows to the atom-major logits shape (d = 1).
     """
-    # the block's mixtures without the pads that none of them needs
-    real = (logw > -np.inf).sum(axis=1)
-    k = int(real.max())
-    atoms = locations[:, :k]
-    offsets = logw[:, :k] - 0.5 * np.add.reduce(atoms * atoms, axis=2)
-    if blk.shape[1] > 1:
-        # one GEMM for each mixture's part of the block over its own real
-        # atoms, so a node's bits do not depend on the other mixtures of
-        # its block, and rows of -inf below when the block's k is larger
-        # (the gather below, summed over d coordinates, is slower here)
-        logits = np.empty((k,) + shape)
-        for j, (cols, nodes) in enumerate(parts):
-            own = logits[: real[j]][cols]
-            np.matmul(atoms[j, : real[j]], nodes.T, out=own)
-            own += offsets[j, : real[j], None]
-            logits[real[j] :][cols] = -np.inf
+    locations, offsets, real = terms
+    if nodes.shape[1] > 1:
+        # one GEMM over the mixture's own real atoms (the gather that d = 1
+        # takes, summed over d coordinates, is slower here)
+        k = real[at]
+        logits = locations[at, :k] @ nodes.T
+        logits += offsets[at, :k, None]
     else:
         # the atoms of each node's mixture times the node: the GEMM's own
         # products, and several times faster than a GEMM of inner dimension 1
-        logits = spread(atoms[:, :, 0]) * blk[:, 0]
-        logits += spread(offsets)
+        k = max(real[at])
+        logits = spread(locations[at, :k, 0]) * nodes[:, 0]
+        logits += spread(offsets[at, :k])
     m = logits.max(axis=0)
     logits -= m
     np.exp(logits, out=logits)
@@ -315,7 +325,17 @@ def segment_log_density(locations, logw, pts, counts) -> np.ndarray:
     lone node (numpy sends a one-column product through a matrix-vector
     routine, which may round differently in d >= 2).
     """
-    return _log_sum_exp(_block_logits(locations, logw, pts, counts), np.empty(pts.shape[0]), pts.shape[1])
+    return _log_densities([(locations, logw)], pts, counts)[0]
+
+
+def pair_log_density(p, q, pts, counts) -> tuple[np.ndarray, np.ndarray]:
+    """log p and log q of m pairs of mixtures, pair i at segment i of the nodes, from one walk over the blocks.
+
+    p and q are (locations, logw) as `_block_logits` takes them.  Each
+    output is the `segment_log_density` of its mixtures bit for bit; the
+    blocks' segments are found and ||x||^2 is formed once for both.
+    """
+    return tuple(_log_densities([p, q], pts, counts))
 
 
 def shared_log_density(locations, logw, pts) -> np.ndarray:
@@ -325,25 +345,34 @@ def shared_log_density(locations, logw, pts) -> np.ndarray:
     is mixture i's own `GaussianMixture.log_density` at pts bit for bit,
     whatever the other mixtures.
     """
-    out = np.empty((logw.shape[0], pts.shape[0]))
-    return _log_sum_exp(_block_logits(locations, logw, pts), out, pts.shape[1])
+    return _log_densities([(locations, logw)], pts)[0]
 
 
-def _log_sum_exp(blocks, out, d) -> np.ndarray:
-    """The log-density reduction of the blocks of `_block_logits`, written to out at each block's index."""
-    for at, blk, u, m in blocks:
-        res = out[at]
-        total = u[0]
-        for row in u[1:]:
-            total += row
-        np.log(total, out=res)
-        res += m
-        sq = blk[:, 0] * blk[:, 0]
+def _log_densities(mixtures, pts, counts=None) -> list[np.ndarray]:
+    """The log-sum-exp reduction of `_block_logits`: one output per set of mixtures."""
+    n, d = pts.shape
+    outs = [np.empty(n if counts is not None else (logw.shape[0], n)) for _, logw in mixtures]
+    for at, blk, logits in _block_logits(mixtures, pts, counts):
+        half = blk[:, 0] * blk[:, 0]
         for i in range(1, d):
-            sq += blk[:, i] * blk[:, i]
-        res -= 0.5 * sq
-    out -= 0.5 * d * LOG_2PI
-    return out
+            half += blk[:, i] * blk[:, i]
+        half *= 0.5
+        for out in outs:
+            # one set's logits at a time: they are freed before the next set's are formed
+            _reduce(out[at], half, *next(logits))
+    for out in outs:
+        out -= 0.5 * d * LOG_2PI
+    return outs
+
+
+def _reduce(res, half, u, m):
+    """res = log(the sum of u's rows, in atom order) + m - half."""
+    total = u[0]
+    for row in u[1:]:
+        total += row
+    np.log(total, out=res)
+    res += m
+    res -= half
 
 
 def row_sums(values, counts) -> np.ndarray:

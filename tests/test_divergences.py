@@ -33,6 +33,7 @@ from gmdiv.divergences import (
     _Rule,
     _angular_rule,
     _compute_divergences,
+    _integrands,
     _kind_values,
     _log_ratio_rounding,
     _sign_change_splits,
@@ -273,14 +274,15 @@ class TestEstimateContracts:
         p = single_gaussian([0.0] * d, M=3.0)
         q = single_gaussian([1.0] + [0.0] * (d - 1), M=3.0)
         calls = []
-        original = divergences.segment_log_density
+        original = divergences.pair_log_density
 
-        def spy(locations, logw, pts, counts):
+        def spy(p_atoms, q_atoms, pts, counts):
             # p is the mixture with its one atom at the origin
-            calls.append((not locations.any(), len(pts), pts.tobytes()))
-            return original(locations, logw, pts, counts)
+            for locations, _ in (p_atoms, q_atoms):
+                calls.append((not locations.any(), len(pts), pts.tobytes()))
+            return original(p_atoms, q_atoms, pts, counts)
 
-        monkeypatch.setattr(divergences, "segment_log_density", spy)
+        monkeypatch.setattr(divergences, "pair_log_density", spy)
         est = divergence(DivergenceKind.HellingerSq, p, q)
         assert est.domain_radius == truncation_radius(Compact(3.0), d, default_tol(d))
         assert len(calls) == len(set(calls))
@@ -298,14 +300,15 @@ class TestEstimateContracts:
         p = single_gaussian([0.0, 0.0], M=3.0)
         q = GaussianMixture.from_atoms([[3.0, 0.0], [-0.5, 1.0]], [0.7, 0.3], tag=Compact(3.0))
         nodes = []
-        original = divergences.segment_log_density
+        original = divergences.pair_log_density
 
-        def spy(locations, logw, pts, counts):
-            if not locations.any():  # p, its one atom at the origin
-                nodes.append(pts.copy())
-            return original(locations, logw, pts, counts)
+        def spy(p_atoms, q_atoms, pts, counts):
+            for locations, _ in (p_atoms, q_atoms):
+                if not locations.any():  # p, its one atom at the origin
+                    nodes.append(pts.copy())
+            return original(p_atoms, q_atoms, pts, counts)
 
-        monkeypatch.setattr(divergences, "segment_log_density", spy)
+        monkeypatch.setattr(divergences, "pair_log_density", spy)
         est = divergence(kind, p, q)
         X = np.concatenate(nodes)
         assert est.quadrature_points == X.shape[0]
@@ -560,15 +563,37 @@ class TestRadiusSearch:
         # every member of a batch gets 400 radii; one that meets none raises
         seen = []
 
-        def never_second(R):
-            seen.append(R[1])
-            return np.array([True, False])
+        def never_second(R, members):
+            seen.append(R[members == 1][0])
+            return members == 0
 
         with pytest.raises(CapabilityError):
             divergences._search_radius([3.0, 3.0], never_second)
         assert len(seen) == 400
-        met = divergences._search_radius([3.0, 3.0], lambda R: R >= [3.0, seen[-1]])
+        met = divergences._search_radius([3.0, 3.0], lambda R, members: R >= np.array([3.0, seen[-1]])[members])
         assert met.tolist() == [3.0, seen[-1]]
+
+    def test_only_growing_members_are_tested(self):
+        # a member that met keeps its radius and is not asked again, and the
+        # radii are those of a search that asks every member at every step
+        target = np.array([3.0, 9.0, 40.0, 3.5, 120.0, 12.0])
+        asked = []
+
+        def met(R, members):
+            asked.append(members)
+            return R >= target[members]
+
+        R = divergences._search_radius(np.full(6, 3.0), met)
+        every, pending, tried = np.full(6, 3.0), np.ones(6, dtype=bool), np.zeros(6, dtype=int)
+        while pending.any():
+            tried += pending
+            pending = every < target
+            every[pending] += np.maximum(0.5, 0.04 * every[pending])
+        assert R.tobytes() == every.tobytes()
+        assert asked[0].tolist() == list(range(6))
+        assert all(set(b) <= set(a) for a, b in zip(asked, asked[1:]))
+        # each member is asked once per radius it tries
+        assert np.bincount(np.concatenate(asked), minlength=6).tolist() == tried.tolist()
 
 
 def _chi2_tail_written_out(p_env, q_env, R, d):
@@ -599,6 +624,90 @@ def _chi2_tail_written_out(p_env, q_env, R, d):
         total += w * np.exp(log_c) * moments
     norm = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d] * math.exp(-0.5 * d * LOG_2PI)
     return float((norm * total + q_env.mass_tail(R, d))[0])
+
+
+def _kind_values_one_by_one(kind, logp, logq, lam=None):
+    """Each kind's integrand on its own, its two formulas on the nodes they own: the reference for `_integrands`."""
+    lr = logp - logq
+    if kind == DivergenceKind.KL:
+        out = np.empty_like(lr)
+        big = np.abs(lr) > 0.5
+        out[big] = np.exp(logp[big]) * (lr[big] - 1.0) + np.exp(logq[big])
+        s = np.expm1(lr[~big])
+        out[~big] = np.exp(logq[~big]) * ((1.0 + s) * np.log1p(s) - s)
+        return out
+    if kind == DivergenceKind.HellingerSq:
+        m = np.maximum(logp, logq)
+        return np.exp(m) * np.expm1(-0.5 * np.abs(lr)) ** 2
+    if kind == DivergenceKind.ChiSq:
+        pos = lr > 0
+        out = np.empty_like(lr)
+        with np.errstate(over="ignore"):
+            out[pos] = np.exp(2.0 * logp[pos] - logq[pos]) * np.expm1(-lr[pos]) ** 2
+        out[~pos] = np.exp(logq[~pos]) * np.expm1(lr[~pos]) ** 2
+        return out
+    if kind == DivergenceKind.TV:
+        m = np.maximum(logp, logq)
+        return 0.5 * np.exp(m) * (-np.expm1(-np.abs(lr)))
+    with np.errstate(over="ignore"):
+        return np.exp(lam * logp - (lam - 1.0) * logq)
+
+
+class TestIntegrands:
+    """One pass forms every kind's integrand, each node the bits of that kind's own formulas."""
+
+    KINDS = [*INTEGRATED_KINDS, "renyi"]
+
+    @staticmethod
+    def nodes():
+        # |lr| at 0.5 and one ulp either side (every log-ratio below is
+        # exact), lr = +-0, log p or log q or both below -745 (exp underflows
+        # to 0), chi^2 past exp(709) (inf), NaN in log p, log q or both, and
+        # the log-densities of a d = 2 pair on a grid
+        half = [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]
+        pairs = [(x, 0.0) for x in half] + [(-x, 0.0) for x in half]
+        pairs += [(0.0, -x) for x in half] + [(-1.0, -1.0 + x) for x in half]
+        pairs += [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-3.25, -3.25)]
+        pairs += [(-800.0, -3.0), (-3.0, -800.0), (-800.0, -760.0), (-760.0, -800.0), (-1e4, -1e4)]
+        pairs += [(-1.0, -720.0), (-0.5, -1e3)]
+        pairs += [(math.nan, -1.0), (-1.0, math.nan), (math.nan, math.nan)]
+        logp, logq = (np.array(v) for v in zip(*pairs))
+        p = GaussianMixture.from_atoms([[0.0, 0.0], [1.5, -0.5]], [0.6, 0.4])
+        q = GaussianMixture.from_atoms([[0.2, 0.1], [-1.0, 2.0], [0.0, -2.0]], [0.5, 0.3, 0.2])
+        X = np.stack(np.meshgrid(np.linspace(-9, 9, 64), np.linspace(-9, 9, 64)), axis=-1).reshape(-1, 2)
+        return np.concatenate([logp, p.log_density(X)]), np.concatenate([logq, q.log_density(X)])
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        nan = np.isnan(want)
+        assert np.isnan(got[nan]).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", [slice(None), slice(None, None, -1)])
+    def test_every_kind_in_one_pass_is_its_own_formula(self, order):
+        logp, logq = self.nodes()
+        kinds = self.KINDS[order]
+        got = _integrands(kinds, logp, logq, 1.7)
+        assert got.shape == (len(kinds), logp.size)
+        for kind, row in zip(kinds, got):
+            self.assert_same_bits(row, _kind_values_one_by_one(kind, logp, logq, 1.7))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_kind_alone(self, kind):
+        logp, logq = self.nodes()
+        want = _kind_values_one_by_one(kind, logp, logq, 2.0)
+        self.assert_same_bits(_kind_values(kind, logp, logq, 2.0), want)
+        self.assert_same_bits(_integrands([kind], logp, logq, 2.0)[0], want)
+        # every NaN in log p or log q comes out NaN, and chi^2 overflows to inf
+        assert np.isnan(want[np.isnan(logp) | np.isnan(logq)]).all()
+        if kind is DivergenceKind.ChiSq:
+            assert np.isinf(want).sum() == 3  # at (-3, -800), (-1, -720) and (-0.5, -1e3)
+
+    def test_unknown_kind_raises(self):
+        with pytest.raises(ValueError, match="unknown kind"):
+            _integrands([DivergenceKind.KL, "js"], np.zeros(3), np.zeros(3))
 
 
 class TestTailBounds:
@@ -874,18 +983,18 @@ class TestClosedFormL2:
     @pytest.mark.parametrize("bound", [BoundId.TVfromL2, BoundId.L2fromTV])
     def test_l2_sweeps_integrate_kl_h2_and_tv_only(self, monkeypatch, bound):
         seen = set()
-        kind_values, mc = divergences._kind_values, divergences._mc_divergence
+        integrands, mc = divergences._integrands, divergences._mc_divergence
 
-        def spy(kind, *args, **kwargs):
-            seen.add(kind)
-            assert kind is not DivergenceKind.L2Sq
-            return kind_values(kind, *args, **kwargs)
+        def spy(kinds, *args, **kwargs):
+            seen.update(kinds)
+            assert DivergenceKind.L2Sq not in kinds
+            return integrands(kinds, *args, **kwargs)
 
         def refuse_l2(kind, *args, **kwargs):
             assert DivergenceKind(kind) is not DivergenceKind.L2Sq
             return mc(kind, *args, **kwargs)
 
-        monkeypatch.setattr(divergences, "_kind_values", spy)
+        monkeypatch.setattr(divergences, "_integrands", spy)
         monkeypatch.setattr(divergences, "_mc_divergence", refuse_l2)
         rep = verify_sweep(bound, InstanceFamily(Compact(2.0), 1), 20, seed=5)
         assert rep.failures == 0
@@ -1093,18 +1202,18 @@ class TestSignChangeSplits:
 
     def test_pruned_search_evaluates_few_grid_nodes(self, monkeypatch):
         evaluated, in_brentq = [0], [False]
-        kernel, port = divergences.segment_log_density, divergences.brentq
+        kernel, port = divergences.pair_log_density, divergences.brentq
 
-        def counted(locations, logw, pts, counts):
+        def counted(p_atoms, q_atoms, pts, counts):
             if not in_brentq[0]:
-                evaluated[0] += pts.shape[0]
-            return kernel(locations, logw, pts, counts)
+                evaluated[0] += 2 * pts.shape[0]  # the nodes of p and of q
+            return kernel(p_atoms, q_atoms, pts, counts)
 
         def brentq(*args, **kwargs):
             in_brentq[0] = True
             return port(*args, **kwargs)
 
-        monkeypatch.setattr(divergences, "segment_log_density", counted)
+        monkeypatch.setattr(divergences, "pair_log_density", counted)
         monkeypatch.setattr(divergences, "brentq", brentq)
         pairs = [make_pair(1, i, InstanceFamily(Compact(2.0), 1)) for i in range(250)]
         p_env, q_env = _Envelope.of([p for p, _ in pairs]), _Envelope.of([q for _, q in pairs])

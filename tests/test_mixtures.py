@@ -23,7 +23,9 @@ from gmdiv.bounds import InstanceFamily, _draw_pairs
 from gmdiv.mixtures import (
     _BLOCK,
     DichotomyParams,
+    _block_logits,
     _step_tails_hold,
+    pair_log_density,
     row_sums,
     segment_log_density,
     shared_log_density,
@@ -126,6 +128,49 @@ class TestKernelCrossCheck:
         assert straddle.sum() >= 10 and (~straddle).sum() >= 30
         for gm, hi, n in zip(mixtures, ends, counts):
             assert np.array_equal(batch[hi - n : hi], gm.log_density(pts[hi - n : hi]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pair_pass_matches_each_mixture_alone(self, d, rng):
+        # one walk over the blocks gives log p and log q, each segment its
+        # own mixture's log_density bit for bit, with atom counts 1 to 8
+        # mixed in one call and segments of multiples of 16 nodes, as in
+        # test_segments_match_each_mixture_alone
+        m = 60
+
+        def draw():
+            sizes = rng.integers(1, 9, m)
+            mixtures = [
+                GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (k, d)), rng.dirichlet(np.ones(k))) for k in sizes
+            ]
+            locations, logw = np.zeros((m, 8, d)), np.full((m, 8), -np.inf)
+            for i, gm in enumerate(mixtures):
+                locations[i, : sizes[i]], logw[i, : sizes[i]] = gm.mixing.locations, np.log(gm.mixing.weights)
+            return mixtures, (locations, logw)
+
+        (ps, p), (qs, q) = draw(), draw()
+        long = rng.random(m) < 0.2
+        counts = 16 * np.where(long, rng.integers(256, 1100, m), rng.integers(1, 120, m))
+        pts = rng.uniform(-8.0, 8.0, (counts.sum(), d))
+        logp, logq = pair_log_density(p, q, pts, counts)
+        ends = np.cumsum(counts)
+        straddle = (ends - counts) // _BLOCK != (ends - 1) // _BLOCK
+        assert straddle.sum() >= 5 and (~straddle).sum() >= 30
+        for a, b, hi, n in zip(ps, qs, ends, counts):
+            assert np.array_equal(logp[hi - n : hi], a.log_density(pts[hi - n : hi]))
+            assert np.array_equal(logq[hi - n : hi], b.log_density(pts[hi - n : hi]))
+        if d == 1:
+            return
+        # in d >= 2 a part is one mixture's nodes in a block, and its logits
+        # have one row per real atom of that mixture: no pad rows
+        parts = 0
+        for at, blk, logits in _block_logits([p, q], pts, counts):
+            owner = np.searchsorted(ends, at.start, side="right")
+            assert at.stop <= ends[owner] and blk.shape[0] == at.stop - at.start
+            for gm, (u, top) in zip((ps[owner], qs[owner]), logits):
+                assert u.shape == (gm.mixing.n_atoms, blk.shape[0]) and top.shape == (blk.shape[0],)
+            parts += 1
+        # one part for each block a segment touches
+        assert parts == np.sum((ends - 1) // _BLOCK - (ends - counts) // _BLOCK + 1)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_shared_layout_matches_each_mixture_alone(self, d, rng):
