@@ -26,7 +26,7 @@ import numpy as np
 # a sweep integrates all its pairs in one `_compute_pairs` call;
 # `_compute_divergences` stays bound here because perfbench's tracer wraps
 # it by this name
-from .divergences import DivergenceKind, _compute_divergences, _compute_pairs, _Envelope  # noqa: F401
+from .divergences import DivergenceKind, _compute_divergences, _compute_pairs  # noqa: F401
 from .errors import CapabilityError, HypothesisError
 from .mixtures import (
     ClassTag,
@@ -35,6 +35,7 @@ from .mixtures import (
     GaussianMixture,
     MixingDistribution,
     Subgaussian,
+    _Batch,
     row_sums,
     validate_atoms,
 )
@@ -456,7 +457,7 @@ def _comparison(bound: BoundId, family: InstanceFamily) -> _Comparison:
 
 
 class _Atoms(NamedTuple):
-    """Mixtures as padded arrays: row i holds counts[i] atoms, then pads of location and weight 0."""
+    """Mixtures in the padded-atom format of `mixtures._Batch`, row i with counts[i] real atoms."""
 
     locations: np.ndarray  # (n, k, d)
     weights: np.ndarray  # (n, k)
@@ -666,7 +667,7 @@ def verify_sweep(
 
     atoms = _draw_pairs(seed, range(n), family)
     weights = validate_atoms(*atoms, family.tag)
-    p_env, q_env = (_Envelope(atoms.locations[rows], weights[rows]) for rows in (slice(0, n), slice(n, None)))
+    p_env, q_env = (_Batch(atoms.locations[rows], weights[rows]) for rows in (slice(0, n), slice(n, None)))
     estimates = _compute_pairs(comparison.kinds, p_env, q_env, [(family.tag,)] * n, tol)
     counts = atoms.counts.tolist()
     instances = [

@@ -59,12 +59,12 @@ angular rule is nu Gauss-Legendre nodes in cos(polar) times 2 nu
 trapezoid azimuths, nu = 8, 12, 16, 24, ..., 512 (`_ANGULAR`), so each
 level has about 2x the directions of the last, as in d = 2; the
 Gauss-Legendre axis does not nest, so each d = 3 angular step evaluates
-its level in full.  Both run on a batch of
-members at once, as arrays over members: `_compute_pairs` takes the
-pairs as two `_Envelope`s, the atoms of every p and of every q padded to
-one count (weight 0, log-weight -inf), which a sweep draws as arrays and
-a one-pair caller builds from its mixtures (`_Envelope.of`), and makes
-one `_refine` call.  From the start radii, `_refine` runs the start pass
+its level in full.  Both run on a batch of members at once, as arrays
+over members: `_compute_pairs` takes the pairs as two `mixtures._Batch`es,
+the atoms of every p and of every q padded to one count, which a sweep
+draws as arrays and a one-pair caller builds from its mixtures
+(`_Batch.of`), and makes one `_refine` call.  From the start radii,
+`_refine` runs the start pass
 (level 0 of the uncut rule, which sets the truncation targets), the radius
 search with every tail bound, builds the rule on the final radii (cut at
 the TV sign changes in d = 1), keeps the start pass as level 0 where the
@@ -80,7 +80,7 @@ _NODE_BUDGET at a time, the log-density kernel's block, into one buffer
 of weighted integrand values that one segment sum reads.  So a level
 holds one float per node per kind, and its values are those of the whole
 level in one piece, bit for bit.  Each node range is one pass of the
-kernel for log p and log q together (`pair_log_density`) and one pass
+kernel for log p and log q together (`log_densities`) and one pass
 over them for every kind's integrand (`_integrands`).
 One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
 Gram pass of the Hellinger table and `plancherel_l2` are one-member
@@ -124,9 +124,8 @@ from .mixtures import (
     GaussianMixture,
     Subgaussian,
     Unconstrained,
-    pair_log_density,
-    segment_log_density,
-    shared_log_density,
+    _Batch,
+    log_densities,
 )
 
 
@@ -217,71 +216,30 @@ def gaussian_radial_tail(t, d: int):
 # -- envelopes and tail certificates, as arrays over mixtures -------------------
 
 
-class _Envelope:
-    """The atoms of m mixtures, padded to one count, row i for mixture i.
-
-    locations (m, k, d) and weights (m, k) hold each mixture's validated
-    atoms (`validate_atoms`) and then its pads.  A pad has location 0,
-    weight 0 and log-weight -inf, and sits after the real atoms, so it adds
-    an exact 0 to every atom sum (`_atom_sum`) and never wins a max.
-    """
-
-    def __init__(self, locations, weights):
-        self.locations, self.weights = locations, weights
-        m, k = weights.shape
-        self.real = weights > 0
-        self.logw = np.full((m, k), -np.inf)
-        self.logw[self.real] = np.log(self.weights[self.real])
-        self.radii = np.sqrt(np.sum(self.locations**2, axis=2))
-        self.s_max = self.radii.max(axis=1)
-
-    @classmethod
-    def of(cls, mixtures):
-        """The envelope of a list of `GaussianMixture`s."""
-        counts = [gm.mixing.n_atoms for gm in mixtures]
-        m, k, d = len(mixtures), max(counts), mixtures[0].dim
-        rows = np.repeat(np.arange(m), counts)
-        cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        locations, weights = np.zeros((m, k, d)), np.zeros((m, k))
-        locations[rows, cols] = np.concatenate([gm.mixing.locations for gm in mixtures])
-        weights[rows, cols] = np.concatenate([gm.mixing.weights for gm in mixtures])
-        return cls(locations, weights)
-
-    def __getitem__(self, rows) -> _Envelope:
-        """The envelope of mixtures `rows`, its arrays sliced rather than formed again."""
-        sub = object.__new__(_Envelope)
-        sub.__dict__.update((name, value[rows]) for name, value in vars(self).items())
-        return sub
-
-    def log_density(self, members, pts, counts) -> np.ndarray:
-        """Log-density of mixture members[i] at the i-th segment of pts."""
-        return segment_log_density(self.locations[members], self.logw[members], pts, counts)
-
-    def pair_log_density(self, q_env, members, pts, counts) -> tuple[np.ndarray, np.ndarray]:
-        """log p and log q of pair members[i], p here and q in q_env, at the i-th segment of pts, in one pass."""
-        p, q = ((env.locations[members], env.logw[members]) for env in (self, q_env))
-        return pair_log_density(p, q, pts, counts)
-
-    def mass_tail(self, R, d: int) -> np.ndarray:
-        # mass of each mixture outside its ball of radius R
-        return _atom_sum(self.weights * gaussian_radial_tail(R[:, None] - self.radii, d))
-
-    def anchor(self, R) -> tuple[np.ndarray, np.ndarray]:
-        # per mixture, the atom giving the best lower bound
-        # log q >= log v - (r+t)^2/2 (up to the shared -d/2 log 2pi) at r = R
-        scores = self.logw - 0.5 * (R[:, None] + self.radii) ** 2
-        at = np.arange(scores.shape[0]), np.argmax(scores, axis=1)
-        return self.radii[at], self.logw[at]
-
-
 def _atom_sum(terms) -> np.ndarray:
     """Sum over the last (atom) axis in atom order, so trailing zeros change no bit."""
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _log_ratio_line(p_env: _Envelope, q_env: _Envelope, R):
+def _mass_tail(batch: _Batch, R, d: int) -> np.ndarray:
+    """Per mixture of the batch, its mass outside its ball of radius R."""
+    return _atom_sum(batch.weights * gaussian_radial_tail(R[:, None] - batch.radii, d))
+
+
+def _anchor(batch: _Batch, R) -> tuple[np.ndarray, np.ndarray]:
+    """Per mixture, the radius t and log-weight log v of the atom with the best lower bound.
+
+    That bound is log q >= log v - (r + t)^2 / 2 at r = R, up to the shared
+    -d/2 log 2 pi.
+    """
+    scores = batch.logw - 0.5 * (R[:, None] + batch.radii) ** 2
+    at = np.arange(scores.shape[0]), np.argmax(scores, axis=1)
+    return batch.radii[at], batch.logw[at]
+
+
+def _log_ratio_line(p_env: _Batch, q_env: _Batch, R):
     """Per pair, a*r + b dominating log(p/q) on spheres of radius r >= R."""
-    t0, logv0 = q_env.anchor(R)
+    t0, logv0 = _anchor(q_env, R)
     a = p_env.s_max + t0
     b = 0.5 * (t0 * t0 - p_env.s_max**2) - logv0
     return a, b
@@ -307,7 +265,7 @@ def _times_linear(coeffs, c0, c1) -> list:
 _KAPPA_MIN = 0.25
 
 
-def _atom_tails(p_env: _Envelope, R, poly, beta, c) -> np.ndarray:
+def _atom_tails(p_env: _Batch, R, poly, beta, c) -> np.ndarray:
     """Per pair, sum_j w_j exp(s_j beta + beta^2/2 + c - kappa_j^2/2) moments(poly, kappa_j).
 
     kappa_j = R - (s_j + beta).  Bounds the integral over u >= 0 of poly(u)
@@ -333,20 +291,20 @@ def _atom_tails(p_env: _Envelope, R, poly, beta, c) -> np.ndarray:
     return np.where(bad.any(axis=1), np.inf, _atom_sum(terms))
 
 
-def _tail_bound(kind, p_env: _Envelope, q_env: _Envelope, R, d, lam=None) -> np.ndarray:
+def _tail_bound(kind, p_env: _Batch, q_env: _Batch, R, d, lam=None) -> np.ndarray:
     """Per pair i, a certified bound on the integral of `kind` outside radius R[i]."""
     norm = _SURFACE[d] * math.exp(-0.5 * d * LOG_2PI)
     if kind == DivergenceKind.HellingerSq:
-        out = p_env.mass_tail(R, d) + q_env.mass_tail(R, d)
+        out = _mass_tail(p_env, R, d) + _mass_tail(q_env, R, d)
     elif kind == DivergenceKind.TV:
-        out = 0.5 * (p_env.mass_tail(R, d) + q_env.mass_tail(R, d))
+        out = 0.5 * (_mass_tail(p_env, R, d) + _mass_tail(q_env, R, d))
     elif kind == DivergenceKind.KL:
         a, b = _log_ratio_line(p_env, q_env, R)
         poly = _times_linear(_ru_poly(d, R), np.maximum(0.0, a * R + b), a)
-        out = norm * _atom_tails(p_env, R, poly, beta=0.0, c=0.0) + q_env.mass_tail(R, d)
+        out = norm * _atom_tails(p_env, R, poly, beta=0.0, c=0.0) + _mass_tail(q_env, R, d)
     elif kind == DivergenceKind.ChiSq:
         # p^2/q - 2p + q <= p^2/q + q, and int p^2/q is the lam = 2 power integral
-        out = _tail_bound("renyi", p_env, q_env, R, d, 2.0) + q_env.mass_tail(R, d)
+        out = _tail_bound("renyi", p_env, q_env, R, d, 2.0) + _mass_tail(q_env, R, d)
     elif kind == "renyi":
         # p^lam / q^(lam-1) <= p e^{(lam-1)(a r + b)} on ||x|| = r >= R
         a, b = _log_ratio_line(p_env, q_env, R)
@@ -357,11 +315,6 @@ def _tail_bound(kind, p_env: _Envelope, q_env: _Envelope, R, d, lam=None) -> np.
 
 
 # -- integrands ---------------------------------------------------------------
-
-
-def _kind_values(kind, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarray:
-    """The integrand of one kind at the nodes: the one-kind case of `_integrands`."""
-    return _integrands([kind], logp, logq, lam)[0]
 
 
 def _integrands(kinds, logp: np.ndarray, logq: np.ndarray, lam=None) -> np.ndarray:
@@ -856,7 +809,7 @@ def _tv_node(R, j, n):
     return np.where(j == n, R, j * ((R - -R) / n) + -R)
 
 
-def _log_ratio_rounding(p_env: _Envelope, q_env: _Envelope, R) -> np.ndarray:
+def _log_ratio_rounding(p_env: _Batch, q_env: _Batch, R) -> np.ndarray:
     """Per pair, rho: twice a bound on the rounding error of log p - log q at |x| <= R in d = 1.
 
     With u = 2^-53, atoms |a_j| <= s, log-weights |log w_j| <= W and at
@@ -873,11 +826,11 @@ def _log_ratio_rounding(p_env: _Envelope, q_env: _Envelope, R) -> np.ndarray:
     real = np.concatenate([p_env.real, q_env.real], axis=1)
     logw = np.where(real, np.concatenate([p_env.logw, q_env.logw], axis=1), 0.0)
     s = np.maximum(p_env.s_max, q_env.s_max)
-    k = np.maximum(p_env.real.sum(axis=1), q_env.real.sum(axis=1))
+    k = np.maximum(p_env.counts, q_env.counts)
     return 64.0 * _UNIT_ROUNDOFF * ((R + s) ** 2 + np.max(np.abs(logw), axis=1) + k + 1.0)
 
 
-def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
+def _sign_change_splits(p_env: _Batch, q_env: _Batch, R):
     """Roots of log p_i - log q_i in [-R[i], R[i]], where pair i's TV panels are cut.
 
     On each pair's grid np.linspace(-R, R, 2048 * 2^s + 1), s the least
@@ -921,7 +874,7 @@ def _sign_change_splits(p_env: _Envelope, q_env: _Envelope, R):
         # pair ascends, so the nodes of a pair form one segment
         counts = np.bincount(pair, minlength=m)
         members = np.flatnonzero(counts)
-        logp, logq = p_env.pair_log_density(q_env, members, x[:, None], counts[members])
+        logp, logq = log_densities([p_env[members], q_env[members]], x[:, None], counts[members])
         return logp - logq
 
     # a pair with q = p has a log-ratio of exactly 0 at every node, and no root
@@ -994,7 +947,7 @@ def _gamma(n):
     return n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
 
 
-def _merged_atoms(p_env: _Envelope, q_env: _Envelope):
+def _merged_atoms(p_env: _Batch, q_env: _Batch):
     """Per pair, the atoms of p - q merged by location, in sorted location order.
 
     An atom of p brings +w and one of q brings -v; the atoms at one location
@@ -1026,7 +979,7 @@ def _merged_atoms(p_env: _Envelope, q_env: _Envelope):
     return X, c, e, counts
 
 
-def _l2_closed_form(p_env: _Envelope, q_env: _Envelope) -> list[IntegralEstimate]:
+def _l2_closed_form(p_env: _Batch, q_env: _Batch) -> list[IntegralEstimate]:
     """||p_i - q_i||_2^2 of each pair in closed form, with a bound on its rounding error.
 
     Over the merged atoms x_i, c_i of `_merged_atoms` the value is
@@ -1082,9 +1035,9 @@ def _require_certifiable(tag):
 
 
 def _compute_pairs(
-    kinds, p_env: _Envelope, q_env: _Envelope, tags, tol, domain_radius=None, lam=None
+    kinds, p_env: _Batch, q_env: _Batch, tags, tol, domain_radius=None, lam=None
 ) -> list[dict]:
-    """Estimates of several kinds for each pair (p_i, q_i), row i of the envelopes, in one d <= 3.
+    """Estimates of several kinds for each pair (p_i, q_i), row i of the batches, in one d <= 3.
 
     tags[i] lists the class tags of p_i and q_i.  L2^2 is
     `_l2_closed_form`; the arguments are checked alike for every kind.
@@ -1129,9 +1082,10 @@ def _compute_pairs(
         n = int(counts.sum())
         whole = n <= _NODE_BUDGET
         products = np.empty((len(integrated), n))
+        pair = [p_env[members], q_env[members]]
         for lo in range(0, n, _NODE_BUDGET):
             X, w = read() if whole else read(span=(lo, min(n, lo + _NODE_BUDGET)))
-            logp, logq = p_env.pair_log_density(q_env, members, X, counts if whole else [w.size])
+            logp, logq = log_densities(pair, X, counts if whole else [w.size])
             np.multiply(_integrands(integrated, logp, logq, lam), w, out=products[:, lo : lo + w.size])
         return _segment_sums(products, counts).T
 
@@ -1170,13 +1124,13 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
         if not (0 < tol < 1):
             raise HypothesisError(f"tolerance must lie in (0, 1), got {tol}")
         return {
-            k: _l2_closed_form(_Envelope.of([p]), _Envelope.of([q]))[0]
+            k: _l2_closed_form(_Batch.of([p]), _Batch.of([q]))[0]
             if k == DivergenceKind.L2Sq
             else _mc_divergence(k, p, q)
             for k in kinds
         }
     tags = [(p.mixing.tag, q.mixing.tag)]
-    return _compute_pairs(kinds, _Envelope.of([p]), _Envelope.of([q]), tags, tol, domain_radius, lam)[0]
+    return _compute_pairs(kinds, _Batch.of([p]), _Batch.of([q]), tags, tol, domain_radius, lam)[0]
 
 
 def divergence(kind, p: GaussianMixture, q: GaussianMixture, tol=None, domain_radius=None):
@@ -1222,7 +1176,7 @@ def _mc_divergence(kind, p, q, n=1 << 19, seed=0):
     logp = p.log_density(X)
     logq = q.log_density(X)
     logm = np.logaddexp(logp, logq) - math.log(2.0)
-    vals = _kind_values(kind, logp, logq) * np.exp(-logm)
+    vals = _integrands([kind], logp, logq)[0] * np.exp(-logm)
     est = float(np.mean(vals))
     half = 1.96 * float(np.std(vals)) / math.sqrt(n)
     return IntegralEstimate(est, half, math.inf, n)
@@ -1247,7 +1201,7 @@ def _gram_h2(elements, tol) -> np.ndarray:
     first and `_refine` gets R with no tail test.  On each level of the
     rule on the ball of radius R the square roots S_i = sqrt(p_i) at the
     nodes, from one shared-node pass of the density kernel
-    (`shared_log_density`), give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij,
+    (`log_densities`), give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij,
     which is int (sqrt(p_i) - sqrt(p_j))^2 over the ball.  `_refine` stops
     once no entry moves by more than tol/2, so `tol` is an absolute H^2
     accuracy (default `default_tol(d)`); the entries are clipped at 0 only
@@ -1264,25 +1218,24 @@ def _gram_h2(elements, tol) -> np.ndarray:
     d = elements[0].dim
     if tol is None:
         tol = default_tol(d)
-    env = _Envelope.of(elements)
-    R = _search_radius(
-        _start_radius([[e.mixing.tag for e in elements]], [env.s_max.max()], d, tol),
-        lambda R, _: 2.0 * env.mass_tail(R, d).max(keepdims=True) <= 0.5 * tol,
-    )
 
     def content(i):
         mixing = elements[i].mixing
         return mixing.locations.tobytes(), mixing.weights.tobytes()
 
     order = sorted(range(n), key=content)
-    locations, logw = env.locations[order], env.logw[order]
+    batch = _Batch.of([elements[i] for i in order])
+    R = _search_radius(
+        _start_radius([[e.mixing.tag for e in elements]], [batch.s_max.max()], d, tol),
+        lambda R, _: 2.0 * _mass_tail(batch, R, d).max(keepdims=True) <= 0.5 * tol,
+    )
     step = max(1, _GRAM_ENTRIES // n)
 
     def measure(read, counts, _):
         G = np.zeros((n, n))
         for lo in range(0, counts[0], step):
             X, w = read(span=(lo, min(counts[0], lo + step)))
-            S = shared_log_density(locations, logw, X)
+            (S,) = log_densities([batch], X)
             S *= 0.5
             np.exp(S, out=S)
             S[S < _GRAM_FLOOR] = 0.0

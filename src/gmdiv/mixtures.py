@@ -17,34 +17,32 @@ so the logits are one GEMM with inner dimension d, `A @ X.T + c`, and
 -||x||^2 / 2 is subtracted once per point after the logsumexp.  They are
 held atom-major, (k, n), so the max and the sum over atoms are elementwise
 passes over contiguous rows of length n rather than n short reductions;
-the sum runs in atom order.  One block pass, `_block_logits`, builds the
-logits of many mixtures at once, from their atoms padded to a common count
-(log-weight -inf) and the offsets c_j formed once a call.  It takes the
-nodes in one of two layouts: in per-mixture segments (the quadrature's),
-or shared, every mixture at the same nodes (a net's log-likelihoods on a
-stream, the Hellinger Gram pass).  In d >= 2 each mixture's part of a
-block of nodes is one GEMM over that mixture's own real atoms, and the
-max, the exp and the sum over atoms cover those rows only, so its bits do
-not depend on the other mixtures of the call and no pad row is formed.  In
-d = 1 the logits are a_j x + c_j elementwise, the atoms of each node's
-mixture gathered with `np.repeat` when a block spans several segments and
-broadcast over the nodes when they are shared: the same products as the
-GEMM's, and several times faster than a GEMM with inner dimension 1.
-There a block's logits have a row per atom of its largest mixture, and a
-pad adds an exact 0 after the real atoms and changes no sum.  It yields
-exp(logits - column max) and the column max, for one or more sets of
-mixtures at the same nodes.  Its log-sum-exp reduction gives
-`segment_log_density` (with `GaussianMixture.log_density` the one-segment
-case), `pair_log_density`, log p and log q of a batch of pairs from one
-walk over the blocks that finds each block's segments and forms ||x||^2
-once for both, each the `segment_log_density` of its mixtures bit for bit,
-and `shared_log_density`, the (m, n) matrix whose row i is mixture i's own
-`log_density` bit for bit; its other reduction is
-`GaussianMixture.score`, the softmax applied to the atoms, minus x;
--||x||^2 / 2 cancels in the softmax and never enters.  Points are
-processed in blocks of _BLOCK, and shared nodes in groups of at most
-_BLOCK (mixture, node) pairs, so no temporary is larger than _BLOCK * k
-doubles whatever n and m are.  Class tags
+the sum runs in atom order.  The kernel reads mixtures as a `_Batch`, the
+atoms of m mixtures padded to one count with the offsets c_j formed once
+when the batch is built; a `GaussianMixture` holds its own one-row batch.
+One block pass, `_block_logits`, builds the logits of one or more batches
+at the same nodes, in one of two layouts: in per-mixture segments (the
+quadrature's), or shared, every mixture at the same nodes (a net's
+log-likelihoods on a stream, the Hellinger Gram pass).  In d >= 2 each
+mixture's part of a block of nodes is one GEMM over that mixture's own
+real atoms, and the max, the exp and the sum over atoms cover those rows
+only, so its bits do not depend on the other mixtures of the call and no
+pad row is formed.  In d = 1 the logits are a_j x + c_j elementwise, the
+atoms of each node's mixture gathered with `np.repeat` when a block spans
+several segments and broadcast over the nodes when they are shared: the
+same products as the GEMM's, and several times faster than a GEMM with
+inner dimension 1.  There a block's logits have a row per atom of its
+largest mixture, and a pad adds an exact 0 after the real atoms and
+changes no sum.  It yields exp(logits - column max) and the column max.
+Its log-sum-exp reduction is `log_densities`, one output per batch from
+one walk over the blocks that finds each block's segments and forms
+||x||^2 once for all of them (log p and log q of a batch of pairs), each
+row of an output its mixture's own `GaussianMixture.log_density` bit for
+bit; its other reduction is `GaussianMixture.score`, the softmax applied
+to the atoms, minus x; -||x||^2 / 2 cancels in the softmax and never
+enters.  Points are processed in blocks of _BLOCK, and shared nodes in
+groups of at most _BLOCK (mixture, node) pairs, so no temporary is larger
+than _BLOCK * k doubles whatever n and m are.  Class tags
 (Compact / Subgaussian / Unconstrained) record which tail certificates
 are available downstream.
 """
@@ -163,8 +161,11 @@ class GaussianMixture:
     def __init__(self, mixing: MixingDistribution):
         self.mixing = mixing
         self.dim = mixing.dim
-        # the one-mixture arguments of the block pass, `_block_logits`
-        self._atoms, self._logw = mixing.locations[None], np.log(mixing.weights)[None]
+
+    @cached_property
+    def _batch(self) -> _Batch:
+        """Its one-row `_Batch`, the density kernel's input, built at the first evaluation."""
+        return _Batch(self.mixing.locations[None], self.mixing.weights[None])
 
     @classmethod
     def from_atoms(cls, locations, weights=None, tag: ClassTag | None = None):
@@ -202,14 +203,14 @@ class GaussianMixture:
         Accepts a single point of shape (d,) or a batch of shape (n, d).
         """
         pts, single = self._as_points(x)
-        out = segment_log_density(self._atoms, self._logw, pts, [pts.shape[0]])
+        (out,) = log_densities([self._batch], pts, [pts.shape[0]])
         return float(out[0]) if single else out
 
     def score(self, x):
         """Gradient of log p: sum_j u_j a_j - x, with u the softmax of the logits."""
         pts, single = self._as_points(x)
         out = np.empty(pts.shape)
-        for at, blk, ((u, _),) in _block_logits([(self._atoms, self._logw)], pts, [pts.shape[0]]):
+        for at, blk, ((u, _),) in _block_logits([self._batch], pts, [pts.shape[0]]):
             u /= u.sum(axis=0)
             np.subtract((self.mixing.locations.T @ u).T, blk, out=out[at])
         return out[0] if single else out
@@ -223,40 +224,80 @@ class GaussianMixture:
         return self.mixing.locations[idx] + rng.standard_normal((n, self.dim))
 
 
-def _block_logits(mixtures, pts, counts=None):
-    """Per part of a block of nodes: its output index, its nodes, and each set's exp(logits - m) and column max m.
+class _Batch:
+    """The atoms of m mixtures padded to one count, row i for mixture i: the density kernel's input.
 
-    mixtures:  sets (locations, logw) of m mixtures each (p's and q's for
-               the pair pass), every set read at the same nodes:
-    locations: (m, k, d) atoms, each mixture padded to k atoms with zeros
-               after its real atoms;
-    logw:      (m, k) log-weights, -inf on a pad;
-    pts:       (n, d) nodes, in one of two layouts:
-               segments (counts given): the first counts[0] nodes for
-               mixture 0, the next counts[1] for mixture 1, and so on
-               (sum(counts) = n); a block is _BLOCK nodes and an index is
-               a slice of the n outputs;
-               shared (counts None): every mixture at every node; an index
-               is (a mixture or a group of them, nodes) of the (m, n)
-               output.
+    locations (m, k, d) and weights (m, k) hold each mixture's validated
+    atoms (`validate_atoms`) and then its pads, counts[i] real atoms in row
+    i.  A pad has location 0, weight 0 and log-weight -inf, and sits after
+    the real atoms, so it adds an exact 0 to every sum over a row's atoms in
+    atom order and never wins a max.  Formed once, when the batch is built:
+    real (weight > 0), counts, logw (log w, -inf on a pad), radii ||a_j||,
+    s_max (each row's largest radius) and the kernel's offsets
+    c_j = log w_j - ||a_j||^2 / 2 (-inf on a pad).  `of` pads a list of
+    `GaussianMixture`s, and batch[rows] is the batch of those rows, its
+    arrays sliced rather than formed again, so a row has the bits of its
+    mixture's own one-row batch.
+    """
 
-    The logits of a node are c_j + a_j . x over the atoms of its mixture,
-    c_j = log w_j - ||a_j||^2 / 2.  In d >= 2 a part is one mixture's nodes
-    in a block and its logits are (real atoms, nodes), so its bits do not
-    depend on the other mixtures of the call.  In d = 1 a part is the whole
-    block: its logits are (k, nodes) in segments, k the block's largest
-    real count, with -inf on the rows a mixture lacks, and (k, mixtures,
-    nodes) for a group of at most _BLOCK (mixture, node) pairs, unless one
-    mixture's nodes are more, in the shared layout.  Both layouts cut the
-    nodes at multiples of _BLOCK, as a one-mixture call does, so in d >= 2
-    no part is a lone node that the mixture's own call would not have
-    (numpy sends a one-column product through a matrix-vector routine,
-    which may round differently).  The sets' logits of a part come from a
-    generator, so a caller that reduces one set before it takes the next
-    holds one set's logits at a time.
+    def __init__(self, locations, weights):
+        self.locations, self.weights = locations, weights
+        self.real = weights > 0
+        self.counts = self.real.sum(axis=1)
+        self.logw = np.full(weights.shape, -np.inf)
+        self.logw[self.real] = np.log(weights[self.real])
+        square = np.add.reduce(locations * locations, axis=2)
+        self.offsets = self.logw - 0.5 * square
+        self.radii = np.sqrt(square)
+        self.s_max = self.radii.max(axis=1)
+
+    @classmethod
+    def of(cls, mixtures) -> _Batch:
+        """The batch of a list of `GaussianMixture`s."""
+        counts = [gm.mixing.n_atoms for gm in mixtures]
+        m, k, d = len(mixtures), max(counts), mixtures[0].dim
+        rows = np.repeat(np.arange(m), counts)
+        cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        locations, weights = np.zeros((m, k, d)), np.zeros((m, k))
+        locations[rows, cols] = np.concatenate([gm.mixing.locations for gm in mixtures])
+        weights[rows, cols] = np.concatenate([gm.mixing.weights for gm in mixtures])
+        return cls(locations, weights)
+
+    def __getitem__(self, rows) -> _Batch:
+        sub = object.__new__(_Batch)
+        sub.__dict__.update((name, value[rows]) for name, value in vars(self).items())
+        return sub
+
+
+def _block_logits(batches, pts, counts=None):
+    """Per part of a block of nodes: its output index, its nodes, and each batch's exp(logits - m) and column max m.
+
+    batches: `_Batch`es of m mixtures each (p's and q's for the pair pass),
+             every batch read at the same nodes;
+    pts:     (n, d) nodes, in one of two layouts:
+             segments (counts given): the first counts[0] nodes for
+             mixture 0, the next counts[1] for mixture 1, and so on
+             (sum(counts) = n); a block is _BLOCK nodes and an index is a
+             slice of the n outputs;
+             shared (counts None): every mixture at every node; an index is
+             (a mixture or a group of them, nodes) of the (m, n) output.
+
+    The logits of a node are c_j + a_j . x over the atoms of its mixture.
+    In d >= 2 a part is one mixture's nodes in a block and its logits are
+    (real atoms, nodes), so its bits do not depend on the other mixtures of
+    the call.  In d = 1 a part is the whole block: its logits are (k, nodes)
+    in segments, k the block's largest real count, with -inf on the rows a
+    mixture lacks, and (k, mixtures, nodes) for a group of at most _BLOCK
+    (mixture, node) pairs, unless one mixture's nodes are more, in the
+    shared layout.  Both layouts cut the nodes at multiples of _BLOCK, as a
+    one-mixture call does, so in d >= 2 no part is a lone node that the
+    mixture's own call would not have (numpy sends a one-column product
+    through a matrix-vector routine, which may round differently).  The
+    batches' logits of a part come from a generator, so a caller that
+    reduces one batch before it takes the next holds one batch's logits at
+    a time.
     """
     n, d = pts.shape
-    sets = [_atom_terms(locations, logw) for locations, logw in mixtures]
     ends = None if counts is None else list(itertools.accumulate(counts))
     shared = lambda rows: rows.T[:, :, None]  # noqa: E731  (g, k) -> (k, g, 1), broadcast over the nodes
     for lo in range(0, n, _BLOCK):
@@ -264,9 +305,9 @@ def _block_logits(mixtures, pts, counts=None):
         hi = lo + blk.shape[0]
         if ends is None:
             size = 1 if d > 1 else max(1, _BLOCK // (hi - lo))
-            for i in range(0, len(mixtures[0][1]), size):
+            for i in range(0, batches[0].counts.size, size):
                 own = i if d > 1 else slice(i, i + size)
-                yield (own, slice(lo, hi)), blk, (_logits(s, own, blk, shared) for s in sets)
+                yield (own, slice(lo, hi)), blk, (_logits(b, own, blk, shared) for b in batches)
             continue
         # mixtures first..last own the nodes of this block, each its columns a:b
         first, last = bisect.bisect_right(ends, lo), bisect.bisect_right(ends, hi - 1)
@@ -275,90 +316,61 @@ def _block_logits(mixtures, pts, counts=None):
         b = np.minimum(seg_ends, hi) - lo
         if d > 1:
             for j, i, k in zip(range(first, last + 1), a.tolist(), b.tolist()):
-                yield slice(lo + i, lo + k), blk[i:k], (_logits(s, j, blk[i:k]) for s in sets)
+                yield slice(lo + i, lo + k), blk[i:k], (_logits(batch, j, blk[i:k]) for batch in batches)
             continue
         if first == last:
             spread = np.transpose  # (1, k) -> (k, 1), broadcast over the nodes
         else:
             spread = lambda rows: np.repeat(rows.T, b - a, axis=1)  # noqa: E731
-        yield slice(lo, hi), blk, (_logits(s, slice(first, last + 1), blk, spread) for s in sets)
+        yield slice(lo, hi), blk, (_logits(batch, slice(first, last + 1), blk, spread) for batch in batches)
 
 
-def _atom_terms(locations, logw):
-    """The atoms, their offsets c_j = log w_j - ||a_j||^2 / 2 and each mixture's real atom count."""
-    offsets = logw - 0.5 * np.add.reduce(locations * locations, axis=2)
-    return locations, offsets, (logw > -np.inf).sum(axis=1).tolist()
+def _logits(batch, at, nodes, spread=None):
+    """exp(logits - m) and the column max m of one batch at one part of `_block_logits`.
 
-
-def _logits(terms, at, nodes, spread=None):
-    """exp(logits - m) and the column max m of one set of mixtures at one part of `_block_logits`.
-
-    terms:  the atoms, offsets and real counts of the set (`_atom_terms`);
     at:     the part's mixture (d >= 2) or mixtures (d = 1);
     spread: (mixtures, k) rows to the atom-major logits shape (d = 1).
     """
-    locations, offsets, real = terms
     if nodes.shape[1] > 1:
         # one GEMM over the mixture's own real atoms (the gather that d = 1
         # takes, summed over d coordinates, is slower here)
-        k = real[at]
-        logits = locations[at, :k] @ nodes.T
-        logits += offsets[at, :k, None]
+        k = batch.counts[at]
+        logits = batch.locations[at, :k] @ nodes.T
+        logits += batch.offsets[at, :k, None]
     else:
         # the atoms of each node's mixture times the node: the GEMM's own
         # products, and several times faster than a GEMM of inner dimension 1
-        k = max(real[at])
-        logits = spread(locations[at, :k, 0]) * nodes[:, 0]
-        logits += spread(offsets[at, :k])
+        k = batch.counts[at].max()
+        logits = spread(batch.locations[at, :k, 0]) * nodes[:, 0]
+        logits += spread(batch.offsets[at, :k])
     m = logits.max(axis=0)
     logits -= m
     np.exp(logits, out=logits)
     return logits, m
 
 
-def segment_log_density(locations, logw, pts, counts) -> np.ndarray:
-    """Log-densities of m mixtures, each at its own segment of the nodes.
+def log_densities(batches, pts, counts=None) -> list[np.ndarray]:
+    """Log-densities of each batch's mixtures, one output per batch, from one walk over the blocks.
 
-    The arguments are those of `_block_logits`.  A mixture's segment is
+    The arguments are those of `_block_logits`: with counts, mixture i of
+    each batch at the i-th segment of the nodes, an (n,) output; without,
+    every mixture at every node, an (m, n) output.  The blocks' segments are
+    found and ||x||^2 is formed once for every batch.  A mixture's output is
     its own `GaussianMixture.log_density` bit for bit, whatever the other
-    mixtures, as long as none of its parts in a block of _BLOCK nodes is a
-    lone node (numpy sends a one-column product through a matrix-vector
-    routine, which may round differently in d >= 2).
+    mixtures and batches, as long as none of its parts in a block of _BLOCK
+    nodes is a lone node that its own call would not have (numpy sends a
+    one-column product through a matrix-vector routine, which may round
+    differently in d >= 2).
     """
-    return _log_densities([(locations, logw)], pts, counts)[0]
-
-
-def pair_log_density(p, q, pts, counts) -> tuple[np.ndarray, np.ndarray]:
-    """log p and log q of m pairs of mixtures, pair i at segment i of the nodes, from one walk over the blocks.
-
-    p and q are (locations, logw) as `_block_logits` takes them.  Each
-    output is the `segment_log_density` of its mixtures bit for bit; the
-    blocks' segments are found and ||x||^2 is formed once for both.
-    """
-    return tuple(_log_densities([p, q], pts, counts))
-
-
-def shared_log_density(locations, logw, pts) -> np.ndarray:
-    """The (m, n) log-densities of m mixtures at the same n nodes.
-
-    The arguments are those of `_block_logits` in its shared layout.  Row i
-    is mixture i's own `GaussianMixture.log_density` at pts bit for bit,
-    whatever the other mixtures.
-    """
-    return _log_densities([(locations, logw)], pts)[0]
-
-
-def _log_densities(mixtures, pts, counts=None) -> list[np.ndarray]:
-    """The log-sum-exp reduction of `_block_logits`: one output per set of mixtures."""
     n, d = pts.shape
-    outs = [np.empty(n if counts is not None else (logw.shape[0], n)) for _, logw in mixtures]
-    for at, blk, logits in _block_logits(mixtures, pts, counts):
+    outs = [np.empty(n if counts is not None else (batch.counts.size, n)) for batch in batches]
+    for at, blk, logits in _block_logits(batches, pts, counts):
         half = blk[:, 0] * blk[:, 0]
         for i in range(1, d):
             half += blk[:, i] * blk[:, i]
         half *= 0.5
         for out in outs:
-            # one set's logits at a time: they are freed before the next set's are formed
+            # one batch's logits at a time: they are freed before the next batch's are formed
             _reduce(out[at], half, *next(logits))
     for out in outs:
         out -= 0.5 * d * LOG_2PI
@@ -395,11 +407,8 @@ def row_sums(values, counts) -> np.ndarray:
 def validate_atoms(locations, weights, counts, tag: ClassTag) -> np.ndarray:
     """Check m mixing distributions of one class; return their weights normalized.
 
-    locations: (m, k, d) atoms, row i holding counts[i] atoms and then pads
-               of location 0;
-    weights:   (m, k) weights, 0 on a pad.
-
-    Each check runs over every row, and the first row that fails it raises
+    locations and weights are in the padded-atom format of `_Batch`, row i
+    holding counts[i] real atoms.  Each check runs over every row, and the first row that fails it raises
     the ValueError that `MixingDistribution` raises for that row alone:
     finite locations, finite and strictly positive weights summing to 1
     within WEIGHT_TOL, then the class condition (atom radii within M, or

@@ -8,6 +8,14 @@ search to these roots, bit for bit.
 import numpy as np
 
 from gmdiv.divergences import _TV_GRID, _groups, brentq
+from gmdiv.mixtures import log_densities
+
+
+def log_ratio(p_env, q_env, members, X, counts):
+    """log p - log q of pair members[i] at the i-th segment of X, from one kernel call per mixture batch."""
+    (logp,) = log_densities([p_env[members]], X, counts)
+    (logq,) = log_densities([q_env[members]], X, counts)
+    return logp - logq
 
 
 def dense_splits(p_env, q_env, R):
@@ -20,9 +28,7 @@ def dense_splits(p_env, q_env, R):
         members = np.arange(m)[g]
         grid = np.linspace(-R[g], R[g], _TV_GRID, axis=1)
         X = grid.reshape(-1, 1)
-        sign = np.sign(
-            p_env.log_density(members, X, counts[g]) - q_env.log_density(members, X, counts[g])
-        ).reshape(members.size, _TV_GRID)
+        sign = np.sign(log_ratio(p_env, q_env, members, X, counts[g])).reshape(members.size, _TV_GRID)
         bi, bj = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
         # sign of the nearest nonzero value at or after each node (0 if none)
         nxt = np.minimum.accumulate(np.where(sign != 0, nodes, _TV_GRID - 1)[:, ::-1], axis=1)
@@ -36,8 +42,7 @@ def dense_splits(p_env, q_env, R):
     bracket_pair = pair[~on_node]
     roots = left.copy()
     roots[~on_node] = brentq(
-        lambda x, which: p_env.log_density(bracket_pair[which], x[:, None], np.ones(which.size, dtype=int))
-        - q_env.log_density(bracket_pair[which], x[:, None], np.ones(which.size, dtype=int)),
+        lambda x, which: log_ratio(p_env, q_env, bracket_pair[which], x[:, None], np.ones(which.size, dtype=int)),
         left[~on_node],
         right[~on_node],
         xtol=1e-13,

@@ -29,18 +29,17 @@ from gmdiv import (
 from gmdiv import divergences
 from gmdiv.bounds import BoundId, InstanceFamily, make_pair, verify_sweep
 from gmdiv.divergences import (
-    _Envelope,
     _Rule,
     _angular_rule,
     _compute_divergences,
     _integrands,
-    _kind_values,
     _log_ratio_rounding,
+    _mass_tail,
     _sign_change_splits,
     _start_radius,
     _tail_bound,
 )
-from gmdiv.mixtures import LOG_2PI
+from gmdiv.mixtures import LOG_2PI, _Batch, log_densities
 from conftest import compute_pairs, random_compact, single_gaussian
 from reference_splits import dense_splits
 
@@ -84,7 +83,7 @@ def on_rule(kinds, p, q, R, width, angular, lam=None):
         X = (x[:, None, None] * omegas).reshape(-1, d)
         w = ((wr[lo : lo + step] * x ** (d - 1))[:, None] * wa).ravel()
         logp, logq = p.log_density(X), q.log_density(X)
-        total += [w @ _kind_values(kind, logp, logq, lam) for kind in kinds]
+        total += [w @ _integrands([kind], logp, logq, lam)[0] for kind in kinds]
     return total
 
 
@@ -274,15 +273,15 @@ class TestEstimateContracts:
         p = single_gaussian([0.0] * d, M=3.0)
         q = single_gaussian([1.0] + [0.0] * (d - 1), M=3.0)
         calls = []
-        original = divergences.pair_log_density
+        original = divergences.log_densities
 
-        def spy(p_atoms, q_atoms, pts, counts):
+        def spy(batches, pts, counts=None):
             # p is the mixture with its one atom at the origin
-            for locations, _ in (p_atoms, q_atoms):
-                calls.append((not locations.any(), len(pts), pts.tobytes()))
-            return original(p_atoms, q_atoms, pts, counts)
+            for batch in batches:
+                calls.append((not batch.locations.any(), len(pts), pts.tobytes()))
+            return original(batches, pts, counts)
 
-        monkeypatch.setattr(divergences, "pair_log_density", spy)
+        monkeypatch.setattr(divergences, "log_densities", spy)
         est = divergence(DivergenceKind.HellingerSq, p, q)
         assert est.domain_radius == truncation_radius(Compact(3.0), d, default_tol(d))
         assert len(calls) == len(set(calls))
@@ -300,15 +299,15 @@ class TestEstimateContracts:
         p = single_gaussian([0.0, 0.0], M=3.0)
         q = GaussianMixture.from_atoms([[3.0, 0.0], [-0.5, 1.0]], [0.7, 0.3], tag=Compact(3.0))
         nodes = []
-        original = divergences.pair_log_density
+        original = divergences.log_densities
 
-        def spy(p_atoms, q_atoms, pts, counts):
-            for locations, _ in (p_atoms, q_atoms):
-                if not locations.any():  # p, its one atom at the origin
+        def spy(batches, pts, counts=None):
+            for batch in batches:
+                if not batch.locations.any():  # p, its one atom at the origin
                     nodes.append(pts.copy())
-            return original(p_atoms, q_atoms, pts, counts)
+            return original(batches, pts, counts)
 
-        monkeypatch.setattr(divergences, "pair_log_density", spy)
+        monkeypatch.setattr(divergences, "log_densities", spy)
         est = divergence(kind, p, q)
         X = np.concatenate(nodes)
         assert est.quadrature_points == X.shape[0]
@@ -325,7 +324,7 @@ class TestEstimateContracts:
         r, wr, _ = rule.radial(np.array([i]), np.array([0]))
         omegas, wa = _angular_rule(2, j)
         X = (r[:, None, None] * omegas).reshape(-1, 2)
-        full = ((wr * r)[:, None] * wa).ravel() @ _kind_values(kind, p.log_density(X), q.log_density(X))
+        full = ((wr * r)[:, None] * wa).ravel() @ _integrands([kind], p.log_density(X), q.log_density(X))[0]
         assert est.value == pytest.approx(full, rel=1e-13)
 
     # the raise is the one report: numpy's overflow warning is an error here
@@ -698,7 +697,6 @@ class TestIntegrands:
     def test_one_kind_alone(self, kind):
         logp, logq = self.nodes()
         want = _kind_values_one_by_one(kind, logp, logq, 2.0)
-        self.assert_same_bits(_kind_values(kind, logp, logq, 2.0), want)
         self.assert_same_bits(_integrands([kind], logp, logq, 2.0)[0], want)
         # every NaN in log p or log q comes out NaN, and chi^2 overflows to inf
         assert np.isnan(want[np.isnan(logp) | np.isnan(logq)]).all()
@@ -732,11 +730,11 @@ class TestTailBounds:
     def test_chi2_tail_is_renyi2_tail_plus_mass_tail(self, seed, d, M, step):
         rng = np.random.default_rng(seed)
         p, q = random_compact(rng, M=M, d=d), random_compact(rng, M=M, d=d)
-        p_env, q_env = _Envelope.of([p]), _Envelope.of([q])
+        p_env, q_env = _Batch.of([p]), _Batch.of([q])
         R = np.array([max(p_env.s_max[0], q_env.s_max[0]) + step])
         chi2 = _tail_bound(DivergenceKind.ChiSq, p_env, q_env, R, d)
         renyi2 = _tail_bound("renyi", p_env, q_env, R, d, lam=2.0)
-        assert chi2[0] == renyi2[0] + q_env.mass_tail(R, d)[0]
+        assert chi2[0] == renyi2[0] + _mass_tail(q_env, R, d)[0]
         assert chi2[0] == _chi2_tail_written_out(_LoopEnvelope(p), _LoopEnvelope(q), R, d)
 
     @settings(max_examples=25, deadline=None)
@@ -746,11 +744,11 @@ class TestTailBounds:
         rng = np.random.default_rng(seed)
         ps = [random_compact(rng, M=2.0, d=1) for _ in range(5)]
         qs = [random_compact(rng, M=2.0, d=1) for _ in range(5)]
-        p_env, q_env = _Envelope.of(ps), _Envelope.of(qs)
+        p_env, q_env = _Batch.of(ps), _Batch.of(qs)
         R = np.maximum(p_env.s_max, q_env.s_max) + step
         for kind in (*INTEGRATED_KINDS, "renyi"):
             batch = _tail_bound(kind, p_env, q_env, R, 1, lam=3.0)
-            alone = [_tail_bound(kind, _Envelope.of([p]), _Envelope.of([q]), R[i : i + 1], 1, 3.0)[0]
+            alone = [_tail_bound(kind, _Batch.of([p]), _Batch.of([q]), R[i : i + 1], 1, 3.0)[0]
                      for i, (p, q) in enumerate(zip(ps, qs))]
             assert batch.tolist() == alone
 
@@ -971,7 +969,7 @@ class TestClosedFormL2:
         def refuse(*args, **kwargs):
             raise AssertionError("L2 reached a quadrature or Monte Carlo path")
 
-        for name in ("_refine", "_mc_divergence", "_kind_values"):
+        for name in ("_refine", "_mc_divergence", "_integrands"):
             monkeypatch.setattr(divergences, name, refuse)
         u = np.zeros(d)
         u[0] = 1.0
@@ -1060,7 +1058,7 @@ class TestBrentq:
         monkeypatch.setattr(divergences, "brentq", both)
         for family in self.FAMILIES:
             pairs = [make_pair(7, i, family) for i in range(50)]
-            p_env, q_env = _Envelope.of([p for p, _ in pairs]), _Envelope.of([q for _, q in pairs])
+            p_env, q_env = _Batch.of([p for p, _ in pairs]), _Batch.of([q for _, q in pairs])
             tags = [(p.mixing.tag, q.mixing.tag) for p, q in pairs]
             R = _start_radius(tags, np.maximum(p_env.s_max, q_env.s_max), 1, default_tol(1))
             _sign_change_splits(p_env, q_env, R)
@@ -1098,7 +1096,7 @@ class TestBrentq:
 class TestSignChangeSplits:
     @staticmethod
     def splits(p, q, R=8.0):
-        roots, counts = _sign_change_splits(_Envelope.of([p]), _Envelope.of([q]), np.array([R]))
+        roots, counts = _sign_change_splits(_Batch.of([p]), _Batch.of([q]), np.array([R]))
         assert counts.tolist() == [roots.size]
         return roots.tolist()
 
@@ -1131,7 +1129,7 @@ class TestSignChangeSplits:
     def test_roots_ascend_within_each_pair(self):
         pairs = [make_pair(5, i, InstanceFamily(Compact(2.0), 1)) for i in range(30)]
         roots, counts = _sign_change_splits(
-            _Envelope.of([p for p, _ in pairs]), _Envelope.of([q for _, q in pairs]), np.full(30, 9.0)
+            _Batch.of([p for p, _ in pairs]), _Batch.of([q for _, q in pairs]), np.full(30, 9.0)
         )
         assert counts.sum() == roots.size and counts.max() >= 2
         for (p, q), own in zip(pairs, np.split(roots, np.cumsum(counts)[:-1])):
@@ -1140,7 +1138,7 @@ class TestSignChangeSplits:
     @staticmethod
     def dense(pairs, R=None):
         """Assert the roots and counts equal the full grid's bit for bit; return the counts."""
-        p_env, q_env = _Envelope.of([p for p, _ in pairs]), _Envelope.of([q for _, q in pairs])
+        p_env, q_env = _Batch.of([p for p, _ in pairs]), _Batch.of([q for _, q in pairs])
         if R is None:
             tags = [(p.mixing.tag, q.mixing.tag) for p, q in pairs]
             R = _start_radius(tags, np.maximum(p_env.s_max, q_env.s_max), 1, default_tol(1))
@@ -1202,21 +1200,21 @@ class TestSignChangeSplits:
 
     def test_pruned_search_evaluates_few_grid_nodes(self, monkeypatch):
         evaluated, in_brentq = [0], [False]
-        kernel, port = divergences.pair_log_density, divergences.brentq
+        kernel, port = divergences.log_densities, divergences.brentq
 
-        def counted(p_atoms, q_atoms, pts, counts):
+        def counted(batches, pts, counts=None):
             if not in_brentq[0]:
                 evaluated[0] += 2 * pts.shape[0]  # the nodes of p and of q
-            return kernel(p_atoms, q_atoms, pts, counts)
+            return kernel(batches, pts, counts)
 
         def brentq(*args, **kwargs):
             in_brentq[0] = True
             return port(*args, **kwargs)
 
-        monkeypatch.setattr(divergences, "pair_log_density", counted)
+        monkeypatch.setattr(divergences, "log_densities", counted)
         monkeypatch.setattr(divergences, "brentq", brentq)
         pairs = [make_pair(1, i, InstanceFamily(Compact(2.0), 1)) for i in range(250)]
-        p_env, q_env = _Envelope.of([p for p, _ in pairs]), _Envelope.of([q for _, q in pairs])
+        p_env, q_env = _Batch.of([p for p, _ in pairs]), _Batch.of([q for _, q in pairs])
         _sign_change_splits(p_env, q_env, np.full(250, 8.0))
         # each node is evaluated once for p and once for q
         assert 0 < evaluated[0] // 2 <= 250 * 2049 // 8
@@ -1236,7 +1234,7 @@ class TestSignChangeSplits:
         # and 3; each pair's roots are its one-pair roots, in pair order
         p, q = self.close_roots_pair()
         R = np.array([1e4, 8.0, 300.0])
-        roots, counts = _sign_change_splits(_Envelope.of([p] * 3), _Envelope.of([q] * 3), R)
+        roots, counts = _sign_change_splits(_Batch.of([p] * 3), _Batch.of([q] * 3), R)
         assert counts.tolist() == [2, 2, 2]
         assert roots.tolist() == [x for r in R for x in self.splits(p, q, r)]
 
@@ -1268,9 +1266,10 @@ class TestLogRatioBounds:
     @pytest.mark.parametrize("R", [8.2, 30.0])
     def test_log_ratio_within_rho_of_mpmath(self, seed, R):
         p, q = self.pair(seed)
-        p_env, q_env = _Envelope.of([p]), _Envelope.of([q])
+        p_env, q_env = _Batch.of([p]), _Batch.of([q])
         x = np.linspace(-R, R, 2049)[::32]
-        got = p_env.log_density([0], x[:, None], [x.size]) - q_env.log_density([0], x[:, None], [x.size])
+        logp, logq = log_densities([p_env, q_env], x[:, None], [x.size])
+        got = logp - logq
         rho = _log_ratio_rounding(p_env, q_env, np.array([R]))[0]
 
         def log_mixture(gm, t):
@@ -1548,14 +1547,14 @@ class TestStreamedLevels:
     @staticmethod
     def whole_levels(p, q, kinds, sizes):
         """The measure that evaluates each level in one piece: one kernel call and one np.add.reduceat."""
-        p_env, q_env = _Envelope.of([p]), _Envelope.of([q])
+        p_env, q_env = _Batch.of([p]), _Batch.of([q])
 
         def measure(read, counts, members):
             sizes.append(int(counts.max()))
             X, w = read()
-            logp = p_env.log_density(members, X, counts)
-            logq = q_env.log_density(members, X, counts)
-            vals = np.stack([_kind_values(kind, logp, logq) for kind in kinds])
+            (logp,) = log_densities([p_env[members]], X, counts)
+            (logq,) = log_densities([q_env[members]], X, counts)
+            vals = np.stack([_integrands([kind], logp, logq)[0] for kind in kinds])
             return np.add.reduceat(vals * w, np.cumsum(counts) - counts, axis=-1).T
 
         return measure

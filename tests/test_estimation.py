@@ -27,7 +27,7 @@ from gmdiv import (
 )
 from gmdiv import divergences, estimation
 from gmdiv.estimation import Net
-from gmdiv.mixtures import segment_log_density
+from gmdiv.mixtures import _Batch, log_densities
 from conftest import random_compact, single_gaussian
 
 
@@ -317,6 +317,30 @@ class TestProjection:
             assert abs(a["mean_h2"] - b["mean_h2"]) <= tol
 
 
+def test_hellinger_in_d4_is_the_seeded_monte_carlo_estimate(monkeypatch):
+    # d > 3 has no certified quadrature: H is the square root of
+    # `_mc_divergence`'s seeded H^2, whatever tol, and it misses the exact
+    # value by more than the default tol would allow
+    p = GaussianMixture.from_atoms([[0.0, 0.0, 0.0, 0.0]])
+    q = GaussianMixture.from_atoms([[0.5, 0.0, 0.0, 0.0]])
+    calls, original = [], divergences._mc_divergence
+
+    def spy(kind, p, q, *args, **kwargs):
+        calls.append(kind)
+        return original(kind, p, q, *args, **kwargs)
+
+    monkeypatch.setattr(divergences, "_mc_divergence", spy)
+    h = hellinger(p, q, tol=1e-3)
+    assert calls == [DivergenceKind.HellingerSq]
+    assert h == hellinger(p, q)
+    est = original(DivergenceKind.HellingerSq, p, q)
+    assert h == math.sqrt(est.value) and round(h, 6) == 0.247733
+    exact = math.sqrt(2.0 - 2.0 * math.exp(-0.25 / 8.0))
+    assert round(exact, 6) == 0.248060 and abs(h - exact) > 3e-4
+    # within its 95% confidence half-width
+    assert abs(est.value - exact * exact) <= est.truncation_bound
+
+
 class TestOutsideDensities:
     """A density that is not a table candidate is integrated per pair at the table's tol."""
 
@@ -483,9 +507,13 @@ class TestSequentialForecaster:
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
-def per_element_rows(locations, logw, pts):
-    """`shared_log_density` as one one-mixture kernel call per row, as `GaussianMixture.log_density` makes."""
-    return np.stack([segment_log_density(locations[i : i + 1], logw[i : i + 1], pts, [len(pts)]) for i in range(len(logw))])
+def per_element_rows(batches, pts, counts=None):
+    """`log_densities` in the shared layout as one one-mixture kernel call per row, as `GaussianMixture.log_density` makes."""
+    assert counts is None
+    return [
+        np.stack([log_densities([batch[i : i + 1]], pts, [len(pts)])[0] for i in range(batch.counts.size)])
+        for batch in batches
+    ]
 
 
 def per_element_loglik(net, data):
@@ -505,7 +533,7 @@ class TestSharedNodePass:
             monkeypatch.setattr(divergences, "_GRAM_ENTRIES", entries)
             table = divergences._gram_h2(cands, None)
             with monkeypatch.context() as m:
-                m.setattr(divergences, "shared_log_density", per_element_rows)
+                m.setattr(divergences, "log_densities", per_element_rows)
                 assert table.tobytes() == divergences._gram_h2(cands, None).tobytes()
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -525,15 +553,14 @@ class TestSharedNodePass:
         # give the bits of an envelope rebuilt for every log-likelihood pass
         def rebuilt_loglik(net, data):
             pts, _ = net.elements[0]._as_points(data)
-            env = divergences._Envelope.of(net.elements)
-            return pts, estimation.shared_log_density(env.locations, env.logw, pts)
+            return pts, estimation.log_densities([_Batch.of(net.elements)], pts)[0]
 
         table = HellingerTable(theta_grid(-3.0, 3.0, 60))
         with monkeypatch.context() as m:
             m.setattr(estimation, "_net_loglik", rebuilt_loglik)
             want = batch_risk_mc(table.elements, Net(table, np.arange(60), 0.0), n=20, trials=10, seed=4)
-        builds, original = [], divergences._Envelope.of.__func__
-        monkeypatch.setattr(divergences._Envelope, "of", classmethod(lambda cls, ms: builds.append(ms) or original(cls, ms)))
+        builds, original = [], _Batch.of.__func__
+        monkeypatch.setattr(_Batch, "of", classmethod(lambda cls, ms: builds.append(ms) or original(cls, ms)))
         net = Net(table, np.arange(60), 0.0)
         assert batch_risk_mc(table.elements, net, n=20, trials=10, seed=4) == want
         assert len(builds) == 1

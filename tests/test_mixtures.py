@@ -23,12 +23,11 @@ from gmdiv.bounds import InstanceFamily, _draw_pairs
 from gmdiv.mixtures import (
     _BLOCK,
     DichotomyParams,
+    _Batch,
     _block_logits,
     _step_tails_hold,
-    pair_log_density,
+    log_densities,
     row_sums,
-    segment_log_density,
-    shared_log_density,
     validate_atoms,
 )
 from conftest import random_compact, single_gaussian
@@ -115,14 +114,14 @@ class TestKernelCrossCheck:
         mixtures = [
             GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (k, d)), rng.dirichlet(np.ones(k))) for k in sizes
         ]
-        locations, logw = np.zeros((sizes.size, 8, d)), np.full((sizes.size, 8), -np.inf)
+        locations, weights = np.zeros((sizes.size, 8, d)), np.zeros((sizes.size, 8))
         for i, gm in enumerate(mixtures):
-            locations[i, : sizes[i]], logw[i, : sizes[i]] = gm.mixing.locations, np.log(gm.mixing.weights)
+            locations[i, : sizes[i]], weights[i, : sizes[i]] = gm.mixing.locations, gm.mixing.weights
         # a fifth of the segments are long enough to straddle blocks
         long = rng.random(sizes.size) < 0.2
         counts = 16 * np.where(long, rng.integers(256, 1100, sizes.size), rng.integers(1, 120, sizes.size))
         pts = rng.uniform(-8.0, 8.0, (counts.sum(), d))
-        batch = segment_log_density(locations, logw, pts, counts)
+        (batch,) = log_densities([_Batch(locations, weights)], pts, counts)
         ends = np.cumsum(counts)
         straddle = (ends - counts) // _BLOCK != (ends - 1) // _BLOCK
         assert straddle.sum() >= 10 and (~straddle).sum() >= 30
@@ -142,16 +141,16 @@ class TestKernelCrossCheck:
             mixtures = [
                 GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (k, d)), rng.dirichlet(np.ones(k))) for k in sizes
             ]
-            locations, logw = np.zeros((m, 8, d)), np.full((m, 8), -np.inf)
+            locations, weights = np.zeros((m, 8, d)), np.zeros((m, 8))
             for i, gm in enumerate(mixtures):
-                locations[i, : sizes[i]], logw[i, : sizes[i]] = gm.mixing.locations, np.log(gm.mixing.weights)
-            return mixtures, (locations, logw)
+                locations[i, : sizes[i]], weights[i, : sizes[i]] = gm.mixing.locations, gm.mixing.weights
+            return mixtures, _Batch(locations, weights)
 
         (ps, p), (qs, q) = draw(), draw()
         long = rng.random(m) < 0.2
         counts = 16 * np.where(long, rng.integers(256, 1100, m), rng.integers(1, 120, m))
         pts = rng.uniform(-8.0, 8.0, (counts.sum(), d))
-        logp, logq = pair_log_density(p, q, pts, counts)
+        logp, logq = log_densities([p, q], pts, counts)
         ends = np.cumsum(counts)
         straddle = (ends - counts) // _BLOCK != (ends - 1) // _BLOCK
         assert straddle.sum() >= 5 and (~straddle).sum() >= 30
@@ -184,26 +183,50 @@ class TestKernelCrossCheck:
         mixtures = [
             GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (k, d)), rng.dirichlet(np.ones(k))) for k in sizes
         ]
-        locations, logw = np.zeros((len(sizes), 70, d)), np.full((len(sizes), 70), -np.inf)
+        locations, weights = np.zeros((len(sizes), 70, d)), np.zeros((len(sizes), 70))
         for i, gm in enumerate(mixtures):
-            locations[i, : sizes[i]], logw[i, : sizes[i]] = gm.mixing.locations, np.log(gm.mixing.weights)
+            locations[i, : sizes[i]], weights[i, : sizes[i]] = gm.mixing.locations, gm.mixing.weights
+        batches = [_Batch(locations, weights)]
         for n in (1, 2, 3000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3):
             pts = rng.uniform(-8.0, 8.0, (n, d))
-            batch = shared_log_density(locations, logw, pts)
+            (batch,) = log_densities(batches, pts)
             assert batch.shape == (len(sizes), n)
             for gm, row in zip(mixtures, batch):
                 assert np.array_equal(row, gm.log_density(pts))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_rows_are_each_mixtures_own_batch(self, d, rng):
+        # a row of a padded, sliced batch holds the bits of its mixture's own
+        # one-row batch, and the kernel reads it as that mixture's log_density
+        sizes = rng.integers(1, 9, 12)
+        mixtures = [
+            GaussianMixture.from_atoms(rng.uniform(-2.0, 2.0, (k, d)), rng.dirichlet(np.ones(k))) for k in sizes
+        ]
+        rows = rng.permutation(sizes.size)[:7]
+        batch = _Batch.of(mixtures)[rows]
+        pts = rng.uniform(-8.0, 8.0, (300, d))
+        (shared,) = log_densities([batch], pts)
+        for j, i in enumerate(rows):
+            own, k = mixtures[i]._batch, sizes[i]
+            assert batch.counts[j] == own.counts[0] == k
+            for name in ("locations", "logw", "offsets", "radii"):
+                assert getattr(batch, name)[j, :k].tobytes() == getattr(own, name)[0].tobytes(), name
+            assert not batch.real[j, k:].any() and np.all(batch.logw[j, k:] == -np.inf)
+            assert batch.s_max[j] == own.s_max[0]
+            want = mixtures[i].log_density(pts)
+            assert want.tobytes() == log_densities([own], pts, [len(pts)])[0].tobytes()
+            assert want.tobytes() == shared[j].tobytes()
 
     def test_shared_layout_memory_bounded_by_one_block(self):
         # 40 mixtures of 64 atoms at every node at once would need a 168 MB
         # logits array per block; groups of at most _BLOCK (mixture, node)
         # pairs keep it at 4 MB
         rng = np.random.default_rng(4)
-        locations, logw = rng.uniform(-2.0, 2.0, (40, 64, 1)), np.log(rng.dirichlet(np.ones(64), 40))
+        batches = [_Batch(rng.uniform(-2.0, 2.0, (40, 64, 1)), rng.dirichlet(np.ones(64), 40))]
         pts = rng.uniform(-5.0, 5.0, (10_000, 1))
         tracemalloc.start()
         try:
-            shared_log_density(locations, logw, pts)
+            log_densities(batches, pts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
