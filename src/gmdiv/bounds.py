@@ -420,11 +420,11 @@ class _Comparison(NamedTuple):
     """The parts of a sweep's instance check that every pair shares, built once per sweep."""
 
     bound: BoundId
-    kinds: tuple  # the kinds integrated per pair, in the order of a pair's estimates
-    at: tuple  # the positions in kinds of KL, H^2, the lhs kind and the rhs-argument kind
+    kinds: tuple  # the kinds integrated per pair
+    lhs: DivergenceKind  # the kind on the left-hand side
+    arg: DivergenceKind  # the kind whose value is the rhs argument, the bound_rhs keyword arg.value
     family_params: dict  # M, K and d, as every instance reports them
     rhs_params: dict  # the bound_rhs keywords other than the rhs argument
-    arg_name: str  # the bound_rhs keyword of the rhs argument
 
 
 def _comparison(bound: BoundId, family: InstanceFamily) -> _Comparison:
@@ -442,18 +442,16 @@ def _comparison(bound: BoundId, family: InstanceFamily) -> _Comparison:
         "K": tag.K if isinstance(tag, Subgaussian) else None,
         "d": family.d,
     }
-    arg_name = arg_kind.value
-    rhs_params = {name: family_params[name] for name in _REQUIRED_PARAMS[bound] if name != arg_name}
+    rhs_params = {name: family_params[name] for name in _REQUIRED_PARAMS[bound] if name != arg_kind.value}
     # the rhs argument comes from the pairs; only the class parameters are checked here
-    _check_params(bound, {**rhs_params, arg_name: None})
+    _check_params(bound, {**rhs_params, arg_kind.value: None})
     if bound in (BoundId.TVfromL2, BoundId.L2fromTV) and family.d != 1:
         raise HypothesisError(f"{bound.value} is a one-dimensional comparison")
     if family.d > 3:
         # d > 3 divergences are Monte Carlo estimates with confidence
         # half-widths, so a zero failure count would certify nothing
         raise CapabilityError(f"sweeps need certified quadrature (d <= 3), got d={family.d}")
-    at = tuple(kinds.index(kind) for kind in (_KL, _H2, lhs_kind, arg_kind))
-    return _Comparison(bound, kinds, at, family_params, rhs_params, arg_name)
+    return _Comparison(bound, kinds, lhs_kind, arg_kind, family_params, rhs_params)
 
 
 class _Atoms(NamedTuple):
@@ -601,17 +599,16 @@ def _side(kind, est) -> tuple[float, float]:
 
 
 def _one_instance(comparison: _Comparison, seed: int, index: int, natoms_p, natoms_q, est):
-    """The checked instance of a pair with these atom counts; `est` holds its estimates in `comparison.kinds` order."""
+    """The checked instance of a pair with these atom counts; `est` maps each of `comparison.kinds` to its estimate."""
     bound = comparison.bound
-    i_kl, i_h2, i_lhs, i_arg = comparison.at
-    kl, h2 = est[i_kl], est[i_h2]
+    kl, h2 = est[_KL], est[_H2]
     params = {**comparison.family_params, "natoms_p": natoms_p, "natoms_q": natoms_q}
 
     kl_ge_h2 = h2.value <= kl.value + _slack(kl.truncation_bound, h2.truncation_bound)
     chi2_ge_kl = None
-    lhs_kind, arg_kind = comparison.kinds[i_lhs], comparison.kinds[i_arg]
-    (lhs, lhs_bound), (arg, arg_bound) = _side(lhs_kind, est[i_lhs]), _side(arg_kind, est[i_arg])
+    (lhs, lhs_bound), (arg, arg_bound) = (_side(k, est[k]) for k in (comparison.lhs, comparison.arg))
     slack = _slack(lhs_bound, arg_bound)
+    kw = {**comparison.rhs_params, comparison.arg.value: arg}
 
     if bound is BoundId.ChiSqThm:
         # the rhs overflows a double once M >= 4, so compare in the log domain
@@ -619,12 +616,11 @@ def _one_instance(comparison: _Comparison, seed: int, index: int, natoms_p, nato
         if arg <= 0:
             rhs, passed, ratio = 0.0, lhs <= slack, math.nan
         else:
-            kw = {**comparison.rhs_params, comparison.arg_name: arg}
             log_rhs, rhs = bound_rhs_log(bound, **kw), bound_rhs(bound, **kw)
             passed = lhs <= slack or math.log(lhs) <= log_rhs + 1e-12
             ratio = math.exp(math.log(lhs) - log_rhs) if lhs > 0 else 0.0
     else:
-        rhs = 0.0 if arg <= 0 else bound_rhs(bound, **{**comparison.rhs_params, comparison.arg_name: arg})
+        rhs = 0.0 if arg <= 0 else bound_rhs(bound, **kw)
         passed = lhs <= rhs + slack
         ratio = lhs / rhs if rhs > 0 else math.nan
 
@@ -639,7 +635,7 @@ def _one_instance(comparison: _Comparison, seed: int, index: int, natoms_p, nato
         kl_ge_h2=bool(kl_ge_h2),
         chi2_ge_kl=chi2_ge_kl,
         # every integrated kind of a pair shares its points; L2^2 spends none
-        quadrature_points=max(e.quadrature_points for e in est),
+        quadrature_points=max(e.quadrature_points for e in est.values()),
     )
 
 
@@ -671,8 +667,7 @@ def verify_sweep(
     estimates = _compute_pairs(comparison.kinds, p_env, q_env, [(family.tag,)] * n, tol)
     counts = atoms.counts.tolist()
     instances = [
-        _one_instance(comparison, seed, i, counts[i], counts[n + i], tuple(e.values()))
-        for i, e in enumerate(estimates)
+        _one_instance(comparison, seed, i, counts[i], counts[n + i], e) for i, e in enumerate(estimates)
     ]
 
     ratios = [inst.ratio for inst in instances if math.isfinite(inst.ratio)]

@@ -24,6 +24,10 @@ Kinds and their tail treatment:
             (Gaussian after completing the square; KL shares the atom sum).
   chi^2     tail <= the lam = 2 power tail + mass tail of q.
 
+One pass (`_tail_bounds`) bounds every kind of a batch of pairs at their
+radii: it forms the mass tails of p and of q and the log-ratio line once,
+and the radius search makes one such pass per step.
+
 L2^2 is not integrated.  In every d it is the closed form
 
     ||p - q||_2^2 = (4 pi)^(-d/2) sum_ij c_i c_j exp(-||x_i - x_j||^2 / 4)
@@ -66,10 +70,10 @@ draws as arrays and a one-pair caller builds from its mixtures
 (`_Batch.of`), and makes one `_refine` call.  From the start radii,
 `_refine` runs the start pass
 (level 0 of the uncut rule, which sets the truncation targets), the radius
-search with every tail bound, builds the rule on the final radii (cut at
-the TV sign changes in d = 1), keeps the start pass as level 0 where the
-radius stayed and the rule is uncut, and runs the refinement phases over
-all pairs still pending, each at its own level pair; each pair stops at
+search with one tail pass for every kind per step, builds the rule on the
+final radii (cut at the TV sign changes in d = 1), keeps the start pass as
+level 0 where the radius stayed and the rule is uncut, and runs the
+refinement phases over all pairs still pending, each at its own level pair; each pair stops at
 its own levels and keeps its own radius, splits, tails and point count.
 Within a step the pending members are evaluated in groups of consecutive
 members with at most _NODE_BUDGET nodes, so no temporary grows with the
@@ -291,27 +295,32 @@ def _atom_tails(p_env: _Batch, R, poly, beta, c) -> np.ndarray:
     return np.where(bad.any(axis=1), np.inf, _atom_sum(terms))
 
 
-def _tail_bound(kind, p_env: _Batch, q_env: _Batch, R, d, lam=None) -> np.ndarray:
-    """Per pair i, a certified bound on the integral of `kind` outside radius R[i]."""
+def _tail_bounds(kinds, p_env: _Batch, q_env: _Batch, R, d, lam=None) -> np.ndarray:
+    """Per pair i and kind j, a certified bound on the integral of kinds[j] outside radius R[i]: (pairs, kinds).
+
+    One pass for every kind: the mass tails of p and of q and the log-ratio
+    line are formed once, and only if a kind reads them, so each column is
+    the same bits as the one-kind call gives it.
+    """
+    need = set(kinds)
     norm = _SURFACE[d] * math.exp(-0.5 * d * LOG_2PI)
-    if kind == DivergenceKind.HellingerSq:
-        out = _mass_tail(p_env, R, d) + _mass_tail(q_env, R, d)
-    elif kind == DivergenceKind.TV:
-        out = 0.5 * (_mass_tail(p_env, R, d) + _mass_tail(q_env, R, d))
-    elif kind == DivergenceKind.KL:
-        a, b = _log_ratio_line(p_env, q_env, R)
-        poly = _times_linear(_ru_poly(d, R), np.maximum(0.0, a * R + b), a)
-        out = norm * _atom_tails(p_env, R, poly, beta=0.0, c=0.0) + _mass_tail(q_env, R, d)
-    elif kind == DivergenceKind.ChiSq:
+    mass_q = _mass_tail(q_env, R, d) if need - {"renyi"} else None
+    both = _mass_tail(p_env, R, d) + mass_q if need & {DivergenceKind.HellingerSq, DivergenceKind.TV} else None
+    a, b = _log_ratio_line(p_env, q_env, R) if need - {DivergenceKind.HellingerSq, DivergenceKind.TV} else (None, None)
+    # p^lam / q^(lam-1) <= p e^{(lam-1)(a r + b)} on ||x|| = r >= R
+    power = lambda lam: norm * _atom_tails(p_env, R, _ru_poly(d, R), (lam - 1.0) * a, (lam - 1.0) * b)  # noqa: E731
+    columns = {
+        DivergenceKind.HellingerSq: lambda: both,
+        DivergenceKind.TV: lambda: 0.5 * both,
+        DivergenceKind.KL: lambda: norm * _atom_tails(
+            p_env, R, _times_linear(_ru_poly(d, R), np.maximum(0.0, a * R + b), a), 0.0, 0.0
+        ) + mass_q,
         # p^2/q - 2p + q <= p^2/q + q, and int p^2/q is the lam = 2 power integral
-        out = _tail_bound("renyi", p_env, q_env, R, d, 2.0) + _mass_tail(q_env, R, d)
-    elif kind == "renyi":
-        # p^lam / q^(lam-1) <= p e^{(lam-1)(a r + b)} on ||x|| = r >= R
-        a, b = _log_ratio_line(p_env, q_env, R)
-        out = norm * _atom_tails(p_env, R, _ru_poly(d, R), (lam - 1.0) * a, (lam - 1.0) * b)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return np.where(R < np.maximum(p_env.s_max, q_env.s_max) + _KAPPA_MIN, np.inf, out)
+        DivergenceKind.ChiSq: lambda: power(2.0) + mass_q,
+        "renyi": lambda: power(lam),
+    }
+    out = np.stack([columns[kind]() for kind in kinds], axis=1)
+    return np.where((R < np.maximum(p_env.s_max, q_env.s_max) + _KAPPA_MIN)[:, None], np.inf, out)
 
 
 # -- integrands ---------------------------------------------------------------
@@ -1039,11 +1048,13 @@ def _compute_pairs(
 ) -> list[dict]:
     """Estimates of several kinds for each pair (p_i, q_i), row i of the batches, in one d <= 3.
 
-    tags[i] lists the class tags of p_i and q_i.  L2^2 is
+    tags[i] lists the class tags of p_i and q_i, and both batches have one
+    dimension d (`_compute_divergences` and the sweeps see to it).  L2^2 is
     `_l2_closed_form`; the arguments are checked alike for every kind.
     The other kinds are one `_refine` call over all pairs, from the start
     radii (or the fixed `domain_radius`) with the tail bounds of every kind
-    as its tail test, so every step runs as arrays over the pairs and each
+    as its tail test, one `_tail_bounds` table per radius step and one more
+    at the final radii, so every step runs as arrays over the pairs and each
     pair stops at its own level and keeps its own radius, splits, tails and
     point count.  A pair's estimates are the same
     bits whatever other pairs share its batch.  Each pair's dict lists its
@@ -1053,8 +1064,6 @@ def _compute_pairs(
     every kind.
     """
     d = p_env.locations.shape[2]
-    if q_env.locations.shape[2] != d:
-        raise ValueError(f"every mixture of a batch must have dimension {d}")
     if tol is None:
         tol = default_tol(d)
     for row in tags:
@@ -1089,19 +1098,16 @@ def _compute_pairs(
             np.multiply(_integrands(integrated, logp, logq, lam), w, out=products[:, lo : lo + w.size])
         return _segment_sums(products, counts).T
 
-    def tails(R, members=slice(None)):
-        p, q = p_env[members], q_env[members]
-        return np.stack([_tail_bound(k, p, q, R, d, lam) for k in integrated], axis=1)
-
     def met(R, start_pass, members):
         # the start pass fixes the value scale of each truncation target
-        return np.all(tails(R, members) <= 0.5 * tol * np.maximum(np.abs(start_pass), _TRUNC_FLOOR), axis=1)
+        tails = _tail_bounds(integrated, p_env[members], q_env[members], R, d, lam)
+        return np.all(tails <= 0.5 * tol * np.maximum(np.abs(start_pass), _TRUNC_FLOOR), axis=1)
 
     if domain_radius is not None:
         start, met = np.full(len(tags), float(domain_radius)), None
     tv = (p_env, q_env) if DivergenceKind.TV in kinds else None
     values, pts, R = _refine(measure, d, start, _relative(tol), met, tv)
-    for row, vs, ts, r, n in zip(rows, values, tails(R), R, pts):
+    for row, vs, ts, r, n in zip(rows, values, _tail_bounds(integrated, p_env, q_env, R, d, lam), R, pts):
         for k, v, t in zip(integrated, vs, ts):
             row[k] = IntegralEstimate(float(v), float(t), float(r), int(n))
     return [{k: row[k] for k in kinds} for row in rows]

@@ -28,21 +28,23 @@ mixture's part of a block of nodes is one GEMM over that mixture's own
 real atoms, and the max, the exp and the sum over atoms cover those rows
 only, so its bits do not depend on the other mixtures of the call and no
 pad row is formed.  In d = 1 the logits are a_j x + c_j elementwise, the
-atoms of each node's mixture gathered with `np.repeat` when a block spans
-several segments and broadcast over the nodes when they are shared: the
-same products as the GEMM's, and several times faster than a GEMM with
-inner dimension 1.  There a block's logits have a row per atom of its
-largest mixture, and a pad adds an exact 0 after the real atoms and
-changes no sum.  It yields exp(logits - column max) and the column max.
-Its log-sum-exp reduction is `log_densities`, one output per batch from
+atoms of each node's mixture gathered with `np.repeat` in segments,
+whether a block spans one segment or several, and broadcast over the
+nodes when they are shared: the same products as the GEMM's, and several
+times faster than a GEMM with inner dimension 1.  There a block's logits
+have a row per atom of its largest mixture, and a pad adds an exact 0
+after the real atoms and changes no sum.  It yields exp(logits - column
+max) and the column max.  Its log-sum-exp reduction is `log_densities`, one output per batch from
 one walk over the blocks that finds each block's segments and forms
 ||x||^2 once for all of them (log p and log q of a batch of pairs), each
 row of an output its mixture's own `GaussianMixture.log_density` bit for
-bit; its other reduction is `GaussianMixture.score`, the softmax applied
-to the atoms, minus x; -||x||^2 / 2 cancels in the softmax and never
-enters.  Points are processed in blocks of _BLOCK, and shared nodes in
+bit, which is row 0 of its one-row batch in the shared layout; its other
+reduction is `GaussianMixture.score`, the softmax applied to the atoms,
+minus x; -||x||^2 / 2 cancels in the softmax and never enters.  Points are processed in blocks of _BLOCK, and shared nodes in
 groups of at most _BLOCK (mixture, node) pairs, so no temporary is larger
-than _BLOCK * k doubles whatever n and m are.  Class tags
+than _BLOCK * k doubles whatever n and m are.  The tail certificates of
+`divergences` read a batch's radii and log-weights: one pass per radius
+step (`_tail_bounds`) bounds every kind of every pair.  Class tags
 (Compact / Subgaussian / Unconstrained) record which tail certificates
 are available downstream.
 """
@@ -200,11 +202,12 @@ class GaussianMixture:
     def log_density(self, x):
         """log p(x), finite for every finite x.
 
-        Accepts a single point of shape (d,) or a batch of shape (n, d).
+        Accepts a single point of shape (d,) or a batch of shape (n, d); row
+        0 of `log_densities` on its one-row batch, every node shared.
         """
         pts, single = self._as_points(x)
-        (out,) = log_densities([self._batch], pts, [pts.shape[0]])
-        return float(out[0]) if single else out
+        (out,) = log_densities([self._batch], pts)
+        return float(out[0, 0]) if single else out[0]
 
     def score(self, x):
         """Gradient of log p: sum_j u_j a_j - x, with u the softmax of the logits."""
@@ -318,10 +321,7 @@ def _block_logits(batches, pts, counts=None):
             for j, i, k in zip(range(first, last + 1), a.tolist(), b.tolist()):
                 yield slice(lo + i, lo + k), blk[i:k], (_logits(batch, j, blk[i:k]) for batch in batches)
             continue
-        if first == last:
-            spread = np.transpose  # (1, k) -> (k, 1), broadcast over the nodes
-        else:
-            spread = lambda rows: np.repeat(rows.T, b - a, axis=1)  # noqa: E731
+        spread = lambda rows: np.repeat(rows.T, b - a, axis=1)  # noqa: E731
         yield slice(lo, hi), blk, (_logits(batch, slice(first, last + 1), blk, spread) for batch in batches)
 
 

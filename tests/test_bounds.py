@@ -299,12 +299,24 @@ class TestSweeps:
             DivergenceKind.L2Sq: IntegralEstimate(1e-12, 1e-12, math.inf, 0),
         }
         comparison = bounds._comparison(BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1))
-        inst = bounds._one_instance(comparison, 0, 2, 1, 1, tuple(est[k] for k in comparison.kinds))
+        inst = bounds._one_instance(comparison, 0, 2, 1, 1, est)
         assert inst.passed
         assert (inst.lhs, inst.rhs) == (1e-6, pytest.approx(3e-7, rel=1e-12))
         # with an exact L2^2 the same lhs fails
         est[DivergenceKind.L2Sq] = IntegralEstimate(1e-12, 0.0, math.inf, 0)
-        assert not bounds._one_instance(comparison, 0, 2, 1, 1, tuple(est[k] for k in comparison.kinds)).passed
+        assert not bounds._one_instance(comparison, 0, 2, 1, 1, est).passed
+
+    @pytest.mark.parametrize("bound", [BoundId.Thm1, BoundId.ChiSqThm, BoundId.TVfromL2, BoundId.L2fromTV])
+    def test_instance_reads_estimates_by_kind(self, bound):
+        # the same estimates in reverse kind order check the same instance
+        family = InstanceFamily(Compact(2.0), d=1)
+        comparison = bounds._comparison(bound, family)
+        est = _compute_divergences(comparison.kinds, *make_pair(0, 2, family))
+        reverse = dict(reversed(est.items()))
+        assert list(reverse) == list(comparison.kinds)[::-1]
+        inst = bounds._one_instance(comparison, 0, 2, 1, 1, est)
+        assert math.isfinite(inst.ratio) and inst.passed
+        assert bounds._one_instance(comparison, 0, 2, 1, 1, reverse) == inst
 
     def test_degenerate_pair_passes_by_slack(self):
         fam = InstanceFamily(Compact(2.0), d=1)

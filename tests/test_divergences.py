@@ -37,7 +37,7 @@ from gmdiv.divergences import (
     _mass_tail,
     _sign_change_splits,
     _start_radius,
-    _tail_bound,
+    _tail_bounds,
 )
 from gmdiv.mixtures import LOG_2PI, _Batch, log_densities
 from conftest import compute_pairs, random_compact, single_gaussian
@@ -732,25 +732,29 @@ class TestTailBounds:
         p, q = random_compact(rng, M=M, d=d), random_compact(rng, M=M, d=d)
         p_env, q_env = _Batch.of([p]), _Batch.of([q])
         R = np.array([max(p_env.s_max[0], q_env.s_max[0]) + step])
-        chi2 = _tail_bound(DivergenceKind.ChiSq, p_env, q_env, R, d)
-        renyi2 = _tail_bound("renyi", p_env, q_env, R, d, lam=2.0)
+        chi2 = _tail_bounds([DivergenceKind.ChiSq], p_env, q_env, R, d)[:, 0]
+        renyi2 = _tail_bounds(["renyi"], p_env, q_env, R, d, lam=2.0)[:, 0]
         assert chi2[0] == renyi2[0] + _mass_tail(q_env, R, d)[0]
         assert chi2[0] == _chi2_tail_written_out(_LoopEnvelope(p), _LoopEnvelope(q), R, d)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), step=st.floats(0.0, 15.0))
     def test_padded_rows_match_each_mixture_alone(self, seed, step):
-        # padding a mixture with weight-0 atoms changes no bit of any tail
+        # padding a mixture with weight-0 atoms changes no bit of any tail,
+        # and a kind's column of a several-kind table is its one-kind call
         rng = np.random.default_rng(seed)
         ps = [random_compact(rng, M=2.0, d=1) for _ in range(5)]
         qs = [random_compact(rng, M=2.0, d=1) for _ in range(5)]
         p_env, q_env = _Batch.of(ps), _Batch.of(qs)
         R = np.maximum(p_env.s_max, q_env.s_max) + step
-        for kind in (*INTEGRATED_KINDS, "renyi"):
-            batch = _tail_bound(kind, p_env, q_env, R, 1, lam=3.0)
-            alone = [_tail_bound(kind, _Batch.of([p]), _Batch.of([q]), R[i : i + 1], 1, 3.0)[0]
+        every = [*INTEGRATED_KINDS, "renyi"]
+        for kinds in (*([kind] for kind in every), every, every[::-1]):
+            batch = _tail_bounds(kinds, p_env, q_env, R, 1, lam=3.0)
+            alone = [_tail_bounds(kinds, _Batch.of([p]), _Batch.of([q]), R[i : i + 1], 1, 3.0)[0].tolist()
                      for i, (p, q) in enumerate(zip(ps, qs))]
             assert batch.tolist() == alone
+            for j, kind in enumerate(kinds):
+                assert batch[:, j].tolist() == _tail_bounds([kind], p_env, q_env, R, 1, lam=3.0)[:, 0].tolist()
 
 
 class _LoopEnvelope:
@@ -1342,6 +1346,21 @@ class TestBatchedDriver:
         # counts, it spent 30,208 points in this batch against 7,168 alone
         pairs = [make_pair(7, i, InstanceFamily(Compact(2.0), 2)) for i in range(100)]
         self.check([DivergenceKind.KL, DivergenceKind.HellingerSq], pairs, tol=None)
+
+    def test_one_nodes_call_with_several_angular_rules(self, monkeypatch):
+        # members 3 and 4 share a group at level pairs (1, 2) and (2, 1), so
+        # one `_Rule.nodes` call builds one outer product per angular run
+        pairs = [make_pair(3, i, InstanceFamily(Compact(1.0), 2)) for i in range(16)]
+        runs, original = [], _Rule.nodes
+
+        def spy(rule, levels, members, nest=False, span=None):
+            if len(set(levels[:, 1].tolist())) > 1:
+                runs.append((members.tolist(), levels.tolist()))
+            return original(rule, levels, members, nest, span)
+
+        monkeypatch.setattr(_Rule, "nodes", spy)
+        self.check([DivergenceKind.TV], pairs, tol=1e-4, domain_radius=4.0)
+        assert ([3, 4], [[1, 2], [2, 1]]) in runs
 
     def test_mixed_dimensions_rejected(self):
         pairs = [(single_gaussian(0.5), single_gaussian(0.0)), (single_gaussian([0.5, 0.0]), single_gaussian([0.0, 0.0]))]

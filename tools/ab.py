@@ -1,0 +1,160 @@
+"""A/B timing of two checkouts on one perfbench workload, in alternating pairs.
+
+    python tools/ab.py PARENT CHANGE --workload sweep-d1 [--seed 1] [--pairs 10]
+
+PARENT and CHANGE are the roots of two checkouts.  Each side runs in one
+persistent worker process that imports gmdiv from its own checkout's
+`src/` and the jobs from its own `perfbench/workloads.py`, with one
+BLAS/OpenMP thread.  Each worker runs the workload's jobs once to warm up,
+then once per pair; the two sides take turns at going first.  A
+repetition records the worker's CPU time (`getrusage`) and its wall time
+over the jobs; `perfbench/run.py`'s `Checker` checks each job's outputs
+and forms the sha256 digest of the artifacts, and counts a repetition
+whose artifacts differ from the side's first as a failed op.
+
+Prints, for `cpu_s` and `wall_s`, each side's median, the parent's
+quartiles and the number of pairs in which the change ran lower, then
+both sides' digests and failed ops.  Exits 0 when the digests are equal
+and no op failed; 1 otherwise.  `perfbench/` is only read.
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS/OpenMP thread, set before numpy loads; the workers inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+
+
+def serve(checkout: str, workload: str, seed: int) -> int:
+    """Run repetitions of one workload for stdin: a line in, one JSON line out, until EOF."""
+    src = os.path.join(checkout, "src")
+    sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
+    import gmdiv.cli
+
+    # the benchmark's own job inputs, checks, artifact digest and CPU clock
+    import run
+    import workloads
+    from worker import _cpu_s
+
+    if os.path.dirname(os.path.dirname(os.path.abspath(gmdiv.__file__))) != src:
+        raise RuntimeError(f"gmdiv imported from {gmdiv.__file__}, not {src}")
+    jobs = workloads.WORKLOADS[workload](seed)
+    work = tempfile.mkdtemp(prefix="ab-")
+    try:
+        manifest, outs = run.write_inputs(jobs, os.path.join(work, "jobs"))
+        with open(manifest) as fh:
+            entries = json.load(fh)
+        # a repetition whose artifacts differ from the first one's is a failed op
+        checker = run.Checker(jobs, outs)
+        for _ in sys.stdin:
+            for out in outs:
+                shutil.rmtree(out, ignore_errors=True)
+            sink, codes, failed = io.StringIO(), [], checker.failed
+            t0, c0 = time.perf_counter(), _cpu_s()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                for command, config, out in entries:
+                    try:
+                        codes.append(gmdiv.cli.main([command, "--config", config, "--out", out]))
+                    except Exception as exc:  # a crashed job is a failed op, as in perfbench
+                        codes.append(f"{type(exc).__name__}: {exc}")
+            wall, cpu = time.perf_counter() - t0, _cpu_s() - c0
+            checker.check(codes)
+            reply = {"cpu_s": cpu, "wall_s": wall, "digest": checker.digest, "failed": checker.failed - failed}
+            print(json.dumps(reply), flush=True)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    return 0
+
+
+class _Side:
+    """One checkout's persistent worker."""
+
+    def __init__(self, checkout: str, workload: str, seed: int):
+        cmd = [sys.executable, os.path.abspath(__file__), "--worker", checkout]
+        cmd += ["--workload", workload, "--seed", str(seed)]
+        self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.reps = []
+
+    def run(self) -> dict:
+        self.proc.stdin.write("run\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker exited with code {self.proc.wait()}")
+        self.reps.append(json.loads(line))
+        return self.reps[-1]
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        try:
+            self.proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
+def _quartiles(values) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkouts", nargs="*", metavar="PARENT CHANGE")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        return serve(os.path.abspath(args.worker), args.workload, args.seed)
+    if len(args.checkouts) != 2 or args.pairs < 1:
+        parser.error("give two checkouts, PARENT and CHANGE, and --pairs of at least 1")
+
+    sides = [_Side(os.path.abspath(c), args.workload, args.seed) for c in args.checkouts]
+    try:
+        warm = [side.run() for side in sides]
+        for side in sides:
+            side.reps.clear()
+        for i in range(args.pairs):
+            for side in sides if i % 2 == 0 else sides[::-1]:
+                side.run()
+    finally:
+        for side in sides:
+            side.close()
+
+    parent, change = (side.reps for side in sides)
+    print(f"workload {args.workload} seed {args.seed} pairs {args.pairs}, alternating, parent first in pair 1")
+    for name in ("cpu_s", "wall_s"):
+        a, b = [r[name] for r in parent], [r[name] for r in change]
+        lower = sum(y < x for x, y in zip(a, b))
+        (q1, q3), ma, mb = _quartiles(a), statistics.median(a), statistics.median(b)
+        print(
+            f"{name} parent {ma:.4f} [{q1:.4f}, {q3:.4f}] -> change {mb:.4f} s "
+            f"({100.0 * (mb / ma - 1.0):+.1f}%), change lower in {lower}/{args.pairs}"
+        )
+    failed = [first["failed"] + sum(r["failed"] for r in side.reps) for first, side in zip(warm, sides)]
+    for label, first, n in zip(("parent", "change"), warm, failed):
+        print(f"{label} artifacts sha256 {first['digest']} ops_failed {n}")
+    same = warm[0]["digest"] == warm[1]["digest"]
+    print("digests equal" if same else "digests DIFFER")
+    return 0 if same and not any(failed) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
