@@ -8,16 +8,22 @@ and checks lhs <= rhs instance by instance, with slack derived from the
 certified truncation bounds so a quadrature artifact can never produce a
 false failure.
 
-Each bound's class hypothesis (M >= 2 for Thm1, 0 < K < 1 for Thm3, ...)
-is one `_CLASS_HYPOTHESES` entry, checked by `bound_rhs` and by the sweeps
-alike; each sweepable bound is one `_SWEEPS` entry naming its family class,
-the kinds integrated per pair, and the lhs and rhs-argument kinds.
+Each bound is one `_BOUNDS` row: its symbols, its right-hand side (called
+by name with them, checking its own argument), its class hypothesis
+(M >= 2 for Thm1, 0 < K < 1 for Thm3, ...), its sweep (the family class,
+the kinds integrated per pair, the lhs and rhs-argument kinds and the
+dimensions it holds in) and, for ChiSqThm, its log-domain right-hand
+side.  `bound_rhs`, `bound_rhs_log` and the sweeps read the same row; a
+sweep checks the class once and binds its parameters into the row's
+formula, so each instance checks only its own argument.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -60,50 +66,8 @@ class BoundId(enum.Enum):
     LemFormula = "LemFormula"
 
 
-_REQUIRED_PARAMS = {
-    BoundId.Thm1: {"M", "d", "h2"},
-    BoundId.Thm2: {"M", "h2"},
-    BoundId.Thm3: {"K", "d", "h2"},
-    BoundId.Thm5: {"K", "h2"},
-    BoundId.ChiSqThm: {"M", "d", "h2"},
-    BoundId.TVfromL2: {"M", "l2"},
-    BoundId.L2fromTV: {"tv"},
-    BoundId.HO: {"delta", "lam", "h2", "renyi"},
-    BoundId.DichotomyKL_LB: {"K", "r"},
-    BoundId.DichotomyH2_UB: {"K", "r"},
-    BoundId.LemFormula: {"t", "M"},
-}
-
-
-# The class hypothesis of each comparison bound on its family parameter:
-# parameter >= lower, or lower < parameter < upper when an upper end is set.
-_CLASS_HYPOTHESES = {
-    BoundId.Thm1: ("M", 2, None),
-    BoundId.Thm2: ("M", 1, None),
-    BoundId.Thm3: ("K", 0, 1),
-    BoundId.Thm5: ("K", 0, None),
-    BoundId.ChiSqThm: ("M", 2, None),
-    BoundId.TVfromL2: ("M", 1, None),
-}
-
-
-def _check_params(bound: BoundId, params: dict):
-    """Require exactly the symbols of the bound, then its class hypothesis."""
-    need = _REQUIRED_PARAMS[bound]
-    if set(params) != need:
-        raise ValueError(
-            f"{bound.value} takes parameters {sorted(need)}, got {sorted(params)}"
-        )
-    if bound not in _CLASS_HYPOTHESES:
-        return
-    name, lower, upper = _CLASS_HYPOTHESES[bound]
-    x = params[name]
-    if upper is None:
-        holds, statement = x >= lower, f"{name} >= {lower}"
-    else:
-        holds, statement = lower < x < upper, f"{lower} < {name} < {upper}"
-    if not holds:
-        raise HypothesisError(f"{bound.value} requires {statement}, got {name}={x}")
+_KL, _H2, _CHI2 = DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq
+_TV, _L2 = DivergenceKind.TV, DivergenceKind.L2Sq
 
 
 def _check_h2(h2: float, upper: float = 2.0):
@@ -111,68 +75,50 @@ def _check_h2(h2: float, upper: float = 2.0):
         raise HypothesisError(f"H^2 must lie in (0, {upper}], got {h2}")
 
 
-def bound_rhs(bound, **params) -> float:
-    """Right-hand side of the identified bound, exactly as stated.
-
-    Each id takes exactly the symbols of its statement (M, d, K, h2, tv,
-    l2, ...); out-of-range parameters raise HypothesisError naming the
-    violated hypothesis.  ChiSqThm overflows float64 once M >= 4; use
-    bound_rhs_log for that comparison.
-    """
-    bound = BoundId(bound)
-    if bound is BoundId.ChiSqThm:
-        log_rhs = bound_rhs_log(bound, **params)
-        return math.exp(log_rhs) if log_rhs < 709.0 else math.inf
-    _check_params(bound, params)
-    if bound is BoundId.Thm1:
-        M, d, h2 = params["M"], params["d"], params["h2"]
-        _check_h2(h2)
-        return 5154.0 * max(M * M, d) * h2
-    if bound is BoundId.Thm2:
-        M, h2 = params["M"], params["h2"]
-        _check_h2(h2)
-        return 200.0 * M * M * h2 + 16.0 * h2 * math.log(1.0 / h2)
-    if bound is BoundId.Thm3:
-        K, d, h2 = params["K"], params["d"], params["h2"]
-        _check_h2(h2)
-        return 1660056.0 * max(1.0 / (1.0 - K) ** 3, 8.0 * d**3) * h2
-    if bound is BoundId.Thm5:
-        K, h2 = params["K"], params["h2"]
-        _check_h2(h2, upper=4.0)
-        return (10240.0 * K**4 + 652.0) * h2 * math.log(4.0 / h2)
-    if bound is BoundId.TVfromL2:
-        M, l2 = params["M"], params["l2"]
-        if not (0 < l2 < 1):
-            raise HypothesisError(f"TVfromL2 requires 0 < ||p-q||_2 < 1, got {l2}")
-        return (8.0 * math.sqrt(M) + 2.0 * math.log(1.0 / l2) ** 0.25) * l2
-    if bound is BoundId.L2fromTV:
-        tv = params["tv"]
-        if not (0 < tv <= 1):
-            raise HypothesisError(f"L2fromTV requires 0 < TV <= 1, got {tv}")
-        return max(math.log(1.0 / tv) ** 0.25, 3.0) * tv
-    if bound is BoundId.HO:
-        return ho_bound(params["delta"], params["lam"], params["h2"], params["renyi"])
-    if bound is BoundId.DichotomyKL_LB:
-        return dichotomy_bounds(DichotomyParams(params["K"], params["r"])).kl_lb
-    if bound is BoundId.DichotomyH2_UB:
-        return dichotomy_bounds(DichotomyParams(params["K"], params["r"])).h2_ub
-    if bound is BoundId.LemFormula:
-        return lem_formula_gap(params["t"], params["M"]).rhs
-    raise ValueError(f"unhandled bound {bound!r}")
+# -- right-hand sides, each checking its own argument ----------------------------
 
 
-def bound_rhs_log(bound, **params) -> float:
-    """Natural log of bound_rhs; exact in log domain for ChiSqThm."""
-    bound = BoundId(bound)
-    if bound is BoundId.ChiSqThm:
-        _check_params(bound, params)
-        M, d, h2 = params["M"], params["d"], params["h2"]
-        _check_h2(h2)
-        return math.log(2.0) + 50.0 * max(M * M, d) + math.log(h2)
-    value = bound_rhs(bound, **params)
-    if value <= 0:
-        return -math.inf
-    return math.log(value)
+def _thm1(M, d, h2):
+    _check_h2(h2)
+    return 5154.0 * max(M * M, d) * h2
+
+
+def _thm2(M, h2):
+    _check_h2(h2)
+    return 200.0 * M * M * h2 + 16.0 * h2 * math.log(1.0 / h2)
+
+
+def _thm3(K, d, h2):
+    _check_h2(h2)
+    return 1660056.0 * max(1.0 / (1.0 - K) ** 3, 8.0 * d**3) * h2
+
+
+def _thm5(K, h2):
+    _check_h2(h2, upper=4.0)
+    return (10240.0 * K**4 + 652.0) * h2 * math.log(4.0 / h2)
+
+
+def _chisq_log(M, d, h2):
+    _check_h2(h2)
+    return math.log(2.0) + 50.0 * max(M * M, d) + math.log(h2)
+
+
+def _chisq(M, d, h2):
+    # 2 e^(50 max(M^2, d)) overflows a double once M >= 4
+    log_rhs = _chisq_log(M, d, h2)
+    return math.exp(log_rhs) if log_rhs < 709.0 else math.inf
+
+
+def _tv_from_l2(M, l2):
+    if not (0 < l2 < 1):
+        raise HypothesisError(f"TVfromL2 requires 0 < ||p-q||_2 < 1, got {l2}")
+    return (8.0 * math.sqrt(M) + 2.0 * math.log(1.0 / l2) ** 0.25) * l2
+
+
+def _l2_from_tv(tv):
+    if not (0 < tv <= 1):
+        raise HypothesisError(f"L2fromTV requires 0 < TV <= 1, got {tv}")
+    return max(math.log(1.0 / tv) ** 0.25, 3.0) * tv
 
 
 def ho_bound(delta: float, lam: float, h2: float, renyi: float) -> float:
@@ -289,6 +235,82 @@ def lem_formula_gap(t: float | None = None, M: float = 1.0, log_t: float | None 
     return LemFormulaGap(lhs=lhs, rhs=rhs, g=g, log_lhs=log_lhs, log_rhs=log_rhs)
 
 
+class _Sweep(NamedTuple):
+    """What a sweep of a comparison bound integrates and compares."""
+
+    family: type | None  # the family class it requires; None: Compact or Subgaussian
+    kinds: tuple  # the kinds integrated per pair
+    lhs: DivergenceKind  # the kind on the left-hand side
+    arg: DivergenceKind  # the kind whose value is the rhs argument, the symbol arg.value (L2 as ||p - q||_2)
+    dims: tuple | None = None  # the dimensions the bound holds in; None: every d
+
+
+class _Bound(NamedTuple):
+    """One bound: everything `bound_rhs`, `bound_rhs_log` and the sweeps know of it."""
+
+    symbols: tuple  # the parameters of its statement, exactly
+    rhs: Callable  # its right-hand side, called by name with the symbols
+    hypothesis: tuple | None = None  # (name, lower, upper): name >= lower, or lower < name < upper
+    sweep: _Sweep | None = None  # None: not sweepable
+    log_rhs: Callable | None = None  # log of rhs, exact where rhs overflows a double
+
+
+_BOUNDS = {
+    BoundId.Thm1: _Bound(("M", "d", "h2"), _thm1, ("M", 2, None), _Sweep(Compact, (_KL, _H2), _KL, _H2)),
+    BoundId.Thm2: _Bound(("M", "h2"), _thm2, ("M", 1, None), _Sweep(Compact, (_KL, _H2), _KL, _H2)),
+    BoundId.Thm3: _Bound(("K", "d", "h2"), _thm3, ("K", 0, 1), _Sweep(Subgaussian, (_KL, _H2), _KL, _H2)),
+    BoundId.Thm5: _Bound(("K", "h2"), _thm5, ("K", 0, None), _Sweep(Subgaussian, (_KL, _H2), _KL, _H2)),
+    BoundId.ChiSqThm: _Bound(
+        ("M", "d", "h2"), _chisq, ("M", 2, None), _Sweep(Compact, (_KL, _H2, _CHI2), _CHI2, _H2), _chisq_log
+    ),
+    BoundId.TVfromL2: _Bound(
+        ("M", "l2"), _tv_from_l2, ("M", 1, None), _Sweep(Compact, (_KL, _H2, _TV, _L2), _TV, _L2, (1,))
+    ),
+    BoundId.L2fromTV: _Bound(("tv",), _l2_from_tv, sweep=_Sweep(None, (_KL, _H2, _TV, _L2), _L2, _TV, (1,))),
+    BoundId.HO: _Bound(("delta", "lam", "h2", "renyi"), ho_bound),
+    BoundId.DichotomyKL_LB: _Bound(("K", "r"), lambda K, r: dichotomy_bounds(DichotomyParams(K, r)).kl_lb),
+    BoundId.DichotomyH2_UB: _Bound(("K", "r"), lambda K, r: dichotomy_bounds(DichotomyParams(K, r)).h2_ub),
+    BoundId.LemFormula: _Bound(("t", "M"), lambda t, M: lem_formula_gap(t, M).rhs),
+}
+
+
+def _check_params(bound: BoundId, params: dict) -> _Bound:
+    """Require exactly the symbols of the bound, then its class hypothesis; return its row."""
+    row = _BOUNDS[bound]
+    if set(params) != set(row.symbols):
+        raise ValueError(f"{bound.value} takes parameters {sorted(row.symbols)}, got {sorted(params)}")
+    if row.hypothesis is not None:
+        name, lower, upper = row.hypothesis
+        x = params[name]
+        if upper is None:
+            holds, statement = x >= lower, f"{name} >= {lower}"
+        else:
+            holds, statement = lower < x < upper, f"{lower} < {name} < {upper}"
+        if not holds:
+            raise HypothesisError(f"{bound.value} requires {statement}, got {name}={x}")
+    return row
+
+
+def bound_rhs(bound, **params) -> float:
+    """Right-hand side of the identified bound, exactly as stated.
+
+    Each id takes exactly the symbols of its statement (M, d, K, h2, tv,
+    l2, ...); out-of-range parameters raise HypothesisError naming the
+    violated hypothesis.  ChiSqThm overflows float64 once M >= 4; use
+    bound_rhs_log for that comparison.
+    """
+    return _check_params(BoundId(bound), params).rhs(**params)
+
+
+def bound_rhs_log(bound, **params) -> float:
+    """Natural log of bound_rhs; exact in log domain for ChiSqThm."""
+    row = _check_params(BoundId(bound), params)
+    if row.log_rhs is not None:
+        return row.log_rhs(**params)
+    value = row.rhs(**params)
+    return -math.inf if value <= 0 else math.log(value)
+
+
 # -- randomized verification sweeps ---------------------------------------------
 
 
@@ -398,60 +420,43 @@ class SweepReport:
         }
 
 
-_KL, _H2, _CHI2 = DivergenceKind.KL, DivergenceKind.HellingerSq, DivergenceKind.ChiSq
-_TV, _L2 = DivergenceKind.TV, DivergenceKind.L2Sq
-
-# What a sweep of each comparison bound needs: the family class it requires
-# (None: Compact or Subgaussian), the kinds integrated per pair, the kind on
-# the left-hand side and the kind whose value is the rhs argument (named by
-# its kind value among the bound's parameters; L2 enters as ||p - q||_2).
-_SWEEPS = {
-    BoundId.Thm1: (Compact, (_KL, _H2), _KL, _H2),
-    BoundId.Thm2: (Compact, (_KL, _H2), _KL, _H2),
-    BoundId.Thm3: (Subgaussian, (_KL, _H2), _KL, _H2),
-    BoundId.Thm5: (Subgaussian, (_KL, _H2), _KL, _H2),
-    BoundId.ChiSqThm: (Compact, (_KL, _H2, _CHI2), _CHI2, _H2),
-    BoundId.TVfromL2: (Compact, (_KL, _H2, _TV, _L2), _TV, _L2),
-    BoundId.L2fromTV: (None, (_KL, _H2, _TV, _L2), _L2, _TV),
-}
-
-
 class _Comparison(NamedTuple):
     """The parts of a sweep's instance check that every pair shares, built once per sweep."""
 
     bound: BoundId
-    kinds: tuple  # the kinds integrated per pair
-    lhs: DivergenceKind  # the kind on the left-hand side
-    arg: DivergenceKind  # the kind whose value is the rhs argument, the bound_rhs keyword arg.value
+    sweep: _Sweep  # the bound's row's sweep
     family_params: dict  # M, K and d, as every instance reports them
-    rhs_params: dict  # the bound_rhs keywords other than the rhs argument
+    rhs: Callable  # the row's rhs with the class parameters bound; takes the rhs argument by name
+    log_rhs: Callable | None  # the row's log_rhs, bound alike
 
 
 def _comparison(bound: BoundId, family: InstanceFamily) -> _Comparison:
     """Check that a sweep of `bound` can run on `family`, and build what its instances share."""
-    if bound not in _SWEEPS:
+    row = _BOUNDS[bound]
+    sweep = row.sweep
+    if sweep is None:
         raise HypothesisError(f"{bound.value} is not a sweepable comparison bound")
-    required, kinds, lhs_kind, arg_kind = _SWEEPS[bound]
     tag = family.tag
     if not isinstance(tag, (Compact, Subgaussian)):
         raise HypothesisError("sweep families must be Compact or Subgaussian")
-    if required is not None and not isinstance(tag, required):
-        raise HypothesisError(f"{bound.value} requires a {required.__name__} family")
+    if sweep.family is not None and not isinstance(tag, sweep.family):
+        raise HypothesisError(f"{bound.value} requires a {sweep.family.__name__} family")
     family_params = {
         "M": tag.M if isinstance(tag, Compact) else None,
         "K": tag.K if isinstance(tag, Subgaussian) else None,
         "d": family.d,
     }
-    rhs_params = {name: family_params[name] for name in _REQUIRED_PARAMS[bound] if name != arg_kind.value}
+    rhs_params = {name: family_params[name] for name in row.symbols if name != sweep.arg.value}
     # the rhs argument comes from the pairs; only the class parameters are checked here
-    _check_params(bound, {**rhs_params, arg_kind.value: None})
-    if bound in (BoundId.TVfromL2, BoundId.L2fromTV) and family.d != 1:
+    _check_params(bound, {**rhs_params, sweep.arg.value: None})
+    if sweep.dims is not None and family.d not in sweep.dims:
         raise HypothesisError(f"{bound.value} is a one-dimensional comparison")
     if family.d > 3:
         # d > 3 divergences are Monte Carlo estimates with confidence
         # half-widths, so a zero failure count would certify nothing
         raise CapabilityError(f"sweeps need certified quadrature (d <= 3), got d={family.d}")
-    return _Comparison(bound, kinds, lhs_kind, arg_kind, family_params, rhs_params)
+    log_rhs = row.log_rhs and functools.partial(row.log_rhs, **rhs_params)
+    return _Comparison(bound, sweep, family_params, functools.partial(row.rhs, **rhs_params), log_rhs)
 
 
 class _Atoms(NamedTuple):
@@ -599,28 +604,28 @@ def _side(kind, est) -> tuple[float, float]:
 
 
 def _one_instance(comparison: _Comparison, seed: int, index: int, natoms_p, natoms_q, est):
-    """The checked instance of a pair with these atom counts; `est` maps each of `comparison.kinds` to its estimate."""
-    bound = comparison.bound
+    """The checked instance of a pair with these atom counts; `est` maps each kind of the sweep to its estimate."""
     kl, h2 = est[_KL], est[_H2]
     params = {**comparison.family_params, "natoms_p": natoms_p, "natoms_q": natoms_q}
 
     kl_ge_h2 = h2.value <= kl.value + _slack(kl.truncation_bound, h2.truncation_bound)
     chi2_ge_kl = None
-    (lhs, lhs_bound), (arg, arg_bound) = (_side(k, est[k]) for k in (comparison.lhs, comparison.arg))
+    sweep = comparison.sweep
+    (lhs, lhs_bound), (arg, arg_bound) = (_side(k, est[k]) for k in (sweep.lhs, sweep.arg))
     slack = _slack(lhs_bound, arg_bound)
-    kw = {**comparison.rhs_params, comparison.arg.value: arg}
+    kw = {sweep.arg.value: arg}
 
-    if bound is BoundId.ChiSqThm:
+    if comparison.bound is BoundId.ChiSqThm:
         # the rhs overflows a double once M >= 4, so compare in the log domain
         chi2_ge_kl = kl.value <= lhs + _slack(lhs_bound, kl.truncation_bound)
         if arg <= 0:
             rhs, passed, ratio = 0.0, lhs <= slack, math.nan
         else:
-            log_rhs, rhs = bound_rhs_log(bound, **kw), bound_rhs(bound, **kw)
+            log_rhs, rhs = comparison.log_rhs(**kw), comparison.rhs(**kw)
             passed = lhs <= slack or math.log(lhs) <= log_rhs + 1e-12
             ratio = math.exp(math.log(lhs) - log_rhs) if lhs > 0 else 0.0
     else:
-        rhs = 0.0 if arg <= 0 else bound_rhs(bound, **kw)
+        rhs = 0.0 if arg <= 0 else comparison.rhs(**kw)
         passed = lhs <= rhs + slack
         ratio = lhs / rhs if rhs > 0 else math.nan
 
@@ -664,7 +669,7 @@ def verify_sweep(
     atoms = _draw_pairs(seed, range(n), family)
     weights = validate_atoms(*atoms, family.tag)
     p_env, q_env = (_Batch(atoms.locations[rows], weights[rows]) for rows in (slice(0, n), slice(n, None)))
-    estimates = _compute_pairs(comparison.kinds, p_env, q_env, [(family.tag,)] * n, tol)
+    estimates = _compute_pairs(comparison.sweep.kinds, p_env, q_env, (family.tag,), tol)
     counts = atoms.counts.tolist()
     instances = [
         _one_instance(comparison, seed, i, counts[i], counts[n + i], e) for i, e in enumerate(estimates)

@@ -26,7 +26,9 @@ Kinds and their tail treatment:
 
 One pass (`_tail_bounds`) bounds every kind of a batch of pairs at their
 radii: it forms the mass tails of p and of q and the log-ratio line once,
-and the radius search makes one such pass per step.
+and the radius search makes one such pass per step.  A pair's certificates
+are the rows of its last step, where it kept its radius; only a fixed
+radius, which runs no search, makes a pass of its own.
 
 L2^2 is not integrated.  In every d it is the closed form
 
@@ -710,11 +712,10 @@ def _relative(tol):
 def _start_radius(tags, s_max, d, tol) -> np.ndarray:
     """Where each member's radius search starts: max(truncation radii, s_max + 1).
 
-    tags[i] lists the class tags of the mixtures member i integrates,
-    s_max[i] their largest atom radius.
+    `tags` are the class tags of every mixture of the batch, s_max[i] the
+    largest atom radius of the mixtures member i integrates.
     """
-    radius = functools.cache(lambda tag: truncation_radius(tag, d, tol))
-    trunc = [max(map(radius, row)) for row in tags]
+    trunc = max(truncation_radius(tag, d, tol) for tag in tags)
     return np.maximum(trunc, np.asarray(s_max) + 1.0)
 
 
@@ -1048,17 +1049,19 @@ def _compute_pairs(
 ) -> list[dict]:
     """Estimates of several kinds for each pair (p_i, q_i), row i of the batches, in one d <= 3.
 
-    tags[i] lists the class tags of p_i and q_i, and both batches have one
-    dimension d (`_compute_divergences` and the sweeps see to it).  L2^2 is
-    `_l2_closed_form`; the arguments are checked alike for every kind.
-    The other kinds are one `_refine` call over all pairs, from the start
-    radii (or the fixed `domain_radius`) with the tail bounds of every kind
-    as its tail test, one `_tail_bounds` table per radius step and one more
-    at the final radii, so every step runs as arrays over the pairs and each
-    pair stops at its own level and keeps its own radius, splits, tails and
-    point count.  A pair's estimates are the same
-    bits whatever other pairs share its batch.  Each pair's dict lists its
-    estimates in the order of `kinds`.  `lam` is the renyi power; `tol`
+    `tags` are the class tags of every mixture of both batches, and both
+    batches have one dimension d (`_compute_divergences` and the sweeps see
+    to it).  L2^2 is `_l2_closed_form`; the arguments are checked alike for
+    every kind.  The other kinds are one `_refine` call over all pairs, from
+    the start radii (or the fixed `domain_radius`) with the tail bounds of
+    every kind as its tail test, one `_tail_bounds` table per radius step,
+    so every step runs as arrays over the pairs and each pair stops at its
+    own level and keeps its own radius, splits, tails and point count.  A
+    pair's truncation bounds are the rows its last step computed, at the
+    radius it kept; a fixed `domain_radius` runs no search and computes one
+    table.  A pair's estimates are the same bits whatever other pairs share
+    its batch.  Each pair's dict lists its estimates in the order of
+    `kinds`.  `lam` is the renyi power; `tol`
     defaults to `default_tol(d)`; a `domain_radius` that is not finite, or
     that comes within 0.25 of an atom radius, raises HypothesisError for
     every kind.
@@ -1066,9 +1069,8 @@ def _compute_pairs(
     d = p_env.locations.shape[2]
     if tol is None:
         tol = default_tol(d)
-    for row in tags:
-        for tag in row:
-            _require_certifiable(tag)
+    for tag in tags:
+        _require_certifiable(tag)
     s_max = np.maximum(p_env.s_max, q_env.s_max)
     start = _start_radius(tags, s_max, d, tol)
     if domain_radius is not None and not (
@@ -1077,7 +1079,7 @@ def _compute_pairs(
         raise HypothesisError(
             f"domain_radius {domain_radius} must be finite and exceed the atom radius {s_max.max()}"
         )
-    rows = [{} for _ in tags]
+    rows = [{} for _ in range(len(s_max))]
     if DivergenceKind.L2Sq in kinds:
         for row, est in zip(rows, _l2_closed_form(p_env, q_env)):
             row[DivergenceKind.L2Sq] = est
@@ -1099,15 +1101,20 @@ def _compute_pairs(
         return _segment_sums(products, counts).T
 
     def met(R, start_pass, members):
+        # a member that meets its target keeps R, so its last rows here are its certificates;
         # the start pass fixes the value scale of each truncation target
-        tails = _tail_bounds(integrated, p_env[members], q_env[members], R, d, lam)
-        return np.all(tails <= 0.5 * tol * np.maximum(np.abs(start_pass), _TRUNC_FLOOR), axis=1)
+        tails[members] = _tail_bounds(integrated, p_env[members], q_env[members], R, d, lam)
+        return np.all(tails[members] <= 0.5 * tol * np.maximum(np.abs(start_pass), _TRUNC_FLOOR), axis=1)
 
+    tails = np.empty((len(rows), len(integrated)))
     if domain_radius is not None:
-        start, met = np.full(len(tags), float(domain_radius)), None
+        start, met = np.full(len(rows), float(domain_radius)), None
     tv = (p_env, q_env) if DivergenceKind.TV in kinds else None
     values, pts, R = _refine(measure, d, start, _relative(tol), met, tv)
-    for row, vs, ts, r, n in zip(rows, values, _tail_bounds(integrated, p_env, q_env, R, d, lam), R, pts):
+    if met is None:
+        # a fixed radius runs no search: its one table, once the ball is known to integrate
+        tails = _tail_bounds(integrated, p_env, q_env, R, d, lam)
+    for row, vs, ts, r, n in zip(rows, values, tails, R, pts):
         for k, v, t in zip(integrated, vs, ts):
             row[k] = IntegralEstimate(float(v), float(t), float(r), int(n))
     return [{k: row[k] for k in kinds} for row in rows]
@@ -1135,7 +1142,7 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
             else _mc_divergence(k, p, q)
             for k in kinds
         }
-    tags = [(p.mixing.tag, q.mixing.tag)]
+    tags = (p.mixing.tag, q.mixing.tag)
     return _compute_pairs(kinds, _Batch.of([p]), _Batch.of([q]), tags, tol, domain_radius, lam)[0]
 
 
@@ -1232,7 +1239,7 @@ def _gram_h2(elements, tol) -> np.ndarray:
     order = sorted(range(n), key=content)
     batch = _Batch.of([elements[i] for i in order])
     R = _search_radius(
-        _start_radius([[e.mixing.tag for e in elements]], [batch.s_max.max()], d, tol),
+        _start_radius({e.mixing.tag for e in elements}, [batch.s_max.max()], d, tol),
         lambda R, _: 2.0 * _mass_tail(batch, R, d).max(keepdims=True) <= 0.5 * tol,
     )
     step = max(1, _GRAM_ENTRIES // n)

@@ -48,7 +48,7 @@ def random_compact(rng, M=2.0, d=1, max_atoms=8) -> GaussianMixture:
 def compute_pairs(kinds, pairs, tol=None, domain_radius=None, lam=None) -> list[dict]:
     """`_compute_pairs` on a list of (p, q) mixture pairs."""
     p_env, q_env = _Batch.of([p for p, _ in pairs]), _Batch.of([q for _, q in pairs])
-    tags = [(p.mixing.tag, q.mixing.tag) for p, q in pairs]
+    tags = {gm.mixing.tag for pair in pairs for gm in pair}
     return _compute_pairs(kinds, p_env, q_env, tags, tol, domain_radius, lam)
 
 

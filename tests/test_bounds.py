@@ -1,5 +1,8 @@
 import hashlib
+import inspect
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from gmdiv.bounds import _draw_pairs, make_pair
 from gmdiv.divergences import IntegralEstimate, _compute_divergences
 from gmdiv.mixtures import DichotomyParams, MixingDistribution, validate_atoms
 from conftest import random_compact, single_gaussian
+import reference_bounds
 from reference_sampler import reference_pair
 
 
@@ -123,6 +127,71 @@ class TestBoundRhs:
         rhs = bound_rhs(bound, **params)
         assert bound_rhs_log(bound, **params) == (math.log(rhs) if rhs > 0 else -math.inf)
         assert (rhs > 0) == (bound != "DichotomyKL_LB")
+
+
+# Each symbol's grid: the edges of every argument range and class hypothesis,
+# values past them, NaN, ChiSqThm at M >= 4 (rhs inf, log finite) and Thm5's
+# H^2 up to 4 and past it.
+_GRID = {
+    "M": [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 4.5, 10.0, math.nan],
+    "d": [1, 2, 3, 5],
+    "K": [-0.5, 0.0, 0.25, 0.5, 0.999, 1.0, 2.0, math.nan],
+    "h2": [-1.0, 0.0, 1e-300, 1e-12, 0.3, 1.0, 2.0, 2.0000000000000004, 3.9, 4.0, 4.5, math.nan],
+    "l2": [-0.1, 0.0, 1e-300, 0.3, 0.9999999999999999, 1.0, 1.5, math.nan],
+    "tv": [-0.1, 0.0, 1e-300, 0.5, 1.0, 1.0000000000000002, math.nan],
+    "delta": [0.0, 0.1, 0.5, 0.6065, 0.61, math.nan],
+    "lam": [1.0, 1.5, 3.0, math.nan],
+    "renyi": [0.0, 2.0],
+    "r": [0.5, 1.1, 10.0],
+    "t": [0.0, 0.5, 1.0, 100.0, 1e30, math.nan],
+}
+
+
+def _outcome(f, bound, params):
+    """The value's type and bits, or the exception's type and message."""
+    try:
+        value = f(bound, **params)
+    except Exception as exc:  # every exception is compared
+        return type(exc), str(exc)
+    return type(value), struct.pack("<d", value)
+
+
+_INF = float, struct.pack("<d", math.inf)
+
+
+class TestBoundsTable:
+    """Each bound is one `_BOUNDS` row; it gives the bits and the errors of the if-chain it replaced."""
+
+    def test_one_row_per_bound(self):
+        assert list(bounds._BOUNDS) == list(BoundId)
+        for row in bounds._BOUNDS.values():
+            # the formulas are called by name with exactly the symbols
+            for f in filter(None, (row.rhs, row.log_rhs)):
+                assert set(inspect.signature(f).parameters) == set(row.symbols)
+            assert row.hypothesis is None or row.hypothesis[0] in row.symbols
+
+    @pytest.mark.parametrize("bound", list(BoundId), ids=lambda b: b.value)
+    def test_same_bits_and_errors_as_the_if_chain(self, bound):
+        symbols = bounds._BOUNDS[bound].symbols
+        cases = [dict(zip(symbols, values)) for values in itertools.product(*(_GRID[s] for s in symbols))]
+        first = cases[0]
+        # a missing symbol, an extra one, and the id by its value
+        cases += [{k: v for k, v in first.items() if k != symbols[0]}, {**first, "x": 1.0}]
+        raised = overflowed = 0
+        for params in cases:
+            for name in (bound, bound.value):
+                rhs, log_rhs = (_outcome(f, name, params) for f in (bound_rhs, bound_rhs_log))
+                assert rhs == _outcome(reference_bounds.bound_rhs, name, params), params
+                assert log_rhs == _outcome(reference_bounds.bound_rhs_log, name, params), params
+            raised += rhs[0] is not float
+            # rhs overflows a double but its log does not
+            overflowed += rhs == _INF and log_rhs[0] is float and log_rhs != _INF
+        assert 0 < raised < len(cases)
+        assert (overflowed > 0) == (bound is BoundId.ChiSqThm)
+
+    def test_unknown_bound(self):
+        for f in (bound_rhs, bound_rhs_log, reference_bounds.bound_rhs, reference_bounds.bound_rhs_log):
+            assert _outcome(f, "Thm4", {"M": 2.0}) == (ValueError, "'Thm4' is not a valid BoundId")
 
 
 class TestHoBound:
@@ -280,12 +349,12 @@ class TestSweeps:
         compute_pairs = bounds._compute_pairs
 
         def counted(kinds, p_env, q_env, tags, tol):
-            calls.append(len(tags))
+            calls.append((len(p_env.s_max), len(q_env.s_max), tags))
             return compute_pairs(kinds, p_env, q_env, tags, tol)
 
         monkeypatch.setattr(bounds, "_compute_pairs", counted)
         rep = verify_sweep(BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1), 300, seed=3)
-        assert calls == [300]
+        assert calls == [(300, 300, (Compact(2.0),))]
         assert len(rep.instances) == 300 and rep.failures == 0
 
     def test_l2_bound_goes_through_the_root(self):
@@ -311,9 +380,9 @@ class TestSweeps:
         # the same estimates in reverse kind order check the same instance
         family = InstanceFamily(Compact(2.0), d=1)
         comparison = bounds._comparison(bound, family)
-        est = _compute_divergences(comparison.kinds, *make_pair(0, 2, family))
+        est = _compute_divergences(comparison.sweep.kinds, *make_pair(0, 2, family))
         reverse = dict(reversed(est.items()))
-        assert list(reverse) == list(comparison.kinds)[::-1]
+        assert list(reverse) == list(comparison.sweep.kinds)[::-1]
         inst = bounds._one_instance(comparison, 0, 2, 1, 1, est)
         assert math.isfinite(inst.ratio) and inst.passed
         assert bounds._one_instance(comparison, 0, 2, 1, 1, reverse) == inst
@@ -345,9 +414,16 @@ class TestSweeps:
         assert integrated == []
 
     def test_sweep_arguments_are_bound_parameters(self):
-        for bound, (_, kinds, lhs_kind, arg_kind) in bounds._SWEEPS.items():
-            assert arg_kind.value in bounds._REQUIRED_PARAMS[bound]
+        sweeps = {bound: row for bound, row in bounds._BOUNDS.items() if row.sweep is not None}
+        assert set(sweeps) == {
+            BoundId.Thm1, BoundId.Thm2, BoundId.Thm3, BoundId.Thm5, BoundId.ChiSqThm, BoundId.TVfromL2, BoundId.L2fromTV
+        }
+        for bound, row in sweeps.items():
+            _, kinds, lhs_kind, arg_kind, dims = row.sweep
+            assert arg_kind.value in row.symbols
             assert {DivergenceKind.KL, DivergenceKind.HellingerSq, lhs_kind, arg_kind} <= set(kinds)
+            # only the TV/L2 pair is restricted in dimension, to d = 1
+            assert dims == ((1,) if bound in (BoundId.TVfromL2, BoundId.L2fromTV) else None)
 
     def test_sweep_above_three_dimensions_rejected(self):
         # d > 3 divergences are Monte Carlo estimates; a sweep over them

@@ -757,6 +757,62 @@ class TestTailBounds:
                 assert batch[:, j].tolist() == _tail_bounds([kind], p_env, q_env, R, 1, lam=3.0)[:, 0].tolist()
 
 
+    @pytest.fixture
+    def tail_events(self, monkeypatch):
+        """The order of `_tail_bounds` calls, radius steps and `_refine` returns in a `_compute_pairs` run."""
+        events = []
+        tails, refine = divergences._tail_bounds, divergences._refine
+
+        def spy_tails(*args, **kwargs):
+            events.append("tails")
+            return tails(*args, **kwargs)
+
+        def spy_refine(measure, d, R, bound, met=None, tv=None):
+            def step(*args):
+                events.append("step")
+                return met(*args)
+
+            out = refine(measure, d, R, bound, None if met is None else step, tv)
+            events.append("refined")
+            return out
+
+        monkeypatch.setattr(divergences, "_tail_bounds", spy_tails)
+        monkeypatch.setattr(divergences, "_refine", spy_refine)
+        return events
+
+    def test_searched_radius_computes_one_table_a_step(self, tail_events):
+        # the certificates are the rows of each pair's last step, not a pass after `_refine`
+        pairs = [make_pair(3, i, InstanceFamily(Compact(2.0), 1)) for i in range(40)]
+        compute_pairs(ALL_KINDS, pairs)
+        steps = tail_events.count("step")
+        assert steps > 1
+        assert tail_events == ["step", "tails"] * steps + ["refined"]
+
+    def test_fixed_radius_computes_one_table(self, tail_events):
+        pairs = [make_pair(3, i, InstanceFamily(Compact(2.0), 1)) for i in range(40)]
+        compute_pairs(ALL_KINDS, pairs, domain_radius=10.0)
+        assert tail_events == ["refined", "tails"]
+
+    @pytest.mark.parametrize("domain_radius", [None, 10.0])
+    @pytest.mark.parametrize(
+        "family, n, kinds, lam",
+        [
+            (InstanceFamily(Compact(2.0), 1), 40, INTEGRATED_KINDS, None),
+            (InstanceFamily(Subgaussian(0.5), 1), 40, INTEGRATED_KINDS, None),
+            (InstanceFamily(Compact(2.0), 1), 40, ["renyi"], 3.0),
+            (InstanceFamily(Compact(2.0), 2), 6, [DivergenceKind.KL, DivergenceKind.HellingerSq], None),
+        ],
+        ids=["compact-d1", "subgaussian-d1", "renyi-d1", "compact-d2"],
+    )
+    def test_truncation_bounds_are_the_rows_at_the_final_radius(self, domain_radius, family, n, kinds, lam):
+        pairs = [make_pair(5, i, family) for i in range(n)]
+        got = compute_pairs(kinds, pairs, domain_radius=domain_radius, lam=lam)
+        p_env, q_env = _Batch.of([p for p, _ in pairs]), _Batch.of([q for _, q in pairs])
+        R = np.array([row[kinds[0]].domain_radius for row in got])
+        want = _tail_bounds(kinds, p_env, q_env, R, family.d, lam)
+        assert [[row[k].truncation_bound for k in kinds] for row in got] == want.tolist()
+
+
 class _LoopEnvelope:
     """One mixture's atoms and per-atom tail helpers on a 1-element R, for the written-out check."""
 
@@ -1063,7 +1119,7 @@ class TestBrentq:
         for family in self.FAMILIES:
             pairs = [make_pair(7, i, family) for i in range(50)]
             p_env, q_env = _Batch.of([p for p, _ in pairs]), _Batch.of([q for _, q in pairs])
-            tags = [(p.mixing.tag, q.mixing.tag) for p, q in pairs]
+            tags = {gm.mixing.tag for pair in pairs for gm in pair}
             R = _start_radius(tags, np.maximum(p_env.s_max, q_env.s_max), 1, default_tol(1))
             _sign_change_splits(p_env, q_env, R)
         assert len(seen) >= 200
@@ -1144,7 +1200,7 @@ class TestSignChangeSplits:
         """Assert the roots and counts equal the full grid's bit for bit; return the counts."""
         p_env, q_env = _Batch.of([p for p, _ in pairs]), _Batch.of([q for _, q in pairs])
         if R is None:
-            tags = [(p.mixing.tag, q.mixing.tag) for p, q in pairs]
+            tags = {gm.mixing.tag for pair in pairs for gm in pair}
             R = _start_radius(tags, np.maximum(p_env.s_max, q_env.s_max), 1, default_tol(1))
         roots, counts = _sign_change_splits(p_env, q_env, R)
         want_roots, want_counts = dense_splits(p_env, q_env, R)
@@ -1363,9 +1419,9 @@ class TestBatchedDriver:
         assert ([3, 4], [[1, 2], [2, 1]]) in runs
 
     def test_mixed_dimensions_rejected(self):
-        pairs = [(single_gaussian(0.5), single_gaussian(0.0)), (single_gaussian([0.5, 0.0]), single_gaussian([0.0, 0.0]))]
-        with pytest.raises(ValueError, match="dimension"):
-            compute_pairs(ALL_KINDS, pairs, None)
+        p, q = single_gaussian(0.5), single_gaussian([0.0, 0.0])
+        with pytest.raises(ValueError, match="dimension mismatch: p.dim=1, q.dim=2"):
+            _compute_divergences(ALL_KINDS, p, q)
 
     def test_one_pair_is_compute_divergences(self, rng):
         p, q = random_compact(rng, M=2.0, d=1), random_compact(rng, M=2.0, d=1)

@@ -1,6 +1,6 @@
-"""A/B timing of two checkouts on one perfbench workload, in alternating pairs.
+"""A/B timing of two checkouts on perfbench workloads, in alternating pairs.
 
-    python tools/ab.py PARENT CHANGE --workload sweep-d1 [--seed 1] [--pairs 10]
+    python tools/ab.py PARENT CHANGE --workload sweep-d1 [--workload sweep-d23 ...] [--seed 1] [--pairs 10]
 
 PARENT and CHANGE are the roots of two checkouts.  Each side runs in one
 persistent worker process that imports gmdiv from its own checkout's
@@ -12,10 +12,12 @@ over the jobs; `perfbench/run.py`'s `Checker` checks each job's outputs
 and forms the sha256 digest of the artifacts, and counts a repetition
 whose artifacts differ from the side's first as a failed op.
 
-Prints, for `cpu_s` and `wall_s`, each side's median, the parent's
-quartiles and the number of pairs in which the change ran lower, then
-both sides' digests and failed ops.  Exits 0 when the digests are equal
-and no op failed; 1 otherwise.  `perfbench/` is only read.
+Each workload, in the order given, gets its own two workers, warm-up and
+pairs, and prints one block: for `cpu_s` and `wall_s`, each side's
+median, the parent's quartiles and the number of pairs in which the
+change ran lower, then both sides' digests and failed ops.  Exits 0 when
+every workload's digests are equal and no op failed; 1 otherwise.
+`perfbench/` is only read.
 """
 
 from __future__ import annotations
@@ -113,25 +115,14 @@ def _quartiles(values) -> tuple[float, float]:
     return q1, q3
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkouts", nargs="*", metavar="PARENT CHANGE")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        return serve(os.path.abspath(args.worker), args.workload, args.seed)
-    if len(args.checkouts) != 2 or args.pairs < 1:
-        parser.error("give two checkouts, PARENT and CHANGE, and --pairs of at least 1")
-
-    sides = [_Side(os.path.abspath(c), args.workload, args.seed) for c in args.checkouts]
+def compare(checkouts, workload: str, seed: int, pairs: int) -> bool:
+    """Time one workload on both checkouts and print its block; True when digests agree and no op failed."""
+    sides = [_Side(os.path.abspath(c), workload, seed) for c in checkouts]
     try:
         warm = [side.run() for side in sides]
         for side in sides:
             side.reps.clear()
-        for i in range(args.pairs):
+        for i in range(pairs):
             for side in sides if i % 2 == 0 else sides[::-1]:
                 side.run()
     finally:
@@ -139,21 +130,38 @@ def main(argv=None) -> int:
             side.close()
 
     parent, change = (side.reps for side in sides)
-    print(f"workload {args.workload} seed {args.seed} pairs {args.pairs}, alternating, parent first in pair 1")
+    print(f"workload {workload} seed {seed} pairs {pairs}, alternating, parent first in pair 1")
     for name in ("cpu_s", "wall_s"):
         a, b = [r[name] for r in parent], [r[name] for r in change]
         lower = sum(y < x for x, y in zip(a, b))
         (q1, q3), ma, mb = _quartiles(a), statistics.median(a), statistics.median(b)
         print(
             f"{name} parent {ma:.4f} [{q1:.4f}, {q3:.4f}] -> change {mb:.4f} s "
-            f"({100.0 * (mb / ma - 1.0):+.1f}%), change lower in {lower}/{args.pairs}"
+            f"({100.0 * (mb / ma - 1.0):+.1f}%), change lower in {lower}/{pairs}"
         )
     failed = [first["failed"] + sum(r["failed"] for r in side.reps) for first, side in zip(warm, sides)]
     for label, first, n in zip(("parent", "change"), warm, failed):
-        print(f"{label} artifacts sha256 {first['digest']} ops_failed {n}")
+        print(f"{label} artifacts sha256 {first['digest']} ops_failed {n}", flush=True)
     same = warm[0]["digest"] == warm[1]["digest"]
-    print("digests equal" if same else "digests DIFFER")
-    return 0 if same and not any(failed) else 1
+    print("digests equal" if same else "digests DIFFER", flush=True)
+    return same and not any(failed)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkouts", nargs="*", metavar="PARENT CHANGE")
+    parser.add_argument("--workload", action="append", required=True, help="repeat for more workloads")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        return serve(os.path.abspath(args.worker), args.workload[0], args.seed)
+    if len(args.checkouts) != 2 or args.pairs < 1:
+        parser.error("give two checkouts, PARENT and CHANGE, and --pairs of at least 1")
+    # every workload runs, whatever an earlier one found
+    ok = [compare(args.checkouts, workload, args.seed, args.pairs) for workload in args.workload]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
