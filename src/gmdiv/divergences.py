@@ -46,17 +46,25 @@ nested tensor-product rule (`_Rule`: 1-d Gauss-Legendre panels, cut at the
 sign changes of p - q for TV; radial panels x angular rule for d in {2, 3})
 on a ball sized by one radius search (`_search_radius`).  A level-0 panel
 is at most 4 wide with 16 nodes, which resolves unit-width Gaussian
-features to rounding, and each radial level halves the panels.  `_refine`
-refines in phases, one axis each, and each phase is one loop over the
-members still pending in it.  In d in {2, 3} the radial phase refines the
-radius on the coarsest angular rule until one more radial level moves no
-value by more than the stopping bound, and the angular phase then refines
-the angle, at the coarser of those two radial levels, until one more
-angular level does the same.  So the radial step is judged on the coarsest
-angular rule.  TV in d in {2, 3} bends along p = q, which can fool a
-judgement on one axis, so it runs the two phases twice: the radius again
-at its final angular level, then the angle again.  No level pair is
-evaluated twice.  In d = 2 the trapezoid angles of one level are every
+features to rounding, and each radial level halves the panels.  A radial
+level is judged by the 33-point Gauss-Kronrod extension of its panels
+(Kronrod 1965; QUADPACK, Piessens et al. 1983): the Gauss pass gives the
+Gauss sum G and, from the same node values, the Kronrod weights' sum at
+those nodes, and the judgement adds the 17 nodes a panel that complete
+the Kronrod sum K, so it costs 17/16 of a level rather than a level of
+twice the nodes.  `_refine` refines in phases, one axis each, and each
+phase is one loop over the members still pending in it.  The radial phase
+stops once |K - G| is within the stopping bound (and, past level 0, K
+moved no more than that from the level below); d = 1 keeps K.  In d in
+{2, 3} it runs on the coarsest angular rule and keeps G, and the angular
+phase then refines the angle at that radial level until one more angular
+level moves no value by more than the stopping bound.  So the radial step
+is judged on the coarsest angular rule.  TV in d in {2, 3} bends along
+p = q, where a Kronrod difference can be small by chance and a judgement
+on one axis can be fooled, so its radial phases step a whole radial level
+to judge one, and it runs the two phases twice: the radius again at its
+final angular level, then the angle again.  No level pair is evaluated
+twice.  In d = 2 the trapezoid angles of one level are every
 other angle of the next, so an angular step evaluates only the new angles
 and adds half the value of the level below (Trefethen & Weideman, SIAM
 Rev. 2014), and no node is evaluated twice either, but for the first
@@ -84,10 +92,14 @@ goes alone, and its level is streamed: its nodes are built by range (the
 outer product of the radial rows a range touches, trimmed) and evaluated
 _NODE_BUDGET at a time, the log-density kernel's block, into one buffer
 of weighted integrand values that one segment sum reads.  So a level
-holds one float per node per kind, and its values are those of the whole
-level in one piece, bit for bit.  Each node range is one pass of the
-kernel for log p and log q together (`log_densities`) and one pass
-over them for every kind's integrand (`_integrands`).
+holds one float per node per kind and weight row, and its values are
+those of the whole level in one piece, bit for bit.  Each node range is
+one pass of the kernel for log p and log q together (`log_densities`)
+and one pass over them for every kind's integrand (`_integrands`),
+weighted by one row of weights per sum (a Gauss pass forms G and the
+Kronrod weights' sum from the same values).  `_compute_pairs` integrates its pairs in
+atom-count order, so a block of d = 1 nodes pads few atoms, and returns
+them in the caller's.
 One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
 Gram pass of the Hellinger table and `plancherel_l2` are one-member
 batches of the same `_refine`; a fixed `domain_radius` and the Gram pass,
@@ -105,11 +117,11 @@ integrated kinds fall back to seeded importance-sampling Monte Carlo
 where `truncation_bound` reports a 95% confidence half-width instead of
 a hard bound.
 
-`tol` is a relative target: refinement stops when successive levels differ
-by less than tol/2 relative to the current value, and the domain grows
-until the certified tail bound is below tol/2 of the value scale.  The
-quadrature error is that successive-level estimate only; it is not
-certified.
+`tol` is a relative target: refinement stops when the Kronrod difference
+(or, on an angular axis and TV's radial axis in d >= 2, successive levels)
+differs by less than tol/2 relative to the current value, and the domain
+grows until the certified tail bound is below tol/2 of the value scale.
+The quadrature error is that estimate only; it is not certified.
 """
 
 from __future__ import annotations
@@ -176,6 +188,29 @@ _C_D = {1: 2.0, 2: 2.0, 3: 64.0}
 _FLOOR = 1e-300
 _TRUNC_FLOOR = 1e-15
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# The 33-point Gauss-Kronrod extension of that rule on [-1, 1] (Kronrod 1965):
+# the 17 nodes it adds, ascending, and its 33 weights, first at the 16 Gauss
+# nodes (in _GL_NODES order), then at the 17 added nodes.  It integrates
+# polynomials up to degree 49 exactly.
+_KRONROD_NODES = np.array([
+    -0.9982392741454446, -0.9715059509693926, -0.9091576670123429, -0.8142402870624444,
+    -0.6897411066817623, -0.5404076763521397, -0.37148378087841627, -0.18916857901808373,
+    0.0,
+    0.18916857901808373, 0.37148378087841627, 0.5404076763521397, 0.6897411066817623,
+    0.8142402870624444, 0.9091576670123429, 0.9715059509693926, 0.9982392741454446,
+])
+_KRONROD_WEIGHTS = np.array([
+    0.013257930688091158, 0.031260543647380526, 0.047506215976407015, 0.062358806011834855,
+    0.07476982388559955, 0.08459580379259064, 0.09129203282819166, 0.09472840124723005,
+    0.09472840124723005, 0.09129203282819166, 0.08459580379259064, 0.07476982388559955,
+    0.062358806011834855, 0.047506215976407015, 0.031260543647380526, 0.013257930688091158,
+    0.004742777049247318, 0.022498859440049444, 0.039512951202421966, 0.055205633095422174,
+    0.06886299519153125, 0.08005394126371929, 0.08833750257911273, 0.09343867406092123,
+    0.0951542160804983,
+    0.09343867406092123, 0.08833750257911273, 0.08005394126371929, 0.06886299519153125,
+    0.055205633095422174, 0.039512951202421966, 0.022498859440049444, 0.004742777049247318,
+])
 
 
 def default_tol(d: int) -> float:
@@ -423,12 +458,25 @@ def _groups(counts) -> list[slice]:
     return groups + [slice(lo, len(counts))]
 
 
-def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# The panel rule of each part of a radial level, its nodes on [-1, 1] and its
+# weight rows: "gauss" the 16 Gauss-Legendre nodes; "both" those nodes with
+# two rows, the Gauss weights and the Kronrod weights there; "kronrod" the 17
+# nodes the Kronrod extension adds, with its weights there.
+_PANEL_RULES = {
+    "gauss": (_GL_NODES, _GL_WEIGHTS[None]),
+    "both": (_GL_NODES, np.stack([_GL_WEIGHTS, _KRONROD_WEIGHTS[:16]])),
+    "kronrod": (_KRONROD_NODES, _KRONROD_WEIGHTS[None, 16:]),
+}
+
+
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray, part: str) -> tuple[np.ndarray, np.ndarray]:
+    """The part's nodes (n,) on the panels [lo, hi], panel after panel, and its weight rows (rows, n)."""
+    t, tw = _PANEL_RULES[part]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    w = half[:, None] * _GL_WEIGHTS[None, :]
-    return x.ravel(), w.ravel()
+    x = mid[:, None] + half[:, None] * t[None, :]
+    w = half[None, :, None] * tw[:, None, :]
+    return x.ravel(), w.reshape(tw.shape[0], -1)
 
 
 @functools.cache
@@ -466,14 +514,19 @@ class _Rule:
     {2, 3}, the radial interval [0, R].  A member's level is a pair (i, j),
     one level per axis.  Radial level i divides a cut panel into
     max(1, ceil((hi - lo) / _PANEL_WIDTH)) << i equal panels (the panel
-    edges are those of np.linspace) of 16 Gauss-Legendre nodes each.  In
+    edges are those of np.linspace) of 16 Gauss-Legendre nodes each.  A
+    call takes one `part` of each panel (`_PANEL_RULES`): its Gauss nodes
+    with the Gauss weights ("gauss"), or with the Gauss and the Kronrod
+    weights as two weight rows ("both"), or the 17 nodes of the 33-point
+    Gauss-Kronrod extension that the Gauss rule lacks ("kronrod").  In
     d >= 2 the radial nodes r, weights wr carry the angular rule of level
     j: nodes r omega, weights wr r^(d-1) wa.  d = 1 has the one axis and
     j = 0.  A `nest`ed call (d = 2, j >= 1) gets only the angles of level j
     that level j - 1 lacks.  The members of one call may sit at different
     level pairs.  Past the level cap of an axis (_MAX_LEVELS), or past
-    _MAX_POINTS nodes of one member's whole rule, in every d, there is no
-    rule and QuadratureError names the axis and the level pair.
+    _MAX_POINTS nodes of one member's whole rule (the Gauss-Kronrod rule of
+    33 nodes a panel for the "kronrod" part), in every d, there is no rule
+    and QuadratureError names the axis and the level pair.
     """
 
     def __init__(self, d: int, R, splits=None):
@@ -500,14 +553,14 @@ class _Rule:
 
     def _divisions(self, level, members):
         # the members' cut panels, each divided at its member's radial
-        # level level[i], and the radial nodes of each member
+        # level level[i], and the panels of each member
         position = np.full(self.size, -1)
         position[members] = np.arange(members.size)
         at = position[self.owner]
         keep = at >= 0
         at = at[keep]
         n = self.base[keep] << level[at]
-        return self.lo[keep], self.hi[keep], n, 16 * np.bincount(at, n, members.size).astype(np.int64)
+        return self.lo[keep], self.hi[keep], n, np.bincount(at, n, members.size).astype(np.int64)
 
     def _where(self, level, axis) -> str:
         i, j = level
@@ -515,11 +568,12 @@ class _Rule:
             return f"level {i}"
         return f"angular level {j} at radial level {i}" if axis else f"radial level {i} at angular level {j}"
 
-    def counts(self, levels, members, nest=False) -> np.ndarray:
+    def counts(self, levels, members, nest=False, part="gauss") -> np.ndarray:
         """Nodes evaluated for each member at its level pair; QuadratureError past a cap.
 
         `levels` holds one level pair per member, or one for all; a `nest`ed
-        member evaluates half its angles, and the cap counts the whole rule.
+        member evaluates half its angles, a "kronrod" part 17 nodes a
+        panel, and the cap counts the whole rule.
         """
         levels = np.broadcast_to(levels, (members.size, 2))
         caps = _MAX_LEVELS[self.d]
@@ -532,27 +586,28 @@ class _Rule:
                 f"quadrature did not converge: {self._where(levels[row], axis)} "
                 f"is past the last {name} {caps[axis] - 1}"
             )
-        nodes = self._divisions(levels[:, 0], members)[3] * _DIRECTIONS[self.d][levels[:, 1]]
-        big = nodes > _MAX_POINTS
+        panels = self._divisions(levels[:, 0], members)[3] * _DIRECTIONS[self.d][levels[:, 1]]
+        big = panels * (_KRONROD_WEIGHTS.size if part == "kronrod" else _GL_NODES.size) > _MAX_POINTS
         if big.any():
             level = levels[np.argmax(big)]
             where = self._where(level, level[1] > 0)
             raise QuadratureError(f"quadrature did not converge: {where} would exceed {_MAX_POINTS:,} nodes")
-        return nodes >> nest
+        return panels * _PANEL_RULES[part][0].size >> nest
 
-    def radial(self, level, members, rows=None):
-        """Radial nodes r, weights wr of member i at radial level level[i], and the count of each.
+    def radial(self, level, members, rows=None, part="gauss"):
+        """Radial nodes r, weight rows wr of member i at radial level level[i], and the count of each.
 
         In d = 1 these are the nodes and weights on the line.  rows = (a, b)
         of a one-member call takes rows a..b-1 alone, from the panels that
         hold them, and counts them.
         """
-        lo, hi, n, counts = self._divisions(level, members)
-        a, b = rows or (0, int(counts.sum()))
-        # panel k is panel i of its cut panel, of 16 rows each; the edges are
+        lo, hi, n, panels = self._divisions(level, members)
+        per = _PANEL_RULES[part][0].size
+        a, b = rows or (0, int(panels.sum()) * per)
+        # panel k is panel i of its cut panel, of `per` rows each; the edges are
         # np.linspace(lo, hi, n + 1) of every cut panel: edge i is i * step + lo, the last is hi
         starts = np.cumsum(n) - n
-        k = np.arange(a // 16, -(-b // 16))
+        k = np.arange(a // per, -(-b // per))
         panel = np.searchsorted(starts, k, side="right") - 1
         i = k - starts[panel]
         step = (hi - lo) / n
@@ -560,11 +615,12 @@ class _Rule:
         right = (i + 1) * step[panel] + lo[panel]
         ends = i == n[panel] - 1
         right[ends] = hi[panel[ends]]
-        x, w = _panel_nodes(left, right)
-        return x[a % 16 :][: b - a], w[a % 16 :][: b - a], counts if rows is None else np.array([b - a])
+        x, w = _panel_nodes(left, right, part)
+        trim = slice(a % per, a % per + b - a)
+        return x[trim], w[:, trim], panels * per if rows is None else np.array([b - a])
 
-    def nodes(self, levels, members, nest=False, span=None):
-        """Nodes X (n, d) and weights w (n,) of the members at their level pairs, member after member.
+    def nodes(self, levels, members, nest=False, span=None, part="gauss"):
+        """Nodes X (n, d) and weight rows W (rows, n) of the members at their level pairs, member after member.
 
         span = (lo, hi) takes nodes lo..hi-1 of a one-member call alone: the
         outer product of the radial rows they touch (of the directions they
@@ -577,7 +633,7 @@ class _Rule:
             nd = int(_DIRECTIONS[self.d][levels[0, 1]]) >> nest
             rows = lo // nd, -(-hi // nd)
             cut = slice(lo - rows[0] * nd, hi - rows[0] * nd)
-        x, w, counts = self.radial(levels[:, 0], members, rows)
+        x, w, counts = self.radial(levels[:, 0], members, rows, part)
         if self.d == 1:
             return x[:, None], w
         # each run of consecutive members with one angular rule is one outer product
@@ -588,13 +644,14 @@ class _Rule:
             omegas, wa = _angular_rule(self.d, levels[a, 1], nest)
             if rows is not None and rows[1] - rows[0] == 1:
                 omegas, wa, cut = omegas[cut], wa[cut], slice(None)
-            r, wr = x[edges[a] : edges[b]], w[edges[a] : edges[b]]
+            r, wr = x[edges[a] : edges[b]], w[:, edges[a] : edges[b]]
             X = (r[:, None, None] * omegas[None, :, :]).reshape(-1, self.d)
-            parts.append((X[cut], ((wr * r ** (self.d - 1))[:, None] * wa).ravel()[cut]))
+            W = ((wr * r ** (self.d - 1))[:, :, None] * wa).reshape(len(wr), -1)
+            parts.append((X[cut], W[:, cut]))
         if len(parts) == 1:
             return parts[0]
         X, W = zip(*parts)
-        return np.concatenate(X), np.concatenate(W)
+        return np.concatenate(X), np.concatenate(W, axis=1)
 
 
 def _segment_sums(vals, counts) -> np.ndarray:
@@ -602,22 +659,24 @@ def _segment_sums(vals, counts) -> np.ndarray:
     return np.add.reduceat(vals, np.cumsum(counts) - counts, axis=-1)
 
 
-def _integrate(measure, rule: _Rule, levels, members, nest=False):
+def _integrate(measure, rule: _Rule, levels, members, nest=False, part="gauss"):
     """measure on the members' rules at their level pairs, and the points of each.
 
     `levels` holds one (radial, angular) pair per member, or one for all;
     with `nest` each member takes only the angles its angular level - 1
-    lacks (`_Rule`).  measure(read, counts, members) returns one row
-    per member; members go through it in groups of at most _NODE_BUDGET
-    nodes, a larger member alone, and read(span=None) builds the group's
-    nodes X and weights w: all of them, or nodes lo..hi-1 of a one-member
-    group with span = (lo, hi) (`_Rule.nodes`).  A row that is not finite
-    raises QuadratureError naming its member's level pair.
+    lacks, and `part` is the part of each radial panel taken (`_Rule`).
+    measure(read, counts, members) returns one row per member, one block
+    of columns per weight row; members go through it in groups of at most
+    _NODE_BUDGET nodes, a larger member alone, and read(span=None) builds
+    the group's nodes X (n, d) and weight rows W (rows, n): all of them,
+    or nodes lo..hi-1 of a one-member group with span = (lo, hi)
+    (`_Rule.nodes`).  A row that is not finite raises QuadratureError
+    naming its member's level pair.
     """
     levels = np.broadcast_to(levels, (members.size, 2))
-    counts = rule.counts(levels, members, nest)
+    counts = rule.counts(levels, members, nest, part)
     rows = np.concatenate([
-        measure(functools.partial(rule.nodes, levels[g], members[g], nest), counts[g], members[g])
+        measure(functools.partial(rule.nodes, levels[g], members[g], nest, part=part), counts[g], members[g])
         for g in _groups(counts)
     ])
     finite = np.isfinite(rows).reshape(members.size, -1).all(axis=1)
@@ -644,31 +703,50 @@ def _refine(measure, d: int, R, bound, met=None, tv=None):
 
     Then come the phases, each one loop over the members still pending in
     it: d = 1 refines its panels (one radial phase), d >= 2 the radius,
-    then the angle.  Each step moves the pending members one level along
-    the phase's axis, and a member leaves the phase once its step moves no
-    entry of the measure by more than bound(cur), with the finer level and
-    value.  The first radial phase of d >= 2 keeps the coarser ones
-    instead, so the angle is refined at the coarser radial level and radial
-    convergence is judged on the coarsest angular rule.  TV in d >= 2 bends
-    where the rays cross p = q, which can fool a judgement on one axis, so
-    with `tv` it runs the two phases twice: the radius again at its final
-    angular level, then the angle again.  In d = 2 an angular step
-    evaluates only the angles the level below lacks (the trapezoid angles
-    of level j are every other one of level j + 1) and adds half the value
-    of the level below, so the measure must be linear in the weights w.
-    No level pair is evaluated twice; in d = 2 no node is either, but for
-    the first radial step of TV's second radial phase, which evaluates its
-    level in full, angular level 0 included, which the first radial phase
-    had.  A measure that is not finite raises QuadratureError at its level
-    (`_integrate`).  Returns the last measure of each member, its points
-    (the start pass included) and its radius.
+    then the angle.  A radial level L is judged by its Gauss-Kronrod
+    extension: each Gauss pass of it (the start pass and level 0
+    included) gives the Gauss sum G and the Kronrod weights' sum at the
+    same nodes, and a judgement evaluates only the 17 Kronrod nodes a
+    panel that complete the 33-point sum K.  A member leaves the phase
+    once no entry of the measure has |K - G| > bound(K) and, past level 0,
+    none has moved K by more than bound(K) from the level below; the
+    others move to level L + 1.  K - G reuses the Gauss nodes' values, so
+    their rounding errors partly cancel in it, and the level below's K,
+    on other nodes, shows what they move (without it, TV between
+    (1 - 1e-10) N(0, 1) + 1e-10 N(1, 1) and N(0, 1) settled 1.1e-8
+    relative off at tol 1e-8).  d = 1 keeps K, the finer value; the
+    radial phase of d >= 2 keeps G, the coarser one, so the angle is
+    refined on the Gauss rule at that level and radial convergence is
+    judged on the coarsest angular rule.  An angular step moves the
+    pending members one angular level, and a member leaves the phase once
+    its step moves no entry by more than bound(cur), with the finer level
+    and value.
+
+    TV in d >= 2 bends where the rays cross p = q, and a Kronrod
+    difference across a kink can be small by chance, so with `tv` its
+    radial phases step one radial level at a time as the angular ones do,
+    the first keeping the coarser level and value; and as a judgement on
+    one axis can be fooled too, it runs the two phases twice: the radius
+    again at its final angular level, then the angle again.  In d = 2 an
+    angular step evaluates only the angles the level below lacks (the
+    trapezoid angles of level j are every other one of level j + 1) and
+    adds half the value of the level below, so the measure must be linear
+    in the weights.  No level pair is evaluated twice; in d = 2 no node
+    is either, but for the first radial step of TV's second radial phase,
+    which evaluates its level in full, angular level 0 included, which
+    the first radial phase had.  A measure that is not finite raises
+    QuadratureError at its level (`_integrate`).  Returns the last measure
+    of each member, its points (the start pass included) and its radius.
     """
     R = start = np.asarray(R, dtype=float)
     m = start.size
+    part = "gauss" if tv is not None and d > 1 else "both"
+    # the Gauss sums of rows that may hold the Kronrod sums too
+    gauss = lambda rows: rows[:, : rows.shape[1] // len(_PANEL_RULES[part][1])]  # noqa: E731
     last, pts, fresh = None, np.zeros(m, dtype=np.int64), np.ones(m, dtype=bool)
     if met is not None:
-        last, pts = _integrate(measure, _Rule(d, start), 0, np.arange(m))
-        R = _search_radius(start, lambda R, members: met(R, last[members], members))
+        last, pts = _integrate(measure, _Rule(d, start), 0, np.arange(m), part=part)
+        R = _search_radius(start, lambda R, members: met(R, gauss(last[members]), members))
         fresh = R != start
     splits = None
     if d == 1 and tv is not None:
@@ -680,12 +758,33 @@ def _refine(measure, d: int, R, bound, met=None, tv=None):
     fresh = np.flatnonzero(fresh)
     if fresh.size:
         # level (0, 0) of the members without a start-pass row to keep
-        cur, n = _integrate(measure, rule, 0, fresh)
+        cur, n = _integrate(measure, rule, 0, fresh, part=part)
         pts[fresh] += n
         last = cur if last is None else last
         last[fresh] = cur
     levels = np.zeros((m, 2), dtype=np.int64)
     phases = [(1, 0)] if d == 1 else [(1, 0), (0, 1)] * (1 + (tv is not None))
+    if part == "both":
+        # the radial phase: `sums` holds each pending member's G and its Kronrod sum at the Gauss nodes
+        pending, sums, last, below = np.arange(m), last, gauss(last).copy(), None
+        while True:
+            extra, n = _integrate(measure, rule, levels[pending], pending, part="kronrod")
+            pts[pending] += n
+            coarse, fine = np.split(sums, 2, axis=1)
+            fine = fine + extra
+            moved = np.abs(fine - coarse)
+            if below is not None:
+                # past level 0, the Kronrod value must also stay within the bound of the level below's
+                moved = np.maximum(moved, np.abs(fine - below))
+            settled = (moved <= bound(fine)).reshape(pending.size, -1).all(axis=1)
+            last[pending] = fine if d == 1 else coarse
+            pending, below = pending[~settled], fine[~settled]
+            if not pending.size:
+                break
+            levels[pending, 0] += 1
+            sums, n = _integrate(measure, rule, levels[pending], pending, part="both")
+            pts[pending] += n
+        phases = phases[1:]
     for phase, step in enumerate(phases):
         nest = d == 2 and step[1] == 1
         pending = np.arange(m)
@@ -696,8 +795,8 @@ def _refine(measure, d: int, R, bound, met=None, tv=None):
             if nest:
                 cur += 0.5 * last[pending]
             settled = (np.abs(cur - last[pending]) <= bound(cur)).reshape(pending.size, -1).all(axis=1)
-            # the first radial phase of d >= 2 keeps the coarser level and value
-            coarse = settled & (d > 1 and phase == 0)
+            # TV's first radial phase in d >= 2 keeps the coarser level and value
+            coarse = settled & (part == "gauss" and phase == 0)
             levels[pending[coarse]] -= step
             last[pending[~coarse]] = cur[~coarse]
             pending = pending[~settled]
@@ -1059,9 +1158,16 @@ def _compute_pairs(
     own level and keeps its own radius, splits, tails and point count.  A
     pair's truncation bounds are the rows its last step computed, at the
     radius it kept; a fixed `domain_radius` runs no search and computes one
-    table.  A pair's estimates are the same bits whatever other pairs share
-    its batch.  Each pair's dict lists its estimates in the order of
-    `kinds`.  `lam` is the renyi power; `tol`
+    table.  The pairs are integrated sorted by (p's atom count, q's atom
+    count) (`np.lexsort`), so a block of d = 1 nodes, whose logits have a
+    row per atom of its largest mixture, pads few atoms; estimates, tail
+    tables and L2 rows come back in the caller's order.  A pair's estimates
+    are the same bits whatever other pairs share its batch, in whatever
+    order.  The measure weights each kind's integrand values by every
+    weight row of the rule (the Gauss and the Kronrod sums of a Gauss pass
+    come from one kernel pass) and returns one block of kinds per row.
+    Each pair's dict lists its estimates in the order of `kinds`.  `lam` is
+    the renyi power; `tol`
     defaults to `default_tol(d)`; a `domain_radius` that is not finite, or
     that comes within 0.25 of an atom radius, raises HypothesisError for
     every kind.
@@ -1086,19 +1192,24 @@ def _compute_pairs(
     integrated = [k for k in kinds if k != DivergenceKind.L2Sq]
     if not integrated:
         return rows
+    # the pairs in atom-count order, so a block of d = 1 nodes pads few atoms
+    order = np.lexsort((q_env.counts, p_env.counts))
+    p_env, q_env, start = p_env[order], q_env[order], start[order]
 
     def measure(read, counts, members):
-        # one float a node a kind: a member over the budget goes through a
-        # slice of _NODE_BUDGET nodes at a time into the products
+        # one float a node a kind a weight row: a member over the budget goes
+        # through a slice of _NODE_BUDGET nodes at a time into the products
         n = int(counts.sum())
         whole = n <= _NODE_BUDGET
-        products = np.empty((len(integrated), n))
         pair = [p_env[members], q_env[members]]
         for lo in range(0, n, _NODE_BUDGET):
-            X, w = read() if whole else read(span=(lo, min(n, lo + _NODE_BUDGET)))
-            logp, logq = log_densities(pair, X, counts if whole else [w.size])
-            np.multiply(_integrands(integrated, logp, logq, lam), w, out=products[:, lo : lo + w.size])
-        return _segment_sums(products, counts).T
+            X, W = read() if whole else read(span=(lo, min(n, lo + _NODE_BUDGET)))
+            logp, logq = log_densities(pair, X, counts if whole else [len(X)])
+            if lo == 0:
+                products = np.empty((len(W), len(integrated), n))
+            vals = _integrands(integrated, logp, logq, lam)
+            np.multiply(vals, W[:, None, :], out=products[:, :, lo : lo + len(X)])
+        return _segment_sums(products, counts).transpose(2, 0, 1).reshape(members.size, -1)
 
     def met(R, start_pass, members):
         # a member that meets its target keeps R, so its last rows here are its certificates;
@@ -1114,9 +1225,9 @@ def _compute_pairs(
     if met is None:
         # a fixed radius runs no search: its one table, once the ball is known to integrate
         tails = _tail_bounds(integrated, p_env, q_env, R, d, lam)
-    for row, vs, ts, r, n in zip(rows, values, tails, R, pts):
+    for i, vs, ts, r, n in zip(order, values, tails, R, pts):
         for k, v, t in zip(integrated, vs, ts):
-            row[k] = IntegralEstimate(float(v), float(t), float(r), int(n))
+            rows[i][k] = IntegralEstimate(float(v), float(t), float(r), int(n))
     return [{k: row[k] for k in kinds} for row in rows]
 
 
@@ -1215,8 +1326,10 @@ def _gram_h2(elements, tol) -> np.ndarray:
     rule on the ball of radius R the square roots S_i = sqrt(p_i) at the
     nodes, from one shared-node pass of the density kernel
     (`log_densities`), give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij,
-    which is int (sqrt(p_i) - sqrt(p_j))^2 over the ball.  `_refine` stops
-    once no entry moves by more than tol/2, so `tol` is an absolute H^2
+    which is int (sqrt(p_i) - sqrt(p_j))^2 over the ball, one such table
+    per weight row w of the level (a Gauss pass has the Gauss and the
+    Kronrod rows).  `_refine` stops once no entry's Kronrod difference (or
+    angular step) exceeds tol/2, so `tol` is an absolute H^2
     accuracy (default `default_tol(d)`); the entries are clipped at 0 only
     after that, since an angular step in d = 2 reuses the level below.  The
     members are processed in an order fixed by their contents and the upper
@@ -1245,19 +1358,19 @@ def _gram_h2(elements, tol) -> np.ndarray:
     step = max(1, _GRAM_ENTRIES // n)
 
     def measure(read, counts, _):
-        G = np.zeros((n, n))
+        G = 0.0
         for lo in range(0, counts[0], step):
-            X, w = read(span=(lo, min(counts[0], lo + step)))
+            X, W = read(span=(lo, min(counts[0], lo + step)))
             (S,) = log_densities([batch], X)
             S *= 0.5
             np.exp(S, out=S)
             S[S < _GRAM_FLOOR] = 0.0
-            G += (S * w) @ S.T
-        diag = np.diag(G)
-        return np.triu(diag[:, None] + diag[None, :] - 2.0 * G, 1)[None]
+            G = G + np.stack([(S * w) @ S.T for w in W])
+        diag = np.diagonal(G, axis1=1, axis2=2)
+        return np.triu(diag[:, :, None] + diag[:, None, :] - 2.0 * G, 1).reshape(1, -1)
 
     # the measure stays linear in the weights, as `_refine` needs; clip after
-    h2 = np.maximum(_refine(measure, d, R, lambda cur: 0.5 * tol)[0][0], 0.0)
+    h2 = np.maximum(_refine(measure, d, R, lambda cur: 0.5 * tol)[0].reshape(n, n), 0.0)
     h2 += h2.T
     position = np.argsort(order)
     return h2[np.ix_(position, position)]
@@ -1282,7 +1395,7 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
     |Psi_p - Psi_q|^2 <= 4 e^{-t^2}, so the t-domain is cut where that
     envelope is negligible against tol, by the radius search of the
     x-domain quadratures started at 6, and the remainder integrated by the
-    same driver and panel-doubling rule.
+    same driver and panel rule, judged by its Kronrod extension.
     """
     if p.dim != 1 or q.dim != 1:
         raise CapabilityError("plancherel_l2 is implemented for d=1 only")
@@ -1290,10 +1403,10 @@ def plancherel_l2(p: GaussianMixture, q: GaussianMixture, tol=1e-8) -> float:
         raise HypothesisError(f"plancherel tolerance must lie in (0, 1), got {tol}")
 
     def measure(read, counts, _):
-        X, w = read()
+        X, W = read()
         t = X[:, 0]
         diff = characteristic_function(p, t) - characteristic_function(q, t)
-        return _segment_sums((diff.real**2 + diff.imag**2) * w, counts)[:, None]
+        return _segment_sums((diff.real**2 + diff.imag**2) * W, counts).T
 
     def met(T, start_pass, _):
         # two-sided tail of 4 e^{-t^2} beyond T is below 4 e^{-T^2} / T

@@ -1,5 +1,6 @@
 """The A/B timing tool `tools/ab.py`, run on this checkout against itself."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,28 @@ def test_a_checkout_against_itself_has_equal_digests():
         assert block[-1] == "digests equal"
         digests.append(pair[0])
     assert digests[0] != digests[1]
+
+
+def test_differing_artifacts_are_listed_file_by_file(tmp_path):
+    # a copy whose level-0 radial panels are 3 wide, not 4, spends other
+    # point counts, which every sweep's summary reports
+    change = tmp_path / "change"
+    for part in ("src", "perfbench"):
+        shutil.copytree(_ROOT / part, change / part, ignore=shutil.ignore_patterns("__pycache__"))
+    source = change / "src" / "gmdiv" / "divergences.py"
+    text = source.read_text()
+    assert "\n_PANEL_WIDTH = 4.0\n" in text
+    source.write_text(text.replace("\n_PANEL_WIDTH = 4.0\n", "\n_PANEL_WIDTH = 3.0\n"))
+    cmd = [sys.executable, str(_ROOT / "tools" / "ab.py"), str(_ROOT), str(change), "--workload", "sweep-d23"]
+    run = subprocess.run(cmd + ["--pairs", "1"], capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-1] == "digests DIFFER"
+    differs = {}
+    for line in lines:
+        if line.startswith("differs "):
+            name, count = line[len("differs ") :].rsplit(": ", 1)
+            differs[name] = int(count.removesuffix(" lines"))
+    summaries = ["job0/out/sweep_Thm1_summary.json", "job1/out/sweep_ChiSqThm_summary.json"]
+    summaries.append("job2/out/sweep_Thm1_summary.json")
+    assert set(summaries) <= set(differs) and min(differs.values()) > 0

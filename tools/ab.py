@@ -15,8 +15,11 @@ whose artifacts differ from the side's first as a failed op.
 Each workload, in the order given, gets its own two workers, warm-up and
 pairs, and prints one block: for `cpu_s` and `wall_s`, each side's
 median, the parent's quartiles and the number of pairs in which the
-change ran lower, then both sides' digests and failed ops.  Exits 0 when
-every workload's digests are equal and no op failed; 1 otherwise.
+change ran lower, then both sides' digests and failed ops.  When the
+digests differ, each worker has kept a copy of its warm-up artifacts, and
+the block lists every artifact file whose bytes differ, with its count of
+differing lines, so a behaviour change is reported file by file.  Exits 0
+when every workload's digests are equal and no op failed; 1 otherwise.
 `perfbench/` is only read.
 """
 
@@ -31,6 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
@@ -38,10 +42,14 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 
-def serve(checkout: str, workload: str, seed: int) -> int:
-    """Run repetitions of one workload for stdin: a line in, one JSON line out, until EOF."""
+def serve(checkout: str, workload: str, seed: int, keep: str) -> int:
+    """Run repetitions of one workload for stdin: a line in, one JSON line out, until EOF.
+
+    The artifacts of the first repetition are copied to `keep`, job by job.
+    """
     src = os.path.join(checkout, "src")
     sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
     import gmdiv.cli
@@ -56,7 +64,8 @@ def serve(checkout: str, workload: str, seed: int) -> int:
     jobs = workloads.WORKLOADS[workload](seed)
     work = tempfile.mkdtemp(prefix="ab-")
     try:
-        manifest, outs = run.write_inputs(jobs, os.path.join(work, "jobs"))
+        jobs_dir = os.path.join(work, "jobs")
+        manifest, outs = run.write_inputs(jobs, jobs_dir)
         with open(manifest) as fh:
             entries = json.load(fh)
         # a repetition whose artifacts differ from the first one's is a failed op
@@ -74,6 +83,10 @@ def serve(checkout: str, workload: str, seed: int) -> int:
                         codes.append(f"{type(exc).__name__}: {exc}")
             wall, cpu = time.perf_counter() - t0, _cpu_s() - c0
             checker.check(codes)
+            if not os.path.exists(keep):
+                for out in outs:
+                    if os.path.isdir(out):
+                        shutil.copytree(out, os.path.join(keep, os.path.relpath(out, jobs_dir)))
             reply = {"cpu_s": cpu, "wall_s": wall, "digest": checker.digest, "failed": checker.failed - failed}
             print(json.dumps(reply), flush=True)
     finally:
@@ -84,9 +97,9 @@ def serve(checkout: str, workload: str, seed: int) -> int:
 class _Side:
     """One checkout's persistent worker."""
 
-    def __init__(self, checkout: str, workload: str, seed: int):
+    def __init__(self, checkout: str, workload: str, seed: int, keep: str):
         cmd = [sys.executable, os.path.abspath(__file__), "--worker", checkout]
-        cmd += ["--workload", workload, "--seed", str(seed)]
+        cmd += ["--workload", workload, "--seed", str(seed), "--keep", keep]
         self.proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         self.reps = []
 
@@ -115,9 +128,30 @@ def _quartiles(values) -> tuple[float, float]:
     return q1, q3
 
 
-def compare(checkouts, workload: str, seed: int, pairs: int) -> bool:
-    """Time one workload on both checkouts and print its block; True when digests agree and no op failed."""
-    sides = [_Side(os.path.abspath(c), workload, seed) for c in checkouts]
+def _differing_files(parent: str, change: str) -> list[tuple[str, int]]:
+    """Each artifact file whose bytes differ between two kept trees, with its count of differing lines.
+
+    A file on one side only counts all its lines.
+    """
+
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root) for d, _, names in os.walk(root) for f in names}
+
+    out = []
+    for name in sorted(files(parent) | files(change)):
+        a, b = (Path(root, name).read_bytes() if Path(root, name).exists() else b"" for root in (parent, change))
+        if a != b:
+            out.append((name, sum(x != y for x, y in itertools.zip_longest(a.splitlines(), b.splitlines()))))
+    return out
+
+
+def compare(checkouts, workload: str, seed: int, pairs: int, kept: str) -> bool:
+    """Time one workload on both checkouts and print its block; True when digests agree and no op failed.
+
+    Each side's warm-up artifacts are kept under `kept`.
+    """
+    keeps = [os.path.join(kept, label) for label in ("parent", "change")]
+    sides = [_Side(os.path.abspath(c), workload, seed, keep) for c, keep in zip(checkouts, keeps)]
     try:
         warm = [side.run() for side in sides]
         for side in sides:
@@ -143,6 +177,9 @@ def compare(checkouts, workload: str, seed: int, pairs: int) -> bool:
     for label, first, n in zip(("parent", "change"), warm, failed):
         print(f"{label} artifacts sha256 {first['digest']} ops_failed {n}", flush=True)
     same = warm[0]["digest"] == warm[1]["digest"]
+    if not same:
+        for name, lines in _differing_files(*keeps):
+            print(f"differs {name}: {lines} lines")
     print("digests equal" if same else "digests DIFFER", flush=True)
     return same and not any(failed)
 
@@ -154,13 +191,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--worker", metavar="CHECKOUT", help=argparse.SUPPRESS)
+    parser.add_argument("--keep", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        return serve(os.path.abspath(args.worker), args.workload[0], args.seed)
+        return serve(os.path.abspath(args.worker), args.workload[0], args.seed, args.keep)
     if len(args.checkouts) != 2 or args.pairs < 1:
         parser.error("give two checkouts, PARENT and CHANGE, and --pairs of at least 1")
     # every workload runs, whatever an earlier one found
-    ok = [compare(args.checkouts, workload, args.seed, args.pairs) for workload in args.workload]
+    with tempfile.TemporaryDirectory(prefix="ab-kept-") as kept:
+        ok = [
+            compare(args.checkouts, workload, args.seed, args.pairs, os.path.join(kept, workload))
+            for workload in args.workload
+        ]
     return 0 if all(ok) else 1
 
 
