@@ -4,7 +4,7 @@ Every comparison inequality between divergences of Gaussian mixtures that
 this package tracks has an identifier in `BoundId`; `bound_rhs` evaluates
 the right-hand side exactly as printed in its source statement, and
 `verify_sweep` draws seeded random mixture pairs from the matching class
-and checks lhs <= rhs instance by instance, with slack derived from the
+and checks lhs <= rhs for every instance, with slack derived from the
 certified truncation bounds so a quadrature artifact can never produce a
 false failure.
 
@@ -16,13 +16,22 @@ dimensions it holds in) and, for ChiSqThm, its log-domain right-hand
 side.  `bound_rhs`, `bound_rhs_log` and the sweeps read the same row; a
 sweep checks the class once and binds its parameters into the row's
 formula, so each instance checks only its own argument.
+
+A sweep runs as columns over its instances: one pass of numpy's
+SeedSequence hash gives every instance's generator state
+(`_pcg64_states`), `_compute_pairs` returns each kind's values and bounds
+as arrays, and `_check` forms every instance's sides, slacks, passes and
+ratios at once.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
+import itertools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -467,13 +476,70 @@ class _Atoms(NamedTuple):
     counts: np.ndarray  # (n,)
 
 
+# numpy's SeedSequence hash (NEP 19 keeps it stream-stable) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32, _MASK128 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF, (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_states(seed: int, indices) -> list[dict]:
+    """The PCG64 state of `np.random.default_rng([seed, i])` for each i, hashed for all i at once.
+
+    numpy's SeedSequence reads seed and i as their 32-bit words, low first
+    (a negative one raises ValueError), hashes the first four words (0 past
+    the end) into a pool of four, mixes every pool word into every other and
+    then each further word into every pool word, and draws 8 words from the
+    pool.  Read as 4 little-endian 64-bit words they are PCG64's 128-bit
+    seed and increment, and PCG64 steps its LCG twice from them.  The hash
+    runs as uint32 arrays over the instances, a row's further words only
+    where it has them; the 128-bit steps are Python integers.
+    """
+
+    def words(x):
+        if (x := operator.index(x)) < 0:
+            raise ValueError(f"expected non-negative integer, got {x}")
+        return [x >> s & _MASK32 for s in range(0, max(x.bit_length(), 1), 32)]
+
+    shift = lambda value: value ^ value >> 16  # noqa: E731
+    mix = lambda x, y: shift(np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y)  # noqa: E731
+
+    def hashmix(value, const, mult):
+        # as numpy's: const is a one-element list, multiplied by mult at each call
+        value = value ^ np.uint32(const[0])
+        const[0] = const[0] * mult & _MASK32
+        return shift(value * np.uint32(const[0]))
+
+    rows = [words(seed) + words(i) for i in indices]
+    lengths = np.array([len(row) for row in rows])
+    width = max(4, lengths.max(initial=0))
+    entropy = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.uint32).reshape(-1, width)
+    const = [_INIT_A]
+    pool = [hashmix(entropy[:, j], const, _MULT_A) for j in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src], const, _MULT_A))
+    for src in range(4, width):
+        for dst in range(4):
+            pool[dst] = np.where(src < lengths, mix(pool[dst], hashmix(entropy[:, src], const, _MULT_A)), pool[dst])
+    const = [_INIT_B]
+    drawn = [hashmix(pool[j % 4], const, _MULT_B).astype(np.uint64) for j in range(8)]
+    # PCG64 takes seed s and stream i, high word first: with inc = 2 i + 1 it
+    # steps its LCG from state 0, adds s and steps again
+    s_hi, s_lo, i_hi, i_lo = ((drawn[j] | drawn[j + 1] << 32).tolist() for j in range(0, 8, 2))
+    incs = [(hi << 65 | lo << 1 | 1) & _MASK128 for hi, lo in zip(i_hi, i_lo)]
+    return [
+        {"state": (((hi << 64 | lo) + inc) * _PCG64_MULT + inc) & _MASK128, "inc": inc}
+        for hi, lo, inc in zip(s_hi, s_lo, incs)
+    ]
+
+
 def _draw_pairs(seed: int, indices, family: InstanceFamily) -> _Atoms:
     """The atoms of the sweep instances `indices`, before validation.
 
     Row j holds the p of instance indices[j] and row n + j its q, for n
     instances.  Instance i draws from `np.random.default_rng([seed, i])`,
-    its p first and then its q.  A mixture draws its atom count k uniform in
-    [1, max_atoms], then
+    its p first and then its q: one generator takes each instance's state
+    in turn, hashed for all of them at once (`_pcg64_states`).  A mixture
+    draws its atom count k uniform in [1, max_atoms], then
     - Compact(M): k uniform directions and radii M U^(1/d);
     - Subgaussian(K): an atom at the origin (an atomic K-subgaussian law
       must put mass there) and k - 1 atoms N(0, (K/2)^2 I),
@@ -500,8 +566,9 @@ def _draw_pairs(seed: int, indices, family: InstanceFamily) -> _Atoms:
     expo = np.zeros((2 * n, top))
     drawn = np.zeros(2 * n, dtype=bool)
     compact = isinstance(tag, Compact)
-    for i, index in enumerate(indices):
-        rng = np.random.default_rng([seed, index])
+    rng = np.random.Generator(np.random.PCG64(0))
+    for i, (index, state) in enumerate(zip(indices, _pcg64_states(seed, indices))):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
         for row in (i,) if index % 10 == 0 or index % 50 == 1 else (i, n + i):
             k = counts[row] = int(rng.integers(1, top + 1))
             if compact:
@@ -588,60 +655,55 @@ def _slack(bound_a, bound_b) -> float:
     return 2.0 * (bound_a + bound_b) + 1e-9
 
 
-def _side(kind, est) -> tuple[float, float]:
-    """A comparison side's value and the bound on its error, in the units the bound is stated in.
+def _stated(kind, value, bound):
+    """A comparison side's values and the bounds on their errors, in the units the bound is stated in.
 
     The L2 comparisons are stated for ||p - q||_2, the root of the L2^2
-    estimate v.  Its bound b goes through the root too: ||p - q||_2 lies in
+    estimate v, which `_l2_closed_form` clips at 0.  Its bound b goes
+    through the root too: ||p - q||_2 lies in
     [sqrt(max(v - b, 0)), sqrt(v + b)], and the side's bound is the larger
     distance from sqrt(v) to an end.
     """
     if kind is not _L2:
-        return est.value, est.truncation_bound
-    v, b = max(est.value, 0.0), est.truncation_bound
-    root = math.sqrt(v)
-    return root, max(math.sqrt(v + b) - root, root - math.sqrt(max(v - b, 0.0)))
+        return value, bound
+    root = np.sqrt(value)
+    return root, np.maximum(np.sqrt(value + bound) - root, root - np.sqrt(np.maximum(value - bound, 0.0)))
 
 
-def _one_instance(comparison: _Comparison, seed: int, index: int, natoms_p, natoms_q, est):
-    """The checked instance of a pair with these atom counts; `est` maps each kind of the sweep to its estimate."""
-    kl, h2 = est[_KL], est[_H2]
-    params = {**comparison.family_params, "natoms_p": natoms_p, "natoms_q": natoms_q}
+# a sweep's checks as columns, row i for instance i, in the order of `SweepInstance`'s fields
+_Checked = collections.namedtuple("_Checked", "lhs rhs ratio passed kl_ge_h2 chi2_ge_kl")
 
-    kl_ge_h2 = h2.value <= kl.value + _slack(kl.truncation_bound, h2.truncation_bound)
-    chi2_ge_kl = None
-    sweep = comparison.sweep
-    (lhs, lhs_bound), (arg, arg_bound) = (_side(k, est[k]) for k in (sweep.lhs, sweep.arg))
+
+def _check(comparison: _Comparison, est) -> _Checked:
+    """Check every pair of a sweep at once; `est` is `_compute_pairs`'s columns, read by kind.
+
+    Sides, slacks and the ordering checks are IEEE array arithmetic.  The
+    rhs of each argument not <= 0 (one <= 0 compares with rhs 0) is the
+    row's formula on a Python float, and so are ChiSqThm's log-domain
+    comparison and ratio, as its rhs overflows a double once M >= 4.
+    chi2_ge_kl holds None but for ChiSqThm.
+    """
+    value, bound, sweep, n = est.value, est.bound, comparison.sweep, len(est.points)
+    (lhs, lhs_bound), (arg, arg_bound) = (_stated(k, value[k], bound[k]) for k in (sweep.lhs, sweep.arg))
     slack = _slack(lhs_bound, arg_bound)
-    kw = {sweep.arg.value: arg}
+    kl_ge_h2 = value[_H2] <= value[_KL] + _slack(bound[_KL], bound[_H2])
+    rhs, chi2_ge_kl = np.zeros(n), np.full(n, None)
+    rows = [(i, x) for i, x in enumerate(arg.tolist()) if not x <= 0]
+    if comparison.bound is not BoundId.ChiSqThm:
+        rhs[[i for i, _ in rows]] = [comparison.rhs(**{sweep.arg.value: x}) for _, x in rows]
+        ratio = np.divide(lhs, rhs, out=np.full(n, math.nan), where=rhs > 0)
+        return _Checked(lhs, rhs, ratio, lhs <= rhs + slack, kl_ge_h2, chi2_ge_kl)
+    chi2_ge_kl = value[_KL] <= lhs + _slack(lhs_bound, bound[_KL])
+    passed, ratio, sides = lhs <= slack, np.full(n, math.nan), lhs.tolist()
+    for i, x in rows:
+        log_rhs, rhs[i] = comparison.log_rhs(h2=x), comparison.rhs(h2=x)
+        passed[i] = passed[i] or math.log(sides[i]) <= log_rhs + 1e-12
+        ratio[i] = math.exp(math.log(sides[i]) - log_rhs) if sides[i] > 0 else 0.0
+    return _Checked(lhs, rhs, ratio, passed, kl_ge_h2, chi2_ge_kl)
 
-    if comparison.bound is BoundId.ChiSqThm:
-        # the rhs overflows a double once M >= 4, so compare in the log domain
-        chi2_ge_kl = kl.value <= lhs + _slack(lhs_bound, kl.truncation_bound)
-        if arg <= 0:
-            rhs, passed, ratio = 0.0, lhs <= slack, math.nan
-        else:
-            log_rhs, rhs = comparison.log_rhs(**kw), comparison.rhs(**kw)
-            passed = lhs <= slack or math.log(lhs) <= log_rhs + 1e-12
-            ratio = math.exp(math.log(lhs) - log_rhs) if lhs > 0 else 0.0
-    else:
-        rhs = 0.0 if arg <= 0 else comparison.rhs(**kw)
-        passed = lhs <= rhs + slack
-        ratio = lhs / rhs if rhs > 0 else math.nan
 
-    return SweepInstance(
-        seed=seed,
-        index=index,
-        params=params,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        ratio=float(ratio),
-        passed=bool(passed),
-        kl_ge_h2=bool(kl_ge_h2),
-        chi2_ge_kl=chi2_ge_kl,
-        # every integrated kind of a pair shares its points; L2^2 spends none
-        quadrature_points=max(e.quadrature_points for e in est.values()),
-    )
+# the `SweepInstance` of one row of a sweep's checks; perfbench's tracer counts instances by this name
+_one_instance = SweepInstance
 
 
 def verify_sweep(
@@ -658,8 +720,9 @@ def verify_sweep(
     (`_draw_pairs`) and validated once (`validate_atoms`), and no mixture
     object is built.  All pairs are integrated as one batch
     (`_compute_pairs`) on the calling thread, so the report is
-    deterministic across reruns.  A failure means lhs exceeded the stated
-    rhs by more than the certified numerical slack.
+    deterministic across reruns, and checked at once (`_check`).  A
+    failure means lhs exceeded the stated rhs by more than the certified
+    numerical slack.
     """
     bound = BoundId(bound)
     comparison = _comparison(bound, family)
@@ -671,22 +734,14 @@ def verify_sweep(
     p_env, q_env = (_Batch(atoms.locations[rows], weights[rows]) for rows in (slice(0, n), slice(n, None)))
     estimates = _compute_pairs(comparison.sweep.kinds, p_env, q_env, (family.tag,), tol)
     counts = atoms.counts.tolist()
-    instances = [
-        _one_instance(comparison, seed, i, counts[i], counts[n + i], e) for i, e in enumerate(estimates)
-    ]
-
-    ratios = [inst.ratio for inst in instances if math.isfinite(inst.ratio)]
-    if ratios:
-        max_ratio = max(ratios)
-        argmax_index = next(
-            inst.index for inst in instances if inst.ratio == max_ratio
-        )
-    else:
-        max_ratio, argmax_index = math.nan, -1
-    failures = sum(not inst.passed for inst in instances)
-    ordering_failures = sum(
-        (not inst.kl_ge_h2) + (inst.chi2_ge_kl is False) for inst in instances
-    )
+    params = [{**comparison.family_params, "natoms_p": a, "natoms_q": b} for a, b in zip(counts[:n], counts[n:])]
+    columns = [column.tolist() for column in _check(comparison, estimates)] + [estimates.points.tolist()]
+    instances = list(map(_one_instance, [seed] * n, range(n), params, *columns))
+    ratios, passed, kl_ge_h2, chi2_ge_kl = columns[2:6]
+    finite = [r for r in ratios if math.isfinite(r)]
+    max_ratio = max(finite, default=math.nan)
+    argmax_index = ratios.index(max_ratio) if finite else -1
+    failures, ordering_failures = passed.count(False), kl_ge_h2.count(False) + chi2_ge_kl.count(False)
     return SweepReport(
         bound=bound,
         seed=seed,

@@ -99,7 +99,9 @@ and one pass over them for every kind's integrand (`_integrands`),
 weighted by one row of weights per sum (a Gauss pass forms G and the
 Kronrod weights' sum from the same values).  `_compute_pairs` integrates its pairs in
 atom-count order, so a block of d = 1 nodes pads few atoms, and returns
-them in the caller's.
+their estimates in the caller's order as columns (`_Columns`: each kind's
+values and truncation bounds, each pair's radius and points); only
+`_compute_divergences` builds `IntegralEstimate`s, for its one pair.
 One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
 Gram pass of the Hellinger table and `plancherel_l2` are one-member
 batches of the same `_refine`; a fixed `domain_radius` and the Gram pass,
@@ -131,6 +133,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,6 +177,15 @@ class IntegralEstimate:
     truncation_bound: float
     domain_radius: float
     quadrature_points: int
+
+
+class _Columns(NamedTuple):
+    """Estimates of several kinds for m pairs as columns, row i for pair i: what `_compute_pairs` returns."""
+
+    value: dict  # each kind's (m,) values, in the order of the kinds
+    bound: dict  # each kind's (m,) truncation bounds
+    radius: np.ndarray  # (m,) each pair's domain radius, inf when L2^2 is its only kind
+    points: np.ndarray  # (m,) each pair's integrand evaluations, shared by its integrated kinds
 
 
 # Surface area of the unit sphere in R^d (d=1 counts the two endpoints).
@@ -1088,8 +1100,8 @@ def _merged_atoms(p_env: _Batch, q_env: _Batch):
     return X, c, e, counts
 
 
-def _l2_closed_form(p_env: _Batch, q_env: _Batch) -> list[IntegralEstimate]:
-    """||p_i - q_i||_2^2 of each pair in closed form, with a bound on its rounding error.
+def _l2_closed_form(p_env: _Batch, q_env: _Batch) -> tuple[np.ndarray, np.ndarray]:
+    """||p_i - q_i||_2^2 of each pair in closed form, with a bound on its rounding error: two columns.
 
     Over the merged atoms x_i, c_i of `_merged_atoms` the value is
     (4 pi)^(-d/2) sum_i c_i sum_j c_j G_ij, G_ij = exp(-a_ij),
@@ -1129,7 +1141,7 @@ def _l2_closed_form(p_env: _Batch, q_env: _Batch) -> list[IntegralEstimate]:
     norm = (4.0 * math.pi) ** (-0.5 * d)
     value = np.where(value > 0, norm * value, 0.0)
     bound = 1.02 * norm * bound + np.count_nonzero(c, axis=1) ** 2 * 2.0**-1070
-    return [IntegralEstimate(float(v), float(b), math.inf, 0) for v, b in zip(value, bound)]
+    return value, bound
 
 
 # -- main entry points ----------------------------------------------------------
@@ -1145,8 +1157,8 @@ def _require_certifiable(tag):
 
 def _compute_pairs(
     kinds, p_env: _Batch, q_env: _Batch, tags, tol, domain_radius=None, lam=None
-) -> list[dict]:
-    """Estimates of several kinds for each pair (p_i, q_i), row i of the batches, in one d <= 3.
+) -> _Columns:
+    """Estimates of several kinds for each pair (p_i, q_i), row i of the batches, in one d <= 3, as columns.
 
     `tags` are the class tags of every mixture of both batches, and both
     batches have one dimension d (`_compute_divergences` and the sweeps see
@@ -1160,15 +1172,16 @@ def _compute_pairs(
     radius it kept; a fixed `domain_radius` runs no search and computes one
     table.  The pairs are integrated sorted by (p's atom count, q's atom
     count) (`np.lexsort`), so a block of d = 1 nodes, whose logits have a
-    row per atom of its largest mixture, pads few atoms; estimates, tail
-    tables and L2 rows come back in the caller's order.  A pair's estimates
-    are the same bits whatever other pairs share its batch, in whatever
-    order.  The measure weights each kind's integrand values by every
-    weight row of the rule (the Gauss and the Kronrod sums of a Gauss pass
-    come from one kernel pass) and returns one block of kinds per row.
-    Each pair's dict lists its estimates in the order of `kinds`.  `lam` is
-    the renyi power; `tol`
-    defaults to `default_tol(d)`; a `domain_radius` that is not finite, or
+    row per atom of its largest mixture, pads few atoms; values, tail
+    tables, radii and point counts come back in the caller's order.  A
+    pair's estimates are the same bits whatever other pairs share its
+    batch, in whatever order.  The measure weights each kind's integrand
+    values by every weight row of the rule (the Gauss and the Kronrod sums
+    of a Gauss pass come from one kernel pass) and returns one block of
+    kinds per row.  The `_Columns` hold each kind's value and bound column,
+    in the order of `kinds`, and no `IntegralEstimate` is built:
+    `_compute_divergences` builds its one pair's.  `lam` is the renyi
+    power; `tol` defaults to `default_tol(d)`; a `domain_radius` that is not finite, or
     that comes within 0.25 of an atom radius, raises HypothesisError for
     every kind.
     """
@@ -1185,13 +1198,12 @@ def _compute_pairs(
         raise HypothesisError(
             f"domain_radius {domain_radius} must be finite and exceed the atom radius {s_max.max()}"
         )
-    rows = [{} for _ in range(len(s_max))]
+    value, bound = {}, {}
     if DivergenceKind.L2Sq in kinds:
-        for row, est in zip(rows, _l2_closed_form(p_env, q_env)):
-            row[DivergenceKind.L2Sq] = est
+        value[DivergenceKind.L2Sq], bound[DivergenceKind.L2Sq] = _l2_closed_form(p_env, q_env)
     integrated = [k for k in kinds if k != DivergenceKind.L2Sq]
     if not integrated:
-        return rows
+        return _Columns(value, bound, np.full(len(s_max), math.inf), np.zeros(len(s_max), dtype=np.int64))
     # the pairs in atom-count order, so a block of d = 1 nodes pads few atoms
     order = np.lexsort((q_env.counts, p_env.counts))
     p_env, q_env, start = p_env[order], q_env[order], start[order]
@@ -1217,22 +1229,26 @@ def _compute_pairs(
         tails[members] = _tail_bounds(integrated, p_env[members], q_env[members], R, d, lam)
         return np.all(tails[members] <= 0.5 * tol * np.maximum(np.abs(start_pass), _TRUNC_FLOOR), axis=1)
 
-    tails = np.empty((len(rows), len(integrated)))
+    tails = np.empty((len(s_max), len(integrated)))
     if domain_radius is not None:
-        start, met = np.full(len(rows), float(domain_radius)), None
+        start, met = np.full(len(s_max), float(domain_radius)), None
     tv = (p_env, q_env) if DivergenceKind.TV in kinds else None
     values, pts, R = _refine(measure, d, start, _relative(tol), met, tv)
     if met is None:
         # a fixed radius runs no search: its one table, once the ball is known to integrate
         tails = _tail_bounds(integrated, p_env, q_env, R, d, lam)
-    for i, vs, ts, r, n in zip(order, values, tails, R, pts):
-        for k, v, t in zip(integrated, vs, ts):
-            rows[i][k] = IntegralEstimate(float(v), float(t), float(r), int(n))
-    return [{k: row[k] for k in kinds} for row in rows]
+    # back to the caller's order
+    inverse = np.argsort(order)
+    value.update(zip(integrated, values[inverse].T))
+    bound.update(zip(integrated, tails[inverse].T))
+    return _Columns({k: value[k] for k in kinds}, {k: bound[k] for k in kinds}, R[inverse], pts[inverse])
 
 
 def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
-    """Several kinds for one pair: the one-pair case of `_compute_pairs`.
+    """Several kinds for one pair, {kind: IntegralEstimate}: the one-pair case of `_compute_pairs`.
+
+    L2^2's estimate has domain radius inf and no points; the integrated
+    kinds share the pair's radius and points.
 
     For d > 3 L2^2 is still `_l2_closed_form` and the other kinds are Monte
     Carlo estimates.
@@ -1248,13 +1264,18 @@ def _compute_divergences(kinds, p, q, tol=None, domain_radius=None, lam=None):
         if not (0 < tol < 1):
             raise HypothesisError(f"tolerance must lie in (0, 1), got {tol}")
         return {
-            k: _l2_closed_form(_Batch.of([p]), _Batch.of([q]))[0]
+            k: IntegralEstimate(*(float(c[0]) for c in _l2_closed_form(_Batch.of([p]), _Batch.of([q]))), math.inf, 0)
             if k == DivergenceKind.L2Sq
             else _mc_divergence(k, p, q)
             for k in kinds
         }
     tags = (p.mixing.tag, q.mixing.tag)
-    return _compute_pairs(kinds, _Batch.of([p]), _Batch.of([q]), tags, tol, domain_radius, lam)[0]
+    est = _compute_pairs(kinds, _Batch.of([p]), _Batch.of([q]), tags, tol, domain_radius, lam)
+    ball = float(est.radius[0]), int(est.points[0])
+    return {
+        k: IntegralEstimate(float(v[0]), float(est.bound[k][0]), *((math.inf, 0) if k == DivergenceKind.L2Sq else ball))
+        for k, v in est.value.items()
+    }
 
 
 def divergence(kind, p: GaussianMixture, q: GaussianMixture, tol=None, domain_radius=None):

@@ -240,7 +240,8 @@ class _Batch:
     c_j = log w_j - ||a_j||^2 / 2 (-inf on a pad).  `of` pads a list of
     `GaussianMixture`s, and batch[rows] is the batch of those rows, its
     arrays sliced rather than formed again, so a row has the bits of its
-    mixture's own one-row batch.
+    mixture's own one-row batch.  A slice gathers an array at its first
+    read, so a caller that reads three arrays gathers three.
     """
 
     def __init__(self, locations, weights):
@@ -267,9 +268,17 @@ class _Batch:
         return cls(locations, weights)
 
     def __getitem__(self, rows) -> _Batch:
-        sub = object.__new__(_Batch)
-        sub.__dict__.update((name, value[rows]) for name, value in vars(self).items())
-        return sub
+        return _Rows(self, rows)
+
+
+class _Rows(_Batch):
+    """batch[rows]: each array is gathered from the batch at its first read."""
+
+    def __init__(self, batch, rows):
+        self._batch, self._rows = batch, rows
+
+    def __getattr__(self, name):
+        return self.__dict__.setdefault(name, getattr(self._batch, name)[self._rows])
 
 
 def _block_logits(batches, pts, counts=None):

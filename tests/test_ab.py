@@ -25,6 +25,9 @@ def test_a_checkout_against_itself_has_equal_digests():
         pair = [line.split()[3] for line in block if " artifacts sha256 " in line]
         assert len(pair) == 2 and pair[0] == pair[1] and len(pair[0]) == 64
         assert [line.split()[0] for line in block if "change lower in" in line] == ["cpu_s", "wall_s"]
+        # one pair of a checkout against itself shows no gain
+        verdicts = [line.split(":")[0] for line in block if " claim " in line]
+        assert verdicts == ["cpu_s claim not met", "wall_s claim not met"]
         assert block[-1] == "digests equal"
         digests.append(pair[0])
     assert digests[0] != digests[1]

@@ -33,9 +33,10 @@ from gmdiv import (
 )
 from gmdiv import bounds, mixtures
 from gmdiv.bounds import _draw_pairs, make_pair
-from gmdiv.divergences import IntegralEstimate, _compute_divergences
+from gmdiv.divergences import IntegralEstimate, _Columns, _compute_divergences
 from gmdiv.mixtures import DichotomyParams, MixingDistribution, validate_atoms
-from conftest import random_compact, single_gaussian
+from gmdiv.textio import dump_json
+from conftest import pair_estimates, random_compact, single_gaussian
 import reference_bounds
 from reference_sampler import reference_pair
 
@@ -350,12 +351,23 @@ class TestSweeps:
 
         def counted(kinds, p_env, q_env, tags, tol):
             calls.append((len(p_env.s_max), len(q_env.s_max), tags))
-            return compute_pairs(kinds, p_env, q_env, tags, tol)
+            columns = compute_pairs(kinds, p_env, q_env, tags, tol)
+            calls.append([len(columns.value[k]) for k in kinds] + [len(columns.radius), len(columns.points)])
+            return columns
 
         monkeypatch.setattr(bounds, "_compute_pairs", counted)
         rep = verify_sweep(BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1), 300, seed=3)
-        assert calls == [(300, 300, (Compact(2.0),))]
+        assert calls == [(300, 300, (Compact(2.0),)), [300] * 6]
         assert len(rep.instances) == 300 and rep.failures == 0
+
+    @staticmethod
+    def _one_pair(est):
+        """One pair's estimates, {kind: IntegralEstimate}, as the columns `_compute_pairs` returns."""
+        column = lambda values: np.array(values, dtype=float)  # noqa: E731
+        value = {k: column([e.value]) for k, e in est.items()}
+        bound = {k: column([e.truncation_bound]) for k, e in est.items()}
+        points = max(e.quadrature_points for e in est.values())
+        return _Columns(value, bound, column([est[DivergenceKind.KL].domain_radius]), np.array([points]))
 
     def test_l2_bound_goes_through_the_root(self):
         # L2^2 = 1e-12 +- 1e-12 puts ||p - q||_2 in [0, 1.4e-6], so L2fromTV
@@ -368,24 +380,71 @@ class TestSweeps:
             DivergenceKind.L2Sq: IntegralEstimate(1e-12, 1e-12, math.inf, 0),
         }
         comparison = bounds._comparison(BoundId.L2fromTV, InstanceFamily(Compact(2.0), d=1))
-        inst = bounds._one_instance(comparison, 0, 2, 1, 1, est)
-        assert inst.passed
-        assert (inst.lhs, inst.rhs) == (1e-6, pytest.approx(3e-7, rel=1e-12))
+        inst = bounds._check(comparison, self._one_pair(est))
+        assert inst.passed[0]
+        assert (inst.lhs[0], inst.rhs[0]) == (1e-6, pytest.approx(3e-7, rel=1e-12))
         # with an exact L2^2 the same lhs fails
         est[DivergenceKind.L2Sq] = IntegralEstimate(1e-12, 0.0, math.inf, 0)
-        assert not bounds._one_instance(comparison, 0, 2, 1, 1, est).passed
+        assert not bounds._check(comparison, self._one_pair(est)).passed[0]
 
     @pytest.mark.parametrize("bound", [BoundId.Thm1, BoundId.ChiSqThm, BoundId.TVfromL2, BoundId.L2fromTV])
     def test_instance_reads_estimates_by_kind(self, bound):
         # the same estimates in reverse kind order check the same instance
         family = InstanceFamily(Compact(2.0), d=1)
         comparison = bounds._comparison(bound, family)
-        est = _compute_divergences(comparison.sweep.kinds, *make_pair(0, 2, family))
-        reverse = dict(reversed(est.items()))
-        assert list(reverse) == list(comparison.sweep.kinds)[::-1]
-        inst = bounds._one_instance(comparison, 0, 2, 1, 1, est)
-        assert math.isfinite(inst.ratio) and inst.passed
-        assert bounds._one_instance(comparison, 0, 2, 1, 1, reverse) == inst
+        est = self._one_pair(_compute_divergences(comparison.sweep.kinds, *make_pair(0, 2, family)))
+        reverse = est._replace(value=dict(reversed(est.value.items())), bound=dict(reversed(est.bound.items())))
+        assert list(reverse.value) == list(reverse.bound) == list(comparison.sweep.kinds)[::-1]
+        inst = bounds._check(comparison, est)
+        assert math.isfinite(inst.ratio[0]) and inst.passed[0]
+        again = bounds._check(comparison, reverse)
+        assert [c.tolist() for c in again] == [c.tolist() for c in inst]
+
+    # every sweepable row in d = 1, the d = 2 rows of sweep-d23 and ChiSqThm where its rhs is inf
+    REFERENCE_SWEEPS = [
+        (BoundId.Thm1, InstanceFamily(Compact(2.0), 1)),
+        (BoundId.Thm2, InstanceFamily(Compact(1.0), 1)),
+        (BoundId.Thm3, InstanceFamily(Subgaussian(0.5), 1)),
+        (BoundId.Thm5, InstanceFamily(Subgaussian(2.0), 1)),
+        (BoundId.ChiSqThm, InstanceFamily(Compact(2.0), 1)),
+        (BoundId.TVfromL2, InstanceFamily(Compact(2.0), 1)),
+        (BoundId.L2fromTV, InstanceFamily(Subgaussian(0.5), 1)),
+        (BoundId.Thm1, InstanceFamily(Compact(2.0), 2)),
+        (BoundId.ChiSqThm, InstanceFamily(Compact(2.0), 2)),
+        (BoundId.ChiSqThm, InstanceFamily(Compact(4.0), 1)),
+    ]
+
+    @pytest.mark.parametrize(
+        "bound, family", REFERENCE_SWEEPS, ids=lambda x: x.value if isinstance(x, BoundId) else f"{x.tag}-d{x.d}"
+    )
+    def test_array_check_matches_the_reference(self, bound, family, monkeypatch, tmp_path):
+        # the array check against the instance-at-a-time check on the same
+        # estimates; n = 120 has q = p pairs (index % 50 == 1), whose rhs
+        # argument is 0
+        n, seed, columns = 120, 3, []
+        compute_pairs = bounds._compute_pairs
+
+        def recorded(*args):
+            columns.append(compute_pairs(*args))
+            return columns[-1]
+
+        monkeypatch.setattr(bounds, "_compute_pairs", recorded)
+        rep = verify_sweep(bound, family, n, seed)
+        counts = _draw_pairs(seed, range(n), family).counts.tolist()
+        estimates = pair_estimates(columns[0])
+        ref = reference_bounds.reference_report(bound, bounds._comparison(bound, family), seed, counts, estimates)
+        assert sum(e[bounds._BOUNDS[bound].sweep.arg].value == 0.0 for e in estimates) >= 3
+        # repr tells NaN from NaN and a numpy scalar from a float, where == would not
+        assert repr(rep.instances) == repr(ref.instances)
+        fields = ("failures", "ordering_failures", "max_ratio", "argmax_index")
+        assert [repr(getattr(rep, f)) for f in fields] == [repr(getattr(ref, f)) for f in fields]
+        for name, report in (("rep", rep), ("ref", ref)):
+            report.write_csv(tmp_path / f"{name}.csv")
+            dump_json(report.summary(), tmp_path / f"{name}.json")
+        for suffix in ("csv", "json"):
+            assert (tmp_path / f"rep.{suffix}").read_bytes() == (tmp_path / f"ref.{suffix}").read_bytes()
+        if family.tag == Compact(4.0):
+            assert all(math.isinf(inst.rhs) for inst in rep.instances if inst.index % 50 != 1)
 
     def test_degenerate_pair_passes_by_slack(self):
         fam = InstanceFamily(Compact(2.0), d=1)
@@ -395,7 +454,12 @@ class TestSweeps:
 
     def test_family_hypothesis_checked(self, monkeypatch):
         integrated = []
-        monkeypatch.setattr(bounds, "_compute_pairs", lambda *a, **k: integrated.append(a))
+
+        def compute_pairs(*args):
+            integrated.append(args)
+            raise AssertionError("a rejected sweep integrated its pairs")
+
+        monkeypatch.setattr(bounds, "_compute_pairs", compute_pairs)
         cases = [
             (BoundId.Thm1, Compact(1.0), 1, "M >= 2"),
             (BoundId.Thm2, Compact(0.5), 1, "M >= 1"),
@@ -467,6 +531,20 @@ class TestSweeps:
         (Subgaussian(2.0), 1): "22708c6fe2c6da00ab0413ea77be657f3892e34bfe9808c2119e3a9fc832418e",
         (Subgaussian(2.0), 2): "b4edf2d2adcddae1b5bc70603535c25a60df3747c30bd2e55abf74073b3c6272",
     }
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**70 + 3, 2**100])
+    def test_instance_states_are_numpys(self, seed):
+        # one call hashes indices of one and of two 32-bit words, after a seed of one to four
+        indices = [*range(301), 2**32, 2**40]
+        states = bounds._pcg64_states(seed, indices)
+        assert states == [np.random.default_rng([seed, i]).bit_generator.state["state"] for i in indices]
+
+    def test_negative_seed_raises_as_numpy_does(self):
+        for seed, index in ((-1, 0), (1, -2)):
+            with pytest.raises(ValueError):
+                np.random.default_rng([seed, index])
+            with pytest.raises(ValueError):
+                bounds._pcg64_states(seed, [0, index])
 
     @pytest.mark.parametrize("tag, d", list(SAMPLER_DIGESTS), ids=lambda v: repr(v))
     def test_make_pair_draws_pinned(self, tag, d):

@@ -15,7 +15,10 @@ whose artifacts differ from the side's first as a failed op.
 Each workload, in the order given, gets its own two workers, warm-up and
 pairs, and prints one block: for `cpu_s` and `wall_s`, each side's
 median, the parent's quartiles and the number of pairs in which the
-change ran lower, then both sides' digests and failed ops.  When the
+change ran lower, and a line saying whether a gain may be claimed on
+that metric: at least 10 pairs, the change lower in at least 9/10 of
+them, and its median below the parent's by more than the parent's
+interquartile range; then both sides' digests and failed ops.  When the
 digests differ, each worker has kept a copy of its warm-up artifacts, and
 the block lists every artifact file whose bytes differ, with its count of
 differing lines, so a behaviour change is reported file by file.  Exits 0
@@ -172,6 +175,11 @@ def compare(checkouts, workload: str, seed: int, pairs: int, kept: str) -> bool:
         print(
             f"{name} parent {ma:.4f} [{q1:.4f}, {q3:.4f}] -> change {mb:.4f} s "
             f"({100.0 * (mb / ma - 1.0):+.1f}%), change lower in {lower}/{pairs}"
+        )
+        met = pairs >= 10 and 10 * lower >= 9 * pairs and ma - mb > q3 - q1
+        print(
+            f"{name} claim {'met' if met else 'not met'}: lower in {lower}/{pairs} pairs "
+            f"(needs 9/10 of at least 10), median gap {ma - mb:.4f} s vs parent IQR {q3 - q1:.4f} s"
         )
     failed = [first["failed"] + sum(r["failed"] for r in side.reps) for first, side in zip(warm, sides)]
     for label, first, n in zip(("parent", "change"), warm, failed):
