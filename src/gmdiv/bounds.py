@@ -21,7 +21,8 @@ A sweep runs as columns over its instances: one pass of numpy's
 SeedSequence hash gives every instance's generator state
 (`_pcg64_states`), `_compute_pairs` returns each kind's values and bounds
 as arrays, and `_check` forms every instance's sides, slacks, passes and
-ratios at once.
+ratios at once.  Each instance is a `SweepInstance` named tuple whose
+leading fields are its CSV row.
 """
 
 from __future__ import annotations
@@ -84,6 +85,12 @@ def _check_h2(h2: float, upper: float = 2.0):
         raise HypothesisError(f"H^2 must lie in (0, {upper}], got {h2}")
 
 
+def _log_over(c, x):
+    """log(c / x), as log c - log x where c / x overflows a double (x at or near subnormal)."""
+    ratio = c / x
+    return math.log(ratio) if ratio < math.inf else math.log(c) - math.log(x)
+
+
 # -- right-hand sides, each checking its own argument ----------------------------
 
 
@@ -94,7 +101,7 @@ def _thm1(M, d, h2):
 
 def _thm2(M, h2):
     _check_h2(h2)
-    return 200.0 * M * M * h2 + 16.0 * h2 * math.log(1.0 / h2)
+    return 200.0 * M * M * h2 + 16.0 * h2 * _log_over(1.0, h2)
 
 
 def _thm3(K, d, h2):
@@ -104,7 +111,7 @@ def _thm3(K, d, h2):
 
 def _thm5(K, h2):
     _check_h2(h2, upper=4.0)
-    return (10240.0 * K**4 + 652.0) * h2 * math.log(4.0 / h2)
+    return (10240.0 * K**4 + 652.0) * h2 * _log_over(4.0, h2)
 
 
 def _chisq_log(M, d, h2):
@@ -144,7 +151,7 @@ def ho_bound(delta: float, lam: float, h2: float, renyi: float) -> float:
         )
     if not (lam > 1):
         raise HypothesisError(f"lambda must exceed 1, got {lam}")
-    big_l = math.log(1.0 / delta)
+    big_l = _log_over(1.0, delta)
     if math.log(big_l) / big_l > (lam - 1.0) / 2.0:
         raise HypothesisError(
             f"condition loglog(1/delta)/log(1/delta) <= (lambda-1)/2 fails for "
@@ -343,17 +350,22 @@ class InstanceFamily:
             raise ValueError(f"max_atoms must lie in [1, 64], got {self.max_atoms}")
 
 
-@dataclass(frozen=True)
-class SweepInstance:
+class SweepInstance(NamedTuple):
+    """One checked instance of a sweep; its first eleven fields are its CSV row."""
+
     seed: int
     index: int
-    params: dict
+    M: float | None  # the family's parameters, None where it lacks one
+    K: float | None
+    d: int
+    natoms_p: int
+    natoms_q: int
     lhs: float
     rhs: float
     ratio: float
     passed: bool
     kl_ge_h2: bool
-    chi2_ge_kl: bool | None
+    chi2_ge_kl: bool | None  # None but for ChiSqThm
     quadrature_points: int
 
 
@@ -367,39 +379,13 @@ class SweepReport:
     failures: int
     ordering_failures: int
 
-    CSV_HEADER = (
-        "seed",
-        "index",
-        "M",
-        "K",
-        "d",
-        "natoms_p",
-        "natoms_q",
-        "lhs",
-        "rhs",
-        "ratio",
-        "pass",
-    )
-
-    def csv_rows(self):
-        for inst in self.instances:
-            p = inst.params
-            yield (
-                inst.seed,
-                inst.index,
-                "" if p.get("M") is None else format_float(p["M"]),
-                "" if p.get("K") is None else format_float(p["K"]),
-                p["d"],
-                p["natoms_p"],
-                p["natoms_q"],
-                inst.lhs,
-                inst.rhs,
-                inst.ratio,
-                inst.passed,
-            )
+    CSV_HEADER = (*SweepInstance._fields[:10], "pass")
 
     def write_csv(self, path):
-        write_csv(path, self.CSV_HEADER, list(zip(*self.csv_rows())))
+        """One row per instance: its leading fields, M and K "" where the family lacks them."""
+        columns = list(zip(*self.instances))[: len(self.CSV_HEADER)]
+        columns[2:4] = [["" if v is None else format_float(v) for v in column] for column in columns[2:4]]
+        write_csv(path, self.CSV_HEADER, columns)
 
     def summary(self) -> dict:
         """The sweep's outcome and cost; argmax_params is None when no ratio is finite.
@@ -408,6 +394,7 @@ class SweepReport:
         total and the nearest-rank 50th and 99th percentiles per instance.
         """
         points = sorted(inst.quadrature_points for inst in self.instances)
+        argmax = self.instances[self.argmax_index] if self.argmax_index >= 0 else None
 
         def percentile(q):
             return points[max(0, math.ceil(q * len(points)) - 1)] if points else None
@@ -420,9 +407,8 @@ class SweepReport:
             "ordering_failures": self.ordering_failures,
             "max_ratio": self.max_ratio,
             "argmax_index": self.argmax_index,
-            "argmax_params": (
-                self.instances[self.argmax_index].params if self.argmax_index >= 0 else None
-            ),
+            # the argmax instance's family parameters and atom counts
+            "argmax_params": argmax and dict(zip(SweepInstance._fields[2:7], argmax[2:7])),
             "quadrature_points": sum(points),
             "quadrature_points_p50": percentile(0.5),
             "quadrature_points_p99": percentile(0.99),
@@ -670,8 +656,8 @@ def _stated(kind, value, bound):
     return root, np.maximum(np.sqrt(value + bound) - root, root - np.sqrt(np.maximum(value - bound, 0.0)))
 
 
-# a sweep's checks as columns, row i for instance i, in the order of `SweepInstance`'s fields
-_Checked = collections.namedtuple("_Checked", "lhs rhs ratio passed kl_ge_h2 chi2_ge_kl")
+# a sweep's checks as columns, row i for instance i: the `SweepInstance` fields lhs to chi2_ge_kl
+_Checked = collections.namedtuple("_Checked", SweepInstance._fields[7:13])
 
 
 def _check(comparison: _Comparison, est) -> _Checked:
@@ -734,9 +720,9 @@ def verify_sweep(
     p_env, q_env = (_Batch(atoms.locations[rows], weights[rows]) for rows in (slice(0, n), slice(n, None)))
     estimates = _compute_pairs(comparison.sweep.kinds, p_env, q_env, (family.tag,), tol)
     counts = atoms.counts.tolist()
-    params = [{**comparison.family_params, "natoms_p": a, "natoms_q": b} for a, b in zip(counts[:n], counts[n:])]
     columns = [column.tolist() for column in _check(comparison, estimates)] + [estimates.points.tolist()]
-    instances = list(map(_one_instance, [seed] * n, range(n), params, *columns))
+    shared = ([v] * n for v in comparison.family_params.values())  # M, K and d, in field order
+    instances = list(map(_one_instance, [seed] * n, range(n), *shared, counts[:n], counts[n:], *columns))
     ratios, passed, kl_ge_h2, chi2_ge_kl = columns[2:6]
     finite = [r for r in ratios if math.isfinite(r)]
     max_ratio = max(finite, default=math.nan)

@@ -268,19 +268,21 @@ def _run_seq(cfg, out_dir, seed):
     )
     candidates = _family_candidates(cfg["family"])
     eps = _positive_number(cfg, "epsilon")
+    # the fields are checked before the cover fills the Hellinger table;
+    # true_index's upper end, the net's size, after it
+    true_index = cfg["true_index"]
+    if not isinstance(true_index, int) or isinstance(true_index, bool) or true_index < 0:
+        raise ValueError(f"config field 'true_index' must be a nonnegative integer, got {true_index!r}")
+    length = _positive_int(cfg, "length")
+    n_streams = _positive_int(cfg, "n_streams", 1)
     table = HellingerTable(candidates, _number(cfg, "tol"))
     if eps is not None:
         net = greedy_cover(table, eps)
     else:
         # every candidate is an element; the forecaster reads no distances
         net = Net(table, np.arange(len(table)), 0.0)
-    true_index = cfg["true_index"]
-    if not isinstance(true_index, int) or isinstance(true_index, bool) or not (0 <= true_index < len(net.elements)):
-        raise ValueError(
-            f"config field 'true_index' must index the net (size {len(net.elements)}), got {true_index!r}"
-        )
-    length = _positive_int(cfg, "length")
-    n_streams = _positive_int(cfg, "n_streams", 1)
+    if true_index >= len(net.elements):
+        raise ValueError(f"config field 'true_index' must index the net (size {len(net.elements)}), got {true_index}")
     truth = net.elements[true_index]
     curves, finals = [], []
     for s in range(n_streams):

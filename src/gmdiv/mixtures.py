@@ -54,6 +54,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -520,28 +521,32 @@ def dichotomy_family(K: float, r: float) -> MixingDistribution:
 
 # -- serialization -----------------------------------------------------------
 
-_TAG_NAMES = {Compact: "compact", Subgaussian: "subgaussian", Unconstrained: "unconstrained"}
+# each class tag's record name, class and parameters, in both directions
+_TAGS = {"compact": (Compact, ("M",)), "subgaussian": (Subgaussian, ("K",)), "unconstrained": (Unconstrained, ())}
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def mixture_to_record(m: MixingDistribution) -> dict:
     """Structured record {dim, atoms, class_tag, params}; field order fixed."""
     tag = m.tag
-    if isinstance(tag, Compact):
-        params = {"M": tag.M}
-    elif isinstance(tag, Subgaussian):
-        params = {"K": tag.K}
-    else:
-        params = {}
+    name, names = next((name, names) for name, (cls, names) in _TAGS.items() if type(tag) is cls)
     return {
         "dim": m.dim,
         "atoms": [[list(map(float, loc)), float(w)] for loc, w in zip(m.locations, m.weights)],
-        "class_tag": _TAG_NAMES[type(tag)],
-        "params": params,
+        "class_tag": name,
+        "params": {p: getattr(tag, p) for p in names},
     }
 
 
 def mixture_from_record(rec: dict) -> MixingDistribution:
-    """Inverse of mixture_to_record; validates the record shape."""
+    """Inverse of mixture_to_record; validates the record shape.
+
+    dim is an integer, and params holds exactly the class tag's parameters,
+    each a real number.
+    """
     required = {"dim", "atoms", "class_tag", "params"}
     missing = required - set(rec)
     if missing:
@@ -549,19 +554,18 @@ def mixture_from_record(rec: dict) -> MixingDistribution:
     unknown = set(rec) - required
     if unknown:
         raise ValueError(f"mixture record has unknown fields: {sorted(unknown)}")
-    dim = int(rec["dim"])
+    dim = rec["dim"]
+    if not (isinstance(dim, numbers.Integral) and _is_real(dim)):
+        raise ValueError(f"mixture record dim must be an integer, got {dim!r}")
     locs = np.array([a[0] for a in rec["atoms"]], dtype=float)
     weights = np.array([a[1] for a in rec["atoms"]], dtype=float)
     if locs.ndim != 2 or locs.shape[1] != dim:
         raise ValueError("atom locations do not match the declared dimension")
-    name = rec["class_tag"]
-    params = rec["params"]
-    if name == "compact":
-        tag: ClassTag = Compact(float(params["M"]))
-    elif name == "subgaussian":
-        tag = Subgaussian(float(params["K"]))
-    elif name == "unconstrained":
-        tag = Unconstrained()
-    else:
+    name, params = rec["class_tag"], rec["params"]
+    if name not in _TAGS:
         raise ValueError(f"unknown class_tag {name!r}")
+    cls, names = _TAGS[name]
+    if not (isinstance(params, dict) and set(params) == set(names) and all(map(_is_real, params.values()))):
+        raise ValueError(f"class_tag {name!r} takes params {list(names)}, each a number, got {params!r}")
+    tag = cls(**{p: float(params[p]) for p in names})
     return MixingDistribution(locs, weights, tag)

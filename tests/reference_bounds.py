@@ -6,9 +6,10 @@ table row, copied verbatim, so a test can hold the table (`bounds._BOUNDS`)
 to these bits and to these exceptions.
 
 `_slack`, `_side` and `_one_instance` as they stood before a sweep checked
-its instances as arrays, copied verbatim, and `reference_report`, the
-report `verify_sweep` built from them, so a test can hold the array check
-(`bounds._check`) and the report to these bits.
+its instances as arrays, copied verbatim but for `_one_instance` passing
+`**params` (the fields that replaced `SweepInstance.params`), and
+`reference_report`, the report `verify_sweep` built from them, so a test
+can hold the array check (`bounds._check`) and the report to these bits.
 """
 
 import math
@@ -192,7 +193,7 @@ def _one_instance(comparison: _Comparison, seed: int, index: int, natoms_p, nato
     return SweepInstance(
         seed=seed,
         index=index,
-        params=params,
+        **params,
         lhs=float(lhs),
         rhs=float(rhs),
         ratio=float(ratio),

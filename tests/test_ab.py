@@ -16,6 +16,9 @@ def test_a_checkout_against_itself_has_equal_digests():
     run = subprocess.run(cmd + ["--pairs", "1"], capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stdout + run.stderr
     lines = run.stdout.splitlines()
+    # one code-line line a run, before the blocks: parent -> change, and the difference
+    counts = [line.split() for line in lines if line.startswith("src/gmdiv code lines ")]
+    assert len(counts) == 1 and counts[0][4] == counts[0][7] and counts[0][8] == "(+0)"
     # one block a workload, in the order given
     starts = [i for i, line in enumerate(lines) if line.startswith("workload ")]
     assert [lines[i].split()[1] for i in starts] == workloads

@@ -4,6 +4,7 @@ import itertools
 import math
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,23 @@ class TestBoundRhs:
             math.log(bound_rhs("ChiSqThm", M=2.0, d=1, h2=0.5)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("h2", [1e-310, 5e-324])
+    def test_subnormal_h2(self, h2):
+        # 1/h2 overflows a double below about 5.6e-309 and 4/h2 below about
+        # 2.2e-308, where log(1/h2) read inf; each rhs is within two units of
+        # the last place of a subnormal (4.9e-324) of its formula at 50 digits
+        with mpmath.workdps(50):
+            h = mpmath.mpf(h2)
+            exact = {
+                ("Thm2", 1.0): 200 * h + 16 * h * mpmath.log(1 / h),
+                ("Thm5", 0.5): (10240 * mpmath.mpf(0.5) ** 4 + 652) * h * mpmath.log(4 / h),
+            }
+        for (bound, c), value in exact.items():
+            params = {"M" if bound == "Thm2" else "K": c, "h2": h2}
+            rhs = bound_rhs(bound, **params)
+            assert math.isclose(rhs, float(value), rel_tol=1e-13, abs_tol=1e-323), (bound, rhs, value)
+            assert bound_rhs_log(bound, **params) == math.log(rhs)
+
     @pytest.mark.parametrize(
         "bound, params",
         [
@@ -218,6 +236,14 @@ class TestHoBound:
         # log log(1/d) / log(1/d) = 1/e at d = e^{-e}, above (lam-1)/2 for lam=1.05
         with pytest.raises(HypothesisError, match="condition"):
             ho_bound(math.exp(-math.e), 1.05, 0.5, 10.0)
+
+    @pytest.mark.parametrize("delta", [1e-310, 5e-324])
+    def test_subnormal_delta(self, delta):
+        # log(1/delta) read inf where 1/delta overflows a double
+        with mpmath.workdps(50):
+            d, big_l = mpmath.mpf(delta), -mpmath.log(mpmath.mpf(delta))
+            exact = 2 * big_l / (1 - d) ** 2 * mpmath.mpf(0.5) + 4 * d * big_l / (1 - d) ** 2 + d * 10
+        assert math.isclose(ho_bound(delta, 3.0, 0.5, 10.0), float(exact), rel_tol=1e-14)
 
     def test_nan_lambda_rejected(self):
         # NaN passes a `lam <= 1` test and the bound came out NaN

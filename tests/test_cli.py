@@ -320,6 +320,8 @@ class TestErrorPaths:
             ("entropy", {"family": THETA_FAMILY, "epsilons": "5", "n": 10}),
             ("entropy", {"family": THETA_FAMILY, "epsilons": [True, "0.5"], "n": 10}),
             ("entropy", {"family": THETA_FAMILY, "epsilons": [0.3], "eta_grid": [0.3, False], "n": 10}),
+            ("div", {"kind": "kl", "p": {**gaussian_record(0.0), "dim": True}, "q": gaussian_record(0.0)}),
+            ("div", {"kind": "kl", "p": gaussian_record(0.0, M="2"), "q": gaussian_record(0.0)}),
         ],
     )
     def test_strings_and_bools_are_not_numbers_exit_2(self, run, command, cfg):
@@ -357,6 +359,18 @@ class TestErrorPaths:
         # True is an int in Python; it ran as index 1 and was written back as `true`
         cfg = {"command": "seq", "family": THETA_FAMILY, "true_index": True, "length": 5}
         run("seq", cfg, expect=2)
+
+    @pytest.mark.parametrize("true_index", [-1, 0.5, "0"])
+    def test_bad_true_index_exit_2_before_the_cover(self, run, gram_fills, true_index):
+        cfg = {"command": "seq", "family": THETA_FAMILY, "true_index": true_index, "length": 5, "epsilon": 0.5}
+        run("seq", cfg, expect=2)
+        assert gram_fills == []
+
+    def test_true_index_past_the_net_exit_2(self, run, gram_fills):
+        # its range is checked against the net, once the cover has read the table
+        cfg = {"command": "seq", "family": THETA_FAMILY, "true_index": 3, "length": 5, "epsilon": 0.5}
+        _, out = run("seq", cfg, expect=2)
+        assert "must index the net" in out.err and len(gram_fills) == 1
 
     def test_bad_kind_exit_2(self, run):
         cfg = {"command": "div", "kind": "w2", "p": gaussian_record(0.0), "q": gaussian_record(0.0)}
@@ -433,15 +447,20 @@ class TestCsvWriter:
         for module in (cli, bounds):
             monkeypatch.setattr(module, "write_csv", both)
         run("div", {"command": "div", "kind": "tv", "p": gaussian_record(0.5), "q": gaussian_record(-0.25)})
+        # a Subgaussian sweep leaves the M column empty, a Compact one the K column
         run("sweep", {"command": "sweep", "bound": "Thm5", "K": 0.5, "d": 1, "n": 6, "seed": 2})
+        run("sweep", {"command": "sweep", "bound": "Thm1", "M": 2.0, "d": 1, "n": 6, "seed": 2})
         run("entropy", {"command": "entropy", "family": THETA_FAMILY, "epsilons": [0.1, 0.5], "n": 20})
         run("dichotomy", {"command": "dichotomy", "K": 2.0, "r_grid": [5, 10]})
         seq = {"command": "seq", "family": THETA_FAMILY, "true_index": 1, "length": 30, "n_streams": 3, "seed": 4}
         run("seq", seq)
-        names = ["div.csv", "sweep_Thm5.csv", "entropy.csv", "dichotomy.csv", "seq.csv"]
+        names = ["div.csv", "sweep_Thm5.csv", "sweep_Thm1.csv", "entropy.csv", "dichotomy.csv", "seq.csv"]
         assert [p.name for p in written] == names
         for path in written:
             assert path.read_bytes() == pathlib.Path(f"{path}.ref").read_bytes(), path.name
+        # the M and K columns: the family's parameter, and "" for the one it lacks
+        for path, cells in zip(written[1:3], [("", "0.5"), ("2", "")]):
+            assert {tuple(line.split(",")[2:4]) for line in path.read_text().splitlines()[1:]} == {cells}
 
 
 def test_import_loads_no_scipy():

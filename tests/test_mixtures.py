@@ -552,3 +552,20 @@ class TestSerialization:
         rec["extra"] = 1
         with pytest.raises(ValueError, match="unknown"):
             mixture_from_record(rec)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dim": 1.5},
+            {"dim": True},
+            {"dim": "1"},
+            {"params": {"M": "2"}},
+            {"params": {"M": 1.0, "K": 3}},
+            {"class_tag": "unconstrained", "params": {"M": 1.0}},
+        ],
+    )
+    def test_malformed_record_rejected(self, change):
+        # each was read as a valid record: int(1.5), int(True), float("2") and unread params
+        rec = {"dim": 1, "atoms": [[[0.0], 1.0]], "class_tag": "compact", "params": {"M": 2.0}, **change}
+        with pytest.raises(ValueError, match="dim must be an integer|takes params"):
+            mixture_from_record(rec)

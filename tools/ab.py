@@ -24,6 +24,10 @@ the block lists every artifact file whose bytes differ, with its count of
 differing lines, so a behaviour change is reported file by file.  Exits 0
 when every workload's digests are equal and no op failed; 1 otherwise.
 `perfbench/` is only read.
+
+Before the first block it prints one line with each checkout's
+`src/gmdiv` code-line total (`tools/code_lines.py`), parent -> change,
+and their difference.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+from code_lines import code_lines  # noqa: E402
 
 
 def serve(checkout: str, workload: str, seed: int, keep: str) -> int:
@@ -148,6 +154,11 @@ def _differing_files(parent: str, change: str) -> list[tuple[str, int]]:
     return out
 
 
+def _code_lines(checkout: str) -> int:
+    """The code lines of a checkout's `src/gmdiv`, as `tools/code_lines.py src/gmdiv` totals them."""
+    return sum(code_lines(path.read_text(encoding="utf-8")) for path in Path(checkout, "src", "gmdiv").glob("*.py"))
+
+
 def compare(checkouts, workload: str, seed: int, pairs: int, kept: str) -> bool:
     """Time one workload on both checkouts and print its block; True when digests agree and no op failed.
 
@@ -205,6 +216,8 @@ def main(argv=None) -> int:
         return serve(os.path.abspath(args.worker), args.workload[0], args.seed, args.keep)
     if len(args.checkouts) != 2 or args.pairs < 1:
         parser.error("give two checkouts, PARENT and CHANGE, and --pairs of at least 1")
+    a, b = map(_code_lines, args.checkouts)
+    print(f"src/gmdiv code lines parent {a} -> change {b} ({b - a:+d})", flush=True)
     # every workload runs, whatever an earlier one found
     with tempfile.TemporaryDirectory(prefix="ab-kept-") as kept:
         ok = [
