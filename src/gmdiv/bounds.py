@@ -57,10 +57,6 @@ from .mixtures import (
 )
 from .textio import format_float, write_csv
 
-# The proof of the dimension-free compact bound ends with this constant in
-# front of M^2 H^2; the statement uses 200, which is what sweeps test.
-THM2_PROOF_CONSTANT = 97.0
-
 
 class BoundId(enum.Enum):
     Thm1 = "Thm1"
@@ -100,6 +96,7 @@ def _thm1(M, d, h2):
 
 
 def _thm2(M, h2):
+    # the proof ends with 97 M^2 H^2; the statement uses 200, which is what sweeps test
     _check_h2(h2)
     return 200.0 * M * M * h2 + 16.0 * h2 * _log_over(1.0, h2)
 

@@ -4,14 +4,22 @@ Usage:
     gmdiv div|sweep|dichotomy|entropy|seq|report --config <path>
           [--seed N] [--out <dir>]
 
-Configuration is a JSON file per command (flags win over config fields);
-unknown keys are rejected.  Every run is reproducible from (config, seed):
-CSV output is byte-identical across reruns, with all floats at 17
-significant digits.  A sweep runs on the calling thread; its config still
-accepts a positive integer `threads` field, which changes nothing.
+Configuration is a JSON file per command.  `_COMMANDS` is the one
+statement of each command's config: its runner, its required fields and
+its optional fields, each field with its parser; `seed` and `out` are
+common to every command, and `_FAMILIES` states the fields of the
+candidate-family types of `entropy` and `seq` the same way.  `main` parses
+a config once through that table, before any work, and hands the runner a
+dict of the parsed fields; an unknown, missing or mistyped field is a
+config error.  Flags win over config fields.  Every run is reproducible
+from (config, seed): CSV output is byte-identical across reruns, with all
+floats at 17 significant digits.  A sweep runs on the calling thread; its
+config still accepts a positive integer `threads` field, which changes
+nothing.
 
-Exit codes: 0 success, 2 config error, 3 hypothesis violation,
-4 numerical-capability or quadrature error.
+Exit codes: 0 success, 2 config error (an integer too large for an array
+size included), 3 hypothesis violation, 4 numerical-capability or
+quadrature error.
 """
 
 from __future__ import annotations
@@ -43,127 +51,123 @@ from .mixtures import (
     DichotomyParams,
     GaussianMixture,
     Subgaussian,
+    _is_real,
     dichotomy_family,
     mixture_from_record,
 )
 from .textio import dump_json, format_float, write_csv
 
 
-def _check_keys(cfg: dict, command: str, required: set, optional: set):
-    keys = set(cfg) - {"command"}
-    unknown = keys - required - optional
+def _field(ok, what, cast=float):
+    """A field parser: `cast(v)` where `ok(v)`, else a config error saying the field must be `what`."""
+
+    def parse(name, v):
+        if not ok(v):
+            raise ValueError(f"config field {name!r} must be {what}, got {v!r}")
+        return cast(v)
+
+    return parse
+
+
+def _integer(low, what):
+    return _field(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low, what, int)
+
+
+def _choice(enum):
+    values = [e.value for e in enum]
+    return _field(lambda v: v in values, f"one of {values}", enum)
+
+
+_NUMBER = _field(_is_real, "a number")
+_POSITIVE = _field(lambda v: _is_real(v) and v > 0, "a positive number")
+_COUNT, _INDEX = _integer(1, "a positive integer"), _integer(0, "a nonnegative integer")
+_NUMBERS = _field(lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of numbers", lambda v: list(map(float, v)))
+_GRID = _field(
+    lambda v: isinstance(v, list) and v != [] and all(_is_real(e) and e > 0 for e in v),
+    "a non-empty list of positive numbers",
+    lambda v: list(map(float, v)),
+)
+_MIXTURE = _field(lambda v: isinstance(v, dict), "a mixture record", lambda v: GaussianMixture(mixture_from_record(v)))
+_PATH = _field(lambda v: isinstance(v, str), "a path", str)
+
+
+def _parse(what: str, cfg: dict, required: dict, optional: dict) -> dict:
+    """Each field of `cfg` through its parser in `required` or `optional`; every required field present."""
+    parsers = {**required, **optional}
+    unknown = set(cfg) - set(parsers)
     if unknown:
-        raise ValueError(f"unknown config field(s) for {command}: {sorted(unknown)}")
-    missing = required - keys
+        raise ValueError(f"unknown config field(s) for {what}: {sorted(unknown)}")
+    missing = set(required) - set(cfg)
     if missing:
-        raise ValueError(f"missing config field(s) for {command}: {sorted(missing)}")
+        raise ValueError(f"missing config field(s) for {what}: {sorted(missing)}")
+    return {name: parsers[name](name, v) for name, v in cfg.items()}
 
 
-def _positive_int(cfg, name, default=None):
-    if name not in cfg:
-        return default
-    v = cfg[name]
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ValueError(f"config field {name!r} must be a positive integer, got {v!r}")
-    return v
+# -- candidate families -----------------------------------------------------------
 
 
-def _number(cfg, name, default=None):
-    if name not in cfg:
-        return default
-    v = cfg[name]
-    if not _is_number(v):
-        raise ValueError(f"config field {name!r} must be a number, got {v!r}")
-    return float(v)
+def _theta_grid(start, stop, count, M=None):
+    M = max(abs(start), abs(stop), 1.0) if M is None else M
+    return [GaussianMixture.from_atoms([[t]], tag=Compact(M)) for t in np.linspace(start, stop, count)]
 
 
-def _positive_number(cfg, name):
-    v = _number(cfg, name)
-    if v is not None and not (v > 0):
-        raise ValueError(f"config field {name!r} must be a positive number, got {v!r}")
-    return v
+def _atom_grid(loc_start, loc_stop, loc_count, weight_start, weight_stop, weight_count, M=None):
+    locs = np.linspace(loc_start, loc_stop, loc_count)
+    ws = np.linspace(weight_start, weight_stop, weight_count)
+    if np.any(ws <= 0) or np.any(ws >= 1):
+        raise ValueError("atom-grid weights must lie strictly inside (0, 1)")
+    M = max(float(np.max(np.abs(locs))), 1.0) if M is None else M
+    return [GaussianMixture.from_atoms([[0.0], [a]], [1.0 - w, w], tag=Compact(M)) for a in locs for w in ws]
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _dichotomy_grid(K, r_grid):
+    return [GaussianMixture(dichotomy_family(K, r)) for r in r_grid]
 
 
-def _numbers(cfg, name) -> list[float]:
-    v = cfg[name]
-    if not isinstance(v, list) or not all(_is_number(e) for e in v):
-        raise ValueError(f"config field {name!r} must be a list of numbers, got {v!r}")
-    return [float(e) for e in v]
-
-
-def _positive_numbers(cfg, name, default=None) -> list[float]:
-    if name not in cfg:
-        return default
-    grid = _numbers(cfg, name)
-    if not grid or not all(e > 0 for e in grid):
-        raise ValueError(f"config field {name!r} must be a non-empty list of positive numbers")
-    return grid
-
-
-def _mixture(cfg, name) -> GaussianMixture:
-    if name not in cfg or not isinstance(cfg[name], dict):
-        raise ValueError(f"config field {name!r} must be a mixture record")
-    return GaussianMixture(mixture_from_record(cfg[name]))
+# type -> (builder, required fields, optional fields); the builder takes the parsed fields by name
+_FAMILIES = {
+    "theta-grid": (_theta_grid, {"start": _NUMBER, "stop": _NUMBER, "count": _COUNT}, {"M": _NUMBER}),
+    "atom-grid": (
+        _atom_grid,
+        {
+            "loc_start": _NUMBER,
+            "loc_stop": _NUMBER,
+            "loc_count": _COUNT,
+            "weight_start": _NUMBER,
+            "weight_stop": _NUMBER,
+            "weight_count": _COUNT,
+        },
+        {"M": _NUMBER},
+    ),
+    "dichotomy": (_dichotomy_grid, {"K": _NUMBER, "r_grid": _NUMBERS}, {}),
+}
 
 
 def _family_candidates(spec) -> list[GaussianMixture]:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("family spec must be an object with a 'type' field")
     kind = spec["type"]
-    if kind == "theta-grid":
-        _check_keys(spec, "theta-grid family", {"type", "start", "stop", "count"}, {"M"})
-        start, stop = _number(spec, "start"), _number(spec, "stop")
-        count = _positive_int(spec, "count")
-        M = _number(spec, "M", max(abs(start), abs(stop), 1.0))
-        thetas = np.linspace(start, stop, count)
-        return [GaussianMixture.from_atoms([[t]], tag=Compact(M)) for t in thetas]
-    if kind == "atom-grid":
-        _check_keys(
-            spec,
-            "atom-grid family",
-            {"type", "loc_start", "loc_stop", "loc_count", "weight_start", "weight_stop", "weight_count"},
-            {"M"},
-        )
-        locs = np.linspace(_number(spec, "loc_start"), _number(spec, "loc_stop"), _positive_int(spec, "loc_count"))
-        ws = np.linspace(_number(spec, "weight_start"), _number(spec, "weight_stop"), _positive_int(spec, "weight_count"))
-        if np.any(ws <= 0) or np.any(ws >= 1):
-            raise ValueError("atom-grid weights must lie strictly inside (0, 1)")
-        M = _number(spec, "M", max(float(np.max(np.abs(locs))), 1.0))
-        out = []
-        for a in locs:
-            for w in ws:
-                out.append(
-                    GaussianMixture.from_atoms([[0.0], [a]], [1.0 - w, w], tag=Compact(M))
-                )
-        return out
-    if kind == "dichotomy":
-        _check_keys(spec, "dichotomy family", {"type", "K", "r_grid"}, set())
-        K = _number(spec, "K")
-        return [GaussianMixture(dichotomy_family(K, r)) for r in _numbers(spec, "r_grid")]
-    raise ValueError(f"unknown family type {kind!r}")
+    if not isinstance(kind, str) or kind not in _FAMILIES:
+        raise ValueError(f"unknown family type {kind!r}")
+    build, required, optional = _FAMILIES[kind]
+    fields = {name: v for name, v in spec.items() if name != "type"}
+    return build(**_parse(f"{kind} family", fields, required, optional))
+
+
+_FAMILY = _field(lambda v: True, "a family spec", _family_candidates)
 
 
 def _stream_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-# -- commands -------------------------------------------------------------------
+# -- commands: each runner takes the parsed fields, `seed` and `out` always set ---
 
 
-def _run_div(cfg, out_dir, seed):
-    _check_keys(cfg, "div", {"kind", "p", "q"}, {"tol", "domain_radius", "out"})
-    try:
-        kind = DivergenceKind(cfg["kind"])
-    except ValueError:
-        raise ValueError(f"config field 'kind' must be one of {sorted(k.value for k in DivergenceKind)}")
-    p = _mixture(cfg, "p")
-    q = _mixture(cfg, "q")
-    est = divergence(kind, p, q, tol=_number(cfg, "tol"), domain_radius=_number(cfg, "domain_radius"))
-    path = os.path.join(out_dir, "div.csv")
+def _run_div(fields):
+    kind = fields["kind"]
+    est = divergence(kind, fields["p"], fields["q"], tol=fields.get("tol"), domain_radius=fields.get("domain_radius"))
+    path = os.path.join(fields["out"], "div.csv")
     write_csv(
         path,
         ("kind", "value", "truncation_bound", "domain_radius", "quadrature_points"),
@@ -174,30 +178,15 @@ def _run_div(cfg, out_dir, seed):
     return 0
 
 
-def _sweep_family(cfg) -> InstanceFamily:
-    d = _positive_int(cfg, "d", 1)
-    max_atoms = _positive_int(cfg, "max_atoms", 8)
-    m = _number(cfg, "M")
-    k = _number(cfg, "K")
-    if (m is None) == (k is None):
+def _run_sweep(fields):
+    bound, n = fields["bound"], fields["n"]
+    if ("M" in fields) == ("K" in fields):
         raise ValueError("sweep config must set exactly one of 'M' (compact) or 'K' (subgaussian)")
-    tag = Compact(m) if m is not None else Subgaussian(k)
-    return InstanceFamily(tag=tag, d=d, max_atoms=max_atoms)
-
-
-def _run_sweep(cfg, out_dir, seed):
-    _check_keys(cfg, "sweep", {"bound", "n"}, {"M", "K", "d", "seed", "tol", "max_atoms", "threads", "out"})
-    try:
-        bound = BoundId(cfg["bound"])
-    except ValueError:
-        raise ValueError(f"config field 'bound' must be one of {[b.value for b in BoundId]}")
-    family = _sweep_family(cfg)
-    n = _positive_int(cfg, "n")
-    # validated and ignored: existing configs, perfbench's included, still set it
-    _positive_int(cfg, "threads")
-    report = verify_sweep(bound, family, n, seed, tol=_number(cfg, "tol"))
-    report.write_csv(os.path.join(out_dir, f"sweep_{bound.value}.csv"))
-    dump_json(report.summary(), os.path.join(out_dir, f"sweep_{bound.value}_summary.json"))
+    tag = Compact(fields["M"]) if "M" in fields else Subgaussian(fields["K"])
+    family = InstanceFamily(tag=tag, d=fields.get("d", 1), max_atoms=fields.get("max_atoms", 8))
+    report = verify_sweep(bound, family, n, fields["seed"], tol=fields.get("tol"))
+    report.write_csv(os.path.join(fields["out"], f"sweep_{bound.value}.csv"))
+    dump_json(report.summary(), os.path.join(fields["out"], f"sweep_{bound.value}_summary.json"))
     print(
         f"sweep {bound.value}: n={n} failures={report.failures} "
         f"ordering_failures={report.ordering_failures} max_ratio={format_float(report.max_ratio)}"
@@ -205,15 +194,13 @@ def _run_sweep(cfg, out_dir, seed):
     return 0
 
 
-def _run_dichotomy(cfg, out_dir, seed):
-    _check_keys(cfg, "dichotomy", {"K", "r_grid"}, {"tol", "seed", "out"})
-    K = _number(cfg, "K")
+def _run_dichotomy(fields):
+    K, tol = fields["K"], fields.get("tol")
     if not (K > 1):
         raise HypothesisError(f"the dichotomy regime needs K > 1, got K={K}")
-    tol = _number(cfg, "tol")
     rows = []
     reference = GaussianMixture.from_atoms([[0.0]], tag=Subgaussian(K))
-    for r in _numbers(cfg, "r_grid"):
+    for r in fields["r_grid"]:
         params = DichotomyParams(K, r)
         gm = GaussianMixture(dichotomy_family(K, r))
         kl = divergence(DivergenceKind.KL, gm, reference, tol=tol)
@@ -222,7 +209,7 @@ def _run_dichotomy(cfg, out_dir, seed):
         ratio = kl.value / h2.value if h2.value > 0 else math.nan
         rows.append((K, r, kl.value, h2.value, env.kl_lb, env.h2_ub, ratio))
     write_csv(
-        os.path.join(out_dir, "dichotomy.csv"),
+        os.path.join(fields["out"], "dichotomy.csv"),
         ("K", "r", "KL", "H2", "kl_lb", "h2_ub", "ratio"),
         list(zip(*rows)),
     )
@@ -230,21 +217,18 @@ def _run_dichotomy(cfg, out_dir, seed):
     return 0
 
 
-def _run_entropy(cfg, out_dir, seed):
-    _check_keys(cfg, "entropy", {"family", "epsilons", "n"}, {"eta_grid", "tol", "seed", "out"})
-    candidates = _family_candidates(cfg["family"])
-    eps_grid = _positive_numbers(cfg, "epsilons")
-    eta_grid = _positive_numbers(cfg, "eta_grid", eps_grid)
-    n = _positive_int(cfg, "n")
+def _run_entropy(fields):
+    candidates, eps_grid, n = fields["family"], fields["epsilons"], fields["n"]
+    eta_grid = fields.get("eta_grid", eps_grid)
     # one table per job: every global and local cover reads the same pairs
-    table = HellingerTable(candidates, _number(cfg, "tol"))
+    table = HellingerTable(candidates, fields.get("tol"))
 
     cover_sizes = [len(greedy_cover(table, eps)) for eps in eps_grid]
     local_counts = [max(local_covering_number(table, eps, eta_grid), 1) for eps in eps_grid]
     batch = rate_functional(eps_grid, local_counts, n, local=True)
     seq = rate_functional(eps_grid, cover_sizes, n, local=False)
     write_csv(
-        os.path.join(out_dir, "entropy.csv"),
+        os.path.join(fields["out"], "entropy.csv"),
         ("epsilon", "N", "N_loc", "batch_rate", "seq_rate"),
         (eps_grid, cover_sizes, local_counts, batch.objective, seq.objective),
     )
@@ -256,44 +240,35 @@ def _run_entropy(cfg, out_dir, seed):
             "batch": {"eps_star": batch.eps_star, "value": batch.value},
             "sequential": {"eps_star": seq.eps_star, "value": seq.value},
         },
-        os.path.join(out_dir, "entropy_summary.json"),
+        os.path.join(fields["out"], "entropy_summary.json"),
     )
     print(f"entropy: candidates={len(candidates)} batch={format_float(batch.value)} seq={format_float(seq.value)}")
     return 0
 
 
-def _run_seq(cfg, out_dir, seed):
-    _check_keys(
-        cfg, "seq", {"family", "true_index", "length"}, {"epsilon", "n_streams", "tol", "seed", "out"}
-    )
-    candidates = _family_candidates(cfg["family"])
-    eps = _positive_number(cfg, "epsilon")
-    # the fields are checked before the cover fills the Hellinger table;
-    # true_index's upper end, the net's size, after it
-    true_index = cfg["true_index"]
-    if not isinstance(true_index, int) or isinstance(true_index, bool) or true_index < 0:
-        raise ValueError(f"config field 'true_index' must be a nonnegative integer, got {true_index!r}")
-    length = _positive_int(cfg, "length")
-    n_streams = _positive_int(cfg, "n_streams", 1)
-    table = HellingerTable(candidates, _number(cfg, "tol"))
-    if eps is not None:
-        net = greedy_cover(table, eps)
+def _run_seq(fields):
+    true_index, length, n_streams = fields["true_index"], fields["length"], fields.get("n_streams", 1)
+    table = HellingerTable(fields["family"], fields.get("tol"))
+    if "epsilon" in fields:
+        net = greedy_cover(table, fields["epsilon"])
     else:
         # every candidate is an element; the forecaster reads no distances
         net = Net(table, np.arange(len(table)), 0.0)
+    # the fields were parsed before the cover filled the table; true_index's
+    # upper end, the net's size, is checked after it
     if true_index >= len(net.elements):
         raise ValueError(f"config field 'true_index' must index the net (size {len(net.elements)}), got {true_index}")
     truth = net.elements[true_index]
     curves, finals = [], []
     for s in range(n_streams):
-        res = sequential_forecaster(net, truth.sample(length, _stream_seed(seed, s)), true_density=truth)
+        res = sequential_forecaster(net, truth.sample(length, _stream_seed(fields["seed"], s)), true_density=truth)
         curves.append((res.step_log_loss, res.cum_regret))
         # regret is the cumulative regret against the truth; the summary reports its last row
         finals.append({"stream": s, "cum_regret": res.cum_regret[-1], "regret_vs_best": res.regret_vs_best})
     losses, regrets = (np.concatenate(c) for c in zip(*curves))
     streams = [s for s in range(n_streams) for _ in range(length)]
     columns = (streams, list(range(length)) * n_streams, losses, regrets)
-    write_csv(os.path.join(out_dir, "seq.csv"), ("stream", "step", "log_loss", "regret"), columns)
+    write_csv(os.path.join(fields["out"], "seq.csv"), ("stream", "step", "log_loss", "regret"), columns)
     dump_json(
         {
             "net_size": len(net.elements),
@@ -301,17 +276,16 @@ def _run_seq(cfg, out_dir, seed):
             "true_index": true_index,
             "streams": finals,
         },
-        os.path.join(out_dir, "seq_summary.json"),
+        os.path.join(fields["out"], "seq_summary.json"),
     )
     print(f"seq: net={len(net.elements)} streams={n_streams} length={length}")
     return 0
 
 
-def _run_report(cfg, out_dir, seed):
-    _check_keys(cfg, "report", set(), {"out", "seed"})
+def _run_report(fields):
     artifacts = {}
-    for name in sorted(os.listdir(out_dir)):
-        path = os.path.join(out_dir, name)
+    for name in sorted(os.listdir(fields["out"])):
+        path = os.path.join(fields["out"], name)
         if not os.path.isfile(path) or name == "report.json":
             continue
         if name.endswith(".json"):
@@ -321,18 +295,39 @@ def _run_report(cfg, out_dir, seed):
             with open(path) as fh:
                 lines = fh.read().splitlines()
             artifacts[name] = {"header": lines[0] if lines else "", "rows": max(len(lines) - 1, 0)}
-    dump_json({"artifacts": artifacts}, os.path.join(out_dir, "report.json"))
+    dump_json({"artifacts": artifacts}, os.path.join(fields["out"], "report.json"))
     print(f"report: merged {len(artifacts)} artifact(s)")
     return 0
 
 
+# the fields every command accepts: the flags --seed and --out win over them
+_COMMON = {"seed": _INDEX, "out": _PATH}
+
+# command -> (runner, required fields, optional fields besides _COMMON)
 _COMMANDS = {
-    "div": _run_div,
-    "sweep": _run_sweep,
-    "dichotomy": _run_dichotomy,
-    "entropy": _run_entropy,
-    "seq": _run_seq,
-    "report": _run_report,
+    "div": (
+        _run_div,
+        {"kind": _choice(DivergenceKind), "p": _MIXTURE, "q": _MIXTURE},
+        {"tol": _NUMBER, "domain_radius": _NUMBER},
+    ),
+    "sweep": (
+        _run_sweep,
+        {"bound": _choice(BoundId), "n": _COUNT},
+        # threads is validated and ignored: existing configs, perfbench's included, still set it
+        {"M": _NUMBER, "K": _NUMBER, "d": _COUNT, "tol": _NUMBER, "max_atoms": _COUNT, "threads": _COUNT},
+    ),
+    "dichotomy": (_run_dichotomy, {"K": _NUMBER, "r_grid": _NUMBERS}, {"tol": _NUMBER}),
+    "entropy": (
+        _run_entropy,
+        {"family": _FAMILY, "epsilons": _GRID, "n": _COUNT},
+        {"eta_grid": _GRID, "tol": _NUMBER},
+    ),
+    "seq": (
+        _run_seq,
+        {"family": _FAMILY, "true_index": _INDEX, "length": _COUNT},
+        {"epsilon": _POSITIVE, "n_streams": _COUNT, "tol": _NUMBER},
+    ),
+    "report": (_run_report, {}, {}),
 }
 
 
@@ -349,16 +344,15 @@ def main(argv=None) -> int:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
-        if "command" in cfg and cfg["command"] != args.command:
-            raise ValueError(
-                f"config field 'command'={cfg['command']!r} does not match {args.command!r}"
-            )
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"config field 'seed' must be a nonnegative integer, got {seed!r}")
-        out_dir = args.out if args.out is not None else cfg.get("out", ".")
-        os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, seed)
+        command = cfg.pop("command", args.command)
+        if command != args.command:
+            raise ValueError(f"config field 'command'={command!r} does not match {args.command!r}")
+        run, required, optional = _COMMANDS[args.command]
+        fields = _parse(args.command, cfg, required, {**optional, **_COMMON})
+        fields["seed"] = _INDEX("seed", args.seed) if args.seed is not None else fields.get("seed", 0)
+        fields["out"] = args.out if args.out is not None else fields.get("out", ".")
+        os.makedirs(fields["out"], exist_ok=True)
+        return run(fields)
     except HypothesisError as exc:
         print(f"hypothesis violation: {exc}", file=sys.stderr)
         return 3
@@ -368,7 +362,8 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"quadrature error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, OSError, json.JSONDecodeError) as exc:
+        # OverflowError: an integer field too large for an array size (a sweep's n, a stream's length)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -381,6 +383,129 @@ class TestErrorPaths:
         bad.write_text("{not json")
         assert main(["div", "--config", str(bad)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("sweep", {"bound": "Thm1", "M": 2.0, "n": 10**30}),
+            ("seq", {"family": THETA_FAMILY, "true_index": 0, "length": 10**30}),
+        ],
+    )
+    def test_integer_too_large_for_an_array_exit_2(self, run, command, cfg):
+        # n and length are array sizes: past the C ssize_t range numpy raises OverflowError
+        _, out = run(command, {"command": command, **cfg}, expect=2)
+        assert out.err.startswith("config error: ") and out.err.count("\n") == 1
+
+
+# a valid config of every command and of every family type, the base of the table-driven cases
+VALID = {
+    "div": {"kind": "kl", "p": gaussian_record(0.0), "q": gaussian_record(0.5)},
+    "sweep": {"bound": "Thm1", "M": 2.0, "n": 2},
+    "dichotomy": {"K": 2.0, "r_grid": [5]},
+    "entropy": {"family": THETA_FAMILY, "epsilons": [0.3], "n": 10},
+    "seq": {"family": THETA_FAMILY, "true_index": 0, "length": 4},
+    "report": {},
+}
+VALID_FAMILIES = {
+    "theta-grid": THETA_FAMILY,
+    "atom-grid": {
+        "type": "atom-grid",
+        "loc_start": 0.5,
+        "loc_stop": 1.5,
+        "loc_count": 2,
+        "weight_start": 0.2,
+        "weight_stop": 0.8,
+        "weight_count": 2,
+    },
+    "dichotomy": {"type": "dichotomy", "K": 2.0, "r_grid": [2.0, 3.0]},
+}
+COMMAND_FIELDS = [
+    (command, name, name in required)
+    for command, (_, required, optional) in cli._COMMANDS.items()
+    for name in {**required, **optional, **cli._COMMON}
+]
+FAMILY_FIELDS = [
+    (kind, name, name in required) for kind, (_, required, optional) in cli._FAMILIES.items() for name in {**required, **optional}
+]
+
+
+def with_family(spec):
+    return "entropy", {**VALID["entropy"], "family": spec}
+
+
+@pytest.fixture
+def runners(monkeypatch):
+    """Every command's runner replaced by one that records the fields it is handed and returns 0."""
+    calls = []
+    for command, (_, required, optional) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, command, (lambda fields: calls.append(fields) or 0, required, optional))
+    return calls
+
+
+class TestConfigTable:
+    """Cases generated from `_COMMANDS` and `_FAMILIES`: each config error is found before any runner."""
+
+    def test_every_command_and_family_type_has_a_valid_config(self, run, runners):
+        assert set(VALID) == set(cli._COMMANDS) and set(VALID_FAMILIES) == set(cli._FAMILIES)
+        for command, cfg in [*VALID.items(), *map(with_family, VALID_FAMILIES.values())]:
+            run(command, {"command": command, **cfg})
+            assert set(runners.pop()) == set(cfg) | {"seed", "out"}
+
+    # out is a path, the one field a string suits
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [(c, name, v) for c, name, _ in COMMAND_FIELDS for v in (True, "x") if (name, v) != ("out", "x")],
+    )
+    def test_bool_or_string_field_exit_2(self, run, runners, command, name, value):
+        run(command, {"command": command, **VALID[command], name: value}, expect=2)
+        assert runners == []
+
+    @pytest.mark.parametrize("value", [True, "x"])
+    @pytest.mark.parametrize("kind, name, required", FAMILY_FIELDS)
+    def test_bool_or_string_family_field_exit_2(self, run, runners, kind, name, required, value):
+        run(*with_family({**VALID_FAMILIES[kind], name: value}), expect=2)
+        assert runners == []
+
+    @pytest.mark.parametrize("command, name, required", [f for f in COMMAND_FIELDS if f[2]])
+    def test_missing_required_field_exit_2(self, run, runners, command, name, required):
+        cfg = {k: v for k, v in VALID[command].items() if k != name}
+        _, out = run(command, {"command": command, **cfg}, expect=2)
+        assert "missing config field" in out.err and runners == []
+
+    @pytest.mark.parametrize("kind, name, required", [f for f in FAMILY_FIELDS if f[2]])
+    def test_missing_required_family_field_exit_2(self, run, runners, kind, name, required):
+        spec = {k: v for k, v in VALID_FAMILIES[kind].items() if k != name}
+        _, out = run(*with_family(spec), expect=2)
+        assert "missing config field" in out.err and runners == []
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_unknown_field_exit_2(self, run, runners, command):
+        _, out = run(command, {"command": command, **VALID[command], "zzz": 1}, expect=2)
+        assert "unknown config field" in out.err and runners == []
+
+    @pytest.mark.parametrize("kind", sorted(cli._FAMILIES))
+    def test_unknown_family_field_exit_2(self, run, runners, kind):
+        _, out = run(*with_family({**VALID_FAMILIES[kind], "zzz": 1}), expect=2)
+        assert "unknown config field" in out.err and runners == []
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_every_command_takes_seed_and_out(self, tmp_path, capsys, command):
+        out = tmp_path / "from_config"
+        path = write_config(tmp_path / "cfg.json", {"command": command, **VALID[command], "seed": 3, "out": str(out)})
+        assert main([command, "--config", path]) == 0, capsys.readouterr().err
+        assert out.is_dir() and (command == "report" or any(out.iterdir()))
+
+    def test_readme_table_lists_every_field(self):
+        lines = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| command | field | type | default |") + 2
+        listed = set()
+        for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+            owner, names, _, default = (cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1])
+            listed |= {(owner, name, default == "required") for name in re.findall(r"`(\w+)`", names)}
+        want = {("every command", name, False) for name in cli._COMMON}
+        want |= {(f"`{c}`", name, req) for c, name, req in COMMAND_FIELDS if name not in cli._COMMON}
+        want |= {(f"family `{k}`", name, req) for k, name, req in FAMILY_FIELDS}
+        assert listed == want
 
 
 def reference_write_csv(path, header, rows):

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 _spec = importlib.util.spec_from_file_location("code_lines", _PATH)
 code_lines = importlib.util.module_from_spec(_spec)
@@ -52,3 +54,16 @@ def test_prints_each_file_and_the_total(tmp_path, capsys):
         ["4", str(tmp_path / "b.py")],
         ["13", "total"],
     ]
+
+
+def test_usage_and_missing_paths_exit_2(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\n")
+    for argv, code in [(["--help"], 0), ([str(tmp_path / "a.py"), str(tmp_path / "missing.py")], 2)]:
+        with pytest.raises(SystemExit) as exc:
+            code_lines.main(argv)
+        assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: code_lines.py")
+    assert err.splitlines()[-1].endswith(f"no such file or directory: {tmp_path / 'missing.py'}")
+    # a missing path stops the count before any file is read
+    assert "total" not in out

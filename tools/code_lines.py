@@ -11,11 +11,13 @@ expression: a call split over three lines is three code lines.
     python tools/code_lines.py src/gmdiv
 
 prints one line per file, `<lines> <path>`, then `<lines> total`.  A
-directory argument counts its `*.py` files, not its subdirectories.
+directory argument counts its `*.py` files, not its subdirectories; with
+no argument it counts `.`.  A path that does not exist exits 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import sys
 import tokenize
@@ -55,9 +57,14 @@ def code_lines(source: str) -> int:
 
 
 def main(argv) -> int:
+    parser = argparse.ArgumentParser(prog="code_lines.py", description=__doc__.splitlines()[0])
+    parser.add_argument("paths", nargs="*", default=[Path(".")], type=Path, help="Python files, or directories of them")
+    paths = parser.parse_args(argv).paths
+    missing = [str(path) for path in paths if not path.exists()]
+    if missing:
+        parser.error(f"no such file or directory: {', '.join(missing)}")
     files = []
-    for arg in argv or ["."]:
-        path = Path(arg)
+    for path in paths:
         files += sorted(path.glob("*.py")) if path.is_dir() else [path]
     total = 0
     for path in files:
