@@ -345,6 +345,8 @@ class InstanceFamily:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if not (1 <= self.max_atoms <= 64):
             raise ValueError(f"max_atoms must lie in [1, 64], got {self.max_atoms}")
+        if not isinstance(self.tag, (Compact, Subgaussian)):
+            raise HypothesisError("sweep families must be Compact or Subgaussian")
 
 
 class SweepInstance(NamedTuple):
@@ -429,8 +431,6 @@ def _comparison(bound: BoundId, family: InstanceFamily) -> _Comparison:
     if sweep is None:
         raise HypothesisError(f"{bound.value} is not a sweepable comparison bound")
     tag = family.tag
-    if not isinstance(tag, (Compact, Subgaussian)):
-        raise HypothesisError("sweep families must be Compact or Subgaussian")
     if sweep.family is not None and not isinstance(tag, sweep.family):
         raise HypothesisError(f"{bound.value} requires a {sweep.family.__name__} family")
     family_params = {

@@ -248,6 +248,11 @@ def _run_entropy(fields):
 
 def _run_seq(fields):
     true_index, length, n_streams = fields["true_index"], fields["length"], fields.get("n_streams", 1)
+    # every stream's log-loss and regret rows, before any distance is computed
+    try:
+        curves = np.empty((2, n_streams * length))
+    except (ValueError, OverflowError, MemoryError):
+        raise ValueError(f"config fields 'n_streams'={n_streams} and 'length'={length} give too many rows") from None
     table = HellingerTable(fields["family"], fields.get("tol"))
     if "epsilon" in fields:
         net = greedy_cover(table, fields["epsilon"])
@@ -259,15 +264,14 @@ def _run_seq(fields):
     if true_index >= len(net.elements):
         raise ValueError(f"config field 'true_index' must index the net (size {len(net.elements)}), got {true_index}")
     truth = net.elements[true_index]
-    curves, finals = [], []
+    finals = []
     for s in range(n_streams):
         res = sequential_forecaster(net, truth.sample(length, _stream_seed(fields["seed"], s)), true_density=truth)
-        curves.append((res.step_log_loss, res.cum_regret))
+        curves[:, s * length : (s + 1) * length] = res.step_log_loss, res.cum_regret
         # regret is the cumulative regret against the truth; the summary reports its last row
         finals.append({"stream": s, "cum_regret": res.cum_regret[-1], "regret_vs_best": res.regret_vs_best})
-    losses, regrets = (np.concatenate(c) for c in zip(*curves))
     streams = [s for s in range(n_streams) for _ in range(length)]
-    columns = (streams, list(range(length)) * n_streams, losses, regrets)
+    columns = (streams, list(range(length)) * n_streams, *curves)
     write_csv(os.path.join(fields["out"], "seq.csv"), ("stream", "step", "log_loss", "regret"), columns)
     dump_json(
         {
@@ -363,7 +367,7 @@ def main(argv=None) -> int:
         print(f"quadrature error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, KeyError, TypeError, OverflowError, OSError, json.JSONDecodeError) as exc:
-        # OverflowError: an integer field too large for an array size (a sweep's n, a stream's length)
+        # OverflowError: an integer field too large for an array size (a sweep's n)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

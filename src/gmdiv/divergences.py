@@ -459,11 +459,11 @@ _PANEL_WIDTH = 4.0
 _NODE_BUDGET = _BLOCK
 
 
-def _groups(counts) -> list[slice]:
-    """Consecutive runs of members with at most _NODE_BUDGET nodes in all; a larger one alone."""
+def _groups(counts, keys=None) -> list[slice]:
+    """Consecutive runs of members with at most _NODE_BUDGET nodes in all, a larger one alone, and one key each."""
     groups, lo, total = [], 0, 0
     for i, c in enumerate(counts):
-        if i > lo and total + c > _NODE_BUDGET:
+        if i > lo and (total + c > _NODE_BUDGET or keys is not None and keys[i] != keys[lo]):
             groups.append(slice(lo, i))
             lo, total = i, 0
         total += c
@@ -534,8 +534,11 @@ class _Rule:
     d >= 2 the radial nodes r, weights wr carry the angular rule of level
     j: nodes r omega, weights wr r^(d-1) wa.  d = 1 has the one axis and
     j = 0.  A `nest`ed call (d = 2, j >= 1) gets only the angles of level j
-    that level j - 1 lacks.  The members of one call may sit at different
-    level pairs.  Past the level cap of an axis (_MAX_LEVELS), or past
+    that level j - 1 lacks.  The members of one `counts` call may sit at
+    different level pairs; those of one `radial` call at different radial
+    levels, and those of one `nodes` call share one angular level.  Each
+    member's cut panels and its level-0 panel count are built once, here.
+    Past the level cap of an axis (_MAX_LEVELS), or past
     _MAX_POINTS nodes of one member's whole rule (the Gauss-Kronrod rule of
     33 nodes a panel for the "kronrod" part), in every d, there is no rule
     and QuadratureError names the axis and the level pair.
@@ -544,35 +547,18 @@ class _Rule:
     def __init__(self, d: int, R, splits=None):
         self.d = d
         R = np.asarray(R, dtype=float)
-        if splits is None:
-            splits = (np.empty(0), np.zeros(R.size, dtype=int))
-        roots, counts = splits
+        roots, counts = splits or (np.empty(0), np.zeros(R.size, dtype=int))
         self.owner = np.repeat(np.arange(R.size), counts + 1)
-        first = np.zeros(self.owner.size, dtype=bool)
-        first[np.cumsum(counts + 1) - (counts + 1)] = True
-        last = np.roll(first, -1)
-        self.lo = np.empty(self.owner.size)
-        self.hi = np.empty(self.owner.size)
-        self.lo[first] = -R if d == 1 else 0.0
-        self.lo[~first] = roots
-        self.hi[last] = R
-        self.hi[~last] = roots
+        # member i's cut panels end at [lo, roots...] and [roots..., R]
+        ends = np.cumsum(counts)
+        self.lo = np.insert(roots, ends - counts, -R if d == 1 else 0.0)
+        self.hi = np.insert(roots, ends, R)
         # level-0 divisions of each cut panel, clamped before the int64 cast:
         # a ball that wide fails the node cap at level 0 (`counts`)
-        base = np.minimum(np.ceil((self.hi - self.lo) / _PANEL_WIDTH), _MAX_POINTS)
-        self.base = np.maximum(1, base).astype(np.int64)
+        self.base = np.clip(np.ceil((self.hi - self.lo) / _PANEL_WIDTH), 1, _MAX_POINTS).astype(np.int64)
+        # and the level-0 panel count of each member
+        self.panels = np.bincount(self.owner, self.base).astype(np.int64)
         self.size = R.size
-
-    def _divisions(self, level, members):
-        # the members' cut panels, each divided at its member's radial
-        # level level[i], and the panels of each member
-        position = np.full(self.size, -1)
-        position[members] = np.arange(members.size)
-        at = position[self.owner]
-        keep = at >= 0
-        at = at[keep]
-        n = self.base[keep] << level[at]
-        return self.lo[keep], self.hi[keep], n, np.bincount(at, n, members.size).astype(np.int64)
 
     def _where(self, level, axis) -> str:
         i, j = level
@@ -598,7 +584,7 @@ class _Rule:
                 f"quadrature did not converge: {self._where(levels[row], axis)} "
                 f"is past the last {name} {caps[axis] - 1}"
             )
-        panels = self._divisions(levels[:, 0], members)[3] * _DIRECTIONS[self.d][levels[:, 1]]
+        panels = (self.panels[members] << levels[:, 0]) * _DIRECTIONS[self.d][levels[:, 1]]
         big = panels * (_KRONROD_WEIGHTS.size if part == "kronrod" else _GL_NODES.size) > _MAX_POINTS
         if big.any():
             level = levels[np.argmax(big)]
@@ -607,15 +593,21 @@ class _Rule:
         return panels * _PANEL_RULES[part][0].size >> nest
 
     def radial(self, level, members, rows=None, part="gauss"):
-        """Radial nodes r, weight rows wr of member i at radial level level[i], and the count of each.
+        """Radial nodes r and weight rows wr of the members, member i at radial level level[i].
 
         In d = 1 these are the nodes and weights on the line.  rows = (a, b)
         of a one-member call takes rows a..b-1 alone, from the panels that
-        hold them, and counts them.
+        hold them.
         """
-        lo, hi, n, panels = self._divisions(level, members)
+        # the members' cut panels, each divided at its member's radial level
+        position = np.full(self.size, -1)
+        position[members] = np.arange(members.size)
+        at = position[self.owner]
+        keep = at >= 0
+        lo, hi = self.lo[keep], self.hi[keep]
+        n = self.base[keep] << level[at[keep]]
         per = _PANEL_RULES[part][0].size
-        a, b = rows or (0, int(panels.sum()) * per)
+        a, b = rows or (0, int(n.sum()) * per)
         # panel k is panel i of its cut panel, of `per` rows each; the edges are
         # np.linspace(lo, hi, n + 1) of every cut panel: edge i is i * step + lo, the last is hi
         starts = np.cumsum(n) - n
@@ -629,15 +621,16 @@ class _Rule:
         right[ends] = hi[panel[ends]]
         x, w = _panel_nodes(left, right, part)
         trim = slice(a % per, a % per + b - a)
-        return x[trim], w[:, trim], panels * per if rows is None else np.array([b - a])
+        return x[trim], w[:, trim]
 
     def nodes(self, levels, members, nest=False, span=None, part="gauss"):
         """Nodes X (n, d) and weight rows W (rows, n) of the members at their level pairs, member after member.
 
-        span = (lo, hi) takes nodes lo..hi-1 of a one-member call alone: the
-        outer product of the radial rows they touch (of the directions they
-        touch, within one row), trimmed, so they are that slice of the whole
-        rule bit for bit and no node is gathered one by one.
+        The members share one angular level.  span = (lo, hi) takes nodes
+        lo..hi-1 of a one-member call alone: the outer product of the radial
+        rows they touch (of the directions they touch, within one row),
+        trimmed, so they are that slice of the whole rule bit for bit and no
+        node is gathered one by one.
         """
         rows, cut = None, slice(None)
         if span is not None:
@@ -645,25 +638,15 @@ class _Rule:
             nd = int(_DIRECTIONS[self.d][levels[0, 1]]) >> nest
             rows = lo // nd, -(-hi // nd)
             cut = slice(lo - rows[0] * nd, hi - rows[0] * nd)
-        x, w, counts = self.radial(levels[:, 0], members, rows, part)
+        r, wr = self.radial(levels[:, 0], members, rows, part)
         if self.d == 1:
-            return x[:, None], w
-        # each run of consecutive members with one angular rule is one outer product
-        edges = np.concatenate([[0], np.cumsum(counts)])
-        runs = [0, *(np.flatnonzero(np.diff(levels[:, 1])) + 1), members.size]
-        parts = []
-        for a, b in itertools.pairwise(runs):
-            omegas, wa = _angular_rule(self.d, levels[a, 1], nest)
-            if rows is not None and rows[1] - rows[0] == 1:
-                omegas, wa, cut = omegas[cut], wa[cut], slice(None)
-            r, wr = x[edges[a] : edges[b]], w[:, edges[a] : edges[b]]
-            X = (r[:, None, None] * omegas[None, :, :]).reshape(-1, self.d)
-            W = ((wr * r ** (self.d - 1))[:, :, None] * wa).reshape(len(wr), -1)
-            parts.append((X[cut], W[:, cut]))
-        if len(parts) == 1:
-            return parts[0]
-        X, W = zip(*parts)
-        return np.concatenate(X), np.concatenate(W, axis=1)
+            return r[:, None], wr
+        omegas, wa = _angular_rule(self.d, levels[0, 1], nest)
+        if rows is not None and rows[1] - rows[0] == 1:
+            omegas, wa, cut = omegas[cut], wa[cut], slice(None)
+        X = (r[:, None, None] * omegas[None, :, :]).reshape(-1, self.d)
+        W = ((wr * r ** (self.d - 1))[:, :, None] * wa).reshape(len(wr), -1)
+        return X[cut], W[:, cut]
 
 
 def _segment_sums(vals, counts) -> np.ndarray:
@@ -679,8 +662,9 @@ def _integrate(measure, rule: _Rule, levels, members, nest=False, part="gauss"):
     lacks, and `part` is the part of each radial panel taken (`_Rule`).
     measure(read, counts, members) returns one row per member, one block
     of columns per weight row; members go through it in groups of at most
-    _NODE_BUDGET nodes, a larger member alone, and read(span=None) builds
-    the group's nodes X (n, d) and weight rows W (rows, n): all of them,
+    _NODE_BUDGET nodes of one angular level (a group ends where it
+    changes), a larger member alone, and read(span=None) builds the
+    group's nodes X (n, d) and weight rows W (rows, n): all of them,
     or nodes lo..hi-1 of a one-member group with span = (lo, hi)
     (`_Rule.nodes`).  A row that is not finite raises QuadratureError
     naming its member's level pair.
@@ -689,7 +673,7 @@ def _integrate(measure, rule: _Rule, levels, members, nest=False, part="gauss"):
     counts = rule.counts(levels, members, nest, part)
     rows = np.concatenate([
         measure(functools.partial(rule.nodes, levels[g], members[g], nest, part=part), counts[g], members[g])
-        for g in _groups(counts)
+        for g in _groups(counts, levels[:, 1])
     ])
     finite = np.isfinite(rows).reshape(members.size, -1).all(axis=1)
     if not finite.all():

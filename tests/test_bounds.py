@@ -545,6 +545,11 @@ class TestSweeps:
         assert np.array_equal(p1.mixing.locations, p2.mixing.locations)
         assert np.array_equal(q1.mixing.weights, q2.mixing.weights)
 
+    @pytest.mark.parametrize("tag", [Unconstrained(), "compact"], ids=repr)
+    def test_make_pair_rejects_a_family_it_cannot_draw(self, tag):
+        with pytest.raises(HypothesisError, match="sweep families must be Compact or Subgaussian"):
+            make_pair(0, 0, InstanceFamily(tag))
+
     # sha256 of every (locations, weights, tag) that make_pair draws for seeds
     # 0-2 and i < 60: a faster sampler or validation must keep the draws
     SAMPLER_DIGESTS = {

@@ -5,11 +5,12 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from gmdiv import Compact, DivergenceKind, HellingerTable, bounds, cli, greedy_cover, local_cover
+from gmdiv import Compact, DivergenceKind, HellingerTable, bounds, cli, estimation, greedy_cover, local_cover
 from gmdiv.bounds import InstanceFamily, make_pair
 from gmdiv.cli import _family_candidates, main
 from gmdiv.textio import _ROWS, format_float, write_csv
@@ -397,6 +398,16 @@ class TestErrorPaths:
         assert out.err.startswith("config error: ") and out.err.count("\n") == 1
 
 
+    def test_too_many_seq_rows_exit_2_before_any_distance(self, run, monkeypatch):
+        # n_streams * length rows are allocated before the cover fills the Gram table
+        filled = []
+        monkeypatch.setattr(estimation, "_gram_h2", lambda *args: filled.append(args))
+        cfg = {"command": "seq", "family": THETA_FAMILY, "true_index": 0, "length": 3, "epsilon": 0.3}
+        start = time.perf_counter()
+        _, out = run("seq", {**cfg, "n_streams": 10**31}, expect=2)
+        assert time.perf_counter() - start < 1.0 and filled == []
+        assert out.err.startswith("config error: ") and "'n_streams'" in out.err and "'length'" in out.err
+
 # a valid config of every command and of every family type, the base of the table-driven cases
 VALID = {
     "div": {"kind": "kl", "p": gaussian_record(0.0), "q": gaussian_record(0.5)},
@@ -597,3 +608,36 @@ def test_import_loads_no_scipy():
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def test_every_command_runs_on_numpy_and_the_standard_library(tmp_path):
+    # the test dependencies are blocked in a fresh interpreter (an import of
+    # them raises ImportError), and every command runs once: TV in d = 1
+    # searches its sign changes with the package's own brentq
+    configs = [
+        ("div", {"kind": "tv", "p": gaussian_record(0.5), "q": gaussian_record(-0.25)}),
+        ("sweep", {"bound": "Thm1", "M": 2.0, "n": 2}),
+        ("sweep", {"bound": "Thm1", "M": 2.0, "n": 2, "d": 2}),
+        ("entropy", VALID["entropy"]),
+        ("seq", VALID["seq"]),
+        ("dichotomy", VALID["dichotomy"]),
+        ("report", VALID["report"]),
+    ]
+    argvs = [
+        [command, "--config", write_config(tmp_path / f"{i}.json", cfg), "--out", str(tmp_path / "out")]
+        for i, (command, cfg) in enumerate(configs)
+    ]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import json, sys\n"
+        "blocked = ('scipy', 'mpmath', 'hypothesis')\n"
+        "sys.modules.update(dict.fromkeys(blocked))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from gmdiv.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "loaded = sorted(m for m, module in sys.modules.items() if m.split('.')[0] in blocked and module)\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=300)
+    codes, loaded = json.loads(res.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(configs) and loaded == [], res.stderr

@@ -321,7 +321,7 @@ class TestEstimateContracts:
             level = rule.nodes(np.array([[4, 0]]), np.array([0]))[0]
             assert level.shape[0] == 24_576
             assert np.array_equal(unique[seen == 2], np.unique(level, axis=0))
-        r, (wr,), _ = rule.radial(np.array([i]), np.array([0]))
+        r, (wr,) = rule.radial(np.array([i]), np.array([0]))
         omegas, wa = _angular_rule(2, j)
         X = (r[:, None, None] * omegas).reshape(-1, 2)
         full = ((wr * r)[:, None] * wa).ravel() @ _integrands([kind], p.log_density(X), q.log_density(X))[0]
@@ -403,6 +403,27 @@ class TestEstimateContracts:
         monkeypatch.setattr(divergences, cap, value)
         with pytest.raises(QuadratureError, match=f"^quadrature did not converge: {message}$"):
             divergence(DivergenceKind.KL, p, q)
+
+    def test_cut_panels_member_by_member(self):
+        # members with 0, 0, 1, 0 and 3 roots: the left ends and the radii
+        # share an insertion index where a member has no roots, and the last
+        # member holds roots
+        R = [5.0, 6.0, 7.0, 3.0, 10.0]
+        roots = [[], [], [0.5], [], [-4.0, 1.0, 2.5]]
+        rule = _Rule(1, R, (np.concatenate(roots), np.array([len(r) for r in roots])))
+        lo = [x for r, c in zip(R, roots) for x in [-r, *c]]
+        hi = [x for r, c in zip(R, roots) for x in [*c, r]]
+        owner = [i for i, c in enumerate(roots) for _ in range(len(c) + 1)]
+        base = [max(1, math.ceil((b - a) / 4.0)) for a, b in zip(lo, hi)]
+        assert (rule.lo.tolist(), rule.hi.tolist()) == (lo, hi)
+        assert (rule.owner.tolist(), rule.base.tolist()) == (owner, base)
+        assert base == [3, 3, 2, 2, 2, 2, 2, 1, 2]
+        members = np.arange(len(R))
+        for level in (0, 2):
+            panels = [sum(n for n, i in zip(base, owner) if i == m) << level for m in members]
+            assert rule.counts(np.array([level, 0]), members).tolist() == [16 * n for n in panels]
+            x, _ = rule.radial(np.full(len(R), level), members)
+            assert x.size == 16 * sum(panels)
 
     @pytest.mark.parametrize("d, nest", [(2, False), (2, True), (3, False)], ids=["d2", "d2-nest", "d3"])
     def test_counts_are_the_rows_nodes_builds(self, monkeypatch, d, nest):
@@ -1434,21 +1455,28 @@ class TestBatchedDriver:
         pairs = [make_pair(7, i, InstanceFamily(Compact(2.0), 2)) for i in range(100)]
         self.check([DivergenceKind.KL, DivergenceKind.HellingerSq], pairs, tol=None)
 
-    def test_one_nodes_call_with_several_angular_rules(self, monkeypatch):
-        # members 1 and 2 (pairs in atom-count order) share a group at level
-        # pairs (2, 1) and (1, 2), so one `_Rule.nodes` call builds one outer
-        # product per angular run
+    def test_one_angular_rule_per_nodes_call(self, monkeypatch):
+        # TV's re-check in d = 2 integrates members at several angular levels
+        # in one `_integrate` call; its groups end where the angular level
+        # changes, so every `_Rule.nodes` call sees one, and a pair's bits
+        # are still its own
         pairs = [make_pair(4, i, InstanceFamily(Compact(1.0), 2)) for i in range(16)]
-        runs, original = [], _Rule.nodes
+        mixed, seen = [], []
+        integrate, nodes = divergences._integrate, _Rule.nodes
 
-        def spy(rule, levels, members, nest=False, span=None, part="gauss"):
-            if len(set(levels[:, 1].tolist())) > 1:
-                runs.append((members.tolist(), levels.tolist()))
-            return original(rule, levels, members, nest, span, part)
+        def integrate_spy(measure, rule, levels, members, nest=False, part="gauss"):
+            angular = np.broadcast_to(levels, (members.size, 2))[:, 1]
+            mixed.append(len(set(angular.tolist())) > 1)
+            return integrate(measure, rule, levels, members, nest, part)
 
-        monkeypatch.setattr(_Rule, "nodes", spy)
+        def nodes_spy(rule, levels, members, nest=False, span=None, part="gauss"):
+            seen.append(len(set(levels[:, 1].tolist())))
+            return nodes(rule, levels, members, nest, span, part)
+
+        monkeypatch.setattr(divergences, "_integrate", integrate_spy)
+        monkeypatch.setattr(_Rule, "nodes", nodes_spy)
         self.check([DivergenceKind.TV], pairs, tol=1e-4, domain_radius=4.0)
-        assert ([1, 2], [[2, 1], [1, 2]]) in runs
+        assert any(mixed) and set(seen) == {1}
 
     def test_mixed_dimensions_rejected(self):
         p, q = single_gaussian(0.5), single_gaussian([0.0, 0.0])
