@@ -12,8 +12,9 @@ Each bound is one `_BOUNDS` row: its symbols, its right-hand side (called
 by name with them, checking its own argument), its class hypothesis
 (M >= 2 for Thm1, 0 < K < 1 for Thm3, ...), its sweep (the family class,
 the kinds integrated per pair, the lhs and rhs-argument kinds and the
-dimensions it holds in) and, for ChiSqThm, its log-domain right-hand
-side.  `bound_rhs`, `bound_rhs_log` and the sweeps read the same row; a
+dimensions it holds in), for ChiSqThm its log-domain right-hand side,
+and for Thm2 and Thm5 the log of a right-hand side too small to be a
+normal double, as a sum of logs.  `bound_rhs`, `bound_rhs_log` and the sweeps read the same row; a
 sweep checks the class once and binds its parameters into the row's
 formula, so each instance checks only its own argument.
 
@@ -81,6 +82,9 @@ def _check_h2(h2: float, upper: float = 2.0):
         raise HypothesisError(f"H^2 must lie in (0, {upper}], got {h2}")
 
 
+_SMALLEST_NORMAL = 2.0**-1022
+
+
 def _log_over(c, x):
     """log(c / x), as log c - log x where c / x overflows a double (x at or near subnormal)."""
     ratio = c / x
@@ -109,6 +113,16 @@ def _thm3(K, d, h2):
 def _thm5(K, h2):
     _check_h2(h2, upper=4.0)
     return (10240.0 * K**4 + 652.0) * h2 * _log_over(4.0, h2)
+
+
+# The logs of the Thm2 and Thm5 right-hand sides as sums of logs, for an rhs
+# that is not a normal double: a subnormal carries too few bits for its log.
+def _thm2_log(M, h2):
+    return math.log(h2) + math.log(200.0 * M * M + 16.0 * _log_over(1.0, h2))
+
+
+def _thm5_log(K, h2):
+    return math.log(h2) + math.log(10240.0 * K**4 + 652.0) + math.log(_log_over(4.0, h2))
 
 
 def _chisq_log(M, d, h2):
@@ -266,13 +280,16 @@ class _Bound(NamedTuple):
     hypothesis: tuple | None = None  # (name, lower, upper): name >= lower, or lower < name < upper
     sweep: _Sweep | None = None  # None: not sweepable
     log_rhs: Callable | None = None  # log of rhs, exact where rhs overflows a double
+    tiny_log: Callable | None = None  # log of rhs where rhs is positive but not a normal double
 
 
 _BOUNDS = {
     BoundId.Thm1: _Bound(("M", "d", "h2"), _thm1, ("M", 2, None), _Sweep(Compact, (_KL, _H2), _KL, _H2)),
-    BoundId.Thm2: _Bound(("M", "h2"), _thm2, ("M", 1, None), _Sweep(Compact, (_KL, _H2), _KL, _H2)),
+    BoundId.Thm2: _Bound(("M", "h2"), _thm2, ("M", 1, None), _Sweep(Compact, (_KL, _H2), _KL, _H2), tiny_log=_thm2_log),
     BoundId.Thm3: _Bound(("K", "d", "h2"), _thm3, ("K", 0, 1), _Sweep(Subgaussian, (_KL, _H2), _KL, _H2)),
-    BoundId.Thm5: _Bound(("K", "h2"), _thm5, ("K", 0, None), _Sweep(Subgaussian, (_KL, _H2), _KL, _H2)),
+    BoundId.Thm5: _Bound(
+        ("K", "h2"), _thm5, ("K", 0, None), _Sweep(Subgaussian, (_KL, _H2), _KL, _H2), tiny_log=_thm5_log
+    ),
     BoundId.ChiSqThm: _Bound(
         ("M", "d", "h2"), _chisq, ("M", 2, None), _Sweep(Compact, (_KL, _H2, _CHI2), _CHI2, _H2), _chisq_log
     ),
@@ -316,11 +333,13 @@ def bound_rhs(bound, **params) -> float:
 
 
 def bound_rhs_log(bound, **params) -> float:
-    """Natural log of bound_rhs; exact in log domain for ChiSqThm."""
+    """Natural log of bound_rhs; exact in log domain for ChiSqThm, and for Thm2 and Thm5 where the rhs is subnormal."""
     row = _check_params(BoundId(bound), params)
     if row.log_rhs is not None:
         return row.log_rhs(**params)
     value = row.rhs(**params)
+    if 0 < value < _SMALLEST_NORMAL and row.tiny_log is not None:
+        return row.tiny_log(**params)
     return -math.inf if value <= 0 else math.log(value)
 
 

@@ -46,25 +46,37 @@ nested tensor-product rule (`_Rule`: 1-d Gauss-Legendre panels, cut at the
 sign changes of p - q for TV; radial panels x angular rule for d in {2, 3})
 on a ball sized by one radius search (`_search_radius`).  A level-0 panel
 is at most 4 wide with 16 nodes, which resolves unit-width Gaussian
-features to rounding, and each radial level halves the panels.  A radial
+features to rounding, and each radial level halves the panels.  In d in
+{2, 3} the search tries the multiples of 4 only (but for TV), so the
+level-0 radial panels of a searched ball are [4k, 4k + 4], those of the
+start radius are the grown ball's inner panels bit for bit, and a grown
+radius keeps their start-pass values and evaluates only its new panels.
+The driver refines units: a member's line in d = 1, one level-0 radial
+panel of a member in d in {2, 3}, each at its own level pair.  A radial
 level is judged by the 33-point Gauss-Kronrod extension of its panels
 (Kronrod 1965; QUADPACK, Piessens et al. 1983): the Gauss pass gives the
 Gauss sum G and, from the same node values, the Kronrod weights' sum at
 those nodes, and the judgement adds the 17 nodes a panel that complete
 the Kronrod sum K, so it costs 17/16 of a level rather than a level of
 twice the nodes.  `_refine` refines in phases, one axis each, and each
-phase is one loop over the members still pending in it.  The radial phase
-stops once |K - G| is within the stopping bound (and, past level 0, K
-moved no more than that from the level below); d = 1 keeps K.  In d in
-{2, 3} it runs on the coarsest angular rule and keeps G, and the angular
-phase then refines the angle at that radial level until one more angular
-level moves no value by more than the stopping bound.  So the radial step
-is judged on the coarsest angular rule.  TV in d in {2, 3} bends along
-p = q, where a Kronrod difference can be small by chance and a judgement
-on one axis can be fooled, so its radial phases step a whole radial level
-to judge one, and it runs the two phases twice: the radius again at its
-final angular level, then the angle again.  No level pair is evaluated
-twice.  In d = 2 the trapezoid angles of one level are every
+phase is one loop over the units still pending in it.  A member settles
+once its units' steps are within the stopping bound of its value, the
+sum of its units' values: a unit's step is its |K - G| (and, past level
+0, how far K moved from the level below) in the radial phase, and how
+far one more level moved its value on the other axes, and the steps of
+one round add signed, those of earlier rounds by magnitude.  d = 1 keeps
+K.  In d in {2, 3} the radial phase runs on the coarsest angular rule and
+keeps G, and the angular phase then refines the angle at each unit's
+radial level, stepping each unit on its own while its step exceeds an
+equal share of its member's bound, so the angle is refined where it
+carries the error.  So the radial step is judged on the coarsest angular
+rule.  TV in d in {2, 3} bends along p = q, where a Kronrod difference
+can be small by chance and a judgement on one axis can be fooled, so its
+radial phases step a whole radial level to judge one, a member's units
+step together on both axes, and it runs the two phases twice: the radius
+again at its final angular level, then the angle again.  No level pair
+of a unit is evaluated twice.  In d = 2 the
+trapezoid angles of one level are every
 other angle of the next, so an angular step evaluates only the new angles
 and adds half the value of the level below (Trefethen & Weideman, SIAM
 Rev. 2014), and no node is evaluated twice either, but for the first
@@ -81,13 +93,15 @@ draws as arrays and a one-pair caller builds from its mixtures
 `_refine` runs the start pass
 (level 0 of the uncut rule, which sets the truncation targets), the radius
 search with one tail pass for every kind per step, builds the rule on the
-final radii (cut at the TV sign changes in d = 1), keeps the start pass as
-level 0 where the radius stayed and the rule is uncut, and runs the
-refinement phases over all pairs still pending, each at its own level pair; each pair stops at
+final radii (cut at the TV sign changes in d = 1, at the level-0 panel
+edges in d in {2, 3}), keeps the start pass as level 0 where a unit's
+panels stayed (every start-pass panel in d in {2, 3}; in d = 1 where the
+radius stayed and the rule is uncut), and runs the refinement phases over
+all units still pending, each at its own level pair; each pair stops at
 its own levels and keeps its own radius, splits, tails and point count.
-Within a step the pending members are evaluated in groups of consecutive
-members with at most _NODE_BUDGET nodes, so no temporary grows with the
-batch; a sweep integrates all its pairs as one batch.  A larger member
+Within a step the pending units are evaluated in groups of consecutive
+units with at most _NODE_BUDGET nodes, so no temporary grows with the
+batch; a sweep integrates all its pairs as one batch.  A larger unit
 goes alone, and its level is streamed: its nodes are built by range (the
 outer product of the radial rows a range touches, trimmed) and evaluated
 _NODE_BUDGET at a time, the log-density kernel's block, into one buffer
@@ -519,46 +533,58 @@ def _angular_rule(d: int, level: int, nest: bool = False) -> tuple[np.ndarray, n
 
 
 class _Rule:
-    """Nested tensor-product rules on the balls ||x|| <= R[i] of a batch of members.
+    """Nested tensor-product rules on the balls ||x|| <= R[i] of a batch of members, unit by unit.
 
     Each member owns cut panels [lo, hi]: in d = 1, [-R, R] cut at the
     member's splits (ascending, `counts[i]` of them for member i); in d in
-    {2, 3}, the radial interval [0, R].  A member's level is a pair (i, j),
-    one level per axis.  Radial level i divides a cut panel into
-    max(1, ceil((hi - lo) / _PANEL_WIDTH)) << i equal panels (the panel
-    edges are those of np.linspace) of 16 Gauss-Legendre nodes each.  A
-    call takes one `part` of each panel (`_PANEL_RULES`): its Gauss nodes
-    with the Gauss weights ("gauss"), or with the Gauss and the Kronrod
-    weights as two weight rows ("both"), or the 17 nodes of the 33-point
-    Gauss-Kronrod extension that the Gauss rule lacks ("kronrod").  In
-    d >= 2 the radial nodes r, weights wr carry the angular rule of level
-    j: nodes r omega, weights wr r^(d-1) wa.  d = 1 has the one axis and
-    j = 0.  A `nest`ed call (d = 2, j >= 1) gets only the angles of level j
-    that level j - 1 lacks.  The members of one `counts` call may sit at
-    different level pairs; those of one `radial` call at different radial
-    levels, and those of one `nodes` call share one angular level.  Each
-    member's cut panels and its level-0 panel count are built once, here.
-    Past the level cap of an axis (_MAX_LEVELS), or past
-    _MAX_POINTS nodes of one member's whole rule (the Gauss-Kronrod rule of
-    33 nodes a panel for the "kronrod" part), in every d, there is no rule
-    and QuadratureError names the axis and the level pair.
+    {2, 3}, the radial interval [0, R] cut at them (`_radial_cuts` cuts it
+    at its level-0 panel edges).  A unit is what the driver refines on its
+    own: in d = 1 a member's whole line, every cut panel of it; in d in
+    {2, 3} one cut panel of the radius.  Units are numbered member after
+    member, in panel order, and the `members` of a call are units.  A
+    unit's level is a pair (i, j), one level per axis.  Radial level i
+    divides a cut panel into max(1, ceil((hi - lo) / _PANEL_WIDTH)) << i
+    equal panels (the panel edges are those of np.linspace) of 16
+    Gauss-Legendre nodes each.  A call takes one `part` of each panel
+    (`_PANEL_RULES`): its Gauss nodes with the Gauss weights ("gauss"), or
+    with the Gauss and the Kronrod weights as two weight rows ("both"), or
+    the 17 nodes of the 33-point Gauss-Kronrod extension that the Gauss
+    rule lacks ("kronrod").  In d >= 2 the radial nodes r, weights wr
+    carry the angular rule of level j: nodes r omega, weights wr r^(d-1)
+    wa.  d = 1 has the one axis and j = 0.  A `nest`ed call (d = 2, j >= 1)
+    gets only the angles of level j that level j - 1 lacks.  The units of
+    one `counts` call may sit at different level pairs; those of one
+    `radial` call at different radial levels, and those of one `nodes`
+    call share one angular level.  Each unit's cut panels and level-0
+    panel count are built once, here.  Past the level cap of an axis
+    (_MAX_LEVELS), or past _MAX_POINTS nodes of the member's whole rule at
+    a unit's level pair (every unit of the member at that level pair, the
+    Gauss-Kronrod rule of 33 nodes a panel for the "kronrod" part), in
+    every d, there is no rule and QuadratureError names the axis and the
+    level pair.
     """
 
     def __init__(self, d: int, R, splits=None):
         self.d = d
         R = np.asarray(R, dtype=float)
         roots, counts = splits or (np.empty(0), np.zeros(R.size, dtype=int))
-        self.owner = np.repeat(np.arange(R.size), counts + 1)
-        # member i's cut panels end at [lo, roots...] and [roots..., R]
+        # the member of each cut panel, whose ends are [lo, roots...] and [roots..., R]
+        member = np.repeat(np.arange(R.size), counts + 1)
         ends = np.cumsum(counts)
         self.lo = np.insert(roots, ends - counts, -R if d == 1 else 0.0)
         self.hi = np.insert(roots, ends, R)
         # level-0 divisions of each cut panel, clamped before the int64 cast:
         # a ball that wide fails the node cap at level 0 (`counts`)
         self.base = np.clip(np.ceil((self.hi - self.lo) / _PANEL_WIDTH), 1, _MAX_POINTS).astype(np.int64)
-        # and the level-0 panel count of each member
+        # the unit of each cut panel, the member of each unit, and each unit's place among its member's
+        self.owner = member if d == 1 else np.arange(member.size)
+        self.member = np.arange(R.size) if d == 1 else member
+        self.first = np.searchsorted(self.member, np.arange(R.size))
+        self.index = np.arange(self.member.size) - self.first[self.member]
+        self.size = self.member.size
+        # the level-0 panel count of each unit, and of its member's whole rule
         self.panels = np.bincount(self.owner, self.base).astype(np.int64)
-        self.size = R.size
+        self.whole = np.bincount(member, self.base).astype(np.int64)[self.member]
 
     def _where(self, level, axis) -> str:
         i, j = level
@@ -567,11 +593,11 @@ class _Rule:
         return f"angular level {j} at radial level {i}" if axis else f"radial level {i} at angular level {j}"
 
     def counts(self, levels, members, nest=False, part="gauss") -> np.ndarray:
-        """Nodes evaluated for each member at its level pair; QuadratureError past a cap.
+        """Nodes evaluated for each unit at its level pair; QuadratureError past a cap.
 
-        `levels` holds one level pair per member, or one for all; a `nest`ed
-        member evaluates half its angles, a "kronrod" part 17 nodes a
-        panel, and the cap counts the whole rule.
+        `levels` holds one level pair per unit, or one for all; a `nest`ed
+        unit evaluates half its angles, a "kronrod" part 17 nodes a panel,
+        and the cap counts the member's whole rule at the unit's level pair.
         """
         levels = np.broadcast_to(levels, (members.size, 2))
         caps = _MAX_LEVELS[self.d]
@@ -584,22 +610,22 @@ class _Rule:
                 f"quadrature did not converge: {self._where(levels[row], axis)} "
                 f"is past the last {name} {caps[axis] - 1}"
             )
-        panels = (self.panels[members] << levels[:, 0]) * _DIRECTIONS[self.d][levels[:, 1]]
-        big = panels * (_KRONROD_WEIGHTS.size if part == "kronrod" else _GL_NODES.size) > _MAX_POINTS
+        directions = _DIRECTIONS[self.d][levels[:, 1]]
+        whole = (self.whole[members] << levels[:, 0]) * directions
+        big = whole * (_KRONROD_WEIGHTS.size if part == "kronrod" else _GL_NODES.size) > _MAX_POINTS
         if big.any():
             level = levels[np.argmax(big)]
             where = self._where(level, level[1] > 0)
             raise QuadratureError(f"quadrature did not converge: {where} would exceed {_MAX_POINTS:,} nodes")
-        return panels * _PANEL_RULES[part][0].size >> nest
+        return (self.panels[members] << levels[:, 0]) * directions * _PANEL_RULES[part][0].size >> nest
 
     def radial(self, level, members, rows=None, part="gauss"):
-        """Radial nodes r and weight rows wr of the members, member i at radial level level[i].
+        """Radial nodes r and weight rows wr of the units, unit i at radial level level[i].
 
         In d = 1 these are the nodes and weights on the line.  rows = (a, b)
-        of a one-member call takes rows a..b-1 alone, from the panels that
-        hold them.
+        takes rows a..b-1 of the call alone, from the panels that hold them.
         """
-        # the members' cut panels, each divided at its member's radial level
+        # the units' cut panels, each divided at its unit's radial level
         position = np.full(self.size, -1)
         position[members] = np.arange(members.size)
         at = position[self.owner]
@@ -624,10 +650,10 @@ class _Rule:
         return x[trim], w[:, trim]
 
     def nodes(self, levels, members, nest=False, span=None, part="gauss"):
-        """Nodes X (n, d) and weight rows W (rows, n) of the members at their level pairs, member after member.
+        """Nodes X (n, d) and weight rows W (rows, n) of the units at their level pairs, unit after unit.
 
-        The members share one angular level.  span = (lo, hi) takes nodes
-        lo..hi-1 of a one-member call alone: the outer product of the radial
+        The units share one angular level.  span = (lo, hi) takes nodes
+        lo..hi-1 of the call alone: the outer product of the radial
         rows they touch (of the directions they touch, within one row),
         trimmed, so they are that slice of the whole rule bit for bit and no
         node is gathered one by one.
@@ -654,32 +680,79 @@ def _segment_sums(vals, counts) -> np.ndarray:
     return np.add.reduceat(vals, np.cumsum(counts) - counts, axis=-1)
 
 
-def _integrate(measure, rule: _Rule, levels, members, nest=False, part="gauss"):
-    """measure on the members' rules at their level pairs, and the points of each.
+def _integrate(measure, rule: _Rule, levels, units, nest=False, part="gauss"):
+    """measure on the units' rules at their level pairs, and the points of each.
 
-    `levels` holds one (radial, angular) pair per member, or one for all;
-    with `nest` each member takes only the angles its angular level - 1
+    `levels` holds one (radial, angular) pair per unit, or one for all;
+    with `nest` each unit takes only the angles its angular level - 1
     lacks, and `part` is the part of each radial panel taken (`_Rule`).
-    measure(read, counts, members) returns one row per member, one block
-    of columns per weight row; members go through it in groups of at most
-    _NODE_BUDGET nodes of one angular level (a group ends where it
-    changes), a larger member alone, and read(span=None) builds the
-    group's nodes X (n, d) and weight rows W (rows, n): all of them,
-    or nodes lo..hi-1 of a one-member group with span = (lo, hi)
-    (`_Rule.nodes`).  A row that is not finite raises QuadratureError
-    naming its member's level pair.
+    measure(read, counts, members) returns one row per unit, one block of
+    columns per weight row, `members` holding each unit's member; units go
+    through it in groups of at most _NODE_BUDGET nodes of one angular
+    level (a group ends where it changes), a larger unit alone, and
+    read(span=None) builds the group's nodes X (n, d) and weight rows
+    W (rows, n): all of them, or nodes lo..hi-1 of the group with
+    span = (lo, hi) (`_Rule.nodes`).  A row that is not finite raises
+    QuadratureError naming its unit's level pair.
     """
-    levels = np.broadcast_to(levels, (members.size, 2))
-    counts = rule.counts(levels, members, nest, part)
+    levels = np.broadcast_to(levels, (units.size, 2))
+    counts = rule.counts(levels, units, nest, part)
     rows = np.concatenate([
-        measure(functools.partial(rule.nodes, levels[g], members[g], nest, part=part), counts[g], members[g])
+        measure(functools.partial(rule.nodes, levels[g], units[g], nest, part=part), counts[g], rule.member[units[g]])
         for g in _groups(counts, levels[:, 1])
     ])
-    finite = np.isfinite(rows).reshape(members.size, -1).all(axis=1)
+    finite = np.isfinite(rows).reshape(units.size, -1).all(axis=1)
     if not finite.all():
         level = levels[np.argmin(finite)]
         raise QuadratureError(f"quadrature value is not finite at {rule._where(level, level[1] > 0)}")
     return rows, counts
+
+
+def _radial_cuts(d: int, R):
+    """In d >= 2, the inner edges of each member's level-0 radial panels as `_Rule` splits; None in d = 1.
+
+    Member i's radius is cut into n = ceil(R[i] / _PANEL_WIDTH) equal
+    panels, at the edges k R[i] / n of np.linspace, so a radius that is a
+    multiple of _PANEL_WIDTH has its edges at the multiples of it, and the
+    panels of a smaller such radius are its inner panels bit for bit.  n
+    stops at the least count whose level-0 rule is past _MAX_POINTS, where
+    the node cap fails the ball before any node is built.
+    """
+    if d == 1:
+        return None
+    R = np.asarray(R, dtype=float)
+    n = np.clip(np.ceil(R / _PANEL_WIDTH), 1, _MAX_POINTS // _GL_NODES.size + 1).astype(np.int64)
+    member = np.repeat(np.arange(R.size), n - 1)
+    k = 1 + np.arange(member.size) - np.repeat(np.cumsum(n - 1) - (n - 1), n - 1)
+    return k * (R / n)[member], n - 1
+
+
+def _unsettled(rule: _Rule, moved, values, bound, stepped, each=False) -> np.ndarray:
+    """The units to refine next: every unit of a member still unsettled, or with `each` those over their share.
+
+    moved and values hold each unit's last step and value, per entry of
+    the measure: a step is how far one more level moved the unit's value,
+    signed, or a Kronrod judgement's error estimate, which is not
+    negative.  `stepped` are the units the last round moved; a member none
+    of whose units it moved settled before.  A member is settled once, for
+    every entry, |the sum of its stepped units' steps| plus the sum of its
+    other units' |steps| is within bound(the sum of its units' values),
+    every sum in panel order: the steps of one round are those of one rule,
+    and cancel where their values do (TV's kink moves between the panels
+    its ray crosses), but a step from an earlier round is not, and counts
+    whole.  With `each`, a unit of a member that is not settled is refined
+    while its own step exceeds an equal share of that bound, for some
+    entry; a member whose steps are all within their shares is settled.
+    """
+    fresh = np.zeros(rule.size, dtype=bool)
+    fresh[stepped] = True
+    total = np.abs(np.add.reduceat(np.where(fresh[:, None], moved, 0.0), rule.first, axis=0))
+    total += np.add.reduceat(np.where(fresh[:, None], 0.0, np.abs(moved)), rule.first, axis=0)
+    limit = np.broadcast_to(bound(np.add.reduceat(values, rule.first, axis=0)), total.shape)
+    unsettled = (~(total <= limit).all(axis=1) & np.logical_or.reduceat(fresh, rule.first))[rule.member]
+    if each:
+        unsettled &= (np.abs(moved) > (limit / np.bincount(rule.member)[:, None])[rule.member]).any(axis=1)
+    return np.flatnonzero(unsettled)
 
 
 def _refine(measure, d: int, R, bound, met=None, tv=None):
@@ -691,112 +764,156 @@ def _refine(measure, d: int, R, bound, met=None, tv=None):
     met(R, start_pass, members) holds, R and start_pass being the radii
     and the start-pass rows (which set the truncation targets) of the
     members still growing.  Without one, R is the radius.  The rule on
-    the final radii is then built here: `tv` is None or the envelopes
-    (p_env, q_env) of a batch that integrates TV, whose rule d = 1 cuts at
-    the sign changes of log p - log q (`_sign_change_splits`).  A member
-    whose radius stayed and whose rule is uncut keeps its start-pass row
-    as level (0, 0); the others evaluate level (0, 0) on the final rule.
+    the final radii is then built here: in d >= 2 cut at its level-0
+    radial panel edges (`_radial_cuts`), and in d = 1, where `tv` is the
+    envelopes (p_env, q_env) of a batch that integrates TV, cut at the
+    sign changes of log p - log q (`_sign_change_splits`).  Its units
+    (`_Rule`: a member's line in d = 1, one level-0 radial panel in d >= 2)
+    are refined each on its own.  A unit whose panels the start rule had
+    keeps its start-pass row as level (0, 0): in d >= 2 every start-pass
+    panel, as a searched radius grows by whole panels (`_search_radius`)
+    and keeps its inner ones (TV, off that grid, where its radius stayed),
+    and in d = 1 a member whose radius stayed and whose rule is uncut.  The
+    other units evaluate level (0, 0) on the final rule.
 
-    Then come the phases, each one loop over the members still pending in
+    Then come the phases, each one loop over the units still pending in
     it: d = 1 refines its panels (one radial phase), d >= 2 the radius,
-    then the angle.  A radial level L is judged by its Gauss-Kronrod
-    extension: each Gauss pass of it (the start pass and level 0
-    included) gives the Gauss sum G and the Kronrod weights' sum at the
-    same nodes, and a judgement evaluates only the 17 Kronrod nodes a
-    panel that complete the 33-point sum K.  A member leaves the phase
-    once no entry of the measure has |K - G| > bound(K) and, past level 0,
-    none has moved K by more than bound(K) from the level below; the
-    others move to level L + 1.  K - G reuses the Gauss nodes' values, so
-    their rounding errors partly cancel in it, and the level below's K,
-    on other nodes, shows what they move (without it, TV between
+    then the angle.  Each step gives every unit it moves a step per entry
+    of the measure, and a member is settled once, for every entry, its
+    units' steps are within bound(value), the value being the sum of its
+    units' values in panel order: the steps of the last round summed
+    signed, as one rule's step, and the earlier ones by magnitude
+    (`_unsettled`).  Until then a radial phase moves all its units, and an
+    angular phase each of its units whose own step exceeds an equal share
+    of that bound.  In d = 1 a member is
+    its one unit.  A radial level L is judged by its Gauss-Kronrod
+    extension: each Gauss pass of it (the start pass and level 0 included)
+    gives the Gauss sum G and the Kronrod weights' sum at the same nodes,
+    and a judgement evaluates only the 17 Kronrod nodes a panel that
+    complete the 33-point sum K.  A unit's step is |K - G| or, past level
+    0, how far K moved from the level below if that is more, and the bound
+    is that of the sum of K.  K - G reuses the Gauss nodes' values, so
+    their rounding errors partly cancel in it, and the level below's K, on
+    other nodes, shows what they move (without it, TV between
     (1 - 1e-10) N(0, 1) + 1e-10 N(1, 1) and N(0, 1) settled 1.1e-8
-    relative off at tol 1e-8).  d = 1 keeps K, the finer value; the
-    radial phase of d >= 2 keeps G, the coarser one, so the angle is
-    refined on the Gauss rule at that level and radial convergence is
-    judged on the coarsest angular rule.  An angular step moves the
-    pending members one angular level, and a member leaves the phase once
-    its step moves no entry by more than bound(cur), with the finer level
-    and value.
+    relative off at tol 1e-8).  d = 1 keeps K, the finer value; the radial
+    phase of d >= 2 keeps G, the coarser one, so the angle is refined on
+    the Gauss rule at each unit's radial level and radial convergence is
+    judged on the coarsest angular rule.  An angular step moves a unit one
+    angular level, its step is how far that moved its value, and it keeps
+    the finer level and value.
 
     TV in d >= 2 bends where the rays cross p = q, and a Kronrod
     difference across a kink can be small by chance, so with `tv` its
     radial phases step one radial level at a time as the angular ones do,
-    the first keeping the coarser level and value; and as a judgement on
-    one axis can be fooled too, it runs the two phases twice: the radius
-    again at its final angular level, then the angle again.  In d = 2 an
-    angular step evaluates only the angles the level below lacks (the
-    trapezoid angles of level j are every other one of level j + 1) and
-    adds half the value of the level below, so the measure must be linear
-    in the weights.  No level pair is evaluated twice; in d = 2 no node
-    is either, but for the first radial step of TV's second radial phase,
-    which evaluates its level in full, angular level 0 included, which
-    the first radial phase had.  A measure that is not finite raises
-    QuadratureError at its level (`_integrate`).  Returns the last measure
-    of each member, its points (the start pass included) and its radius.
+    the first keeping the coarser level and value; a member's units step
+    together in its angular phases too, as a panel's angular step carries
+    the kink's radial error and need not fall with the angular level; and
+    as a judgement on one axis can be fooled too, it runs the two phases
+    twice: the radius again at its final angular level, then the angle
+    again.  Its radius search stays off the panel grid: whether its first
+    radial phase settles before the last radial level at a tight tol
+    turns on where its kinks fall among the panel edges (at tol 1e-7,
+    `make_pair(3, i, InstanceFamily(Compact(2.0), 2))` pairs 0 and 4
+    settle at radius 7.80 and raise at 8).  In d = 2 an angular step
+    evaluates only the angles the level below lacks (the trapezoid angles
+    of level j are every other one of level j + 1) and adds half the value
+    of the level below, so the measure must be linear in the weights.  No
+    level pair of a unit is evaluated twice; in d = 2 no node is either,
+    but for the first radial step of TV's second radial phase, which
+    evaluates its level in full, angular level 0 included, which the first
+    radial phase had.  A measure
+    that is not finite raises QuadratureError at its level (`_integrate`).
+    Returns the value of each member (its units' last measures summed in
+    panel order), its points (the start pass included) and its radius.
     """
     R = start = np.asarray(R, dtype=float)
     m = start.size
     part = "gauss" if tv is not None and d > 1 else "both"
     # the Gauss sums of rows that may hold the Kronrod sums too
     gauss = lambda rows: rows[:, : rows.shape[1] // len(_PANEL_RULES[part][1])]  # noqa: E731
-    last, pts, fresh = None, np.zeros(m, dtype=np.int64), np.ones(m, dtype=bool)
+    pts = np.zeros(m, dtype=np.int64)
     if met is not None:
-        last, pts = _integrate(measure, _Rule(d, start), 0, np.arange(m), part=part)
-        R = _search_radius(start, lambda R, members: met(R, gauss(last[members]), members))
-        fresh = R != start
-    splits = None
+        # the d >= 2 panel grid (but for TV): the search starts at the next multiple of the panel width
+        grid = d > 1 and tv is None
+        if grid:
+            start = _PANEL_WIDTH * np.ceil(start / _PANEL_WIDTH)
+        first = _Rule(d, start, _radial_cuts(d, start))
+        kept, n = _integrate(measure, first, 0, np.arange(first.size), part=part)
+        np.add.at(pts, first.member, n)
+        scale = gauss(np.add.reduceat(kept, first.first, axis=0))
+        R = _search_radius(start, lambda R, members: met(R, scale[members], members), grid)
+    splits = _radial_cuts(d, R)
     if d == 1 and tv is not None:
         # cuts only add nodes: a ball past the node cap fails before the root search
         _Rule(d, R).counts(0, np.arange(m))
         splits = _sign_change_splits(*tv, R)
-        fresh |= splits[1] > 0
     rule = _Rule(d, R, splits)
-    fresh = np.flatnonzero(fresh)
+    keep = np.zeros(rule.size, dtype=bool)
+    if met is not None:
+        # a unit keeps its start-pass row where its one cut panel is that of the start rule's
+        # unit in its place (a start unit has one cut panel, of its own index): every inner panel
+        # of a grown radius on the d >= 2 grid, and off it a member whose radius stayed and whose rule is uncut
+        source = np.minimum(first.first[rule.member] + rule.index, first.size - 1)
+        cut = np.searchsorted(rule.owner, np.arange(rule.size))
+        keep = (rule.index < np.bincount(first.member)[rule.member]) & (np.bincount(rule.owner) == 1)
+        keep &= (first.lo[source] == rule.lo[cut]) & (first.hi[source] == rule.hi[cut])
+        last = np.empty((rule.size, kept.shape[1]))
+        last[keep] = kept[source[keep]]
+    fresh = np.flatnonzero(~keep)
     if fresh.size:
-        # level (0, 0) of the members without a start-pass row to keep
+        # level (0, 0) of the units without a start-pass row to keep
         cur, n = _integrate(measure, rule, 0, fresh, part=part)
-        pts[fresh] += n
-        last = cur if last is None else last
+        np.add.at(pts, rule.member[fresh], n)
+        last = cur if met is None else last
         last[fresh] = cur
-    levels = np.zeros((m, 2), dtype=np.int64)
+    levels = np.zeros((rule.size, 2), dtype=np.int64)
     phases = [(1, 0)] if d == 1 else [(1, 0), (0, 1)] * (1 + (tv is not None))
     if part == "both":
-        # the radial phase: `sums` holds each pending member's G and its Kronrod sum at the Gauss nodes
-        pending, sums, last, below = np.arange(m), last, gauss(last).copy(), None
+        # the radial phase: `sums` holds each pending unit's G and its Kronrod sum at the Gauss nodes
+        pending, sums, below = np.arange(rule.size), last, None
+        last = gauss(last).copy()
+        moved, kronrod = np.empty_like(last), np.empty_like(last)
         while True:
             extra, n = _integrate(measure, rule, levels[pending], pending, part="kronrod")
-            pts[pending] += n
+            np.add.at(pts, rule.member[pending], n)
             coarse, fine = np.split(sums, 2, axis=1)
             fine = fine + extra
-            moved = np.abs(fine - coarse)
+            moved[pending] = np.abs(fine - coarse)
             if below is not None:
                 # past level 0, the Kronrod value must also stay within the bound of the level below's
-                moved = np.maximum(moved, np.abs(fine - below))
-            settled = (moved <= bound(fine)).reshape(pending.size, -1).all(axis=1)
+                moved[pending] = np.maximum(moved[pending], np.abs(fine - below))
+            kronrod[pending] = fine
             last[pending] = fine if d == 1 else coarse
-            pending, below = pending[~settled], fine[~settled]
+            pending = _unsettled(rule, moved, kronrod, bound, pending)
             if not pending.size:
                 break
+            below = kronrod[pending]
             levels[pending, 0] += 1
             sums, n = _integrate(measure, rule, levels[pending], pending, part="both")
-            pts[pending] += n
+            np.add.at(pts, rule.member[pending], n)
         phases = phases[1:]
+    moved = np.empty_like(last)
     for phase, step in enumerate(phases):
         nest = d == 2 and step[1] == 1
-        pending = np.arange(m)
+        # TV's first radial phase in d >= 2 keeps the coarser level and value
+        coarse = last.copy() if part == "gauss" and phase == 0 else None
+        pending = np.arange(rule.size)
         while pending.size:
             levels[pending] += step
             cur, n = _integrate(measure, rule, levels[pending], pending, nest)
-            pts[pending] += n
+            np.add.at(pts, rule.member[pending], n)
             if nest:
                 cur += 0.5 * last[pending]
-            settled = (np.abs(cur - last[pending]) <= bound(cur)).reshape(pending.size, -1).all(axis=1)
-            # TV's first radial phase in d >= 2 keeps the coarser level and value
-            coarse = settled & (part == "gauss" and phase == 0)
-            levels[pending[coarse]] -= step
-            last[pending[~coarse]] = cur[~coarse]
-            pending = pending[~settled]
-    return last, pts, R
+            moved[pending] = cur - last[pending]
+            if coarse is not None:
+                coarse[pending] = last[pending]
+            last[pending] = cur
+            pending = _unsettled(rule, moved, last, bound, pending, each=step[1] == 1 and tv is None)
+        if coarse is not None:
+            levels -= step
+            last = coarse
+    return np.add.reduceat(last, rule.first, axis=0), pts, R
 
 
 def _relative(tol):
@@ -814,13 +931,17 @@ def _start_radius(tags, s_max, d, tol) -> np.ndarray:
     return np.maximum(trunc, np.asarray(s_max) + 1.0)
 
 
-def _search_radius(R, met) -> np.ndarray:
-    """Per member, the first of R, R + max(0.5, 0.04 R), ... that meets `met`.
+def _search_radius(R, met, grid) -> np.ndarray:
+    """Per member, the first of R, R + step, ... that meets `met`.
 
-    met(R, members) tells, for the radii R of the given members, which of
-    them meet their target.  It is asked about the members still growing
-    only: a member that met keeps its radius.  Once a member's 400th
-    radius misses, CapabilityError is raised.
+    The step is _PANEL_WIDTH on the `grid`, so a radius that starts at a
+    multiple of the level-0 panel width grows by whole panels and keeps
+    its inner ones (`_radial_cuts`), and max(0.5, 0.04 R) off it
+    (`_refine` says which searches take the grid).  met(R, members)
+    tells, for the radii R of the given members, which of them meet their
+    target.  It is asked about the members still growing only: a member
+    that met keeps its radius.  Once a member's 400th radius misses,
+    CapabilityError is raised.
     """
     R = np.array(R, dtype=float)
     pending = np.arange(R.size)
@@ -828,7 +949,7 @@ def _search_radius(R, met) -> np.ndarray:
         pending = pending[~met(R[pending], pending)]
         if not pending.size:
             return R
-        R[pending] += np.maximum(0.5, 0.04 * R[pending])
+        R[pending] += _PANEL_WIDTH if grid else np.maximum(0.5, 0.04 * R[pending])
     raise CapabilityError("certified tail bound cannot reach the tolerance")
 
 
@@ -1193,14 +1314,16 @@ def _compute_pairs(
     p_env, q_env, start = p_env[order], q_env[order], start[order]
 
     def measure(read, counts, members):
-        # one float a node a kind a weight row: a member over the budget goes
-        # through a slice of _NODE_BUDGET nodes at a time into the products
+        # one float a node a kind a weight row: a unit over the budget goes
+        # through a slice of _NODE_BUDGET nodes at a time into the products;
+        # a pair's units are consecutive, and the kernel takes them as one segment
         n = int(counts.sum())
         whole = n <= _NODE_BUDGET
-        pair = [p_env[members], q_env[members]]
+        starts = np.flatnonzero(np.diff(members, prepend=-1))
+        pair = [p_env[members[starts]], q_env[members[starts]]]
         for lo in range(0, n, _NODE_BUDGET):
             X, W = read() if whole else read(span=(lo, min(n, lo + _NODE_BUDGET)))
-            logp, logq = log_densities(pair, X, counts if whole else [len(X)])
+            logp, logq = log_densities(pair, X, np.add.reduceat(counts, starts) if whole else [len(X)])
             if lo == 0:
                 products = np.empty((len(W), len(integrated), n))
             vals = _integrands(integrated, logp, logq, lam)
@@ -1333,8 +1456,10 @@ def _gram_h2(elements, tol) -> np.ndarray:
     (`log_densities`), give G = (S w) S^T and H^2_ij = G_ii + G_jj - 2 G_ij,
     which is int (sqrt(p_i) - sqrt(p_j))^2 over the ball, one such table
     per weight row w of the level (a Gauss pass has the Gauss and the
-    Kronrod rows).  `_refine` stops once no entry's Kronrod difference (or
-    angular step) exceeds tol/2, so `tol` is an absolute H^2
+    Kronrod rows), one table per unit (a level-0 radial panel in d >= 2)
+    summed in panel order.  `_refine` stops once no entry's Kronrod
+    difference (or angular step), summed over the units, exceeds tol/2, so
+    `tol` is an absolute H^2
     accuracy (default `default_tol(d)`); the entries are clipped at 0 only
     after that, since an angular step in d = 2 reuses the level below.  The
     members are processed in an order fixed by their contents and the upper
@@ -1359,20 +1484,25 @@ def _gram_h2(elements, tol) -> np.ndarray:
     R = _search_radius(
         _start_radius({e.mixing.tag for e in elements}, [batch.s_max.max()], d, tol),
         lambda R, _: 2.0 * _mass_tail(batch, R, d).max(keepdims=True) <= 0.5 * tol,
+        False,
     )
     step = max(1, _GRAM_ENTRIES // n)
 
     def measure(read, counts, _):
-        G = 0.0
-        for lo in range(0, counts[0], step):
-            X, W = read(span=(lo, min(counts[0], lo + step)))
-            (S,) = log_densities([batch], X)
-            S *= 0.5
-            np.exp(S, out=S)
-            S[S < _GRAM_FLOOR] = 0.0
-            G = G + np.stack([(S * w) @ S.T for w in W])
-        diag = np.diagonal(G, axis1=1, axis2=2)
-        return np.triu(diag[:, :, None] + diag[:, None, :] - 2.0 * G, 1).reshape(1, -1)
+        # one row a unit (one level-0 radial panel in d >= 2), from its own nodes
+        rows = []
+        for end, count in zip(np.cumsum(counts).tolist(), counts.tolist()):
+            G = 0.0
+            for lo in range(end - count, end, step):
+                X, W = read(span=(lo, min(end, lo + step)))
+                (S,) = log_densities([batch], X)
+                S *= 0.5
+                np.exp(S, out=S)
+                S[S < _GRAM_FLOOR] = 0.0
+                G = G + np.stack([(S * w) @ S.T for w in W])
+            diag = np.diagonal(G, axis1=1, axis2=2)
+            rows.append(np.triu(diag[:, :, None] + diag[:, None, :] - 2.0 * G, 1).reshape(1, -1))
+        return np.concatenate(rows)
 
     # the measure stays linear in the weights, as `_refine` needs; clip after
     h2 = np.maximum(_refine(measure, d, R, lambda cur: 0.5 * tol)[0].reshape(n, n), 0.0)

@@ -23,7 +23,7 @@ def test_a_checkout_against_itself_has_equal_digests():
     starts = [i for i, line in enumerate(lines) if line.startswith("workload ")]
     assert [lines[i].split()[1] for i in starts] == workloads
     blocks = [lines[i:j] for i, j in zip(starts, starts[1:] + [len(lines)])]
-    digests = []
+    digests, sums = [], []
     for block in blocks:
         pair = [line.split()[3] for line in block if " artifacts sha256 " in line]
         assert len(pair) == 2 and pair[0] == pair[1] and len(pair[0]) == 64
@@ -33,7 +33,13 @@ def test_a_checkout_against_itself_has_equal_digests():
         assert verdicts == ["cpu_s claim not met", "wall_s claim not met"]
         assert block[-1] == "digests equal"
         digests.append(pair[0])
+        # each side's summed sweep points, equal on a checkout against itself
+        (points,) = [line.split() for line in block if line.startswith("quadrature_points ")]
+        assert points[2] == points[5] and points[1:5:3] == ["parent", "change"]
+        sums.append(int(points[2]))
     assert digests[0] != digests[1]
+    # the entropy lab runs no sweep; the d >= 2 sweeps spend points
+    assert sums[0] == 0 < sums[1]
 
 
 def test_differing_artifacts_are_listed_file_by_file(tmp_path):
@@ -59,3 +65,6 @@ def test_differing_artifacts_are_listed_file_by_file(tmp_path):
     summaries = ["job0/out/sweep_Thm1_summary.json", "job1/out/sweep_ChiSqThm_summary.json"]
     summaries.append("job2/out/sweep_Thm1_summary.json")
     assert set(summaries) <= set(differs) and min(differs.values()) > 0
+    # and their summed points differ
+    (points,) = [line.split() for line in lines if line.startswith("quadrature_points ")]
+    assert points[2] != points[5]

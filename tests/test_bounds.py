@@ -129,7 +129,24 @@ class TestBoundRhs:
             params = {"M" if bound == "Thm2" else "K": c, "h2": h2}
             rhs = bound_rhs(bound, **params)
             assert math.isclose(rhs, float(value), rel_tol=1e-13, abs_tol=1e-323), (bound, rhs, value)
-            assert bound_rhs_log(bound, **params) == math.log(rhs)
+            # a subnormal rhs has its log from a sum of logs (test_log_of_a_subnormal_rhs)
+            assert (bound_rhs_log(bound, **params) == math.log(rhs)) == (rhs >= 2.0**-1022)
+
+    @pytest.mark.parametrize("h2", [5e-324, 1e-320, 1e-310])
+    @pytest.mark.parametrize("bound, c", [("Thm2", 1.0), ("Thm2", 3.0), ("Thm5", 0.5), ("Thm5", 2.0)])
+    def test_log_of_a_subnormal_rhs(self, bound, c, h2):
+        # the log of a subnormal rhs carries its few bits: Thm2 at M = 1 read
+        # 4.6e-9 relative off at h2 = 5e-324 and 2.1e-11 off at 1e-320; the
+        # sum of logs, and the log of a normal rhs, are within a few units
+        # of the last place of the formula's log at 50 digits
+        with mpmath.workdps(50):
+            h, c_ = mpmath.mpf(h2), mpmath.mpf(c)
+            if bound == "Thm2":
+                exact = mpmath.log(200 * c_**2 * h + 16 * h * mpmath.log(1 / h))
+            else:
+                exact = mpmath.log((10240 * c_**4 + 652) * h * mpmath.log(4 / h))
+        got = bound_rhs_log(bound, **{"M" if bound == "Thm2" else "K": c, "h2": h2})
+        assert math.isclose(got, float(exact), rel_tol=4e-16), (got, exact)
 
     @pytest.mark.parametrize(
         "bound, params",

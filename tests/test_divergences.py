@@ -89,7 +89,11 @@ def on_rule(kinds, p, q, R, width, angular, lam=None):
 
 @pytest.fixture
 def final_levels(monkeypatch):
-    """Called after a `compute_pairs` run: the level pair each member of its last rule stopped at."""
+    """Called after a `compute_pairs` run: the level pair each unit of its last rule stopped at.
+
+    A unit is a member in d = 1 and one level-0 radial panel of a member in
+    d >= 2, so there the list holds each panel's own angular level.
+    """
     seen = []
     original = divergences._integrate
 
@@ -269,7 +273,9 @@ class TestEstimateContracts:
     def test_level_zero_evaluated_once(self, monkeypatch, d):
         # the coarse pass that sets the truncation targets is level 0 of the
         # final rule when the radius search takes no step, so refinement
-        # must reuse it rather than evaluate those nodes again
+        # must reuse it rather than evaluate those nodes again; in d >= 2
+        # the search starts at the next multiple of the panel width (12 from
+        # 8.39 in d = 2, from 9.00 in d = 3)
         p = single_gaussian([0.0] * d, M=3.0)
         q = single_gaussian([1.0] + [0.0] * (d - 1), M=3.0)
         calls = []
@@ -283,19 +289,47 @@ class TestEstimateContracts:
 
         monkeypatch.setattr(divergences, "log_densities", spy)
         est = divergence(DivergenceKind.HellingerSq, p, q)
-        assert est.domain_radius == truncation_radius(Compact(3.0), d, default_tol(d))
+        assert est.domain_radius == (9.182851756998918, 12.0, 12.0)[d - 1]
+        R = _start_radius([Compact(3.0)], [1.0], d, default_tol(d))[0]
+        assert est.domain_radius == (R if d == 1 else 4.0 * math.ceil(R / 4.0))
         assert len(calls) == len(set(calls))
         assert est.quadrature_points == sum(n for of_p, n, _ in calls if of_p)
+
+    @pytest.mark.parametrize("d, index, radius", [(2, 1, 16.0), (3, 2, 12.0)])
+    def test_grown_radius_evaluates_no_start_pass_node_twice(self, monkeypatch, d, index, radius):
+        # in d >= 2 the search grows the radius from 8 by whole level-0
+        # panels, so the start pass's panels are the grown rule's inner
+        # panels, bit for bit, and their rows are kept: across the whole
+        # refinement every node of p is evaluated once
+        p, q = make_pair(3, index, InstanceFamily(Compact(2.0), d))
+        nodes = []
+        original = divergences.log_densities
+
+        def spy(batches, pts, counts=None):
+            nodes.append(pts.copy())  # batches[0] is p's
+            return original(batches, pts, counts)
+
+        monkeypatch.setattr(divergences, "log_densities", spy)
+        est = divergence(DivergenceKind.KL, p, q)
+        assert 4.0 * math.ceil(_start_radius([Compact(2.0)], [1.0], d, default_tol(d))[0] / 4.0) == 8.0
+        assert est.domain_radius == radius
+        X = np.concatenate(nodes)
+        assert est.quadrature_points == X.shape[0] == np.unique(X, axis=0).shape[0]
+        # the start pass is the first call, on the ball of radius 8
+        assert np.linalg.norm(nodes[0], axis=1).max() < 8.0
 
     @pytest.mark.parametrize("kind", [DivergenceKind.KL, DivergenceKind.TV])
     def test_d2_refinement_evaluates_no_node_twice(self, monkeypatch, final_levels, kind):
         # d = 2's trapezoid angles nest, so an angular step evaluates only the
         # angles the level below lacks; across KL's whole refinement every
-        # node of p is evaluated once, and the value is still the full rule's.
-        # TV runs the two phases twice, on the path (4, 0) -> (3, 0...3) ->
-        # (4, 3) -> (4, 4): the re-check's first radial step evaluates level
-        # (4, 3) in full, so the level-(4, 0) nodes of the first radial phase
-        # are evaluated a second time, and no other node is
+        # node of p is evaluated once, and the value is still the full rule's
+        # of each level-0 radial panel (a unit) at its final level pair,
+        # summed.  TV keeps the radius off the panel grid and steps a
+        # member's units together; it runs the two phases twice, on the path
+        # (4, 0) -> (3, 0...3) -> (4, 3) -> (4, 4): the re-check's first
+        # radial step evaluates level (4, 3) in full, so the level-(4, 0)
+        # nodes of the first radial phase are evaluated a second time, and
+        # no other node is
         p = single_gaussian([0.0, 0.0], M=3.0)
         q = GaussianMixture.from_atoms([[3.0, 0.0], [-0.5, 1.0]], [0.7, 0.3], tag=Compact(3.0))
         nodes = []
@@ -311,20 +345,25 @@ class TestEstimateContracts:
         est = divergence(kind, p, q)
         X = np.concatenate(nodes)
         assert est.quadrature_points == X.shape[0]
-        (i, j), = final_levels()
-        rule = _Rule(2, [est.domain_radius])
+        levels = final_levels()
+        rule = _Rule(2, [est.domain_radius], divergences._radial_cuts(2, np.array([est.domain_radius])))
+        assert rule.size == len(levels) == 3
         unique, seen = np.unique(X, axis=0, return_counts=True)
         if kind is DivergenceKind.KL:
-            assert j >= 1 and seen.max() == 1
+            assert est.domain_radius == 12.0
+            assert min(j for _, j in levels) >= 1 and seen.max() == 1
         else:
-            assert (i, j) == (4, 4) and seen.max() == 2
-            level = rule.nodes(np.array([[4, 0]]), np.array([0]))[0]
+            assert est.domain_radius == _start_radius([Compact(3.0)], [3.0], 2, default_tol(2))[0]
+            assert levels == [(4, 4)] * 3 and seen.max() == 2
+            level = rule.nodes(np.array([[4, 0]] * 3), np.arange(3))[0]
             assert level.shape[0] == 24_576
             assert np.array_equal(unique[seen == 2], np.unique(level, axis=0))
-        r, (wr,) = rule.radial(np.array([i]), np.array([0]))
-        omegas, wa = _angular_rule(2, j)
-        X = (r[:, None, None] * omegas).reshape(-1, 2)
-        full = ((wr * r)[:, None] * wa).ravel() @ _integrands([kind], p.log_density(X), q.log_density(X))[0]
+        full = 0.0
+        for unit, (i, j) in enumerate(levels):
+            r, (wr,) = rule.radial(np.array([i]), np.array([unit]))
+            omegas, wa = _angular_rule(2, j)
+            X = (r[:, None, None] * omegas).reshape(-1, 2)
+            full += ((wr * r)[:, None] * wa).ravel() @ _integrands([kind], p.log_density(X), q.log_density(X))[0]
         assert est.value == pytest.approx(full, rel=1e-13)
 
     # the raise is the one report: numpy's overflow warning is an error here
@@ -589,9 +628,12 @@ class TestRadiusSearch:
             truncation_radius(q.mixing.tag, d, default_tol(d)),
             max(p.mixing.radii.max(), q.mixing.radii.max()) + 1.0,
         )
+        if d > 1:
+            # a d >= 2 search tries the multiples of the level-0 panel width only
+            R = 4.0 * math.ceil(R / 4.0)
         steps = 0
         while R < R_final:
-            R += max(0.5, 0.04 * R)
+            R += max(0.5, 0.04 * R) if d == 1 else 4.0
             steps += 1
         assert R == R_final
         return steps
@@ -604,10 +646,10 @@ class TestRadiusSearch:
             R_final = _compute_divergences(kinds, p, q)[DivergenceKind.KL].domain_radius
             grown += self.replayed_steps(p, q, R_final) > 0
         assert grown == 24
-        # d = 2 pair 1 grows the radius by ten steps
+        # d = 2 pair 1 grows the radius by two steps, from 8 to 16
         p, q = make_pair(3, 1, InstanceFamily(Compact(2.0), 2))
         R_final = _compute_divergences(kinds, p, q)[DivergenceKind.KL].domain_radius
-        assert self.replayed_steps(p, q, R_final) > 0
+        assert self.replayed_steps(p, q, R_final) == 2
 
     def test_gives_up_after_400_unmet_radii(self):
         # every member of a batch gets 400 radii; one that meets none raises
@@ -618,9 +660,9 @@ class TestRadiusSearch:
             return members == 0
 
         with pytest.raises(CapabilityError):
-            divergences._search_radius([3.0, 3.0], never_second)
+            divergences._search_radius([3.0, 3.0], never_second, False)
         assert len(seen) == 400
-        met = divergences._search_radius([3.0, 3.0], lambda R, members: R >= np.array([3.0, seen[-1]])[members])
+        met = divergences._search_radius([3.0, 3.0], lambda R, members: R >= np.array([3.0, seen[-1]])[members], False)
         assert met.tolist() == [3.0, seen[-1]]
 
     def test_only_growing_members_are_tested(self):
@@ -633,7 +675,7 @@ class TestRadiusSearch:
             asked.append(members)
             return R >= target[members]
 
-        R = divergences._search_radius(np.full(6, 3.0), met)
+        R = divergences._search_radius(np.full(6, 3.0), met, False)
         every, pending, tried = np.full(6, 3.0), np.ones(6, dtype=bool), np.zeros(6, dtype=int)
         while pending.any():
             tried += pending
@@ -908,11 +950,11 @@ class TestRenyiIntegral:
     def test_d3_pairs_converge(self, final_levels, index):
         # these pairs raised QuadratureError at the default tol while radius
         # and angle were refined together; the reference goes two angular
-        # levels past where refinement stopped (4x the directions),
-        # with radial panels at least four times finer
+        # levels past the finest any of the pair's panels stopped at (4x the
+        # directions), with radial panels at least four times finer
         p, q = make_pair(7, index, InstanceFamily(Compact(2.0), 3))
         est = renyi_integral(p, q, 3.0)
-        i, j = final_levels()[0]
+        i, j = np.max(final_levels(), axis=0)
         finer = on_rule(["renyi"], p, q, est.domain_radius, 0.5**i, j + 2, lam=3.0)[0]
         assert est.value == pytest.approx(finer, rel=default_tol(3))
 
@@ -1447,6 +1489,56 @@ class TestBatchedDriver:
         assert len(set(final_levels())) > 1
         self.check(kinds, pairs, tol=None)
 
+    def test_a_step_from_an_earlier_round_counts_whole(self):
+        # one d = 2 member of two panels that step +1e-8 and -1e-8 against a
+        # bound of 1.5e-8: in one round they are one rule's step and cancel,
+        # but a panel's step from an earlier round is another rule's and
+        # counts by its magnitude, and a member none of whose panels stepped
+        # settled before
+        rule = _Rule(2, [8.0], divergences._radial_cuts(2, np.array([8.0])))
+        moved, values = np.array([[1e-8], [-1e-8]]), np.array([[0.5], [0.5]])
+        bound = lambda value: 1.5e-8 * np.abs(value)  # noqa: E731
+        assert divergences._unsettled(rule, moved, values, bound, np.arange(2)).size == 0
+        assert divergences._unsettled(rule, moved, values, bound, np.array([0])).tolist() == [0, 1]
+        assert divergences._unsettled(rule, moved, values, bound, np.array([], dtype=int)).size == 0
+        # with `each`, only a panel over its equal share of the bound steps
+        moved[1] = -6e-9
+        assert divergences._unsettled(rule, moved, values, bound, np.array([0]), each=True).tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "d, seed, indices, mixed",
+        [(2, 7, range(24, 32), {28: [1, 2]}), (3, 0, range(4), {0: [2, 2, 1], 2: [2, 2, 1]})],
+        ids=["d2", "d3"],
+    )
+    def test_panels_of_a_pair_at_different_angular_levels(self, final_levels, d, seed, indices, mixed):
+        # each level-0 radial panel of a d >= 2 pair refines its angle on its
+        # own, so the panels of a pair stop at different angular levels, and
+        # each pair's estimates are still its own bits whatever its batch;
+        # the rule holds the pairs in atom-count order, each pair's panels
+        # in panel order
+        pairs = [make_pair(seed, i, InstanceFamily(Compact(2.0), d)) for i in indices]
+        kinds = [DivergenceKind.KL, DivergenceKind.HellingerSq]
+        got = compute_pairs(kinds, pairs, None)
+        order = np.lexsort(([q.mixing.n_atoms for _, q in pairs], [p.mixing.n_atoms for p, _ in pairs]))
+        levels = iter(final_levels())
+        angular = {}
+        for i in order:
+            panels = math.ceil(got[i][kinds[0]].domain_radius / 4.0)
+            angular[indices[i]] = [next(levels)[1] for _ in range(panels)]
+        assert next(levels, None) is None
+        assert {i: a for i, a in angular.items() if len(set(a)) > 1} == mixed
+        self.check(kinds, pairs, tol=None)
+        # the panels of a mixed pair settled in different rounds, so their
+        # last steps are of different rules; its value is still within tol/2
+        # of a joint rule finer on both axes than any of its panels stopped at
+        for i, index in enumerate(indices):
+            if index in mixed:
+                j = max(mixed[index])
+                width, angular = (0.5**j, j + 1) if d == 2 else (0.5 ** ((j + 1) // 2), j + 2)
+                joint = on_rule(kinds, *pairs[i], got[i][kinds[0]].domain_radius, width, angular)
+                for kind, want in zip(kinds, joint):
+                    assert got[i][kind].value == pytest.approx(want, rel=0.5 * default_tol(d)), (index, kind)
+
     def test_d2_sweep_pairs_bitwise(self):
         # a q = p pair (instance 51) reads rounding noise of about 1e-32 at
         # every level, so its stopping level follows its bits: when the
@@ -1571,23 +1663,25 @@ class TestKronrodJudgement:
 
     That finer level is what the doubling check evaluated to judge the
     same level, built here with `_integrate` on the rule and the measure of
-    the pair's own run, at its final angular level.
+    the pair's own run, each unit (a level-0 radial panel in d >= 2) at its
+    final angular level, and summed over the units.
     """
 
     @pytest.fixture
-    def check(self, monkeypatch):
+    def check(self, monkeypatch, final_levels):
         calls, original = [], divergences._integrate
 
         def spy(measure, rule, levels, members, nest=False, part="gauss"):
-            calls.append((measure, rule, np.broadcast_to(levels, (members.size, 2))))
+            calls.append((measure, rule))
             return original(measure, rule, levels, members, nest, part)
 
         monkeypatch.setattr(divergences, "_integrate", spy)
 
         def check(kinds, p, q):
             got = compute_pairs(kinds, [(p, q)])[0]
-            measure, rule, ((i, j),) = calls[-1]
-            finer = original(measure, rule, np.array([[i + 1, j]]), np.array([0]))[0][0]
+            measure, rule = calls[-1]
+            levels = np.array(final_levels()) + [1, 0]
+            finer = original(measure, rule, levels, np.arange(rule.size))[0].sum(axis=0)
             kept = [got[kind].value for kind in kinds if kind is not DivergenceKind.L2Sq]
             assert len(kept) == finer.size
             for kind, value, want in zip(kinds, kept, finer):
@@ -1737,8 +1831,8 @@ class TestSeparateRefinement:
     """Radius, then angle, refined one at a time, against a reference finer on both axes.
 
     In d = 2 the reference takes the angular rule one level past the
-    angular level j the pair stopped at (2x its angles), and radial panels
-    2^-j wide.  In d = 3 it takes the angular rule two levels past (4x its
+    largest angular level j the pair's panels stopped at (2x its angles),
+    and radial panels 2^-j wide.  In d = 3 it takes the angular rule two levels past (4x its
     directions) and radial panels 2^-ceil(j/2) wide, as two d = 3
     levels double nu once.  Both are finer than the radial level-0 panels
     the sweep pairs settle at.  The d = 3 pairs are those of the fixed
@@ -1748,11 +1842,11 @@ class TestSeparateRefinement:
 
     # the points each pair spends pin its level path: a driver change that
     # moves a level shows here even where the value stays within tol
-    D2_POINTS = [5728, 7296, 8800, 5728, 5728, 8800, 8800, 5728, 8800, 5728]
-    D2_POINTS += [5728, 7296, 8800, 5728, 11392, 8800, 8800, 5728, 5728, 8800]
-    D3_POINTS = [55168, 30592, 55168, 34048, 110464, 34048, 110464, 55168, 110464, 55168, 110464, 34048]
-    D3_CHISQ_POINTS = [55168, 39424, 110464, 208768, 571904, 110464]
-    D3_THM5_POINTS = [85120, 44160, 177280, 177280, 85120, 177280]
+    D2_POINTS = [4704, 6272, 6752, 4704, 4704, 6752, 6752, 4704, 6752, 4704]
+    D2_POINTS += [4704, 6272, 6752, 4704, 8320, 6752, 5728, 4704, 4704, 6752]
+    D3_POINTS = [42880, 26496, 42880, 34048, 79744, 34048, 79744, 42880, 61312, 42880, 79744, 34048]
+    D3_CHISQ_POINTS = [42880, 35328, 87936, 145280, 287232, 79744]
+    D3_THM5_POINTS = [60544, 44160, 97408, 97408, 60544, 97408]
     KL_H2 = [DivergenceKind.KL, DivergenceKind.HellingerSq]
 
     @pytest.mark.parametrize(
@@ -1771,7 +1865,8 @@ class TestSeparateRefinement:
             p, q = make_pair(seed, index, InstanceFamily(tag, d))
             got = compute_pairs(kinds, [(p, q)], None)[0]
             assert {got[kind].quadrature_points for kind in kinds} == {spent}, index
-            (_, j), = final_levels()
+            # past the finest angular level any of the pair's panels stopped at
+            j = max(j for _, j in final_levels())
             width, angular = (0.5**j, j + 1) if d == 2 else (0.5 ** ((j + 1) // 2), j + 2)
             joint = on_rule(kinds, p, q, got[kinds[0]].domain_radius, width, angular)
             for kind, want in zip(kinds, joint):

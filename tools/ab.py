@@ -18,7 +18,10 @@ median, the parent's quartiles and the number of pairs in which the
 change ran lower, and a line saying whether a gain may be claimed on
 that metric: at least 10 pairs, the change lower in at least 9/10 of
 them, and its median below the parent's by more than the parent's
-interquartile range; then both sides' digests and failed ops.  When the
+interquartile range; then each side's summed `quadrature_points` over
+the sweep summaries (`sweep_*_summary.json`) of its kept warm-up
+artifacts, parent -> change, so a change in points reads from here (0 on
+a workload with no sweep); then both sides' digests and failed ops.  When the
 digests differ, each worker has kept a copy of its warm-up artifacts, and
 the block lists every artifact file whose bytes differ, with its count of
 differing lines, so a behaviour change is reported file by file.  Exits 0
@@ -154,6 +157,11 @@ def _differing_files(parent: str, change: str) -> list[tuple[str, int]]:
     return out
 
 
+def _points(kept: str) -> int:
+    """The summed `quadrature_points` of the sweep summaries in a kept artifact tree."""
+    return sum(json.loads(path.read_text())["quadrature_points"] for path in Path(kept).rglob("sweep_*_summary.json"))
+
+
 def _code_lines(checkout: str) -> int:
     """The code lines of a checkout's `src/gmdiv`, as `tools/code_lines.py src/gmdiv` totals them."""
     return sum(code_lines(path.read_text(encoding="utf-8")) for path in Path(checkout, "src", "gmdiv").glob("*.py"))
@@ -192,6 +200,9 @@ def compare(checkouts, workload: str, seed: int, pairs: int, kept: str) -> bool:
             f"{name} claim {'met' if met else 'not met'}: lower in {lower}/{pairs} pairs "
             f"(needs 9/10 of at least 10), median gap {ma - mb:.4f} s vs parent IQR {q3 - q1:.4f} s"
         )
+    a, b = map(_points, keeps)
+    change = f" ({100.0 * (b / a - 1.0):+.1f}%)" if a else ""
+    print(f"quadrature_points parent {a} -> change {b}{change}")
     failed = [first["failed"] + sum(r["failed"] for r in side.reps) for first, side in zip(warm, sides)]
     for label, first, n in zip(("parent", "change"), warm, failed):
         print(f"{label} artifacts sha256 {first['digest']} ops_failed {n}", flush=True)
