@@ -120,18 +120,20 @@ One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
 Gram pass of the Hellinger table and `plancherel_l2` are one-member
 batches of the same `_refine`; a fixed `domain_radius` and the Gram pass,
 whose target does not depend on the value, pass no tail test.  In d = 1
-the TV sign changes are the roots of log p - log q, bracketed on a
-2049-node grid per pair (finer beyond R = 64, for a step of at most
-1/16) and found by `brentq`, a vectorized port of Brent's method that
-iterates every bracket at once, takes scipy's steps and returns its roots
-bit for bit, so the package needs numpy alone.  The grid is searched by
-bisection from 17 evenly spaced nodes, and an interval is dropped when
-the log-ratio's slope bound (the span of the pair's atoms) and a rounding
-bound show it holds no sign change, so only a small part of the grid is
-evaluated and the brackets are still the full grid's.  For d > 3 the
-integrated kinds fall back to seeded importance-sampling Monte Carlo
-where `truncation_bound` reports a 95% confidence half-width instead of
-a hard bound.
+the TV cuts are the roots of log p - log q, bracketed between neighbouring
+nodes of a 2049-node grid per pair (finer beyond R = 64, for a step of at
+most 1/16) where the test log p - log q < 0 flips, and found by `brentq`,
+a vectorized port of Brent's method that iterates every bracket at once,
+takes scipy's steps and returns its roots bit for bit (an end where the
+log-ratio is exactly 0 as it is), so the package needs numpy alone.  The
+grid is searched by bisection from 17 evenly spaced nodes, and an
+interval is dropped when the log-ratio's slope bound (the span of the
+pair's atoms) and a rounding bound show the test cannot flip inside it,
+so only a small part of the grid is evaluated (all of it for q = p, whose
+log-ratio is 0 at every node) and the brackets are still the full
+grid's.  For d > 3 the integrated kinds fall back to seeded
+importance-sampling Monte Carlo where `truncation_bound` reports a 95%
+confidence half-width instead of a hard bound.
 
 `tol` is a relative target: refinement stops when the Kronrod difference
 (or, on an angular axis and TV's radial axis in d >= 2, successive levels)
@@ -1060,14 +1062,17 @@ def _sign_change_splits(p_env: _Batch, q_env: _Batch, R):
     """Roots of log p_i - log q_i in [-R[i], R[i]], where pair i's TV panels are cut.
 
     On each pair's grid np.linspace(-R, R, 2048 * 2^s + 1), s the least
-    s >= 0 that makes its step at most 1/16 (s = 0 for R <= 64), a root
-    is bracketed between nodes where the log-ratio changes sign strictly,
-    and found by `brentq` to 1e-13.  A node where the log-ratio is exactly
-    0 is a root itself when it starts a run of zeros and the nearest
-    nonzero values on either side have strictly opposite signs (a pair
-    symmetric about 0 has its root on the middle node); a pair with q = p
-    has none.  Returns the roots, pair after pair and ascending within a
-    pair, and their count per pair.
+    s >= 0 that makes its step at most 1/16 (s = 0 for R <= 64), each
+    computed value of the log-ratio f lies on one of two sides, f < 0 or
+    not.  A root is bracketed between neighbouring nodes on opposite sides
+    and found by `brentq` to 1e-13, which returns an end where f is exactly
+    0 as it is: a pair symmetric about 0 has its root on the middle node.
+    In a run of exact zeros, the bracket is the run's end next to the
+    negative value: - 0 0 + cuts at the run's first zero, + 0 0 - at its
+    last, - 0 0 - at both and + 0 0 + nowhere (and - 0 - at its one zero
+    twice, an empty panel).  A pair with q = p has f = 0 at every node, on
+    one side, and no root.  Returns the roots, pair after pair and
+    ascending within a pair, and their count per pair.
 
     Only the nodes that can change that answer are evaluated.  The
     log-ratio f has f' = E_p[a | x] - E_q[a | x], so |f'| <= L, the span of
@@ -1075,20 +1080,20 @@ def _sign_change_splits(p_env: _Batch, q_env: _Batch, R):
     lies within rho / 2 of f at every node (`_log_ratio_rounding`).  The
     search evaluates every (128 * 2^s)th node (17 a pair), then halves
     every pair's stride at once until it is 1, and drops each interval
-    whose computed ends have one strict sign and
+    whose computed ends are on one side and
     |f_l| + |f_r| > L (x_r - x_l) + 4 rho.
-    Had a node inside it a computed value of 0 or of the other sign, f
-    would be at most rho / 2 there (for positive ends) and, by the slope
-    bound from both ends, |f_l| + |f_r| <= L (x_r - x_l) + 2 rho.  So every
-    node inside a dropped interval has its ends' sign, and an interval with
-    a zero end is never dropped: the stride-1 intervals left hold every
-    bracket of the full grid and every zero run with the nodes on either
-    side of it, and the roots are the full grid's, bit for bit.  The nodes
-    are computed in linspace's arithmetic (`_tv_node`); the bookkeeping
-    holds the intervals still alive, never a whole grid.  A grid of s > 0
-    divides the step of s = 0 by 2^s exactly, so every node of that grid
-    stays a node bit for bit, and a pair's roots do not depend on the
-    other pairs of its call.
+    Had a node inside it a computed value on the other side, then (for
+    ends not below 0, a zero end included) the exact f would be below
+    rho / 2 there and above -rho / 2 at the ends, and by the slope bound
+    from both ends
+    |f_l| + |f_r| <= L (x_r - x_l) + 2 rho.  So every node inside a
+    dropped interval is on its ends' side: the stride-1 intervals left
+    hold every bracket of the full grid, and the roots are the full
+    grid's, bit for bit.  The nodes are computed in linspace's arithmetic
+    (`_tv_node`); the bookkeeping holds the intervals still alive, never a
+    whole grid.  A grid of s > 0 divides the step of s = 0 by 2^s exactly,
+    so every node of that grid stays a node bit for bit, and a pair's roots
+    do not depend on the other pairs of its call.
     """
     m = R.size
     locs = np.concatenate([p_env.locations[:, :, 0], q_env.locations[:, :, 0]], axis=1)
@@ -1103,33 +1108,25 @@ def _sign_change_splits(p_env: _Batch, q_env: _Batch, R):
         logp, logq = log_densities([p_env[members], q_env[members]], x[:, None], counts[members])
         return logp - logq
 
-    # a pair with q = p has a log-ratio of exactly 0 at every node, and no root
-    k = min(p_env.weights.shape[1], q_env.weights.shape[1])
-    same = (
-        np.all(p_env.locations[:, :k] == q_env.locations[:, :k], axis=(1, 2))
-        & np.all(p_env.weights[:, :k] == q_env.weights[:, :k], axis=1)
-        & ~p_env.real[:, k:].any(axis=1)
-        & ~q_env.real[:, k:].any(axis=1)
-    )
     # per pair, the least s >= 0 with a step of (2 R / 2048) / 2^s <= 1/16,
     # and the coarse nodes of s = 0 as nodes of its grid
     frac, e = np.frexp(16.0 * ((R - -R) / (_TV_GRID - 1)))
     s = np.maximum(e - (frac == 0.5), 0).astype(np.int64)
     stride, size = _TV_STRIDE << s, (_TV_GRID - 1) << s
     coarse = np.arange(0, _TV_GRID, _TV_STRIDE)
-    pair = np.repeat(np.flatnonzero(~same), coarse.size)
-    j = np.tile(coarse, m - np.count_nonzero(same)) << s[pair]
+    pair = np.repeat(np.arange(m), coarse.size)
+    j = np.tile(coarse, m) << s[pair]
     x = _tv_node(R[pair], j, size[pair])
     f = log_ratio(pair, x)
     left = j < size[pair]
     pair, jl, xl, fl, xr, fr = pair[left], j[left], x[left], f[left], x[1:][left[:-1]], f[1:][left[:-1]]
     done = []
     while True:
-        sl, sr = np.sign(fl), np.sign(fr)
-        keep = ~((sl == sr) & (sl != 0) & (np.abs(fl) + np.abs(fr) > span[pair] * (xr - xl) + slack[pair]))
+        split = (fl < 0) != (fr < 0)
+        keep = split | ~(np.abs(fl) + np.abs(fr) > span[pair] * (xr - xl) + slack[pair])
         # a pair is done when its stride is 1; the pairs of one grid size finish together
         last = keep & (stride[pair] == 1)
-        done.append([v[last] for v in (pair, jl, xl, xr, sl, sr)])
+        done.append([v[last & split] for v in (pair, xl, xr)])
         pair, jl, xl, fl, xr, fr = (v[keep & ~last] for v in (pair, jl, xl, fl, xr, fr))
         if pair.size == 0:
             break
@@ -1142,25 +1139,12 @@ def _sign_change_splits(p_env: _Batch, q_env: _Batch, R):
         jl, xl, fl, xr, fr = (
             np.stack([a, b], axis=1).ravel() for a, b in ((jl, jm), (xl, xm), (fl, fm), (xm, xr), (fm, fr))
         )
-    # back in pair order, each pair's intervals still in node order
-    pair, jl, xl, xr, sl, sr = (np.concatenate(v) for v in zip(*done))
+    # back in pair order, each pair's brackets still in node order
+    pair, xl, xr = (np.concatenate(v) for v in zip(*done))
     order = np.argsort(pair, kind="stable")
-    pair, jl, xl, xr, sl, sr = (v[order] for v in (pair, jl, xl, xr, sl, sr))
-    bracket = sl * sr < 0
-    # a zero run starts at the right end of an interval with a nonzero left
-    # end; the run's intervals follow it, and the nearest nonzero value
-    # after the run is the first nonzero right end among them (0 when the
-    # run reaches the last node)
-    stop = (sr != 0) | (jl == size[pair] - 1)
-    first_stop = np.minimum.accumulate(np.where(stop, np.arange(stop.size), stop.size - 1)[::-1])[::-1]
-    on_node = (sr == 0) & (jl < size[pair] - 1) & (sl * sr[first_stop] < 0)
-    roots = xr.copy()
-    bracket_pair = pair[bracket]
-    roots[bracket] = brentq(
-        lambda x, which: log_ratio(bracket_pair[which], x), xl[bracket], xr[bracket], xtol=1e-13
-    )
-    cut = bracket | on_node
-    return roots[cut], np.bincount(pair[cut], minlength=m)
+    pair, xl, xr = pair[order], xl[order], xr[order]
+    roots = brentq(lambda x, which: log_ratio(pair[which], x), xl, xr, xtol=1e-13)
+    return roots, np.bincount(pair, minlength=m)
 
 
 # -- L2^2 in closed form -------------------------------------------------------

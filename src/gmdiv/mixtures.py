@@ -544,8 +544,9 @@ def mixture_to_record(m: MixingDistribution) -> dict:
 def mixture_from_record(rec: dict) -> MixingDistribution:
     """Inverse of mixture_to_record; validates the record shape.
 
-    dim is an integer, and params holds exactly the class tag's parameters,
-    each a real number.
+    dim is an integer, atoms a list of [location, weight] lists (a location
+    a list of dim numbers, a weight one number), and params holds exactly
+    the class tag's parameters; every number is real and not a bool.
     """
     required = {"dim", "atoms", "class_tag", "params"}
     missing = required - set(rec)
@@ -557,10 +558,12 @@ def mixture_from_record(rec: dict) -> MixingDistribution:
     dim = rec["dim"]
     if not (isinstance(dim, numbers.Integral) and _is_real(dim)):
         raise ValueError(f"mixture record dim must be an integer, got {dim!r}")
-    locs = np.array([a[0] for a in rec["atoms"]], dtype=float)
-    weights = np.array([a[1] for a in rec["atoms"]], dtype=float)
-    if locs.ndim != 2 or locs.shape[1] != dim:
-        raise ValueError("atom locations do not match the declared dimension")
+    atoms = rec["atoms"]
+    pairs = isinstance(atoms, list) and all(isinstance(a, list) and len(a) == 2 and isinstance(a[0], list) for a in atoms)
+    if not (pairs and all(len(a[0]) == dim and all(map(_is_real, a[0] + a[1:])) for a in atoms)):
+        raise ValueError(f"mixture record atoms must be [location, weight]: a list of {dim} numbers, then one number")
+    locs = np.array([a[0] for a in atoms], dtype=float)
+    weights = np.array([a[1] for a in atoms], dtype=float)
     name, params = rec["class_tag"], rec["params"]
     if name not in _TAGS:
         raise ValueError(f"unknown class_tag {name!r}")

@@ -19,32 +19,22 @@ def log_ratio(p_env, q_env, members, X, counts):
 
 
 def dense_splits(p_env, q_env, R):
-    """Roots of log p_i - log q_i bracketed on every grid node, and their count per pair."""
+    """Roots of log p_i - log q_i bracketed where f < 0 flips between grid neighbours, and their count per pair."""
     m = R.size
     counts = np.full(m, _TV_GRID)
-    nodes = np.arange(_TV_GRID)
-    found = []  # per group: pair, node index, left end, right end (inf for a root on a node)
+    found = []  # per group: pair, node index, left end, right end
     for g in _groups(counts):
         members = np.arange(m)[g]
         grid = np.linspace(-R[g], R[g], _TV_GRID, axis=1)
         X = grid.reshape(-1, 1)
-        sign = np.sign(log_ratio(p_env, q_env, members, X, counts[g])).reshape(members.size, _TV_GRID)
-        bi, bj = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-        # sign of the nearest nonzero value at or after each node (0 if none)
-        nxt = np.minimum.accumulate(np.where(sign != 0, nodes, _TV_GRID - 1)[:, ::-1], axis=1)
-        ahead = np.take_along_axis(sign, nxt[:, ::-1], axis=1)
-        ni, nj = np.nonzero((sign[:, 1:-1] == 0) & (sign[:, :-2] * ahead[:, 1:-1] < 0))
-        nj += 1
-        found.append((members[bi], bj + 0.5, grid[bi, bj], grid[bi, bj + 1]))
-        found.append((members[ni], nj, grid[ni, nj], np.full(ni.size, np.inf)))
+        negative = (log_ratio(p_env, q_env, members, X, counts[g]) < 0).reshape(members.size, _TV_GRID)
+        bi, bj = np.nonzero(negative[:, :-1] != negative[:, 1:])
+        found.append((members[bi], bj, grid[bi, bj], grid[bi, bj + 1]))
     pair, position, left, right = (np.concatenate(v) for v in zip(*found))
-    on_node = right == np.inf
-    bracket_pair = pair[~on_node]
-    roots = left.copy()
-    roots[~on_node] = brentq(
-        lambda x, which: log_ratio(p_env, q_env, bracket_pair[which], x[:, None], np.ones(which.size, dtype=int)),
-        left[~on_node],
-        right[~on_node],
+    roots = brentq(
+        lambda x, which: log_ratio(p_env, q_env, pair[which], x[:, None], np.ones(which.size, dtype=int)),
+        left,
+        right,
         xtol=1e-13,
     )
     roots = roots[np.lexsort((position, pair))]

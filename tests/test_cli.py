@@ -330,6 +330,14 @@ class TestErrorPaths:
     def test_strings_and_bools_are_not_numbers_exit_2(self, run, command, cfg):
         run(command, {"command": command, **cfg}, expect=2)
 
+    @pytest.mark.parametrize("atoms", [[[[0.0]]], [[[0.0], 1.0, 2.0]], [[[0.0], "1.0"]], [[[True], 1.0]]], ids=repr)
+    def test_malformed_atoms_exit_2(self, run, atoms):
+        # an atom without a weight once ended in an IndexError traceback and
+        # exit 1; the others were read as valid atoms
+        p = {**gaussian_record(0.0), "atoms": atoms}
+        _, out = run("div", {"command": "div", "kind": "kl", "p": p, "q": gaussian_record(0.0)}, expect=2)
+        assert "[location, weight]" in out.err
+
     def test_nan_dichotomy_level_exit_3(self, run):
         cfg = {"command": "dichotomy", "K": math.nan, "r_grid": [2.0, 3.0]}
         _, out = run("dichotomy", cfg, expect=3)

@@ -38,6 +38,7 @@ from gmdiv.divergences import (
     _sign_change_splits,
     _start_radius,
     _tail_bounds,
+    _tv_node,
 )
 from gmdiv.mixtures import LOG_2PI, _Batch, log_densities
 from conftest import compute_pairs, random_compact, single_gaussian
@@ -1273,6 +1274,32 @@ class TestSignChangeSplits:
         # nodes
         assert divergence(DivergenceKind.TV, p, q).quadrature_points == 278
 
+    @pytest.mark.parametrize(
+        "left, zeros, right, cut",
+        [
+            (-1, [1001, 1002], 1, [1001]),
+            (1, [1001, 1002], -1, [1002]),
+            (-1, [1001, 1002], -1, [1001, 1002]),
+            (1, [1001, 1002], 1, []),
+            (-1, [1001], -1, [1001, 1001]),
+        ],
+        ids=["- 0 0 +", "+ 0 0 -", "- 0 0 -", "+ 0 0 +", "- 0 -"],
+    )
+    def test_zero_run_cut_where_f_below_0_flips(self, monkeypatch, left, zeros, right, cut):
+        # a log-ratio of slope 1, under the pair's slope bound 2, exactly 0
+        # on the zero nodes of linspace(-8, 8, 2049): a root is cut on a
+        # zero node next to a negative value, once per bracket
+        z1, z2 = (_tv_node(8.0, j, 2048) for j in (zeros[0], zeros[-1]))
+
+        def log_ratio(batches, pts, counts=None):
+            x = pts[:, 0]
+            f = np.where(x < z1, left * (z1 - x), np.where(x > z2, right * (x - z2), 0.0))
+            return f, np.zeros_like(f)
+
+        monkeypatch.setattr(divergences, "log_densities", log_ratio)
+        p = GaussianMixture.from_atoms([[-1.0], [1.0]], [0.5, 0.5], tag=Compact(1.0))
+        assert self.splits(p, single_gaussian(0.0, M=1.0)) == [float(_tv_node(8.0, j, 2048)) for j in cut]
+
     def test_identical_pair_has_no_splits(self, rng):
         p = random_compact(rng, M=2.0, d=1)
         assert self.splits(p, p) == []
@@ -1908,13 +1935,15 @@ class TestSeparateRefinement:
 
     def test_d3_tv_pair_converges(self):
         # of the first 8 pairs of this d = 3 sweep, pair 1 (q = p) and pair 3
-        # converge and the others raise at the node cap; the reference with
-        # radial panels 1/4 wide on 8,192 directions (angular level 6) is
-        # within 2e-7 of those with panels 1/8 wide or 32,768 directions
+        # converge and the others raise at the node cap; the reference is
+        # on_rule(..., 1 / 32, 9) at the estimate's radius (radial panels
+        # 1/32 wide on 73,728 directions, 23 s), within 1e-9 relative of the
+        # rules with panels 1/16 and 1/64 wide at angular level 9; a radius
+        # that moves needs it recomputed
         p, q = make_pair(11, 3, InstanceFamily(Compact(2.0), 3))
         est = divergence(DivergenceKind.TV, p, q)
-        ref = on_rule([DivergenceKind.TV], p, q, est.domain_radius, 1 / 4, 6)[0]
-        assert est.value == pytest.approx(ref, rel=1e-7)
+        assert est.domain_radius == 7.995730754682692
+        assert est.value == pytest.approx(0.4338284254328433, rel=1e-7)
 
 
 class TestStreamedLevels:

@@ -569,3 +569,28 @@ class TestSerialization:
         rec = {"dim": 1, "atoms": [[[0.0], 1.0]], "class_tag": "compact", "params": {"M": 2.0}, **change}
         with pytest.raises(ValueError, match="dim must be an integer|takes params"):
             mixture_from_record(rec)
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [[[0.0]]],
+            [[[0.0], 1.0, 2.0]],
+            [[[0.0], "1.0"]],
+            [[[0.0], True]],
+            [[["1.5"], 1.0]],
+            [[[False], 1.0]],
+            [[[0.0, 0.0], 1.0]],
+            [[0.0, 1.0]],
+            [[[0.0], [1.0]]],
+            [[[0.0], 0.5], [[1.0]]],
+            ([[0.0], 1.0],),
+            "atoms",
+        ],
+        ids=repr,
+    )
+    def test_malformed_atoms_rejected(self, atoms):
+        # an atom without a weight once raised IndexError, and an extra
+        # element, a string or a bool was read as a number
+        rec = {"dim": 1, "atoms": atoms, "class_tag": "compact", "params": {"M": 2.0}}
+        with pytest.raises(ValueError, match=r"atoms must be \[location, weight\]"):
+            mixture_from_record(rec)
