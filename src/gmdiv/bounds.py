@@ -305,10 +305,16 @@ _BOUNDS = {
 
 
 def _check_params(bound: BoundId, params: dict) -> _Bound:
-    """Require exactly the symbols of the bound, then its class hypothesis; return its row."""
+    """Require exactly the symbols of the bound, a positive integer d, then its class hypothesis; return its row.
+
+    A bool is not a d; an np.integer is, as a sweep passes its family's d.
+    """
     row = _BOUNDS[bound]
     if set(params) != set(row.symbols):
         raise ValueError(f"{bound.value} takes parameters {sorted(row.symbols)}, got {sorted(params)}")
+    d = params.get("d", 1)
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise HypothesisError(f"{bound.value} requires a positive integer d, got d={d!r}")
     if row.hypothesis is not None:
         name, lower, upper = row.hypothesis
         x = params[name]

@@ -151,7 +151,11 @@ def _family_candidates(spec) -> list[GaussianMixture]:
         raise ValueError(f"unknown family type {kind!r}")
     build, required, optional = _FAMILIES[kind]
     fields = {name: v for name, v in spec.items() if name != "type"}
-    return build(**_parse(f"{kind} family", fields, required, optional))
+    try:
+        return build(**_parse(f"{kind} family", fields, required, optional))
+    except MemoryError:
+        counts = [name for name, parser in required.items() if parser is _COUNT]
+        raise ValueError(f"{kind} family field(s) {counts} give too many candidates to allocate") from None
 
 
 _FAMILY = _field(lambda v: True, "a family spec", _family_candidates)

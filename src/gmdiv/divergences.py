@@ -120,20 +120,22 @@ One pair (`_compute_divergences`, `divergence`, `renyi_integral`), the
 Gram pass of the Hellinger table and `plancherel_l2` are one-member
 batches of the same `_refine`; a fixed `domain_radius` and the Gram pass,
 whose target does not depend on the value, pass no tail test.  In d = 1
-the TV cuts are the roots of log p - log q, bracketed between neighbouring
-nodes of a 2049-node grid per pair (finer beyond R = 64, for a step of at
-most 1/16) where the test log p - log q < 0 flips, and found by `brentq`,
-a vectorized port of Brent's method that iterates every bracket at once,
-takes scipy's steps and returns its roots bit for bit (an end where the
-log-ratio is exactly 0 as it is), so the package needs numpy alone.  The
-grid is searched by bisection from 17 evenly spaced nodes, and an
-interval is dropped when the log-ratio's slope bound (the span of the
-pair's atoms) and a rounding bound show the test cannot flip inside it,
-so only a small part of the grid is evaluated (all of it for q = p, whose
-log-ratio is 0 at every node) and the brackets are still the full
-grid's.  For d > 3 the integrated kinds fall back to seeded
-importance-sampling Monte Carlo where `truncation_bound` reports a 95%
-confidence half-width instead of a hard bound.
+the TV cuts are the roots of log p - log q in (-R, R), bracketed between
+neighbouring nodes of one grid fixed in space, the multiples of 1/128 in
+[-ceil(R), ceil(R)], where the test log p - log q < 0 flips, so a pair's
+roots do not depend on its radius.  `brentq` polishes every bracket at
+once by the Illinois method (Dowell & Jarratt, BIT 1971: a secant step,
+the midpoint where it leaves the bracket, and the f of an end kept twice
+in a row halved), and returns an end where the log-ratio is exactly 0 as
+it is, so the package needs numpy alone.  The grid is searched by
+bisection from the integers, and an interval is dropped when the
+log-ratio's slope bound (the span of the pair's atoms) and a rounding
+bound show the test cannot flip inside it, so only a small part of the
+grid is evaluated (all of it for q = p, whose log-ratio is 0 at every
+node) and the brackets are still the whole grid's.  For d > 3 the
+integrated kinds fall back to seeded importance-sampling Monte Carlo
+where `truncation_bound` reports a 95% confidence half-width instead of
+a hard bound.
 
 `tol` is a relative target: refinement stops when the Kronrod difference
 (or, on an angular axis and TV's radial axis in d >= 2, successive levels)
@@ -955,23 +957,24 @@ def _search_radius(R, met, grid) -> np.ndarray:
     raise CapabilityError("certified tail bound cannot reach the tolerance")
 
 
-_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
-_BRENT_MAXITER = 100
+_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
+_ROOT_STEPS = 100
 
 
 def brentq(f, a, b, xtol):
-    """Roots of f in the brackets [a[i], b[i]], one Brent iteration for all at a time.
+    """Roots of f in the brackets [a[i], b[i]], a[i] < b[i], one Illinois step for all at a time.
 
     f(x, which) returns f at x[j] for bracket which[j], for the brackets
-    still open.  Per bracket, Brent's method (R. P. Brent, *Algorithms for
-    Minimization Without Derivatives*, 1973, ch. 4) step for step as in
-    scipy's `brentq.c`: relative tolerance 4 eps and at most 100
-    iterations; each step is the secant or inverse-quadratic step when
-    2|s| < min(|s_prev|, 3|s_bisect| - delta) and bisection otherwise, and
-    moves by at least delta = (xtol + rtol |x|) / 2.  The same f values give
-    bitwise scipy's root.  An endpoint where f is 0 is returned as is.
-    Raises QuadratureError when f has one sign at both ends of a bracket,
-    when f is NaN, or when a bracket is still open after 100 iterations.
+    still open.  An end where f is 0 is returned as is.  Otherwise each
+    step takes the secant point of the ends, x = b - f_b (b - a) / (f_b -
+    f_a), or the midpoint where x is not inside (a, b), and x replaces the
+    end where f has the sign of f(x); an end kept twice in a row has its f
+    halved, so the secant cannot stall on it (the Illinois method, Dowell &
+    Jarratt, BIT 1971).  A bracket is done, with root x, once f(x) = 0 or
+    b - a <= xtol + 4 eps |x|.  Raises QuadratureError when f has one sign
+    at both ends of a bracket, when f is NaN, or when a bracket is still
+    open after 100 steps.  The name stays `brentq`: `perfbench/spans.py`
+    wraps it by name.
     """
 
     def value(x, which):
@@ -980,61 +983,33 @@ def brentq(f, a, b, xtol):
             raise QuadratureError(f"root search: f({float(x[np.isnan(fx)][0])!r}) is NaN")
         return fx
 
-    xpre, xcur = np.array(a, dtype=float), np.array(b, dtype=float)
-    which = np.arange(xpre.size)
-    fpre, fcur = value(xpre, which), value(xcur, which)
-    roots = np.where(fpre == 0, xpre, xcur)
-    open_ = (fpre != 0) & (fcur != 0)
-    same = open_ & ((fpre < 0) == (fcur < 0))
+    a, b, which = np.array(a, dtype=float), np.array(b, dtype=float), np.arange(len(a))
+    fa, fb = value(a, which), value(b, which)
+    roots = np.where(fa == 0, a, b)
+    open_ = (fa != 0) & (fb != 0)
+    same = open_ & ((fa < 0) == (fb < 0))
     if same.any():
         j = np.argmax(same)
-        raise QuadratureError(
-            f"root search: f has one sign at both ends of [{float(xpre[j])!r}, {float(xcur[j])!r}]"
-        )
-    state = [v[open_] for v in (which, xpre, fpre, xcur, fcur)] + [np.zeros(open_.sum())] * 4
-    which, xpre, fpre, xcur, fcur, xblk, fblk, spre, scur = state
-    for _ in range(_BRENT_MAXITER):
-        # where the root lies between xpre and xcur, they become the bracket
-        flip = (fpre < 0) != (fcur < 0)
-        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        spre = scur = np.where(flip, xcur - xpre, spre)
-        # keep the end with the smaller |f| as the current iterate
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        roots[which[done]] = xcur[done]
-        keep = ~done
-        which, xpre, fpre, xcur, fcur, xblk, fblk, spre, scur, delta, sbis = (
-            v[keep] for v in (which, xpre, fpre, xcur, fcur, xblk, fblk, spre, scur, delta, sbis)
-        )
-        if which.size == 0:
-            return roots
+        raise QuadratureError(f"root search: f has one sign at both ends of [{float(a[j])!r}, {float(b[j])!r}]")
+    which, a, fa, b, fb = (v[open_] for v in (which, a, fa, b, fb))
+    kept = np.zeros(which.size, dtype=np.int8)  # the end the last step kept: -1 a, 1 b, 0 none yet
+    for _ in range(_ROOT_STEPS):
+        if not which.size:
+            break
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # an infinite or NaN step (a zero divisor) never passes the test below
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, secant, quadratic)
-            interpolate = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-            interpolate &= 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
-        spre, scur = np.where(interpolate, scur, sbis), np.where(interpolate, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = value(xcur, which)
-    raise QuadratureError(f"root search did not converge in {_BRENT_MAXITER} iterations")
-
-
-_TV_GRID = 2049
-_TV_STRIDE = 128
-
-
-def _tv_node(R, j, n):
-    """Node j of np.linspace(-R, R, n + 1), in linspace's own arithmetic."""
-    return np.where(j == n, R, j * ((R - -R) / n) + -R)
+            x = b - fb * ((b - a) / (fb - fa))
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        fx = value(x, which)
+        low = (fx < 0) == (fa < 0)  # x replaces a and b is kept, or else the other way round
+        fa, fb = np.where(~low & (kept == -1), 0.5 * fa, fa), np.where(low & (kept == 1), 0.5 * fb, fb)
+        kept = np.where(low, 1, -1)
+        a, fa, b, fb = np.where(low, x, a), np.where(low, fx, fa), np.where(low, b, x), np.where(low, fb, fx)
+        done = (fx == 0) | (b - a <= xtol + _ROOT_RTOL * np.abs(x))
+        roots[which[done]] = x[done]
+        which, a, fa, b, fb, kept = (v[~done] for v in (which, a, fa, b, fb, kept))
+    if which.size:
+        raise QuadratureError(f"root search did not converge in {_ROOT_STEPS} steps")
+    return roots
 
 
 def _log_ratio_rounding(p_env: _Batch, q_env: _Batch, R) -> np.ndarray:
@@ -1059,47 +1034,46 @@ def _log_ratio_rounding(p_env: _Batch, q_env: _Batch, R) -> np.ndarray:
 
 
 def _sign_change_splits(p_env: _Batch, q_env: _Batch, R):
-    """Roots of log p_i - log q_i in [-R[i], R[i]], where pair i's TV panels are cut.
+    """Roots of log p_i - log q_i in (-R[i], R[i]), where pair i's TV panels are cut.
 
-    On each pair's grid np.linspace(-R, R, 2048 * 2^s + 1), s the least
-    s >= 0 that makes its step at most 1/16 (s = 0 for R <= 64), each
-    computed value of the log-ratio f lies on one of two sides, f < 0 or
-    not.  A root is bracketed between neighbouring nodes on opposite sides
-    and found by `brentq` to 1e-13, which returns an end where f is exactly
-    0 as it is: a pair symmetric about 0 has its root on the middle node.
-    In a run of exact zeros, the bracket is the run's end next to the
-    negative value: - 0 0 + cuts at the run's first zero, + 0 0 - at its
-    last, - 0 0 - at both and + 0 0 + nowhere (and - 0 - at its one zero
-    twice, an empty panel).  A pair with q = p has f = 0 at every node, on
-    one side, and no root.  Returns the roots, pair after pair and
-    ascending within a pair, and their count per pair.
+    The roots are bracketed on one grid fixed in space, the multiples of
+    1/128 in [-C, C] for C = ceil(R).  Each computed value of the log-ratio
+    f lies on one of two sides, f < 0 or not.  A root is bracketed between
+    neighbouring nodes on opposite sides and found by `brentq` to 1e-13,
+    which returns an end where f is exactly 0 as it is: a pair symmetric
+    about 0 has its root on the node 0.  In a run of exact zeros, the
+    bracket is the run's end next to the negative value: - 0 0 + cuts at
+    the run's first zero, + 0 0 - at its last, - 0 0 - at both and + 0 0 +
+    nowhere (and - 0 - at its one zero twice, an empty panel).  A pair with
+    q = p has f = 0 at every node, on one side, and no root.  Only the roots
+    inside (-R, R) are kept, so a pair's roots there depend neither on R
+    nor on the other pairs of its call.  Returns the roots, pair after pair
+    and ascending within a pair, and their count per pair.
 
     Only the nodes that can change that answer are evaluated.  The
     log-ratio f has f' = E_p[a | x] - E_q[a | x], so |f'| <= L, the span of
     the real atom locations of p and q together, and its computed value
-    lies within rho / 2 of f at every node (`_log_ratio_rounding`).  The
-    search evaluates every (128 * 2^s)th node (17 a pair), then halves
-    every pair's stride at once until it is 1, and drops each interval
-    whose computed ends are on one side and
-    |f_l| + |f_r| > L (x_r - x_l) + 4 rho.
-    Had a node inside it a computed value on the other side, then (for
-    ends not below 0, a zero end included) the exact f would be below
-    rho / 2 there and above -rho / 2 at the ends, and by the slope bound
-    from both ends
+    lies within rho / 2 of f at every node (`_log_ratio_rounding` at radius
+    C).  The search evaluates the integers, then 7 times drops each
+    interval whose computed ends are on one side and
+    |f_l| + |f_r| > L (x_r - x_l) + 4 rho,
+    and halves the others at their midpoints, which are nodes of the grid
+    exactly.  Had a node inside a dropped interval a computed value on the
+    other side, then (for ends not below 0, a zero end included) the exact
+    f would be below rho / 2 there and above -rho / 2 at the ends, and by
+    the slope bound from both ends
     |f_l| + |f_r| <= L (x_r - x_l) + 2 rho.  So every node inside a
-    dropped interval is on its ends' side: the stride-1 intervals left
-    hold every bracket of the full grid, and the roots are the full
-    grid's, bit for bit.  The nodes are computed in linspace's arithmetic
-    (`_tv_node`); the bookkeeping holds the intervals still alive, never a
-    whole grid.  A grid of s > 0 divides the step of s = 0 by 2^s exactly,
-    so every node of that grid stays a node bit for bit, and a pair's roots
-    do not depend on the other pairs of its call.
+    dropped interval is on its ends' side: the intervals of width 1/128
+    left hold every bracket of the whole grid, and the roots are the whole
+    grid's, bit for bit.  The bookkeeping holds the intervals still alive,
+    pair after pair and in node order, never a whole grid.
     """
     m = R.size
     locs = np.concatenate([p_env.locations[:, :, 0], q_env.locations[:, :, 0]], axis=1)
     real = np.concatenate([p_env.real, q_env.real], axis=1)
     span = np.max(np.where(real, locs, -np.inf), axis=1) - np.min(np.where(real, locs, np.inf), axis=1)
-    slack = 4.0 * _log_ratio_rounding(p_env, q_env, R)
+    C = np.ceil(R)
+    slack = 4.0 * _log_ratio_rounding(p_env, q_env, C)
 
     def log_ratio(pair, x):
         # pair ascends, so the nodes of a pair form one segment
@@ -1108,43 +1082,27 @@ def _sign_change_splits(p_env: _Batch, q_env: _Batch, R):
         logp, logq = log_densities([p_env[members], q_env[members]], x[:, None], counts[members])
         return logp - logq
 
-    # per pair, the least s >= 0 with a step of (2 R / 2048) / 2^s <= 1/16,
-    # and the coarse nodes of s = 0 as nodes of its grid
-    frac, e = np.frexp(16.0 * ((R - -R) / (_TV_GRID - 1)))
-    s = np.maximum(e - (frac == 0.5), 0).astype(np.int64)
-    stride, size = _TV_STRIDE << s, (_TV_GRID - 1) << s
-    coarse = np.arange(0, _TV_GRID, _TV_STRIDE)
-    pair = np.repeat(np.arange(m), coarse.size)
-    j = np.tile(coarse, m) << s[pair]
-    x = _tv_node(R[pair], j, size[pair])
+    # the integers -C..C of each pair, and the intervals between them
+    n = 2 * C.astype(np.int64) + 1
+    pair = np.repeat(np.arange(m), n)
+    x = np.arange(pair.size) - (np.cumsum(n) - n)[pair] - C[pair]
     f = log_ratio(pair, x)
-    left = j < size[pair]
-    pair, jl, xl, fl, xr, fr = pair[left], j[left], x[left], f[left], x[1:][left[:-1]], f[1:][left[:-1]]
-    done = []
-    while True:
+    left = x < C[pair]
+    pair, xl, fl, xr, fr = pair[left], x[left], f[left], x[1:][left[:-1]], f[1:][left[:-1]]
+    for _ in range(7):
         split = (fl < 0) != (fr < 0)
         keep = split | ~(np.abs(fl) + np.abs(fr) > span[pair] * (xr - xl) + slack[pair])
-        # a pair is done when its stride is 1; the pairs of one grid size finish together
-        last = keep & (stride[pair] == 1)
-        done.append([v[last & split] for v in (pair, xl, xr)])
-        pair, jl, xl, fl, xr, fr = (v[keep & ~last] for v in (pair, jl, xl, fl, xr, fr))
-        if pair.size == 0:
-            break
-        stride //= 2
-        jm = jl + stride[pair]
-        xm = _tv_node(R[pair], jm, size[pair])
+        pair, xl, fl, xr, fr = (v[keep] for v in (pair, xl, fl, xr, fr))
+        xm = 0.5 * (xl + xr)
         fm = log_ratio(pair, xm)
         # each interval becomes its two halves, in node order
         pair = np.repeat(pair, 2)
-        jl, xl, fl, xr, fr = (
-            np.stack([a, b], axis=1).ravel() for a, b in ((jl, jm), (xl, xm), (fl, fm), (xm, xr), (fm, fr))
-        )
-    # back in pair order, each pair's brackets still in node order
-    pair, xl, xr = (np.concatenate(v) for v in zip(*done))
-    order = np.argsort(pair, kind="stable")
-    pair, xl, xr = pair[order], xl[order], xr[order]
+        xl, fl, xr, fr = (np.stack([a, b], axis=1).ravel() for a, b in ((xl, xm), (fl, fm), (xm, xr), (fm, fr)))
+    bracket = (fl < 0) != (fr < 0)
+    pair, xl, xr = pair[bracket], xl[bracket], xr[bracket]
     roots = brentq(lambda x, which: log_ratio(pair[which], x), xl, xr, xtol=1e-13)
-    return roots, np.bincount(pair, minlength=m)
+    inside = (-R[pair] < roots) & (roots < R[pair])
+    return roots[inside], np.bincount(pair[inside], minlength=m)
 
 
 # -- L2^2 in closed form -------------------------------------------------------

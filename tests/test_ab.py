@@ -1,11 +1,25 @@
 """The A/B timing tool `tools/ab.py`, run on this checkout against itself."""
 
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 _ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def ab(monkeypatch):
+    """tools/ab.py as a module; the thread settings it makes at import are undone."""
+    monkeypatch.syspath_prepend(str(_ROOT / "tools"))
+    monkeypatch.delitem(sys.modules, "ab", raising=False)
+    with mock.patch.dict(os.environ):
+        import ab
+    return ab
 
 
 def test_a_checkout_against_itself_has_equal_digests():
@@ -65,6 +79,29 @@ def test_differing_artifacts_are_listed_file_by_file(tmp_path):
     summaries = ["job0/out/sweep_Thm1_summary.json", "job1/out/sweep_ChiSqThm_summary.json"]
     summaries.append("job2/out/sweep_Thm1_summary.json")
     assert set(summaries) <= set(differs) and min(differs.values()) > 0
+    # each differing CSV is followed by its cell line
+    csvs = [name for name in differs if name.endswith(".csv")]
+    assert csvs and all(
+        lines[lines.index(f"differs {name}: {differs[name]} lines") + 1].startswith(f"  cells of {name}: ")
+        for name in csvs
+    )
     # and their summed points differ
     (points,) = [line.split() for line in lines if line.startswith("quadrature_points ")]
     assert points[2] != points[5]
+
+
+def test_csv_change_by_rounding_alone(ab, tmp_path):
+    parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
+    parent.write_text("seed,K,lhs,ratio,pass\n8,,0.5,nan,true\n9,,2,0.25,false\n")
+    change.write_text("seed,K,lhs,ratio,pass\n8,,0.50000000000000011,nan,true\n9,,2,0.25,false\n")
+    # one numeric cell moved by an ulp; the empty, nan and pass cells are equal
+    assert ab._csv_change(parent, change) == ((0.50000000000000011 - 0.5) / 0.50000000000000011, 0)
+
+
+def test_csv_change_counts_verdicts_and_rows(ab, tmp_path):
+    parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
+    parent.write_text("lhs,ratio,pass\n1.5,0.5,true\n")
+    change.write_text("lhs,ratio,pass\n1.0,nan,false\n2,0.25,true\n")
+    # lhs moved by a third; ratio became nan and pass flipped; the new row's three cells
+    assert ab._csv_change(parent, change) == (0.5 / 1.5, 5)
+    assert ab._csv_change(parent, tmp_path / "missing.csv") == (0.0, 6)

@@ -104,6 +104,16 @@ class TestBoundRhs:
             with pytest.raises(HypothesisError, match="0 < TV <= 1"):
                 bound_rhs("L2fromTV", tv=tv)
 
+    @pytest.mark.parametrize("d", [math.nan, 0, -3, True, 2.5, 2.0], ids=repr)
+    @pytest.mark.parametrize("bound, params", [("Thm1", {"M": 2.0}), ("Thm3", {"K": 0.5}), ("ChiSqThm", {"M": 2.0})])
+    def test_dimension_is_a_positive_integer(self, bound, params, d):
+        # max(M * M, nan) once dropped a NaN d, and Thm3 read d = 2.5
+        for rhs in (bound_rhs, bound_rhs_log):
+            with pytest.raises(HypothesisError, match="positive integer d"):
+                rhs(bound, d=d, h2=0.1, **params)
+            # an np.integer is a dimension, as a sweep passes its family's d
+            assert rhs(bound, d=np.int64(2), h2=0.1, **params) == rhs(bound, d=2, h2=0.1, **params)
+
     def test_chisq_log_domain_overflow(self):
         # the linear constant overflows for M >= 4 but the log value is exact
         log_rhs = bound_rhs_log("ChiSqThm", M=4.0, d=1, h2=1.0)

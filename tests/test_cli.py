@@ -416,6 +416,34 @@ class TestErrorPaths:
         assert time.perf_counter() - start < 1.0 and filled == []
         assert out.err.startswith("config error: ") and "'n_streams'" in out.err and "'length'" in out.err
 
+    @pytest.mark.parametrize("command", ["entropy", "seq"])
+    @pytest.mark.parametrize(
+        "family, fields",
+        [
+            ({**THETA_FAMILY, "count": 10**15}, ["count"]),
+            (
+                {
+                    "type": "atom-grid",
+                    "loc_start": 0.5,
+                    "loc_stop": 1.5,
+                    "loc_count": 10**15,
+                    "weight_start": 0.2,
+                    "weight_stop": 0.8,
+                    "weight_count": 10**15,
+                },
+                ["loc_count", "weight_count"],
+            ),
+        ],
+        ids=["theta-grid", "atom-grid"],
+    )
+    def test_too_many_candidates_exit_2_before_any_distance(self, run, gram_fills, command, family, fields):
+        # np.linspace cannot allocate 10**15 candidates (8 PB, past any
+        # address space), and its MemoryError names the family's count fields
+        cfg = {"command": command, **VALID[command], "family": family}
+        _, out = run(command, cfg, expect=2)
+        assert out.err.startswith("config error: ") and gram_fills == []
+        assert all(f"'{name}'" in out.err for name in fields)
+
 # a valid config of every command and of every family type, the base of the table-driven cases
 VALID = {
     "div": {"kind": "kl", "p": gaussian_record(0.0), "q": gaussian_record(0.5)},

@@ -38,7 +38,6 @@ from gmdiv.divergences import (
     _sign_change_splits,
     _start_radius,
     _tail_bounds,
-    _tv_node,
 )
 from gmdiv.mixtures import LOG_2PI, _Batch, log_densities
 from conftest import compute_pairs, random_compact, single_gaussian
@@ -1197,16 +1196,16 @@ class TestBrentq:
     ]
 
     def test_matches_scipy_on_sign_change_brackets(self, monkeypatch):
-        # every bracket `_sign_change_splits` finds on its 2049-point grids,
-        # with the f it passes, taken one bracket at a time by scipy: the
-        # vectorized port's root is scipy's, bit for bit
+        # every bracket `_sign_change_splits` finds on its grids, with the f
+        # it passes, taken one bracket at a time by scipy's Brent solver:
+        # each Illinois root is within the stopping width of scipy's
         port, seen = divergences.brentq, []
 
         def both(f, a, b, xtol):
             roots = port(f, a, b, xtol=xtol)
             for i, root in enumerate(roots):
                 one = lambda x, i=i: float(f(np.array([x]), np.array([i]))[0])
-                seen.append((root, scipy_brentq(one, a[i], b[i], xtol=xtol)))
+                seen.append((root, scipy_brentq(one, a[i], b[i], xtol=xtol), xtol))
             return roots
 
         monkeypatch.setattr(divergences, "brentq", both)
@@ -1217,7 +1216,8 @@ class TestBrentq:
             R = _start_radius(tags, np.maximum(p_env.s_max, q_env.s_max), 1, default_tol(1))
             _sign_change_splits(p_env, q_env, R)
         assert len(seen) >= 200
-        assert all(root == expected for root, expected in seen)
+        eps = np.finfo(float).eps
+        assert all(abs(root - expected) <= xtol + 4.0 * eps * abs(root) for root, expected, xtol in seen)
 
     @staticmethod
     def line(x, which):
@@ -1240,10 +1240,13 @@ class TestBrentq:
         with pytest.raises(QuadratureError, match="NaN"):
             divergences.brentq(f, [0.0], [1.0], xtol=1e-13)
 
-    def test_no_convergence_raises(self):
-        # a step function over [0, 1e300] needs about a thousand halvings
+    def test_no_convergence_raises(self, monkeypatch):
+        # a step function over [0, 1e300] takes more than 3 steps to close
+        # its bracket, with the step cap patched down from 100 to 3
         f = lambda x, which: np.where(x < 0.3, -1.0, 1.0)
-        with pytest.raises(QuadratureError, match="100 iterations"):
+        assert divergences._ROOT_STEPS == 100
+        monkeypatch.setattr(divergences, "_ROOT_STEPS", 3)
+        with pytest.raises(QuadratureError, match="did not converge in 3 steps"):
             divergences.brentq(f, [0.0, 0.0], [1e300, 1.0], xtol=1e-13)
 
 
@@ -1257,15 +1260,16 @@ class TestSignChangeSplits:
     @staticmethod
     def close_roots_pair():
         # log p - log q = 0 where e^-0.72 cosh(1.2 (x - 3)) = 1: two roots
-        # 2.25 apart, inside one interval of linspace(-R, R, 2049) at R = 1e4
+        # 2.25 apart, which a grid of 2049 nodes on [-R, R] would put inside
+        # one interval at R = 1e4
         p = GaussianMixture.from_atoms([[1.8], [4.2]], [0.5, 0.5], tag=Compact(4.2))
         return p, single_gaussian(3.0, M=4.2)
 
     @pytest.mark.parametrize("a", [1.0, 2.0])
     def test_root_on_a_grid_node(self, a):
-        # a pair symmetric about 0 has its root on the middle node of
-        # linspace(-R, R, 2049), where the log-ratio is exactly 0; the
-        # search once missed it (the sign product there is 0, not < 0)
+        # a pair symmetric about 0 has its root on the grid node 0, where
+        # the log-ratio is exactly 0; the search once missed it (the sign
+        # product there is 0, not < 0)
         p, q = single_gaussian(a, M=2.0), single_gaussian(-a, M=2.0)
         assert self.splits(p, q) == [0.0]
         # cut there, the kink no longer sits inside a panel: 80 points for
@@ -1287,9 +1291,9 @@ class TestSignChangeSplits:
     )
     def test_zero_run_cut_where_f_below_0_flips(self, monkeypatch, left, zeros, right, cut):
         # a log-ratio of slope 1, under the pair's slope bound 2, exactly 0
-        # on the zero nodes of linspace(-8, 8, 2049): a root is cut on a
+        # on the zero nodes j / 128 - 8 of the grid: a root is cut on a
         # zero node next to a negative value, once per bracket
-        z1, z2 = (_tv_node(8.0, j, 2048) for j in (zeros[0], zeros[-1]))
+        z1, z2 = (j / 128 - 8.0 for j in (zeros[0], zeros[-1]))
 
         def log_ratio(batches, pts, counts=None):
             x = pts[:, 0]
@@ -1298,7 +1302,7 @@ class TestSignChangeSplits:
 
         monkeypatch.setattr(divergences, "log_densities", log_ratio)
         p = GaussianMixture.from_atoms([[-1.0], [1.0]], [0.5, 0.5], tag=Compact(1.0))
-        assert self.splits(p, single_gaussian(0.0, M=1.0)) == [float(_tv_node(8.0, j, 2048)) for j in cut]
+        assert self.splits(p, single_gaussian(0.0, M=1.0)) == [j / 128 - 8.0 for j in cut]
 
     def test_identical_pair_has_no_splits(self, rng):
         p = random_compact(rng, M=2.0, d=1)
@@ -1336,19 +1340,24 @@ class TestSignChangeSplits:
         assert self.dense(pairs).sum() >= 40
 
     def test_pruned_search_keeps_two_roots_in_one_coarse_interval(self):
-        # roots at 1.18 and 1.56 inside the stride-128 interval [0, 2.33] at
-        # R = 18.66, whose ends share a sign: a drop test with a tenth of
-        # the slope bound loses both, the only pair of 40,000 sweep pairs
-        # whose roots it changes
+        # roots at 1.18 and 1.56 inside the integer interval [1, 2] at
+        # R = 18.66, whose ends share a sign
         pair = make_pair(1, 157, InstanceFamily(Subgaussian(2.0), 1, 8))
         assert self.dense([pair]).tolist() == [3]
 
-    def test_pruned_search_keeps_roots_near_the_slope_bound(self):
-        # both roots, 1.8768... and 4.1232..., lie inside the stride-128
-        # interval [0, 8] at R = 64, whose ends share a sign with
-        # |f_l| + |f_r| = 0.353 L 8 for the atom span L = 2.4: a drop test
-        # with 0.35 L loses them
-        assert self.dense([self.close_roots_pair()], np.array([64.0])).tolist() == [2]
+    def test_pruned_search_keeps_roots_near_the_slope_bound(self, monkeypatch):
+        # a log-ratio 2 |x - c| - 0.01 of slope 2, the pair's slope bound L:
+        # on every interval about c its ends sum to L (x_r - x_l) - 0.02, so
+        # a drop test with 0.985 L would lose both roots, 0.01 apart, at the
+        # integers already
+        c = 3.0 + 1.0 / 3.0
+
+        def log_ratio(batches, pts, counts=None):
+            return 2.0 * np.abs(pts[:, 0] - c) - 0.01, np.zeros(len(pts))
+
+        monkeypatch.setattr(divergences, "log_densities", log_ratio)
+        p = GaussianMixture.from_atoms([[-1.0], [1.0]], [0.5, 0.5], tag=Compact(1.0))
+        assert self.splits(p, single_gaussian(0.0, M=1.0)) == pytest.approx([c - 0.005, c + 0.005], rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("R", [None, 8.0, 9.3])
     def test_pruned_search_keeps_roots_on_the_middle_node(self, R):
@@ -1411,13 +1420,33 @@ class TestSignChangeSplits:
         assert self.splits(p, q, R) == pytest.approx([3.0 - half_gap, 3.0 + half_gap], rel=0.0, abs=1e-12)
 
     def test_grid_sizes_mixed_in_one_batch(self):
-        # R = 1e4, 8 and 300 give grids of 2048 * 2^s intervals for s = 8, 0
-        # and 3; each pair's roots are its one-pair roots, in pair order
+        # R = 1e4, 8 and 300 give grids of 20,001, 17 and 601 integers;
+        # each pair's roots are its one-pair roots, in pair order
         p, q = self.close_roots_pair()
         R = np.array([1e4, 8.0, 300.0])
         roots, counts = _sign_change_splits(_Batch.of([p] * 3), _Batch.of([q] * 3), R)
         assert counts.tolist() == [2, 2, 2]
         assert roots.tolist() == [x for r in R for x in self.splits(p, q, r)]
+
+    def test_roots_do_not_depend_on_the_radius(self):
+        # the grid is fixed in space: a larger radius keeps the roots inside
+        # a smaller one bit for bit, and adds only roots outside it (the
+        # last pair's roots lie at 8 -+ 1.12)
+        pairs = [make_pair(5, i, InstanceFamily(Compact(2.0), 1)) for i in range(30)]
+        wide = GaussianMixture.from_atoms([[6.0], [10.0]], [0.5, 0.5], tag=Compact(10.0))
+        pairs.append((wide, single_gaussian(8.0, M=10.0)))
+        p_env, q_env = _Batch.of([p for p, _ in pairs]), _Batch.of([q for _, q in pairs])
+
+        def each(R):
+            roots, counts = _sign_change_splits(p_env, q_env, np.full(len(pairs), R))
+            return np.split(roots, np.cumsum(counts)[:-1])
+
+        inner = each(8.0)
+        assert sum(own.size for own in inner) >= 30 and inner[-1].size == 1
+        for R in (12.0, 1e3):
+            outer = each(R)
+            assert [own[(-8.0 < own) & (own < 8.0)].tobytes() for own in outer] == [own.tobytes() for own in inner]
+            assert outer[-1].size == 2
 
 
 class TestLogRatioBounds:

@@ -24,7 +24,10 @@ artifacts, parent -> change, so a change in points reads from here (0 on
 a workload with no sweep); then both sides' digests and failed ops.  When the
 digests differ, each worker has kept a copy of its warm-up artifacts, and
 the block lists every artifact file whose bytes differ, with its count of
-differing lines, so a behaviour change is reported file by file.  Exits 0
+differing lines, so a behaviour change is reported file by file; under a
+differing CSV a second line gives the largest relative change of its
+numeric cells and the count of its other differing cells (the `pass`
+column, say), so a change by rounding alone reads from there.  Exits 0
 when every workload's digests are equal and no op failed; 1 otherwise.
 `perfbench/` is only read.
 
@@ -43,9 +46,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import io  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -157,6 +162,36 @@ def _differing_files(parent: str, change: str) -> list[tuple[str, int]]:
     return out
 
 
+def _csv_change(parent: Path, change: Path) -> tuple[float, int]:
+    """Between two versions of a CSV file, the largest relative change of a numeric cell and the count of other differing cells.
+
+    Cells pair by row and column.  A cell is numeric when it reads as a
+    finite float on both sides, and its relative change is |a - b| /
+    max(|a|, |b|).  Every other cell that differs counts, a cell or row on
+    one side only (a missing file has no rows) included.
+    """
+
+    def rows(path):
+        return list(csv.reader(path.read_text().splitlines())) if path.exists() else []
+
+    def number(cell):
+        try:
+            x = float(cell)
+        except (TypeError, ValueError):
+            return None
+        return x if math.isfinite(x) else None
+
+    largest, other = 0.0, 0
+    for row_a, row_b in itertools.zip_longest(rows(parent), rows(change), fillvalue=[]):
+        for a, b in itertools.zip_longest(row_a, row_b):
+            x, y = number(a), number(b)
+            if x is not None and y is not None:
+                largest = max(largest, abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0)
+            elif a != b:
+                other += 1
+    return largest, other
+
+
 def _points(kept: str) -> int:
     """The summed `quadrature_points` of the sweep summaries in a kept artifact tree."""
     return sum(json.loads(path.read_text())["quadrature_points"] for path in Path(kept).rglob("sweep_*_summary.json"))
@@ -210,6 +245,9 @@ def compare(checkouts, workload: str, seed: int, pairs: int, kept: str) -> bool:
     if not same:
         for name, lines in _differing_files(*keeps):
             print(f"differs {name}: {lines} lines")
+            if name.endswith(".csv"):
+                largest, other = _csv_change(*(Path(keep, name) for keep in keeps))
+                print(f"  cells of {name}: largest relative change {largest:.3g}, {other} other cells differ")
     print("digests equal" if same else "digests DIFFER", flush=True)
     return same and not any(failed)
 
